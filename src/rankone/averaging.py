@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from .construction import ConstructionSpec
 from .errors import SpecError
@@ -136,20 +136,21 @@ def average_apply(spec: ConstructionSpec, w: WeightSequence, f: StepFunction,
 
 def l2_deviation(Pf: StepFunction, mean: RationalLike, escaped: MeasureBound,
                  ambient_measure: RationalLike,
-                 sup_f: Optional[RationalLike] = None) -> MeasureBound:
+                 sup_f: RationalLike) -> MeasureBound:
     """Enclosure of the squared L2 distance of P f from a constant mean over
     the ambient interval.
 
     The computed P f can differ from the true one only on escaped support,
     where both lie within sup|f| of zero; each unit of escaped measure moves
-    the integral by at most (sup|f| + |mean|)^2.  sup_f defaults to the sup
-    of the computed P f, which is sound whenever weights sum to 1.
+    the integral by at most (sup|f| + |mean|)^2.  sup_f must bound |f| for
+    the f that P was applied to: the computed P f is zero where mass
+    escaped, so its own sup does not bound the true P f.
     """
     mean = as_fraction(mean)
     M = as_fraction(ambient_measure)
     if M <= 0:
         raise SpecError("ambient measure must be positive")
-    s = Pf.sup_abs() if sup_f is None else abs(as_fraction(sup_f))
+    s = abs(as_fraction(sup_f))
     d0 = Pf.l2_norm_sq() - 2 * mean * Pf.integral() + mean * mean * M
     c = (s + abs(mean)) ** 2
     slack = c * escaped.hi

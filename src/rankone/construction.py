@@ -45,6 +45,41 @@ __all__ = [
 MATERIALIZE_LIMIT = 1024
 
 
+def _check_int(name: str, value: object, minimum: Optional[int] = None) -> None:
+    """Refuse anything but a genuine int (bool and float included) below
+    minimum, so malformed spec JSON fails as a SpecError."""
+    if not isinstance(value, int) or isinstance(value, bool) or (
+            minimum is not None and value < minimum):
+        bound = f" >= {minimum}" if minimum is not None else ""
+        raise SpecError(f"{name} must be an integer{bound}, got {value!r}")
+
+
+def _int_tuple(name: str, value: object, minimum: int) -> Tuple[int, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise SpecError(f"{name} must be a list of integers, got {value!r}")
+    for v in value:
+        _check_int(name, v, minimum)
+    return tuple(value)
+
+
+def _rule_json(name: str, data: object) -> dict:
+    if not isinstance(data, dict) or "kind" not in data:
+        raise SpecError(f"{name} must be a JSON object with a kind")
+    return data
+
+
+def bit_indices(bits: int) -> Tuple[int, ...]:
+    """Sorted indices of the set bits of a nonnegative int, in time linear
+    in its length: one scan of the binary digits, low bit first."""
+    digits = bin(bits)[:1:-1]
+    out = []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class CutRule:
     """Number of columns r_j used when cutting stage j.
@@ -61,12 +96,15 @@ class CutRule:
     def __post_init__(self):
         if self.kind not in ("constant", "stage", "stage_plus_one", "list"):
             raise SpecError(f"unknown cut rule kind: {self.kind!r}")
-        if self.kind == "constant" and (self.value is None or self.value < 1):
-            raise SpecError("constant cut rule needs value >= 1")
-        if self.kind == "list":
-            if not self.values or any(v < 1 for v in self.values):
-                raise SpecError("list cut rule needs positive values")
-            object.__setattr__(self, "values", tuple(self.values))
+        if self.kind == "constant":
+            _check_int("constant cut rule value", self.value, 1)
+        elif self.value is not None:
+            _check_int("cut rule value", self.value)
+        if self.values is not None:
+            object.__setattr__(self, "values",
+                               _int_tuple("cut rule values", self.values, 1))
+        if self.kind == "list" and not self.values:
+            raise SpecError("list cut rule needs positive values")
 
     def at(self, j: int) -> int:
         if self.kind == "constant":
@@ -89,11 +127,9 @@ class CutRule:
 
     @classmethod
     def from_json(cls, data: dict) -> "CutRule":
-        return cls(
-            kind=data["kind"],
-            value=data.get("value"),
-            values=tuple(data["values"]) if "values" in data else None,
-        )
+        data = _rule_json("cut_rule", data)
+        return cls(kind=data["kind"], value=data.get("value"),
+                   values=data.get("values"))
 
 
 @dataclass(frozen=True)
@@ -112,15 +148,17 @@ class SpacerRule:
     def __post_init__(self):
         if self.kind not in ("none", "staircase", "chacon", "random", "list"):
             raise SpecError(f"unknown spacer rule kind: {self.kind!r}")
-        if self.kind == "random" and (self.bound is None or self.bound < 0):
-            raise SpecError("random spacer rule needs bound >= 0")
-        if self.kind == "list":
-            if self.rows is None:
-                raise SpecError("list spacer rule needs rows")
-            rows = tuple(tuple(r) for r in self.rows)
-            if any(s < 0 for row in rows for s in row):
-                raise SpecError("spacer counts must be nonnegative")
-            object.__setattr__(self, "rows", rows)
+        if self.kind == "random":
+            _check_int("random spacer rule bound", self.bound, 0)
+        elif self.bound is not None:
+            _check_int("spacer rule bound", self.bound)
+        if self.kind == "list" and self.rows is None:
+            raise SpecError("list spacer rule needs rows")
+        if self.rows is not None:
+            if not isinstance(self.rows, (list, tuple)):
+                raise SpecError(f"spacer rule rows must be a list, got {self.rows!r}")
+            object.__setattr__(self, "rows", tuple(
+                _int_tuple("spacer counts", row, 0) for row in self.rows))
 
     def vector(self, j: int, r: int, seed: Optional[int]) -> Tuple[int, ...]:
         if self.kind == "none":
@@ -153,11 +191,9 @@ class SpacerRule:
 
     @classmethod
     def from_json(cls, data: dict) -> "SpacerRule":
-        return cls(
-            kind=data["kind"],
-            bound=data.get("bound"),
-            rows=tuple(tuple(r) for r in data["rows"]) if "rows" in data else None,
-        )
+        data = _rule_json("spacer_rule", data)
+        return cls(kind=data["kind"], bound=data.get("bound"),
+                   rows=data.get("rows"))
 
 
 _PRESETS = {
@@ -186,12 +222,17 @@ class ConstructionSpec:
     preset: str = "custom"
 
     def __post_init__(self):
-        if self.h1 < 1:
-            raise SpecError("h1 must be >= 1")
-        if self.max_stage < 1:
-            raise SpecError("max_stage must be >= 1")
+        _check_int("h1", self.h1, 1)
+        _check_int("max_stage", self.max_stage, 1)
+        if self.seed is not None:
+            _check_int("seed", self.seed)
         if self.base_width is not None:
-            bw = as_fraction(self.base_width)
+            try:
+                bw = as_fraction(self.base_width)
+            except (TypeError, ValueError, ZeroDivisionError):
+                raise SpecError(
+                    f"base_width must be an exact rational, got {self.base_width!r}"
+                ) from None
             if bw <= 0:
                 raise SpecError("base_width must be positive")
             object.__setattr__(self, "base_width", bw)
@@ -246,21 +287,25 @@ class ConstructionSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "ConstructionSpec":
+        if not isinstance(data, dict):
+            raise SpecError(f"spec must be a JSON object, got {type(data).__name__}")
         preset = data.get("preset", "custom")
-        defaults = _PRESETS.get(preset, {})
-        if preset != "custom" and preset not in _PRESETS:
+        if not isinstance(preset, str) or (
+                preset != "custom" and preset not in _PRESETS):
             raise SpecError(f"unknown preset: {preset!r}")
-        merged = dict(defaults)
+        merged = dict(_PRESETS.get(preset, {}))
         merged.update(data)
         if "cut_rule" not in merged or "spacer_rule" not in merged:
             raise SpecError("spec needs cut_rule and spacer_rule (or a known preset)")
+        if "h1" not in merged:
+            raise SpecError("spec needs h1 (or a known preset)")
         return cls(
             h1=merged["h1"],
             cut_rule=CutRule.from_json(merged["cut_rule"]),
             spacer_rule=SpacerRule.from_json(merged["spacer_rule"]),
             max_stage=merged.get("max_stage", 10),
             seed=merged.get("seed"),
-            base_width=as_fraction(merged["base_width"]) if "base_width" in merged else None,
+            base_width=merged.get("base_width"),
             preset=preset,
         )
 
@@ -284,7 +329,7 @@ class TowerStage:
         self.spec = spec
         self.stage = stage
         self.prev = prev
-        self._occ: Dict[int, Tuple[int, ...]] = {}
+        self._occ: Dict[int, int] = {}
         if prev is None:
             self.height = spec.h1
             self.width = spec.width1
@@ -405,24 +450,59 @@ class TowerStage:
 
     # -- base occurrences --------------------------------------------------
 
-    def occurrences(self, k: int) -> Tuple[int, ...]:
-        """Sorted level indices i with level(i) inside the stage-k base E_k.
+    def occurrence_bits(self, k: int) -> int:
+        """S_k as an int bitset: bit i is set iff level(i) lies inside the
+        stage-k base E_k.
 
-        Computed by the column recursion S_k(j+1) = {offset_c + p}; agrees
-        with direct interval containment (tested) because E_k is exactly the
-        union of its stage-j occurrences and spacer mass added at stages >= k
-        is disjoint from [0, M_k).
+        Built by the column recursion S_k(j+1) = OR_c S_k(j) << offset_c and
+        cached per stage; agrees with direct interval containment (tested)
+        because E_k is exactly the union of its stage-j occurrences and
+        spacer mass added at stages >= k is disjoint from [0, M_k).
         """
         if not (1 <= k <= self.stage):
             raise SpecError(f"occurrence stage {k} out of range")
         if k == self.stage:
-            return (0,)
-        cached = self._occ.get(k)
-        if cached is None:
-            prev_occ = self.prev.occurrences(k)
-            cached = tuple(sorted(off + p for off in self.offsets for p in prev_occ))
-            self._occ[k] = cached
-        return cached
+            return 1
+        bits = self._occ.get(k)
+        if bits is None:
+            prev_bits = self.prev.occurrence_bits(k)
+            bits = 0
+            for off in self.offsets:
+                bits |= prev_bits << off
+            self._occ[k] = bits
+        return bits
+
+    def occurrences(self, k: int) -> Tuple[int, ...]:
+        """Sorted level indices i with level(i) inside the stage-k base E_k,
+        decoded from occurrence_bits(k)."""
+        return bit_indices(self.occurrence_bits(k))
+
+    def level_bits(self, A: IntervalSet) -> Optional[int]:
+        """Bitset over this stage's levels of a set A made of whole levels of
+        some stage k <= this stage, or None when A is not such a union.
+
+        The test reads the set itself: at stage k the levels tile [0, M_k)
+        in cells [c w_k, (c+1) w_k), cell c being level locate(c w_k), so A
+        is a union of stage-k levels iff every endpoint is a multiple of w_k
+        in [0, M_k].  The smallest such k is used, and each of its
+        levels l lifts to this stage as S_k << l.
+        """
+        ends = [x for iv in A.intervals for x in (iv.lo, iv.hi)]
+        chain = []
+        st: Optional[TowerStage] = self
+        while st is not None:
+            chain.append(st)
+            st = st.prev
+        for st in reversed(chain):
+            if all(0 <= x <= st.total and (x / st.width).denominator == 1
+                   for x in ends):
+                occ = self.occurrence_bits(st.stage)
+                bits = 0
+                for iv in A.intervals:
+                    for c in range(int(iv.lo / st.width), int(iv.hi / st.width)):
+                        bits |= occ << st.locate(c * st.width)
+                return bits
+        return None
 
     @property
     def base_occurrence_map(self) -> Dict[int, Tuple[int, ...]]:

@@ -11,7 +11,6 @@ thresholds, and covered-mass reports are directly comparable across kinds.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
@@ -134,15 +133,15 @@ def graph_blocks(spec: ConstructionSpec, k: int, j: int, J: int) -> BlockMassMat
     lower bounds)."""
     st = build_stage(spec, j)
     stJ = build_stage(spec, J)
-    occ = stJ.occurrences(j)
-    occ_set = set(occ)
+    B = stJ.occurrence_bits(j)
     M = stJ.total
     h, hJ = st.height, stJ.height
     w_norm = stJ.width / M
     masses: Dict[BlockIndex, Fraction] = {}
     for delta in range(k - h + 1, k + h):
-        plist = [p for p in occ if p + delta in occ_set]
-        if not plist:
+        # bit p of D: p and p + delta are both occurrences
+        D = B & (B >> delta if delta >= 0 else B << -delta)
+        if not D:
             continue
         for z2 in range(h):
             z1 = z2 + k - delta
@@ -151,7 +150,7 @@ def graph_blocks(spec: ConstructionSpec, k: int, j: int, J: int) -> BlockMassMat
             cut = hJ - 1 - z2 - k
             if cut < 0:
                 continue
-            cnt = bisect_right(plist, cut)
+            cnt = (D & ((1 << (cut + 1)) - 1)).bit_count()
             if cnt:
                 masses[BlockIndex(z1, z2)] = cnt * w_norm
     covered = sum(masses.values(), Fraction(0))

@@ -18,12 +18,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from . import __version__
-from .construction import (
-    MATERIALIZE_LIMIT,
-    ConstructionSpec,
-    TowerStage,
-    build_stage,
-)
+from .construction import ConstructionSpec, TowerStage, build_stage
 from .errors import SpecError
 from .measure import Interval, IntervalSet, as_fraction
 
@@ -116,31 +111,18 @@ def dump_stage(spec: ConstructionSpec, J: int) -> str:
 
 def _restore_chain(spec: ConstructionSpec,
                    records: List[Dict[str, object]]) -> TowerStage:
+    """Rebuild stages 1..len(records) from the spec and check each against
+    its record, so a cache can only ever hand back the stages the spec
+    itself defines."""
     prev: Optional[TowerStage] = None
-    st: Optional[TowerStage] = None
-    for rec in records:
-        st = object.__new__(TowerStage)
-        st.spec = spec
-        st.stage = rec["stage"]
-        st.prev = prev
-        st.height = rec["height"]
-        st.width = parse_frac(rec["width"])
-        st.total = parse_frac(rec["total"])
-        st.cut = rec["cut"]
-        st.spacers = tuple(rec["spacers"]) if rec["spacers"] is not None else None
-        st.offsets = tuple(rec["offsets"]) if rec["offsets"] is not None else None
-        st.spacer_cum = tuple(rec["spacer_cum"]) \
-            if rec["spacer_cum"] is not None else None
-        st.spacer_zone_lo = parse_frac(rec["spacer_zone_lo"]) \
-            if rec["spacer_zone_lo"] is not None else None
-        st._occ = {}
-        st._levels = None
-        if st.height <= MATERIALIZE_LIMIT:
-            st._levels = tuple(st._compute_level(i) for i in range(st.height))
+    for j, rec in enumerate(records, start=1):
+        st = TowerStage(spec, j, prev)
+        if rec != _stage_record(st):
+            raise SpecError(f"cache is corrupt: stage {j} does not match the spec")
         prev = st
-    if st is None:
+    if prev is None:
         raise SpecError("cache holds no stages")
-    return st
+    return prev
 
 
 def load_stage(spec: ConstructionSpec, text: str) -> TowerStage:

@@ -1,12 +1,18 @@
 """Return-time statistics with two-sided bounds.
 
 The conditional return quantity a^z_j = mu(T^z E_j | E_j) is computed
-combinatorially from the occurrence set S of E_j inside tower J: each
-occurrence p with p + z resolving inside the tower contributes w_J to the
-numerator exactly when p + z is again an occurrence; occurrences pushed past
-the top contribute undetermined mass, which widens the upper bound by w_J
-apiece.  Dividing by mu(E_j) = |S| w_J keeps everything rational and makes
-the unknown global normalization cancel.
+combinatorially from the occurrence set S of E_j inside tower J, held as an
+int bitset B over the stage-J levels: each occurrence p with p + z resolving
+inside the tower contributes w_J to the numerator exactly when p + z is
+again an occurrence, so the resolved count is popcount(B & (B >> z));
+occurrences pushed past the top (the bits at or above h_J - z) contribute
+undetermined mass, which widens the upper bound by w_J apiece.  Dividing by
+mu(E_j) = |S| w_J keeps everything rational and makes the unknown global
+normalization cancel.
+
+Correlations of sets made of whole levels use the same bitsets: T^m is a
+shift masked to the tower, escaped mass is the popcount of the bits shifted
+out, and intersection is `&`.  Any other set goes through power_image.
 """
 
 from __future__ import annotations
@@ -59,26 +65,16 @@ def return_profile(spec: ConstructionSpec, j: int, J: int, z_max: int) -> Return
     if z_max < 0:
         raise SpecError("z_max must be nonnegative")
     st = build_stage(spec, J)
-    occ = st.occurrences(j)
-    occ_set = set(occ)
-    count = len(occ)
+    B = st.occurrence_bits(j)
+    count = B.bit_count()
     h = st.height
     values: Dict[int, MeasureBound] = {}
-    degenerate = set()
     for z in range(z_max + 1):
-        resolved = 0
-        tail = 0
-        for p in occ:
-            if p + z <= h - 1:
-                if p + z in occ_set:
-                    resolved += 1
-            else:
-                tail += 1
-        lo = Fraction(resolved, count)
+        lo = Fraction((B & (B >> z)).bit_count(), count)
+        tail = (B >> max(h - z, 0)).bit_count()
         values[z] = MeasureBound(lo, lo + Fraction(tail, count))
-        if z >= h:
-            degenerate.add(z)
-    return ReturnProfile(j=j, J=J, values=values, degenerate=frozenset(degenerate))
+    return ReturnProfile(j=j, J=J, values=values,
+                         degenerate=frozenset(range(h, z_max + 1)))
 
 
 def max_profile(profile: ReturnProfile, z_lo: int = 0) -> MeasureBound:
@@ -138,9 +134,24 @@ def correlation(spec: ConstructionSpec, A: Union[IntervalSet, Interval],
         A = IntervalSet((A,))
     if isinstance(B, Interval):
         B = IntervalSet((B,))
-    img, escaped = power_image(spec, B, m, J)
-    lo = set_intersection(A, img).measure
-    hi = min(lo + escaped.hi, A.measure, B.measure)
+    st = build_stage(spec, J)
+    a_bits = st.level_bits(A)
+    b_bits = st.level_bits(B) if a_bits is not None else None
+    if b_bits is None:
+        img, escaped = power_image(spec, B, m, J)
+        lo = set_intersection(A, img).measure
+        esc = escaped.hi
+    else:
+        h = st.height
+        if m >= 0:
+            img = (b_bits << m) & ((1 << h) - 1) if m < h else 0
+            out = b_bits >> max(h - m, 0)
+        else:
+            img = b_bits >> -m
+            out = b_bits & ((1 << min(-m, h)) - 1)
+        lo = (a_bits & img).bit_count() * st.width
+        esc = out.bit_count() * st.width
+    hi = min(lo + esc, A.measure, B.measure)
     return MeasureBound(lo, max(lo, hi))
 
 

@@ -165,21 +165,21 @@ class TestL2Deviation:
         Pf = StepFunction.from_pieces(
             [(IntervalSet((build_stage(ConstructionSpec.odometer(), 1).ambient,)),
               F(1, 2))])
-        got = l2_deviation(Pf, F(1, 2), MeasureBound.zero(), F(1))
+        got = l2_deviation(Pf, F(1, 2), MeasureBound.zero(), F(1), sup_f=F(1, 2))
         assert got == MeasureBound.zero()
 
     def test_smoothed_odometer_deviation_zero(self):
         spec = ConstructionSpec.odometer()
         f = indicator_of_base(spec, 1)
         Pf, esc = average_apply(spec, WeightSequence.uniform(2), f, 2)
-        got = l2_deviation(Pf, F(1, 2), esc, build_stage(spec, 2).total)
+        got = l2_deviation(Pf, F(1, 2), esc, build_stage(spec, 2).total, sup_f=1)
         assert got == MeasureBound.zero()
 
     def test_indicator_variance(self):
         spec = ConstructionSpec.odometer()
         f = indicator_of_base(spec, 1)
         Pf, esc = average_apply(spec, WeightSequence.delta(0), f, 2)
-        got = l2_deviation(Pf, F(1, 2), esc, F(1))
+        got = l2_deviation(Pf, F(1, 2), esc, F(1), sup_f=1)
         assert got == MeasureBound.exact(F(1, 4))
 
     def test_escape_widens_symmetrically(self):
@@ -191,6 +191,21 @@ class TestL2Deviation:
         slack = (F(1) + F(1, 2)) ** 2 * F(1, 8)
         assert got == MeasureBound(exact_part - slack if exact_part > slack else F(0),
                                    exact_part + slack)
+
+    def test_enclosures_at_two_resolutions_overlap(self):
+        # f = 100 on the top level of stage 3 and weights delta_1: at J=3 the
+        # whole support escapes, so the computed P f is zero there and only
+        # sup|f| = 100 keeps the J=3 enclosure around the J=7 one
+        spec = ConstructionSpec.odometer()
+        f = StepFunction.indicator(IntervalSet((build_stage(spec, 3).top,)), 100)
+        devs = []
+        for J in (3, 7):
+            M = build_stage(spec, J).total
+            Pf, esc = average_apply(spec, WeightSequence.delta(1), f, J)
+            devs.append(l2_deviation(Pf, f.integral() / M, esc, M, sup_f=100))
+        coarse, fine = devs
+        assert fine.lo == F(479375, 512)
+        assert coarse.lo <= fine.hi and fine.lo <= coarse.hi
 
     def test_duality_two_paths(self):
         # ||P f||^2 against (P* P f, f), and against the convolution route

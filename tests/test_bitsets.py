@@ -1,0 +1,209 @@
+"""Differential tests for the int-bitset paths over whole stage-J levels.
+
+Each oracle is the per-occurrence (or interval) computation the bitset
+path replaced: the occurrence x shift loop of return_profile, the
+plist/bisect loop of graph_blocks, and the power_image route of
+correlation.  Hypothesis draws every preset and random:K specs at
+1 <= j <= J <= 8, shifts past the tower top and negative powers.
+"""
+
+import random
+import time
+from bisect import bisect_right
+from fractions import Fraction as F
+from unittest import mock
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from rankone import stats
+from rankone.construction import ConstructionSpec, bit_indices, build_stage
+from rankone.joinings import BlockIndex, graph_blocks
+from rankone.measure import (
+    Interval,
+    IntervalSet,
+    MeasureBound,
+    canonicalize,
+    set_intersection,
+)
+from rankone.stats import correlation, return_profile
+from rankone.transform import power_image
+
+PRESETS = (ConstructionSpec.odometer(), ConstructionSpec.staircase(),
+           ConstructionSpec.chacon())
+specs = st.one_of(st.sampled_from(PRESETS),
+                  st.integers(0, 10_000).map(ConstructionSpec.random_spacers))
+# Correlation oracles scan every stage-J level per shift; cap the tower.
+ORACLE_MAX_HEIGHT = 3300
+
+
+# ----------------------------------------------------------------- oracles
+
+def oracle_profile_entry(occ, h, z):
+    occ_set = set(occ)
+    resolved = tail = 0
+    for p in occ:
+        if p + z <= h - 1:
+            if p + z in occ_set:
+                resolved += 1
+        else:
+            tail += 1
+    lo = F(resolved, len(occ))
+    return MeasureBound(lo, lo + F(tail, len(occ)))
+
+
+def oracle_graph_masses(spec, k, j, J):
+    st_j, stJ = build_stage(spec, j), build_stage(spec, J)
+    occ = stJ.occurrences(j)
+    occ_set = set(occ)
+    h, hJ = st_j.height, stJ.height
+    w_norm = stJ.width / stJ.total
+    masses = {}
+    for delta in range(k - h + 1, k + h):
+        plist = [p for p in occ if p + delta in occ_set]
+        if not plist:
+            continue
+        for z2 in range(h):
+            z1 = z2 + k - delta
+            if not (0 <= z1 < h):
+                continue
+            cut = hJ - 1 - z2 - k
+            if cut < 0:
+                continue
+            cnt = bisect_right(plist, cut)
+            if cnt:
+                masses[BlockIndex(z1, z2)] = cnt * w_norm
+    return masses
+
+
+def oracle_correlation(spec, A, B, m, J):
+    img, escaped = power_image(spec, B, m, J)
+    lo = set_intersection(A, img).measure
+    hi = min(lo + escaped.hi, A.measure, B.measure)
+    return MeasureBound(lo, max(lo, hi))
+
+
+def contained_levels(stJ, A):
+    return [i for i in range(stJ.height)
+            if set_intersection(IntervalSet((stJ.level(i),)), A).measure
+            == stJ.width]
+
+
+@st.composite
+def resolutions(draw, max_height=None):
+    spec = draw(specs)
+    J = draw(st.integers(1, 8))
+    if max_height is not None:
+        assume(build_stage(spec, J).height <= max_height)
+    return spec, draw(st.integers(1, J)), J
+
+
+@st.composite
+def level_sets(draw, spec, J):
+    k = draw(st.integers(1, J))
+    stk = build_stage(spec, k)
+    levels = draw(st.lists(st.integers(0, stk.height - 1), max_size=6))
+    return stk.levels_set(sorted(set(levels)))
+
+
+# ------------------------------------------------------------ occurrences
+
+@settings(max_examples=60, deadline=None)
+@given(resolutions())
+def test_occurrences_are_the_decoded_bits(case):
+    spec, k, J = case
+    stJ = build_stage(spec, J)
+    bits = stJ.occurrence_bits(k)
+    assert bits >> stJ.height == 0
+    assert stJ.occurrences(k) == tuple(
+        i for i in range(stJ.height) if bits >> i & 1)
+
+
+@given(st.integers(0, 1 << 300))
+def test_bit_indices_lists_set_bits(bits):
+    got = bit_indices(bits)
+    assert got == tuple(i for i in range(bits.bit_length()) if bits >> i & 1)
+
+
+# --------------------------------------------------------- return profiles
+
+@settings(max_examples=60, deadline=None)
+@given(resolutions(), st.data())
+def test_return_profile_matches_occurrence_loop(case, data):
+    spec, j, J = case
+    stJ = build_stage(spec, J)
+    h = stJ.height
+    z_max = h + 2
+    prof = return_profile(spec, j, J, z_max)
+    assert prof.degenerate == frozenset(range(h, z_max + 1))
+    occ = stJ.occurrences(j)
+    zs = data.draw(st.lists(st.integers(0, z_max), max_size=8))
+    for z in {0, h - 1, h, z_max, *zs}:
+        assert prof[z] == oracle_profile_entry(occ, h, z)
+
+
+def test_deep_staircase_profile_matches_oracle_within_budget():
+    # the seed's loop took about 12 s here; budget 5 s
+    spec = ConstructionSpec.staircase()
+    t0 = time.monotonic()
+    prof = return_profile(spec, 2, 9, 2000)
+    elapsed = time.monotonic() - t0
+    assert elapsed < 5.0, f"return_profile took {elapsed:.2f} s"
+    stJ = build_stage(spec, 9)
+    occ = stJ.occurrences(2)
+    for z in (0, 1, 5, 17, 400, 1234, 2000):
+        assert prof[z] == oracle_profile_entry(occ, stJ.height, z)
+
+
+# ------------------------------------------------------------ graph blocks
+
+@settings(max_examples=60, deadline=None)
+@given(resolutions(), st.data())
+def test_graph_blocks_match_plist_loop(case, data):
+    spec, j, J = case
+    h = build_stage(spec, j).height
+    assume(h <= 128)
+    k = data.draw(st.integers(0, 2 * h))
+    assert graph_blocks(spec, k, j, J).masses == oracle_graph_masses(spec, k, j, J)
+
+
+# ------------------------------------------------------------- correlation
+
+@settings(max_examples=60, deadline=None)
+@given(resolutions(ORACLE_MAX_HEIGHT), st.data())
+def test_level_set_correlation_matches_power_image(case, data):
+    spec, _, J = case
+    stJ = build_stage(spec, J)
+    A = data.draw(level_sets(spec, J))
+    B = data.draw(level_sets(spec, J))
+    bits = stJ.level_bits(B)
+    assert bits == sum(1 << i for i in contained_levels(stJ, B))
+    h = stJ.height
+    for m in {0, h, -h, *data.draw(st.lists(st.integers(-h - 2, h + 2),
+                                            min_size=1, max_size=4))}:
+        assert correlation(spec, A, B, m, J) == oracle_correlation(spec, A, B, m, J)
+
+
+@settings(max_examples=40, deadline=None)
+@given(resolutions(ORACLE_MAX_HEIGHT), st.integers(0, 2**32), st.data())
+def test_non_level_sets_take_the_interval_path(case, seed, data):
+    # random rational intervals as in acceptance test 1, every endpoint a
+    # multiple of M_J / 10007, which no stage width divides
+    spec, _, J = case
+    stJ = build_stage(spec, J)
+    M = stJ.total
+    assert M.numerator % 10007
+    rng = random.Random(seed)
+    pieces = []
+    for _ in range(rng.randint(1, 3)):
+        a, b = sorted(M * F(rng.randint(1, 10006), 10007) for _ in range(2))
+        pieces.append(Interval(a, b))
+    A = canonicalize(pieces)
+    assume(not A.is_empty())
+    B = data.draw(st.one_of(st.just(A), level_sets(spec, J)))
+    assert stJ.level_bits(A) is None
+    m = data.draw(st.integers(-stJ.height - 2, stJ.height + 2))
+    with mock.patch.object(stats, "power_image", wraps=power_image) as spy:
+        assert correlation(spec, A, B, m, J) == oracle_correlation(spec, A, B, m, J)
+        assert correlation(spec, B, A, m, J) == oracle_correlation(spec, B, A, m, J)
+    assert spy.call_count == 2

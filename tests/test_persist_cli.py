@@ -131,6 +131,20 @@ def test_load_rejects_other_construction():
         load_stage(ODO, dump_stage(ST2, 3))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("height", 19), ("width", "1/13"), ("total", "4/3"), ("cut", 4),
+    ("spacers", [0, 1, 3]), ("offsets", [0, 5, 12]), ("spacer_cum", [0, 0, 1, 4]),
+    ("spacer_zone_lo", "1/1"),
+])
+def test_load_rejects_stage_record_that_disagrees_with_spec(field, value):
+    doc = json.loads(dump_stage(ST2, 4))
+    rec = doc["stages"][3]
+    assert rec[field] != value
+    rec[field] = value
+    with pytest.raises(SpecError, match="cache is corrupt"):
+        load_stage(ST2, json.dumps(doc))
+
+
 def test_cache_miss_then_hit(tmp_path, monkeypatch):
     CACHE_STATS.update(hits=0, misses=0, rebuilds=0)
     a = cache_stage(ST2, 4, tmp_path)
@@ -434,6 +448,30 @@ def test_cli_unknown_spec_exit_2():
     code, out, err = run_cli("orbit", "--spec", "nope", "--x", "0/1",
                              "--steps", "1")
     assert code == 2
+
+
+_ODO_RULES = {"cut_rule": {"kind": "constant", "value": 2},
+              "spacer_rule": {"kind": "none"}}
+
+
+@pytest.mark.parametrize("spec", [
+    {"h1": "2", **_ODO_RULES},
+    {"h1": True, **_ODO_RULES},
+    {"h1": 2, "cut_rule": {"value": 2}, "spacer_rule": {"kind": "none"}},
+    {"h1": 2, "cut_rule": {"kind": "constant", "value": 2.0},
+     "spacer_rule": {"kind": "none"}},
+    {"h1": 2, "base_width": 0.5, **_ODO_RULES},
+    [2, {"kind": "constant", "value": 2}, {"kind": "none"}],
+], ids=["h1_string", "h1_bool", "rule_without_kind", "float_cut_value",
+        "float_base_width", "top_level_list"])
+def test_cli_malformed_spec_exit_2(tmp_path, spec):
+    sf = tmp_path / "spec.json"
+    sf.write_text(json.dumps(spec))
+    code, out, err = run_cli("build", "--spec", str(sf), "--stage", "3")
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err and "internal error" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cli_validation_refusal_exit_2():
