@@ -70,10 +70,8 @@ from .measure import (
     set_union,
 )
 from .persist import (
-    cache_stage,
     dump_stage,
     frac_str,
-    load_stage,
     parse_frac,
     spec_hash,
     write_csv,
@@ -91,9 +89,6 @@ from .stats import (
 from .transform import (
     Cursor,
     OrbitPoint,
-    PiecewiseTranslation,
     apply_power,
-    image_set,
     power_image,
-    realize,
 )

@@ -7,8 +7,9 @@ are no timestamps.  All persisted numbers are exact "num/den" strings,
 and any decimal field is named *_approx and rounded half-even to 12
 significant digits.
 
-Exit codes: 0 success, 2 invalid request (bad flags or a validation
-refusal), 3 orbit escaped the stage budget, 4 unexpected internal error.
+Exit codes: 0 success, 2 invalid request (bad flags, a validation refusal
+or an --out path that cannot be written), 3 orbit escaped the stage budget,
+4 unexpected internal error.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -370,15 +370,8 @@ def cmd_flow_bands(args: argparse.Namespace) -> str:
         m = empirical_joining(spec, spec, parse_frac(args.x_a),
                               parse_frac(args.x_b), args.N, args.j, args.res,
                               step_a=fspec.alpha_p, step_b=fspec.alpha_q)
-
-    def one(off: int) -> Fraction:
-        return band_masses(m, fspec, off, args.side, z_bound=args.zbound)
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            masses = list(pool.map(one, offsets))
-    else:
-        masses = [one(off) for off in offsets]
+    masses = [band_masses(m, fspec, off, args.side, z_bound=args.zbound)
+              for off in offsets]
     meta = matrix_meta(m)
     meta.update(command="flow bands", alpha=frac_str(fspec.alpha),
                 grid=args.grid, side=args.side, zbound=args.zbound)
@@ -404,8 +397,6 @@ def _common(sub: argparse.ArgumentParser, fmt: Optional[str] = None) -> None:
     if fmt is not None:
         sub.add_argument("--format", choices=("csv", "json"), default=fmt,
                          help=f"output format (default {fmt})")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="worker threads for sweep commands")
     sub.add_argument("--stage-budget", type=int, default=None,
                      help="cap on construction stages (overrides max_stage)")
 
@@ -581,10 +572,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
     out = getattr(args, "out", None) or getattr(args, "csv", None)
-    if out:
-        Path(out).write_text(text)
-    else:
+    if not out:
         sys.stdout.write(text)
+        return 0
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     return 0
 
 

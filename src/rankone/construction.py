@@ -21,7 +21,7 @@ import json
 import random
 import threading
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -503,10 +503,6 @@ class TowerStage:
                         bits |= occ << st.locate(c * st.width)
                 return bits
         return None
-
-    @property
-    def base_occurrence_map(self) -> Dict[int, Tuple[int, ...]]:
-        return {k: self.occurrences(k) for k in range(1, self.stage + 1)}
 
     def __repr__(self) -> str:
         return (f"TowerStage(stage={self.stage}, height={self.height}, "

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from .averaging import WeightSequence, average_apply, flatness
-from .construction import ConstructionSpec, TowerStage, build_stage
+from .construction import ConstructionSpec, bit_indices, build_stage
 from .errors import EmptyFSetError, SpecError
 from .measure import (
     IntervalSet,
@@ -24,7 +24,6 @@ from .measure import (
     RationalLike,
     StepFunction,
     as_fraction,
-    canonicalize,
     set_intersection,
 )
 from .transform import Cursor, power_image
@@ -107,11 +106,17 @@ class BlockMassMatrix:
         return sum((m for (_, b), m in self.masses.items() if b == z2), Fraction(0))
 
 
+def _check_resolution(j: int, J: int) -> None:
+    if not (1 <= j <= J):
+        raise SpecError(f"need 1 <= j <= J, got j={j}, J={J}")
+
+
 def product_blocks(spec_a: ConstructionSpec, spec_b: ConstructionSpec, j: int,
                    J: int) -> BlockMassMatrix:
     """Product-measure block matrix: every block carries the product of the
     two level measures; the residual is the mass of the product space off
     the stage-j tower product."""
+    _check_resolution(j, J)
     sa, sb = build_stage(spec_a, j), build_stage(spec_b, j)
     Ma, Mb = build_stage(spec_a, J).total, build_stage(spec_b, J).total
     la, lb = sa.width / Ma, sb.width / Mb
@@ -131,6 +136,7 @@ def graph_blocks(spec: ConstructionSpec, k: int, j: int, J: int) -> BlockMassMat
     mu(T^{z1}E_j intersect T^{z2+k}E_j), resolved combinatorially at stage J
     with unresolved overlap absorbed into the residual (masses are exact
     lower bounds)."""
+    _check_resolution(j, J)
     st = build_stage(spec, j)
     stJ = build_stage(spec, J)
     B = stJ.occurrence_bits(j)
@@ -172,6 +178,7 @@ def empirical_joining(spec_a: ConstructionSpec, spec_b: ConstructionSpec,
     the residual.  Orbit refinement is capped at stage J; OrbitEscaped
     propagates when the budget is insufficient.
     """
+    _check_resolution(j, J)
     if N < 1:
         raise SpecError("empirical joining needs N >= 1")
     if step_a < 1 or step_b < 1:
@@ -290,6 +297,7 @@ def dispersion_experiment(spec_a: ConstructionSpec, spec_b: ConstructionSpec,
     A heavy source block whose conditional mass disperses over several
     blocks under some advance n is the spreading mechanism this probes.
     """
+    _check_resolution(j, J)
     if N < 1:
         raise SpecError("dispersion experiment needs N >= 1")
     if not n_list:
@@ -449,18 +457,6 @@ class TrivializationRecord:
     escape_slack: Fraction
 
 
-def _levels_inside(stage: TowerStage, A: IntervalSet) -> FrozenSet[int]:
-    return frozenset(i for i in range(stage.height)
-                     if IntervalSet((stage.level(i),)).is_subset_of(A))
-
-
-def _validate_stage_set(stage: TowerStage, A: IntervalSet, label: str) -> None:
-    levels = [i for i in range(stage.height)
-              if IntervalSet((stage.level(i),)).is_subset_of(A)]
-    if canonicalize([stage.level(i) for i in levels]) != A:
-        raise SpecError(f"{label} is not a union of stage-{stage.stage} levels")
-
-
 def trivialization_check(m: BlockMassMatrix, F: FSetSpec, A: IntervalSet,
                          B: IntervalSet, k: int) -> TrivializationRecord:
     """Compare nu(A x B | F) against mu(A)mu(B), and against the shifted-
@@ -476,13 +472,11 @@ def trivialization_check(m: BlockMassMatrix, F: FSetSpec, A: IntervalSet,
     """
     if not (1 <= k <= m.j):
         raise SpecError(f"need 1 <= k <= j, got k={k}, j={m.j}")
-    stage_ka = build_stage(m.spec_a, k)
-    stage_kb = build_stage(m.spec_b, k)
-    _validate_stage_set(stage_ka, A, "A")
-    _validate_stage_set(stage_kb, B, "B")
-    sa, sb = build_stage(m.spec_a, m.j), build_stage(m.spec_b, m.j)
-    in_A = _levels_inside(sa, A)
-    in_B = _levels_inside(sb, B)
+    for label, spec, S in (("A", m.spec_a, A), ("B", m.spec_b, B)):
+        if build_stage(spec, k).level_bits(S) is None:
+            raise SpecError(f"{label} is not a union of stage-{k} levels")
+    in_A = frozenset(bit_indices(build_stage(m.spec_a, m.j).level_bits(A)))
+    in_B = frozenset(bit_indices(build_stage(m.spec_b, m.j).level_bits(B)))
 
     cond_num = Fraction(0)
     for h in F.shifts:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Iterable, Sequence, Tuple, Union
 
 __all__ = [
     "Rational",
@@ -138,9 +138,6 @@ class IntervalSet:
 
     def is_subset_of(self, other: "IntervalSet") -> bool:
         return set_difference(self, other).is_empty()
-
-    def complement_within(self, frame: Interval) -> "IntervalSet":
-        return set_difference(canonicalize([frame]), self)
 
     def __iter__(self):
         return iter(self.intervals)

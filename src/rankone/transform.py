@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
-from .construction import ConstructionSpec, TowerStage, build_stage
+from .construction import ConstructionSpec, build_stage
 from .errors import OrbitEscaped, SpecError
 from .measure import (
     Interval,
@@ -25,63 +25,10 @@ from .measure import (
 )
 
 __all__ = [
-    "PiecewiseTranslation",
     "OrbitPoint",
-    "realize",
     "apply_power",
-    "image_set",
     "power_image",
 ]
-
-
-@dataclass(frozen=True)
-class PiecewiseTranslation:
-    """Partial translation map: each piece carries an interval onto its
-    translate.  Pieces are kept one per tower level, unmerged, so the piece
-    list mirrors the level structure."""
-
-    pieces: Tuple[Tuple[Interval, Fraction], ...]
-    stage: int
-    ambient: Interval
-
-    @property
-    def domain(self) -> IntervalSet:
-        return canonicalize([src for src, _ in self.pieces])
-
-    @property
-    def image(self) -> IntervalSet:
-        return canonicalize([src.shift(off) for src, off in self.pieces])
-
-    @property
-    def defined_measure(self) -> Fraction:
-        return sum((src.length for src, _ in self.pieces), Fraction(0))
-
-    @property
-    def undefined_set(self) -> IntervalSet:
-        return self.domain.complement_within(self.ambient)
-
-    def inverse(self) -> "PiecewiseTranslation":
-        inv = tuple(sorted(((src.shift(off), -off) for src, off in self.pieces),
-                           key=lambda p: p[0].lo))
-        return PiecewiseTranslation(inv, self.stage, self.ambient)
-
-    def apply(self, x) -> Optional[Fraction]:
-        """Translate a single point, or None where the map is undefined."""
-        x = as_fraction(x)
-        for src, off in self.pieces:
-            if src.contains(x):
-                return x + off
-        return None
-
-
-def realize(spec: ConstructionSpec, J: int) -> PiecewiseTranslation:
-    """The stage-J realization: level i -> level i+1 for i < h_J - 1."""
-    st = build_stage(spec, J)
-    pieces = []
-    for i in range(st.height - 1):
-        src = st.level(i)
-        pieces.append((src, st.level_lo(i + 1) - src.lo))
-    return PiecewiseTranslation(tuple(pieces), J, st.ambient)
 
 
 @dataclass(frozen=True)
@@ -190,27 +137,6 @@ def _as_interval_set(A: Union[IntervalSet, Interval]) -> IntervalSet:
     if isinstance(A, Interval):
         return IntervalSet(()) if A.is_empty() else IntervalSet((A,))
     return A
-
-
-def image_set(pt: PiecewiseTranslation, A: Union[IntervalSet, Interval],
-              direction: str = "forward") -> Tuple[IntervalSet, MeasureBound]:
-    """Image of A under the partial map (or its inverse), with the exact
-    measure of A outside the defined region reported as escaped."""
-    if direction == "backward":
-        pt = pt.inverse()
-    elif direction != "forward":
-        raise SpecError(f"direction must be forward or backward, got {direction!r}")
-    A = _as_interval_set(A)
-    moved = []
-    covered = Fraction(0)
-    for src, off in pt.pieces:
-        for iv in A.intervals:
-            lo, hi = max(iv.lo, src.lo), min(iv.hi, src.hi)
-            if lo < hi:
-                moved.append(Interval(lo + off, hi + off))
-                covered += hi - lo
-    escaped = A.measure - covered
-    return canonicalize(moved), MeasureBound.exact(escaped)
 
 
 def power_image(spec: ConstructionSpec, A: Union[IntervalSet, Interval], n: int,

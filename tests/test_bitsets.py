@@ -2,9 +2,10 @@
 
 Each oracle is the per-occurrence (or interval) computation the bitset
 path replaced: the occurrence x shift loop of return_profile, the
-plist/bisect loop of graph_blocks, and the power_image route of
-correlation.  Hypothesis draws every preset and random:K specs at
-1 <= j <= J <= 8, shifts past the tower top and negative powers.
+plist/bisect loop of graph_blocks, the power_image route of
+correlation, and the level scans that trivialization_check used to find
+and validate its level sets.  Hypothesis draws every preset and random:K
+specs at 1 <= j <= J <= 8, shifts past the tower top and negative powers.
 """
 
 import random
@@ -13,12 +14,20 @@ from bisect import bisect_right
 from fractions import Fraction as F
 from unittest import mock
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rankone import stats
 from rankone.construction import ConstructionSpec, bit_indices, build_stage
-from rankone.joinings import BlockIndex, graph_blocks
+from rankone.errors import SpecError
+from rankone.joinings import (
+    BlockIndex,
+    columns_and_F,
+    empirical_joining,
+    graph_blocks,
+    trivialization_check,
+)
 from rankone.measure import (
     Interval,
     IntervalSet,
@@ -83,10 +92,14 @@ def oracle_correlation(spec, A, B, m, J):
     return MeasureBound(lo, max(lo, hi))
 
 
-def contained_levels(stJ, A):
-    return [i for i in range(stJ.height)
-            if set_intersection(IntervalSet((stJ.level(i),)), A).measure
-            == stJ.width]
+def oracle_levels_inside(stage, A):
+    return frozenset(i for i in range(stage.height)
+                     if IntervalSet((stage.level(i),)).is_subset_of(A))
+
+
+def oracle_is_level_union(stage, A):
+    inside = sorted(oracle_levels_inside(stage, A))
+    return canonicalize([stage.level(i) for i in inside]) == A
 
 
 @st.composite
@@ -177,7 +190,7 @@ def test_level_set_correlation_matches_power_image(case, data):
     A = data.draw(level_sets(spec, J))
     B = data.draw(level_sets(spec, J))
     bits = stJ.level_bits(B)
-    assert bits == sum(1 << i for i in contained_levels(stJ, B))
+    assert bits == sum(1 << i for i in oracle_levels_inside(stJ, B))
     h = stJ.height
     for m in {0, h, -h, *data.draw(st.lists(st.integers(-h - 2, h + 2),
                                             min_size=1, max_size=4))}:
@@ -207,3 +220,64 @@ def test_non_level_sets_take_the_interval_path(case, seed, data):
         assert correlation(spec, A, B, m, J) == oracle_correlation(spec, A, B, m, J)
         assert correlation(spec, B, A, m, J) == oracle_correlation(spec, B, A, m, J)
     assert spy.call_count == 2
+
+
+# --------------------------------------------------- trivialization level sets
+
+@settings(max_examples=60, deadline=None)
+@given(specs, st.data())
+def test_trivialization_level_sets_match_scan(spec, data):
+    j = data.draw(st.integers(1, 6))
+    k = data.draw(st.integers(1, j))
+    A = data.draw(level_sets(spec, k))
+    stk, stj = build_stage(spec, k), build_stage(spec, j)
+    assert stk.level_bits(A) is not None
+    assert oracle_is_level_union(stk, A)
+    assert frozenset(bit_indices(stj.level_bits(A))) == oracle_levels_inside(stj, A)
+
+
+@settings(max_examples=40, deadline=None)
+@given(specs, st.data())
+def test_trivialization_conditional_uses_stage_j_levels(spec, data):
+    # A and B refer to a coarser stage k than the blocks; the conditional
+    # must select blocks by the stage-j levels inside A and B
+    j = data.draw(st.integers(2, 6))
+    k = data.draw(st.integers(1, j - 1))
+    A = data.draw(level_sets(spec, k))
+    B = data.draw(level_sets(spec, k))
+    m = empirical_joining(spec, spec, 0, 0, 128, j, 8)
+    stj = build_stage(spec, j)
+    i_max = stj.height // 4
+    shifts = data.draw(st.lists(st.integers(1, stj.height - 1 - i_max),
+                                max_size=2, unique=True))
+    fs = columns_and_F(m, F(1, 4), 0, [0, *shifts])
+    in_A, in_B = oracle_levels_inside(stj, A), oracle_levels_inside(stj, B)
+    num = sum((m.mass(BlockIndex(z1, z2 + h)) for h in fs.shifts
+               for z1, z2 in fs.column.members if z1 in in_A and z2 + h in in_B),
+              F(0))
+    rec = trivialization_check(m, fs, A, B, k)
+    assert rec.conditional == num / fs.nu_F
+    assert rec.display_sum.lo == rec.display_sum.hi == rec.conditional
+
+
+@settings(max_examples=40, deadline=None)
+@given(specs, st.data())
+def test_trivialization_refuses_sets_that_split_levels(spec, data):
+    # a union of stage-k levels plus half of one more stage-k level
+    j = data.draw(st.integers(1, 6))
+    k = data.draw(st.integers(1, j))
+    stk = build_stage(spec, k)
+    whole = data.draw(level_sets(spec, k))
+    lvl = stk.level(data.draw(st.integers(0, stk.height - 1)))
+    assume(not IntervalSet((lvl,)).is_subset_of(whole))
+    half = Interval(lvl.lo, lvl.lo + stk.width / 2)
+    A = canonicalize([*whole, half])
+    assert stk.level_bits(A) is None
+    assert not oracle_is_level_union(stk, A)
+    g = graph_blocks(spec, 0, j, j)
+    fs = columns_and_F(g, F(1, 10), 0, [0])
+    B = stk.levels_set([0])
+    with pytest.raises(SpecError, match=rf"^A is not a union of stage-{k} levels$"):
+        trivialization_check(g, fs, A, B, k)
+    with pytest.raises(SpecError, match=rf"^B is not a union of stage-{k} levels$"):
+        trivialization_check(g, fs, B, A, k)

@@ -1,4 +1,5 @@
-"""Serialization, the stage cache, and the command line front end.
+"""Serialization, the stage records of `rankone build`, and the command
+line front end.
 
 Oracles here are frozen library values from the other test modules plus
 independent recomputation through the public API; CLI determinism is
@@ -8,27 +9,21 @@ checked byte for byte.
 import contextlib
 import io
 import json
-import warnings
 from fractions import Fraction as F
-from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from rankone import persist
 from rankone.cli import main
 from rankone.construction import ConstructionSpec, build_stage
 from rankone.errors import SpecError
 from rankone.measure import Interval, IntervalSet
 from rankone.persist import (
-    CACHE_STATS,
     approx_str,
-    cache_stage,
     dump_stage,
     frac_str,
     interval_set_from_json,
     interval_set_json,
-    load_stage,
     meta_line,
     parse_frac,
     spec_hash,
@@ -97,96 +92,29 @@ def test_meta_line_sorted_and_versioned():
     assert list(doc) == sorted(doc)
 
 
-# ------------------------------------------------------------- stage cache
+# ------------------------------------------------------------ stage records
 
 def test_dump_load_round_trip_staircase():
-    st5 = build_stage(ST2, 5)
-    restored = load_stage(ST2, dump_stage(ST2, 5))
-    assert restored.stage == 5
-    assert restored.height == st5.height
-    assert restored.width == st5.width
-    assert restored.total == st5.total
-    assert restored.levels_set(range(st5.height)) == st5.levels_set(range(st5.height))
-    assert restored.occurrences(3) == st5.occurrences(3)
+    # the document parses back to the records of stages 1..J as built
+    doc = json.loads(dump_stage(ST2, 5))
+    assert doc["format"] == 1
+    assert doc["J"] == 5
+    assert doc["spec_hash"] == spec_hash(ST2)
+    assert ConstructionSpec.from_json(doc["spec"]) == ST2
+    for j, rec in enumerate(doc["stages"], start=1):
+        st_j = build_stage(ST2, j)
+        assert rec["stage"] == j
+        assert rec["height"] == st_j.height
+        assert parse_frac(rec["width"]) == st_j.width
+        assert parse_frac(rec["total"]) == st_j.total
+        if j > 1:
+            assert tuple(rec["offsets"]) == st_j.offsets
+            assert tuple(rec["spacers"]) == st_j.spacers
+    assert len(doc["stages"]) == 5
 
 
 def test_dump_is_deterministic():
     assert dump_stage(ST2, 4) == dump_stage(ST2, 4)
-
-
-def test_load_rejects_bad_json():
-    with pytest.raises(SpecError, match="not valid JSON"):
-        load_stage(ODO, "{ nope")
-
-
-def test_load_rejects_wrong_format_version():
-    doc = json.loads(dump_stage(ODO, 3))
-    doc["format"] = 99
-    with pytest.raises(SpecError, match="format"):
-        load_stage(ODO, json.dumps(doc))
-
-
-def test_load_rejects_other_construction():
-    with pytest.raises(SpecError, match="different construction"):
-        load_stage(ODO, dump_stage(ST2, 3))
-
-
-@pytest.mark.parametrize("field,value", [
-    ("height", 19), ("width", "1/13"), ("total", "4/3"), ("cut", 4),
-    ("spacers", [0, 1, 3]), ("offsets", [0, 5, 12]), ("spacer_cum", [0, 0, 1, 4]),
-    ("spacer_zone_lo", "1/1"),
-])
-def test_load_rejects_stage_record_that_disagrees_with_spec(field, value):
-    doc = json.loads(dump_stage(ST2, 4))
-    rec = doc["stages"][3]
-    assert rec[field] != value
-    rec[field] = value
-    with pytest.raises(SpecError, match="cache is corrupt"):
-        load_stage(ST2, json.dumps(doc))
-
-
-def test_cache_miss_then_hit(tmp_path, monkeypatch):
-    CACHE_STATS.update(hits=0, misses=0, rebuilds=0)
-    a = cache_stage(ST2, 4, tmp_path)
-    assert CACHE_STATS["misses"] == 1
-
-    def boom(spec, j):
-        raise AssertionError("cache hit must not rebuild")
-
-    monkeypatch.setattr(persist, "build_stage", boom)
-    b = cache_stage(ST2, 4, tmp_path)
-    assert CACHE_STATS["hits"] == 1
-    assert b.height == a.height and b.total == a.total
-
-
-def test_cache_corrupt_file_warns_and_rebuilds(tmp_path):
-    CACHE_STATS.update(hits=0, misses=0, rebuilds=0)
-    cache_stage(ODO, 3, tmp_path)
-    victim = next(Path(tmp_path).glob("*.json"))
-    victim.write_text("not json at all")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        st3 = cache_stage(ODO, 3, tmp_path)
-    assert any("rebuilding" in str(w.message) for w in caught)
-    assert CACHE_STATS["rebuilds"] == 1
-    assert st3.height == 8
-    # the rewrite healed the file
-    assert cache_stage(ODO, 3, tmp_path).height == 8
-    assert CACHE_STATS["hits"] == 1
-
-
-def test_cache_version_bump_invalidates(tmp_path):
-    CACHE_STATS.update(hits=0, misses=0, rebuilds=0)
-    cache_stage(ODO, 3, tmp_path)
-    victim = next(Path(tmp_path).glob("*.json"))
-    doc = json.loads(victim.read_text())
-    doc["format"] = 0
-    victim.write_text(json.dumps(doc))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        cache_stage(ODO, 3, tmp_path)
-    assert any("rebuilding" in str(w.message) for w in caught)
-    assert CACHE_STATS["rebuilds"] == 1
 
 
 # -------------------------------------------------------------- cli: basics
@@ -375,14 +303,6 @@ def test_cli_flow_bands_product_frozen():
     assert lines[4] == "2,1,8"
 
 
-def test_cli_flow_bands_threads_do_not_change_bytes():
-    base = ("flow", "bands", "--spec", "odometer", "--alpha", "2", "--j", "2",
-            "--res", "4", "--side", "right", "--offsets", "0,1,2,3")
-    _, seq, _ = run_cli(*base)
-    _, par, _ = run_cli(*base, "--threads", "4")
-    assert seq == par
-
-
 def test_cli_flow_bands_empty_band_exit_2():
     code, out, err = run_cli("flow", "bands", "--spec", "odometer",
                              "--alpha", "2", "--j", "2", "--res", "4",
@@ -412,14 +332,12 @@ def test_cli_flow_window_matches_library():
 
 # ------------------------------------------------------ cli: build and io
 
-def test_cli_build_output_loads_as_cache(tmp_path):
+def test_cli_build_output_is_dump_stage(tmp_path):
     target = tmp_path / "stage.json"
     code, out, err = run_cli("build", "--spec", "staircase", "--stage", "4",
                              "--out", str(target))
-    assert code == 0
-    restored = load_stage(ST2, target.read_text())
-    assert restored.stage == 4
-    assert restored.height == build_stage(ST2, 4).height
+    assert code == 0 and out == ""
+    assert target.read_text() == dump_stage(ST2, 4) + "\n"
 
 
 def test_cli_out_writes_file_and_silences_stdout(tmp_path):
@@ -428,6 +346,16 @@ def test_cli_out_writes_file_and_silences_stdout(tmp_path):
                              "--steps", "2", "--out", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["data"] == ["0/1", "1/2", "1/4"]
+
+
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+def test_cli_out_unwritable_exit_2(tmp_path, where):
+    target = tmp_path / "no" / "such" / "x.json" if where == "missing_dir" else tmp_path
+    code, out, err = run_cli("orbit", "--spec", "odometer", "--x", "0/1",
+                             "--steps", "2", "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_cli_spec_file_round_trip(tmp_path):
@@ -479,6 +407,23 @@ def test_cli_validation_refusal_exit_2():
                              "--j", "5", "--res", "2", "--zmax", "1")
     assert code == 2
     assert "1 <= j <= J" in err
+    # block matrices refuse j > J with the same message whatever the spec
+    for argv in (
+            ("--kind", "product", "--spec-a", "staircase", "--spec-b", "staircase"),
+            ("--kind", "product", "--spec-a", "odometer", "--spec-b", "odometer"),
+            ("--kind", "graph", "--spec", "staircase", "--k", "1"),
+            ("--kind", "empirical", "--spec-a", "odometer", "--spec-b",
+             "odometer", "--x-a", "0/1", "--x-b", "0/1", "-N", "8")):
+        code, out, err = run_cli("joining", "blocks", *argv, "--j", "4",
+                                 "--res", "3")
+        assert code == 2 and out == ""
+        assert err == "error: need 1 <= j <= J, got j=4, J=3\n"
+    code, out, err = run_cli("joining", "disperse", "--spec-a", "odometer",
+                             "--spec-b", "odometer", "--x-a", "0/1",
+                             "--x-b", "0/1", "-N", "8", "--z", "0,0",
+                             "--n-list", "0", "--j", "4", "--res", "3")
+    assert code == 2
+    assert err == "error: need 1 <= j <= J, got j=4, J=3\n"
 
 
 def test_cli_orbit_escape_exit_3():

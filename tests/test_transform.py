@@ -1,4 +1,4 @@
-"""Piecewise translation realization, orbit iteration, set images."""
+"""The stage-J map: orbit iteration and set images under T^n."""
 
 from fractions import Fraction
 
@@ -7,15 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from rankone.construction import ConstructionSpec, build_stage
 from rankone.errors import OrbitEscaped, SpecError
-from rankone.measure import Interval, IntervalSet, MeasureBound, canonicalize
-from rankone.transform import (
-    Cursor,
-    OrbitPoint,
-    apply_power,
-    image_set,
-    power_image,
-    realize,
+from rankone.measure import (
+    Interval,
+    IntervalSet,
+    MeasureBound,
+    canonicalize,
+    set_difference,
+    set_intersection,
 )
+from rankone.transform import Cursor, OrbitPoint, apply_power, power_image
 
 F = Fraction
 
@@ -32,42 +32,68 @@ def levels_set(spec, J, indices):
     return canonicalize([st_.level(i) for i in indices])
 
 
+def step_image(spec, A, J):
+    """Oracle for one step of the stage-J map: level i onto level i+1 for
+    i < h_J - 1, with the mass of A on the top level reported escaped."""
+    st_ = build_stage(spec, J)
+    moved = []
+    for i in range(st_.height - 1):
+        off = st_.level_lo(i + 1) - st_.level_lo(i)
+        part = set_intersection(A, IntervalSet((st_.level(i),)))
+        moved.extend(Interval(iv.lo + off, iv.hi + off) for iv in part)
+    img = canonicalize(moved)
+    return img, MeasureBound.exact(A.measure - img.measure)
+
+
 class TestRealize:
+    """One step of the stage-J map: power_image(spec, A, +-1, J)."""
+
     def test_odometer_stage1(self):
-        pt = realize(ConstructionSpec.odometer(), 1)
-        assert pt.pieces == ((Interval(F(0), F(1, 2)), F(1, 2)),)
-        assert pt.undefined_set.intervals == (Interval(F(1, 2), F(1)),)
+        spec = ConstructionSpec.odometer()
+        img, esc = power_image(spec, Interval(F(0), F(1, 2)), 1, 1)
+        assert img.intervals == (Interval(F(1, 2), F(1)),)
+        assert esc == MeasureBound.zero()
+        img, esc = power_image(spec, Interval(F(1, 2), F(1)), 1, 1)
+        assert img.measure == 0 and esc == MeasureBound.exact(F(1, 2))
 
     def test_odometer_stage2_three_pieces(self):
-        pt = realize(ConstructionSpec.odometer(), 2)
-        assert len(pt.pieces) == 3
-        assert pt.apply(F(0)) == F(1, 2)
-        assert pt.apply(F(1, 2)) == F(1, 4)
-        assert pt.apply(F(1, 4)) == F(3, 4)
-        assert pt.apply(F(3, 4)) is None  # top level
+        spec = ConstructionSpec.odometer()
+        q = F(1, 4)
+        for lo, to in ((F(0), F(1, 2)), (F(1, 2), F(1, 4)), (F(1, 4), F(3, 4))):
+            img, esc = power_image(spec, Interval(lo, lo + q), 1, 2)
+            assert img.intervals == (Interval(to, to + q),)
+            assert esc == MeasureBound.zero()
+        img, esc = power_image(spec, Interval(F(3, 4), F(1)), 1, 2)  # top level
+        assert img.measure == 0 and esc == MeasureBound.exact(q)
 
     def test_piece_count_and_defined_measure(self):
         for spec in PRESETS:
             for J in range(1, 5):
-                pt = realize(spec, J)
                 st_ = build_stage(spec, J)
-                assert len(pt.pieces) == st_.height - 1
-                assert pt.defined_measure == (st_.height - 1) * st_.width
-                assert pt.domain.measure + pt.undefined_set.measure == st_.total
+                for n in (1, -1):
+                    img, esc = power_image(spec, st_.ambient, n, J)
+                    assert img.measure == (st_.height - 1) * st_.width
+                    assert esc == MeasureBound.exact(st_.width)
 
     def test_forward_image_of_level_is_next_level(self):
         for spec in PRESETS:
             for J in range(1, 6):
-                pt = realize(spec, J)
                 st_ = build_stage(spec, J)
                 for i in range(st_.height - 1):
-                    img, esc = image_set(pt, st_.level(i))
+                    img, esc = power_image(spec, st_.level(i), 1, J)
                     assert esc == MeasureBound.zero()
                     assert img.intervals == (st_.level(i + 1),)
 
     def test_image_measure_matches_domain(self):
-        pt = realize(ConstructionSpec.staircase(), 4)
-        assert pt.image.measure == pt.defined_measure
+        # the image of everything but the top level is everything but the
+        # base level, and backward the other way round
+        spec = ConstructionSpec.staircase()
+        st_ = build_stage(spec, 4)
+        whole = IntervalSet((st_.ambient,))
+        img, _ = power_image(spec, whole, 1, 4)
+        assert img == set_difference(whole, IntervalSet((st_.base,)))
+        img, _ = power_image(spec, whole, -1, 4)
+        assert img == set_difference(whole, IntervalSet((st_.top,)))
 
 
 class TestApplyPower:
@@ -140,41 +166,41 @@ class TestApplyPower:
 
 
 class TestImageSet:
+    """Set images under one step of the stage-J map, forward and backward."""
+
     def test_base_maps_to_level_one(self):
         for spec in PRESETS:
-            pt = realize(spec, 3)
             st_ = build_stage(spec, 3)
-            img, esc = image_set(pt, st_.base)
+            img, esc = power_image(spec, st_.base, 1, 3)
             assert esc == MeasureBound.zero()
             assert img.intervals == (st_.level(1),)
 
     def test_top_level_escapes_entirely(self):
-        pt = realize(ConstructionSpec.staircase(), 3)
-        st_ = build_stage(ConstructionSpec.staircase(), 3)
-        img, esc = image_set(pt, st_.top)
+        spec = ConstructionSpec.staircase()
+        st_ = build_stage(spec, 3)
+        img, esc = power_image(spec, st_.top, 1, 3)
         assert img.measure == 0
         assert esc == MeasureBound.exact(st_.width)
 
     def test_odometer_stage2_half_interval(self):
-        pt = realize(ConstructionSpec.odometer(), 2)
-        img, esc = image_set(pt, Interval(F(0), F(1, 2)))
+        img, esc = power_image(ConstructionSpec.odometer(),
+                               Interval(F(0), F(1, 2)), 1, 2)
         assert esc == MeasureBound.zero()
         assert img.intervals == (Interval(F(1, 2), F(1)),)
 
     def test_backward_inverts_forward(self):
         spec = ConstructionSpec.chacon()
-        pt = realize(spec, 3)
         A = IntervalSet((Interval(F(0), F(1, 9)), Interval(F(1, 3), F(10, 27))))
-        fwd, esc = image_set(pt, A)
+        fwd, esc = power_image(spec, A, 1, 3)
         assert esc == MeasureBound.zero()
-        back, esc2 = image_set(pt, fwd, direction="backward")
+        back, esc2 = power_image(spec, fwd, -1, 3)
         assert esc2 == MeasureBound.zero()
         assert back == A
 
     def test_measure_conservation(self):
-        pt = realize(ConstructionSpec.random_spacers(seed=5), 4)
+        spec = ConstructionSpec.random_spacers(seed=5)
         A = IntervalSet((Interval(F(1, 10), F(2, 5)), Interval(F(1, 2), F(9, 10))))
-        img, esc = image_set(pt, A)
+        img, esc = power_image(spec, A, 1, 4)
         assert img.measure + esc.lo == A.measure
         assert esc.is_exact
 
@@ -225,10 +251,9 @@ class TestPowerImage:
     @given(level_subsets(), st.integers(min_value=1, max_value=4))
     def test_matches_iterated_single_steps(self, sja, n):
         spec, J, A = sja
-        pt = realize(spec, J)
         cur, total = A, F(0)
         for _ in range(n):
-            cur, e = image_set(pt, cur)
+            cur, e = step_image(spec, cur, J)
             total += e.lo
         img, esc = power_image(spec, A, n, J)
         assert img == cur
