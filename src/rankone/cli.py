@@ -553,6 +553,21 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _escape_flags(args: argparse.Namespace, budget: int) -> str:
+    """The flags that bound an escaped cursor.  The orbit cursor stops at
+    the spec stage budget; the empirical and dispersion cursors, the only
+    ones behind a command with --res, stop at min(--res, stage budget)."""
+    res = getattr(args, "res", None)
+    if res is None:
+        return "--stage-budget"
+    tokens = [t for t in (getattr(args, "spec_a", None),
+                          getattr(args, "spec_b", None)) if t] or [args.spec]
+    flags = ["--res"] if res <= budget else []
+    if min(load_spec(t, args.stage_budget).max_stage for t in tokens) <= budget:
+        flags.append("--stage-budget")
+    return " and ".join(flags)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -562,8 +577,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         text = args.handler(args)
     except OrbitEscaped as exc:
-        print(f"error: {exc}; retry with a larger --stage-budget",
-              file=sys.stderr)
+        print(f"error: {exc}; retry with a larger "
+              f"{_escape_flags(args, exc.stage_budget)}", file=sys.stderr)
         return 3
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -438,15 +438,73 @@ class TowerStage:
     def ancestor_index(self, i: int, k: int) -> Optional[int]:
         """Level of stage k containing level i of this stage, or None if the
         level sits in spacer mass added after stage k."""
+        lo, _, copy, _ = self.ancestor_run(i, k)
+        return i - lo if copy else None
+
+    def ancestor_run(self, i: int, k: int, shift: bool = False
+                     ) -> Tuple[int, int, bool, Optional[Fraction]]:
+        """The maximal run [lo, hi) of levels around level i that lie in one
+        copy of the stage-k tower, or in one run of spacer levels added
+        after stage k, as (lo, hi, copy, s).
+
+        This tower is a concatenation of contiguous stage-k copies and
+        spacer runs, so on a copy run (copy True) level i' sits in stage-k
+        level i' - lo; on a spacer run (copy False) it sits in no stage-k
+        level.  One descent from this stage to stage k, one bisect per
+        stage.  With shift=True, s on a copy run is the Fraction sum of
+        c * w over the columns c descended through, so that level_lo(i') =
+        stage_k.level_lo(i' - lo) + s; it is None on a spacer run or without
+        shift, which keeps the Fraction adds off the descents that do not
+        need them.
+        """
         if not (1 <= k <= self.stage):
             raise SpecError(f"ancestor stage {k} out of range")
         st, idx = self, i
+        s = Fraction(0) if shift else None
+        path = []
         while st.stage > k:
-            idx = st.parent_index(idx)
-            if idx is None:
-                return None
-            st = st.prev
-        return idx
+            offsets = st.offsets
+            c = bisect_right(offsets, idx) - 1
+            rel = idx - offsets[c]
+            prev = st.prev
+            if rel >= prev.height:
+                return self._spacer_run(i, k, st, c, rel, path)
+            if shift and c:
+                s += c * st.width
+            path.append((st, c))
+            idx = rel
+            st = prev
+        lo = i - idx
+        return lo, lo + st.height, True, s
+
+    def _spacer_run(self, i: int, k: int, st: "TowerStage", c: int, rel: int,
+                    path: list) -> Tuple[int, int, bool, None]:
+        """The maximal spacer run around level i, which ancestor_run found in
+        the spacers of column c of stage st (level rel of that column).
+
+        Downwards the run takes in the spacers at the top of the stage
+        st.prev copy below it: a tower's top carries the last-column spacers
+        of every stage above k, and its bottom level is always a stage-k
+        level.  Upwards, when c is the last column, the run reaches the top
+        of st and goes on through the spacers above each enclosing copy
+        that is itself the last column of its stage.
+        """
+        below = 0
+        t = st.prev
+        while t.stage > k:
+            below += t.spacers[-1]
+            t = t.prev
+        lo = i - (rel - st.prev.height) - below
+        last = len(st.offsets) - 1
+        hi = i - rel + (st.offsets[c + 1] - st.offsets[c] if c < last
+                        else st.height - st.offsets[c])
+        at_top = c == last
+        for up, cu in reversed(path):
+            if not at_top:
+                break
+            hi += up.spacers[cu]
+            at_top = cu == len(up.offsets) - 1
+        return lo, hi, False, None
 
     # -- base occurrences --------------------------------------------------
 

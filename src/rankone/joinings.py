@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Dict, FrozenSet, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from .averaging import WeightSequence, average_apply, flatness
 from .construction import ConstructionSpec, bit_indices, build_stage
@@ -167,6 +168,25 @@ def graph_blocks(spec: ConstructionSpec, k: int, j: int, J: int) -> BlockMassMat
         spec_a=spec, spec_b=spec, meta={"J": J, "k": k})
 
 
+def _paired_runs(ca: Cursor, cb: Cursor, j: int, ticks: int, step_a: int,
+                 step_b: int) -> Iterator[Tuple[int, Optional[int], Optional[int]]]:
+    """The stage-j levels of a paired orbit over `ticks` ticks, each tick
+    advancing ca by step_a and cb by step_b, as (span, za, zb) per stretch
+    of ticks that stays in one stage-j run of each cursor: tick t of the
+    stretch sits in levels (za + t * step_a, zb + t * step_b), and za or zb
+    is None on a spacer run.  Each cursor moves once per stretch."""
+    n = 0
+    while n < ticks:
+        za, left_a = ca.level_run(j)
+        zb, left_b = cb.level_run(j)
+        span = min(-(-left_a // step_a), -(-left_b // step_b), ticks - n)
+        yield span, za, zb
+        n += span
+        if n < ticks:
+            ca.forward(span * step_a, (n - span) * step_a)
+            cb.forward(span * step_b, (n - span) * step_b)
+
+
 def empirical_joining(spec_a: ConstructionSpec, spec_b: ConstructionSpec,
                       x_a: RationalLike, x_b: RationalLike, N: int, j: int,
                       J: int, step_a: int = 1, step_b: int = 1) -> BlockMassMatrix:
@@ -190,18 +210,13 @@ def empirical_joining(spec_a: ConstructionSpec, spec_b: ConstructionSpec,
     cb.refine_to(j)
     counts: Dict[BlockIndex, int] = {}
     outside = 0
-    for n in range(N):
-        za, zb = ca.level_at(j), cb.level_at(j)
+    for span, za, zb in _paired_runs(ca, cb, j, N, step_a, step_b):
         if za is None or zb is None:
-            outside += 1
-        else:
-            key = BlockIndex(za, zb)
+            outside += span
+            continue
+        for t in range(span):
+            key = BlockIndex(za + t * step_a, zb + t * step_b)
             counts[key] = counts.get(key, 0) + 1
-        if n + 1 < N:
-            for _ in range(step_a):
-                ca.step_forward(n)
-            for _ in range(step_b):
-                cb.step_forward(n)
     Ra, Rb = ca.stage_obj.stage, cb.stage_obj.stage
     Ma, Mb = build_stage(spec_a, Ra).total, build_stage(spec_b, Rb).total
     masses = {z: Fraction(c, N) for z, c in counts.items()}
@@ -309,15 +324,12 @@ def dispersion_experiment(spec_a: ConstructionSpec, spec_b: ConstructionSpec,
     ca.refine_to(j)
     cb.refine_to(j)
     track: List[Optional[BlockIndex]] = []
-    for n in range(N + extra):
-        za, zb = ca.level_at(j), cb.level_at(j)
-        track.append(BlockIndex(za, zb) if za is not None and zb is not None
-                     else None)
-        if n + 1 < N + extra:
-            for _ in range(step_a):
-                ca.step_forward(n)
-            for _ in range(step_b):
-                cb.step_forward(n)
+    for span, za, zb in _paired_runs(ca, cb, j, N + extra, step_a, step_b):
+        if za is None or zb is None:
+            track.extend([None] * span)
+        else:
+            track.extend(BlockIndex(za + t * step_a, zb + t * step_b)
+                         for t in range(span))
     hits = [m for m in range(N) if track[m] == z]
     if not hits:
         raise SpecError(f"conditioning set empty: block {tuple(z)} has count 0 "

@@ -46,10 +46,20 @@ class OrbitPoint:
 class Cursor:
     """Mutable orbit-iteration state: (stage, level index, offset within the
     level).  Stepping is O(1) integer work except at tower tops and bottoms,
-    where the representation refines one stage and retries.  The point value
-    is materialized only on demand."""
+    where the representation refines one stage and retries; forward(n) moves
+    n steps with one add per tower top it meets.
 
-    __slots__ = ("spec", "budget", "stage_obj", "index", "u", "refinements")
+    Questions about coarser stages are answered per run: the cursor keeps
+    the last run of its stage's tower that TowerStage.ancestor_run found
+    (one copy of the stage-k tower, or one spacer run), so a query costs one
+    tower descent per stage-k copy or spacer run the orbit enters, and O(1)
+    while it stays inside.  level_at(j) keeps one run for j, and x one run
+    for the deepest materialized stage, from which the point value is
+    read as levels_k[i - lo].lo + shift + u.  A run belongs to a stage
+    object, so both are invalid after any refinement."""
+
+    __slots__ = ("spec", "budget", "stage_obj", "index", "u", "refinements",
+                 "_run", "_xrun")
 
     def __init__(self, spec: ConstructionSpec, x, stage_budget: Optional[int] = None):
         x = as_fraction(x)
@@ -71,10 +81,28 @@ class Cursor:
         self.index = st.locate(x)
         self.u = x - st.level_lo(self.index)
         self.refinements = 0
+        # _run: (j, stage object, lo, hi, lo or None on a spacer run);
+        # _xrun: (levels_k, stage object, lo, hi, lo or None, shift + u)
+        self._run = self._xrun = None
 
     @property
     def x(self) -> Fraction:
-        return self.stage_obj.level_lo(self.index) + self.u
+        st, i = self.stage_obj, self.index
+        run = self._xrun
+        if run is None or run[1] is not st or not run[2] <= i < run[3]:
+            levels = st
+            while levels is not None and levels._levels is None:
+                levels = levels.prev
+            if levels is None:
+                return st.level_lo(i) + self.u
+            lo, hi, copy, shift = st.ancestor_run(i, levels.stage, shift=True)
+            # u changes only with the stage object, so shift + u is per run
+            run = self._xrun = (levels._levels, st, lo, hi,
+                                lo if copy else None,
+                                shift + self.u if copy else None)
+        if run[4] is None:
+            return st.level_lo(i) + self.u
+        return run[0][i - run[4]].lo + run[5]
 
     def _refine(self, steps_done: int) -> None:
         st = self.stage_obj
@@ -99,10 +127,25 @@ class Cursor:
             self._refine(steps_done)
         self.index -= 1
 
+    def forward(self, n: int, steps_done: int = 0) -> None:
+        """n forward steps: one integer add up to the tower top, and one
+        refinement wherever a step leaves it."""
+        while n > 0:
+            room = min(self.stage_obj.height - 1 - self.index, n)
+            self.index += room
+            steps_done += room
+            n -= room
+            if n:
+                self.step_forward(steps_done)
+                steps_done += 1
+                n -= 1
+
     def advance(self, n: int) -> None:
-        step = self.step_forward if n >= 0 else self.step_backward
-        for k in range(abs(n)):
-            step(k)
+        if n >= 0:
+            self.forward(n)
+            return
+        for k in range(-n):
+            self.step_backward(k)
 
     def refine_to(self, j: int, steps_done: int = 0) -> None:
         """Refine the representation until the cursor's stage is at least j."""
@@ -112,10 +155,21 @@ class Cursor:
     def level_at(self, j: int) -> Optional[int]:
         """Level of tower j currently occupied, or None while the point sits
         in spacer mass unborn at stage j."""
-        if j > self.stage_obj.stage:
-            raise SpecError(f"cursor at stage {self.stage_obj.stage} cannot "
-                            f"answer for finer stage {j}")
-        return self.stage_obj.ancestor_index(self.index, j)
+        return self.level_run(j)[0]
+
+    def level_run(self, j: int) -> Tuple[Optional[int], int]:
+        """(level_at(j), levels left in its run from the current one up):
+        the next `left - 1` forward steps stay in the same stage-j copy,
+        one level up each, or in the same spacer run."""
+        st, i = self.stage_obj, self.index
+        run = self._run
+        if run is None or run[0] != j or run[1] is not st or not run[2] <= i < run[3]:
+            if j > st.stage:
+                raise SpecError(f"cursor at stage {st.stage} cannot "
+                                f"answer for finer stage {j}")
+            lo, hi, copy, _ = st.ancestor_run(i, j)
+            run = self._run = (j, st, lo, hi, lo if copy else None)
+        return (None if run[4] is None else i - run[4]), run[3] - i
 
 
 def apply_power(spec: ConstructionSpec, x: Union[OrbitPoint, Fraction, int, str],

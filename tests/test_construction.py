@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rankone.construction import (
     ConstructionSpec,
@@ -265,3 +265,64 @@ class TestConstructionProperties:
             base_k = build_stage(spec, k).base
             got = canonicalize([stJ.level(i) for i in occ])
             assert got.intervals == (base_k,)
+
+
+# --------------------------------------------------------- ancestor runs
+
+PRESETS = (ConstructionSpec.odometer(), ConstructionSpec.staircase(),
+           ConstructionSpec.chacon())
+# Every level of a run is checked against the oracle; cap the run length.
+RUN_CHECK_MAX_HEIGHT = 3300
+
+
+def oracle_ancestor(stage, i, k):
+    """The parent_index walk ancestor_run replaced: one bisect per stage."""
+    while stage.stage > k:
+        i = stage.parent_index(i)
+        if i is None:
+            return None
+        stage = stage.prev
+    return i
+
+
+class TestAncestorRuns:
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(st.sampled_from(PRESETS),
+                     st.integers(0, 10_000).map(ConstructionSpec.random_spacers)),
+           st.integers(min_value=1, max_value=8),
+           st.integers(min_value=1, max_value=8),
+           st.floats(min_value=0, max_value=1, exclude_max=True))
+    def test_run_matches_parent_walk(self, spec, R, k, where):
+        k = min(k, R)
+        stR, stk = build_stage(spec, R), build_stage(spec, k)
+        i = int(where * stR.height)
+        lo, hi, copy, shift = stR.ancestor_run(i, k, shift=True)
+        assume(hi - lo <= RUN_CHECK_MAX_HEIGHT)
+        assert 0 <= lo <= i < hi <= stR.height
+        assert stR.ancestor_index(i, k) == oracle_ancestor(stR, i, k)
+        assert stR.ancestor_run(i, k)[:3] == (lo, hi, copy)
+        for i2 in range(lo, hi):
+            a = oracle_ancestor(stR, i2, k)
+            if copy:
+                assert a == i2 - lo
+                assert stR.level_lo(i2) == stk.level_lo(a) + shift
+            else:
+                assert a is None
+        if copy:
+            assert hi - lo == stk.height
+        else:
+            assert shift is None
+            # maximal: the levels just outside a spacer run lie in stage-k copies
+            assert lo == 0 or oracle_ancestor(stR, lo - 1, k) is not None
+            assert hi == stR.height or oracle_ancestor(stR, hi, k) is not None
+
+    def test_own_stage_is_one_copy(self):
+        st5 = build_stage(ConstructionSpec.staircase(), 5)
+        for i in (0, 40, st5.height - 1):
+            assert st5.ancestor_run(i, 5, shift=True) == (0, st5.height, True, 0)
+
+    def test_rejects_stage_out_of_range(self):
+        st3 = build_stage(ConstructionSpec.chacon(), 3)
+        for k in (0, 4):
+            with pytest.raises(SpecError):
+                st3.ancestor_run(0, k)

@@ -2,6 +2,7 @@
 conditional trivialization check."""
 
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from rankone.averaging import WeightSequence
 from rankone.construction import ConstructionSpec, build_stage
-from rankone.errors import EmptyFSetError, SpecError
+from rankone import joinings
+from rankone.errors import EmptyFSetError, OrbitEscaped, SpecError
 from rankone.joinings import (
     BlockIndex,
     BlockMassMatrix,
@@ -305,6 +307,51 @@ def test_dispersion_staircase_pair_spreads():
 def test_dispersion_empty_conditioning_refused():
     with pytest.raises(SpecError, match="count 0"):
         dispersion_experiment(ODO, ODO, 0, 0, 40, BlockIndex(0, 1), [1], 2, 8)
+
+
+def oracle_paired_ticks(ca, cb, j, ticks, step_a, step_b):
+    """The per-tick loop _paired_runs replaced: one stretch per tick, levels
+    read from the stage object, single steps."""
+    for n in range(ticks):
+        yield (1, ca.stage_obj.ancestor_index(ca.index, j),
+               cb.stage_obj.ancestor_index(cb.index, j))
+        if n + 1 < ticks:
+            for _ in range(step_a):
+                ca.step_forward(n)
+            for _ in range(step_b):
+                cb.step_forward(n)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (OrbitEscaped, SpecError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(PRESETS), st.sampled_from(PRESETS),
+       st.fractions(min_value=0, max_value=F(99, 100), max_denominator=997),
+       st.fractions(min_value=0, max_value=F(99, 100), max_denominator=997),
+       st.integers(min_value=1, max_value=300),
+       st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=8),
+       st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=3),
+       st.tuples(st.integers(0, 3), st.integers(0, 3)),
+       st.lists(st.integers(min_value=-5, max_value=30), min_size=1, max_size=3))
+def test_paired_runs_match_per_tick_loop(spec_a, spec_b, x_a, x_b, N, j, extra,
+                                         step_a, step_b, z, n_list):
+    # stages up to 10 (every preset's budget): most orbits stay resolved,
+    # the shallow ones escape
+    J = min(j + extra, 10)
+    args = (spec_a, spec_b, x_a, x_b, N, j, J, step_a, step_b)
+    d_args = (spec_a, spec_b, x_a, x_b, N, BlockIndex(*z), n_list, j, J,
+              step_a, step_b)
+    fast = (outcome(empirical_joining, *args),
+            outcome(dispersion_experiment, *d_args))
+    with mock.patch.object(joinings, "_paired_runs", oracle_paired_ticks):
+        slow = (outcome(empirical_joining, *args),
+                outcome(dispersion_experiment, *d_args))
+    assert fast == slow
 
 
 # ---------------------------------------------------------------- columns / F

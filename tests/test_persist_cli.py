@@ -429,8 +429,36 @@ def test_cli_validation_refusal_exit_2():
 def test_cli_orbit_escape_exit_3():
     code, out, err = run_cli("orbit", "--spec", "odometer", "--x", "1/3",
                              "--steps", "9999", "--stage-budget", "3")
-    assert code == 3
-    assert "--stage-budget" in err
+    assert code == 3 and out == ""
+    assert err.endswith("; retry with a larger --stage-budget\n")
+    assert err.count("\n") == 1
+
+
+EMPIRICAL_ESCAPE = ("joining", "blocks", "--kind", "empirical",
+                    "--spec-a", "odometer", "--spec-b", "odometer",
+                    "--x-a", "1/3", "--x-b", "0", "-N", "64", "--j", "2")
+
+
+@pytest.mark.parametrize("argv, flags", [
+    # the empirical and dispersion cursors stop at min(--res, stage budget)
+    (EMPIRICAL_ESCAPE + ("--res", "3", "--stage-budget", "12"), "--res"),
+    (EMPIRICAL_ESCAPE + ("--res", "3"), "--res"),
+    (EMPIRICAL_ESCAPE + ("--res", "8", "--stage-budget", "3"), "--stage-budget"),
+    (EMPIRICAL_ESCAPE + ("--res", "3", "--stage-budget", "3"),
+     "--res and --stage-budget"),
+    (("joining", "disperse", "--spec-a", "odometer", "--spec-b", "odometer",
+      "--x-a", "1/3", "--x-b", "0", "-N", "64", "--z", "0,0", "--n-list", "0",
+      "--j", "2", "--res", "3", "--stage-budget", "12"), "--res"),
+    (("flow", "bands", "--spec", "odometer", "--alpha", "2", "--j", "2",
+      "--res", "3", "--side", "right", "--offsets", "0,1", "--matrix",
+      "empirical", "--x-a", "0/1", "--x-b", "1/3", "-N", "64"), "--res"),
+])
+def test_cli_escape_names_the_bounding_flag(argv, flags):
+    code, out, err = run_cli(*argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error: orbit point ")
+    assert err.endswith(f"; retry with a larger {flags}\n")
+    assert err.count("\n") == 1
 
 
 def test_cli_bad_subcommand_exit_2():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rankone.construction import ConstructionSpec, build_stage
+from rankone.construction import ConstructionSpec, CutRule, SpacerRule, build_stage
 from rankone.errors import OrbitEscaped, SpecError
 from rankone.measure import (
     Interval,
@@ -163,6 +163,105 @@ class TestApplyPower:
             if idx is not None:
                 assert st4.level(idx).contains(cur.x)
             cur.step_forward()
+
+
+WALK_SPECS = PRESETS[:3] + [ConstructionSpec.random_spacers(seed=k) for k in (1, 2, 3)]
+
+
+class TestCursorRuns:
+    """The cursor answers level_at, level_run and x from cached runs; the
+    oracle is the stage object's own ancestor_index and level_lo at the
+    current index, and forward(n) is checked against n single steps."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(WALK_SPECS),
+           st.fractions(min_value=0, max_value=F(99, 100), max_denominator=997),
+           st.integers(min_value=1, max_value=8),
+           st.integers(min_value=1, max_value=8),
+           st.lists(st.tuples(st.sampled_from(("up", "down", "jump")),
+                              st.integers(min_value=1, max_value=40)),
+                    min_size=1, max_size=8),
+           st.lists(st.integers(min_value=1, max_value=8), min_size=2, max_size=4))
+    def test_walk_matches_stage_object(self, spec, x, budget, start, moves, js):
+        cur = Cursor(spec, x, stage_budget=budget)
+        tick = 0
+
+        def check():
+            nonlocal tick
+            st_, i = cur.stage_obj, cur.index
+            for j in (js[tick % len(js)], js[(tick + 1) % len(js)]):
+                if j > st_.stage:
+                    with pytest.raises(SpecError):
+                        cur.level_at(j)
+                    continue
+                z = st_.ancestor_index(i, j)
+                assert cur.level_at(j) == z
+                z2, left = cur.level_run(j)
+                assert z2 == z and left >= 1
+                # the run goes on, one level up per step, exactly `left` levels
+                end = st_.ancestor_index(i + left - 1, j)
+                assert end == (None if z is None else z + left - 1)
+                if i + left < st_.height:
+                    after = st_.ancestor_index(i + left, j)
+                    assert (after is None) != (z is None) or (
+                        z is not None and after != z + left)
+            assert cur.x == st_.level_lo(i) + cur.u
+            tick += 1
+
+        try:
+            check()
+            cur.refine_to(min(start, cur.budget))
+            check()
+            for kind, length in moves:
+                if kind == "jump":
+                    twin = Cursor(spec, cur.x, stage_budget=budget)
+                    twin.refine_to(cur.stage_obj.stage)
+                    try:
+                        for _ in range(length):
+                            twin.step_forward()
+                    except OrbitEscaped:
+                        with pytest.raises(OrbitEscaped):
+                            cur.forward(length)
+                        return
+                    cur.forward(length)
+                    assert (cur.stage_obj, cur.index, cur.u) == (
+                        twin.stage_obj, twin.index, twin.u)
+                    check()
+                    continue
+                for _ in range(length):
+                    if kind == "up":
+                        cur.step_forward()
+                    else:
+                        cur.step_backward()
+                    check()
+        except OrbitEscaped:
+            pass
+
+    def test_run_cache_is_per_stage_object(self):
+        # the stage-2 top level is a spacer, and refining to stage 3 keeps
+        # the point in column 0, right below one more spacer: the run the
+        # cursor held at stage 2 still covers its index but is one short
+        spec = ConstructionSpec(h1=2, cut_rule=CutRule("constant", value=2),
+                                spacer_rule=SpacerRule("list", rows=((0, 1), (1, 0))),
+                                max_stage=3)
+        cur = Cursor(spec, 1)
+        assert (cur.stage_obj.stage, cur.index) == (2, 4)
+        assert cur.level_run(1) == (None, 1)
+        cur.refine_to(3)
+        assert (cur.stage_obj.stage, cur.index) == (3, 4)
+        assert cur.level_run(1) == (None, 2)
+
+    def test_run_cache_follows_refinement(self):
+        # the odometer orbit of 1/3 refines 12 times in 3000 steps, from
+        # stage 1 to stage 13 (heights past the materialization limit); each
+        # refinement moves it to a new stage object with its own runs
+        cur = Cursor(ConstructionSpec.odometer(max_stage=20), F(1, 3))
+        for _ in range(3000):
+            st_ = cur.stage_obj
+            assert cur.level_at(1) == st_.ancestor_index(cur.index, 1)
+            assert cur.x == st_.level_lo(cur.index) + cur.u
+            cur.step_forward()
+        assert cur.refinements == 12
 
 
 class TestImageSet:
