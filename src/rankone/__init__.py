@@ -46,6 +46,7 @@ from .joinings import (
     FSetSpec,
     LightBlockReport,
     TrivializationRecord,
+    UniformBlockMasses,
     columns_and_F,
     di_estimate,
     dispersion_experiment,

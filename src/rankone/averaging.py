@@ -12,9 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Tuple
+from itertools import accumulate, groupby
+from math import lcm
+from typing import Dict, List, Optional, Tuple
 
-from .construction import ConstructionSpec
+from .construction import ConstructionSpec, TowerStage, build_stage
 from .errors import SpecError
 from .measure import (
     Interval,
@@ -114,14 +116,100 @@ def average_apply(spec: ConstructionSpec, w: WeightSequence, f: StepFunction,
                   ) -> Tuple[StepFunction, MeasureBound]:
     """P f = sum_z a^z (f composed with T^{-z}) at resolution J.
 
-    Each constant piece of f rides forward z steps through power_image
-    (backward for direction="backward", giving the adjoint); escaped support
-    measure accumulates weighted by a^z.  The returned function is exact on
-    resolved mass and silently zero where mass escaped.
+    Mass on stage-J level i moves z levels up (down for
+    direction="backward", giving the adjoint); mass pushed past the top
+    (below the bottom) escapes, and escaped support measure accumulates
+    weighted by a^z.  The returned function is exact on resolved mass and
+    silently zero where mass escaped.  f must vanish off the stage-J
+    ambient interval [0, M_J).
+
+    Two paths give the same result.  When f is constant on every stage-J
+    level (every segment endpoint a multiple of w_J), P f is computed on
+    the levels, with no power_image call: f's levels are read once, each
+    run of consecutive shifts with one weight adds its value to a
+    difference array over the target levels, and one prefix sum gives P f
+    on every level.  The arrays hold integers over one common denominator,
+    so the cost is O(h_J + |supp f| * runs) integer adds.
+    Any other f takes the interval path: each constant piece rides through
+    power_image once per shift, O(h_J) per (shift, piece), and the images
+    are summed with StepFunction.add.
     """
     if direction not in ("forward", "backward"):
         raise SpecError(f"direction must be forward or backward, got {direction!r}")
     sign = 1 if direction == "forward" else -1
+    st = build_stage(spec, J)
+    if f.segments and (f.segments[0][0] < 0 or f.segments[-1][1] > st.total):
+        raise SpecError("set extends beyond the stage ambient interval")
+    on_levels = _average_on_levels(st, w, f, sign)
+    if on_levels is not None:
+        return on_levels
+    return _average_by_pieces(spec, w, f, J, sign)
+
+
+def _average_on_levels(st: TowerStage, w: WeightSequence, f: StepFunction,
+                       sign: int) -> Optional[Tuple[StepFunction, MeasureBound]]:
+    """P f on the levels of stage st, or None when f is not constant on
+    every level of st."""
+    if not f.segments:
+        return StepFunction.zero(), MeasureBound.zero()
+    width, h = st.width, st.height
+    cells = []
+    for lo, hi, v in f.segments:
+        c0, c1 = lo / width, hi / width
+        if c0.denominator != 1 or c1.denominator != 1:
+            return None
+        cells.append((int(c0), int(c1), v))
+    level_of = [0] * h
+    for i, c in enumerate(st.level_cells()):
+        level_of[c] = i
+    by_value: Dict[Fraction, List[int]] = {}
+    for c0, c1, v in cells:
+        by_value.setdefault(v, []).extend(level_of[c] for c in range(c0, c1))
+    # the shifts of each weight value as runs [z0, z1] of consecutive z
+    runs: Dict[Fraction, List[List[int]]] = {}
+    for z, a in w.weights:
+        zr = runs.setdefault(a, [])
+        if zr and zr[-1][1] == z - 1:
+            zr[-1][1] = z
+        else:
+            zr.append([z, z])
+    # P f as differences along the levels, in units of 1/D: the run
+    # [z0, z1] of shifts with weight a moves level i onto the levels
+    # i + z0 .. i + z1; lost counts the (level, shift) pairs whose target
+    # leaves the tower
+    D = lcm(*((a * v).denominator for a in runs for v in by_value))
+    diff = [0] * (h + 1)
+    escaped = Fraction(0)
+    for a, zr in runs.items():
+        lost = 0
+        for z0, z1 in zr:
+            lo_off, hi_off = (z0, z1) if sign > 0 else (-z1, -z0)
+            for v, levels in by_value.items():
+                av = int(a * v * D)
+                for i in levels:
+                    t0, t1 = max(i + lo_off, 0), min(i + hi_off, h - 1)
+                    lost += z1 - z0 + 1 - max(t1 - t0 + 1, 0)
+                    if t0 <= t1:
+                        diff[t0] += av
+                        diff[t1 + 1] -= av
+        escaped += a * lost
+    num = list(accumulate(diff[:h]))
+    # one segment per run of equal values in cell order: canonical as built
+    segments = []
+    lo, c = Fraction(0), 0
+    for n, run in groupby(num[i] for i in level_of):
+        c += len(list(run))
+        hi = c * width
+        if n:
+            segments.append((lo, hi, Fraction(n, D)))
+        lo = hi
+    return StepFunction(tuple(segments)), MeasureBound.exact(escaped * width)
+
+
+def _average_by_pieces(spec: ConstructionSpec, w: WeightSequence,
+                       f: StepFunction, J: int,
+                       sign: int) -> Tuple[StepFunction, MeasureBound]:
+    """P f by imaging each constant piece of f through power_image."""
     out = StepFunction.zero()
     escaped = Fraction(0)
     for z, a in w.weights:

@@ -322,7 +322,7 @@ class TowerStage:
     __slots__ = (
         "spec", "stage", "height", "width", "total", "prev",
         "cut", "spacers", "offsets", "spacer_cum", "spacer_zone_lo",
-        "_levels", "_occ",
+        "_levels", "_occ", "_cells",
     )
 
     def __init__(self, spec: ConstructionSpec, stage: int, prev: Optional["TowerStage"]):
@@ -330,6 +330,7 @@ class TowerStage:
         self.stage = stage
         self.prev = prev
         self._occ: Dict[int, int] = {}
+        self._cells: Optional[Tuple[int, ...]] = None
         if prev is None:
             self.height = spec.h1
             self.width = spec.width1
@@ -406,6 +407,28 @@ class TowerStage:
 
     def levels_set(self, indices: Sequence[int]) -> IntervalSet:
         return canonicalize([self.level(i) for i in indices])
+
+    def level_cells(self) -> Tuple[int, ...]:
+        """Cell of each level: level i is [c w, (c+1) w) for c =
+        level_cells()[i], and the cells 0..height-1 tile [0, M).
+
+        Integer work only, by the column recursion: column c of this stage
+        puts stage-(j-1) cell p at cell p r + c, and its spacers in the
+        cells from h_{j-1} r + spacer_cum[c] up, past M_{j-1}.  Cached per
+        stage.
+        """
+        if self._cells is None:
+            if self.prev is None:
+                self._cells = tuple(range(self.height))
+            else:
+                prev, r = self.prev.level_cells(), self.cut
+                cells = []
+                for c in range(r):
+                    cells.extend(p * r + c for p in prev)
+                    first = self.prev.height * r + self.spacer_cum[c]
+                    cells.extend(range(first, first + self.spacers[c]))
+                self._cells = tuple(cells)
+        return self._cells
 
     def locate(self, x) -> Optional[int]:
         """Level index whose interval contains x, or None if x >= M_j."""
@@ -561,6 +584,18 @@ class TowerStage:
                         bits |= occ << st.locate(c * st.width)
                 return bits
         return None
+
+    def power_bits(self, bits: int, n: int) -> Tuple[int, int]:
+        """T^n on a set of whole levels of this stage held as a bitset:
+        (image, escaped).  image holds level i + n for each level i of bits
+        that stays in the tower; escaped has one set bit for each level
+        pushed past the top (n > 0) or below the bottom (n < 0), so its
+        popcount times the width is the escaped mass."""
+        h = self.height
+        if n >= 0:
+            return ((bits << n) & ((1 << h) - 1) if n < h else 0,
+                    bits >> max(h - n, 0))
+        return bits >> -n, bits & ((1 << min(-n, h)) - 1)
 
     def __repr__(self) -> str:
         return (f"TowerStage(stage={self.stage}, height={self.height}, "

@@ -17,10 +17,8 @@ from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 from .construction import ConstructionSpec, build_stage
 from .errors import SpecError
 from .joinings import BlockIndex, BlockMassMatrix
-from .measure import IntervalSet, MeasureBound, RationalLike, as_fraction, \
-    set_intersection
+from .measure import IntervalSet, MeasureBound, RationalLike, as_fraction
 from .stats import return_profile, window_sums
-from .transform import power_image
 
 __all__ = [
     "FlowSkeletonSpec",
@@ -167,6 +165,11 @@ def consequence_check(fspec: FlowSkeletonSpec, j: int, J: int,
     versus once for the whole image), so the enclosures need not coincide;
     each encloses the true overlap, hence they must intersect.  When the
     image resolves with no escape the geometric route is exact.
+
+    The geometric route runs on stage-J level bitsets: T^z E_j is the
+    occurrence bitset of E_j shifted by z, the escaped mass is the popcount
+    of the bits shifted past the top times w_J, and the overlap with E1 is
+    an `&`.
     """
     q = fspec.grid_inverse
     if z < q:
@@ -176,11 +179,11 @@ def consequence_check(fspec: FlowSkeletonSpec, j: int, J: int,
     prof = return_profile(fspec.base, j, J, z)
     ws = window_sums(prof, q)
     window = ws[z - q].scale(st.width)
-    base = st.levels_set([0])
-    img, esc = power_image(fspec.base, base, z, J)
     e1 = thickened_base(fspec, j, J).E1
-    resolved = set_intersection(e1, img).measure
-    geometric = MeasureBound(resolved, resolved + esc.hi)
+    stJ = build_stage(fspec.base, J)
+    img, out = stJ.power_bits(stJ.occurrence_bits(j), z)
+    resolved = (stJ.level_bits(e1) & img).bit_count() * stJ.width
+    geometric = MeasureBound(resolved, resolved + out.bit_count() * stJ.width)
     return ConsequenceRecord(j=j, J=J, z=z, window_route=window,
                              geometric_route=geometric)
 

@@ -11,6 +11,7 @@ thresholds, and covered-mass reports are directly comparable across kinds.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import (Dict, FrozenSet, Iterator, List, NamedTuple, Optional,
@@ -31,6 +32,7 @@ from .transform import Cursor, power_image
 
 __all__ = [
     "BlockIndex",
+    "UniformBlockMasses",
     "BlockMassMatrix",
     "LightBlockReport",
     "ColumnSpec",
@@ -54,6 +56,38 @@ class BlockIndex(NamedTuple):
     z2: int
 
 
+class UniformBlockMasses(Mapping):
+    """The masses of an h_a x h_b block grid in which every block carries
+    the same mass `per`, held as those three numbers.
+
+    A read-only Mapping from BlockIndex to Fraction: [], get, `in` and len
+    are O(1); iteration yields the h_a * h_b blocks in row-major order,
+    which is sorted order, and costs O(h_a h_b) only when a caller
+    iterates.
+    """
+
+    __slots__ = ("h_a", "h_b", "per")
+
+    def __init__(self, h_a: int, h_b: int, per: Fraction):
+        self.h_a, self.h_b, self.per = h_a, h_b, per
+
+    def __getitem__(self, z) -> Fraction:
+        if (isinstance(z, tuple) and len(z) == 2
+                and 0 <= z[0] < self.h_a and 0 <= z[1] < self.h_b):
+            return self.per
+        raise KeyError(z)
+
+    def __iter__(self) -> Iterator[BlockIndex]:
+        return (BlockIndex(z1, z2)
+                for z1 in range(self.h_a) for z2 in range(self.h_b))
+
+    def __len__(self) -> int:
+        return self.h_a * self.h_b
+
+    def __repr__(self) -> str:
+        return f"UniformBlockMasses({self.h_a}, {self.h_b}, {self.per})"
+
+
 @dataclass(frozen=True)
 class BlockMassMatrix:
     """Masses of the stage-j blocks of one joining, plus the residual mass
@@ -62,14 +96,16 @@ class BlockMassMatrix:
 
     norm_a / norm_b are the ambient measures used to normalize each side;
     base_mass is the second system's stage-j base measure in those units and
-    is the reference scale for the light-block threshold.
+    is the reference scale for the light-block threshold.  masses is a
+    dict, or a UniformBlockMasses for the product joining, whose checks and
+    sums below cost O(1) instead of one step per block.
     """
 
     kind: str
     j: int
     h_a: int
     h_b: int
-    masses: Dict[BlockIndex, Fraction]
+    masses: Mapping[BlockIndex, Fraction]
     residual: Fraction
     norm_a: Fraction
     norm_b: Fraction
@@ -82,12 +118,21 @@ class BlockMassMatrix:
 
     def __post_init__(self):
         total = self.residual
-        for (z1, z2), m in self.masses.items():
-            if not (0 <= z1 < self.h_a and 0 <= z2 < self.h_b):
-                raise SpecError(f"block index ({z1}, {z2}) out of tower range")
-            if m < 0:
-                raise SpecError(f"negative block mass at ({z1}, {z2})")
-            total += m
+        masses = self.masses
+        if isinstance(masses, UniformBlockMasses):
+            if (masses.h_a, masses.h_b) != (self.h_a, self.h_b):
+                raise SpecError(f"uniform block grid {masses.h_a} x {masses.h_b} "
+                                f"does not match towers {self.h_a} x {self.h_b}")
+            if masses.per < 0:
+                raise SpecError("negative block mass")
+            total += masses.per * len(masses)
+        else:
+            for (z1, z2), m in masses.items():
+                if not (0 <= z1 < self.h_a and 0 <= z2 < self.h_b):
+                    raise SpecError(f"block index ({z1}, {z2}) out of tower range")
+                if m < 0:
+                    raise SpecError(f"negative block mass at ({z1}, {z2})")
+                total += m
         if self.residual < 0:
             raise SpecError("negative residual mass")
         if total != 1:
@@ -101,10 +146,16 @@ class BlockMassMatrix:
         return 1 - self.residual
 
     def row_sum(self, z1: int) -> Fraction:
-        return sum((m for (a, _), m in self.masses.items() if a == z1), Fraction(0))
+        masses = self.masses
+        if isinstance(masses, UniformBlockMasses):
+            return masses.per * self.h_b if 0 <= z1 < self.h_a else Fraction(0)
+        return sum((m for (a, _), m in masses.items() if a == z1), Fraction(0))
 
     def col_sum(self, z2: int) -> Fraction:
-        return sum((m for (_, b), m in self.masses.items() if b == z2), Fraction(0))
+        masses = self.masses
+        if isinstance(masses, UniformBlockMasses):
+            return masses.per * self.h_a if 0 <= z2 < self.h_b else Fraction(0)
+        return sum((m for (_, b), m in masses.items() if b == z2), Fraction(0))
 
 
 def _check_resolution(j: int, J: int) -> None:
@@ -116,15 +167,20 @@ def product_blocks(spec_a: ConstructionSpec, spec_b: ConstructionSpec, j: int,
                    J: int) -> BlockMassMatrix:
     """Product-measure block matrix: every block carries the product of the
     two level measures; the residual is the mass of the product space off
-    the stage-j tower product."""
+    the stage-j tower product.
+
+    The masses are one UniformBlockMasses (h_a, h_b, per), so building the
+    matrix, checking it, its row and column sums and light_blocks cost
+    O(1) in the number of blocks; only iterating the masses, as `joining
+    blocks` output does, walks the h_a * h_b blocks.
+    """
     _check_resolution(j, J)
     sa, sb = build_stage(spec_a, j), build_stage(spec_b, j)
     Ma, Mb = build_stage(spec_a, J).total, build_stage(spec_b, J).total
     la, lb = sa.width / Ma, sb.width / Mb
     per = la * lb
-    masses = {BlockIndex(z1, z2): per
-              for z1 in range(sa.height) for z2 in range(sb.height)}
-    covered = per * sa.height * sb.height
+    masses = UniformBlockMasses(sa.height, sb.height, per)
+    covered = per * len(masses)
     return BlockMassMatrix(
         kind="product", j=j, h_a=sa.height, h_b=sb.height, masses=masses,
         residual=1 - covered, norm_a=Ma, norm_b=Mb,
@@ -252,15 +308,21 @@ def light_blocks(m: BlockMassMatrix, epsilon: RationalLike) -> LightBlockReport:
     if eps <= 0:
         raise SpecError("epsilon must be positive")
     threshold = eps * m.base_mass
-    light = []
-    covered = Fraction(0)
-    for z1 in range(m.h_a):
-        for z2 in range(m.h_b):
-            z = BlockIndex(z1, z2)
-            mass = m.mass(z)
-            if mass < threshold:
-                light.append(z)
-                covered += mass
+    masses = m.masses
+    if isinstance(masses, UniformBlockMasses):
+        # one mass for every block: all blocks are light or none is
+        light = masses if masses.per < threshold else ()
+        covered = masses.per * len(light)
+    else:
+        light = []
+        covered = Fraction(0)
+        for z1 in range(m.h_a):
+            for z2 in range(m.h_b):
+                z = BlockIndex(z1, z2)
+                mass = m.mass(z)
+                if mass < threshold:
+                    light.append(z)
+                    covered += mass
     return LightBlockReport(epsilon=eps, j=m.j, kind=m.kind,
                             light_set=frozenset(light), covered_mass=covered,
                             total_blocks=m.h_a * m.h_b)

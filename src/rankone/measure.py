@@ -12,6 +12,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import merge
+from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence, Tuple, Union
 
 __all__ = [
@@ -32,6 +34,10 @@ __all__ = [
 
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
+
+# bisect keys: the left end of an Interval, of a (lo, hi, value) segment
+_LO = attrgetter("lo")
+_SEG_LO = itemgetter(0)
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -119,8 +125,7 @@ class IntervalSet:
 
     def contains(self, x: RationalLike) -> bool:
         x = as_fraction(x)
-        los = [iv.lo for iv in self.intervals]
-        k = bisect_right(los, x) - 1
+        k = bisect_right(self.intervals, x, key=_LO) - 1
         return k >= 0 and x < self.intervals[k].hi
 
     def shift(self, offset: RationalLike) -> "IntervalSet":
@@ -313,8 +318,7 @@ class StepFunction:
 
     def value_at(self, x: RationalLike) -> Fraction:
         x = as_fraction(x)
-        los = [s[0] for s in self.segments]
-        k = bisect_right(los, x) - 1
+        k = bisect_right(self.segments, x, key=_SEG_LO) - 1
         if k >= 0 and x < self.segments[k][1]:
             return self.segments[k][2]
         return Fraction(0)
@@ -332,20 +336,29 @@ class StepFunction:
         return StepFunction(tuple((lo, hi, v * f) for lo, hi, v in self.segments))
 
     def add(self, other: "StepFunction") -> "StepFunction":
-        """Pointwise sum, exact, linear-time sweep over the breakpoints."""
-        cuts = sorted(
-            {p for lo, hi, _ in self.segments for p in (lo, hi)}
-            | {p for lo, hi, _ in other.segments for p in (lo, hi)}
-        )
+        """Pointwise sum, exact: one linear merge of the two segment lists.
+
+        The breakpoints of both arrive in sorted order; between consecutive
+        ones each side's value is read from a pointer that only moves up.
+        """
+        a, b = self.segments, other.segments
         out: list[Tuple[Fraction, Fraction, Fraction]] = []
-        for lo, hi in zip(cuts, cuts[1:]):
-            v = self.value_at(lo) + other.value_at(lo)
-            if v == 0:
-                continue
-            if out and out[-1][1] == lo and out[-1][2] == v:
-                out[-1] = (out[-1][0], hi, v)
-            else:
-                out.append((lo, hi, v))
+        i = k = 0
+        lo = None
+        for hi in merge(_breakpoints(a), _breakpoints(b)):
+            if lo is not None and lo < hi:
+                while i < len(a) and a[i][1] <= lo:
+                    i += 1
+                while k < len(b) and b[k][1] <= lo:
+                    k += 1
+                v = ((a[i][2] if i < len(a) and a[i][0] <= lo else 0)
+                     + (b[k][2] if k < len(b) and b[k][0] <= lo else 0))
+                if v:
+                    if out and out[-1][1] == lo and out[-1][2] == v:
+                        out[-1] = (out[-1][0], hi, v)
+                    else:
+                        out.append((lo, hi, v))
+            lo = hi
         return StepFunction(tuple(out))
 
     def inner(self, other: "StepFunction") -> Fraction:
@@ -366,6 +379,12 @@ class StepFunction:
 
     def l2_norm_sq(self) -> Fraction:
         return self.inner(self)
+
+
+def _breakpoints(segments):
+    for lo, hi, _ in segments:
+        yield lo
+        yield hi
 
 
 def l2_inner(f: StepFunction, g: StepFunction) -> Fraction:

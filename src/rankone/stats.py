@@ -142,13 +142,7 @@ def correlation(spec: ConstructionSpec, A: Union[IntervalSet, Interval],
         lo = set_intersection(A, img).measure
         esc = escaped.hi
     else:
-        h = st.height
-        if m >= 0:
-            img = (b_bits << m) & ((1 << h) - 1) if m < h else 0
-            out = b_bits >> max(h - m, 0)
-        else:
-            img = b_bits >> -m
-            out = b_bits & ((1 << min(-m, h)) - 1)
+        img, out = st.power_bits(b_bits, m)
         lo = (a_bits & img).bit_count() * st.width
         esc = out.bit_count() * st.width
     hi = min(lo + esc, A.measure, B.measure)

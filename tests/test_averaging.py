@@ -1,12 +1,22 @@
-"""Weight sequences, adjoint convolution, averaging operator, L2 bounds."""
+"""Weight sequences, adjoint convolution, averaging operator, L2 bounds.
 
+average_apply has two paths: P f on stage-J levels when f is constant on
+every stage-J level, and the per-piece power_image loop otherwise.  The
+differential tests keep the second, `_average_by_pieces`, as the oracle of
+the first.
+"""
+
+import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from rankone import averaging
 from rankone.averaging import (
     WeightSequence,
+    _average_by_pieces,
     adjoint_convolution,
     average_apply,
     flatness,
@@ -15,6 +25,7 @@ from rankone.averaging import (
 from rankone.construction import ConstructionSpec, build_stage
 from rankone.errors import SpecError
 from rankone.measure import (
+    Interval,
     IntervalSet,
     MeasureBound,
     StepFunction,
@@ -158,6 +169,135 @@ class TestAverageApply:
         Pstar_g, eg = average_apply(spec, w, g, 3, direction="backward")
         assert ef == MeasureBound.zero() and eg == MeasureBound.zero()
         assert l2_inner(Pf, g) == l2_inner(f, Pstar_g)
+
+    def test_support_outside_ambient_refused_for_every_weight(self):
+        # level 4 of staircase stage 3 is spacer mass added after stage 2;
+        # z = 0 alone moves nothing, and f is still checked
+        spec = ConstructionSpec.staircase()
+        f = StepFunction.indicator(build_stage(spec, 3).levels_set([4]))
+        for w in (WeightSequence.delta(0), WeightSequence.uniform(2)):
+            for direction in ("forward", "backward"):
+                with pytest.raises(SpecError, match="beyond the stage ambient"):
+                    average_apply(spec, w, f, 2, direction)
+        assert average_apply(spec, WeightSequence.delta(0), f, 3)[0] == f
+
+
+# ------------------------------------------- level path against the oracle
+
+PRESETS = (ConstructionSpec.odometer(), ConstructionSpec.staircase(),
+           ConstructionSpec.chacon())
+specs = st.one_of(st.sampled_from(PRESETS),
+                  st.integers(0, 10_000).map(ConstructionSpec.random_spacers))
+# The oracle images every piece through power_image once per shift.
+ORACLE_MAX_HEIGHT = 130
+VALUES = st.sampled_from([F(1), F(-1), F(2), F(1, 2), F(-5, 3)])
+
+
+@st.composite
+def resolutions(draw):
+    spec = draw(specs)
+    J = draw(st.integers(1, 6))
+    h = build_stage(spec, J).height
+    assume(h <= ORACLE_MAX_HEIGHT)
+    return spec, J, h
+
+
+@st.composite
+def weights_reaching(draw, h):
+    """delta_0, or weights on a run of consecutive shifts plus scattered
+    ones, some at or past h."""
+    if draw(st.integers(0, 5)) == 0:
+        return WeightSequence.delta(0)
+    z0 = draw(st.integers(0, h + 2))
+    zs = set(range(z0, z0 + draw(st.integers(1, 6))))
+    zs |= set(draw(st.lists(st.integers(0, h + 3), max_size=4)))
+    raw = {z: draw(st.sampled_from([1, 1, 1, 2, 3])) for z in zs}
+    total = sum(raw.values())
+    return WeightSequence.from_dict({z: F(r, total) for z, r in raw.items()})
+
+
+@st.composite
+def level_functions(draw, spec, k, M=None):
+    """Signed multi-valued step functions on levels of stage k, inside
+    [0, M) when M is given."""
+    stk = build_stage(spec, k)
+    levels = draw(st.lists(st.integers(0, stk.height - 1), max_size=6, unique=True))
+    pieces = [(IntervalSet((stk.level(i),)), draw(VALUES)) for i in levels
+              if M is None or stk.level(i).hi <= M]
+    return StepFunction.from_pieces(pieces)
+
+
+def run_both_paths(spec, w, f, J, direction):
+    """average_apply, whether it imaged pieces through power_image, and
+    the oracle's result."""
+    with mock.patch.object(averaging, "power_image", wraps=power_image) as spy:
+        got = average_apply(spec, w, f, J, direction)
+    sign = 1 if direction == "forward" else -1
+    return got, spy.call_count > 0, _average_by_pieces(spec, w, f, J, sign)
+
+
+class TestLevelPath:
+    @settings(max_examples=80, deadline=None)
+    @given(resolutions(), st.sampled_from(["forward", "backward"]), st.data())
+    def test_level_path_matches_interval_oracle(self, case, direction, data):
+        spec, J, h = case
+        k = data.draw(st.integers(1, J))
+        f = data.draw(level_functions(spec, k))
+        w = data.draw(weights_reaching(h))
+        got, interval_path, expect = run_both_paths(spec, w, f, J, direction)
+        assert not interval_path
+        assert got == expect
+
+    @settings(max_examples=40, deadline=None)
+    @given(resolutions(), st.sampled_from(["forward", "backward"]), st.data())
+    def test_finer_levels_take_the_interval_path(self, case, direction, data):
+        # levels of a stage k > J, narrower than w_J: not unions of stage-J
+        # levels, so each piece rides through power_image
+        spec, J, h = case
+        k = data.draw(st.integers(J + 1, J + 2))
+        stJ = build_stage(spec, J)
+        assume(build_stage(spec, k).width < stJ.width)
+        f = data.draw(level_functions(spec, k, M=stJ.total))
+        # pieces of f may still join into whole stage-J levels
+        assume(any((x / stJ.width).denominator != 1
+                   for seg in f.segments for x in seg[:2]))
+        w = data.draw(weights_reaching(h))
+        got, interval_path, expect = run_both_paths(spec, w, f, J, direction)
+        assert interval_path
+        assert got == expect
+
+    @settings(max_examples=40, deadline=None)
+    @given(resolutions(), st.data())
+    def test_part_of_a_level_takes_the_interval_path(self, case, data):
+        spec, J, h = case
+        stJ = build_stage(spec, J)
+        i = data.draw(st.integers(0, h - 1))
+        lvl = stJ.level(i)
+        half = Interval(lvl.lo, lvl.lo + lvl.length / 2)
+        f = StepFunction.from_pieces([(IntervalSet((half,)), data.draw(VALUES))])
+        w = data.draw(weights_reaching(h))
+        got, interval_path, expect = run_both_paths(spec, w, f, J, "forward")
+        assert interval_path
+        assert got == expect
+
+    def test_zero_function(self):
+        spec = ConstructionSpec.chacon()
+        got = average_apply(spec, WeightSequence.uniform(3), StepFunction.zero(), 4)
+        assert got == (StepFunction.zero(), MeasureBound.zero())
+
+    def test_deep_odometer_within_budget(self):
+        # h_12 = 4096: the interval path images each piece once per shift
+        spec = ConstructionSpec.odometer()
+        f = StepFunction.indicator(build_stage(spec, 3).levels_set([0, 2, 3, 5, 6]))
+        t0 = time.monotonic()
+        Pf, esc = average_apply(spec, WeightSequence.uniform(256), f, 12)
+        elapsed = time.monotonic() - t0
+        assert elapsed < 5.0, f"average_apply took {elapsed:.2f} s"
+        assert esc.hi > 0
+        assert Pf.integral() + esc.hi == f.integral()
+        # stage-3 level l lifts to the stage-12 levels i = l mod 8; far from
+        # the tower ends the 256 shifts see each residue 32 times
+        assert Pf.value_at(build_stage(spec, 12).level(2000).lo) == F(5, 8)
 
 
 class TestL2Deviation:

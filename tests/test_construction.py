@@ -266,6 +266,15 @@ class TestConstructionProperties:
             got = canonicalize([stJ.level(i) for i in occ])
             assert got.intervals == (base_k,)
 
+    @settings(max_examples=40, deadline=None)
+    @given(small_specs(), st.integers(min_value=1, max_value=5))
+    def test_level_cells_are_the_level_geometry(self, spec, J):
+        stJ = build_stage(spec, J)
+        cells = stJ.level_cells()
+        assert sorted(cells) == list(range(stJ.height))
+        for i, c in enumerate(cells):
+            assert stJ.level(i).lo == c * stJ.width
+
 
 # --------------------------------------------------------- ancestor runs
 

@@ -3,6 +3,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rankone.construction import ConstructionSpec, build_stage
 from rankone.errors import SpecError
@@ -15,8 +17,9 @@ from rankone.flow import (
     windowed_return_flow,
 )
 from rankone.joinings import BlockIndex, empirical_joining, product_blocks
+from rankone.measure import MeasureBound, set_intersection
 from rankone.stats import return_profile, window_sums
-from rankone.transform import Cursor
+from rankone.transform import Cursor, power_image
 
 ODO = ConstructionSpec.odometer()
 ST2 = ConstructionSpec.staircase(h1=2)
@@ -132,7 +135,7 @@ def test_consequence_exact_when_no_escape():
     fs = FlowSkeletonSpec.doubled(ODO)
     for z in (1, 2, 3):
         rec = consequence_check(fs, 2, 5, z)
-        assert rec.geometric_route.is_exact
+        assert rec.geometric_route.is_exact()
         assert rec.consistent
         assert rec.window_route.lo <= rec.geometric_route.lo \
             <= rec.window_route.hi
@@ -154,6 +157,30 @@ def test_consequence_always_overlaps():
         for z in (1, 2, hj - 1, hj, hj + 2):
             rec = consequence_check(fs, 3, 6, z)
             assert rec.consistent
+
+
+def oracle_geometric_route(fspec, j, J, z):
+    """mu(E1_j intersect T^z E_j) through the interval image of E_j."""
+    img, esc = power_image(fspec.base, build_stage(fspec.base, j).levels_set([0]),
+                           z, J)
+    resolved = set_intersection(thickened_base(fspec, j, J).E1, img).measure
+    return MeasureBound(resolved, resolved + esc.hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.sampled_from(PRESETS),
+                 st.integers(0, 10_000).map(ConstructionSpec.random_spacers)),
+       st.integers(1, 7), st.integers(1, 3), st.data())
+def test_consequence_bits_match_power_image(spec, J, q, data):
+    j = data.draw(st.integers(1, J))
+    h, hJ = build_stage(spec, j).height, build_stage(spec, J).height
+    assume(q + 1 <= h and hJ <= 2500)
+    z = data.draw(st.one_of(st.integers(q, h + 2),
+                            st.sampled_from([hJ - 1, hJ, hJ + 3])))
+    assume(z >= q)
+    fs = FlowSkeletonSpec(spec, q, F(2))
+    rec = consequence_check(fs, j, J, z)
+    assert rec.geometric_route == oracle_geometric_route(fs, j, J, z)
 
 
 def test_consequence_z_below_q_refused():

@@ -1,6 +1,9 @@
 """Block-mass matrices, light blocks, powder proxies, columns, and the
 conditional trivialization check."""
 
+import contextlib
+import dataclasses
+import io
 from fractions import Fraction as F
 from unittest import mock
 
@@ -8,13 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankone import cli, joinings
 from rankone.averaging import WeightSequence
 from rankone.construction import ConstructionSpec, build_stage
-from rankone import joinings
 from rankone.errors import EmptyFSetError, OrbitEscaped, SpecError
+from rankone.flow import FlowSkeletonSpec, band_masses
 from rankone.joinings import (
     BlockIndex,
     BlockMassMatrix,
+    UniformBlockMasses,
     columns_and_F,
     di_estimate,
     dispersion_experiment,
@@ -76,6 +81,97 @@ def test_product_mass_accounting(spec_a, spec_b, j, extra):
     assert sum(m.masses.values(), F(0)) + m.residual == 1
     assert len(m.masses) == m.h_a * m.h_b
     assert m.residual >= 0
+
+
+# ------------------------------------------ product masses against a dict
+
+def dense(m):
+    """The same matrix with every block's mass stored in a dict."""
+    return dataclasses.replace(m, masses=dict(m.masses))
+
+
+specs = st.one_of(st.sampled_from(PRESETS),
+                  st.integers(0, 10_000).map(ConstructionSpec.random_spacers))
+
+
+@settings(max_examples=40, deadline=None)
+@given(specs, specs, st.integers(1, 4), st.integers(0, 2), st.data())
+def test_product_masses_match_dense_dict(spec_a, spec_b, j, extra, data):
+    m = product_blocks(spec_a, spec_b, j, j + extra)
+    d = dense(m)
+    u = m.masses
+    assert isinstance(u, UniformBlockMasses)
+    assert len(u) == len(d.masses) == m.h_a * m.h_b
+    assert list(u) == sorted(d.masses)
+    assert u == d.masses and d.masses == u
+    probes = [(z1, z2) for z1 in (-1, 0, m.h_a - 1, m.h_a)
+              for z2 in (-1, 0, m.h_b - 1, m.h_b)]
+    for z in probes + [(0,), (0, 0, 0), "00"]:
+        assert (z in u) == (z in d.masses)
+        assert u.get(z) == d.masses.get(z)
+    for z in probes:
+        assert m.mass(BlockIndex(*z)) == d.mass(BlockIndex(*z))
+    for z1 in range(-1, m.h_a + 1):
+        assert m.row_sum(z1) == d.row_sum(z1)
+    for z2 in range(-1, m.h_b + 1):
+        assert m.col_sum(z2) == d.col_sum(z2)
+    # every block is light exactly when epsilon exceeds per / base_mass
+    at = u.per / m.base_mass
+    for eps in (at / 2, at - at / 1000, at, at + at / 1000, 2 * at):
+        rep = light_blocks(m, eps)
+        assert rep == light_blocks(d, eps)
+        assert len(rep.light_set) == (m.h_a * m.h_b if eps > at else 0)
+
+    delta = data.draw(st.sampled_from([F(1, 10), F(1, 4), F(1, 2)]))
+    i_max = int(delta * m.h_b)
+    w = data.draw(st.integers(0, m.h_a))
+    for kw in ({"epsilon": at + data.draw(st.sampled_from([-at / 2, 0, at]))},
+               {"mass_threshold": u.per * data.draw(st.integers(0, i_max + 2))}):
+        assert outcome(light_shifts, m, delta, w, **kw) == \
+            outcome(light_shifts, d, delta, w, **kw)
+    shifts = data.draw(st.lists(st.integers(0, max(m.h_b - 1 - i_max, 0)),
+                                min_size=1, max_size=4, unique=True))
+    fs = outcome(columns_and_F, m, delta, w, shifts)
+    assert fs == outcome(columns_and_F, d, delta, w, shifts)
+    if not isinstance(fs, tuple):
+        k = data.draw(st.integers(1, j))
+        sa, sb = build_stage(spec_a, k), build_stage(spec_b, k)
+        A = sa.levels_set(data.draw(st.lists(st.integers(0, sa.height - 1),
+                                             min_size=1, max_size=3, unique=True)))
+        B = sb.levels_set(data.draw(st.lists(st.integers(0, sb.height - 1),
+                                             min_size=1, max_size=3, unique=True)))
+        assert trivialization_check(m, fs, A, B, k) == \
+            trivialization_check(d, fs, A, B, k)
+    fspec = FlowSkeletonSpec(spec_a, data.draw(st.integers(1, 2)),
+                             data.draw(st.sampled_from([F(2), F(3, 2)])))
+    for off in range(0, m.h_a, max(m.h_a // 4, 1)):
+        assert outcome(band_masses, m, fspec, off, "right") == \
+            outcome(band_masses, d, fspec, off, "right")
+        assert outcome(band_masses, m, fspec, off, "left", z_bound=m.h_b) == \
+            outcome(band_masses, d, fspec, off, "left", z_bound=m.h_b)
+
+
+def run_cli(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ("joining", "blocks", "--format", "json"),
+    ("joining", "blocks", "--format", "csv"),
+    ("joining", "light", "--epsilon", "1/2"),
+    ("joining", "light", "--epsilon", "1/100"),
+])
+def test_product_documents_match_dense_dict(argv):
+    argv += ("--kind", "product", "--spec-a", "staircase", "--spec-b",
+             "chacon", "--j", "4", "--res", "5")
+    code, out, err = run_cli(*argv)
+    assert code == 0, err
+    with mock.patch.object(cli, "product_blocks",
+                           lambda *a: dense(product_blocks(*a))):
+        assert run_cli(*argv) == (0, out, "")
 
 
 # ---------------------------------------------------------------- graph
@@ -322,9 +418,9 @@ def oracle_paired_ticks(ca, cb, j, ticks, step_a, step_b):
                 cb.step_forward(n)
 
 
-def outcome(fn, *args):
+def outcome(fn, *args, **kwargs):
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except (OrbitEscaped, SpecError) as exc:
         return type(exc), str(exc)
 
@@ -536,3 +632,12 @@ def test_matrix_validation():
                         norm_a=F(1), norm_b=F(1), level_mass_a=F(1, 2),
                         level_mass_b=F(1, 2), base_mass=F(1, 2),
                         spec_a=ODO, spec_b=ODO)
+    # a uniform grid must match the towers and carry a nonnegative mass
+    for masses in (UniformBlockMasses(4, 1, F(1, 4)),
+                   UniformBlockMasses(2, 2, F(-1, 4))):
+        with pytest.raises(SpecError):
+            BlockMassMatrix(kind="product", j=1, h_a=2, h_b=2,
+                            masses=masses, residual=F(0) if masses.per > 0 else F(2),
+                            norm_a=F(1), norm_b=F(1), level_mass_a=F(1, 2),
+                            level_mass_b=F(1, 2), base_mass=F(1, 2),
+                            spec_a=ODO, spec_b=ODO)

@@ -4,7 +4,7 @@ functions."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rankone.measure import (
     EMPTY_SET,
@@ -39,6 +39,24 @@ def interval_sets(draw, max_intervals=4):
         if draw(st.booleans()):
             pieces.append(Interval(lo, hi))
     return canonicalize(pieces)
+
+
+@st.composite
+def step_functions(draw, max_pieces=4):
+    cuts = sorted(draw(st.lists(fractions_st, min_size=2, max_size=2 * max_pieces,
+                                unique=True)))
+    values = st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(-3, 2), F(2)])
+    return StepFunction.from_pieces(
+        [(IntervalSet((Interval(lo, hi),)), draw(values))
+         for lo, hi in zip(cuts[:-1], cuts[1:])])
+
+
+def assert_canonical(f):
+    for lo, hi, v in f.segments:
+        assert lo < hi and v != 0
+    for (_, hi, v), (lo, _, w) in zip(f.segments, f.segments[1:]):
+        assert hi <= lo
+        assert hi < lo or v != w
 
 
 class TestAsFraction:
@@ -120,7 +138,7 @@ class TestSetAlgebra:
 class TestMeasureBound:
     def test_exact_and_width(self):
         mb = MeasureBound.exact(F(1, 3))
-        assert mb.is_exact and mb.width == 0
+        assert mb.is_exact() and mb.width == 0
         wide = MeasureBound(F(1, 4), F(1, 2))
         assert wide.width == F(1, 4)
         assert wide.contains_value(F(1, 3))
@@ -165,6 +183,30 @@ class TestStepFunction:
         ])
         assert f.l2_norm_sq() == F(4, 2) + F(1, 2)
         assert f.sup_abs() == 2
+
+    @given(step_functions(), step_functions(), st.lists(fractions_st, max_size=6))
+    def test_add_matches_pointwise_sum(self, f, g, xs):
+        h = f.add(g)
+        assert_canonical(h)
+        ends = {x for s in f.segments + g.segments for x in s[:2]}
+        cuts = sorted(ends)
+        probes = ends | set(xs) | {(a + b) / 2 for a, b in zip(cuts, cuts[1:])}
+        if cuts:
+            probes |= {cuts[0] - 1, cuts[-1] + 1}
+        for x in probes:
+            assert h.value_at(x) == f.value_at(x) + g.value_at(x)
+        # the canonical form is unique: it is the one from_pieces builds
+        assert h == StepFunction.from_pieces(
+            [(IntervalSet((Interval(a, b),)), f.value_at(a) + g.value_at(a))
+             for a, b in zip(cuts, cuts[1:])])
+        assert g.add(f) == h and h.integral() == f.integral() + g.integral()
+
+    @settings(max_examples=50)
+    @given(interval_sets(), fractions_st)
+    def test_contains_and_value_at_agree_with_scans(self, a, x):
+        assert a.contains(x) == any(iv.contains(x) for iv in a.intervals)
+        f = StepFunction.indicator(a, F(3))
+        assert f.value_at(x) == (3 if a.contains(x) else 0)
 
     @given(interval_sets(), interval_sets())
     def test_indicator_inner_is_intersection_measure(self, a, b):

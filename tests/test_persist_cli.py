@@ -204,6 +204,19 @@ def test_cli_blum_hanson_rejects_unnormalized_weights(tmp_path):
     assert "sum to exactly 1" in err
 
 
+@pytest.mark.parametrize("weights", [{"0": "1"}, {"0": "1/2", "1": "1/2"}])
+def test_cli_blum_hanson_f_outside_ambient_exit_2(tmp_path, weights):
+    # level 4 of staircase stage 3 lies past M_2, whether or not the
+    # weights move anything
+    wf = tmp_path / "w.json"
+    wf.write_text(json.dumps(weights))
+    code, out, err = run_cli("blum-hanson", "--spec", "staircase",
+                             "--weights", str(wf), "--f", "4", "--j", "3",
+                             "--res", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: set extends beyond the stage ambient interval\n"
+
+
 # ---------------------------------------------------------- cli: joinings
 
 def test_cli_joining_blocks_graph_frozen():

@@ -301,7 +301,7 @@ class TestImageSet:
         A = IntervalSet((Interval(F(1, 10), F(2, 5)), Interval(F(1, 2), F(9, 10))))
         img, esc = power_image(spec, A, 1, 4)
         assert img.measure + esc.lo == A.measure
-        assert esc.is_exact
+        assert esc.is_exact()
 
 
 @st.composite
@@ -344,7 +344,7 @@ class TestPowerImage:
         spec, J, A = sja
         img, esc = power_image(spec, A, n, J)
         assert img.measure + esc.lo == A.measure
-        assert esc.is_exact
+        assert esc.is_exact()
 
     @settings(max_examples=25, deadline=None)
     @given(level_subsets(), st.integers(min_value=1, max_value=4))
