@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, groupby
-from math import lcm
+from itertools import groupby
 from typing import Dict, List, Optional, Tuple
 
 from .construction import ConstructionSpec, TowerStage, build_stage
@@ -125,14 +124,13 @@ def average_apply(spec: ConstructionSpec, w: WeightSequence, f: StepFunction,
 
     Two paths give the same result.  When f is constant on every stage-J
     level (every segment endpoint a multiple of w_J), P f is computed on
-    the levels, with no power_image call: f's levels are read once, each
-    run of consecutive shifts with one weight adds its value to a
-    difference array over the target levels, and one prefix sum gives P f
-    on every level.  The arrays hold integers over one common denominator,
-    so the cost is O(h_J + |supp f| * runs) integer adds.
-    Any other f takes the interval path: each constant piece rides through
-    power_image once per shift, O(h_J) per (shift, piece), and the images
-    are summed with StepFunction.add.
+    the levels, with no power_image call: each (support level, shift)
+    pair adds one integer hit to its target level, counted per distinct
+    coefficient a^z v, and the levels are read in cell order into one
+    StepFunction.from_pieces.  That costs |supp f| * |w| integer adds
+    plus O(h_J) per coefficient.  Any other f takes the interval path:
+    each constant piece rides through power_image once per shift, O(h_J)
+    per (shift, piece), and the images are summed with StepFunction.add.
     """
     if direction not in ("forward", "backward"):
         raise SpecError(f"direction must be forward or backward, got {direction!r}")
@@ -153,57 +151,48 @@ def _average_on_levels(st: TowerStage, w: WeightSequence, f: StepFunction,
     if not f.segments:
         return StepFunction.zero(), MeasureBound.zero()
     width, h = st.width, st.height
-    cells = []
+    level_at = [0] * h
+    for i, c in enumerate(st.level_cells()):
+        level_at[c] = i
+    support: Dict[Fraction, List[int]] = {}
     for lo, hi, v in f.segments:
         c0, c1 = lo / width, hi / width
         if c0.denominator != 1 or c1.denominator != 1:
             return None
-        cells.append((int(c0), int(c1), v))
-    level_of = [0] * h
-    for i, c in enumerate(st.level_cells()):
-        level_of[c] = i
-    by_value: Dict[Fraction, List[int]] = {}
-    for c0, c1, v in cells:
-        by_value.setdefault(v, []).extend(level_of[c] for c in range(c0, c1))
-    # the shifts of each weight value as runs [z0, z1] of consecutive z
-    runs: Dict[Fraction, List[List[int]]] = {}
-    for z, a in w.weights:
-        zr = runs.setdefault(a, [])
-        if zr and zr[-1][1] == z - 1:
-            zr[-1][1] = z
-        else:
-            zr.append([z, z])
-    # P f as differences along the levels, in units of 1/D: the run
-    # [z0, z1] of shifts with weight a moves level i onto the levels
-    # i + z0 .. i + z1; lost counts the (level, shift) pairs whose target
+        support.setdefault(v, []).extend(level_at[int(c0):int(c1)])
+    # hits[c][t]: the (level, shift) pairs with coefficient c = a v that
+    # land on level t; lost[a]: the pairs with weight a whose target
     # leaves the tower
-    D = lcm(*((a * v).denominator for a in runs for v in by_value))
-    diff = [0] * (h + 1)
-    escaped = Fraction(0)
-    for a, zr in runs.items():
-        lost = 0
-        for z0, z1 in zr:
-            lo_off, hi_off = (z0, z1) if sign > 0 else (-z1, -z0)
-            for v, levels in by_value.items():
-                av = int(a * v * D)
+    shifts: Dict[Fraction, List[int]] = {}
+    for z, a in w.weights:
+        shifts.setdefault(a, []).append(sign * z)
+    hits: Dict[Fraction, List[int]] = {}
+    lost: Dict[Fraction, int] = {}
+    for a, offsets in shifts.items():
+        n_out = 0
+        for v, levels in support.items():
+            count = hits.setdefault(a * v, [0] * h)
+            for off in offsets:
                 for i in levels:
-                    t0, t1 = max(i + lo_off, 0), min(i + hi_off, h - 1)
-                    lost += z1 - z0 + 1 - max(t1 - t0 + 1, 0)
-                    if t0 <= t1:
-                        diff[t0] += av
-                        diff[t1 + 1] -= av
-        escaped += a * lost
-    num = list(accumulate(diff[:h]))
-    # one segment per run of equal values in cell order: canonical as built
-    segments = []
-    lo, c = Fraction(0), 0
-    for n, run in groupby(num[i] for i in level_of):
-        c += len(list(run))
-        hi = c * width
-        if n:
-            segments.append((lo, hi, Fraction(n, D)))
+                    t = i + off
+                    if 0 <= t < h:
+                        count[t] += 1
+                    else:
+                        n_out += 1
+        lost[a] = n_out
+    # P f is sum_c c * count_c on each level: walk the levels in cell
+    # order and make one piece per run of equal count vectors
+    counts = list(zip(*hits.values()))
+    pieces = []
+    lo = Fraction(0)
+    for key, run in groupby(counts[i] for i in level_at):
+        hi = lo + len(list(run)) * width
+        value = sum(c * n for c, n in zip(hits, key))
+        if value:
+            pieces.append((IntervalSet((Interval(lo, hi),)), value))
         lo = hi
-    return StepFunction(tuple(segments)), MeasureBound.exact(escaped * width)
+    escaped = sum((a * n for a, n in lost.items()), Fraction(0)) * width
+    return StepFunction.from_pieces(pieces), MeasureBound.exact(escaped)
 
 
 def _average_by_pieces(spec: ConstructionSpec, w: WeightSequence,

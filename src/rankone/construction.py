@@ -23,7 +23,7 @@ import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import SpecError
 from .measure import Interval, IntervalSet, MeasureBound, as_fraction, canonicalize
@@ -322,7 +322,7 @@ class TowerStage:
     __slots__ = (
         "spec", "stage", "height", "width", "total", "prev",
         "cut", "spacers", "offsets", "spacer_cum", "spacer_zone_lo",
-        "_levels", "_occ", "_cells",
+        "_levels", "_occ",
     )
 
     def __init__(self, spec: ConstructionSpec, stage: int, prev: Optional["TowerStage"]):
@@ -330,7 +330,6 @@ class TowerStage:
         self.stage = stage
         self.prev = prev
         self._occ: Dict[int, int] = {}
-        self._cells: Optional[Tuple[int, ...]] = None
         if prev is None:
             self.height = spec.h1
             self.width = spec.width1
@@ -408,27 +407,24 @@ class TowerStage:
     def levels_set(self, indices: Sequence[int]) -> IntervalSet:
         return canonicalize([self.level(i) for i in indices])
 
-    def level_cells(self) -> Tuple[int, ...]:
+    def level_cells(self) -> List[int]:
         """Cell of each level: level i is [c w, (c+1) w) for c =
         level_cells()[i], and the cells 0..height-1 tile [0, M).
 
-        Integer work only, by the column recursion: column c of this stage
-        puts stage-(j-1) cell p at cell p r + c, and its spacers in the
-        cells from h_{j-1} r + spacer_cum[c] up, past M_{j-1}.  Cached per
-        stage.
+        Integer work only, O(h_1 + ... + h_j), by the column recursion:
+        column c of this stage puts stage-(j-1) cell p at cell p r + c, and
+        its spacers in the cells from h_{j-1} r + spacer_cum[c] up, past
+        M_{j-1}.  Built on each call; nothing is kept.
         """
-        if self._cells is None:
-            if self.prev is None:
-                self._cells = tuple(range(self.height))
-            else:
-                prev, r = self.prev.level_cells(), self.cut
-                cells = []
-                for c in range(r):
-                    cells.extend(p * r + c for p in prev)
-                    first = self.prev.height * r + self.spacer_cum[c]
-                    cells.extend(range(first, first + self.spacers[c]))
-                self._cells = tuple(cells)
-        return self._cells
+        if self.prev is None:
+            return list(range(self.height))
+        prev, r = self.prev.level_cells(), self.cut
+        cells = []
+        for c in range(r):
+            cells.extend(p * r + c for p in prev)
+            first = self.prev.height * r + self.spacer_cum[c]
+            cells.extend(range(first, first + self.spacers[c]))
+        return cells
 
     def locate(self, x) -> Optional[int]:
         """Level index whose interval contains x, or None if x >= M_j."""

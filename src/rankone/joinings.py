@@ -170,9 +170,11 @@ def product_blocks(spec_a: ConstructionSpec, spec_b: ConstructionSpec, j: int,
     the stage-j tower product.
 
     The masses are one UniformBlockMasses (h_a, h_b, per), so building the
-    matrix, checking it, its row and column sums and light_blocks cost
-    O(1) in the number of blocks; only iterating the masses, as `joining
-    blocks` output does, walks the h_a * h_b blocks.
+    matrix, checking it and its row and column sums cost O(1) in the
+    number of blocks, and so does light_blocks' test, since all blocks are
+    light or none is.  Walking the h_a * h_b blocks is left to the callers
+    that list them: iterating the masses, as `joining blocks` output does,
+    and an all-light report, whose light set holds every BlockIndex.
     """
     _check_resolution(j, J)
     sa, sb = build_stage(spec_a, j), build_stage(spec_b, j)
