@@ -16,14 +16,12 @@ from .averaging import (
     l2_deviation,
 )
 from .construction import (
-    Construction,
     ConstructionSpec,
     CutRule,
     SpacerRule,
     TowerStage,
     base_occurrences,
     build_stage,
-    construction,
     height_ratio_profile,
 )
 from .errors import EmptyFSetError, OrbitEscaped, SpecError
@@ -75,8 +73,6 @@ from .persist import (
     frac_str,
     parse_frac,
     spec_hash,
-    write_csv,
-    write_json,
 )
 from .stats import (
     CorrelationSeries,

@@ -1,11 +1,10 @@
 """Command line front end.
 
-Every command prints (or writes with --out) a deterministic document: a
-JSON body with a metadata object, or a CSV whose first line is a JSON
-metadata comment.  Identical invocations produce identical bytes; there
-are no timestamps.  All persisted numbers are exact "num/den" strings,
-and any decimal field is named *_approx and rounded half-even to 12
-significant digits.
+Each command handler turns its flags into library calls and returns its
+document: the text of it, or a persist.Table for the commands that take
+--format, which main renders in the format asked for.  persist decides
+how every document looks.  The argparse parser is built on the first
+call to main and reused by every later call in the process.
 
 Exit codes: 0 success, 2 invalid request (bad flags, a validation refusal
 or an --out path that cannot be written), 3 orbit escaped the stage budget,
@@ -23,7 +22,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from .averaging import WeightSequence, average_apply, flatness, l2_deviation
-from .construction import ConstructionSpec, build_stage
+from .construction import PRESETS, ConstructionSpec, build_stage
 from .errors import OrbitEscaped, SpecError
 from .flow import FlowSkeletonSpec, band_masses, windowed_return_flow
 from .joinings import (
@@ -38,20 +37,21 @@ from .joinings import (
     product_blocks,
     trivialization_check,
 )
-from .measure import MeasureBound, StepFunction
+from .measure import StepFunction
 from .persist import (
+    BOUND_COLUMNS,
+    Table,
     approx_str,
+    bound_json,
     dump_stage,
     frac_str,
-    meta_line,
     parse_frac,
     render_json,
+    render_table,
     spec_hash,
 )
 from .stats import correlation_series, return_profile
 from .transform import Cursor
-
-_PRESET_NAMES = ("odometer", "staircase", "chacon")
 
 
 def load_spec(token: str, stage_budget: Optional[int] = None) -> ConstructionSpec:
@@ -64,8 +64,8 @@ def load_spec(token: str, stage_budget: Optional[int] = None) -> ConstructionSpe
         except json.JSONDecodeError as exc:
             raise SpecError(f"spec file {token}: invalid JSON: {exc}") from None
         spec = ConstructionSpec.from_json(data)
-    elif token in _PRESET_NAMES:
-        spec = getattr(ConstructionSpec, token)()
+    elif token in PRESETS and token != "random":
+        spec = ConstructionSpec.from_json({"preset": token})
     elif token.startswith("random:"):
         try:
             seed = int(token.split(":", 1)[1])
@@ -73,9 +73,10 @@ def load_spec(token: str, stage_budget: Optional[int] = None) -> ConstructionSpe
             raise SpecError(f"bad random spec {token!r}, expected random:SEED") from None
         spec = ConstructionSpec.random_spacers(seed)
     else:
+        names = [name for name in PRESETS if name != "random"]
         raise SpecError(
             f"spec {token!r} is neither a file nor one of "
-            f"{', '.join(_PRESET_NAMES)}, random:SEED")
+            f"{', '.join(names)}, random:SEED")
     if stage_budget is not None:
         if stage_budget < 1:
             raise SpecError("--stage-budget must be >= 1")
@@ -106,11 +107,6 @@ def level_set(spec: ConstructionSpec, j: int, levels: Sequence[int]):
         if not 0 <= i < st.height:
             raise SpecError(f"level {i} outside stage {j} (height {st.height})")
     return st.levels_set(levels)
-
-
-def bound_json(b: MeasureBound) -> Dict[str, str]:
-    return {"lo": frac_str(b.lo), "hi": frac_str(b.hi),
-            "lo_approx": approx_str(b.lo), "hi_approx": approx_str(b.hi)}
 
 
 def _require(args: argparse.Namespace, names: Sequence[str], context: str) -> None:
@@ -189,21 +185,16 @@ def cmd_orbit(args: argparse.Namespace) -> str:
                        refinements=cur.refinements) + "\n"
 
 
-def cmd_return_profile(args: argparse.Namespace) -> str:
+def cmd_return_profile(args: argparse.Namespace) -> Table:
     spec = load_spec(args.spec, args.stage_budget)
     prof = return_profile(spec, args.j, args.res, args.zmax)
     meta = {"command": "return-profile", "spec": spec_hash(spec), "j": args.j,
             "J": args.res, "zmax": args.zmax,
             "degenerate": sorted(prof.degenerate)}
-    if args.format == "json":
-        data = {str(z): bound_json(b) for z, b in sorted(prof.values.items())}
-        return render_json(data, **meta) + "\n"
-    rows = [(z, b.lo.numerator, b.lo.denominator, b.hi.numerator, b.hi.denominator)
-            for z, b in sorted(prof.values.items())]
-    return csv_text(("z", "lo_num", "lo_den", "hi_num", "hi_den"), rows, meta)
+    return Table(("z",) + BOUND_COLUMNS, sorted(prof.values.items()), meta)
 
 
-def cmd_correlate(args: argparse.Namespace) -> str:
+def cmd_correlate(args: argparse.Namespace) -> Table:
     spec = load_spec(args.spec, args.stage_budget)
     A = level_set(spec, args.j, parse_int_list(args.A, "--A"))
     B = level_set(spec, args.j, parse_int_list(args.B, "--B"))
@@ -212,12 +203,7 @@ def cmd_correlate(args: argparse.Namespace) -> str:
             "J": args.res, "mmax": args.mmax,
             "target": frac_str(series.target),
             "normalization": frac_str(series.normalization)}
-    if args.format == "csv":
-        rows = [(m, b.lo.numerator, b.lo.denominator, b.hi.numerator, b.hi.denominator)
-                for m, b in sorted(series.values.items())]
-        return csv_text(("m", "lo_num", "lo_den", "hi_num", "hi_den"), rows, meta)
-    data = {str(m): bound_json(b) for m, b in sorted(series.values.items())}
-    return render_json(data, **meta) + "\n"
+    return Table(("m",) + BOUND_COLUMNS, sorted(series.values.items()), meta)
 
 
 def cmd_blum_hanson(args: argparse.Namespace) -> str:
@@ -248,17 +234,11 @@ def cmd_blum_hanson(args: argparse.Namespace) -> str:
                        support=list(w.support)) + "\n"
 
 
-def cmd_joining_blocks(args: argparse.Namespace) -> str:
+def cmd_joining_blocks(args: argparse.Namespace) -> Table:
     m = matrix_from_args(args)
     meta = matrix_meta(m)
     meta["command"] = "joining blocks"
-    if args.format == "json":
-        data = {f"{z.z1},{z.z2}": frac_str(v)
-                for z, v in sorted(m.masses.items())}
-        return render_json(data, **meta) + "\n"
-    rows = [(z.z1, z.z2, v.numerator, v.denominator)
-            for z, v in sorted(m.masses.items())]
-    return csv_text(("z1", "z2", "num", "den"), rows, meta)
+    return Table(("z1", "z2", "num", "den"), sorted(m.masses.items()), meta)
 
 
 def cmd_joining_light(args: argparse.Namespace) -> str:
@@ -341,7 +321,7 @@ def cmd_joining_trivialize(args: argparse.Namespace) -> str:
     return render_json(data, **meta) + "\n"
 
 
-def cmd_flow_window(args: argparse.Namespace) -> str:
+def cmd_flow_window(args: argparse.Namespace) -> Table:
     spec = load_spec(args.spec, args.stage_budget)
     fspec = FlowSkeletonSpec(spec, args.grid, parse_frac(args.alpha))
     rep = windowed_return_flow(fspec, args.j, args.res, range(args.zmax + 1),
@@ -351,15 +331,10 @@ def cmd_flow_window(args: argparse.Namespace) -> str:
             "q": rep.q, "j": args.j, "J": args.res,
             "max_lo": frac_str(rep.max_bound.lo),
             "max_hi": frac_str(rep.max_bound.hi)}
-    if args.format == "json":
-        data = {str(z): bound_json(b) for z, b in sorted(rep.values.items())}
-        return render_json(data, **meta) + "\n"
-    rows = [(z, b.lo.numerator, b.lo.denominator, b.hi.numerator, b.hi.denominator)
-            for z, b in sorted(rep.values.items())]
-    return csv_text(("z", "lo_num", "lo_den", "hi_num", "hi_den"), rows, meta)
+    return Table(("z",) + BOUND_COLUMNS, sorted(rep.values.items()), meta)
 
 
-def cmd_flow_bands(args: argparse.Namespace) -> str:
+def cmd_flow_bands(args: argparse.Namespace) -> Table:
     spec = load_spec(args.spec, args.stage_budget)
     fspec = FlowSkeletonSpec(spec, args.grid, parse_frac(args.alpha))
     offsets = parse_int_list(args.offsets, "--offsets")
@@ -375,19 +350,8 @@ def cmd_flow_bands(args: argparse.Namespace) -> str:
     meta = matrix_meta(m)
     meta.update(command="flow bands", alpha=frac_str(fspec.alpha),
                 grid=args.grid, side=args.side, zbound=args.zbound)
-    if args.format == "json":
-        data = {str(off): frac_str(v) for off, v in zip(offsets, masses)}
-        return render_json(data, **meta) + "\n"
-    rows = [(off, v.numerator, v.denominator)
-            for off, v in zip(offsets, masses)]
-    return csv_text(("offset", "mass_num", "mass_den"), rows, meta)
-
-
-def csv_text(columns: Sequence[str], rows: Sequence[Sequence[object]],
-             meta: Dict[str, object]) -> str:
-    lines = [meta_line(**meta), ",".join(columns)]
-    lines.extend(",".join(str(c) for c in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    return Table(("offset", "mass_num", "mass_den"),
+                 list(zip(offsets, masses)), meta)
 
 
 # ------------------------------------------------------------------- parser
@@ -568,14 +532,22 @@ def _escape_flags(args: argparse.Namespace, budget: int) -> str:
     return " and ".join(flags)
 
 
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        # Built on the first call, not at import, so importing cli stays
+        # cheap; a process that calls main many times builds it once.
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        text = args.handler(args)
+        doc = args.handler(args)
+        text = render_table(doc, args.format) if isinstance(doc, Table) else doc
     except OrbitEscaped as exc:
         print(f"error: {exc}; retry with a larger "
               f"{_escape_flags(args, exc.stage_budget)}", file=sys.stderr)

@@ -33,8 +33,7 @@ __all__ = [
     "SpacerRule",
     "ConstructionSpec",
     "TowerStage",
-    "Construction",
-    "construction",
+    "PRESETS",
     "build_stage",
     "height_ratio_profile",
     "base_occurrences",
@@ -196,11 +195,18 @@ class SpacerRule:
                    rows=data.get("rows"))
 
 
-_PRESETS = {
-    "odometer": {"h1": 2, "cut_rule": {"kind": "constant", "value": 2}, "spacer_rule": {"kind": "none"}},
-    "staircase": {"h1": 2, "cut_rule": {"kind": "stage"}, "spacer_rule": {"kind": "staircase"}},
-    "chacon": {"h1": 1, "cut_rule": {"kind": "constant", "value": 3}, "spacer_rule": {"kind": "chacon"}},
-    "random": {"h1": 2, "cut_rule": {"kind": "stage"}, "spacer_rule": {"kind": "random", "bound": 2}},
+# The presets by name: the classmethods, ConstructionSpec.from_json and the
+# command line's --spec names all read this table, so a preset means the
+# same spec (stage budget included) whichever way it is named.
+PRESETS = {
+    "odometer": {"h1": 2, "cut_rule": {"kind": "constant", "value": 2},
+                 "spacer_rule": {"kind": "none"}, "max_stage": 12},
+    "staircase": {"h1": 2, "cut_rule": {"kind": "stage"},
+                  "spacer_rule": {"kind": "staircase"}, "max_stage": 10},
+    "chacon": {"h1": 1, "cut_rule": {"kind": "constant", "value": 3},
+               "spacer_rule": {"kind": "chacon"}, "max_stage": 12},
+    "random": {"h1": 2, "cut_rule": {"kind": "stage"},
+               "spacer_rule": {"kind": "random", "bound": 2}, "max_stage": 10},
 }
 
 
@@ -248,25 +254,33 @@ class ConstructionSpec:
         return self.spacer_rule.vector(j, self.cuts(j), self.seed)
 
     @classmethod
-    def odometer(cls, h1: int = 2, max_stage: int = 12) -> "ConstructionSpec":
-        return cls(h1, CutRule("constant", value=2), SpacerRule("none"),
-                   max_stage=max_stage, preset="odometer")
+    def _from_preset(cls, name: str, **fields: object) -> "ConstructionSpec":
+        """PRESETS[name], with each field given here that is not None."""
+        return cls.from_json({"preset": name, **{
+            k: v for k, v in fields.items() if v is not None}})
 
     @classmethod
-    def staircase(cls, h1: int = 2, max_stage: int = 10) -> "ConstructionSpec":
-        return cls(h1, CutRule("stage"), SpacerRule("staircase"),
-                   max_stage=max_stage, preset="staircase")
+    def odometer(cls, h1: Optional[int] = None,
+                 max_stage: Optional[int] = None) -> "ConstructionSpec":
+        return cls._from_preset("odometer", h1=h1, max_stage=max_stage)
 
     @classmethod
-    def chacon(cls, h1: int = 1, max_stage: int = 12) -> "ConstructionSpec":
-        return cls(h1, CutRule("constant", value=3), SpacerRule("chacon"),
-                   max_stage=max_stage, preset="chacon")
+    def staircase(cls, h1: Optional[int] = None,
+                  max_stage: Optional[int] = None) -> "ConstructionSpec":
+        return cls._from_preset("staircase", h1=h1, max_stage=max_stage)
 
     @classmethod
-    def random_spacers(cls, seed: int, h1: int = 2, bound: int = 2,
-                       max_stage: int = 10) -> "ConstructionSpec":
-        return cls(h1, CutRule("stage"), SpacerRule("random", bound=bound),
-                   max_stage=max_stage, seed=seed, preset="random")
+    def chacon(cls, h1: Optional[int] = None,
+               max_stage: Optional[int] = None) -> "ConstructionSpec":
+        return cls._from_preset("chacon", h1=h1, max_stage=max_stage)
+
+    @classmethod
+    def random_spacers(cls, seed: int, h1: Optional[int] = None,
+                       bound: Optional[int] = None,
+                       max_stage: Optional[int] = None) -> "ConstructionSpec":
+        rule = None if bound is None else {"kind": "random", "bound": bound}
+        return cls._from_preset("random", seed=seed, h1=h1, spacer_rule=rule,
+                               max_stage=max_stage)
 
     def to_json(self) -> dict:
         out = {
@@ -291,9 +305,9 @@ class ConstructionSpec:
             raise SpecError(f"spec must be a JSON object, got {type(data).__name__}")
         preset = data.get("preset", "custom")
         if not isinstance(preset, str) or (
-                preset != "custom" and preset not in _PRESETS):
+                preset != "custom" and preset not in PRESETS):
             raise SpecError(f"unknown preset: {preset!r}")
-        merged = dict(_PRESETS.get(preset, {}))
+        merged = dict(PRESETS.get(preset, {}))
         merged.update(data)
         if "cut_rule" not in merged or "spacer_rule" not in merged:
             raise SpecError("spec needs cut_rule and spacer_rule (or a known preset)")
@@ -598,45 +612,32 @@ class TowerStage:
                 f"width={self.width}, total={self.total})")
 
 
-class Construction:
-    """Lazy stage cache for one spec.  Stages are immutable once published,
-    so concurrent builders may race benignly; the lock just avoids duplicate
-    work."""
-
-    def __init__(self, spec: ConstructionSpec):
-        self.spec = spec
-        self._stages = [TowerStage(spec, 1, None)]
-        self._lock = threading.Lock()
-
-    def stage(self, j: int) -> TowerStage:
-        if j < 1:
-            raise SpecError(f"stage index must be >= 1, got {j}")
-        if j > self.spec.max_stage:
-            raise SpecError(
-                f"stage {j} exceeds the spec stage budget {self.spec.max_stage}")
-        if j > len(self._stages):
-            with self._lock:
-                while len(self._stages) < j:
-                    nxt = TowerStage(self.spec, len(self._stages) + 1, self._stages[-1])
-                    self._stages.append(nxt)
-        return self._stages[j - 1]
-
-
-_CONSTRUCTIONS: Dict[ConstructionSpec, Construction] = {}
-_CONSTRUCTIONS_LOCK = threading.Lock()
-
-
-def construction(spec: ConstructionSpec) -> Construction:
-    con = _CONSTRUCTIONS.get(spec)
-    if con is None:
-        with _CONSTRUCTIONS_LOCK:
-            con = _CONSTRUCTIONS.setdefault(spec, Construction(spec))
-    return con
+_STAGES: Dict[ConstructionSpec, List[TowerStage]] = {}
+_STAGES_LOCK = threading.Lock()
 
 
 def build_stage(spec: ConstructionSpec, j: int) -> TowerStage:
-    """Tower stage j of the construction (1-based)."""
-    return construction(spec).stage(j)
+    """Tower stage j of the construction (1-based), built on first use.
+
+    Built stages are kept per spec, keyed by the whole spec with its
+    max_stage: that is the identity spec_hash prints in every document,
+    so no second key is needed.  The cost is that one geometry asked under
+    two stage budgets is built twice.  Stages are immutable once appended;
+    the lock keeps two threads from appending the same stage.
+    """
+    if j < 1:
+        raise SpecError(f"stage index must be >= 1, got {j}")
+    if j > spec.max_stage:
+        raise SpecError(
+            f"stage {j} exceeds the spec stage budget {spec.max_stage}")
+    stages = _STAGES.get(spec)
+    if stages is None:
+        stages = _STAGES.setdefault(spec, [TowerStage(spec, 1, None)])
+    if j > len(stages):
+        with _STAGES_LOCK:
+            while len(stages) < j:
+                stages.append(TowerStage(spec, len(stages) + 1, stages[-1]))
+    return stages[j - 1]
 
 
 def height_ratio_profile(spec_a: ConstructionSpec, spec_b: ConstructionSpec,

@@ -164,7 +164,7 @@ def canonicalize(intervals: Iterable[Interval]) -> IntervalSet:
     Idempotent; the result's measure is <= the sum of the input lengths with
     equality exactly when the inputs were pairwise disjoint.
     """
-    items = sorted((iv for iv in intervals if not iv.is_empty()), key=lambda iv: (iv.lo, iv.hi))
+    items = sorted((iv for iv in intervals if not iv.is_empty()), key=_LO)
     merged: list[Interval] = []
     for iv in items:
         if merged and iv.lo <= merged[-1].hi:

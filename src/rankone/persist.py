@@ -1,10 +1,11 @@
-"""Deterministic serialization: exact rationals on disk, metadata headers
-and the stage records that `rankone build` writes.
+"""Every document rankone writes: JSON {"meta", "data"} documents, CSV
+tables under a `# {...}` metadata line, and the stage records of
+`rankone build`.
 
-Persisted numbers are always "num/den" strings; decimal columns are
-derived conveniences rounded half-even to 12 significant digits and
-labeled approximate.  No timestamps anywhere, so identical inputs yield
-identical bytes.
+Persisted numbers are always "num/den" strings or num, den columns;
+decimal fields are derived conveniences named *_approx, rounded half-even
+to 12 significant digits.  No timestamps anywhere, so identical inputs
+yield identical bytes.
 """
 
 from __future__ import annotations
@@ -13,16 +14,18 @@ import json
 from decimal import ROUND_HALF_EVEN, Context
 from fractions import Fraction
 from hashlib import sha256
-from pathlib import Path
-from typing import Dict, Iterable, List, Sequence, Union
+from typing import Dict, Iterable, NamedTuple, Sequence, Tuple, Union
 
 from . import __version__
 from .construction import ConstructionSpec, TowerStage, build_stage
 from .errors import SpecError
-from .measure import Interval, IntervalSet, as_fraction
+from .measure import MeasureBound, as_fraction
 
 # "format" field of the stage document written by dump_stage
 STAGE_FORMAT = 1
+
+# CSV value columns of a table of MeasureBounds
+BOUND_COLUMNS = ("lo_num", "lo_den", "hi_num", "hi_den")
 
 _APPROX_CTX = Context(prec=12, rounding=ROUND_HALF_EVEN)
 
@@ -50,13 +53,9 @@ def spec_hash(spec: ConstructionSpec) -> str:
     return sha256(spec.canonical_json().encode()).hexdigest()[:16]
 
 
-def interval_set_json(s: IntervalSet) -> List[List[str]]:
-    return [[frac_str(iv.lo), frac_str(iv.hi)] for iv in s.intervals]
-
-
-def interval_set_from_json(data: Sequence[Sequence[str]]) -> IntervalSet:
-    return IntervalSet(tuple(Interval(parse_frac(lo), parse_frac(hi))
-                             for lo, hi in data))
+def bound_json(b: MeasureBound) -> Dict[str, str]:
+    return {"lo": frac_str(b.lo), "hi": frac_str(b.hi),
+            "lo_approx": approx_str(b.lo), "hi_approx": approx_str(b.hi)}
 
 
 def meta_line(**params: object) -> str:
@@ -65,12 +64,11 @@ def meta_line(**params: object) -> str:
     return "# " + json.dumps(meta, sort_keys=True, separators=(", ", ": "))
 
 
-def write_csv(path: Union[str, Path], columns: Sequence[str],
-              rows: Iterable[Sequence[object]], **meta: object) -> None:
+def render_csv(columns: Sequence[str], rows: Iterable[Sequence[object]],
+               **meta: object) -> str:
     lines = [meta_line(**meta), ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(str(c) for c in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    lines.extend(",".join(str(c) for c in row) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def render_json(payload: object, **meta: object) -> str:
@@ -78,8 +76,38 @@ def render_json(payload: object, **meta: object) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1)
 
 
-def write_json(path: Union[str, Path], payload: object, **meta: object) -> None:
-    Path(path).write_text(render_json(payload, **meta) + "\n")
+class Table(NamedTuple):
+    """The result of a command that prints CSV or JSON: (key, value) rows
+    in print order, a key an int or a tuple of ints, a value a Fraction or
+    a MeasureBound.  columns name the CSV columns: the key's parts, then
+    the value's numerators and denominators (BOUND_COLUMNS for a bound)."""
+
+    columns: Tuple[str, ...]
+    rows: Sequence[Tuple[object, object]]
+    meta: Dict[str, object]
+
+
+def _key_parts(key: object) -> tuple:
+    return key if isinstance(key, tuple) else (key,)
+
+
+def _numbers(value: object) -> tuple:
+    if isinstance(value, MeasureBound):
+        return (value.lo.numerator, value.lo.denominator,
+                value.hi.numerator, value.hi.denominator)
+    return value.numerator, value.denominator
+
+
+def render_table(table: Table, fmt: str) -> str:
+    """The table as a document in fmt, "csv" or "json", rendering only
+    that format.  A JSON entry is keyed by the key's parts joined by ","."""
+    if fmt == "csv":
+        return render_csv(table.columns, ((*_key_parts(k), *_numbers(v))
+                                          for k, v in table.rows), **table.meta)
+    data = {",".join(map(str, _key_parts(k))):
+            bound_json(v) if isinstance(v, MeasureBound) else frac_str(v)
+            for k, v in table.rows}
+    return render_json(data, **table.meta) + "\n"
 
 
 # ------------------------------------------------------------- stage records

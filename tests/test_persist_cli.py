@@ -9,21 +9,25 @@ checked byte for byte.
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from hashlib import sha256
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from rankone.cli import main
-from rankone.construction import ConstructionSpec, build_stage
+import rankone
+from rankone import cli
+from rankone.cli import load_spec, main
+from rankone.construction import PRESETS, ConstructionSpec, build_stage
 from rankone.errors import SpecError
-from rankone.measure import Interval, IntervalSet
 from rankone.persist import (
     approx_str,
     dump_stage,
     frac_str,
-    interval_set_from_json,
-    interval_set_json,
     meta_line,
     parse_frac,
     spec_hash,
@@ -76,14 +80,7 @@ def test_approx_str_is_half_even_12_digits():
     assert approx_str(5) == "5"
 
 
-def test_interval_set_round_trip():
-    s = IntervalSet((Interval(F(0), F(1, 3)), Interval(F(1, 2), F(2))))
-    assert interval_set_from_json(interval_set_json(s)) == s
-    assert interval_set_json(s) == [["0/1", "1/3"], ["1/2", "2/1"]]
-
-
 def test_meta_line_sorted_and_versioned():
-    import rankone
     line = meta_line(b=2, a=1)
     assert line.startswith("# {")
     doc = json.loads(line[2:])
@@ -383,6 +380,21 @@ def test_cli_random_preset_token():
     assert doc["meta"]["spec"] == spec_hash(ConstructionSpec.random_spacers(7))
 
 
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_preset_name_file_and_classmethod_agree(tmp_path, name):
+    # one preset table: the --spec name, a {"preset": name} file and the
+    # classmethod give one spec, stage budget included
+    doc, token = {"preset": name}, name
+    classmethod_spec = (ConstructionSpec.random_spacers(7) if name == "random"
+                        else getattr(ConstructionSpec, name)())
+    if name == "random":
+        doc["seed"], token = 7, "random:7"
+    sf = tmp_path / "spec.json"
+    sf.write_text(json.dumps(doc))
+    assert load_spec(str(sf)) == load_spec(token) == classmethod_spec
+    assert classmethod_spec.max_stage == PRESETS[name]["max_stage"]
+
+
 # ------------------------------------------------------- cli: exit codes
 
 def test_cli_unknown_spec_exit_2():
@@ -482,3 +494,122 @@ def test_cli_bad_subcommand_exit_2():
 def test_cli_help_exit_0():
     code, out, err = run_cli("--help")
     assert code == 0
+
+
+# ----------------------------------------------- cli: one parser, formats
+
+def test_cli_parser_built_on_first_main_call_not_at_import():
+    script = "\n".join((
+        "import contextlib, io",
+        "import rankone.cli as cli",
+        "assert cli._parser is None",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    cli.main(['orbit', '--spec', 'odometer', '--x', '0', '--steps', '1'])",
+        "assert cli._parser is not None",
+    ))
+    src = str(Path(rankone.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_main_reuses_one_parser(tmp_path, monkeypatch):
+    # a mixed run in one process: every call gives the exit code, stdout,
+    # stderr and --out file it gives alone, and the parser is built once
+    wf = tmp_path / "w.json"
+    wf.write_text(json.dumps({"0": "1/2", "1": "1/2"}))
+    target = tmp_path / "out.json"
+    product = ("--kind", "product", "--spec-a", "staircase",
+               "--spec-b", "chacon", "--res", "4")
+    calls = [
+        (0, ("build", "--spec", "chacon", "--stage", "3")),
+        (0, ("orbit", "--spec", "staircase", "--x", "1/7", "--steps", "6")),
+        (0, ("return-profile", "--spec", "odometer", "--j", "1", "--res", "4",
+             "--zmax", "3")),
+        (0, ("return-profile", "--spec", "staircase", "--j", "2", "--res", "5",
+             "--zmax", "4", "--format", "json")),
+        (0, ("correlate", "--spec", "odometer", "--A", "0", "--B", "0,1",
+             "--mmax", "3", "--res", "4", "--format", "csv")),
+        (0, ("blum-hanson", "--spec", "odometer", "--weights", str(wf),
+             "--f", "0", "--res", "4")),
+        (0, ("joining", "blocks", "--kind", "graph", "--spec", "odometer",
+             "--k", "1", "--j", "1", "--res", "3", "--format", "json")),
+        (0, ("joining", "light", *product, "--j", "2", "--epsilon", "1/4")),
+        (0, ("joining", "di", *product, "--stages", "1,2",
+             "--epsilons", "1/4,1/2")),
+        (0, ("joining", "disperse", "--spec-a", "odometer", "--spec-b",
+             "odometer", "--x-a", "0/1", "--x-b", "0/1", "-N", "16",
+             "--z", "0,0", "--n-list", "0,1", "--j", "2", "--res", "6")),
+        (0, ("joining", "trivialize", *product, "--j", "3", "--delta", "1/4",
+             "--w", "0", "--shifts", "0,1", "--A", "0", "--B", "0",
+             "--cond-stage", "1")),
+        (0, ("flow", "window", "--spec", "odometer", "--alpha", "2",
+             "--j", "2", "--res", "4", "--zmax", "3")),
+        (0, ("flow", "bands", "--spec", "odometer", "--alpha", "2", "--j", "2",
+             "--res", "4", "--side", "right", "--offsets", "0,1",
+             "--format", "json")),
+        (2, ("orbit", "--spec", "odometer", "--x", "0/1")),
+        (2, ("orbit", "--spec", "nope", "--x", "0/1", "--steps", "1")),
+        (3, ("orbit", "--spec", "odometer", "--x", "1/3", "--steps", "9999",
+             "--stage-budget", "3")),
+        (0, ("orbit", "--spec", "odometer", "--x", "0/1", "--steps", "2",
+             "--out", str(target))),
+        (0, ("return-profile", "--spec", "odometer", "--j", "1", "--res", "4",
+             "--zmax", "3")),
+    ]
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    monkeypatch.setattr(cli, "_parser", None)
+
+    def run(argv):
+        target.unlink(missing_ok=True)
+        code, out, err = run_cli(*argv)
+        return code, out, err, target.read_text() if target.exists() else None
+
+    together = [run(argv) for _, argv in calls]
+    assert len(built) == 1
+    assert [r[0] for r in together] == [code for code, _ in calls]
+    assert together[-2][3] is not None and together[-2][1] == ""
+    for (_, argv), seen in zip(calls, together):
+        cli._parser = None
+        assert run(argv) == seen, argv
+
+
+# The five commands that print CSV or JSON, on small inputs: the sha256 of
+# each document in each format.  bench/digests.json pins only the default
+# format of each command.
+FORMAT_MATRIX = {
+    ("return-profile", "--spec", "staircase", "--j", "2", "--res", "5",
+     "--zmax", "6"): (
+        "b0fc337e824a1c3999e026466e7f8a92eb2e07cf095584ba9d29e2b31e5c0f9c",
+        "30caee4331d1ef5ea65a54127a6625475c47743be5322e0e0ec77debaf1ece72"),
+    ("correlate", "--spec", "chacon", "--A", "0", "--B", "0,1", "--j", "2",
+     "--mmax", "5", "--res", "4"): (
+        "8923d7f81813dc1f924c4f9aeacf79176350970fc20379aa1c64c468b864bf5b",
+        "46ce1916128afdb018f45f6d2f744fd4b0fe23819937238e833b1b046c2be8cd"),
+    ("joining", "blocks", "--kind", "product", "--spec-a", "odometer",
+     "--spec-b", "staircase", "--j", "2", "--res", "4"): (
+        "294dbae90d47b6c21635667fdac769c2f972c81e6a073484a4d49a21e59283d5",
+        "269cbb70d4261f7056bf6a7f2f19c7385352f03706c0d8d2f04e738b7d16c059"),
+    ("flow", "window", "--spec", "odometer", "--alpha", "2", "--grid", "2",
+     "--j", "2", "--res", "5", "--zmax", "4"): (
+        "f1e7fed875da650a92774a911217e548c6b3d8d1b6529405446993e42f87181b",
+        "03ed84a629c1fb2e5979ae0c7dfc0ad4da93c5217a170be1133c8e9e6612bb9a"),
+    ("flow", "bands", "--spec", "staircase", "--alpha", "3/2", "--j", "2",
+     "--res", "4", "--side", "right", "--offsets", "0,1"): (
+        "614bc8e2a2b6c54af4d1bea3579820d792be55d18fe6285aff37d74b4e28bb4f",
+        "7b3d9cd71c774e2e12d92b4ecda4ca7df156b5ce109f6faddd603f978f38a542"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", list(FORMAT_MATRIX), ids=lambda argv: "-".join(
+    a for a in argv[:2] if not a.startswith("-")))
+def test_cli_format_matrix_bytes(argv, fmt):
+    code, out, err = run_cli(*argv, "--format", fmt)
+    assert code == 0, err
+    digest = FORMAT_MATRIX[argv][0 if fmt == "csv" else 1]
+    assert sha256(out.encode()).hexdigest() == digest
