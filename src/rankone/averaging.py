@@ -129,8 +129,9 @@ def average_apply(spec: ConstructionSpec, w: WeightSequence, f: StepFunction,
     coefficient a^z v, and the levels are read in cell order into one
     StepFunction.from_pieces.  That costs |supp f| * |w| integer adds
     plus O(h_J) per coefficient.  Any other f takes the interval path:
-    each constant piece rides through power_image once per shift, O(h_J)
-    per (shift, piece), and the images are summed with StepFunction.add.
+    each constant piece rides through power_image once per shift, O(cells
+    of the piece * J) per (shift, piece), and the images are summed with
+    StepFunction.add.
     """
     if direction not in ("forward", "backward"):
         raise SpecError(f"direction must be forward or backward, got {direction!r}")

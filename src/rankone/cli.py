@@ -313,8 +313,7 @@ def cmd_joining_trivialize(args: argparse.Namespace) -> str:
             "display_gap": bound_json(rec.display_gap)
             if rec.display_gap is not None else None,
             "weight_flatness": frac_str(rec.weight_flatness),
-            "escape_slack": frac_str(rec.escape_slack)
-            if rec.escape_slack is not None else None,
+            "escape_slack": frac_str(rec.escape_slack),
             "nu_F": frac_str(F.nu_F)}
     meta = matrix_meta(m)
     meta.update(command="joining trivialize", k_cond=args.k2)
@@ -407,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--j", type=int, required=True)
     r.add_argument("--res", type=int, required=True)
     r.add_argument("--zmax", type=int, required=True)
-    r.add_argument("--csv", help="alias for --out with csv format")
     _common(r, fmt="csv")
     r.set_defaults(handler=cmd_return_profile)
 
@@ -558,7 +556,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
-    out = getattr(args, "out", None) or getattr(args, "csv", None)
+    out = getattr(args, "out", None)
     if not out:
         sys.stdout.write(text)
         return 0

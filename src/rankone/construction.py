@@ -39,8 +39,8 @@ __all__ = [
     "base_occurrences",
 ]
 
-# Stages up to this height keep their level list materialized; taller stages
-# answer level queries through the column decomposition instead.
+# Stages up to this height keep their level intervals materialized; taller
+# stages answer level queries through TowerStage.cell instead.
 MATERIALIZE_LIMIT = 1024
 
 
@@ -327,15 +327,16 @@ class ConstructionSpec:
 class TowerStage:
     """One stage of a construction: a tower of `height` levels of `width`.
 
-    Levels are indexed 0..height-1 from the base up; level(i) is the ambient
-    interval occupied by the i-th level.  Stages above MATERIALIZE_LIMIT keep
-    levels implicit and answer queries through the column decomposition of
-    the previous stage (O(stage) per query).
+    Levels are indexed 0..height-1 from the base up.  Their geometry is
+    integer: level i is the cell [c w, (c+1) w) for c = cell(i), and the
+    cells 0..height-1 tile the ambient [0, M).  Stages up to
+    MATERIALIZE_LIMIT keep their level intervals in a table; taller stages
+    answer level queries through cell(i), one descent to stage 1.
     """
 
     __slots__ = (
         "spec", "stage", "height", "width", "total", "prev",
-        "cut", "spacers", "offsets", "spacer_cum", "spacer_zone_lo",
+        "cut", "spacers", "offsets", "spacer_cum",
         "_levels", "_occ",
     )
 
@@ -352,7 +353,6 @@ class TowerStage:
             self.spacers = None
             self.offsets = None
             self.spacer_cum = None
-            self.spacer_zone_lo = None
         else:
             j = prev.stage
             r = spec.cuts(j)
@@ -372,36 +372,70 @@ class TowerStage:
             self.spacer_cum = tuple(cum)
             self.height = offsets[-1] + prev.height + s[-1]
             self.total = prev.total + self.width * cum[-1]
-            self.spacer_zone_lo = prev.total
         self._levels: Optional[Tuple[Interval, ...]] = None
         if self.height <= MATERIALIZE_LIMIT:
-            self._levels = tuple(self._compute_level(i) for i in range(self.height))
+            w = self.width
+            self._levels = tuple(Interval(c * w, (c + 1) * w)
+                                 for c in self.level_cells())
 
     # -- level geometry ----------------------------------------------------
+    #
+    # The column rule: column c of this stage puts the stage-(j-1) cell p at
+    # cell p r + c, and its spacers in the cells from h_{j-1} r +
+    # spacer_cum[c] up, past M_{j-1} = h_{j-1} r w.  cell, level_of_cell and
+    # level_cells are the three readings of that rule.
 
-    def _column_of(self, i: int) -> int:
-        return bisect_right(self.offsets, i) - 1
-
-    def _compute_level(self, i: int) -> Interval:
-        if self.prev is None:
-            lo = i * self.width
-            return Interval(lo, lo + self.width)
-        c = self._column_of(i)
-        rel = i - self.offsets[c]
-        if rel < self.prev.height:
-            plo = self.prev.level_lo(rel)
-            lo = plo + c * self.width
-        else:
-            t = rel - self.prev.height
-            lo = self.spacer_zone_lo + (self.spacer_cum[c] + t) * self.width
-        return Interval(lo, lo + self.width)
-
-    def level(self, i: int) -> Interval:
+    def cell(self, i: int) -> int:
+        """Cell of level i: one descent to stage 1, integer work only."""
         if not (0 <= i < self.height):
             raise SpecError(f"level index {i} out of range for stage {self.stage}")
-        if self._levels is not None:
+        st, scale, add = self, 1, 0
+        while st.prev is not None:
+            prev, offsets = st.prev, st.offsets
+            c = bisect_right(offsets, i) - 1
+            i -= offsets[c]
+            if i >= prev.height:
+                spacer = prev.height * st.cut + st.spacer_cum[c] + i - prev.height
+                return add + scale * spacer
+            add += scale * c
+            scale *= st.cut
+            st = prev
+        return add + scale * i
+
+    def level_of_cell(self, c: int) -> int:
+        """Level occupying cell c, the inverse of cell: one descent."""
+        if not (0 <= c < self.height):
+            raise SpecError(f"cell {c} out of range for stage {self.stage}")
+        st, i = self, 0
+        while st.prev is not None:
+            prev, r = st.prev, st.cut
+            t = c - prev.height * r
+            if t >= 0:
+                col = bisect_right(st.spacer_cum, t) - 1
+                return i + st.offsets[col] + prev.height + t - st.spacer_cum[col]
+            c, col = divmod(c, r)
+            i += st.offsets[col]
+            st = prev
+        return i + c
+
+    def level_cells(self) -> List[int]:
+        """cell(i) for every level i, in O(h_1 + ... + h_j) integer work.
+        Built on each call; nothing is kept."""
+        if self.prev is None:
+            return list(range(self.height))
+        prev, r = self.prev.level_cells(), self.cut
+        cells = []
+        for c in range(r):
+            cells.extend(p * r + c for p in prev)
+            first = self.prev.height * r + self.spacer_cum[c]
+            cells.extend(range(first, first + self.spacers[c]))
+        return cells
+
+    def level(self, i: int) -> Interval:
+        if self._levels is not None and 0 <= i < self.height:
             return self._levels[i]
-        return self._compute_level(i)
+        lo = self.cell(i) * self.width
+        return Interval(lo, lo + self.width)
 
     def level_lo(self, i: int) -> Fraction:
         return self.level(i).lo
@@ -421,25 +455,6 @@ class TowerStage:
     def levels_set(self, indices: Sequence[int]) -> IntervalSet:
         return canonicalize([self.level(i) for i in indices])
 
-    def level_cells(self) -> List[int]:
-        """Cell of each level: level i is [c w, (c+1) w) for c =
-        level_cells()[i], and the cells 0..height-1 tile [0, M).
-
-        Integer work only, O(h_1 + ... + h_j), by the column recursion:
-        column c of this stage puts stage-(j-1) cell p at cell p r + c, and
-        its spacers in the cells from h_{j-1} r + spacer_cum[c] up, past
-        M_{j-1}.  Built on each call; nothing is kept.
-        """
-        if self.prev is None:
-            return list(range(self.height))
-        prev, r = self.prev.level_cells(), self.cut
-        cells = []
-        for c in range(r):
-            cells.extend(p * r + c for p in prev)
-            first = self.prev.height * r + self.spacer_cum[c]
-            cells.extend(range(first, first + self.spacers[c]))
-        return cells
-
     def locate(self, x) -> Optional[int]:
         """Level index whose interval contains x, or None if x >= M_j."""
         x = as_fraction(x)
@@ -447,53 +462,30 @@ class TowerStage:
             raise SpecError(f"point {x} below the ambient interval")
         if x >= self.total:
             return None
-        if self.prev is None:
-            return int(x // self.width)
-        if x < self.prev.total:
-            pi = self.prev.locate(x)
-            c = int((x - self.prev.level_lo(pi)) // self.width)
-            return self.offsets[c] + pi
-        t = int((x - self.spacer_zone_lo) // self.width)
-        c = bisect_right(self.spacer_cum, t) - 1
-        return self.offsets[c] + self.prev.height + (t - self.spacer_cum[c])
+        return self.level_of_cell(x // self.width)
 
     # -- lineage -----------------------------------------------------------
-
-    def parent_index(self, i: int) -> Optional[int]:
-        """Level of the previous stage containing level i, or None for a
-        spacer level freshly introduced at this stage."""
-        if self.prev is None:
-            raise SpecError("stage 1 has no parent stage")
-        c = self._column_of(i)
-        rel = i - self.offsets[c]
-        return rel if rel < self.prev.height else None
 
     def ancestor_index(self, i: int, k: int) -> Optional[int]:
         """Level of stage k containing level i of this stage, or None if the
         level sits in spacer mass added after stage k."""
-        lo, _, copy, _ = self.ancestor_run(i, k)
+        lo, _, copy = self.ancestor_run(i, k)
         return i - lo if copy else None
 
-    def ancestor_run(self, i: int, k: int, shift: bool = False
-                     ) -> Tuple[int, int, bool, Optional[Fraction]]:
+    def ancestor_run(self, i: int, k: int) -> Tuple[int, int, bool]:
         """The maximal run [lo, hi) of levels around level i that lie in one
         copy of the stage-k tower, or in one run of spacer levels added
-        after stage k, as (lo, hi, copy, s).
+        after stage k, as (lo, hi, copy).
 
         This tower is a concatenation of contiguous stage-k copies and
         spacer runs, so on a copy run (copy True) level i' sits in stage-k
         level i' - lo; on a spacer run (copy False) it sits in no stage-k
         level.  One descent from this stage to stage k, one bisect per
-        stage.  With shift=True, s on a copy run is the Fraction sum of
-        c * w over the columns c descended through, so that level_lo(i') =
-        stage_k.level_lo(i' - lo) + s; it is None on a spacer run or without
-        shift, which keeps the Fraction adds off the descents that do not
-        need them.
+        stage.
         """
         if not (1 <= k <= self.stage):
             raise SpecError(f"ancestor stage {k} out of range")
         st, idx = self, i
-        s = Fraction(0) if shift else None
         path = []
         while st.stage > k:
             offsets = st.offsets
@@ -502,16 +494,14 @@ class TowerStage:
             prev = st.prev
             if rel >= prev.height:
                 return self._spacer_run(i, k, st, c, rel, path)
-            if shift and c:
-                s += c * st.width
             path.append((st, c))
             idx = rel
             st = prev
         lo = i - idx
-        return lo, lo + st.height, True, s
+        return lo, lo + st.height, True
 
     def _spacer_run(self, i: int, k: int, st: "TowerStage", c: int, rel: int,
-                    path: list) -> Tuple[int, int, bool, None]:
+                    path: list) -> Tuple[int, int, bool]:
         """The maximal spacer run around level i, which ancestor_run found in
         the spacers of column c of stage st (level rel of that column).
 
@@ -537,7 +527,7 @@ class TowerStage:
                 break
             hi += up.spacers[cu]
             at_top = cu == len(up.offsets) - 1
-        return lo, hi, False, None
+        return lo, hi, False
 
     # -- base occurrences --------------------------------------------------
 
@@ -573,7 +563,7 @@ class TowerStage:
         some stage k <= this stage, or None when A is not such a union.
 
         The test reads the set itself: at stage k the levels tile [0, M_k)
-        in cells [c w_k, (c+1) w_k), cell c being level locate(c w_k), so A
+        in cells [c w_k, (c+1) w_k), cell c being level level_of_cell(c), so A
         is a union of stage-k levels iff every endpoint is a multiple of w_k
         in [0, M_k].  The smallest such k is used, and each of its
         levels l lifts to this stage as S_k << l.
@@ -591,7 +581,7 @@ class TowerStage:
                 bits = 0
                 for iv in A.intervals:
                     for c in range(int(iv.lo / st.width), int(iv.hi / st.width)):
-                        bits |= occ << st.locate(c * st.width)
+                        bits |= occ << st.level_of_cell(c)
                 return bits
         return None
 

@@ -23,6 +23,7 @@ __all__ = [
     "Interval",
     "IntervalSet",
     "EMPTY_SET",
+    "as_interval_set",
     "canonicalize",
     "set_union",
     "set_intersection",
@@ -156,6 +157,14 @@ class IntervalSet:
 
 
 EMPTY_SET = IntervalSet(())
+
+
+def as_interval_set(A: Union[IntervalSet, Interval]) -> IntervalSet:
+    """A as a set: an Interval becomes the set of it, or the empty set when
+    it has zero length; an IntervalSet is returned as it is."""
+    if isinstance(A, Interval):
+        return EMPTY_SET if A.is_empty() else IntervalSet((A,))
+    return A
 
 
 def canonicalize(intervals: Iterable[Interval]) -> IntervalSet:

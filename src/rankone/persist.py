@@ -122,8 +122,7 @@ def _stage_record(st: TowerStage) -> Dict[str, object]:
         "spacers": list(st.spacers) if st.spacers is not None else None,
         "offsets": list(st.offsets) if st.offsets is not None else None,
         "spacer_cum": list(st.spacer_cum) if st.spacer_cum is not None else None,
-        "spacer_zone_lo": frac_str(st.spacer_zone_lo)
-        if st.spacer_zone_lo is not None else None,
+        "spacer_zone_lo": frac_str(st.prev.total) if st.prev is not None else None,
     }
 
 

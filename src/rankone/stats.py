@@ -23,7 +23,8 @@ from typing import Dict, FrozenSet, Tuple, Union
 
 from .construction import ConstructionSpec, build_stage
 from .errors import SpecError
-from .measure import Interval, IntervalSet, MeasureBound, set_intersection
+from .measure import (Interval, IntervalSet, MeasureBound, as_interval_set,
+                      set_intersection)
 from .transform import power_image
 
 __all__ = [
@@ -130,10 +131,7 @@ def correlation(spec: ConstructionSpec, A: Union[IntervalSet, Interval],
     mass could in principle land anywhere, so it widens the upper bound,
     clamped by min(mu A, mu B).
     """
-    if isinstance(A, Interval):
-        A = IntervalSet((A,))
-    if isinstance(B, Interval):
-        B = IntervalSet((B,))
+    A, B = as_interval_set(A), as_interval_set(B)
     st = build_stage(spec, J)
     a_bits = st.level_bits(A)
     b_bits = st.level_bits(B) if a_bits is not None else None
@@ -152,10 +150,7 @@ def correlation(spec: ConstructionSpec, A: Union[IntervalSet, Interval],
 def correlation_series(spec: ConstructionSpec, A: Union[IntervalSet, Interval],
                        B: Union[IntervalSet, Interval], m_max: int,
                        J: int) -> CorrelationSeries:
-    if isinstance(A, Interval):
-        A = IntervalSet((A,))
-    if isinstance(B, Interval):
-        B = IntervalSet((B,))
+    A, B = as_interval_set(A), as_interval_set(B)
     if m_max < 0:
         raise SpecError("m_max must be nonnegative")
     M = build_stage(spec, J).total

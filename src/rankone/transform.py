@@ -20,11 +20,12 @@ from .measure import (
     IntervalSet,
     MeasureBound,
     as_fraction,
+    as_interval_set,
     canonicalize,
-    set_intersection,
 )
 
 __all__ = [
+    "Cursor",
     "OrbitPoint",
     "apply_power",
     "power_image",
@@ -54,8 +55,9 @@ class Cursor:
     (one copy of the stage-k tower, or one spacer run), so a query costs one
     tower descent per stage-k copy or spacer run the orbit enters, and O(1)
     while it stays inside.  level_at(j) keeps one run for j, and x one run
-    for the deepest materialized stage, from which the point value is
-    read as levels_k[i - lo].lo + shift + u.  A run belongs to a stage
+    for the deepest materialized stage k, from which the point value is
+    read as levels_k[i - lo].lo + shift + u: stage-k level 0 starts at 0,
+    so the shift of a copy run is level_lo(lo).  A run belongs to a stage
     object, so both are invalid after any refinement."""
 
     __slots__ = ("spec", "budget", "stage_obj", "index", "u", "refinements",
@@ -78,8 +80,9 @@ class Cursor:
             raise SpecError(
                 f"orbit start {x} outside the stage-{self.budget} ambient interval")
         self.stage_obj = st
-        self.index = st.locate(x)
-        self.u = x - st.level_lo(self.index)
+        c = x // st.width
+        self.index = st.level_of_cell(c)
+        self.u = x - c * st.width
         self.refinements = 0
         # _run: (j, stage object, lo, hi, lo or None on a spacer run);
         # _xrun: (levels_k, stage object, lo, hi, lo or None, shift + u)
@@ -95,11 +98,11 @@ class Cursor:
                 levels = levels.prev
             if levels is None:
                 return st.level_lo(i) + self.u
-            lo, hi, copy, shift = st.ancestor_run(i, levels.stage, shift=True)
+            lo, hi, copy = st.ancestor_run(i, levels.stage)
             # u changes only with the stage object, so shift + u is per run
             run = self._xrun = (levels._levels, st, lo, hi,
                                 lo if copy else None,
-                                shift + self.u if copy else None)
+                                st.level_lo(lo) + self.u if copy else None)
         if run[4] is None:
             return st.level_lo(i) + self.u
         return run[0][i - run[4]].lo + run[5]
@@ -167,7 +170,7 @@ class Cursor:
             if j > st.stage:
                 raise SpecError(f"cursor at stage {st.stage} cannot "
                                 f"answer for finer stage {j}")
-            lo, hi, copy, _ = st.ancestor_run(i, j)
+            lo, hi, copy = st.ancestor_run(i, j)
             run = self._run = (j, st, lo, hi, lo if copy else None)
         return (None if run[4] is None else i - run[4]), run[3] - i
 
@@ -187,39 +190,34 @@ def apply_power(spec: ConstructionSpec, x: Union[OrbitPoint, Fraction, int, str]
     return OrbitPoint(cur.x, pt.history + cur.refinements)
 
 
-def _as_interval_set(A: Union[IntervalSet, Interval]) -> IntervalSet:
-    if isinstance(A, Interval):
-        return IntervalSet(()) if A.is_empty() else IntervalSet((A,))
-    return A
-
-
 def power_image(spec: ConstructionSpec, A: Union[IntervalSet, Interval], n: int,
                 J: int) -> Tuple[IntervalSet, MeasureBound]:
     """Image of A under T^n at resolution J with cumulative escape.
 
     Mass starting in the top |n| levels (bottom |n| for n < 0) cannot be
     followed for all |n| steps at this resolution and is counted escaped;
-    everything else translates level i to level i+n in one pass, which
-    agrees with stepping the stage-J map |n| times.
+    everything else translates level i to level i+n, which agrees with
+    stepping the stage-J map |n| times.  Only the stage-J cells A meets are
+    visited: the piece of A in cell c lies in level i = level_of_cell(c)
+    and moves by (cell(i + n) - c) w_J, so a call costs O(cells of A * J).
     """
-    A = _as_interval_set(A)
+    A = as_interval_set(A)
     if n == 0:
         return A, MeasureBound.exact(Fraction(0))
     st = build_stage(spec, J)
-    moved = []
-    covered = Fraction(0)
-    lo_i = 0 if n > 0 else -n
-    hi_i = st.height - 1 - n if n > 0 else st.height - 1
-    for i in range(lo_i, hi_i + 1):
-        src = st.level(i)
-        off = st.level_lo(i + n) - src.lo
-        for iv in A.intervals:
-            lo, hi = max(iv.lo, src.lo), min(iv.hi, src.hi)
-            if lo < hi:
-                moved.append(Interval(lo + off, hi + off))
-                covered += hi - lo
-    inside = set_intersection(A, IntervalSet((st.ambient,))).measure
-    if inside != A.measure:
+    ivs = A.intervals
+    if ivs and (ivs[0].lo < 0 or ivs[-1].hi > st.total):
         raise SpecError("set extends beyond the stage ambient interval")
-    escaped = A.measure - covered
+    w, h = st.width, st.height
+    moved = []
+    escaped = Fraction(0)
+    for iv in ivs:
+        for c in range(iv.lo // w, -(-iv.hi // w)):
+            lo, hi = max(iv.lo, c * w), min(iv.hi, (c + 1) * w)
+            i = st.level_of_cell(c) + n
+            if 0 <= i < h:
+                off = (st.cell(i) - c) * w
+                moved.append(Interval(lo + off, hi + off))
+            else:
+                escaped += hi - lo
     return canonicalize(moved), MeasureBound.exact(escaped)

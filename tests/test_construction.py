@@ -1,5 +1,6 @@
 """Tower construction: recurrences, geometry, occurrence sets."""
 
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -91,7 +92,7 @@ class TestGeometry:
         for j in range(2, 6):
             st_ = build_stage(spec, j)
             for i in range(st_.height):
-                p = st_.parent_index(i)
+                p = oracle_parent_index(st_, i)
                 lv = st_.level(i)
                 if p is None:
                     assert lv.lo >= st_.prev.total
@@ -284,10 +285,53 @@ PRESETS = (ConstructionSpec.odometer(), ConstructionSpec.staircase(),
 RUN_CHECK_MAX_HEIGHT = 3300
 
 
+# ------------------------------------------------------ geometry oracles
+#
+# The Fraction recursions TowerStage used before its levels became integer
+# cells: level i of stage j sits in column c at row rel of that column, that
+# is c w_j above level rel of stage j-1, or among the column's spacers
+# past M_{j-1}.
+
+def oracle_column(stage, i):
+    c = bisect_right(stage.offsets, i) - 1
+    return c, i - stage.offsets[c]
+
+
+def oracle_parent_index(stage, i):
+    """Level of the previous stage containing level i, or None for a spacer
+    level introduced at this stage."""
+    c, rel = oracle_column(stage, i)
+    return rel if rel < stage.prev.height else None
+
+
+def oracle_level_lo(stage, i):
+    if stage.prev is None:
+        return i * stage.width
+    c, rel = oracle_column(stage, i)
+    if rel < stage.prev.height:
+        return oracle_level_lo(stage.prev, rel) + c * stage.width
+    t = rel - stage.prev.height
+    return stage.prev.total + (stage.spacer_cum[c] + t) * stage.width
+
+
+def oracle_locate(stage, x):
+    if x >= stage.total:
+        return None
+    if stage.prev is None:
+        return int(x // stage.width)
+    if x < stage.prev.total:
+        pi = oracle_locate(stage.prev, x)
+        c = int((x - oracle_level_lo(stage.prev, pi)) // stage.width)
+        return stage.offsets[c] + pi
+    t = int((x - stage.prev.total) // stage.width)
+    c = bisect_right(stage.spacer_cum, t) - 1
+    return stage.offsets[c] + stage.prev.height + (t - stage.spacer_cum[c])
+
+
 def oracle_ancestor(stage, i, k):
     """The parent_index walk ancestor_run replaced: one bisect per stage."""
     while stage.stage > k:
-        i = stage.parent_index(i)
+        i = oracle_parent_index(stage, i)
         if i is None:
             return None
         stage = stage.prev
@@ -305,22 +349,22 @@ class TestAncestorRuns:
         k = min(k, R)
         stR, stk = build_stage(spec, R), build_stage(spec, k)
         i = int(where * stR.height)
-        lo, hi, copy, shift = stR.ancestor_run(i, k, shift=True)
+        lo, hi, copy = stR.ancestor_run(i, k)
         assume(hi - lo <= RUN_CHECK_MAX_HEIGHT)
         assert 0 <= lo <= i < hi <= stR.height
         assert stR.ancestor_index(i, k) == oracle_ancestor(stR, i, k)
-        assert stR.ancestor_run(i, k)[:3] == (lo, hi, copy)
         for i2 in range(lo, hi):
             a = oracle_ancestor(stR, i2, k)
             if copy:
                 assert a == i2 - lo
-                assert stR.level_lo(i2) == stk.level_lo(a) + shift
+                # a copy run is the stage-k tower translated by the start
+                # of its first level (Cursor.x reads points this way)
+                assert stR.level_lo(i2) == stk.level_lo(a) + stR.level_lo(lo)
             else:
                 assert a is None
         if copy:
             assert hi - lo == stk.height
         else:
-            assert shift is None
             # maximal: the levels just outside a spacer run lie in stage-k copies
             assert lo == 0 or oracle_ancestor(stR, lo - 1, k) is not None
             assert hi == stR.height or oracle_ancestor(stR, hi, k) is not None
@@ -328,10 +372,52 @@ class TestAncestorRuns:
     def test_own_stage_is_one_copy(self):
         st5 = build_stage(ConstructionSpec.staircase(), 5)
         for i in (0, 40, st5.height - 1):
-            assert st5.ancestor_run(i, 5, shift=True) == (0, st5.height, True, 0)
+            assert st5.ancestor_run(i, 5) == (0, st5.height, True)
 
     def test_rejects_stage_out_of_range(self):
         st3 = build_stage(ConstructionSpec.chacon(), 3)
         for k in (0, 4):
             with pytest.raises(SpecError):
                 st3.ancestor_run(0, k)
+
+
+# ---------------------------------------------------------- cell geometry
+
+GEOMETRY_SPECS = st.one_of(
+    st.sampled_from(PRESETS + (ConstructionSpec.staircase(h1=3),)),
+    st.integers(0, 10_000).map(ConstructionSpec.random_spacers))
+
+
+class TestCellGeometry:
+    @settings(max_examples=60, deadline=None)
+    @given(GEOMETRY_SPECS, st.integers(min_value=1, max_value=8), st.data())
+    def test_cells_match_the_fraction_recursion(self, spec, J, data):
+        stJ = build_stage(spec, J)
+        h, w = stJ.height, stJ.width
+        cells = stJ.level_cells()
+        levels = data.draw(st.lists(st.integers(0, h - 1), min_size=1,
+                                    max_size=12))
+        for i in levels + [0, h - 1]:
+            c = stJ.cell(i)
+            assert cells[i] == c
+            assert stJ.level_of_cell(c) == i
+            assert stJ.level_of_cell(i) == cells.index(i)
+            lv = stJ.level(i)
+            assert lv.lo == oracle_level_lo(stJ, i) == c * w
+            assert lv.hi == lv.lo + w
+        for _ in range(6):
+            x = stJ.total * F(data.draw(st.integers(0, 10 ** 6)), 10 ** 6)
+            assert stJ.locate(x) == oracle_locate(stJ, x)
+        for i in levels:
+            lo = oracle_level_lo(stJ, i)
+            assert stJ.locate(lo) == stJ.locate(lo + w * F(2, 3)) == i
+
+    def test_cells_and_levels_out_of_range(self):
+        st3 = build_stage(ConstructionSpec.chacon(), 3)
+        for bad in (-1, st3.height):
+            with pytest.raises(SpecError):
+                st3.cell(bad)
+            with pytest.raises(SpecError):
+                st3.level_of_cell(bad)
+            with pytest.raises(SpecError):
+                st3.level(bad)

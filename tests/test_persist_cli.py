@@ -154,11 +154,17 @@ def test_cli_return_profile_matches_library():
 
 
 def test_cli_return_profile_csv_flag_writes_file(tmp_path):
+    # csv is the default format, so --out writes the table; the old --csv
+    # alias is gone and is refused as an unknown flag
     target = tmp_path / "prof.csv"
-    code, out, err = run_cli("return-profile", "--spec", "odometer", "--j", "1",
-                             "--res", "3", "--zmax", "2", "--csv", str(target))
+    args = ("return-profile", "--spec", "odometer", "--j", "1", "--res", "3",
+            "--zmax", "2")
+    code, out, err = run_cli(*args, "--out", str(target))
     assert code == 0 and out == ""
     assert target.read_text().splitlines()[2] == "0,1,1,1,1"
+    code, out, err = run_cli(*args, "--csv", str(tmp_path / "other.csv"))
+    assert (code, out) == (2, "")
+    assert not (tmp_path / "other.csv").exists()
 
 
 def test_cli_rerun_byte_identical():

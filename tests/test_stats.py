@@ -186,6 +186,21 @@ class TestCorrelation:
         assert series.target == E2.measure ** 2 / M
         assert set(series.values) == set(range(6))
 
+    def test_intervals_coerce_like_power_image(self):
+        # an Interval, empty or not, is read as the set of it, the same way
+        # power_image reads it
+        spec = ConstructionSpec.staircase()
+        st3 = build_stage(spec, 3)
+        x = st3.level(2).lo
+        B = IntervalSet((st3.level(1),))
+        assert correlation(spec, Interval(x, x), B, 1, 3) == MeasureBound.zero()
+        assert correlation(spec, B, Interval(x, x), 1, 3) == MeasureBound.zero()
+        assert correlation(spec, st3.level(2), st3.level(1), 1, 3) == \
+            correlation(spec, IntervalSet((st3.level(2),)), B, 1, 3)
+        series = correlation_series(spec, Interval(x, x), B, 2, 3)
+        assert series.A.is_empty() and series.target == 0
+        assert all(v == MeasureBound.zero() for v in series.values.values())
+
     def test_two_path_agreement(self):
         # combinatorial occurrence overlap vs geometric image pushing must
         # produce identical enclosures

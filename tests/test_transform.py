@@ -1,5 +1,6 @@
 """The stage-J map: orbit iteration and set images under T^n."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,77 @@ def step_image(spec, A, J):
         moved.extend(Interval(iv.lo + off, iv.hi + off) for iv in part)
     img = canonicalize(moved)
     return img, MeasureBound.exact(A.measure - img.measure)
+
+
+def oracle_power_image(spec, A, n, J):
+    """The level scan power_image replaced: every stage-J level i with
+    i + n in the tower moves A's part in it onto level i + n."""
+    if n == 0:
+        return A, MeasureBound.exact(F(0))
+    st_ = build_stage(spec, J)
+    moved = []
+    covered = F(0)
+    lo_i = 0 if n > 0 else -n
+    hi_i = st_.height - 1 - n if n > 0 else st_.height - 1
+    for i in range(lo_i, hi_i + 1):
+        src = st_.level(i)
+        off = st_.level_lo(i + n) - src.lo
+        for iv in A.intervals:
+            lo, hi = max(iv.lo, src.lo), min(iv.hi, src.hi)
+            if lo < hi:
+                moved.append(Interval(lo + off, hi + off))
+                covered += hi - lo
+    inside = set_intersection(A, IntervalSet((st_.ambient,))).measure
+    if inside != A.measure:
+        raise SpecError("set extends beyond the stage ambient interval")
+    return canonicalize(moved), MeasureBound.exact(A.measure - covered)
+
+
+@st.composite
+def rational_sets(draw, stage):
+    """A union of intervals whose ends lie on the grid of 1/d of a stage
+    cell: d = 1 gives whole cells, d > 1 pieces that split them."""
+    d = draw(st.sampled_from((1, 2, 3, 7)))
+    grid = stage.height * d
+    ends = sorted(draw(st.lists(st.integers(0, grid), max_size=8, unique=True)))
+    step = stage.width / d
+    return canonicalize(Interval(a * step, b * step)
+                        for a, b in zip(ends[::2], ends[1::2]))
+
+
+class TestPowerImageCells:
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(st.sampled_from(PRESETS),
+                     st.integers(0, 10_000).map(ConstructionSpec.random_spacers)),
+           st.integers(min_value=1, max_value=6), st.data())
+    def test_matches_level_scan(self, spec, J, data):
+        st_ = build_stage(spec, J)
+        h = st_.height
+        A = data.draw(rational_sets(st_))
+        n = data.draw(st.one_of(st.integers(-4, 4), st.integers(-h - 2, h + 2),
+                                st.sampled_from((h, -h))))
+        assert power_image(spec, A, n, J) == oracle_power_image(spec, A, n, J)
+
+    def test_set_beyond_ambient_refused(self):
+        spec = ConstructionSpec.chacon()
+        M = build_stage(spec, 3).total
+        for A in (Interval(M - 1, M + F(1, 3)), Interval(F(-1, 9), F(1, 9))):
+            with pytest.raises(SpecError, match="beyond the stage ambient"):
+                power_image(spec, A, 1, 3)
+
+    def test_deep_sub_level_interval(self):
+        # staircase stage 9 has 135,436 levels; a scan of all of them took
+        # seconds, the piece's one cell takes two descents
+        spec = ConstructionSpec.staircase()
+        t0 = time.perf_counter()
+        st9 = build_stage(spec, 9)
+        i = st9.height // 3
+        lv = st9.level(i)
+        A = Interval(lv.lo + lv.length / 3, lv.hi)
+        img, esc = power_image(spec, A, 7, 9)
+        assert time.perf_counter() - t0 < 5
+        assert img == IntervalSet((A.shift(st9.level(i + 7).lo - lv.lo),))
+        assert esc == MeasureBound.zero()
 
 
 class TestRealize:
