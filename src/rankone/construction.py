@@ -472,7 +472,8 @@ class TowerStage:
         lo, _, copy = self.ancestor_run(i, k)
         return i - lo if copy else None
 
-    def ancestor_run(self, i: int, k: int) -> Tuple[int, int, bool]:
+    def ancestor_run(self, i: int, k: int,
+                     chain: Optional[list] = None) -> Tuple[int, int, bool]:
         """The maximal run [lo, hi) of levels around level i that lie in one
         copy of the stage-k tower, or in one run of spacer levels added
         after stage k, as (lo, hi, copy).
@@ -480,54 +481,53 @@ class TowerStage:
         This tower is a concatenation of contiguous stage-k copies and
         spacer runs, so on a copy run (copy True) level i' sits in stage-k
         level i' - lo; on a spacer run (copy False) it sits in no stage-k
-        level.  One descent from this stage to stage k, one bisect per
-        stage.
+        level.  One bisect per stage descended; each stage passed leaves in
+        `chain` an entry (stage, lo, column): the copy of that stage holding
+        level i starts at level lo here, and i is in that column of it.  A
+        caller keeping the chain between calls with this k restarts at the
+        smallest cached copy still holding the new level, so a forward walk
+        descends about one stage per run.  A spacer run found in column c of
+        stage st takes in downwards the spacers topping the st.prev copy
+        below it (a tower's top carries the last-column spacers of every
+        stage above k), and upwards, while the column is the last one, the
+        spacers above each enclosing copy, read from the chain's columns.
         """
         if not (1 <= k <= self.stage):
             raise SpecError(f"ancestor stage {k} out of range")
-        st, idx = self, i
-        path = []
+        chain = [] if chain is None else chain
+        # chain[m] is the entry of stage self.stage - m; those above k serve
+        m = min(len(chain), self.stage - k)
+        st, lo = self, 0
+        while m:
+            m -= 1
+            up, up_lo, _ = chain[m]
+            if 0 <= i - up_lo < up.height:
+                st, lo = up, up_lo
+                break
+        del chain[m:]
+        idx = i - lo
         while st.stage > k:
             offsets = st.offsets
             c = bisect_right(offsets, idx) - 1
-            rel = idx - offsets[c]
+            chain.append((st, lo, c))
+            idx -= offsets[c]
+            lo += offsets[c]
             prev = st.prev
-            if rel >= prev.height:
-                return self._spacer_run(i, k, st, c, rel, path)
-            path.append((st, c))
-            idx = rel
+            if idx >= prev.height:
+                below, t = 0, prev
+                while t.stage > k:
+                    below += t.spacers[-1]
+                    t = t.prev
+                start = lo + prev.height
+                hi = start + st.spacers[c]
+                n = len(chain) - 1
+                while n and c == st.cut - 1:
+                    n -= 1
+                    st, _, c = chain[n]
+                    hi += st.spacers[c]
+                return start - below, hi, False
             st = prev
-        lo = i - idx
         return lo, lo + st.height, True
-
-    def _spacer_run(self, i: int, k: int, st: "TowerStage", c: int, rel: int,
-                    path: list) -> Tuple[int, int, bool]:
-        """The maximal spacer run around level i, which ancestor_run found in
-        the spacers of column c of stage st (level rel of that column).
-
-        Downwards the run takes in the spacers at the top of the stage
-        st.prev copy below it: a tower's top carries the last-column spacers
-        of every stage above k, and its bottom level is always a stage-k
-        level.  Upwards, when c is the last column, the run reaches the top
-        of st and goes on through the spacers above each enclosing copy
-        that is itself the last column of its stage.
-        """
-        below = 0
-        t = st.prev
-        while t.stage > k:
-            below += t.spacers[-1]
-            t = t.prev
-        lo = i - (rel - st.prev.height) - below
-        last = len(st.offsets) - 1
-        hi = i - rel + (st.offsets[c + 1] - st.offsets[c] if c < last
-                        else st.height - st.offsets[c])
-        at_top = c == last
-        for up, cu in reversed(path):
-            if not at_top:
-                break
-            hi += up.spacers[cu]
-            at_top = cu == len(up.offsets) - 1
-        return lo, hi, False
 
     # -- base occurrences --------------------------------------------------
 

@@ -11,9 +11,11 @@ thresholds, and covered-mass reports are directly comparable across kinds.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress, islice, tee
 from typing import (Dict, FrozenSet, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
@@ -226,23 +228,14 @@ def graph_blocks(spec: ConstructionSpec, k: int, j: int, J: int) -> BlockMassMat
         spec_a=spec, spec_b=spec, meta={"J": J, "k": k})
 
 
-def _paired_runs(ca: Cursor, cb: Cursor, j: int, ticks: int, step_a: int,
-                 step_b: int) -> Iterator[Tuple[int, Optional[int], Optional[int]]]:
-    """The stage-j levels of a paired orbit over `ticks` ticks, each tick
-    advancing ca by step_a and cb by step_b, as (span, za, zb) per stretch
-    of ticks that stays in one stage-j run of each cursor: tick t of the
-    stretch sits in levels (za + t * step_a, zb + t * step_b), and za or zb
-    is None on a spacer run.  Each cursor moves once per stretch."""
-    n = 0
-    while n < ticks:
-        za, left_a = ca.level_run(j)
-        zb, left_b = cb.level_run(j)
-        span = min(-(-left_a // step_a), -(-left_b // step_b), ticks - n)
-        yield span, za, zb
-        n += span
-        if n < ticks:
-            ca.forward(span * step_a, (n - span) * step_a)
-            cb.forward(span * step_b, (n - span) * step_b)
+def _paired_levels(ca: Cursor, cb: Cursor, j: int, ticks: int, step_a: int,
+                   step_b: int) -> Iterator[Tuple[Optional[int], Optional[int]]]:
+    """Stage-j levels (za, zb) of the paired orbit for `ticks` ticks, each
+    advancing ca by step_a and cb by step_b.  zip asks ca first, so when
+    both escape at one tick ca's OrbitEscaped is raised.  Cursor.levels
+    refuses step sizes below 1 when called, before any tick."""
+    return zip(islice(ca.levels(j, step_a), ticks),
+               islice(cb.levels(j, step_b), ticks))
 
 
 def empirical_joining(spec_a: ConstructionSpec, spec_b: ConstructionSpec,
@@ -259,25 +252,15 @@ def empirical_joining(spec_a: ConstructionSpec, spec_b: ConstructionSpec,
     _check_resolution(j, J)
     if N < 1:
         raise SpecError("empirical joining needs N >= 1")
-    if step_a < 1 or step_b < 1:
-        raise SpecError("step sizes must be >= 1")
     sa, sb = build_stage(spec_a, j), build_stage(spec_b, j)
     ca = Cursor(spec_a, as_fraction(x_a), stage_budget=J)
     cb = Cursor(spec_b, as_fraction(x_b), stage_budget=J)
-    ca.refine_to(j)
-    cb.refine_to(j)
-    counts: Dict[BlockIndex, int] = {}
-    outside = 0
-    for span, za, zb in _paired_runs(ca, cb, j, N, step_a, step_b):
-        if za is None or zb is None:
-            outside += span
-            continue
-        for t in range(span):
-            key = BlockIndex(za + t * step_a, zb + t * step_b)
-            counts[key] = counts.get(key, 0) + 1
+    counts = Counter(_paired_levels(ca, cb, j, N, step_a, step_b))
+    outside = sum(c for z, c in counts.items() if None in z)
     Ra, Rb = ca.stage_obj.stage, cb.stage_obj.stage
     Ma, Mb = build_stage(spec_a, Ra).total, build_stage(spec_b, Rb).total
-    masses = {z: Fraction(c, N) for z, c in counts.items()}
+    masses = {BlockIndex(*z): Fraction(c, N)
+              for z, c in counts.items() if None not in z}
     return BlockMassMatrix(
         kind="empirical", j=j, h_a=sa.height, h_b=sb.height, masses=masses,
         residual=Fraction(outside, N), norm_a=Ma, norm_b=Mb,
@@ -385,41 +368,26 @@ def dispersion_experiment(spec_a: ConstructionSpec, spec_b: ConstructionSpec,
     extra = max(max(n_list), 0)
     ca = Cursor(spec_a, as_fraction(x_a), stage_budget=J)
     cb = Cursor(spec_b, as_fraction(x_b), stage_budget=J)
-    ca.refine_to(j)
-    cb.refine_to(j)
-    track: List[Optional[BlockIndex]] = []
-    for span, za, zb in _paired_runs(ca, cb, j, N + extra, step_a, step_b):
-        if za is None or zb is None:
-            track.extend([None] * span)
-        else:
-            track.extend(BlockIndex(za + t * step_a, zb + t * step_b)
-                         for t in range(span))
-    hits = [m for m in range(N) if track[m] == z]
+    # one tuple per distinct pair, not per tick
+    pairs = tee(_paired_levels(ca, cb, j, N + extra, step_a, step_b))
+    track = list(map({}.setdefault, *pairs))
+    hits = list(compress(range(N), map(z.__eq__, track)))
     if not hits:
         raise SpecError(f"conditioning set empty: block {tuple(z)} has count 0 "
                         f"in the first {N} ticks")
     rows = []
     for n in n_list:
-        counts: Dict[BlockIndex, int] = {}
-        off = 0
-        used = 0
-        for m in hits:
-            t = m + n
-            if not (0 <= t < len(track)):
-                continue
-            used += 1
-            b = track[t]
-            if b is None:
-                off += 1
-            else:
-                counts[b] = counts.get(b, 0) + 1
-        if used == 0:
+        landed = [track[m + n] for m in hits if 0 <= m + n < len(track)]
+        if not landed:
             raise SpecError(f"advance n={n} leaves no conditioned times in range")
-        hist = {b: Fraction(c, used) for b, c in sorted(counts.items())}
+        used = len(landed)
+        counts = Counter(b for b in landed if None not in b)
+        hist = {BlockIndex(*b): Fraction(c, used)
+                for b, c in sorted(counts.items())}
         rows.append(DispersionRow(
             n=n, conditioning_count=used, histogram=hist,
             max_mass=max(hist.values(), default=Fraction(0)),
-            residual=Fraction(off, used)))
+            residual=Fraction(used - sum(counts.values()), used)))
     return tuple(rows)
 
 

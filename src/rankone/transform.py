@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from itertools import chain, repeat
+from typing import Iterable, Iterator, Optional, Tuple, Union
 
 from .construction import ConstructionSpec, build_stage
 from .errors import OrbitEscaped, SpecError
@@ -50,18 +51,18 @@ class Cursor:
     where the representation refines one stage and retries; forward(n) moves
     n steps with one add per tower top it meets.
 
-    Questions about coarser stages are answered per run: the cursor keeps
-    the last run of its stage's tower that TowerStage.ancestor_run found
-    (one copy of the stage-k tower, or one spacer run), so a query costs one
-    tower descent per stage-k copy or spacer run the orbit enters, and O(1)
-    while it stays inside.  level_at(j) keeps one run for j, and x one run
-    for the deepest materialized stage k, from which the point value is
-    read as levels_k[i - lo].lo + shift + u: stage-k level 0 starts at 0,
-    so the shift of a copy run is level_lo(lo).  A run belongs to a stage
-    object, so both are invalid after any refinement."""
+    Questions about a coarser stage k are answered per run, one copy of
+    the stage-k tower or one spacer run (TowerStage.ancestor_run).  The
+    cursor keeps the last run and a descent chain per k, so a query is O(1)
+    inside a run, and the next run's descent starts at the smallest cached
+    copy still holding the level: amortized O(1) stages per run forward.
+    level_run(j) and levels(j) read stage-j runs; x reads runs of the
+    deepest materialized stage k as levels_k[i - lo].lo + shift + u, the
+    shift of a copy run being level_lo(lo).  Runs and chains belong to the
+    stage object, so a refinement drops them all."""
 
     __slots__ = ("spec", "budget", "stage_obj", "index", "u", "refinements",
-                 "_run", "_xrun")
+                 "_run", "_xrun", "_chains")
 
     def __init__(self, spec: ConstructionSpec, x, stage_budget: Optional[int] = None):
         x = as_fraction(x)
@@ -84,28 +85,32 @@ class Cursor:
         self.index = st.level_of_cell(c)
         self.u = x - c * st.width
         self.refinements = 0
-        # _run: (j, stage object, lo, hi, lo or None on a spacer run);
-        # _xrun: (levels_k, stage object, lo, hi, lo or None, shift + u)
+        # _run: (j, lo, hi, lo or None on a spacer run); _xrun: (levels_k,
+        # lo, hi, lo or None, shift + u); _chains: k -> ancestor_run chain
         self._run = self._xrun = None
+        self._chains = {}
+
+    def _ancestor_run(self, k: int) -> Tuple[int, int, bool]:
+        return self.stage_obj.ancestor_run(self.index, k,
+                                           self._chains.setdefault(k, []))
 
     @property
     def x(self) -> Fraction:
         st, i = self.stage_obj, self.index
         run = self._xrun
-        if run is None or run[1] is not st or not run[2] <= i < run[3]:
+        if run is None or not run[1] <= i < run[2]:
             levels = st
             while levels is not None and levels._levels is None:
                 levels = levels.prev
             if levels is None:
                 return st.level_lo(i) + self.u
-            lo, hi, copy = st.ancestor_run(i, levels.stage)
+            lo, hi, copy = self._ancestor_run(levels.stage)
             # u changes only with the stage object, so shift + u is per run
-            run = self._xrun = (levels._levels, st, lo, hi,
-                                lo if copy else None,
+            run = self._xrun = (levels._levels, lo, hi, lo if copy else None,
                                 st.level_lo(lo) + self.u if copy else None)
-        if run[4] is None:
+        if run[3] is None:
             return st.level_lo(i) + self.u
-        return run[0][i - run[4]].lo + run[5]
+        return run[0][i - run[3]].lo + run[4]
 
     def _refine(self, steps_done: int) -> None:
         st = self.stage_obj
@@ -119,6 +124,8 @@ class Cursor:
         self.u -= c * nxt.width
         self.stage_obj = nxt
         self.refinements += 1
+        self._run = self._xrun = None
+        self._chains = {}
 
     def step_forward(self, steps_done: int = 0) -> None:
         while self.index == self.stage_obj.height - 1:
@@ -164,15 +171,37 @@ class Cursor:
         """(level_at(j), levels left in its run from the current one up):
         the next `left - 1` forward steps stay in the same stage-j copy,
         one level up each, or in the same spacer run."""
-        st, i = self.stage_obj, self.index
+        i = self.index
         run = self._run
-        if run is None or run[0] != j or run[1] is not st or not run[2] <= i < run[3]:
-            if j > st.stage:
-                raise SpecError(f"cursor at stage {st.stage} cannot "
+        if run is None or run[0] != j or not run[1] <= i < run[2]:
+            if j > self.stage_obj.stage:
+                raise SpecError(f"cursor at stage {self.stage_obj.stage} cannot "
                                 f"answer for finer stage {j}")
-            lo, hi, copy = st.ancestor_run(i, j)
-            run = self._run = (j, st, lo, hi, lo if copy else None)
-        return (None if run[4] is None else i - run[4]), run[3] - i
+            lo, hi, copy = self._ancestor_run(j)
+            run = self._run = (j, lo, hi, lo if copy else None)
+        return (None if run[3] is None else i - run[3]), run[2] - i
+
+    def levels(self, j: int, step: int = 1) -> Iterator[Optional[int]]:
+        """The stage-j level of each tick of the orbit (None in spacer
+        mass unborn at stage j), tick 0 at the current point refined to
+        stage j and each later tick `step` forward steps on: one range or
+        run of None per stage-j run, so ticks cost C-level work.  The cursor
+        moves when the first tick past a run is asked for."""
+        if step < 1:
+            raise SpecError("step sizes must be >= 1")
+        return chain.from_iterable(self._level_runs(j, step))
+
+    def _level_runs(self, j: int, step: int) -> Iterator[Iterable[Optional[int]]]:
+        self.refine_to(j)
+        done = 0
+        while True:
+            i = self.index
+            lo, hi, copy = self._ancestor_run(j)
+            span = -(-(hi - i) // step)
+            yield (range(i - lo, i - lo + span * step, step) if copy
+                   else repeat(None, span))
+            self.forward(span * step, done)
+            done += span * step
 
 
 def apply_power(spec: ConstructionSpec, x: Union[OrbitPoint, Fraction, int, str],

@@ -1,8 +1,8 @@
 """Hypothesis fuzz of the command line: small requests to every subcommand.
 
 Each request parses (every required flag is present), but its values may
-be out of range: zero and negative stages and levels, j > res, rationals
-that do not parse, unknown specs and --out paths that cannot be written.
+be out of range: zero and negative stages, levels and step sizes, j > res,
+rationals that do not parse, unknown specs and --out paths that cannot be written.
 Stages stay <= 6 and --stage-budget <= 8, so no request allocates much.
 The contract checked: exit code 0, 2 or 3, never a traceback, and on a
 non-zero exit exactly one line on stderr.
@@ -110,7 +110,7 @@ def requests(draw, weights, outs):
                       x_b=frac(["0/1", "1/2"]),
                       z=pick(among("0,0", "0,1"), among("1", "-1,0")),
                       n_list=pick(among("0", "0,1,3", "-2"), among("50", "x")),
-                      j=j, res=res)
+                      step_a=count(1, 3), step_b=count(1, 3), j=j, res=res)
         argv.append(f"-N{count(1, 64)}")
     elif cmd == "joining trivialize":
         argv += matrix()

@@ -338,6 +338,101 @@ def oracle_ancestor(stage, i, k):
     return i
 
 
+def oracle_ancestor_run(stage, i, k):
+    """The one-shot descent ancestor_run made before it kept a chain: from
+    this stage down to k every time, the spacer run's upward merge read
+    from the path of that one descent."""
+    st_, idx, path = stage, i, []
+    while st_.stage > k:
+        c = bisect_right(st_.offsets, idx) - 1
+        rel = idx - st_.offsets[c]
+        prev = st_.prev
+        if rel >= prev.height:
+            below, t = 0, prev
+            while t.stage > k:
+                below += t.spacers[-1]
+                t = t.prev
+            lo = i - (rel - prev.height) - below
+            last = len(st_.offsets) - 1
+            hi = i - rel + (st_.offsets[c + 1] - st_.offsets[c] if c < last
+                            else st_.height - st_.offsets[c])
+            at_top = c == last
+            for up, cu in reversed(path):
+                if not at_top:
+                    break
+                hi += up.spacers[cu]
+                at_top = cu == len(up.offsets) - 1
+            return lo, hi, False
+        path.append((st_, c))
+        idx = rel
+        st_ = prev
+    lo = i - idx
+    return lo, lo + st_.height, True
+
+
+def restart_copy(chain, stage, i, k):
+    """The entry (stage, lo, column) a chained descent for level i starts
+    from: the smallest cached copy above stage k that holds i."""
+    for entry in reversed(chain[:stage.stage - k]):
+        if 0 <= i - entry[1] < entry[0].height:
+            return entry
+    return None
+
+
+CHAIN_SPECS = st.one_of(
+    st.sampled_from(PRESETS + (ConstructionSpec.staircase(h1=3),)),
+    st.integers(0, 10_000).map(ConstructionSpec.random_spacers))
+
+
+class TestChainedDescent:
+    """ancestor_run with a chain kept between calls against the one-shot
+    oracle: forward walks with skips, and revisits anywhere in the tower."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(CHAIN_SPECS, st.integers(min_value=1, max_value=9),
+           st.integers(min_value=1, max_value=9),
+           st.floats(min_value=0, max_value=1, exclude_max=True),
+           st.lists(st.one_of(
+               st.tuples(st.just("skip"), st.integers(min_value=1, max_value=40)),
+               st.tuples(st.just("revisit"),
+                         st.floats(min_value=0, max_value=1, exclude_max=True))),
+               min_size=1, max_size=60))
+    def test_walk_matches_one_shot_descent(self, spec, R, k, where, moves):
+        k = min(k, R)
+        stR = build_stage(spec, R)
+        h = stR.height
+        chain = []
+        i = int(where * h)
+        for kind, value in [("skip", 0)] + moves:
+            i = (i + value) % h if kind == "skip" else int(value * h)
+            want = oracle_ancestor_run(stR, i, k)
+            assert stR.ancestor_run(i, k, chain) == want
+            assert stR.ancestor_run(i, k) == want
+            # the chain lists the copies holding i, from this stage down
+            assert [e[0] for e in chain] == [
+                build_stage(spec, s) for s in range(R, R - len(chain), -1)]
+            assert all(0 <= i - lo < e.height for e, lo, _ in chain)
+
+    @pytest.mark.parametrize("spec, R, k", [
+        (ConstructionSpec.staircase(), 6, 2),
+        (ConstructionSpec.staircase(h1=3), 5, 1),
+        (ConstructionSpec.random_spacers(seed=3), 6, 2),
+    ])
+    def test_spacer_merge_crosses_the_cached_copy(self, spec, R, k):
+        # every level in order, one chain: some spacer runs start in the top
+        # spacers of the copy the descent restarts from and merge upwards
+        # through the spacers above it, read from the chain's columns
+        stR = build_stage(spec, R)
+        chain, crossings = [], 0
+        for i in range(stR.height):
+            entry = restart_copy(chain, stR, i, k)
+            lo, hi, copy = stR.ancestor_run(i, k, chain)
+            assert (lo, hi, copy) == oracle_ancestor_run(stR, i, k)
+            if entry is not None and not copy and hi > entry[1] + entry[0].height:
+                crossings += 1
+        assert crossings > 0
+
+
 class TestAncestorRuns:
     @settings(max_examples=80, deadline=None)
     @given(st.one_of(st.sampled_from(PRESETS),

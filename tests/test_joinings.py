@@ -4,6 +4,7 @@ conditional trivialization check."""
 import contextlib
 import dataclasses
 import io
+import time
 from fractions import Fraction as F
 from unittest import mock
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankone import cli, joinings
+from rankone import cli
 from rankone.averaging import WeightSequence
 from rankone.construction import ConstructionSpec, build_stage
 from rankone.errors import EmptyFSetError, OrbitEscaped, SpecError
@@ -19,6 +20,7 @@ from rankone.flow import FlowSkeletonSpec, band_masses
 from rankone.joinings import (
     BlockIndex,
     BlockMassMatrix,
+    DispersionRow,
     UniformBlockMasses,
     columns_and_F,
     di_estimate,
@@ -31,7 +33,7 @@ from rankone.joinings import (
     trivialization_check,
 )
 from rankone.measure import set_intersection
-from rankone.transform import apply_power, power_image
+from rankone.transform import Cursor, apply_power, power_image
 
 ODO = ConstructionSpec.odometer()
 ST2 = ConstructionSpec.staircase(h1=2)
@@ -405,17 +407,71 @@ def test_dispersion_empty_conditioning_refused():
         dispersion_experiment(ODO, ODO, 0, 0, 40, BlockIndex(0, 1), [1], 2, 8)
 
 
-def oracle_paired_ticks(ca, cb, j, ticks, step_a, step_b):
-    """The per-tick loop _paired_runs replaced: one stretch per tick, levels
-    read from the stage object, single steps."""
+def oracle_ticks(spec_a, spec_b, x_a, x_b, ticks, j, J, step_a, step_b):
+    """The paired orbit one tick at a time: single steps, each tick's
+    levels read from the stage object's ancestor_index, a before b.
+    Returns the pairs and the two cursors."""
+    ca = Cursor(spec_a, F(x_a), stage_budget=J)
+    cb = Cursor(spec_b, F(x_b), stage_budget=J)
+    ca.refine_to(j)
+    cb.refine_to(j)
+    pairs = []
     for n in range(ticks):
-        yield (1, ca.stage_obj.ancestor_index(ca.index, j),
-               cb.stage_obj.ancestor_index(cb.index, j))
-        if n + 1 < ticks:
-            for _ in range(step_a):
-                ca.step_forward(n)
-            for _ in range(step_b):
-                cb.step_forward(n)
+        for cur, step in ((ca, step_a), (cb, step_b)):
+            for s in range(step if n else 0):
+                cur.step_forward((n - 1) * step + s)
+        pairs.append(tuple(c.stage_obj.ancestor_index(c.index, j)
+                           for c in (ca, cb)))
+    return pairs, ca, cb
+
+
+def oracle_empirical_joining(spec_a, spec_b, x_a, x_b, N, j, J, step_a, step_b):
+    pairs, ca, cb = oracle_ticks(spec_a, spec_b, x_a, x_b, N, j, J, step_a,
+                                 step_b)
+    counts, outside = {}, 0
+    for za, zb in pairs:
+        if za is None or zb is None:
+            outside += 1
+        else:
+            key = BlockIndex(za, zb)
+            counts[key] = counts.get(key, 0) + 1
+    sa, sb = build_stage(spec_a, j), build_stage(spec_b, j)
+    Ra, Rb = ca.stage_obj.stage, cb.stage_obj.stage
+    Ma, Mb = build_stage(spec_a, Ra).total, build_stage(spec_b, Rb).total
+    return BlockMassMatrix(
+        kind="empirical", j=j, h_a=sa.height, h_b=sb.height,
+        masses={z: F(c, N) for z, c in counts.items()},
+        residual=F(outside, N), norm_a=Ma, norm_b=Mb,
+        level_mass_a=sa.width / Ma, level_mass_b=sb.width / Mb,
+        base_mass=sb.width / Mb, spec_a=spec_a, spec_b=spec_b,
+        meta={"J": J, "N": N, "seeds": (str(F(x_a)), str(F(x_b))),
+              "step_a": step_a, "step_b": step_b,
+              "deepest_stage_a": Ra, "deepest_stage_b": Rb})
+
+
+def oracle_dispersion_experiment(spec_a, spec_b, x_a, x_b, N, z, n_list, j, J,
+                                 step_a, step_b):
+    track, _, _ = oracle_ticks(spec_a, spec_b, x_a, x_b,
+                               N + max(max(n_list), 0), j, J, step_a, step_b)
+    hits = [m for m in range(N) if track[m] == tuple(z)]
+    if not hits:
+        raise SpecError(f"conditioning set empty: block {tuple(z)} has count 0 "
+                        f"in the first {N} ticks")
+    rows = []
+    for n in n_list:
+        landed = [track[m + n] for m in hits if 0 <= m + n < len(track)]
+        if not landed:
+            raise SpecError(f"advance n={n} leaves no conditioned times in range")
+        counts = {}
+        for b in landed:
+            if None not in b:
+                counts[BlockIndex(*b)] = counts.get(BlockIndex(*b), 0) + 1
+        hist = {b: F(c, len(landed)) for b, c in sorted(counts.items())}
+        rows.append(DispersionRow(
+            n=n, conditioning_count=len(landed), histogram=hist,
+            max_mass=max(hist.values(), default=F(0)),
+            residual=F(len(landed) - sum(counts.values()), len(landed))))
+    return tuple(rows)
 
 
 def outcome(fn, *args, **kwargs):
@@ -434,8 +490,8 @@ def outcome(fn, *args, **kwargs):
        st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=3),
        st.tuples(st.integers(0, 3), st.integers(0, 3)),
        st.lists(st.integers(min_value=-5, max_value=30), min_size=1, max_size=3))
-def test_paired_runs_match_per_tick_loop(spec_a, spec_b, x_a, x_b, N, j, extra,
-                                         step_a, step_b, z, n_list):
+def test_paired_orbits_match_per_tick_oracle(spec_a, spec_b, x_a, x_b, N, j,
+                                             extra, step_a, step_b, z, n_list):
     # stages up to 10 (every preset's budget): most orbits stay resolved,
     # the shallow ones escape
     J = min(j + extra, 10)
@@ -444,10 +500,44 @@ def test_paired_runs_match_per_tick_loop(spec_a, spec_b, x_a, x_b, N, j, extra,
               step_a, step_b)
     fast = (outcome(empirical_joining, *args),
             outcome(dispersion_experiment, *d_args))
-    with mock.patch.object(joinings, "_paired_runs", oracle_paired_ticks):
-        slow = (outcome(empirical_joining, *args),
-                outcome(dispersion_experiment, *d_args))
+    slow = (outcome(oracle_empirical_joining, *args),
+            outcome(oracle_dispersion_experiment, *d_args))
     assert fast == slow
+
+
+@pytest.mark.parametrize("x_a, x_b, point, steps_done", [
+    # the odometer stage-3 tower: level 0 escapes at tick 8, level 4 at tick
+    # 4, each from the top level [7/8, 1) plus its offset u
+    (F(1, 8), F(1, 16), "7/8", 3),      # a first
+    (F(0), F(3, 16), "15/16", 3),       # b first
+    (F(0), F(1, 16), "7/8", 7),         # the same tick: a is reported
+])
+def test_paired_escapes_report_the_first_cursor(x_a, x_b, point, steps_done):
+    args = (ODO, ODO, x_a, x_b, 20, 1, 3, 1, 1)
+    d_args = (ODO, ODO, x_a, x_b, 20, BlockIndex(0, 0), [0], 1, 3, 1, 1)
+    message = f"orbit point {point} needs refinement beyond stage 3"
+    for fn, oracle, fn_args in ((empirical_joining, oracle_empirical_joining, args),
+                                (dispersion_experiment,
+                                 oracle_dispersion_experiment, d_args)):
+        with pytest.raises(OrbitEscaped) as fast:
+            fn(*fn_args)
+        with pytest.raises(OrbitEscaped) as slow:
+            oracle(*fn_args)
+        for exc in (fast.value, slow.value):
+            assert str(exc) == message
+            assert (exc.point, exc.steps_done) == (F(point), steps_done)
+
+
+def test_empirical_joining_wall_time():
+    # 200,000 ticks of the odometer pair at stage 20 (10^6 levels): the
+    # cursors descend about one stage per stage-4 run and count ticks in C;
+    # a fresh descent of 16 stages per run, or a Python loop per tick,
+    # takes several times longer
+    spec = ConstructionSpec.odometer(max_stage=20)
+    t0 = time.perf_counter()
+    m = empirical_joining(spec, spec, F(1, 3), F(2, 5), 200_000, 4, 20)
+    assert time.perf_counter() - t0 < 2
+    assert m.residual == 0 and sum(m.masses.values()) == 1
 
 
 # ---------------------------------------------------------------- columns / F

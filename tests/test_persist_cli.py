@@ -455,6 +455,16 @@ def test_cli_validation_refusal_exit_2():
                              "--n-list", "0", "--j", "4", "--res", "3")
     assert code == 2
     assert err == "error: need 1 <= j <= J, got j=4, J=3\n"
+    # step sizes below 1 are refused as for the empirical matrix: before,
+    # --step-a 0 divided by zero (exit 4) and -1 escaped asking for --res
+    for step in ("0", "-1"):
+        code, out, err = run_cli("joining", "disperse", "--spec-a", "odometer",
+                                 "--spec-b", "odometer", "--x-a", "0/1",
+                                 "--x-b", "0/1", "-N", "8", "--z", "0,0",
+                                 "--n-list", "0", "--j", "2", "--res", "3",
+                                 f"--step-a={step}")
+        assert code == 2 and out == ""
+        assert err == "error: step sizes must be >= 1\n"
 
 
 def test_cli_orbit_escape_exit_3():

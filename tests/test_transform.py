@@ -319,9 +319,35 @@ class TestCursorRuns:
         cur = Cursor(spec, 1)
         assert (cur.stage_obj.stage, cur.index) == (2, 4)
         assert cur.level_run(1) == (None, 1)
+        assert cur.x == 1
+
+        def chains_descend_from_the_current_stage():
+            return all(chain[0][0] is cur.stage_obj
+                       for chain in cur._chains.values() if chain)
+
+        assert cur._chains[1] and chains_descend_from_the_current_stage()
         cur.refine_to(3)
+        # a chain never outlives the stage object it descends
+        assert cur._chains == {}
         assert (cur.stage_obj.stage, cur.index) == (3, 4)
         assert cur.level_run(1) == (None, 2)
+        assert cur.x == 1
+        assert cur._chains[1] and chains_descend_from_the_current_stage()
+
+    @pytest.mark.parametrize("spec, j, step", [
+        (WALK_SPECS[1], 3, 1), (WALK_SPECS[2], 2, 2), (WALK_SPECS[3], 3, 3)])
+    def test_levels_match_single_steps(self, spec, j, step):
+        # one range per run against level_at after each single step
+        stream = Cursor(spec, F(2, 7), stage_budget=9).levels(j, step)
+        cur = Cursor(spec, F(2, 7), stage_budget=9)
+        cur.refine_to(j)
+        for _ in range(400):
+            assert next(stream) == cur.level_at(j)
+            for _ in range(step):
+                cur.step_forward()
+        for bad in (0, -1):
+            with pytest.raises(SpecError, match="step sizes must be >= 1"):
+                cur.levels(j, bad)
 
     def test_run_cache_follows_refinement(self):
         # the odometer orbit of 1/3 refines 12 times in 3000 steps, from
