@@ -10,22 +10,19 @@ charged at its worst possible pointwise value.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
-from typing import Dict, List, Optional, Tuple
+from itertools import accumulate, groupby
+from typing import Dict, List, Tuple
 
-from .construction import ConstructionSpec, TowerStage, build_stage
+from .construction import ConstructionSpec, build_stage
 from .errors import SpecError
-from .measure import (
-    Interval,
-    IntervalSet,
-    MeasureBound,
-    RationalLike,
-    StepFunction,
-    as_fraction,
-)
-from .transform import power_image
+from .measure import (Interval, IntervalSet, MeasureBound, RationalLike,
+                      StepFunction, as_fraction)
+
+Segment = Tuple[Fraction, Fraction, Fraction]
 
 __all__ = [
     "WeightSequence",
@@ -82,20 +79,13 @@ class WeightSequence:
 
 def flatness(w: WeightSequence, q: int = 0) -> Fraction:
     """Largest mass any window of q+1 consecutive shifts carries; q = 0 is
-    the largest single weight."""
+    the largest single weight.  Some window starting at a support point
+    carries the largest mass, so only those are summed, from prefix sums."""
     if q < 0:
         raise SpecError("window length q must be nonnegative")
-    d = w.as_dict()
-    if not d:
-        return Fraction(0)
-    zs = sorted(d)
-    best = Fraction(0)
-    for start in range(max(0, zs[0] - q), zs[-1] + 1):
-        s = sum((d.get(z, Fraction(0)) for z in range(start, start + q + 1)),
-                Fraction(0))
-        if s > best:
-            best = s
-    return best
+    zs = w.support
+    cum = list(accumulate((a for _, a in w.weights), initial=Fraction(0)))
+    return max(cum[bisect_right(zs, z + q)] - cum[k] for k, z in enumerate(zs))
 
 
 def adjoint_convolution(w: WeightSequence) -> Dict[int, Fraction]:
@@ -122,16 +112,14 @@ def average_apply(spec: ConstructionSpec, w: WeightSequence, f: StepFunction,
     silently zero where mass escaped.  f must vanish off the stage-J
     ambient interval [0, M_J).
 
-    Two paths give the same result.  When f is constant on every stage-J
-    level (every segment endpoint a multiple of w_J), P f is computed on
-    the levels, with no power_image call: each (support level, shift)
-    pair adds one integer hit to its target level, counted per distinct
-    coefficient a^z v, and the levels are read in cell order into one
-    StepFunction.from_pieces.  That costs |supp f| * |w| integer adds
-    plus O(h_J) per coefficient.  Any other f takes the interval path:
-    each constant piece rides through power_image once per shift, O(cells
-    of the piece * J) per (shift, piece), and the images are summed with
-    StepFunction.add.
+    f is cut at stage-J cell boundaries into pieces (lo, hi, v), the part
+    of f in one cell relative to the cell in units of w_J; a run of whole
+    cells is one slice of the level table.  Each (piece, shift) pair adds
+    one integer hit to its target level, counted per weighted piece (lo,
+    hi, a^z v).  The levels are read in cell order, and each distinct
+    hit-count vector is summed once and laid on every cell of its run.
+    That costs |pieces of f| * |w| integer adds plus O(h_J) per weighted
+    piece.
     """
     if direction not in ("forward", "backward"):
         raise SpecError(f"direction must be forward or backward, got {direction!r}")
@@ -139,40 +127,37 @@ def average_apply(spec: ConstructionSpec, w: WeightSequence, f: StepFunction,
     st = build_stage(spec, J)
     if f.segments and (f.segments[0][0] < 0 or f.segments[-1][1] > st.total):
         raise SpecError("set extends beyond the stage ambient interval")
-    on_levels = _average_on_levels(st, w, f, sign)
-    if on_levels is not None:
-        return on_levels
-    return _average_by_pieces(spec, w, f, J, sign)
-
-
-def _average_on_levels(st: TowerStage, w: WeightSequence, f: StepFunction,
-                       sign: int) -> Optional[Tuple[StepFunction, MeasureBound]]:
-    """P f on the levels of stage st, or None when f is not constant on
-    every level of st."""
     if not f.segments:
         return StepFunction.zero(), MeasureBound.zero()
     width, h = st.width, st.height
     level_at = [0] * h
     for i, c in enumerate(st.level_cells()):
         level_at[c] = i
-    support: Dict[Fraction, List[int]] = {}
+    # support[(lo, hi, v)]: the levels whose cell holds that piece of f
+    support: Dict[Segment, List[int]] = {}
     for lo, hi, v in f.segments:
-        c0, c1 = lo / width, hi / width
-        if c0.denominator != 1 or c1.denominator != 1:
-            return None
-        support.setdefault(v, []).extend(level_at[int(c0):int(c1)])
-    # hits[c][t]: the (level, shift) pairs with coefficient c = a v that
-    # land on level t; lost[a]: the pairs with weight a whose target
-    # leaves the tower
+        x0, x1 = lo / width, hi / width
+        c0, c1 = math.ceil(x0), math.floor(x1)
+        if c0 > c1:
+            support.setdefault((x0 - c1, x1 - c1, v), []).append(level_at[c1])
+            continue
+        if x0 < c0:
+            support.setdefault((x0 - c0 + 1, 1, v), []).append(level_at[c0 - 1])
+        if c0 < c1:
+            support.setdefault((0, 1, v), []).extend(level_at[c0:c1])
+        if c1 < x1:
+            support.setdefault((0, x1 - c1, v), []).append(level_at[c1])
+    # hits[(lo, hi, a v)][t]: the (piece, shift) pairs with weight a that
+    # land on level t; pairs whose target leaves the tower escape
     shifts: Dict[Fraction, List[int]] = {}
     for z, a in w.weights:
         shifts.setdefault(a, []).append(sign * z)
-    hits: Dict[Fraction, List[int]] = {}
-    lost: Dict[Fraction, int] = {}
+    hits: Dict[Segment, List[int]] = {}
+    escaped = Fraction(0)
     for a, offsets in shifts.items():
-        n_out = 0
-        for v, levels in support.items():
-            count = hits.setdefault(a * v, [0] * h)
+        for (lo, hi, v), levels in support.items():
+            count = hits.setdefault((lo, hi, a * v), [0] * h)
+            n_out = 0
             for off in offsets:
                 for i in levels:
                     t = i + off
@@ -180,36 +165,36 @@ def _average_on_levels(st: TowerStage, w: WeightSequence, f: StepFunction,
                         count[t] += 1
                     else:
                         n_out += 1
-        lost[a] = n_out
-    # P f is sum_c c * count_c on each level: walk the levels in cell
-    # order and make one piece per run of equal count vectors
+            escaped += a * (hi - lo) * n_out
+    # walk the levels in cell order, one run per equal count vector
     counts = list(zip(*hits.values()))
+    cell_sums: Dict[Tuple[int, ...], List[Segment]] = {}
     pieces = []
-    lo = Fraction(0)
+    c = 0
     for key, run in groupby(counts[i] for i in level_at):
-        hi = lo + len(list(run)) * width
-        value = sum(c * n for c, n in zip(hits, key))
-        if value:
-            pieces.append((IntervalSet((Interval(lo, hi),)), value))
-        lo = hi
-    escaped = sum((a * n for a, n in lost.items()), Fraction(0)) * width
-    return StepFunction.from_pieces(pieces), MeasureBound.exact(escaped)
+        n = len(list(run))
+        parts = cell_sums.get(key)
+        if parts is None:
+            parts = cell_sums[key] = _cell_sum(hits, key)
+        if len(parts) == 1 and parts[0][:2] == (0, 1):
+            spans = [(c, c + n, parts[0][2])]
+        else:
+            spans = [(k + lo, k + hi, v) for k in range(c, c + n)
+                     for lo, hi, v in parts]
+        pieces.extend((IntervalSet((Interval(lo * width, hi * width),)), v)
+                      for lo, hi, v in spans)
+        c += n
+    return StepFunction.from_pieces(pieces), MeasureBound.exact(escaped * width)
 
 
-def _average_by_pieces(spec: ConstructionSpec, w: WeightSequence,
-                       f: StepFunction, J: int,
-                       sign: int) -> Tuple[StepFunction, MeasureBound]:
-    """P f by imaging each constant piece of f through power_image."""
-    out = StepFunction.zero()
-    escaped = Fraction(0)
-    for z, a in w.weights:
-        for lo, hi, v in f.segments:
-            img, esc = power_image(spec, IntervalSet((Interval(lo, hi),)),
-                                   sign * z, J)
-            escaped += a * esc.hi
-            if img.measure > 0:
-                out = out.add(StepFunction.indicator(img, a * v))
-    return out, MeasureBound.exact(escaped)
+def _cell_sum(hits, key) -> List[Segment]:
+    """The sum of n * (lo, hi, c) over the weighted pieces hit n times, as
+    nonzero segments of the unit cell."""
+    terms = [(lo, hi, c * n) for (lo, hi, c), n in zip(hits, key) if n]
+    cuts = sorted({x for lo, hi, _ in terms for x in (lo, hi)})
+    sums = [(lo, hi, sum(v for a, b, v in terms if a <= lo < b))
+            for lo, hi in zip(cuts, cuts[1:])]
+    return [s for s in sums if s[2]]
 
 
 def l2_deviation(Pf: StepFunction, mean: RationalLike, escaped: MeasureBound,

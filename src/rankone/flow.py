@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional
 
 from .construction import ConstructionSpec, build_stage
 from .errors import SpecError
 from .joinings import BlockIndex, BlockMassMatrix
-from .measure import IntervalSet, MeasureBound, RationalLike, as_fraction
+from .measure import IntervalSet, MeasureBound, as_fraction
 from .stats import return_profile, window_sums
 
 __all__ = [

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, Tuple, Union
+from itertools import accumulate
+from typing import Dict, FrozenSet, Union
 
 from .construction import ConstructionSpec, build_stage
 from .errors import SpecError
@@ -91,19 +92,17 @@ def max_profile(profile: ReturnProfile, z_lo: int = 0) -> MeasureBound:
 
 def window_sums(profile: ReturnProfile, q: int) -> Dict[int, MeasureBound]:
     """Bounds on the window sums sum_{w=z}^{z+q} a^w for every z the profile
-    covers in full."""
+    covers in full, as differences of prefix sums of the bounds."""
     if q < 0:
         raise SpecError("window length q must be nonnegative")
     z_max = profile.z_max
     if q > z_max:
         raise SpecError(f"window 0..{q} exceeds the profile range 0..{z_max}")
-    out: Dict[int, MeasureBound] = {}
-    for z in range(z_max - q + 1):
-        total = MeasureBound.zero()
-        for w in range(z, z + q + 1):
-            total = total + profile.values[w]
-        out[z] = total
-    return out
+    bounds = [profile.values[z] for z in range(z_max + 1)]
+    lo = list(accumulate((b.lo for b in bounds), initial=Fraction(0)))
+    hi = list(accumulate((b.hi for b in bounds), initial=Fraction(0)))
+    return {z: MeasureBound(lo[z + q + 1] - lo[z], hi[z + q + 1] - hi[z])
+            for z in range(z_max - q + 1)}
 
 
 @dataclass(frozen=True)

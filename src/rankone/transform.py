@@ -53,16 +53,17 @@ class Cursor:
 
     Questions about a coarser stage k are answered per run, one copy of
     the stage-k tower or one spacer run (TowerStage.ancestor_run).  The
-    cursor keeps the last run and a descent chain per k, so a query is O(1)
-    inside a run, and the next run's descent starts at the smallest cached
+    cursor keeps a descent chain per k, so a query restarts inside the
+    current copy, and the next run's descent starts at the smallest cached
     copy still holding the level: amortized O(1) stages per run forward.
-    level_run(j) and levels(j) read stage-j runs; x reads runs of the
-    deepest materialized stage k as levels_k[i - lo].lo + shift + u, the
-    shift of a copy run being level_lo(lo).  Runs and chains belong to the
-    stage object, so a refinement drops them all."""
+    level_run(j) and levels(j) read stage-j runs from the chain; x keeps
+    the last run of the deepest materialized stage k and reads it as
+    levels_k[i - lo].lo + shift + u, the shift of a copy run being
+    level_lo(lo).  The run and the chains belong to the stage object, so a
+    refinement drops them all."""
 
     __slots__ = ("spec", "budget", "stage_obj", "index", "u", "refinements",
-                 "_run", "_xrun", "_chains")
+                 "_xrun", "_chains")
 
     def __init__(self, spec: ConstructionSpec, x, stage_budget: Optional[int] = None):
         x = as_fraction(x)
@@ -85,9 +86,9 @@ class Cursor:
         self.index = st.level_of_cell(c)
         self.u = x - c * st.width
         self.refinements = 0
-        # _run: (j, lo, hi, lo or None on a spacer run); _xrun: (levels_k,
-        # lo, hi, lo or None, shift + u); _chains: k -> ancestor_run chain
-        self._run = self._xrun = None
+        # _xrun: (levels_k, lo, hi, lo or None on a spacer run, shift + u);
+        # _chains: k -> ancestor_run chain
+        self._xrun = None
         self._chains = {}
 
     def _ancestor_run(self, k: int) -> Tuple[int, int, bool]:
@@ -124,7 +125,7 @@ class Cursor:
         self.u -= c * nxt.width
         self.stage_obj = nxt
         self.refinements += 1
-        self._run = self._xrun = None
+        self._xrun = None
         self._chains = {}
 
     def step_forward(self, steps_done: int = 0) -> None:
@@ -171,15 +172,12 @@ class Cursor:
         """(level_at(j), levels left in its run from the current one up):
         the next `left - 1` forward steps stay in the same stage-j copy,
         one level up each, or in the same spacer run."""
+        if j > self.stage_obj.stage:
+            raise SpecError(f"cursor at stage {self.stage_obj.stage} cannot "
+                            f"answer for finer stage {j}")
         i = self.index
-        run = self._run
-        if run is None or run[0] != j or not run[1] <= i < run[2]:
-            if j > self.stage_obj.stage:
-                raise SpecError(f"cursor at stage {self.stage_obj.stage} cannot "
-                                f"answer for finer stage {j}")
-            lo, hi, copy = self._ancestor_run(j)
-            run = self._run = (j, lo, hi, lo if copy else None)
-        return (None if run[3] is None else i - run[3]), run[2] - i
+        lo, hi, copy = self._ancestor_run(j)
+        return (i - lo if copy else None), hi - i
 
     def levels(self, j: int, step: int = 1) -> Iterator[Optional[int]]:
         """The stage-j level of each tick of the orbit (None in spacer

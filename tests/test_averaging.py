@@ -1,22 +1,20 @@
 """Weight sequences, adjoint convolution, averaging operator, L2 bounds.
 
-average_apply has two paths: P f on stage-J levels when f is constant on
-every stage-J level, and the per-piece power_image loop otherwise.  The
-differential tests keep the second, `_average_by_pieces`, as the oracle of
-the first.
+average_apply counts hits of the pieces of f, cut at stage-J cell
+boundaries, on the stage-J levels.  The differential tests check it against
+`pieces_oracle`, which images each segment of f through power_image once
+per shift and sums the images with StepFunction.add; `flatness` is checked
+against a scan of every window start.
 """
 
 import time
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from rankone import averaging
 from rankone.averaging import (
     WeightSequence,
-    _average_by_pieces,
     adjoint_convolution,
     average_apply,
     flatness,
@@ -89,6 +87,32 @@ class TestFlatness:
     def test_monotone_in_q(self, w, q):
         assert flatness(w, q) <= flatness(w, q + 1)
         assert flatness(w, q) >= flatness(w, 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(weight_sequences(), st.integers(min_value=0, max_value=15))
+    def test_matches_scan_of_every_start(self, w, q):
+        assert flatness(w, q) == scan_flatness(w, q)
+
+    def test_far_shift_costs_nothing(self):
+        w = WeightSequence(((0, F(1, 2)), (10**12, F(1, 2))))
+        t0 = time.monotonic()
+        assert flatness(w, 0) == F(1, 2)
+        assert flatness(w, 10**12 - 1) == F(1, 2)
+        assert flatness(w, 10**12) == 1
+        assert time.monotonic() - t0 < 1.0
+
+
+def scan_flatness(w, q):
+    """The largest window sum over every start from the first support point
+    minus q to the last support point."""
+    d = w.as_dict()
+    zs = sorted(d)
+    best = Fraction(0)
+    for start in range(max(0, zs[0] - q), zs[-1] + 1):
+        s = sum((d.get(z, Fraction(0)) for z in range(start, start + q + 1)),
+                Fraction(0))
+        best = max(best, s)
+    return best
 
 
 class TestAdjointConvolution:
@@ -227,32 +251,38 @@ def level_functions(draw, spec, k, M=None):
     return StepFunction.from_pieces(pieces)
 
 
-def run_both_paths(spec, w, f, J, direction):
-    """average_apply, whether it imaged pieces through power_image, and
-    the oracle's result."""
-    with mock.patch.object(averaging, "power_image", wraps=power_image) as spy:
-        got = average_apply(spec, w, f, J, direction)
+def pieces_oracle(spec, w, f, J, direction="forward"):
+    """P f by imaging each segment of f through power_image once per shift."""
     sign = 1 if direction == "forward" else -1
-    return got, spy.call_count > 0, _average_by_pieces(spec, w, f, J, sign)
+    out = StepFunction.zero()
+    escaped = Fraction(0)
+    for z, a in w.weights:
+        for lo, hi, v in f.segments:
+            img, esc = power_image(spec, IntervalSet((Interval(lo, hi),)),
+                                   sign * z, J)
+            escaped += a * esc.hi
+            if img.measure > 0:
+                out = out.add(StepFunction.indicator(img, a * v))
+    return out, MeasureBound.exact(escaped)
 
 
 class TestLevelPath:
     @settings(max_examples=80, deadline=None)
     @given(resolutions(), st.sampled_from(["forward", "backward"]), st.data())
     def test_level_path_matches_interval_oracle(self, case, direction, data):
+        # f on levels of a stage k <= J: whole stage-J cells only
         spec, J, h = case
         k = data.draw(st.integers(1, J))
         f = data.draw(level_functions(spec, k))
         w = data.draw(weights_reaching(h))
-        got, interval_path, expect = run_both_paths(spec, w, f, J, direction)
-        assert not interval_path
-        assert got == expect
+        assert average_apply(spec, w, f, J, direction) == pieces_oracle(
+            spec, w, f, J, direction)
 
     @settings(max_examples=40, deadline=None)
     @given(resolutions(), st.sampled_from(["forward", "backward"]), st.data())
     def test_finer_levels_take_the_interval_path(self, case, direction, data):
         # levels of a stage k > J, narrower than w_J: not unions of stage-J
-        # levels, so each piece rides through power_image
+        # levels, so some cells hold part-cell pieces
         spec, J, h = case
         k = data.draw(st.integers(J + 1, J + 2))
         stJ = build_stage(spec, J)
@@ -262,9 +292,8 @@ class TestLevelPath:
         assume(any((x / stJ.width).denominator != 1
                    for seg in f.segments for x in seg[:2]))
         w = data.draw(weights_reaching(h))
-        got, interval_path, expect = run_both_paths(spec, w, f, J, direction)
-        assert interval_path
-        assert got == expect
+        assert average_apply(spec, w, f, J, direction) == pieces_oracle(
+            spec, w, f, J, direction)
 
     @settings(max_examples=40, deadline=None)
     @given(resolutions(), st.data())
@@ -276,9 +305,28 @@ class TestLevelPath:
         half = Interval(lvl.lo, lvl.lo + lvl.length / 2)
         f = StepFunction.from_pieces([(IntervalSet((half,)), data.draw(VALUES))])
         w = data.draw(weights_reaching(h))
-        got, interval_path, expect = run_both_paths(spec, w, f, J, "forward")
-        assert interval_path
-        assert got == expect
+        assert average_apply(spec, w, f, J) == pieces_oracle(spec, w, f, J)
+
+    @settings(max_examples=60, deadline=None)
+    @given(resolutions(), st.sampled_from(["forward", "backward"]), st.data())
+    def test_rational_segments_match_oracle(self, case, direction, data):
+        # segment ends on a 1/d grid of stage-J cells, spanning up to four
+        # cells: pieces inside one cell, whole middles and both partial ends
+        spec, J, h = case
+        stJ = build_stage(spec, J)
+        d = data.draw(st.sampled_from([1, 2, 3, 7]))
+        ends = data.draw(st.lists(st.integers(0, h * d), min_size=2, max_size=8,
+                                  unique=True).map(sorted))
+        pieces = []
+        for a, b in zip(ends[::2], ends[1::2]):
+            b = min(b, a + 4 * d)
+            pieces.append((IntervalSet((Interval(F(a, d) * stJ.width,
+                                                 F(b, d) * stJ.width),)),
+                           data.draw(VALUES)))
+        f = StepFunction.from_pieces(pieces)
+        w = data.draw(weights_reaching(h))
+        assert average_apply(spec, w, f, J, direction) == pieces_oracle(
+            spec, w, f, J, direction)
 
     def test_zero_function(self):
         spec = ConstructionSpec.chacon()
@@ -298,6 +346,25 @@ class TestLevelPath:
         # stage-3 level l lifts to the stage-12 levels i = l mod 8; far from
         # the tower ends the 256 shifts see each residue 32 times
         assert Pf.value_at(build_stage(spec, 12).level(2000).lo) == F(5, 8)
+
+    def test_part_cell_function_within_budget(self):
+        # every third stage-10 level is a quarter of a stage-8 cell; imaged
+        # segment by segment and summed with StepFunction.add, this took
+        # about 100 s
+        spec = ConstructionSpec.odometer()
+        f = StepFunction.indicator(build_stage(spec, 10).levels_set(range(0, 1024, 3)))
+        w = WeightSequence.uniform(64)
+        t0 = time.monotonic()
+        Pf, esc = average_apply(spec, w, f, 8)
+        elapsed = time.monotonic() - t0
+        assert elapsed < 5.0, f"average_apply took {elapsed:.2f} s"
+        assert Pf.integral() + esc.hi == f.integral()
+        # a stage-10 level i whose stage-8 level i mod 256 is at least 63
+        # stays in its copy for all 64 shifts back
+        st10 = build_stage(spec, 10)
+        for i in (63, 100, 400, 700, 1023):
+            hits = sum(1 for z in range(64) if (i - z) % 3 == 0)
+            assert Pf.value_at(st10.level(i).lo) == F(hits, 64)
 
 
 class TestL2Deviation:

@@ -198,6 +198,18 @@ def test_cli_blum_hanson(tmp_path):
     assert parse_frac(doc["data"]["deviation_sq"]["hi"]) < F(1, 8)
 
 
+def test_cli_blum_hanson_far_shift(tmp_path):
+    # the shift 10^12 leaves every stage-4 level: half of f escapes, and
+    # flatness looks at the two support points only
+    wf = tmp_path / "w.json"
+    wf.write_text(json.dumps({"0": "1/2", str(10**12): "1/2"}))
+    doc = cli_json("blum-hanson", "--spec", "odometer", "--weights", str(wf),
+                   "--f", "0", "--j", "1", "--res", "4")
+    assert doc["data"]["flatness"] == "1/2"
+    assert doc["data"]["escaped_hi"] == "1/4"
+    assert doc["meta"]["support"] == [0, 10**12]
+
+
 def test_cli_blum_hanson_rejects_unnormalized_weights(tmp_path):
     wf = tmp_path / "w.json"
     wf.write_text(json.dumps({"0": "1/2"}))

@@ -3,11 +3,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rankone.construction import ConstructionSpec, build_stage
 from rankone.errors import SpecError
 from rankone.measure import Interval, IntervalSet, MeasureBound, canonicalize
 from rankone.stats import (
+    ReturnProfile,
     correlation,
     correlation_series,
     max_profile,
@@ -146,6 +148,28 @@ class TestWindowSums:
         prof = return_profile(ConstructionSpec.odometer(), 1, 3, 4)
         with pytest.raises(SpecError):
             window_sums(prof, 5)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.fractions(0, 1, max_denominator=60),
+                              st.fractions(0, 1, max_denominator=60)),
+                    min_size=1, max_size=30),
+           st.data())
+    def test_matches_naive_sums(self, pairs, data):
+        values = {z: MeasureBound(min(a, b), max(a, b))
+                  for z, (a, b) in enumerate(pairs)}
+        prof = ReturnProfile(j=1, J=1, values=values)
+        q = data.draw(st.integers(0, prof.z_max))
+        assert window_sums(prof, q) == naive_window_sums(prof, q)
+
+
+def naive_window_sums(profile, q):
+    out = {}
+    for z in range(profile.z_max - q + 1):
+        total = MeasureBound.zero()
+        for w in range(z, z + q + 1):
+            total = total + profile.values[w]
+        out[z] = total
+    return out
 
 
 class TestCorrelation:
