@@ -129,10 +129,6 @@ def matrix_from_args(args: argparse.Namespace, j: Optional[int] = None,
     sweep commands may override it.
     """
     j = args.j if j is None else j
-    if j is None:
-        raise SpecError("missing --j")
-    if args.res is None:
-        raise SpecError("missing --res")
     budget = args.stage_budget
     if args.kind == "product":
         _require(args, ["spec_a", "spec_b"], "--kind product")
@@ -445,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     jd = jsp.add_parser("di", help="powder-mass proxy over a grid")
     _matrix_flags(jd, with_j=False)
-    jd.add_argument("--j", type=int, default=None, help=argparse.SUPPRESS)
     jd.add_argument("--stages", required=True, help="comma separated stages")
     jd.add_argument("--epsilons", required=True,
                     help="comma separated NUM/DEN thresholds")

@@ -337,14 +337,13 @@ class TowerStage:
     __slots__ = (
         "spec", "stage", "height", "width", "total", "prev",
         "cut", "spacers", "offsets", "spacer_cum",
-        "_levels", "_occ",
+        "_levels",
     )
 
     def __init__(self, spec: ConstructionSpec, stage: int, prev: Optional["TowerStage"]):
         self.spec = spec
         self.stage = stage
         self.prev = prev
-        self._occ: Dict[int, int] = {}
         if prev is None:
             self.height = spec.h1
             self.width = spec.width1
@@ -535,8 +534,8 @@ class TowerStage:
         """S_k as an int bitset: bit i is set iff level(i) lies inside the
         stage-k base E_k.
 
-        Built by the column recursion S_k(j+1) = OR_c S_k(j) << offset_c and
-        cached per stage; agrees with direct interval containment (tested)
+        Built by the column recursion S_k(j+1) = OR_c S_k(j) << offset_c on
+        each call; agrees with direct interval containment (tested)
         because E_k is exactly the union of its stage-j occurrences and
         spacer mass added at stages >= k is disjoint from [0, M_k).
         """
@@ -544,13 +543,10 @@ class TowerStage:
             raise SpecError(f"occurrence stage {k} out of range")
         if k == self.stage:
             return 1
-        bits = self._occ.get(k)
-        if bits is None:
-            prev_bits = self.prev.occurrence_bits(k)
-            bits = 0
-            for off in self.offsets:
-                bits |= prev_bits << off
-            self._occ[k] = bits
+        prev_bits = self.prev.occurrence_bits(k)
+        bits = 0
+        for off in self.offsets:
+            bits |= prev_bits << off
         return bits
 
     def occurrences(self, k: int) -> Tuple[int, ...]:
@@ -584,18 +580,6 @@ class TowerStage:
                         bits |= occ << st.level_of_cell(c)
                 return bits
         return None
-
-    def power_bits(self, bits: int, n: int) -> Tuple[int, int]:
-        """T^n on a set of whole levels of this stage held as a bitset:
-        (image, escaped).  image holds level i + n for each level i of bits
-        that stays in the tower; escaped has one set bit for each level
-        pushed past the top (n > 0) or below the bottom (n < 0), so its
-        popcount times the width is the escaped mass."""
-        h = self.height
-        if n >= 0:
-            return ((bits << n) & ((1 << h) - 1) if n < h else 0,
-                    bits >> max(h - n, 0))
-        return bits >> -n, bits & ((1 << min(-n, h)) - 1)
 
     def __repr__(self) -> str:
         return (f"TowerStage(stage={self.stage}, height={self.height}, "

@@ -18,7 +18,7 @@ from .construction import ConstructionSpec, build_stage
 from .errors import SpecError
 from .joinings import BlockIndex, BlockMassMatrix
 from .measure import IntervalSet, MeasureBound, as_fraction
-from .stats import return_profile, window_sums
+from .stats import correlation, return_profile, window_sums
 
 __all__ = [
     "FlowSkeletonSpec",
@@ -166,10 +166,10 @@ def consequence_check(fspec: FlowSkeletonSpec, j: int, J: int,
     each encloses the true overlap, hence they must intersect.  When the
     image resolves with no escape the geometric route is exact.
 
-    The geometric route runs on stage-J level bitsets: T^z E_j is the
-    occurrence bitset of E_j shifted by z, the escaped mass is the popcount
-    of the bits shifted past the top times w_J, and the overlap with E1 is
-    an `&`.
+    The geometric route is correlation(base, E1_j, E_j, z, J): the resolved
+    overlap widened by the escaped mass of T^z E_j.  Its clamp by
+    min(mu E1_j, mu E_j) never binds, because E_j lies in E1_j and the
+    resolved and escaped parts of T^z E_j are disjoint.
     """
     q = fspec.grid_inverse
     if z < q:
@@ -180,10 +180,7 @@ def consequence_check(fspec: FlowSkeletonSpec, j: int, J: int,
     ws = window_sums(prof, q)
     window = ws[z - q].scale(st.width)
     e1 = thickened_base(fspec, j, J).E1
-    stJ = build_stage(fspec.base, J)
-    img, out = stJ.power_bits(stJ.occurrence_bits(j), z)
-    resolved = (stJ.level_bits(e1) & img).bit_count() * stJ.width
-    geometric = MeasureBound(resolved, resolved + out.bit_count() * stJ.width)
+    geometric = correlation(fspec.base, e1, st.base, z, J)
     return ConsequenceRecord(j=j, J=J, z=z, window_route=window,
                              geometric_route=geometric)
 

@@ -20,7 +20,7 @@ from typing import (Dict, FrozenSet, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
 from .averaging import WeightSequence, average_apply, flatness
-from .construction import ConstructionSpec, bit_indices, build_stage
+from .construction import ConstructionSpec, build_stage
 from .errors import EmptyFSetError, SpecError
 from .measure import (
     IntervalSet,
@@ -519,13 +519,13 @@ def trivialization_check(m: BlockMassMatrix, F: FSetSpec, A: IntervalSet,
     for label, spec, S in (("A", m.spec_a, A), ("B", m.spec_b, B)):
         if build_stage(spec, k).level_bits(S) is None:
             raise SpecError(f"{label} is not a union of stage-{k} levels")
-    in_A = frozenset(bit_indices(build_stage(m.spec_a, m.j).level_bits(A)))
-    in_B = frozenset(bit_indices(build_stage(m.spec_b, m.j).level_bits(B)))
+    in_A = build_stage(m.spec_a, m.j).level_bits(A)
+    in_B = build_stage(m.spec_b, m.j).level_bits(B)
 
     cond_num = Fraction(0)
     for h in F.shifts:
         for z1, z2 in F.column.members:
-            if z1 in in_A and z2 + h in in_B:
+            if in_A >> z1 & 1 and in_B >> (z2 + h) & 1:
                 cond_num += m.mass(BlockIndex(z1, z2 + h))
     conditional = cond_num / F.nu_F
     reference = (A.measure / m.norm_a) * (B.measure / m.norm_b)
@@ -550,7 +550,7 @@ def trivialization_check(m: BlockMassMatrix, F: FSetSpec, A: IntervalSet,
 
 
 def _display_route(m: BlockMassMatrix, F: FSetSpec, A: IntervalSet,
-                   in_A: FrozenSet[int], in_B: FrozenSet[int],
+                   in_A: int, in_B: int,
                    B: IntervalSet) -> Tuple[Fraction, Fraction]:
     """Enclosure of sum_h a_h nu(A x T^{-h}B intersect C), unnormalized."""
     members = F.column.members
@@ -558,11 +558,11 @@ def _display_route(m: BlockMassMatrix, F: FSetSpec, A: IntervalSet,
         val = sum((a_h * m.mass(BlockIndex(z1, z2 + h))
                    for h, a_h in F.weights.weights
                    for z1, z2 in members
-                   if z1 in in_A and z2 + h in in_B), Fraction(0))
+                   if in_A >> z1 & 1 and in_B >> (z2 + h) & 1), Fraction(0))
         return val, val
     J = m.meta["J"]
     sb = build_stage(m.spec_b, m.j)
-    sel = [bi for bi in members if bi.z1 in in_A]
+    sel = [bi for bi in members if in_A >> bi.z1 & 1]
     if m.kind == "product":
         Pf, esc = average_apply(m.spec_b, F.weights,
                                 StepFunction.indicator(B), J,

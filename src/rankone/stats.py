@@ -1,18 +1,16 @@
 """Return-time statistics with two-sided bounds.
 
-The conditional return quantity a^z_j = mu(T^z E_j | E_j) is computed
-combinatorially from the occurrence set S of E_j inside tower J, held as an
-int bitset B over the stage-J levels: each occurrence p with p + z resolving
-inside the tower contributes w_J to the numerator exactly when p + z is
-again an occurrence, so the resolved count is popcount(B & (B >> z));
-occurrences pushed past the top (the bits at or above h_J - z) contribute
-undetermined mass, which widens the upper bound by w_J apiece.  Dividing by
-mu(E_j) = |S| w_J keeps everything rational and makes the unknown global
-normalization cancel.
+Sets made of whole stage-J levels are held as int bitsets over the levels,
+and one kernel, `_overlap`, resolves mu(A intersect T^m B) on them: the
+levels i of B with i + m in A are the popcount of a shifted `&`, and the
+levels pushed past the top (m > 0) or below the bottom (m < 0) escape, so
+their mass, w_J apiece, could land anywhere and widens the upper bound.
 
-Correlations of sets made of whole levels use the same bitsets: T^m is a
-shift masked to the tower, escaped mass is the popcount of the bits shifted
-out, and intersection is `&`.  Any other set goes through power_image.
+The conditional return quantity a^z_j = mu(T^z E_j | E_j) is that overlap
+with A = B = E_j, held as its occurrence bitset.  Dividing by
+mu(E_j) = |S| w_J keeps everything rational and makes the unknown global
+normalization cancel.  Correlations of level unions run the same kernel,
+converting A and B once per call; any other set goes through power_image.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from typing import Dict, FrozenSet, Union
+from typing import Dict, FrozenSet, Iterable, Tuple, Union
 
 from .construction import ConstructionSpec, build_stage
 from .errors import SpecError
@@ -37,6 +35,15 @@ __all__ = [
     "correlation",
     "correlation_series",
 ]
+
+
+def _overlap(a: int, b: int, m: int, h: int) -> Tuple[int, int]:
+    """(resolved, escaped) level counts of A intersect T^m B for level
+    bitsets a, b of a height-h tower: the levels i of B with i + m in A,
+    and those with i + m outside [0, h)."""
+    if m >= 0:
+        return ((a >> m) & b).bit_count(), (b >> max(h - m, 0)).bit_count()
+    return (a & (b >> -m)).bit_count(), (b & ((1 << min(-m, h)) - 1)).bit_count()
 
 
 @dataclass(frozen=True)
@@ -72,8 +79,8 @@ def return_profile(spec: ConstructionSpec, j: int, J: int, z_max: int) -> Return
     h = st.height
     values: Dict[int, MeasureBound] = {}
     for z in range(z_max + 1):
-        lo = Fraction((B & (B >> z)).bit_count(), count)
-        tail = (B >> max(h - z, 0)).bit_count()
+        hit, tail = _overlap(B, B, z, h)
+        lo = Fraction(hit, count)
         values[z] = MeasureBound(lo, lo + Fraction(tail, count))
     return ReturnProfile(j=j, J=J, values=values,
                          degenerate=frozenset(range(h, z_max + 1)))
@@ -130,20 +137,27 @@ def correlation(spec: ConstructionSpec, A: Union[IntervalSet, Interval],
     mass could in principle land anywhere, so it widens the upper bound,
     clamped by min(mu A, mu B).
     """
-    A, B = as_interval_set(A), as_interval_set(B)
+    return _correlations(spec, as_interval_set(A), as_interval_set(B), (m,), J)[m]
+
+
+def _correlations(spec: ConstructionSpec, A: IntervalSet, B: IntervalSet,
+                  ms: Iterable[int], J: int) -> Dict[int, MeasureBound]:
+    """correlation for each m in ms, with A and B made bitsets once."""
     st = build_stage(spec, J)
-    a_bits = st.level_bits(A)
-    b_bits = st.level_bits(B) if a_bits is not None else None
-    if b_bits is None:
-        img, escaped = power_image(spec, B, m, J)
-        lo = set_intersection(A, img).measure
-        esc = escaped.hi
-    else:
-        img, out = st.power_bits(b_bits, m)
-        lo = (a_bits & img).bit_count() * st.width
-        esc = out.bit_count() * st.width
-    hi = min(lo + esc, A.measure, B.measure)
-    return MeasureBound(lo, max(lo, hi))
+    a = st.level_bits(A)
+    b = st.level_bits(B) if a is not None else None
+    values: Dict[int, MeasureBound] = {}
+    for m in ms:
+        if b is None:
+            img, escaped = power_image(spec, B, m, J)
+            lo = set_intersection(A, img).measure
+            esc = escaped.hi
+        else:
+            hit, out = _overlap(a, b, m, st.height)
+            lo, esc = hit * st.width, out * st.width
+        hi = min(lo + esc, A.measure, B.measure)
+        values[m] = MeasureBound(lo, max(lo, hi))
+    return values
 
 
 def correlation_series(spec: ConstructionSpec, A: Union[IntervalSet, Interval],
@@ -153,6 +167,6 @@ def correlation_series(spec: ConstructionSpec, A: Union[IntervalSet, Interval],
     if m_max < 0:
         raise SpecError("m_max must be nonnegative")
     M = build_stage(spec, J).total
-    values = {m: correlation(spec, A, B, m, J) for m in range(m_max + 1)}
+    values = _correlations(spec, A, B, range(m_max + 1), J)
     return CorrelationSeries(A=A, B=B, values=values,
                              target=A.measure * B.measure / M, normalization=M)

@@ -183,6 +183,35 @@ def test_consequence_bits_match_power_image(spec, J, q, data):
     assert rec.geometric_route == oracle_geometric_route(fs, j, J, z)
 
 
+def power_bits_route(fspec, j, J, z):
+    """The geometric route spelled out on level bitsets: the occurrence
+    bitset of E_j shifted by z and masked to the tower, `&` the bits of
+    E1_j, widened by the bits shifted past the top."""
+    stJ = build_stage(fspec.base, J)
+    bits, h = stJ.occurrence_bits(j), stJ.height
+    img = (bits << z) & ((1 << h) - 1) if z < h else 0
+    out = bits >> max(h - z, 0)
+    e1 = stJ.level_bits(thickened_base(fspec, j, J).E1)
+    resolved = (e1 & img).bit_count() * stJ.width
+    return MeasureBound(resolved, resolved + out.bit_count() * stJ.width)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.sampled_from(PRESETS + [ConstructionSpec.staircase(h1=3)]),
+                 st.integers(0, 10_000).map(ConstructionSpec.random_spacers)),
+       st.integers(1, 7), st.integers(1, 3), st.data())
+def test_consequence_matches_power_bits_formula(spec, J, q, data):
+    j = data.draw(st.integers(1, J))
+    h, hJ = build_stage(spec, j).height, build_stage(spec, J).height
+    assume(q + 1 <= h and hJ <= 100_000)
+    z = data.draw(st.one_of(st.integers(q, 3 * h),
+                            st.sampled_from([hJ - 1, hJ, hJ + 3])))
+    assume(z >= q)
+    fs = FlowSkeletonSpec(spec, q, F(2))
+    rec = consequence_check(fs, j, J, z)
+    assert rec.geometric_route == power_bits_route(fs, j, J, z)
+
+
 def test_consequence_z_below_q_refused():
     fs = FlowSkeletonSpec(base=ODO, grid_inverse=2, alpha=F(2))
     with pytest.raises(SpecError):

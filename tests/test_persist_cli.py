@@ -477,6 +477,27 @@ def test_cli_validation_refusal_exit_2():
                                  f"--step-a={step}")
         assert code == 2 and out == ""
         assert err == "error: step sizes must be >= 1\n"
+    # joining di has no --j: its stages come from --stages
+    code, out, err = run_cli("joining", "di", "--kind", "product", "--spec-a",
+                             "odometer", "--spec-b", "odometer", "--res", "4",
+                             "--stages", "1,2", "--epsilons", "1/2",
+                             "--j", "-7")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --j -7" in err
+
+
+def test_cli_build_past_budget_names_the_stage():
+    # the refusal names the stage asked for, not the first stage past the
+    # budget that building up to it would reach
+    code, out, err = run_cli("build", "--spec", "odometer", "--stage", "40")
+    assert code == 2 and out == ""
+    assert err == "error: stage 40 exceeds the spec stage budget 12\n"
+    code, out, err = run_cli("build", "--spec", "odometer", "--stage", "4",
+                             "--stage-budget", "3")
+    assert code == 2
+    assert err == "error: stage 4 exceeds the spec stage budget 3\n"
+    with pytest.raises(SpecError, match="stage 6 exceeds"):
+        dump_stage(ConstructionSpec.staircase(h1=2, max_stage=5), 6)
 
 
 def test_cli_orbit_escape_exit_3():

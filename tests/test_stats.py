@@ -1,13 +1,15 @@
 """Return profiles, maxima, window sums, correlations."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rankone.construction import ConstructionSpec, build_stage
+from rankone.construction import ConstructionSpec, TowerStage, build_stage
 from rankone.errors import SpecError
-from rankone.measure import Interval, IntervalSet, MeasureBound, canonicalize
+from rankone.measure import (Interval, IntervalSet, MeasureBound, canonicalize,
+                             set_intersection)
 from rankone.stats import (
     ReturnProfile,
     correlation,
@@ -16,6 +18,7 @@ from rankone.stats import (
     return_profile,
     window_sums,
 )
+from rankone.transform import power_image
 
 F = Fraction
 
@@ -238,3 +241,67 @@ class TestCorrelation:
                     for z in range(2 * hj + 1):
                         geo = correlation(spec, Ej, Ej, z, J)
                         assert geo.scale(1 / mu) == prof[z], (spec.preset, j, J, z)
+
+
+SERIES_SPECS = st.one_of(
+    st.sampled_from(PRESETS + [ConstructionSpec.staircase(h1=3)]),
+    st.integers(0, 10_000).map(ConstructionSpec.random_spacers))
+
+
+def draw_set(data, spec, J, whole_levels):
+    """A union of whole stage-k levels for some k <= J, or with
+    whole_levels False that union plus a part of one stage-J level, which
+    no union of levels of stages 1..J equals."""
+    k = data.draw(st.integers(1, J))
+    stk = build_stage(spec, k)
+    levels = data.draw(st.sets(st.integers(0, stk.height - 1), max_size=4))
+    ivs = [stk.level(i) for i in levels]
+    if not whole_levels:
+        stJ = build_stage(spec, J)
+        lvl = stJ.level(data.draw(st.integers(0, stJ.height - 1)))
+        d = data.draw(st.integers(2, 5))
+        a = data.draw(st.integers(0, d - 1))
+        b = data.draw(st.integers(a + 1, d).filter(lambda b: (a, b) != (0, d)))
+        w = lvl.length
+        ivs.append(Interval(lvl.lo + w * a / d, lvl.lo + w * b / d))
+    return canonicalize(ivs)
+
+
+class TestCorrelationSeries:
+    @settings(max_examples=60, deadline=None)
+    @given(SERIES_SPECS, st.integers(1, 4), st.booleans(), st.booleans(),
+           st.data())
+    def test_series_entries_are_correlations(self, spec, J, whole_a, whole_b,
+                                             data):
+        hJ = build_stage(spec, J).height
+        A = draw_set(data, spec, J, whole_a)
+        B = draw_set(data, spec, J, whole_b)
+        m_max = data.draw(st.integers(0, min(hJ + 3, 40)))
+        series = correlation_series(spec, A, B, m_max, J)
+        assert set(series.values) == set(range(m_max + 1))
+        for m, value in series.values.items():
+            assert value == correlation(spec, A, B, m, J), m
+
+    @settings(max_examples=40, deadline=None)
+    @given(SERIES_SPECS, st.integers(1, 4), st.data())
+    def test_kernel_matches_power_image(self, spec, J, data):
+        # level unions take the bitset kernel; the oracle pushes B through
+        # power_image, for shifts of either sign and past the tower
+        hJ = build_stage(spec, J).height
+        A = draw_set(data, spec, J, True)
+        B = draw_set(data, spec, J, True)
+        m = data.draw(st.integers(-hJ - 2, hJ + 2))
+        img, esc = power_image(spec, B, m, J)
+        lo = set_intersection(A, img).measure
+        hi = max(lo, min(lo + esc.hi, A.measure, B.measure))
+        assert correlation(spec, A, B, m, J) == MeasureBound(lo, hi)
+
+    def test_levels_made_bitsets_once_per_set(self):
+        spec = ConstructionSpec.staircase(h1=3)
+        st3 = build_stage(spec, 3)
+        A, B = st3.levels_set([0, 2]), st3.levels_set([1])
+        with mock.patch.object(TowerStage, "level_bits", autospec=True,
+                               side_effect=TowerStage.level_bits) as spy:
+            series = correlation_series(spec, A, B, 30, 5)
+        assert spy.call_count == 2
+        assert series.values[1].lo > 0
