@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import random
-import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -587,7 +586,6 @@ class TowerStage:
 
 
 _STAGES: Dict[ConstructionSpec, List[TowerStage]] = {}
-_STAGES_LOCK = threading.Lock()
 
 
 def build_stage(spec: ConstructionSpec, j: int) -> TowerStage:
@@ -596,8 +594,7 @@ def build_stage(spec: ConstructionSpec, j: int) -> TowerStage:
     Built stages are kept per spec, keyed by the whole spec with its
     max_stage: that is the identity spec_hash prints in every document,
     so no second key is needed.  The cost is that one geometry asked under
-    two stage budgets is built twice.  Stages are immutable once appended;
-    the lock keeps two threads from appending the same stage.
+    two stage budgets is built twice.  Stages are immutable once appended.
     """
     if j < 1:
         raise SpecError(f"stage index must be >= 1, got {j}")
@@ -607,10 +604,8 @@ def build_stage(spec: ConstructionSpec, j: int) -> TowerStage:
     stages = _STAGES.get(spec)
     if stages is None:
         stages = _STAGES.setdefault(spec, [TowerStage(spec, 1, None)])
-    if j > len(stages):
-        with _STAGES_LOCK:
-            while len(stages) < j:
-                stages.append(TowerStage(spec, len(stages) + 1, stages[-1]))
+    while len(stages) < j:
+        stages.append(TowerStage(spec, len(stages) + 1, stages[-1]))
     return stages[j - 1]
 
 

@@ -6,6 +6,12 @@ Persisted numbers are always "num/den" strings or num, den columns;
 decimal fields are derived conveniences named *_approx, rounded half-even
 to 12 significant digits.  No timestamps anywhere, so identical inputs
 yield identical bytes.
+
+A JSON document prints as `json.dumps(doc, sort_keys=True,
+separators=(",", ": "), indent=1)` would print it: keys sorted, one space
+of indent per level, every non-ASCII or control character as a `\\u`
+escape.  A document may hold only dicts with str keys, lists, tuples,
+str, int, bool and None; a float or any other value raises TypeError.
 """
 
 from __future__ import annotations
@@ -14,7 +20,9 @@ import json
 from decimal import ROUND_HALF_EVEN, Context
 from fractions import Fraction
 from hashlib import sha256
-from typing import Dict, Iterable, NamedTuple, Sequence, Tuple, Union
+from itertools import chain
+from json.encoder import encode_basestring_ascii
+from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import __version__
 from .construction import ConstructionSpec, TowerStage, build_stage
@@ -71,9 +79,69 @@ def render_csv(columns: Sequence[str], rows: Iterable[Sequence[object]],
     return "\n".join(lines) + "\n"
 
 
+def _render(o: object, level: int = 0) -> str:
+    """o as a JSON text, nested level deep (see the module docstring).
+
+    json.dumps takes its pure-Python encoder whenever indent is set; this
+    renders runs of strings or ints, and lists of equal-length int rows
+    (the block listings), with C-level joins and one %d template."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    inner = "\n" + " " * (level + 1)
+    sep = "," + inner
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        for k in o:
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+        body = sep.join([encode_basestring_ascii(k) + ": " + _render(v, level + 1)
+                         for k, v in sorted(o.items())])
+        return "{" + inner + body + "\n" + " " * level + "}"
+    if not isinstance(o, (list, tuple)):
+        raise TypeError(
+            f"Object of type {type(o).__name__} is not JSON serializable")
+    if not o:
+        return "[]"
+    types = set(map(type, o))
+    if types == {str}:
+        body = sep.join(map(encode_basestring_ascii, o))
+    elif types == {int}:
+        body = sep.join(map(int.__repr__, o))
+    else:
+        body = _int_rows(o, types, level + 1)
+        if body is None:
+            body = sep.join([_render(x, level + 1) for x in o])
+    return "[" + inner + body + "\n" + " " * level + "]"
+
+
+def _int_rows(rows: Sequence, types: set, level: int) -> Optional[str]:
+    """The items of a list of rows, nested level deep, when every row is a
+    non-empty list or tuple of the same length holding only plain ints
+    (bool excluded); None otherwise."""
+    if not all(issubclass(t, (list, tuple)) for t in types):
+        return None
+    widths = set(map(len, rows))
+    flat = tuple(chain.from_iterable(rows))
+    if len(widths) != 1 or set(map(type, flat)) != {int}:
+        return None
+    width, = widths
+    inner = "\n" + " " * (level + 1)
+    row = "[" + inner + ("," + inner).join(["%d"] * width) + "\n" + " " * level + "]"
+    return (",\n" + " " * level).join([row] * len(rows)) % flat
+
+
 def render_json(payload: object, **meta: object) -> str:
     doc = {"meta": {"tool_version": __version__, **meta}, "data": payload}
-    return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1)
+    return _render(doc)
 
 
 class Table(NamedTuple):
@@ -135,5 +203,5 @@ def dump_stage(spec: ConstructionSpec, J: int) -> str:
     doc = {"format": STAGE_FORMAT, "tool_version": __version__,
            "spec": json.loads(spec.canonical_json()),
            "spec_hash": spec_hash(spec), "J": J, "stages": stages}
-    return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1)
+    return _render(doc)
 

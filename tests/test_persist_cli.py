@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import namedtuple
 from fractions import Fraction as F
 from hashlib import sha256
 from pathlib import Path
@@ -30,6 +31,7 @@ from rankone.persist import (
     frac_str,
     meta_line,
     parse_frac,
+    render_json,
     spec_hash,
 )
 from rankone.stats import correlation_series, return_profile
@@ -87,6 +89,52 @@ def test_meta_line_sorted_and_versioned():
     assert doc["a"] == 1 and doc["b"] == 2
     assert doc["tool_version"] == rankone.__version__
     assert list(doc) == sorted(doc)
+
+
+# ------------------------------------------------------------ JSON rendering
+
+def oracle_json(doc):
+    """The bytes of the JSON documents, as the standard library prints them."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1)
+
+
+Pair = namedtuple("Pair", "first second")
+
+_strings = st.text(max_size=6) | st.sampled_from(
+    ['"', "\\", 'a"b\\c', "\x00\x1f\n\t\x7f", "é", "\u2028", "ꙮ\U0001f600"])
+_ints = st.integers() | st.integers(min_value=-10**40, max_value=10**40)
+_scalars = st.none() | st.booleans() | _ints | _strings
+
+
+def _rows(cell):
+    return st.integers(0, 3).flatmap(lambda w: st.lists(
+        st.lists(cell, min_size=w, max_size=w)
+        | st.tuples(*[cell] * w) | st.builds(Pair, cell, cell), min_size=1))
+
+
+_leaves = (_scalars | st.lists(_ints, min_size=1) | st.lists(_strings, min_size=1)
+           | _rows(_ints) | _rows(st.integers(0, 2) | st.booleans())
+           | _rows(_strings) | st.lists(st.lists(_ints), min_size=1))
+_json_trees = st.recursive(_leaves, lambda kids: (
+    st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(_strings, kids, max_size=4) | st.builds(Pair, kids, kids)),
+    max_leaves=12)
+
+
+@given(_json_trees, st.dictionaries(_strings, _scalars, max_size=3))
+def test_render_json_matches_json_dumps(payload, meta):
+    doc = {"meta": {"tool_version": rankone.__version__, **meta}, "data": payload}
+    assert render_json(payload, **meta) == oracle_json(doc)
+
+
+@pytest.mark.parametrize("bad", [
+    0.5, F(1, 2), {1: "one"}, {"a": [1, 2.0]}, [[1, 2], [3, 4.0]],
+    [[1, 2], [3, F(4)]], [Pair(1, 2), Pair(3, 0.0)], object()],
+    ids=["float", "fraction", "int-key", "float-in-run", "float-in-rows",
+         "fraction-in-rows", "float-in-namedtuple-rows", "object"])
+def test_render_json_refuses_non_json_values(bad):
+    with pytest.raises(TypeError):
+        render_json(bad)
 
 
 # ------------------------------------------------------------ stage records
@@ -662,3 +710,44 @@ def test_cli_format_matrix_bytes(argv, fmt):
     assert code == 0, err
     digest = FORMAT_MATRIX[argv][0 if fmt == "csv" else 1]
     assert sha256(out.encode()).hexdigest() == digest
+
+
+# Every command that prints JSON, on small inputs, including those the
+# benchmark catalogue never runs: each document must be printed exactly as
+# the standard library prints the value it parses to.
+JSON_COMMANDS = {
+    "build": ("build", "--spec", "staircase", "--stage", "4"),
+    "orbit": ("orbit", "--spec", "staircase", "--x", "1/7", "--steps", "6"),
+    "blum-hanson": ("blum-hanson", "--spec", "odometer", "--weights", "WEIGHTS",
+                    "--f", "0", "--res", "4"),
+    "joining-light-product": (
+        "joining", "light", "--kind", "product", "--spec-a", "staircase",
+        "--spec-b", "chacon", "--j", "2", "--res", "4", "--epsilon", "1/4"),
+    "joining-light-graph": (
+        "joining", "light", "--kind", "graph", "--spec", "staircase", "--k",
+        "1", "--j", "3", "--res", "6", "--epsilon", "1/64"),
+    "joining-di": ("joining", "di", "--kind", "graph", "--spec", "staircase",
+                   "--k", "1", "--res", "5", "--stages", "2,3",
+                   "--epsilons", "1/4,1/2"),
+    "joining-disperse": (
+        "joining", "disperse", "--spec-a", "odometer", "--spec-b", "odometer",
+        "--x-a", "0/1", "--x-b", "0/1", "-N", "16", "--z", "0,0",
+        "--n-list", "0,1", "--j", "2", "--res", "6"),
+    "joining-trivialize": (
+        "joining", "trivialize", "--kind", "product", "--spec-a", "staircase",
+        "--spec-b", "chacon", "--j", "3", "--res", "5", "--delta", "1/4",
+        "--w", "0", "--shifts", "0,1", "--A", "0", "--B", "0",
+        "--cond-stage", "1"),
+    **{"-".join(a for a in argv[:2] if not a.startswith("-")) + "-json":
+       (*argv, "--format", "json") for argv in FORMAT_MATRIX},
+}
+
+
+@pytest.mark.parametrize("name", list(JSON_COMMANDS))
+def test_cli_json_documents_are_fixed_points(name, tmp_path):
+    wf = tmp_path / "w.json"
+    wf.write_text(json.dumps({"0": "1/2", "1": "1/2"}))
+    argv = [str(wf) if a == "WEIGHTS" else a for a in JSON_COMMANDS[name]]
+    code, out, err = run_cli(*argv)
+    assert code == 0, err
+    assert out == oracle_json(json.loads(out)) + "\n"
