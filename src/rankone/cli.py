@@ -245,7 +245,7 @@ def cmd_joining_light(args: argparse.Namespace) -> str:
             "covered_mass_approx": approx_str(rep.covered_mass),
             "total_blocks": rep.total_blocks,
             "heavy_count": rep.heavy_count,
-            "light": sorted(rep.light_set)}
+            "light": list(rep.light_set)}
     meta = matrix_meta(m)
     meta["command"] = "joining light"
     return render_json(data, **meta) + "\n"

@@ -38,10 +38,6 @@ __all__ = [
     "base_occurrences",
 ]
 
-# Stages up to this height keep their level intervals materialized; taller
-# stages answer level queries through TowerStage.cell instead.
-MATERIALIZE_LIMIT = 1024
-
 
 def _check_int(name: str, value: object, minimum: Optional[int] = None) -> None:
     """Refuse anything but a genuine int (bool and float included) below
@@ -328,15 +324,15 @@ class TowerStage:
 
     Levels are indexed 0..height-1 from the base up.  Their geometry is
     integer: level i is the cell [c w, (c+1) w) for c = cell(i), and the
-    cells 0..height-1 tile the ambient [0, M).  Stages up to
-    MATERIALIZE_LIMIT keep their level intervals in a table; taller stages
-    answer level queries through cell(i), one descent to stage 1.
+    cells 0..height-1 tile the ambient [0, M).  A stage holds O(r_j)
+    integers; level queries go through cell(i), one descent to stage 1,
+    and level_cells and stage_name build a whole stage's cells or
+    coarse-stage levels on request.
     """
 
     __slots__ = (
         "spec", "stage", "height", "width", "total", "prev",
         "cut", "spacers", "offsets", "spacer_cum",
-        "_levels",
     )
 
     def __init__(self, spec: ConstructionSpec, stage: int, prev: Optional["TowerStage"]):
@@ -370,11 +366,6 @@ class TowerStage:
             self.spacer_cum = tuple(cum)
             self.height = offsets[-1] + prev.height + s[-1]
             self.total = prev.total + self.width * cum[-1]
-        self._levels: Optional[Tuple[Interval, ...]] = None
-        if self.height <= MATERIALIZE_LIMIT:
-            w = self.width
-            self._levels = tuple(Interval(c * w, (c + 1) * w)
-                                 for c in self.level_cells())
 
     # -- level geometry ----------------------------------------------------
     #
@@ -430,13 +421,11 @@ class TowerStage:
         return cells
 
     def level(self, i: int) -> Interval:
-        if self._levels is not None and 0 <= i < self.height:
-            return self._levels[i]
         lo = self.cell(i) * self.width
         return Interval(lo, lo + self.width)
 
     def level_lo(self, i: int) -> Fraction:
-        return self.level(i).lo
+        return self.cell(i) * self.width
 
     @property
     def base(self) -> Interval:
@@ -463,6 +452,21 @@ class TowerStage:
         return self.level_of_cell(x // self.width)
 
     # -- lineage -----------------------------------------------------------
+
+    def stage_name(self, j: int) -> Sequence[Optional[int]]:
+        """ancestor_index(i, j) for every level i, as one word: range(h_j)
+        at stage j, and at a later stage, for each column c, the previous
+        stage's name followed by s_c Nones.  Built by C-level
+        concatenation on each call; nothing is kept."""
+        if not (1 <= j <= self.stage):
+            raise SpecError(f"ancestor stage {j} out of range")
+        if j == self.stage:
+            return range(self.height)
+        prev, name = self.prev.stage_name(j), []
+        for s in self.spacers:
+            name += prev
+            name += (None,) * s
+        return tuple(name)
 
     def ancestor_index(self, i: int, k: int) -> Optional[int]:
         """Level of stage k containing level i of this stage, or None if the

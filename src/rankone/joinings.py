@@ -15,9 +15,9 @@ from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, islice, tee
-from typing import (Dict, FrozenSet, Iterator, List, NamedTuple, Optional,
-                    Sequence, Tuple)
+from itertools import compress, islice, product, repeat, tee
+from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from .averaging import WeightSequence, average_apply, flatness
 from .construction import ConstructionSpec, build_stage
@@ -64,8 +64,8 @@ class UniformBlockMasses(Mapping):
 
     A read-only Mapping from BlockIndex to Fraction: [], get, `in` and len
     are O(1); iteration yields the h_a * h_b blocks in row-major order,
-    which is sorted order, and costs O(h_a h_b) only when a caller
-    iterates.
+    which is sorted order, at C level, and costs O(h_a h_b) only when a
+    caller iterates.
     """
 
     __slots__ = ("h_a", "h_b", "per")
@@ -80,8 +80,9 @@ class UniformBlockMasses(Mapping):
         raise KeyError(z)
 
     def __iter__(self) -> Iterator[BlockIndex]:
-        return (BlockIndex(z1, z2)
-                for z1 in range(self.h_a) for z2 in range(self.h_b))
+        # BlockIndex._make on each pair, at C level
+        return map(tuple.__new__, repeat(BlockIndex),
+                   product(range(self.h_a), range(self.h_b)))
 
     def __len__(self) -> int:
         return self.h_a * self.h_b
@@ -274,12 +275,14 @@ def empirical_joining(spec_a: ConstructionSpec, spec_b: ConstructionSpec,
 @dataclass(frozen=True)
 class LightBlockReport:
     """Blocks whose mass falls strictly below epsilon times the base
-    measure, and the total joining mass they carry."""
+    measure, and the total joining mass they carry.  light_set maps each
+    light block to its mass in row-major order, which is sorted order; for
+    an all-light uniform grid it is the matrix's UniformBlockMasses."""
 
     epsilon: Fraction
     j: int
     kind: str
-    light_set: FrozenSet[BlockIndex]
+    light_set: Mapping[BlockIndex, Fraction]
     covered_mass: Fraction
     total_blocks: int
 
@@ -296,20 +299,20 @@ def light_blocks(m: BlockMassMatrix, epsilon: RationalLike) -> LightBlockReport:
     masses = m.masses
     if isinstance(masses, UniformBlockMasses):
         # one mass for every block: all blocks are light or none is
-        light = masses if masses.per < threshold else ()
+        light = masses if masses.per < threshold else {}
         covered = masses.per * len(light)
     else:
-        light = []
+        light = {}
         covered = Fraction(0)
         for z1 in range(m.h_a):
             for z2 in range(m.h_b):
                 z = BlockIndex(z1, z2)
                 mass = m.mass(z)
                 if mass < threshold:
-                    light.append(z)
+                    light[z] = mass
                     covered += mass
     return LightBlockReport(epsilon=eps, j=m.j, kind=m.kind,
-                            light_set=frozenset(light), covered_mass=covered,
+                            light_set=light, covered_mass=covered,
                             total_blocks=m.h_a * m.h_b)
 
 

@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
-from typing import Iterable, Iterator, Optional, Tuple, Union
+from math import lcm
+from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
-from .construction import ConstructionSpec, build_stage
+from .construction import ConstructionSpec, TowerStage, build_stage
 from .errors import OrbitEscaped, SpecError
 from .measure import (
     Interval,
@@ -45,25 +46,35 @@ class OrbitPoint:
         object.__setattr__(self, "x", as_fraction(self.x))
 
 
+# A cursor reads its orbit off copies of its coarse stage: the deepest
+# stage at most this many levels tall.  One copy is one slice of the stage
+# name in levels and one list of integer cells in x.
+COARSE_LIMIT = 1024
+
+
 class Cursor:
     """Mutable orbit-iteration state: (stage, level index, offset within the
     level).  Stepping is O(1) integer work except at tower tops and bottoms,
-    where the representation refines one stage and retries; forward(n) moves
-    n steps with one add per tower top it meets.
+    where the representation refines one stage and retries; forward(n) and
+    backward(n) move n steps with one add per tower top or bottom they meet.
 
     Questions about a coarser stage k are answered per run, one copy of
     the stage-k tower or one spacer run (TowerStage.ancestor_run).  The
     cursor keeps a descent chain per k, so a query restarts inside the
     current copy, and the next run's descent starts at the smallest cached
     copy still holding the level: amortized O(1) stages per run forward.
-    level_run(j) and levels(j) read stage-j runs from the chain; x keeps
-    the last run of the deepest materialized stage k and reads it as
-    levels_k[i - lo].lo + shift + u, the shift of a copy run being
-    level_lo(lo).  The run and the chains belong to the stage object, so a
-    refinement drops them all."""
+    level_run(j) reads stage-j runs from the chain.  levels(j) and x read
+    runs of the coarse stage m, the deepest stage at most COARSE_LIMIT
+    levels tall (levels never goes below stage j): a copy run starting at
+    level lo holds the stage-m levels 0..h_m-1, so levels slices the stage
+    name of m (TowerStage.stage_name) and x reads the point at level i as
+    cells_m[i - lo] * w_m + cell(lo) * w + u, one integer numerator over
+    one denominator per run.  Names and cells are built once per cursor;
+    the x run and the chains belong to the stage object, so a refinement
+    drops them."""
 
     __slots__ = ("spec", "budget", "stage_obj", "index", "u", "refinements",
-                 "_xrun", "_chains")
+                 "_xrun", "_chains", "_words")
 
     def __init__(self, spec: ConstructionSpec, x, stage_budget: Optional[int] = None):
         x = as_fraction(x)
@@ -86,32 +97,59 @@ class Cursor:
         self.index = st.level_of_cell(c)
         self.u = x - c * st.width
         self.refinements = 0
-        # _xrun: (levels_k, lo, hi, lo or None on a spacer run, shift + u);
-        # _chains: k -> ancestor_run chain
+        # _xrun: (lo, hi, cells or None, scale, add, den), the point at
+        # level i of [lo, hi) being (cells[i - lo] or cell(i)) * scale + add
+        # over den; _chains: k -> ancestor_run chain; _words: (m, j) ->
+        # stage name, (m, None) -> level cells of the coarse stage m
         self._xrun = None
         self._chains = {}
+        self._words = {}
 
     def _ancestor_run(self, k: int) -> Tuple[int, int, bool]:
         return self.stage_obj.ancestor_run(self.index, k,
                                            self._chains.setdefault(k, []))
 
+    def _coarse(self, j: int = 1) -> TowerStage:
+        """The deepest stage, between j and the cursor's stage, at most
+        COARSE_LIMIT levels tall; stage j if none is."""
+        st = self.stage_obj
+        while st.stage > j and st.height > COARSE_LIMIT:
+            st = st.prev
+        return st
+
+    def _word(self, m: TowerStage, j: Optional[int]) -> Sequence[Optional[int]]:
+        key = (m.stage, j)
+        word = self._words.get(key)
+        if word is None:
+            word = self._words[key] = (m.level_cells() if j is None
+                                       else m.stage_name(j))
+        return word
+
     @property
     def x(self) -> Fraction:
-        st, i = self.stage_obj, self.index
+        i = self.index
         run = self._xrun
-        if run is None or not run[1] <= i < run[2]:
-            levels = st
-            while levels is not None and levels._levels is None:
-                levels = levels.prev
-            if levels is None:
-                return st.level_lo(i) + self.u
-            lo, hi, copy = self._ancestor_run(levels.stage)
-            # u changes only with the stage object, so shift + u is per run
-            run = self._xrun = (levels._levels, lo, hi, lo if copy else None,
-                                st.level_lo(lo) + self.u if copy else None)
-        if run[3] is None:
-            return st.level_lo(i) + self.u
-        return run[0][i - run[3]].lo + run[4]
+        if run is None or not run[0] <= i < run[1]:
+            run = self._xrun = self._x_run()
+        lo, _, cells, scale, add, den = run
+        c = self.stage_obj.cell(i) if cells is None else cells[i - lo]
+        return Fraction(c * scale + add, den)
+
+    def _x_run(self) -> tuple:
+        st, u = self.stage_obj, self.u
+        w = st.width
+        den = lcm(w.denominator, u.denominator)
+        scale = w.numerator * (den // w.denominator)
+        add = u.numerator * (den // u.denominator)
+        m = self._coarse()
+        if m.height > COARSE_LIMIT:
+            return 0, st.height, None, scale, add, den
+        lo, hi, copy = self._ancestor_run(m.stage)
+        if not copy:
+            return lo, hi, None, scale, add, den
+        # a copy of m at lo: stage-m cell p is cell p * (w_m / w) + cell(lo)
+        return (lo, hi, self._word(m, None), scale * (m.width // w),
+                st.cell(lo) * scale + add, den)
 
     def _refine(self, steps_done: int) -> None:
         st = self.stage_obj
@@ -151,12 +189,24 @@ class Cursor:
                 steps_done += 1
                 n -= 1
 
+    def backward(self, n: int, steps_done: int = 0) -> None:
+        """n backward steps: one integer subtraction down to the tower
+        bottom, and one refinement wherever a step leaves it."""
+        while n > 0:
+            room = min(self.index, n)
+            self.index -= room
+            steps_done += room
+            n -= room
+            if n:
+                self.step_backward(steps_done)
+                steps_done += 1
+                n -= 1
+
     def advance(self, n: int) -> None:
         if n >= 0:
             self.forward(n)
-            return
-        for k in range(-n):
-            self.step_backward(k)
+        else:
+            self.backward(-n)
 
     def refine_to(self, j: int, steps_done: int = 0) -> None:
         """Refine the representation until the cursor's stage is at least j."""
@@ -182,9 +232,10 @@ class Cursor:
     def levels(self, j: int, step: int = 1) -> Iterator[Optional[int]]:
         """The stage-j level of each tick of the orbit (None in spacer
         mass unborn at stage j), tick 0 at the current point refined to
-        stage j and each later tick `step` forward steps on: one range or
-        run of None per stage-j run, so ticks cost C-level work.  The cursor
-        moves when the first tick past a run is asked for."""
+        stage j and each later tick `step` forward steps on: one slice of
+        a stage name per coarse copy, or one run of None per spacer run,
+        so ticks cost C-level work.  The cursor moves when the first tick
+        past a run is asked for."""
         if step < 1:
             raise SpecError("step sizes must be >= 1")
         return chain.from_iterable(self._level_runs(j, step))
@@ -192,12 +243,16 @@ class Cursor:
     def _level_runs(self, j: int, step: int) -> Iterator[Iterable[Optional[int]]]:
         self.refine_to(j)
         done = 0
+        st = None
         while True:
+            if self.stage_obj is not st:
+                st = self.stage_obj
+                m = self._coarse(j)
+                name = self._word(m, j)
             i = self.index
-            lo, hi, copy = self._ancestor_run(j)
+            lo, hi, copy = self._ancestor_run(m.stage)
             span = -(-(hi - i) // step)
-            yield (range(i - lo, i - lo + span * step, step) if copy
-                   else repeat(None, span))
+            yield name[i - lo:hi - lo:step] if copy else repeat(None, span)
             self.forward(span * step, done)
             done += span * step
 

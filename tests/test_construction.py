@@ -110,9 +110,8 @@ class TestGeometry:
         assert st_.locate(st_.total) is None
 
     def test_locate_beyond_materialization(self):
-        # staircase stage 7 has height 2415 > the materialization cutoff
+        # staircase stage 7 has height 2415, past the cursors' coarse limit
         st_ = build_stage(ConstructionSpec.staircase(), 7)
-        assert st_._levels is None
         for i in (0, 1, 1000, st_.height - 1):
             lv = st_.level(i)
             assert lv.length == st_.width
@@ -463,6 +462,22 @@ class TestAncestorRuns:
             # maximal: the levels just outside a spacer run lie in stage-k copies
             assert lo == 0 or oracle_ancestor(stR, lo - 1, k) is not None
             assert hi == stR.height or oracle_ancestor(stR, hi, k) is not None
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(st.sampled_from(PRESETS + (ConstructionSpec.staircase(h1=3),)),
+                     st.integers(0, 10_000).map(ConstructionSpec.random_spacers)),
+           st.integers(min_value=1, max_value=6),
+           st.integers(min_value=1, max_value=6))
+    def test_stage_name_is_every_ancestor(self, spec, R, j):
+        j = min(j, R)
+        stR = build_stage(spec, R)
+        name = stR.stage_name(j)
+        assert list(name) == [oracle_ancestor(stR, i, j)
+                              for i in range(stR.height)]
+        assert isinstance(name, range if j == R else tuple)
+        for bad in (0, R + 1):
+            with pytest.raises(SpecError):
+                stR.stage_name(bad)
 
     def test_own_stage_is_one_copy(self):
         st5 = build_stage(ConstructionSpec.staircase(), 5)

@@ -317,6 +317,21 @@ def test_light_product_threshold_flip():
     assert above.covered_mass == m.total_block_mass
 
 
+def test_light_sets_are_row_major_with_masses():
+    # the listing prints light_set in iteration order, unsorted: a uniform
+    # grid lends its own masses, a dict matrix lists blocks row by row
+    m = product_blocks(ST2, ST3, 3, 4)
+    above = light_blocks(m, m.level_mass_a + F(1, 1000))
+    assert above.light_set is m.masses
+    assert list(above.light_set) == sorted(above.light_set)
+    assert all(type(z) is BlockIndex for z in above.light_set)
+    for m in (graph_blocks(ST2, 1, 3, 5), graph_blocks(ODO, 0, 3, 5)):
+        rep = light_blocks(m, F(1, 2))
+        assert rep.light_set and list(rep.light_set) == sorted(rep.light_set)
+        assert all(v == m.mass(z) for z, v in rep.light_set.items())
+        assert rep.covered_mass == sum(rep.light_set.values())
+
+
 def test_light_graph_k0():
     m = graph_blocks(ODO, 0, 2, 4)
     r = light_blocks(m, F(1, 2))

@@ -2,6 +2,8 @@
 
 import time
 from fractions import Fraction
+from itertools import islice
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,7 @@ from rankone.measure import (
     set_difference,
     set_intersection,
 )
+from rankone import transform
 from rankone.transform import Cursor, OrbitPoint, apply_power, power_image
 
 F = Fraction
@@ -351,7 +354,7 @@ class TestCursorRuns:
 
     def test_run_cache_follows_refinement(self):
         # the odometer orbit of 1/3 refines 12 times in 3000 steps, from
-        # stage 1 to stage 13 (heights past the materialization limit); each
+        # stage 1 to stage 13 (heights past the coarse limit); each
         # refinement moves it to a new stage object with its own runs
         cur = Cursor(ConstructionSpec.odometer(max_stage=20), F(1, 3))
         for _ in range(3000):
@@ -360,6 +363,125 @@ class TestCursorRuns:
             assert cur.x == st_.level_lo(cur.index) + cur.u
             cur.step_forward()
         assert cur.refinements == 12
+
+
+COARSE_SPECS = WALK_SPECS + [ConstructionSpec.staircase(h1=3)]
+# coarse limits: 1 makes stage j (or, for x, no stage) the coarse stage;
+# small ones put coarse copies and their spacer runs a few stages above j
+COARSE_LIMITS = st.sampled_from([1, 3, 10, 50, transform.COARSE_LIMIT])
+STARTS = st.fractions(min_value=0, max_value=F(99, 100), max_denominator=997)
+
+
+def escape_outcome(exc):
+    return str(exc), exc.point, exc.steps_done
+
+
+def oracle_levels(spec, x, budget, j, step, ticks):
+    """The stage-j level of each tick by single steps and the stage
+    object's ancestor_index; the escape outcome, or the stage the
+    cursor sits at on the last tick."""
+    cur = Cursor(spec, x, stage_budget=budget)
+    out, done = [], 0
+    try:
+        cur.refine_to(j)
+        for t in range(ticks):
+            if t:
+                for _ in range(step):
+                    cur.step_forward(done)
+                    done += 1
+            out.append(cur.stage_obj.ancestor_index(cur.index, j))
+    except OrbitEscaped as exc:
+        return out, escape_outcome(exc)
+    return out, cur.stage_obj.stage
+
+
+class TestCoarseRuns:
+    """levels and x read copies of the coarse stage (the deepest stage at
+    most COARSE_LIMIT levels tall); both are checked per tick against the
+    stage object, with the limit varied so that copies and spacer runs of
+    stages above j, and escapes part-way through a copy, all occur."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(COARSE_SPECS), STARTS, COARSE_LIMITS,
+           st.integers(min_value=1, max_value=7),
+           st.integers(min_value=1, max_value=4),
+           st.integers(min_value=1, max_value=3),
+           st.integers(min_value=1, max_value=600))
+    def test_levels_match_per_tick_oracle(self, spec, x, limit, budget, j,
+                                          step, ticks):
+        budget = min(budget, spec.max_stage)
+        if j > budget:
+            return
+        expected, end = oracle_levels(spec, x, budget, j, step, ticks)
+        got = []
+        with mock.patch.object(transform, "COARSE_LIMIT", limit):
+            cur = Cursor(spec, x, stage_budget=budget)
+            try:
+                for z in islice(cur.levels(j, step), ticks):
+                    got.append(z)
+            except OrbitEscaped as exc:
+                assert escape_outcome(exc) == end
+            else:
+                assert cur.stage_obj.stage == end
+        assert got == expected
+
+    def test_levels_slice_coarse_copies_above_j(self):
+        # staircase stages 3..6 are 5, 18, 78 and 400 levels tall: with the
+        # limit at 100 a stage-7 cursor reads stage-5 copies for j = 3, and
+        # a budget of 7 ends the stream inside one
+        spec = ConstructionSpec.staircase()
+        with mock.patch.object(transform, "COARSE_LIMIT", 100):
+            cur = Cursor(spec, F(1, 3), stage_budget=7)
+            cur.refine_to(7)
+            assert cur._coarse(3).stage == 5
+            ticks = 2 * build_stage(spec, 7).height
+            got = []
+            with pytest.raises(OrbitEscaped) as exc:
+                got.extend(islice(cur.levels(3, 2), ticks))
+        expected, end = oracle_levels(spec, F(1, 3), 7, 3, 2, ticks)
+        assert escape_outcome(exc.value) == end
+        assert got == expected and None in got
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(COARSE_SPECS), STARTS, COARSE_LIMITS,
+           st.integers(min_value=1, max_value=8),
+           st.lists(st.integers(min_value=-60, max_value=200),
+                    min_size=1, max_size=6))
+    def test_x_is_cell_times_width_plus_u(self, spec, x, limit, budget, moves):
+        with mock.patch.object(transform, "COARSE_LIMIT", limit):
+            cur = Cursor(spec, x, stage_budget=budget)
+            assert cur.x == F(x)
+            try:
+                for n in moves:
+                    for _ in range(abs(n)):
+                        if n > 0:
+                            cur.step_forward()
+                        else:
+                            cur.step_backward()
+                        st_ = cur.stage_obj
+                        assert cur.x == st_.cell(cur.index) * st_.width + cur.u
+            except OrbitEscaped as exc:
+                st_ = cur.stage_obj
+                assert exc.point == st_.cell(cur.index) * st_.width + cur.u
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(COARSE_SPECS), STARTS,
+           st.integers(min_value=1, max_value=8),
+           st.integers(min_value=1, max_value=3000))
+    def test_advance_backward_matches_step_loop(self, spec, x, budget, n):
+        cur = Cursor(spec, x, stage_budget=budget)
+        twin = Cursor(spec, x, stage_budget=budget)
+        try:
+            for k in range(n):
+                twin.step_backward(k)
+        except OrbitEscaped as exc:
+            with pytest.raises(OrbitEscaped) as got:
+                cur.advance(-n)
+            assert escape_outcome(got.value) == escape_outcome(exc)
+            return
+        cur.advance(-n)
+        assert (cur.stage_obj, cur.index, cur.u, cur.refinements, cur.x) == (
+            twin.stage_obj, twin.index, twin.u, twin.refinements, twin.x)
 
 
 class TestImageSet:
