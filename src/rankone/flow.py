@@ -120,8 +120,9 @@ def windowed_return_flow(fspec: FlowSkeletonSpec, j: int, J: int,
     the componentwise max over the range.  The window values are computed
     by statistics.window_sums on the stage profile, so they agree with it
     exactly.  q defaults to the skeleton's grid_inverse; q = 0 degenerates
-    to the plain return profile."""
-    zs = sorted(set(z_range))
+    to the plain return profile.  An ascending range is used without listing it."""
+    zs = (z_range if isinstance(z_range, range) and z_range.step > 0
+          else sorted(set(z_range)))
     if not zs:
         raise SpecError("z_range is empty")
     if zs[0] < 0:

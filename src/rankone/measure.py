@@ -233,10 +233,12 @@ class MeasureBound:
     hi: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", as_fraction(self.lo))
-        object.__setattr__(self, "hi", as_fraction(self.hi))
-        if not (0 <= self.lo <= self.hi):
-            raise ValueError(f"invalid measure bound [{self.lo}, {self.hi}]")
+        lo, hi = self.lo, self.hi
+        if not (isinstance(lo, Fraction) and isinstance(hi, Fraction)):
+            object.__setattr__(self, "lo", lo := as_fraction(lo))
+            object.__setattr__(self, "hi", hi := as_fraction(hi))
+        if lo.numerator < 0 or lo.numerator * hi.denominator > hi.numerator * lo.denominator:
+            raise ValueError(f"invalid measure bound [{lo}, {hi}]")
 
     @classmethod
     def exact(cls, value: RationalLike) -> "MeasureBound":

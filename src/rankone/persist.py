@@ -22,6 +22,7 @@ from fractions import Fraction
 from hashlib import sha256
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import __version__
@@ -36,6 +37,9 @@ STAGE_FORMAT = 1
 BOUND_COLUMNS = ("lo_num", "lo_den", "hi_num", "hi_den")
 
 _APPROX_CTX = Context(prec=12, rounding=ROUND_HALF_EVEN)
+_FRACTION_INTS = attrgetter("numerator", "denominator")
+_BOUND_INTS = attrgetter("lo.numerator", "lo.denominator",
+                         "hi.numerator", "hi.denominator")
 
 
 def frac_str(x: Union[Fraction, int]) -> str:
@@ -52,9 +56,7 @@ def parse_frac(s: str) -> Fraction:
 
 def approx_str(x: Union[Fraction, int]) -> str:
     """Approximate decimal rendering, 12 significant digits, half-even."""
-    f = as_fraction(x)
-    d = _APPROX_CTX.divide(f.numerator, f.denominator)
-    return str(d)
+    return str(_APPROX_CTX.divide(*_FRACTION_INTS(as_fraction(x))))
 
 
 def spec_hash(spec: ConstructionSpec) -> str:
@@ -70,13 +72,6 @@ def meta_line(**params: object) -> str:
     meta = {"tool_version": __version__}
     meta.update(params)
     return "# " + json.dumps(meta, sort_keys=True, separators=(", ", ": "))
-
-
-def render_csv(columns: Sequence[str], rows: Iterable[Sequence[object]],
-               **meta: object) -> str:
-    lines = [meta_line(**meta), ",".join(columns)]
-    lines.extend(",".join(str(c) for c in row) for row in rows)
-    return "\n".join(lines) + "\n"
 
 
 def _render(o: object, level: int = 0) -> str:
@@ -145,37 +140,39 @@ def render_json(payload: object, **meta: object) -> str:
 
 
 class Table(NamedTuple):
-    """The result of a command that prints CSV or JSON: (key, value) rows
-    in print order, a key an int or a tuple of ints, a value a Fraction or
-    a MeasureBound.  columns name the CSV columns: the key's parts, then
-    the value's numerators and denominators (BOUND_COLUMNS for a bound)."""
+    """The result of a command that prints CSV or JSON: rows of plain ints
+    in print order, under the CSV column names.  A row is a key's parts (a
+    key is an int or a tuple of ints), then its value's numerators and
+    denominators: a MeasureBound when the columns end in BOUND_COLUMNS,
+    else a Fraction."""
 
     columns: Tuple[str, ...]
-    rows: Sequence[Tuple[object, object]]
+    rows: Sequence[Tuple[int, ...]]
     meta: Dict[str, object]
 
-
-def _key_parts(key: object) -> tuple:
-    return key if isinstance(key, tuple) else (key,)
-
-
-def _numbers(value: object) -> tuple:
-    if isinstance(value, MeasureBound):
-        return (value.lo.numerator, value.lo.denominator,
-                value.hi.numerator, value.hi.denominator)
-    return value.numerator, value.denominator
+    @classmethod
+    def of(cls, columns: Tuple[str, ...], items: Iterable[Tuple[object, object]],
+           meta: Dict[str, object]) -> "Table":
+        """The table of (key, value) pairs, in their order."""
+        return cls(columns, [(*(k if isinstance(k, tuple) else (k,)), *(
+            _BOUND_INTS(v) if isinstance(v, MeasureBound) else _FRACTION_INTS(v)))
+            for k, v in items], meta)
 
 
 def render_table(table: Table, fmt: str) -> str:
-    """The table as a document in fmt, "csv" or "json", rendering only
-    that format.  A JSON entry is keyed by the key's parts joined by ","."""
+    """The table as a document in fmt, "csv" (one %d template a row) or
+    "json" (entries keyed by the key's parts joined by ","), only that one."""
+    columns, rows, meta = table
     if fmt == "csv":
-        return render_csv(table.columns, ((*_key_parts(k), *_numbers(v))
-                                          for k, v in table.rows), **table.meta)
-    data = {",".join(map(str, _key_parts(k))):
-            bound_json(v) if isinstance(v, MeasureBound) else frac_str(v)
-            for k, v in table.rows}
-    return render_json(data, **table.meta) + "\n"
+        row = ",".join(["%d"] * len(columns)) + "\n"
+        return (f"{meta_line(**meta)}\n{','.join(columns)}\n"
+                + (row * len(rows)) % tuple(chain.from_iterable(rows)))
+    width = len(columns) - (4 if columns[-4:] == BOUND_COLUMNS else 2)
+    values = ((r[:width], [Fraction(*r[i:i + 2]) for i in range(width, len(r), 2)])
+              for r in rows)
+    data = {",".join(map(str, key)): frac_str(*v) if len(v) == 1
+            else bound_json(MeasureBound(*v)) for key, v in values}
+    return render_json(data, **meta) + "\n"
 
 
 # ------------------------------------------------------------- stage records

@@ -1,16 +1,17 @@
 """Return-time statistics with two-sided bounds.
 
 Sets made of whole stage-J levels are held as int bitsets over the levels,
-and one kernel, `_overlap`, resolves mu(A intersect T^m B) on them: the
-levels i of B with i + m in A are the popcount of a shifted `&`, and the
-levels pushed past the top (m > 0) or below the bottom (m < 0) escape, so
-their mass, w_J apiece, could land anywhere and widens the upper bound.
+and one kernel, `_counts`, gives mu(A intersect T^m B) on them for a range
+of shifts m as two count vectors: the levels i of B with i + m in A (a
+shifted `&`), and the levels pushed past the top (m > 0) or below the
+bottom (m < 0), one prefix count of B's bits per edge.  Escaped mass, w_J
+a level, could land anywhere and widens the upper bound.  ROADMAP item 2's
+windowed pair counts will fill these vectors without an h_J-bit set.
 
-The conditional return quantity a^z_j = mu(T^z E_j | E_j) is that overlap
-with A = B = E_j, held as its occurrence bitset.  Dividing by
-mu(E_j) = |S| w_J keeps everything rational and makes the unknown global
-normalization cancel.  Correlations of level unions run the same kernel,
-converting A and B once per call; any other set goes through power_image.
+Bounds are the counts over one shared denominator, one Fraction per
+distinct count: |S| for a^z_j = mu(T^z E_j | E_j), S the occurrences of
+E_j (dividing by mu(E_j) = |S| w_J cancels the unknown global
+normalization), 1/w_J for level unions; other sets go through power_image.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from typing import Dict, FrozenSet, Iterable, Tuple, Union
+from typing import Callable, Dict, FrozenSet, List, Tuple, Union
 
 from .construction import ConstructionSpec, build_stage
 from .errors import SpecError
@@ -37,13 +38,46 @@ __all__ = [
 ]
 
 
-def _overlap(a: int, b: int, m: int, h: int) -> Tuple[int, int]:
-    """(resolved, escaped) level counts of A intersect T^m B for level
-    bitsets a, b of a height-h tower: the levels i of B with i + m in A,
-    and those with i + m outside [0, h)."""
-    if m >= 0:
-        return ((a >> m) & b).bit_count(), (b >> max(h - m, 0)).bit_count()
-    return (a & (b >> -m)).bit_count(), (b & ((1 << min(-m, h)) - 1)).bit_count()
+# Entries a profile or series may hold; 10^5 cost a CLI command <= 2.5 s, 130 MB.
+MAX_ENTRIES = 100_000
+
+
+def _entries(n: int, name: str) -> range:
+    """range(n + 1), refused before any work when n < 0 or too long."""
+    if n < 0:
+        raise SpecError(f"{name} must be nonnegative")
+    if n >= MAX_ENTRIES:
+        raise SpecError(f"{n + 1} entries requested, more than the limit of {MAX_ENTRIES}")
+    return range(n + 1)
+
+
+def _counts(a: int, b: int, ms: range, h: int) -> Tuple[List[int], List[int]]:
+    """(resolved, escaped) level counts of A intersect T^m B for each m in
+    ms, a range of step 1, for level bitsets a, b of a height-h tower: the
+    levels i of B with i + m in A, and those with i + m outside [0, h)."""
+    neg, pos = range(ms.start, min(ms.stop, 0)), range(max(ms.start, 0), ms.stop)
+    hits = [(a & (b >> -m)).bit_count() for m in neg]
+    hits += [((a >> m) & b).bit_count() for m in pos]
+    below = _edge(b, range(-neg[-1], 1 - neg[0]), h, False)[::-1] if neg else []
+    return hits, below + (_edge(b, pos, h, True) if pos else [])
+
+
+def _edge(b: int, ds: range, h: int, top: bool) -> List[int]:
+    """Ones of b in its d top (or bottom) levels of [0, h), each d in ds."""
+    d0, d1 = min(ds[0], h), min(ds[-1], h)
+    w = d1 - d0
+    bits = f"{(b >> (h - d1 if top else d0)) & ((1 << w) - 1) | 1 << w:b}"[1:]
+    base = (b >> (h - d0) if top else b & ((1 << d0) - 1)).bit_count()
+    counts = list(accumulate(map(int, bits if top else bits[::-1]), initial=base))
+    return counts + counts[-1:] * (len(ds) - len(counts))
+
+
+def _bounds(keys: range, hits: List[int], outs: List[int], cap: int,
+            value: Callable[[int], Fraction]) -> Dict[int, MeasureBound]:
+    """{key: [value(hit), value(min(hit + out, cap))]}, one value a count."""
+    his = [min(hit + out, cap) for hit, out in zip(hits, outs)]
+    pool = {n: value(n) for n in {*hits, *his}}
+    return {k: MeasureBound(pool[lo], pool[hi]) for k, lo, hi in zip(keys, hits, his)}
 
 
 @dataclass(frozen=True)
@@ -71,19 +105,14 @@ class ReturnProfile:
 def return_profile(spec: ConstructionSpec, j: int, J: int, z_max: int) -> ReturnProfile:
     if not (1 <= j <= J):
         raise SpecError(f"need 1 <= j <= J, got j={j}, J={J}")
-    if z_max < 0:
-        raise SpecError("z_max must be nonnegative")
+    zs = _entries(z_max, "z_max")
     st = build_stage(spec, J)
     B = st.occurrence_bits(j)
     count = B.bit_count()
-    h = st.height
-    values: Dict[int, MeasureBound] = {}
-    for z in range(z_max + 1):
-        hit, tail = _overlap(B, B, z, h)
-        lo = Fraction(hit, count)
-        values[z] = MeasureBound(lo, lo + Fraction(tail, count))
+    values = _bounds(zs, *_counts(B, B, zs, st.height), count,
+                     lambda n: Fraction(n, count))
     return ReturnProfile(j=j, J=J, values=values,
-                         degenerate=frozenset(range(h, z_max + 1)))
+                         degenerate=frozenset(range(st.height, z_max + 1)))
 
 
 def max_profile(profile: ReturnProfile, z_lo: int = 0) -> MeasureBound:
@@ -137,25 +166,24 @@ def correlation(spec: ConstructionSpec, A: Union[IntervalSet, Interval],
     mass could in principle land anywhere, so it widens the upper bound,
     clamped by min(mu A, mu B).
     """
-    return _correlations(spec, as_interval_set(A), as_interval_set(B), (m,), J)[m]
+    A, B = as_interval_set(A), as_interval_set(B)
+    return _correlations(spec, A, B, range(m, m + 1), J)[m]
 
 
 def _correlations(spec: ConstructionSpec, A: IntervalSet, B: IntervalSet,
-                  ms: Iterable[int], J: int) -> Dict[int, MeasureBound]:
-    """correlation for each m in ms, with A and B made bitsets once."""
+                  ms: range, J: int) -> Dict[int, MeasureBound]:
+    """correlation for each m in the range ms, with A and B made bitsets once."""
     st = build_stage(spec, J)
     a = st.level_bits(A)
     b = st.level_bits(B) if a is not None else None
+    if b is not None:
+        return _bounds(ms, *_counts(a, b, ms, st.height),
+                       min(a.bit_count(), b.bit_count()), lambda n: n * st.width)
     values: Dict[int, MeasureBound] = {}
     for m in ms:
-        if b is None:
-            img, escaped = power_image(spec, B, m, J)
-            lo = set_intersection(A, img).measure
-            esc = escaped.hi
-        else:
-            hit, out = _overlap(a, b, m, st.height)
-            lo, esc = hit * st.width, out * st.width
-        hi = min(lo + esc, A.measure, B.measure)
+        img, escaped = power_image(spec, B, m, J)
+        lo = set_intersection(A, img).measure
+        hi = min(lo + escaped.hi, A.measure, B.measure)
         values[m] = MeasureBound(lo, max(lo, hi))
     return values
 
@@ -164,9 +192,7 @@ def correlation_series(spec: ConstructionSpec, A: Union[IntervalSet, Interval],
                        B: Union[IntervalSet, Interval], m_max: int,
                        J: int) -> CorrelationSeries:
     A, B = as_interval_set(A), as_interval_set(B)
-    if m_max < 0:
-        raise SpecError("m_max must be nonnegative")
+    values = _correlations(spec, A, B, _entries(m_max, "m_max"), J)
     M = build_stage(spec, J).total
-    values = _correlations(spec, A, B, range(m_max + 1), J)
     return CorrelationSeries(A=A, B=B, values=values,
                              target=A.measure * B.measure / M, normalization=M)

@@ -2,7 +2,8 @@
 
 Each oracle is the per-occurrence (or interval) computation the bitset
 path replaced: the occurrence x shift loop of return_profile, the
-plist/bisect loop of graph_blocks, the power_image route of
+per-shift overlap that the count kernel of stats batches over a range of
+shifts, the plist/bisect loop of graph_blocks, the power_image route of
 correlation, and the level scans that trivialization_check used to find
 and validate its level sets.  Hypothesis draws every preset and random:K
 specs at 1 <= j <= J <= 8, shifts past the tower top and negative powers.
@@ -59,6 +60,14 @@ def oracle_profile_entry(occ, h, z):
             tail += 1
     lo = F(resolved, len(occ))
     return MeasureBound(lo, lo + F(tail, len(occ)))
+
+
+def oracle_overlap(a, b, m, h):
+    """(resolved, escaped) level counts of A intersect T^m B for level
+    bitsets a, b of a height-h tower, one shift at a time."""
+    if m >= 0:
+        return ((a >> m) & b).bit_count(), (b >> max(h - m, 0)).bit_count()
+    return (a & (b >> -m)).bit_count(), (b & ((1 << min(-m, h)) - 1)).bit_count()
 
 
 def oracle_graph_masses(spec, k, j, J):
@@ -153,6 +162,47 @@ def test_return_profile_matches_occurrence_loop(case, data):
     zs = data.draw(st.lists(st.integers(0, z_max), max_size=8))
     for z in {0, h - 1, h, z_max, *zs}:
         assert prof[z] == oracle_profile_entry(occ, h, z)
+
+
+kernel_specs = st.one_of(specs, st.just(ConstructionSpec.staircase(h1=3)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_specs, st.data())
+def test_count_kernel_matches_per_shift_overlap(spec, data):
+    # A != B level unions, ranges of shifts of either sign, across zero,
+    # past the top and below the bottom, and empty ones
+    J = data.draw(st.integers(1, 8))
+    stJ = build_stage(spec, J)
+    h = stJ.height
+    a = stJ.level_bits(data.draw(level_sets(spec, J)))
+    b = stJ.level_bits(data.draw(level_sets(spec, J)))
+    edges = st.sampled_from([-h - 3, -h, -h + 1, -150, -1, 0, h - 150, h - 1, h])
+    for _ in range(3):
+        start = data.draw(st.integers(-h - 3, h + 3) | edges)
+        ms = range(start, start + data.draw(st.integers(0, min(2 * h + 6, 300))))
+        hits, outs = stats._counts(a, b, ms, h)
+        assert len(hits) == len(outs) == len(ms)
+        assert list(zip(hits, outs)) == [oracle_overlap(a, b, m, h) for m in ms]
+    huge = h + 10**12
+    for m in (-huge, huge):
+        assert stats._counts(a, b, range(m, m + 1), h) == tuple(
+            [n] for n in oracle_overlap(a, b, m, h))
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernel_specs, st.data())
+def test_base_correlation_is_the_profile_entry(spec, data):
+    # mu(E_j intersect T^z E_j) / w_j is a^z_j on both paths
+    J = data.draw(st.integers(1, 8))
+    j = data.draw(st.integers(1, J))
+    stj = build_stage(spec, j)
+    h = build_stage(spec, J).height
+    E = IntervalSet((stj.base,))
+    zs = data.draw(st.lists(st.integers(0, h + 2), min_size=1, max_size=6))
+    prof = return_profile(spec, j, J, max(zs))
+    for z in zs:
+        assert correlation(spec, E, E, z, J).scale(1 / stj.width) == prof[z]
 
 
 def test_deep_staircase_profile_matches_oracle_within_budget():

@@ -312,3 +312,14 @@ def test_band_multiplicity_bound():
         for b in band_indices(fs, h, h, w, "right"):
             counts[b] = counts.get(b, 0) + 1
     assert max(counts.values()) <= fs.grid_inverse + 1
+
+
+def test_windowed_flow_refuses_a_huge_range_before_listing_it():
+    # a range is not listed, so return_profile refuses the 10^100 + q
+    # entries before any work
+    fs = FlowSkeletonSpec.doubled(ODO)
+    with pytest.raises(SpecError, match=r"^\d+ entries requested, more than "
+                                        r"the limit of \d+$"):
+        windowed_return_flow(fs, 2, 5, range(10**100))
+    rep = windowed_return_flow(fs, 2, 5, range(6, 0, -2))
+    assert list(rep.values) == [2, 4, 6]

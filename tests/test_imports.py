@@ -1,9 +1,12 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and none reads
+a private name of the fractions module, whose internals differ across the
+supported Python versions.
 
-The check reads the source with `ast` only: a name imported at any level
+Both checks read the source with `ast` only.  A name imported at any level
 counts as used when it appears as a name anywhere in the module, inside a
 quoted annotation, or in `__all__`.  `__init__.py` re-exports its imports
-and `from __future__` imports are directives, so both are exempt.
+and `from __future__` imports are directives, so both are exempt from the
+first check.
 """
 
 import ast
@@ -72,3 +75,39 @@ def test_check_finds_an_unused_import():
               "def f(x: 'List[int]') -> int:\n"
               "    return len(x)\n")
     assert unused_imports(source) == [(2, "os"), (3, "Tuple")]
+
+
+PRIVATE_FRACTIONS = {"_normalize", "_from_coprime_ints", "_numerator",
+                     "_denominator"}
+
+
+def private_fractions_uses(source):
+    """(line, name) of each private fractions name the source reads, as an
+    attribute, a keyword argument or an import from fractions."""
+    tree = ast.parse(source)
+    uses = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in PRIVATE_FRACTIONS:
+            uses.add((node.lineno, node.attr))
+        elif isinstance(node, ast.keyword) and node.arg in PRIVATE_FRACTIONS:
+            uses.add((node.value.lineno, node.arg))
+        elif isinstance(node, ast.ImportFrom) and node.module == "fractions":
+            uses |= {(node.lineno, a.name) for a in node.names
+                     if a.name.startswith("_")}
+    return sorted(uses)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_fractions_api(path):
+    assert private_fractions_uses(path.read_text()) == []
+
+
+def test_check_finds_private_fractions_api():
+    source = ("from fractions import Fraction, _gcd\n"
+              "x = Fraction(1, 3)\n"
+              "n = x._numerator + x._denominator\n"
+              "y = Fraction._from_coprime_ints(1, 2)\n"
+              "z = Fraction(2, 4, _normalize=False)\n")
+    assert private_fractions_uses(source) == [
+        (1, "_gcd"), (3, "_denominator"), (3, "_numerator"),
+        (4, "_from_coprime_ints"), (5, "_normalize")]

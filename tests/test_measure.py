@@ -156,6 +156,39 @@ class TestMeasureBound:
         sc = s.scale(F(2))
         assert (sc.lo, sc.hi) == (F(1, 4), F(3, 4))
 
+    @staticmethod
+    def outcome(make, lo, hi):
+        try:
+            ends = make(lo, hi)
+        except (TypeError, ValueError) as exc:
+            return type(exc), str(exc)
+        return [(type(x), x) for x in ends]
+
+    @staticmethod
+    def ends_of(lo, hi):
+        mb = MeasureBound(lo, hi)
+        return mb.lo, mb.hi
+
+    @staticmethod
+    def oracle(lo, hi):
+        """The check on Fractions: coerce both ends, then 0 <= lo <= hi."""
+        lo, hi = as_fraction(lo), as_fraction(hi)
+        if not (0 <= lo <= hi):
+            raise ValueError(f"invalid measure bound [{lo}, {hi}]")
+        return lo, hi
+
+    rationals = (fractions_st | st.fractions() | st.integers(-4, 4)
+                 | fractions_st.map(str))
+    ends = rationals | st.floats(-4, 4, allow_nan=False) | st.booleans()
+
+    @settings(max_examples=400)
+    @given(ends, ends)
+    def test_integer_check_matches_fraction_check(self, lo, hi):
+        got = self.outcome(self.ends_of, lo, hi)
+        assert got == self.outcome(self.oracle, lo, hi)
+        if isinstance(lo, float) or isinstance(hi, float):
+            assert got[0] is TypeError
+
 
 class TestStepFunction:
     def test_indicator_integral(self):

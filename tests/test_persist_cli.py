@@ -21,17 +21,23 @@ import pytest
 from hypothesis import given, strategies as st
 
 import rankone
-from rankone import cli
+from rankone import cli, stats
 from rankone.cli import load_spec, main
 from rankone.construction import PRESETS, ConstructionSpec, build_stage
 from rankone.errors import SpecError
+from rankone.joinings import BlockIndex
+from rankone.measure import MeasureBound
 from rankone.persist import (
+    BOUND_COLUMNS,
+    Table,
     approx_str,
+    bound_json,
     dump_stage,
     frac_str,
     meta_line,
     parse_frac,
     render_json,
+    render_table,
     spec_hash,
 )
 from rankone.stats import correlation_series, return_profile
@@ -135,6 +141,60 @@ def test_render_json_matches_json_dumps(payload, meta):
 def test_render_json_refuses_non_json_values(bad):
     with pytest.raises(TypeError):
         render_json(bad)
+
+
+# ----------------------------------------------------------- table rendering
+
+def oracle_csv(columns, rows, meta):
+    """A CSV table as one str() per cell, joined cell by cell."""
+    return "\n".join([meta_line(**meta), ",".join(columns),
+                      *(",".join(map(str, row)) for row in rows)]) + "\n"
+
+
+def oracle_table_json(items, meta):
+    """A JSON table from its (key, value) pairs and the values' Fractions."""
+    return render_json({
+        ",".join(map(str, k if isinstance(k, tuple) else (k,))):
+        bound_json(v) if isinstance(v, MeasureBound) else frac_str(v)
+        for k, v in items}, **meta) + "\n"
+
+
+_table_ints = st.integers(-10**30, 10**30) | st.integers(-3, 3)
+_table_meta = st.dictionaries(st.text(max_size=4), st.integers() | st.text(max_size=4),
+                              max_size=2)
+# (columns, a strategy of one (key, value) pair) for every Table shape
+_bounds = st.tuples(st.fractions(min_value=0), st.fractions(min_value=0)).map(
+    lambda p: MeasureBound(min(p), max(p)))
+_TABLE_SHAPES = [
+    (("z",) + BOUND_COLUMNS, st.tuples(_table_ints, _bounds)),
+    (("z1", "z2", "num", "den"),
+     st.tuples(st.builds(BlockIndex, _table_ints, _table_ints), st.fractions())),
+    (("offset", "mass_num", "mass_den"), st.tuples(_table_ints, st.fractions())),
+]
+
+
+@given(st.sampled_from([3, 4, 5]).flatmap(lambda w: st.lists(
+    st.tuples(*[_table_ints] * w), max_size=6)), _table_meta)
+def test_csv_row_template_matches_joined_cells(rows, meta):
+    # negative numerators, huge ints, a single row and no rows
+    columns = tuple(f"c{i}" for i in range(len(rows[0]) if rows else 3))
+    assert render_table(Table(columns, rows, meta), "csv") == oracle_csv(
+        columns, rows, meta)
+
+
+@given(st.sampled_from(_TABLE_SHAPES).flatmap(lambda shape: st.tuples(
+    st.just(shape[0]), st.lists(shape[1], min_size=1, max_size=5))), _table_meta)
+def test_table_documents_match_value_rendering(shape, meta):
+    columns, items = shape
+    table = Table.of(columns, items, meta)
+    assert all(type(c) is int and len(r) == len(columns)
+               for r in table.rows for c in r)
+    cells = [(*(k if isinstance(k, tuple) else (k,)),
+              *((v.lo.numerator, v.lo.denominator, v.hi.numerator, v.hi.denominator)
+                if isinstance(v, MeasureBound) else (v.numerator, v.denominator)))
+             for k, v in items]
+    assert render_table(table, "csv") == oracle_csv(columns, cells, meta)
+    assert render_table(table, "json") == oracle_table_json(items, meta)
 
 
 # ------------------------------------------------------------ stage records
@@ -591,6 +651,46 @@ def test_cli_bad_subcommand_exit_2():
 def test_cli_help_exit_0():
     code, out, err = run_cli("--help")
     assert code == 0
+
+
+def test_cli_oversized_ranges_exit_2_in_a_capped_child():
+    # without the entry limit these end in MemoryError (exit 4) or run for
+    # minutes; the child's 512 MB address-space cap keeps such a regression
+    # from taking the host's memory
+    resource = pytest.importorskip("resource")
+    script = "\n".join((
+        "import contextlib, io, json",
+        "from rankone.cli import main",
+        "codes = []",
+        "for argv in (",
+        "        ['return-profile', '--spec', 'odometer', '--j', '1', '--res', '3',",
+        "         '--zmax', '100000000'],",
+        "        ['correlate', '--spec', 'odometer', '--j', '1', '--res', '3',",
+        "         '--A', '0', '--B', '0', '--mmax', '100000000'],",
+        "        ['flow', 'window', '--spec', 'odometer', '--alpha', '2',",
+        "         '--j', '1', '--res', '3', '--zmax', '100000000']):",
+        "    out, err = io.StringIO(), io.StringIO()",
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):",
+        "        codes.append((main(argv), out.getvalue(), err.getvalue()))",
+        "print(json.dumps(codes))",
+    ))
+    cap = 512 << 20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = str(Path(rankone.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          preexec_fn=limit, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    limit_text = f"more than the limit of {stats.MAX_ENTRIES}\n"
+    assert json.loads(proc.stdout) == [
+        [2, "", f"error: 100000001 entries requested, {limit_text}"],
+        [2, "", f"error: 100000001 entries requested, {limit_text}"],
+        [2, "", f"error: 100000002 entries requested, {limit_text}"]]
 
 
 # ----------------------------------------------- cli: one parser, formats

@@ -6,6 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rankone import stats
 from rankone.construction import ConstructionSpec, TowerStage, build_stage
 from rankone.errors import SpecError
 from rankone.measure import (Interval, IntervalSet, MeasureBound, canonicalize,
@@ -305,3 +306,35 @@ class TestCorrelationSeries:
             series = correlation_series(spec, A, B, 30, 5)
         assert spy.call_count == 2
         assert series.values[1].lo > 0
+
+
+class TestEntryLimit:
+    """Oversized ranges are refused before any stage is built."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("work started on an oversized request")
+        monkeypatch.setattr(stats, "build_stage", refuse)
+
+    def test_huge_profile_and_series_refused_first(self, no_work):
+        huge = 10**100
+        limit = stats.MAX_ENTRIES
+        msg = f"^{huge + 1} entries requested, more than the limit of {limit}$"
+        E = build_stage(PRESETS[0], 1).levels_set([0])
+        with pytest.raises(SpecError, match=msg):
+            return_profile(PRESETS[0], 1, 3, huge)
+        with pytest.raises(SpecError, match=msg):
+            correlation_series(PRESETS[0], E, E, huge, 3)
+
+    def test_limit_counts_entries(self, monkeypatch):
+        monkeypatch.setattr(stats, "MAX_ENTRIES", 5)
+        spec = PRESETS[1]
+        E = build_stage(spec, 1).levels_set([0])
+        assert return_profile(spec, 1, 3, 4).z_max == 4
+        assert max(correlation_series(spec, E, E, 4, 3).values) == 4
+        with pytest.raises(SpecError, match="^6 entries requested, "
+                                            "more than the limit of 5$"):
+            return_profile(spec, 1, 3, 5)
+        with pytest.raises(SpecError, match="^6 entries requested"):
+            correlation_series(spec, E, E, 5, 3)
