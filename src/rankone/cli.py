@@ -166,11 +166,17 @@ def cmd_build(args: argparse.Namespace) -> str:
     return dump_stage(spec, args.stage) + "\n"
 
 
+# Steps `orbit` may take; 10^6 steps cost about 3.4 s and 191 MB.
+MAX_STEPS = 1_000_000
+
+
 def cmd_orbit(args: argparse.Namespace) -> str:
     spec = load_spec(args.spec, args.stage_budget)
     x = parse_frac(args.x)
     if args.steps < 0:
         raise SpecError("--steps must be nonnegative")
+    if args.steps > MAX_STEPS:
+        raise SpecError(f"{args.steps} steps requested, more than the limit of {MAX_STEPS}")
     cur = Cursor(spec, x)
     points = [frac_str(cur.x)]
     for k in range(args.steps):
@@ -187,7 +193,7 @@ def cmd_return_profile(args: argparse.Namespace) -> Table:
     meta = {"command": "return-profile", "spec": spec_hash(spec), "j": args.j,
             "J": args.res, "zmax": args.zmax,
             "degenerate": sorted(prof.degenerate)}
-    return Table.of(("z",) + BOUND_COLUMNS, sorted(prof.values.items()), meta)
+    return Table(("z",) + BOUND_COLUMNS, sorted(prof.values.items()), meta)
 
 
 def cmd_correlate(args: argparse.Namespace) -> Table:
@@ -199,7 +205,7 @@ def cmd_correlate(args: argparse.Namespace) -> Table:
             "J": args.res, "mmax": args.mmax,
             "target": frac_str(series.target),
             "normalization": frac_str(series.normalization)}
-    return Table.of(("m",) + BOUND_COLUMNS, sorted(series.values.items()), meta)
+    return Table(("m",) + BOUND_COLUMNS, sorted(series.values.items()), meta)
 
 
 def cmd_blum_hanson(args: argparse.Namespace) -> str:
@@ -234,7 +240,7 @@ def cmd_joining_blocks(args: argparse.Namespace) -> Table:
     m = matrix_from_args(args)
     meta = matrix_meta(m)
     meta["command"] = "joining blocks"
-    return Table.of(("z1", "z2", "num", "den"), sorted(m.masses.items()), meta)
+    return Table(("z1", "z2", "num", "den"), sorted(m.masses.items()), meta)
 
 
 def cmd_joining_light(args: argparse.Namespace) -> str:
@@ -326,7 +332,7 @@ def cmd_flow_window(args: argparse.Namespace) -> Table:
             "q": rep.q, "j": args.j, "J": args.res,
             "max_lo": frac_str(rep.max_bound.lo),
             "max_hi": frac_str(rep.max_bound.hi)}
-    return Table.of(("z",) + BOUND_COLUMNS, sorted(rep.values.items()), meta)
+    return Table(("z",) + BOUND_COLUMNS, sorted(rep.values.items()), meta)
 
 
 def cmd_flow_bands(args: argparse.Namespace) -> Table:
@@ -345,7 +351,7 @@ def cmd_flow_bands(args: argparse.Namespace) -> Table:
     meta = matrix_meta(m)
     meta.update(command="flow bands", alpha=frac_str(fspec.alpha),
                 grid=args.grid, side=args.side, zbound=args.zbound)
-    return Table.of(("offset", "mass_num", "mass_den"), zip(offsets, masses), meta)
+    return Table(("offset", "mass_num", "mass_den"), zip(offsets, masses), meta)
 
 
 # ------------------------------------------------------------------- parser

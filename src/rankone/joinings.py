@@ -19,17 +19,12 @@ from itertools import compress, islice, product, repeat, tee
 from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
-from .averaging import WeightSequence, average_apply, flatness
+from .averaging import WeightSequence, flatness
 from .construction import ConstructionSpec, build_stage
 from .errors import EmptyFSetError, SpecError
-from .measure import (
-    IntervalSet,
-    MeasureBound,
-    RationalLike,
-    StepFunction,
-    as_fraction,
-    set_intersection,
-)
+from .measure import (IntervalSet, MeasureBound, RationalLike, as_fraction,
+                      set_intersection)
+from .stats import _counts
 from .transform import Cursor, power_image
 
 __all__ = [
@@ -197,30 +192,20 @@ def graph_blocks(spec: ConstructionSpec, k: int, j: int, J: int) -> BlockMassMat
     """Self-joining supported on the graph of T^k: block (z1, z2) receives
     mu(T^{z1}E_j intersect T^{z2+k}E_j), resolved combinatorially at stage J
     with unresolved overlap absorbed into the residual (masses are exact
-    lower bounds)."""
+    lower bounds).
+
+    That mass is w_J times the occurrence pairs (p, p + z2 + k - z1) of E_j
+    at stage J, so it depends only on z2 - z1: the matrix is one vector of
+    lag counts from stats._counts.  Both occurrences of a pair start whole
+    stage-j copies, so every pair resolves inside the stage-J tower."""
     _check_resolution(j, J)
-    st = build_stage(spec, j)
-    stJ = build_stage(spec, J)
+    st, stJ = build_stage(spec, j), build_stage(spec, J)
+    h, M = st.height, stJ.total
     B = stJ.occurrence_bits(j)
-    M = stJ.total
-    h, hJ = st.height, stJ.height
+    lags, _ = _counts(B, B, range(k - h + 1, k + h), stJ.height)
     w_norm = stJ.width / M
-    masses: Dict[BlockIndex, Fraction] = {}
-    for delta in range(k - h + 1, k + h):
-        # bit p of D: p and p + delta are both occurrences
-        D = B & (B >> delta if delta >= 0 else B << -delta)
-        if not D:
-            continue
-        for z2 in range(h):
-            z1 = z2 + k - delta
-            if not (0 <= z1 < h):
-                continue
-            cut = hJ - 1 - z2 - k
-            if cut < 0:
-                continue
-            cnt = (D & ((1 << (cut + 1)) - 1)).bit_count()
-            if cnt:
-                masses[BlockIndex(z1, z2)] = cnt * w_norm
+    masses = {BlockIndex(z1, z2): n * w_norm for z1 in range(h) for z2 in range(h)
+              if (n := lags[z2 - z1 + h - 1])}
     covered = sum(masses.values(), Fraction(0))
     lvl = st.width / M
     return BlockMassMatrix(
@@ -511,11 +496,12 @@ def trivialization_check(m: BlockMassMatrix, F: FSetSpec, A: IntervalSet,
 
     The conditional side selects whole blocks (A and B are unions of
     stage-k levels, so stage-j levels never straddle them).  The display
-    side re-evaluates each term geometrically through stage-resolution
-    images of B, whose escape widens the enclosure; for empirical matrices
-    the display uses the exact whole-block transport instead (within-tower
-    shifts lose no orbit mass).  display fields are None when the base
-    column itself carries no mass.
+    side re-evaluates each term at stage J, from level pair counts for
+    product matrices and through images of B for graph ones; mass pushed
+    off the tower widens the enclosure.  For empirical matrices the display
+    uses the exact whole-block transport instead (within-tower shifts lose
+    no orbit mass).  display fields are None when the base column itself
+    carries no mass.
     """
     if not (1 <= k <= m.j):
         raise SpecError(f"need 1 <= k <= j, got k={k}, j={m.j}")
@@ -525,12 +511,11 @@ def trivialization_check(m: BlockMassMatrix, F: FSetSpec, A: IntervalSet,
     in_A = build_stage(m.spec_a, m.j).level_bits(A)
     in_B = build_stage(m.spec_b, m.j).level_bits(B)
 
-    cond_num = Fraction(0)
-    for h in F.shifts:
-        for z1, z2 in F.column.members:
-            if in_A >> z1 & 1 and in_B >> (z2 + h) & 1:
-                cond_num += m.mass(BlockIndex(z1, z2 + h))
-    conditional = cond_num / F.nu_F
+    # per_shift[h]: the mass of the selected blocks of the column shifted by h
+    per_shift = {h: sum((m.mass(BlockIndex(z1, z2 + h)) for z1, z2 in F.column.members
+                         if in_A >> z1 & 1 and in_B >> (z2 + h) & 1), Fraction(0))
+                 for h in F.shifts}
+    conditional = sum(per_shift.values(), Fraction(0)) / F.nu_F
     reference = (A.measure / m.norm_a) * (B.measure / m.norm_b)
     gap = abs(conditional - reference)
 
@@ -538,7 +523,7 @@ def trivialization_check(m: BlockMassMatrix, F: FSetSpec, A: IntervalSet,
     display_sum = display_gap = None
     slack = Fraction(0)
     if nu_C > 0:
-        lo, hi = _display_route(m, F, A, in_A, in_B, B)
+        lo, hi = _display_route(m, F, A, in_A, B, per_shift)
         display_sum = MeasureBound(lo / nu_C, hi / nu_C)
         slack = display_sum.width
         d_lo = max(Fraction(0),
@@ -552,33 +537,37 @@ def trivialization_check(m: BlockMassMatrix, F: FSetSpec, A: IntervalSet,
         weight_flatness=F.weight_flatness, escape_slack=slack)
 
 
-def _display_route(m: BlockMassMatrix, F: FSetSpec, A: IntervalSet,
-                   in_A: int, in_B: int,
-                   B: IntervalSet) -> Tuple[Fraction, Fraction]:
-    """Enclosure of sum_h a_h nu(A x T^{-h}B intersect C), unnormalized."""
-    members = F.column.members
+def _display_route(m: BlockMassMatrix, F: FSetSpec, A: IntervalSet, in_A: int,
+                   B: IntervalSet, per_shift: Dict[int, Fraction],
+                   ) -> Tuple[Fraction, Fraction]:
+    """Enclosure of sum_h a_h nu(A x T^{-h}B intersect C), unnormalized.
+
+    per_shift[h] is the mass of the column's blocks inside A x T^{-h}B."""
     if m.kind == "empirical":
-        val = sum((a_h * m.mass(BlockIndex(z1, z2 + h))
-                   for h, a_h in F.weights.weights
-                   for z1, z2 in members
-                   if in_A >> z1 & 1 and in_B >> (z2 + h) & 1), Fraction(0))
+        val = sum((a_h * per_shift[h] for h, a_h in F.weights.weights), Fraction(0))
         return val, val
     J = m.meta["J"]
-    sb = build_stage(m.spec_b, m.j)
-    sel = [bi for bi in members if in_A >> bi.z1 & 1]
+    sel = [bi for bi in F.column.members if in_A >> bi.z1 & 1]
     if m.kind == "product":
-        Pf, esc = average_apply(m.spec_b, F.weights,
-                                StepFunction.indicator(B), J,
-                                direction="backward")
-        lo = Fraction(0)
+        if not sel:
+            return Fraction(0), Fraction(0)
+        # stage-J levels t of the selected second-tower blocks and their
+        # pairs (t, t + h) with t + h in B; levels of B below h escape
+        stJ = build_stage(m.spec_b, J)
+        occ = stJ.occurrence_bits(m.j)
+        C = 0
         for _, z2 in sel:
-            lvl = StepFunction.indicator(IntervalSet((sb.level(z2),)))
-            lo += m.level_mass_a * Pf.inner(lvl) / m.norm_b
-        hi = lo + (m.level_mass_a * esc.hi / m.norm_b if sel else Fraction(0))
-        return lo, hi
+            C |= occ << z2
+        ws = F.weights.weights
+        top = ws[-1][0]
+        hits, outs = _counts(C, stJ.level_bits(B), range(-top, 1 - ws[0][0]),
+                             stJ.height)
+        s = m.level_mass_a * stJ.width / m.norm_b
+        lo = s * sum(a_h * hits[top - h] for h, a_h in ws)
+        return lo, lo + s * sum(a_h * outs[top - h] for h, a_h in ws)
     if m.kind == "graph":
         kg = m.meta["k"]
-        sa = build_stage(m.spec_a, m.j)
+        sa, sb = build_stage(m.spec_a, m.j), build_stage(m.spec_b, m.j)
         lo = hi = Fraction(0)
         for h, a_h in F.weights.weights:
             img, esc = power_image(m.spec_b, B, -h, J)

@@ -140,38 +140,32 @@ def render_json(payload: object, **meta: object) -> str:
 
 
 class Table(NamedTuple):
-    """The result of a command that prints CSV or JSON: rows of plain ints
-    in print order, under the CSV column names.  A row is a key's parts (a
-    key is an int or a tuple of ints), then its value's numerators and
-    denominators: a MeasureBound when the columns end in BOUND_COLUMNS,
-    else a Fraction."""
+    """The result of a command that prints CSV or JSON: (key, value) pairs
+    in print order, read once, under the CSV column names.  A key is an
+    int or a tuple of ints, a value a MeasureBound or a Fraction; a CSV row
+    is the key's parts, then the value's numerators and denominators."""
 
     columns: Tuple[str, ...]
-    rows: Sequence[Tuple[int, ...]]
+    items: Iterable[Tuple[object, object]]
     meta: Dict[str, object]
 
-    @classmethod
-    def of(cls, columns: Tuple[str, ...], items: Iterable[Tuple[object, object]],
-           meta: Dict[str, object]) -> "Table":
-        """The table of (key, value) pairs, in their order."""
-        return cls(columns, [(*(k if isinstance(k, tuple) else (k,)), *(
-            _BOUND_INTS(v) if isinstance(v, MeasureBound) else _FRACTION_INTS(v)))
-            for k, v in items], meta)
+
+def _key_parts(k: object) -> tuple:
+    return k if isinstance(k, tuple) else (k,)
 
 
 def render_table(table: Table, fmt: str) -> str:
     """The table as a document in fmt, "csv" (one %d template a row) or
     "json" (entries keyed by the key's parts joined by ","), only that one."""
-    columns, rows, meta = table
+    columns, items, meta = table
     if fmt == "csv":
+        rows = [(*_key_parts(k), *(_BOUND_INTS(v) if isinstance(v, MeasureBound)
+                                   else _FRACTION_INTS(v))) for k, v in items]
         row = ",".join(["%d"] * len(columns)) + "\n"
         return (f"{meta_line(**meta)}\n{','.join(columns)}\n"
                 + (row * len(rows)) % tuple(chain.from_iterable(rows)))
-    width = len(columns) - (4 if columns[-4:] == BOUND_COLUMNS else 2)
-    values = ((r[:width], [Fraction(*r[i:i + 2]) for i in range(width, len(r), 2)])
-              for r in rows)
-    data = {",".join(map(str, key)): frac_str(*v) if len(v) == 1
-            else bound_json(MeasureBound(*v)) for key, v in values}
+    data = {",".join(map(str, _key_parts(k))): bound_json(v)
+            if isinstance(v, MeasureBound) else frac_str(v) for k, v in items}
     return render_json(data, **meta) + "\n"
 
 

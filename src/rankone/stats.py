@@ -8,6 +8,11 @@ bottom (m < 0), one prefix count of B's bits per edge.  Escaped mass, w_J
 a level, could land anywhere and widens the upper bound.  ROADMAP item 2's
 windowed pair counts will fill these vectors without an h_J-bit set.
 
+The kernel's callers: return_profile, correlation and correlation_series
+here (and flow's windowed returns and consequence_check through them),
+and in joinings graph_blocks (one lag vector of E_j's occurrences) and
+the product display of trivialization_check.
+
 Bounds are the counts over one shared denominator, one Fraction per
 distinct count: |S| for a^z_j = mu(T^z E_j | E_j), S the occurrences of
 E_j (dividing by mu(E_j) = |S| w_J cancels the unknown global

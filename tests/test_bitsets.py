@@ -4,9 +4,11 @@ Each oracle is the per-occurrence (or interval) computation the bitset
 path replaced: the occurrence x shift loop of return_profile, the
 per-shift overlap that the count kernel of stats batches over a range of
 shifts, the plist/bisect loop of graph_blocks, the power_image route of
-correlation, and the level scans that trivialization_check used to find
-and validate its level sets.  Hypothesis draws every preset and random:K
-specs at 1 <= j <= J <= 8, shifts past the tower top and negative powers.
+correlation, the level scans that trivialization_check used to find and
+validate its level sets, and the P f route (average_apply backward, one
+inner product a level) of its product display.  Hypothesis draws every
+preset and random:K specs at 1 <= j <= J <= 8, shifts past the tower top
+and negative powers.
 """
 
 import random
@@ -20,6 +22,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rankone import stats
+from rankone.averaging import average_apply
 from rankone.construction import ConstructionSpec, bit_indices, build_stage
 from rankone.errors import SpecError
 from rankone.joinings import (
@@ -27,12 +30,14 @@ from rankone.joinings import (
     columns_and_F,
     empirical_joining,
     graph_blocks,
+    product_blocks,
     trivialization_check,
 )
 from rankone.measure import (
     Interval,
     IntervalSet,
     MeasureBound,
+    StepFunction,
     canonicalize,
     set_intersection,
 )
@@ -92,6 +97,22 @@ def oracle_graph_masses(spec, k, j, J):
             if cnt:
                 masses[BlockIndex(z1, z2)] = cnt * w_norm
     return masses
+
+
+def oracle_product_display(m, fs, A, B):
+    """trivialization_check's display_sum for a product matrix: P 1_B by
+    average_apply backward at stage J, one inner product per stage-j level
+    of a column block inside A, and the escape of P once if any."""
+    sb = build_stage(m.spec_b, m.j)
+    in_A = oracle_levels_inside(build_stage(m.spec_a, m.j), A)
+    sel = [z2 for z1, z2 in fs.column.members if z1 in in_A]
+    Pf, esc = average_apply(m.spec_b, fs.weights, StepFunction.indicator(B),
+                            m.meta["J"], direction="backward")
+    lo = sum((m.level_mass_a * Pf.inner(StepFunction.indicator(
+        IntervalSet((sb.level(z2),)))) / m.norm_b for z2 in sel), F(0))
+    hi = lo + (m.level_mass_a * esc.hi / m.norm_b if sel else 0)
+    nu_C = sum((m.mass(bi) for bi in fs.column.members), F(0))
+    return MeasureBound(lo / nu_C, hi / nu_C)
 
 
 def oracle_correlation(spec, A, B, m, J):
@@ -223,10 +244,12 @@ def test_deep_staircase_profile_matches_oracle_within_budget():
 @settings(max_examples=60, deadline=None)
 @given(resolutions(), st.data())
 def test_graph_blocks_match_plist_loop(case, data):
+    # powers of either sign, within a stage-j copy, past it and past h_J
     spec, j, J = case
-    h = build_stage(spec, j).height
+    h, hJ = build_stage(spec, j).height, build_stage(spec, J).height
     assume(h <= 128)
-    k = data.draw(st.integers(0, 2 * h))
+    k = data.draw(st.integers(-2 * h, 2 * h)
+                  | st.sampled_from([-hJ - 3, -hJ, hJ - 1, hJ, hJ + 5, 10**4]))
     assert graph_blocks(spec, k, j, J).masses == oracle_graph_masses(spec, k, j, J)
 
 
@@ -331,3 +354,37 @@ def test_trivialization_refuses_sets_that_split_levels(spec, data):
         trivialization_check(g, fs, A, B, k)
     with pytest.raises(SpecError, match=rf"^B is not a union of stage-{k} levels$"):
         trivialization_check(g, fs, B, A, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(specs, specs, st.data())
+def test_product_display_matches_average_apply_route(spec_a, spec_b, data):
+    # shifts up to the top of the second tower, so P 1_B escapes below the
+    # bottom; empty A selects no block and leaves no escape
+    J = data.draw(st.integers(1, 6))
+    assume(build_stage(spec_b, J).height <= ORACLE_MAX_HEIGHT)
+    j = data.draw(st.integers(1, J))
+    k = data.draw(st.integers(1, j))
+    m = product_blocks(spec_a, spec_b, j, J)
+    delta = F(1, data.draw(st.integers(2, 8)))
+    i_max = int(delta * m.h_b)
+    assume(i_max <= m.h_a - 1)
+    col = data.draw(st.integers(0, m.h_a - 1 - i_max))
+    shifts = data.draw(st.lists(st.integers(0, m.h_b - 1 - i_max), min_size=1,
+                                max_size=4, unique=True))
+    fs = columns_and_F(m, delta, col, shifts)
+    A = data.draw(level_sets(spec_a, k))
+    B = data.draw(level_sets(spec_b, k))
+    stj_a, stj_b = build_stage(spec_a, j), build_stage(spec_b, j)
+    in_A, in_B = oracle_levels_inside(stj_a, A), oracle_levels_inside(stj_b, B)
+    cond = sum((m.mass(BlockIndex(z1, z2 + h)) for h in fs.shifts
+                for z1, z2 in fs.column.members if z1 in in_A and z2 + h in in_B),
+               F(0)) / fs.nu_F
+    want = oracle_product_display(m, fs, A, B)
+    rec = trivialization_check(m, fs, A, B, k)
+    assert rec.conditional == cond
+    assert rec.display_sum == want
+    assert rec.escape_slack == want.width
+    assert rec.display_gap == MeasureBound(
+        max(F(0), want.lo - cond, cond - want.hi),
+        max(abs(cond - want.lo), abs(cond - want.hi)))

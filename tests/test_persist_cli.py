@@ -159,42 +159,50 @@ def oracle_table_json(items, meta):
         for k, v in items}, **meta) + "\n"
 
 
+def oracle_cells(items):
+    """The CSV cells of (key, value) pairs: the key's parts, then the
+    value's numerators and denominators."""
+    return [(*(k if isinstance(k, tuple) else (k,)),
+             *((v.lo.numerator, v.lo.denominator, v.hi.numerator, v.hi.denominator)
+               if isinstance(v, MeasureBound) else (v.numerator, v.denominator)))
+            for k, v in items]
+
+
 _table_ints = st.integers(-10**30, 10**30) | st.integers(-3, 3)
+_table_dens = st.integers(1, 10**30) | st.integers(1, 3)
 _table_meta = st.dictionaries(st.text(max_size=4), st.integers() | st.text(max_size=4),
                               max_size=2)
-# (columns, a strategy of one (key, value) pair) for every Table shape
-_bounds = st.tuples(st.fractions(min_value=0), st.fractions(min_value=0)).map(
+_fractions = st.builds(F, _table_ints, _table_dens)
+_bounds = st.tuples(*[st.builds(F, _table_ints.map(abs), _table_dens)] * 2).map(
     lambda p: MeasureBound(min(p), max(p)))
+# (columns, a strategy of one (key, value) pair) for every Table shape
 _TABLE_SHAPES = [
     (("z",) + BOUND_COLUMNS, st.tuples(_table_ints, _bounds)),
     (("z1", "z2", "num", "den"),
-     st.tuples(st.builds(BlockIndex, _table_ints, _table_ints), st.fractions())),
-    (("offset", "mass_num", "mass_den"), st.tuples(_table_ints, st.fractions())),
+     st.tuples(st.builds(BlockIndex, _table_ints, _table_ints), _fractions)),
+    (("offset", "mass_num", "mass_den"), st.tuples(_table_ints, _fractions)),
 ]
+_tables = st.sampled_from(_TABLE_SHAPES).flatmap(lambda shape: st.tuples(
+    st.just(shape[0]), st.lists(shape[1], max_size=6)))
 
 
-@given(st.sampled_from([3, 4, 5]).flatmap(lambda w: st.lists(
-    st.tuples(*[_table_ints] * w), max_size=6)), _table_meta)
-def test_csv_row_template_matches_joined_cells(rows, meta):
-    # negative numerators, huge ints, a single row and no rows
-    columns = tuple(f"c{i}" for i in range(len(rows[0]) if rows else 3))
-    assert render_table(Table(columns, rows, meta), "csv") == oracle_csv(
-        columns, rows, meta)
-
-
-@given(st.sampled_from(_TABLE_SHAPES).flatmap(lambda shape: st.tuples(
-    st.just(shape[0]), st.lists(shape[1], min_size=1, max_size=5))), _table_meta)
-def test_table_documents_match_value_rendering(shape, meta):
+@given(_tables, _table_meta)
+def test_csv_row_template_matches_joined_cells(shape, meta):
+    # negative and huge keys and numerators, a single row and no rows
     columns, items = shape
-    table = Table.of(columns, items, meta)
-    assert all(type(c) is int and len(r) == len(columns)
-               for r in table.rows for c in r)
-    cells = [(*(k if isinstance(k, tuple) else (k,)),
-              *((v.lo.numerator, v.lo.denominator, v.hi.numerator, v.hi.denominator)
-                if isinstance(v, MeasureBound) else (v.numerator, v.denominator)))
-             for k, v in items]
-    assert render_table(table, "csv") == oracle_csv(columns, cells, meta)
-    assert render_table(table, "json") == oracle_table_json(items, meta)
+    assert render_table(Table(columns, iter(items), meta), "csv") == oracle_csv(
+        columns, oracle_cells(items), meta)
+
+
+@given(_tables, _table_meta)
+def test_table_documents_match_value_rendering(shape, meta):
+    # each document reads its items once, as `flow bands` passes a zip
+    columns, items = shape
+    keys, values = zip(*items) if items else ((), ())
+    assert render_table(Table(columns, zip(keys, values), meta), "csv") == oracle_csv(
+        columns, oracle_cells(items), meta)
+    assert render_table(Table(columns, zip(keys, values), meta), "json") == (
+        oracle_table_json(items, meta))
 
 
 # ------------------------------------------------------------ stage records
@@ -614,6 +622,26 @@ def test_cli_orbit_escape_exit_3():
     assert code == 3 and out == ""
     assert err.endswith("; retry with a larger --stage-budget\n")
     assert err.count("\n") == 1
+
+
+def test_cli_orbit_refuses_too_many_steps_before_any_cursor(monkeypatch):
+    built = []
+
+    def cursor(*a, **kw):
+        built.append(a)
+        raise SpecError("cursor built")
+
+    monkeypatch.setattr(cli, "Cursor", cursor)
+    argv = ("orbit", "--spec", "odometer", "--x", "1/3", "--stage-budget", "30",
+            "--steps")
+    assert run_cli(*argv, str(cli.MAX_STEPS + 1)) == (
+        2, "", f"error: {cli.MAX_STEPS + 1} steps requested, more than the limit "
+               f"of {cli.MAX_STEPS}\n")
+    assert run_cli(*argv, "10000000")[0] == 2
+    assert built == []
+    # the limit itself is allowed: the command goes on to build its cursor
+    assert run_cli(*argv, str(cli.MAX_STEPS)) == (2, "", "error: cursor built\n")
+    assert len(built) == 1
 
 
 EMPIRICAL_ESCAPE = ("joining", "blocks", "--kind", "empirical",
