@@ -18,6 +18,7 @@ import json
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -178,10 +179,7 @@ def cmd_orbit(args: argparse.Namespace) -> str:
     if args.steps > MAX_STEPS:
         raise SpecError(f"{args.steps} steps requested, more than the limit of {MAX_STEPS}")
     cur = Cursor(spec, x)
-    points = [frac_str(cur.x)]
-    for k in range(args.steps):
-        cur.step_forward(k)
-        points.append(frac_str(cur.x))
+    points = list(map(frac_str, islice(cur.points(), args.steps + 1)))
     return render_json(points, command="orbit", spec=spec_hash(spec),
                        x=frac_str(x), steps=args.steps,
                        refinements=cur.refinements) + "\n"

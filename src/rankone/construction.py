@@ -407,11 +407,11 @@ class TowerStage:
             st = prev
         return i + c
 
-    def level_cells(self) -> List[int]:
-        """cell(i) for every level i, in O(h_1 + ... + h_j) integer work.
-        Built on each call; nothing is kept."""
+    def level_cells(self) -> Sequence[int]:
+        """cell(i) for every level i, in O(h_1 + ... + h_j) integer work:
+        range(h_1) at stage 1, a list built on each call above it."""
         if self.prev is None:
-            return list(range(self.height))
+            return range(self.height)
         prev, r = self.prev.level_cells(), self.cut
         cells = []
         for c in range(r):
@@ -474,8 +474,7 @@ class TowerStage:
         lo, _, copy = self.ancestor_run(i, k)
         return i - lo if copy else None
 
-    def ancestor_run(self, i: int, k: int,
-                     chain: Optional[list] = None) -> Tuple[int, int, bool]:
+    def ancestor_run(self, i: int, k: int) -> Tuple[int, int, bool]:
         """The maximal run [lo, hi) of levels around level i that lie in one
         copy of the stage-k tower, or in one run of spacer levels added
         after stage k, as (lo, hi, copy).
@@ -483,35 +482,19 @@ class TowerStage:
         This tower is a concatenation of contiguous stage-k copies and
         spacer runs, so on a copy run (copy True) level i' sits in stage-k
         level i' - lo; on a spacer run (copy False) it sits in no stage-k
-        level.  One bisect per stage descended; each stage passed leaves in
-        `chain` an entry (stage, lo, column): the copy of that stage holding
-        level i starts at level lo here, and i is in that column of it.  A
-        caller keeping the chain between calls with this k restarts at the
-        smallest cached copy still holding the new level, so a forward walk
-        descends about one stage per run.  A spacer run found in column c of
-        stage st takes in downwards the spacers topping the st.prev copy
-        below it (a tower's top carries the last-column spacers of every
-        stage above k), and upwards, while the column is the last one, the
-        spacers above each enclosing copy, read from the chain's columns.
+        level.  One descent from this stage to k, one bisect per stage.  A
+        spacer run found in column c of stage st takes in downwards the
+        spacers topping the st.prev copy below it (a tower's top carries
+        the last-column spacers of every stage above k), and upwards, while
+        the column is the last one, the spacers above each enclosing copy,
+        read from the columns this descent passed.
         """
         if not (1 <= k <= self.stage):
             raise SpecError(f"ancestor stage {k} out of range")
-        chain = [] if chain is None else chain
-        # chain[m] is the entry of stage self.stage - m; those above k serve
-        m = min(len(chain), self.stage - k)
-        st, lo = self, 0
-        while m:
-            m -= 1
-            up, up_lo, _ = chain[m]
-            if 0 <= i - up_lo < up.height:
-                st, lo = up, up_lo
-                break
-        del chain[m:]
-        idx = i - lo
+        st, lo, idx, path = self, 0, i, []
         while st.stage > k:
             offsets = st.offsets
             c = bisect_right(offsets, idx) - 1
-            chain.append((st, lo, c))
             idx -= offsets[c]
             lo += offsets[c]
             prev = st.prev
@@ -522,12 +505,11 @@ class TowerStage:
                     t = t.prev
                 start = lo + prev.height
                 hi = start + st.spacers[c]
-                n = len(chain) - 1
-                while n and c == st.cut - 1:
-                    n -= 1
-                    st, _, c = chain[n]
+                while path and c == st.cut - 1:
+                    st, c = path.pop()
                     hi += st.spacers[c]
                 return start - below, hi, False
+            path.append((st, c))
             st = prev
         return lo, lo + st.height, True
 

@@ -324,6 +324,10 @@ def di_estimate(reports: Sequence[LightBlockReport]) -> Fraction:
     return min(max(r.covered_mass for r in group) for group in by_eps.values())
 
 
+# Ticks a dispersion experiment may list; 10^7 took about 2 s and 98 MB.
+MAX_TICKS = 10_000_000
+
+
 @dataclass(frozen=True)
 class DispersionRow:
     """Conditional block distribution after advancing the conditioned times
@@ -353,11 +357,13 @@ def dispersion_experiment(spec_a: ConstructionSpec, spec_b: ConstructionSpec,
     if not n_list:
         raise SpecError("n_list must be nonempty")
     z = BlockIndex(*z)
-    extra = max(max(n_list), 0)
+    ticks = N + max(max(n_list), 0)
+    if ticks > MAX_TICKS:
+        raise SpecError(f"{ticks} ticks requested, more than the limit of {MAX_TICKS}")
     ca = Cursor(spec_a, as_fraction(x_a), stage_budget=J)
     cb = Cursor(spec_b, as_fraction(x_b), stage_budget=J)
     # one tuple per distinct pair, not per tick
-    pairs = tee(_paired_levels(ca, cb, j, N + extra, step_a, step_b))
+    pairs = tee(_paired_levels(ca, cb, j, ticks, step_a, step_b))
     track = list(map({}.setdefault, *pairs))
     hits = list(compress(range(N), map(z.__eq__, track)))
     if not hits:

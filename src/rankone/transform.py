@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from math import lcm
-from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, Optional, Sequence, Tuple, Union
 
 from .construction import ConstructionSpec, TowerStage, build_stage
 from .errors import OrbitEscaped, SpecError
@@ -48,7 +48,7 @@ class OrbitPoint:
 
 # A cursor reads its orbit off copies of its coarse stage: the deepest
 # stage at most this many levels tall.  One copy is one slice of the stage
-# name in levels and one list of integer cells in x.
+# name in levels and of the stage's integer cells in points.
 COARSE_LIMIT = 1024
 
 
@@ -59,22 +59,18 @@ class Cursor:
     backward(n) move n steps with one add per tower top or bottom they meet.
 
     Questions about a coarser stage k are answered per run, one copy of
-    the stage-k tower or one spacer run (TowerStage.ancestor_run).  The
-    cursor keeps a descent chain per k, so a query restarts inside the
-    current copy, and the next run's descent starts at the smallest cached
-    copy still holding the level: amortized O(1) stages per run forward.
-    level_run(j) reads stage-j runs from the chain.  levels(j) and x read
-    runs of the coarse stage m, the deepest stage at most COARSE_LIMIT
-    levels tall (levels never goes below stage j): a copy run starting at
-    level lo holds the stage-m levels 0..h_m-1, so levels slices the stage
-    name of m (TowerStage.stage_name) and x reads the point at level i as
+    the stage-k tower or one spacer run, by one descent
+    (TowerStage.ancestor_run); x is cell(index) * w + u.  The streams
+    levels(j) and points() share one run walker, which reads the orbit off
+    the coarse stage m, the deepest stage at most COARSE_LIMIT levels tall
+    (never below j): a copy run starting at level lo holds the stage-m
+    levels 0..h_m-1, so levels slices the stage name of m
+    (TowerStage.stage_name) and points reads the point at level i as
     cells_m[i - lo] * w_m + cell(lo) * w + u, one integer numerator over
-    one denominator per run.  Names and cells are built once per cursor;
-    the x run and the chains belong to the stage object, so a refinement
-    drops them."""
+    one denominator per run.  Each stream builds its word of m once per
+    coarse stage; the cursor keeps nothing between calls."""
 
-    __slots__ = ("spec", "budget", "stage_obj", "index", "u", "refinements",
-                 "_xrun", "_chains", "_words")
+    __slots__ = ("spec", "budget", "stage_obj", "index", "u", "refinements")
 
     def __init__(self, spec: ConstructionSpec, x, stage_budget: Optional[int] = None):
         x = as_fraction(x)
@@ -97,19 +93,8 @@ class Cursor:
         self.index = st.level_of_cell(c)
         self.u = x - c * st.width
         self.refinements = 0
-        # _xrun: (lo, hi, cells or None, scale, add, den), the point at
-        # level i of [lo, hi) being (cells[i - lo] or cell(i)) * scale + add
-        # over den; _chains: k -> ancestor_run chain; _words: (m, j) ->
-        # stage name, (m, None) -> level cells of the coarse stage m
-        self._xrun = None
-        self._chains = {}
-        self._words = {}
 
-    def _ancestor_run(self, k: int) -> Tuple[int, int, bool]:
-        return self.stage_obj.ancestor_run(self.index, k,
-                                           self._chains.setdefault(k, []))
-
-    def _coarse(self, j: int = 1) -> TowerStage:
+    def _coarse(self, j: int) -> TowerStage:
         """The deepest stage, between j and the cursor's stage, at most
         COARSE_LIMIT levels tall; stage j if none is."""
         st = self.stage_obj
@@ -117,39 +102,10 @@ class Cursor:
             st = st.prev
         return st
 
-    def _word(self, m: TowerStage, j: Optional[int]) -> Sequence[Optional[int]]:
-        key = (m.stage, j)
-        word = self._words.get(key)
-        if word is None:
-            word = self._words[key] = (m.level_cells() if j is None
-                                       else m.stage_name(j))
-        return word
-
     @property
     def x(self) -> Fraction:
-        i = self.index
-        run = self._xrun
-        if run is None or not run[0] <= i < run[1]:
-            run = self._xrun = self._x_run()
-        lo, _, cells, scale, add, den = run
-        c = self.stage_obj.cell(i) if cells is None else cells[i - lo]
-        return Fraction(c * scale + add, den)
-
-    def _x_run(self) -> tuple:
-        st, u = self.stage_obj, self.u
-        w = st.width
-        den = lcm(w.denominator, u.denominator)
-        scale = w.numerator * (den // w.denominator)
-        add = u.numerator * (den // u.denominator)
-        m = self._coarse()
-        if m.height > COARSE_LIMIT:
-            return 0, st.height, None, scale, add, den
-        lo, hi, copy = self._ancestor_run(m.stage)
-        if not copy:
-            return lo, hi, None, scale, add, den
-        # a copy of m at lo: stage-m cell p is cell p * (w_m / w) + cell(lo)
-        return (lo, hi, self._word(m, None), scale * (m.width // w),
-                st.cell(lo) * scale + add, den)
+        st = self.stage_obj
+        return st.cell(self.index) * st.width + self.u
 
     def _refine(self, steps_done: int) -> None:
         st = self.stage_obj
@@ -163,8 +119,6 @@ class Cursor:
         self.u -= c * nxt.width
         self.stage_obj = nxt
         self.refinements += 1
-        self._xrun = None
-        self._chains = {}
 
     def step_forward(self, steps_done: int = 0) -> None:
         while self.index == self.stage_obj.height - 1:
@@ -226,35 +180,63 @@ class Cursor:
             raise SpecError(f"cursor at stage {self.stage_obj.stage} cannot "
                             f"answer for finer stage {j}")
         i = self.index
-        lo, hi, copy = self._ancestor_run(j)
+        lo, hi, copy = self.stage_obj.ancestor_run(i, j)
         return (i - lo if copy else None), hi - i
+
+    def _runs(self, j: int, step: int, word: Callable[[TowerStage], Sequence]
+              ) -> Iterator[Tuple[int, int, int, bool, TowerStage, Sequence]]:
+        """The orbit from the current point refined to stage j, one run of
+        the current stage per item, a copy of the coarse stage m or a spacer
+        run: (lo, i, hi, copy, m, word(m)), the run's ticks being the
+        levels i, i + step, ... below hi.  word(m) is built once per coarse
+        stage.  The cursor stays at level i while the run is read and moves
+        past it when the next run is asked for."""
+        self.refine_to(j)
+        done, m = 0, None
+        while True:
+            st, i = self.stage_obj, self.index
+            coarse = self._coarse(j)
+            if coarse is not m:
+                m, m_word = coarse, word(coarse)
+            lo, hi, copy = st.ancestor_run(i, m.stage)
+            yield lo, i, hi, copy, m, m_word
+            n = -(-(hi - i) // step) * step
+            self.forward(n, done)
+            done += n
 
     def levels(self, j: int, step: int = 1) -> Iterator[Optional[int]]:
         """The stage-j level of each tick of the orbit (None in spacer
         mass unborn at stage j), tick 0 at the current point refined to
         stage j and each later tick `step` forward steps on: one slice of
         a stage name per coarse copy, or one run of None per spacer run,
-        so ticks cost C-level work.  The cursor moves when the first tick
-        past a run is asked for."""
+        so ticks cost C-level work."""
         if step < 1:
             raise SpecError("step sizes must be >= 1")
-        return chain.from_iterable(self._level_runs(j, step))
+        return chain.from_iterable(
+            name[i - lo:hi - lo:step] if copy else repeat(None, -(-(hi - i) // step))
+            for lo, i, hi, copy, _, name in self._runs(
+                j, step, lambda m: m.stage_name(j)))
 
-    def _level_runs(self, j: int, step: int) -> Iterator[Iterable[Optional[int]]]:
-        self.refine_to(j)
-        done = 0
-        st = None
-        while True:
-            if self.stage_obj is not st:
-                st = self.stage_obj
-                m = self._coarse(j)
-                name = self._word(m, j)
-            i = self.index
-            lo, hi, copy = self._ancestor_run(m.stage)
-            span = -(-(hi - i) // step)
-            yield name[i - lo:hi - lo:step] if copy else repeat(None, span)
-            self.forward(span * step, done)
-            done += span * step
+    def points(self) -> Iterator[Fraction]:
+        """The point at each forward step of the orbit, tick 0 the current
+        point: one integer numerator per tick over one denominator per run,
+        the stage-m cells of a coarse copy or cell(t) in a spacer run."""
+        return chain.from_iterable(
+            self._run_points(*run)
+            for run in self._runs(1, 1, TowerStage.level_cells))
+
+    def _run_points(self, lo: int, i: int, hi: int, copy: bool, m: TowerStage,
+                    cells: Sequence[int]) -> Iterator[Fraction]:
+        st, u = self.stage_obj, self.u
+        w = st.width
+        den = lcm(w.denominator, u.denominator)
+        scale = w.numerator * (den // w.denominator)
+        add = u.numerator * (den // u.denominator)
+        if not copy:
+            return (Fraction(st.cell(t) * scale + add, den) for t in range(i, hi))
+        # a copy of m at lo: stage-m cell p is cell p * (w_m / w) + cell(lo)
+        scale, add = scale * (m.width // w), st.cell(lo) * scale + add
+        return (Fraction(c * scale + add, den) for c in cells[i - lo:hi - lo])
 
 
 def apply_power(spec: ConstructionSpec, x: Union[OrbitPoint, Fraction, int, str],

@@ -338,8 +338,8 @@ def oracle_ancestor(stage, i, k):
 
 
 def oracle_ancestor_run(stage, i, k):
-    """The one-shot descent ancestor_run made before it kept a chain: from
-    this stage down to k every time, the spacer run's upward merge read
+    """ancestor_run's descent with the run ends read off the column
+    offsets: from this stage down to k, the spacer run's upward merge read
     from the path of that one descent."""
     st_, idx, path = stage, i, []
     while st_.stage > k:
@@ -369,13 +369,10 @@ def oracle_ancestor_run(stage, i, k):
     return lo, lo + st_.height, True
 
 
-def restart_copy(chain, stage, i, k):
-    """The entry (stage, lo, column) a chained descent for level i starts
-    from: the smallest cached copy above stage k that holds i."""
-    for entry in reversed(chain[:stage.stage - k]):
-        if 0 <= i - entry[1] < entry[0].height:
-            return entry
-    return None
+def birth_stage(stage, i, k):
+    """The stage above k at which spacer level i (relative to k) was added."""
+    return min(s for s in range(k + 1, stage.stage + 1)
+               if oracle_ancestor(stage, i, s) is not None)
 
 
 CHAIN_SPECS = st.one_of(
@@ -384,8 +381,8 @@ CHAIN_SPECS = st.one_of(
 
 
 class TestChainedDescent:
-    """ancestor_run with a chain kept between calls against the one-shot
-    oracle: forward walks with skips, and revisits anywhere in the tower."""
+    """ancestor_run against the oracle along walks through the tower:
+    forward skips, and revisits anywhere in it."""
 
     @settings(max_examples=80, deadline=None)
     @given(CHAIN_SPECS, st.integers(min_value=1, max_value=9),
@@ -400,36 +397,34 @@ class TestChainedDescent:
         k = min(k, R)
         stR = build_stage(spec, R)
         h = stR.height
-        chain = []
         i = int(where * h)
         for kind, value in [("skip", 0)] + moves:
             i = (i + value) % h if kind == "skip" else int(value * h)
-            want = oracle_ancestor_run(stR, i, k)
-            assert stR.ancestor_run(i, k, chain) == want
-            assert stR.ancestor_run(i, k) == want
-            # the chain lists the copies holding i, from this stage down
-            assert [e[0] for e in chain] == [
-                build_stage(spec, s) for s in range(R, R - len(chain), -1)]
-            assert all(0 <= i - lo < e.height for e, lo, _ in chain)
+            assert stR.ancestor_run(i, k) == oracle_ancestor_run(stR, i, k)
 
     @pytest.mark.parametrize("spec, R, k", [
         (ConstructionSpec.staircase(), 6, 2),
         (ConstructionSpec.staircase(h1=3), 5, 1),
         (ConstructionSpec.random_spacers(seed=3), 6, 2),
     ])
-    def test_spacer_merge_crosses_the_cached_copy(self, spec, R, k):
-        # every level in order, one chain: some spacer runs start in the top
-        # spacers of the copy the descent restarts from and merge upwards
-        # through the spacers above it, read from the chain's columns
+    def test_spacer_runs_merge_across_stages(self, spec, R, k):
+        # every level in order: the runs tile the tower, and some spacer
+        # runs hold spacers added at two or more stages, so the descent from
+        # a run's bottom level merges upwards through the spacers of the
+        # copies enclosing the column it found, read from its path
         stR = build_stage(spec, R)
-        chain, crossings = [], 0
-        for i in range(stR.height):
-            entry = restart_copy(chain, stR, i, k)
-            lo, hi, copy = stR.ancestor_run(i, k, chain)
-            assert (lo, hi, copy) == oracle_ancestor_run(stR, i, k)
-            if entry is not None and not copy and hi > entry[1] + entry[0].height:
-                crossings += 1
-        assert crossings > 0
+        i, merged = 0, 0
+        while i < stR.height:
+            lo, hi, copy = stR.ancestor_run(i, k)
+            assert lo == i < hi
+            for i2 in range(lo, hi):
+                assert stR.ancestor_run(i2, k) == oracle_ancestor_run(stR, i2, k)
+            if not copy:
+                births = [birth_stage(stR, i2, k) for i2 in range(lo, hi)]
+                assert births == sorted(births)
+                merged += births[0] < births[-1]
+            i = hi
+        assert merged > 0
 
 
 class TestAncestorRuns:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankone import cli
+from rankone import cli, joinings
 from rankone.averaging import WeightSequence
 from rankone.construction import ConstructionSpec, build_stage
 from rankone.errors import EmptyFSetError, OrbitEscaped, SpecError
@@ -420,6 +420,36 @@ def test_dispersion_staircase_pair_spreads():
 def test_dispersion_empty_conditioning_refused():
     with pytest.raises(SpecError, match="count 0"):
         dispersion_experiment(ODO, ODO, 0, 0, 40, BlockIndex(0, 1), [1], 2, 8)
+
+
+def test_dispersion_refuses_too_many_ticks_before_any_cursor(monkeypatch):
+    built = []
+
+    def cursor(*a, **kw):
+        built.append(a)
+        raise SpecError("cursor built")
+
+    monkeypatch.setattr(joinings, "Cursor", cursor)
+    limit = joinings.MAX_TICKS
+    for N, n_list in ((100, [0, 10 ** 8]), (limit + 1, [0]), (1, [-5, limit])):
+        with pytest.raises(SpecError) as exc:
+            dispersion_experiment(ODO, ODO, 0, F(1, 3), N, BlockIndex(0, 1),
+                                  n_list, 2, 40)
+        assert str(exc.value) == (f"{N + max(n_list)} ticks requested, more "
+                                  f"than the limit of {limit}")
+    assert built == []
+    argv = ("joining", "disperse", "--spec-a", "odometer", "--spec-b", "odometer",
+            "--x-a", "0/1", "--x-b", "1/3", "-N", "100", "--z", "0,1",
+            "--n-list", "0,100000000", "--j", "2", "--res", "40",
+            "--stage-budget", "40")
+    assert run_cli(*argv) == (2, "", f"error: 100000100 ticks requested, more "
+                                     f"than the limit of {limit}\n")
+    assert built == []
+    # the limit itself is allowed: the experiment goes on to build its cursors
+    with pytest.raises(SpecError, match="cursor built"):
+        dispersion_experiment(ODO, ODO, 0, F(1, 3), 10, BlockIndex(0, 1),
+                              [limit - 10], 2, 40)
+    assert len(built) == 1
 
 
 def oracle_ticks(spec_a, spec_b, x_a, x_b, ticks, j, J, step_a, step_b):

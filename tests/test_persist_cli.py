@@ -16,9 +16,10 @@ from collections import namedtuple
 from fractions import Fraction as F
 from hashlib import sha256
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import rankone
 from rankone import cli, stats
@@ -41,7 +42,7 @@ from rankone.persist import (
     spec_hash,
 )
 from rankone.stats import correlation_series, return_profile
-from rankone.transform import apply_power
+from rankone.transform import Cursor, apply_power
 
 ODO = ConstructionSpec.odometer()
 ST2 = ConstructionSpec.staircase(h1=2)
@@ -247,6 +248,35 @@ def test_cli_orbit_matches_apply_power():
 def test_cli_orbit_includes_start():
     doc = cli_json("orbit", "--spec", "chacon", "--x", "1/2", "--steps", "0")
     assert doc["data"] == ["1/2"]
+
+
+def oracle_cmd_orbit(args):
+    """The orbit command as one step_forward and one x per step."""
+    spec = load_spec(args.spec, args.stage_budget)
+    x = parse_frac(args.x)
+    cur = Cursor(spec, x)
+    points = [frac_str(cur.x)]
+    for k in range(args.steps):
+        cur.step_forward(k)
+        points.append(frac_str(cur.x))
+    return render_json(points, command="orbit", spec=spec_hash(spec),
+                       x=frac_str(x), steps=args.steps,
+                       refinements=cur.refinements) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["odometer", "staircase", "chacon", "random:3"]),
+       st.fractions(min_value=0, max_value=F(3, 2), max_denominator=997),
+       st.integers(min_value=0, max_value=2000),
+       st.integers(min_value=1, max_value=9))
+def test_cli_orbit_matches_per_step_oracle(spec, x, steps, budget):
+    # exit code, document (points and refinements) and escape message
+    argv = ("orbit", "--spec", spec, "--x", f"{x.numerator}/{x.denominator}",
+            "--steps", str(steps), "--stage-budget", str(budget))
+    got = run_cli(*argv)
+    with mock.patch.object(cli, "cmd_orbit", oracle_cmd_orbit), \
+            mock.patch.object(cli, "_parser", None):
+        assert run_cli(*argv) == got
 
 
 def test_cli_return_profile_csv_header_and_identity_row():

@@ -244,7 +244,7 @@ WALK_SPECS = PRESETS[:3] + [ConstructionSpec.random_spacers(seed=k) for k in (1,
 
 
 class TestCursorRuns:
-    """The cursor answers level_at, level_run and x from cached runs; the
+    """The cursor answers level_at, level_run and x from one descent; the
     oracle is the stage object's own ancestor_index and level_lo at the
     current index, and forward(n) is checked against n single steps."""
 
@@ -314,8 +314,8 @@ class TestCursorRuns:
 
     def test_run_cache_is_per_stage_object(self):
         # the stage-2 top level is a spacer, and refining to stage 3 keeps
-        # the point in column 0, right below one more spacer: the run the
-        # cursor held at stage 2 still covers its index but is one short
+        # the point in column 0, right below one more spacer: the run read
+        # at stage 2 still covers its index but is one short at stage 3
         spec = ConstructionSpec(h1=2, cut_rule=CutRule("constant", value=2),
                                 spacer_rule=SpacerRule("list", rows=((0, 1), (1, 0))),
                                 max_stage=3)
@@ -323,19 +323,10 @@ class TestCursorRuns:
         assert (cur.stage_obj.stage, cur.index) == (2, 4)
         assert cur.level_run(1) == (None, 1)
         assert cur.x == 1
-
-        def chains_descend_from_the_current_stage():
-            return all(chain[0][0] is cur.stage_obj
-                       for chain in cur._chains.values() if chain)
-
-        assert cur._chains[1] and chains_descend_from_the_current_stage()
         cur.refine_to(3)
-        # a chain never outlives the stage object it descends
-        assert cur._chains == {}
         assert (cur.stage_obj.stage, cur.index) == (3, 4)
         assert cur.level_run(1) == (None, 2)
         assert cur.x == 1
-        assert cur._chains[1] and chains_descend_from_the_current_stage()
 
     @pytest.mark.parametrize("spec, j, step", [
         (WALK_SPECS[1], 3, 1), (WALK_SPECS[2], 2, 2), (WALK_SPECS[3], 3, 3)])
@@ -395,8 +386,22 @@ def oracle_levels(spec, x, budget, j, step, ticks):
     return out, cur.stage_obj.stage
 
 
+def oracle_points(spec, x, budget, steps):
+    """The orbit's points by one step_forward and one x per step; the
+    escape outcome, or the cursor's stage and refinements at the end."""
+    cur = Cursor(spec, x, stage_budget=budget)
+    out = [cur.x]
+    try:
+        for k in range(steps):
+            cur.step_forward(k)
+            out.append(cur.x)
+    except OrbitEscaped as exc:
+        return out, escape_outcome(exc)
+    return out, (cur.stage_obj.stage, cur.refinements)
+
+
 class TestCoarseRuns:
-    """levels and x read copies of the coarse stage (the deepest stage at
+    """levels and points read copies of the coarse stage (the deepest stage at
     most COARSE_LIMIT levels tall); both are checked per tick against the
     stage object, with the limit varied so that copies and spacer runs of
     stages above j, and escapes part-way through a copy, all occur."""
@@ -423,6 +428,24 @@ class TestCoarseRuns:
                 assert escape_outcome(exc) == end
             else:
                 assert cur.stage_obj.stage == end
+        assert got == expected
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(COARSE_SPECS), STARTS, COARSE_LIMITS,
+           st.integers(min_value=1, max_value=8),
+           st.integers(min_value=0, max_value=1500))
+    def test_points_match_single_steps(self, spec, x, limit, budget, steps):
+        expected, end = oracle_points(spec, x, budget, steps)
+        got = []
+        with mock.patch.object(transform, "COARSE_LIMIT", limit):
+            cur = Cursor(spec, x, stage_budget=budget)
+            try:
+                for p in islice(cur.points(), steps + 1):
+                    got.append(p)
+            except OrbitEscaped as exc:
+                assert escape_outcome(exc) == end
+            else:
+                assert (cur.stage_obj.stage, cur.refinements) == end
         assert got == expected
 
     def test_levels_slice_coarse_copies_above_j(self):
