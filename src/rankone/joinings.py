@@ -22,10 +22,9 @@ from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
 from .averaging import WeightSequence, flatness
 from .construction import ConstructionSpec, build_stage
 from .errors import EmptyFSetError, SpecError
-from .measure import (IntervalSet, MeasureBound, RationalLike, as_fraction,
-                      set_intersection)
+from .measure import IntervalSet, MeasureBound, RationalLike, as_fraction
 from .stats import _counts
-from .transform import Cursor, power_image
+from .transform import Cursor
 
 __all__ = [
     "BlockIndex",
@@ -502,12 +501,13 @@ def trivialization_check(m: BlockMassMatrix, F: FSetSpec, A: IntervalSet,
 
     The conditional side selects whole blocks (A and B are unions of
     stage-k levels, so stage-j levels never straddle them).  The display
-    side re-evaluates each term at stage J, from level pair counts for
-    product matrices and through images of B for graph ones; mass pushed
-    off the tower widens the enclosure.  For empirical matrices the display
-    uses the exact whole-block transport instead (within-tower shifts lose
-    no orbit mass).  display fields are None when the base column itself
-    carries no mass.
+    side re-evaluates each term at stage J from level pair counts: the
+    selected column levels against B for product matrices, and for graph
+    ones each selected block's levels inside T^{-h}B against its level
+    under T^k; mass pushed off the tower widens the enclosure.  For
+    empirical matrices the display uses the exact whole-block transport
+    instead (within-tower shifts lose no orbit mass).  display fields are
+    None when the base column itself carries no mass.
     """
     if not (1 <= k <= m.j):
         raise SpecError(f"need 1 <= k <= j, got k={k}, j={m.j}")
@@ -529,7 +529,7 @@ def trivialization_check(m: BlockMassMatrix, F: FSetSpec, A: IntervalSet,
     display_sum = display_gap = None
     slack = Fraction(0)
     if nu_C > 0:
-        lo, hi = _display_route(m, F, A, in_A, B, per_shift)
+        lo, hi = _display_route(m, F, in_A, B, per_shift)
         display_sum = MeasureBound(lo / nu_C, hi / nu_C)
         slack = display_sum.width
         d_lo = max(Fraction(0),
@@ -543,49 +543,49 @@ def trivialization_check(m: BlockMassMatrix, F: FSetSpec, A: IntervalSet,
         weight_flatness=F.weight_flatness, escape_slack=slack)
 
 
-def _display_route(m: BlockMassMatrix, F: FSetSpec, A: IntervalSet, in_A: int,
-                   B: IntervalSet, per_shift: Dict[int, Fraction],
-                   ) -> Tuple[Fraction, Fraction]:
+def _display_route(m: BlockMassMatrix, F: FSetSpec, in_A: int, B: IntervalSet,
+                   per_shift: Dict[int, Fraction]) -> Tuple[Fraction, Fraction]:
     """Enclosure of sum_h a_h nu(A x T^{-h}B intersect C), unnormalized.
 
-    per_shift[h] is the mass of the column's blocks inside A x T^{-h}B."""
+    per_shift[h] is the mass of the column's blocks inside A x T^{-h}B.
+    The selected blocks (z1, z2) have level z1 inside A, since A is a
+    union of levels of a stage at most j; their stage-J levels and B's
+    are bitsets, and every level pair is counted by stats._counts."""
     if m.kind == "empirical":
         val = sum((a_h * per_shift[h] for h, a_h in F.weights.weights), Fraction(0))
         return val, val
-    J = m.meta["J"]
+    if m.kind not in ("product", "graph"):
+        raise SpecError(f"unknown matrix kind: {m.kind!r}")
     sel = [bi for bi in F.column.members if in_A >> bi.z1 & 1]
+    if not sel:
+        return Fraction(0), Fraction(0)
+    # stage-J levels t of the selected second-tower blocks and their pairs
+    # (t, t + h) with t + h in B; outs[top - h]: the levels of B below h,
+    # which T^{-h} pushes off the bottom
+    stJ = build_stage(m.spec_b, m.meta["J"])
+    h_J = stJ.height
+    occ = stJ.occurrence_bits(m.j)
+    b = stJ.level_bits(B)
+    C = 0
+    for _, z2 in sel:
+        C |= occ << z2
+    ws = F.weights.weights
+    top = ws[-1][0]
+    hits, outs = _counts(C, b, range(-top, 1 - ws[0][0]), h_J)
     if m.kind == "product":
-        if not sel:
-            return Fraction(0), Fraction(0)
-        # stage-J levels t of the selected second-tower blocks and their
-        # pairs (t, t + h) with t + h in B; levels of B below h escape
-        stJ = build_stage(m.spec_b, J)
-        occ = stJ.occurrence_bits(m.j)
-        C = 0
-        for _, z2 in sel:
-            C |= occ << z2
-        ws = F.weights.weights
-        top = ws[-1][0]
-        hits, outs = _counts(C, stJ.level_bits(B), range(-top, 1 - ws[0][0]),
-                             stJ.height)
         s = m.level_mass_a * stJ.width / m.norm_b
         lo = s * sum(a_h * hits[top - h] for h, a_h in ws)
         return lo, lo + s * sum(a_h * outs[top - h] for h, a_h in ws)
-    if m.kind == "graph":
-        kg = m.meta["k"]
-        sa, sb = build_stage(m.spec_a, m.j), build_stage(m.spec_b, m.j)
-        lo = hi = Fraction(0)
-        for h, a_h in F.weights.weights:
-            img, esc = power_image(m.spec_b, B, -h, J)
-            t_lo = Fraction(0)
-            extra = Fraction(0)
-            for z1, z2 in sel:
-                V = set_intersection(IntervalSet((sb.level(z2),)), img)
-                W, esc2 = power_image(m.spec_a, V, kg, J)
-                lvl = set_intersection(IntervalSet((sa.level(z1),)), A)
-                t_lo += set_intersection(lvl, W).measure / m.norm_a
-                extra += esc2.hi / m.norm_a
-            lo += a_h * t_lo
-            hi += a_h * (t_lo + extra + (esc.hi / m.norm_b if sel else Fraction(0)))
-        return lo, hi
-    raise SpecError(f"unknown matrix kind: {m.kind!r}")
+    # graph of T^k: the levels of block z2 inside T^{-h}B that T^k puts in
+    # level z1 resolve, and those it pushes off the tower escape
+    power = range(m.meta["k"], m.meta["k"] + 1)
+    lo = hi = Fraction(0)
+    for h, a_h in ws:
+        n = e = 0
+        for z1, z2 in sel:
+            (n1,), (e1,) = _counts(occ << z1, (occ << z2) & (b >> h), power, h_J)
+            n, e = n + n1, e + e1
+        lo += a_h * n
+        hi += a_h * (n + e + outs[top - h])
+    s = stJ.width / m.norm_a
+    return s * lo, s * hi

@@ -6,12 +6,12 @@ of shifts m as two count vectors: the levels i of B with i + m in A (a
 shifted `&`), and the levels pushed past the top (m > 0) or below the
 bottom (m < 0), one prefix count of B's bits per edge.  Escaped mass, w_J
 a level, could land anywhere and widens the upper bound.  ROADMAP item 2's
-windowed pair counts will fill these vectors without an h_J-bit set.
+lag-descent kernel is to fill these vectors without an h_J-bit set.
 
 The kernel's callers: return_profile, correlation and correlation_series
 here (and flow's windowed returns and consequence_check through them),
 and in joinings graph_blocks (one lag vector of E_j's occurrences) and
-the product display of trivialization_check.
+the product and graph displays of trivialization_check.
 
 Bounds are the counts over one shared denominator, one Fraction per
 distinct count: |S| for a^z_j = mu(T^z E_j | E_j), S the occurrences of

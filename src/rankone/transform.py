@@ -55,8 +55,9 @@ COARSE_LIMIT = 1024
 class Cursor:
     """Mutable orbit-iteration state: (stage, level index, offset within the
     level).  Stepping is O(1) integer work except at tower tops and bottoms,
-    where the representation refines one stage and retries; forward(n) and
-    backward(n) move n steps with one add per tower top or bottom they meet.
+    where the representation refines one stage and retries; advance(n)
+    moves |n| steps, of the sign of n, with one add per tower top or bottom
+    it meets.
 
     Questions about a coarser stage k are answered per run, one copy of
     the stage-k tower or one spacer run, by one descent
@@ -130,37 +131,22 @@ class Cursor:
             self._refine(steps_done)
         self.index -= 1
 
-    def forward(self, n: int, steps_done: int = 0) -> None:
-        """n forward steps: one integer add up to the tower top, and one
-        refinement wherever a step leaves it."""
-        while n > 0:
-            room = min(self.stage_obj.height - 1 - self.index, n)
-            self.index += room
+    def advance(self, n: int, steps_done: int = 0) -> None:
+        """|n| steps, forward for n > 0 and backward for n < 0: one integer
+        add up to the tower top (or bottom), and one refinement wherever a
+        step leaves it."""
+        sign, step = (1, self.step_forward) if n > 0 else (-1, self.step_backward)
+        n = abs(n)
+        while n:
+            i = self.index
+            room = min(self.stage_obj.height - 1 - i if sign > 0 else i, n)
+            self.index = i + sign * room
             steps_done += room
             n -= room
             if n:
-                self.step_forward(steps_done)
+                step(steps_done)
                 steps_done += 1
                 n -= 1
-
-    def backward(self, n: int, steps_done: int = 0) -> None:
-        """n backward steps: one integer subtraction down to the tower
-        bottom, and one refinement wherever a step leaves it."""
-        while n > 0:
-            room = min(self.index, n)
-            self.index -= room
-            steps_done += room
-            n -= room
-            if n:
-                self.step_backward(steps_done)
-                steps_done += 1
-                n -= 1
-
-    def advance(self, n: int) -> None:
-        if n >= 0:
-            self.forward(n)
-        else:
-            self.backward(-n)
 
     def refine_to(self, j: int, steps_done: int = 0) -> None:
         """Refine the representation until the cursor's stage is at least j."""
@@ -201,7 +187,7 @@ class Cursor:
             lo, hi, copy = st.ancestor_run(i, m.stage)
             yield lo, i, hi, copy, m, m_word
             n = -(-(hi - i) // step) * step
-            self.forward(n, done)
+            self.advance(n, done)
             done += n
 
     def levels(self, j: int, step: int = 1) -> Iterator[Optional[int]]:

@@ -5,12 +5,15 @@ path replaced: the occurrence x shift loop of return_profile, the
 per-shift overlap that the count kernel of stats batches over a range of
 shifts, the plist/bisect loop of graph_blocks, the power_image route of
 correlation, the level scans that trivialization_check used to find and
-validate its level sets, and the P f route (average_apply backward, one
-inner product a level) of its product display.  Hypothesis draws every
-preset and random:K specs at 1 <= j <= J <= 8, shifts past the tower top
-and negative powers.
+validate its level sets, the P f route (average_apply backward, one
+inner product a level) of its product display, and the power_image route
+of its graph display (B imaged by T^{-h}, each selected block's part
+imaged by T^k).  Hypothesis draws every preset and random:K specs at
+1 <= j <= J <= 8, shifts past the tower top and negative powers.
 """
 
+import contextlib
+import io
 import random
 import time
 from bisect import bisect_right
@@ -23,6 +26,7 @@ from hypothesis import strategies as st
 
 from rankone import stats
 from rankone.averaging import average_apply
+from rankone.cli import main
 from rankone.construction import ConstructionSpec, bit_indices, build_stage
 from rankone.errors import SpecError
 from rankone.joinings import (
@@ -113,6 +117,33 @@ def oracle_product_display(m, fs, A, B):
     hi = lo + (m.level_mass_a * esc.hi / m.norm_b if sel else 0)
     nu_C = sum((m.mass(bi) for bi in fs.column.members), F(0))
     return MeasureBound(lo / nu_C, hi / nu_C)
+
+
+def oracle_graph_display(m, fs, A, B):
+    """trivialization_check's display_sum for a graph matrix: T^{-h}B by
+    power_image, then each selected block's part of it imaged by T^k and
+    met with its first-tower level inside A; B's escape under T^{-h} once
+    per shift if any block is selected, and each T^k escape."""
+    in_A = oracle_levels_inside(build_stage(m.spec_a, m.j), A)
+    sel = [bi for bi in fs.column.members if bi.z1 in in_A]
+    J = m.meta["J"]
+    kg = m.meta["k"]
+    sa, sb = build_stage(m.spec_a, m.j), build_stage(m.spec_b, m.j)
+    lo = hi = F(0)
+    for h, a_h in fs.weights.weights:
+        img, esc = power_image(m.spec_b, B, -h, J)
+        t_lo = F(0)
+        extra = F(0)
+        for z1, z2 in sel:
+            V = set_intersection(IntervalSet((sb.level(z2),)), img)
+            W, esc2 = power_image(m.spec_a, V, kg, J)
+            lvl = set_intersection(IntervalSet((sa.level(z1),)), A)
+            t_lo += set_intersection(lvl, W).measure / m.norm_a
+            extra += esc2.hi / m.norm_a
+        lo += a_h * t_lo
+        hi += a_h * (t_lo + extra + (esc.hi / m.norm_b if sel else F(0)))
+    nu_C = sum((m.mass(bi) for bi in fs.column.members), F(0))
+    return MeasureBound(lo / nu_C, hi / nu_C) if nu_C else None
 
 
 def oracle_correlation(spec, A, B, m, J):
@@ -375,16 +406,65 @@ def test_product_display_matches_average_apply_route(spec_a, spec_b, data):
     fs = columns_and_F(m, delta, col, shifts)
     A = data.draw(level_sets(spec_a, k))
     B = data.draw(level_sets(spec_b, k))
-    stj_a, stj_b = build_stage(spec_a, j), build_stage(spec_b, j)
-    in_A, in_B = oracle_levels_inside(stj_a, A), oracle_levels_inside(stj_b, B)
+    check_display(m, fs, A, B, k, oracle_product_display(m, fs, A, B))
+
+
+def check_display(m, fs, A, B, k, want):
+    """trivialization_check's conditional from a block scan, and its
+    display fields from the display oracle's enclosure `want`."""
+    in_A = oracle_levels_inside(build_stage(m.spec_a, m.j), A)
+    in_B = oracle_levels_inside(build_stage(m.spec_b, m.j), B)
     cond = sum((m.mass(BlockIndex(z1, z2 + h)) for h in fs.shifts
                 for z1, z2 in fs.column.members if z1 in in_A and z2 + h in in_B),
                F(0)) / fs.nu_F
-    want = oracle_product_display(m, fs, A, B)
     rec = trivialization_check(m, fs, A, B, k)
     assert rec.conditional == cond
     assert rec.display_sum == want
+    if want is None:
+        assert rec.display_gap is None and rec.escape_slack == 0
+        return
     assert rec.escape_slack == want.width
     assert rec.display_gap == MeasureBound(
         max(F(0), want.lo - cond, cond - want.hi),
         max(abs(cond - want.lo), abs(cond - want.hi)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_specs, st.data())
+def test_graph_display_matches_power_image_route(spec, data):
+    # graph powers of either sign and 0; shifts up to the top of the tower,
+    # so B escapes below the bottom under T^{-h}, and blocks leave the
+    # tower under T^kg; A may select no block
+    J = data.draw(st.integers(1, 6))
+    assume(build_stage(spec, J).height <= ORACLE_MAX_HEIGHT)
+    j = data.draw(st.integers(1, J))
+    k = data.draw(st.integers(1, j))
+    h = build_stage(spec, j).height
+    delta = F(1, data.draw(st.integers(2, 8)))
+    room = h - 1 - int(delta * h)
+    w = data.draw(st.integers(0, room))
+    # the base column's blocks (w + i, i) lie on lag kg - w of the graph of
+    # T^kg; take a lag at which E_j meets a translate of itself at stage J,
+    # so the column carries mass
+    occ = build_stage(spec, J).occurrences(j)
+    lag = data.draw(st.sampled_from([0, *occ[1:], *(-p for p in occ[1:])]))
+    g = graph_blocks(spec, w + lag, j, J)
+    shifts = data.draw(st.lists(st.integers(0, room) | st.just(room), max_size=3))
+    fs = columns_and_F(g, delta, w, sorted({0, *shifts}))
+    A = data.draw(level_sets(spec, k))
+    B = data.draw(level_sets(spec, k))
+    check_display(g, fs, A, B, k, oracle_graph_display(g, fs, A, B))
+
+
+def test_deep_graph_display_within_budget():
+    # imaging B and each block through power_image took 3.15 s of this
+    # command's 3.9-4.2 s on a 2-core VM under CPython 3.11.7
+    argv = ["joining", "trivialize", "--kind", "graph", "--spec", "staircase",
+            "--k", "1", "--j", "4", "--res", "10", "--delta", "1/4", "--w", "1",
+            "--shifts", "0,1,2", "--A", "1", "--B", "0", "--cond-stage", "1"]
+    t0 = time.monotonic()
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    elapsed = time.monotonic() - t0
+    assert code == 0
+    assert elapsed < 0.5, f"joining trivialize took {elapsed:.2f} s"

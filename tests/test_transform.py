@@ -246,14 +246,15 @@ WALK_SPECS = PRESETS[:3] + [ConstructionSpec.random_spacers(seed=k) for k in (1,
 class TestCursorRuns:
     """The cursor answers level_at, level_run and x from one descent; the
     oracle is the stage object's own ancestor_index and level_lo at the
-    current index, and forward(n) is checked against n single steps."""
+    current index, and advance(n) is checked against |n| single steps of
+    the sign of n, escapes included."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(WALK_SPECS),
            st.fractions(min_value=0, max_value=F(99, 100), max_denominator=997),
            st.integers(min_value=1, max_value=8),
            st.integers(min_value=1, max_value=8),
-           st.lists(st.tuples(st.sampled_from(("up", "down", "jump")),
+           st.lists(st.tuples(st.sampled_from(("up", "down", "jump", "leap back")),
                               st.integers(min_value=1, max_value=40)),
                     min_size=1, max_size=8),
            st.lists(st.integers(min_value=1, max_value=8), min_size=2, max_size=4))
@@ -288,17 +289,21 @@ class TestCursorRuns:
             cur.refine_to(min(start, cur.budget))
             check()
             for kind, length in moves:
-                if kind == "jump":
+                if kind in ("jump", "leap back"):
+                    n = length if kind == "jump" else -length
                     twin = Cursor(spec, cur.x, stage_budget=budget)
                     twin.refine_to(cur.stage_obj.stage)
+                    step = twin.step_forward if n > 0 else twin.step_backward
                     try:
-                        for _ in range(length):
-                            twin.step_forward()
-                    except OrbitEscaped:
-                        with pytest.raises(OrbitEscaped):
-                            cur.forward(length)
+                        for done in range(length):
+                            step(done)
+                    except OrbitEscaped as twin_exc:
+                        with pytest.raises(OrbitEscaped) as exc:
+                            cur.advance(n)
+                        assert (exc.value.point, exc.value.steps_done) == (
+                            twin_exc.point, twin_exc.steps_done)
                         return
-                    cur.forward(length)
+                    cur.advance(n)
                     assert (cur.stage_obj, cur.index, cur.u) == (
                         twin.stage_obj, twin.index, twin.u)
                     check()
