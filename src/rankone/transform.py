@@ -48,7 +48,7 @@ class OrbitPoint:
 
 # A cursor reads its orbit off copies of its coarse stage: the deepest
 # stage at most this many levels tall.  One copy is one slice of the stage
-# name in levels and of the stage's integer cells in points.
+# name in levels and of the stage's integer cells in point_runs.
 COARSE_LIMIT = 1024
 
 
@@ -62,11 +62,11 @@ class Cursor:
     Questions about a coarser stage k are answered per run, one copy of
     the stage-k tower or one spacer run, by one descent
     (TowerStage.ancestor_run); x is cell(index) * w + u.  The streams
-    levels(j) and points() share one run walker, which reads the orbit off
-    the coarse stage m, the deepest stage at most COARSE_LIMIT levels tall
-    (never below j): a copy run starting at level lo holds the stage-m
+    levels(j) and point_runs() share one run walker, which reads the orbit
+    off the coarse stage m, the deepest stage at most COARSE_LIMIT levels
+    tall (never below j): a copy run starting at level lo holds the stage-m
     levels 0..h_m-1, so levels slices the stage name of m
-    (TowerStage.stage_name) and points reads the point at level i as
+    (TowerStage.stage_name) and point_runs reads the point at level i as
     cells_m[i - lo] * w_m + cell(lo) * w + u, one integer numerator over
     one denominator per run.  Each stream builds its word of m once per
     coarse stage; the cursor keeps nothing between calls."""
@@ -205,24 +205,26 @@ class Cursor:
 
     def points(self) -> Iterator[Fraction]:
         """The point at each forward step of the orbit, tick 0 the current
-        point: one integer numerator per tick over one denominator per run,
-        the stage-m cells of a coarse copy or cell(t) in a spacer run."""
-        return chain.from_iterable(
-            self._run_points(*run)
-            for run in self._runs(1, 1, TowerStage.level_cells))
+        point: the Fraction view of point_runs, whose integers `rankone
+        orbit` renders with no Fraction."""
+        return chain.from_iterable(map(Fraction, numerators, repeat(den))
+                                   for den, numerators in self.point_runs())
 
-    def _run_points(self, lo: int, i: int, hi: int, copy: bool, m: TowerStage,
-                    cells: Sequence[int]) -> Iterator[Fraction]:
-        st, u = self.stage_obj, self.u
-        w = st.width
-        den = lcm(w.denominator, u.denominator)
-        scale = w.numerator * (den // w.denominator)
-        add = u.numerator * (den // u.denominator)
-        if not copy:
-            return (Fraction(st.cell(t) * scale + add, den) for t in range(i, hi))
-        # a copy of m at lo: stage-m cell p is cell p * (w_m / w) + cell(lo)
-        scale, add = scale * (m.width // w), st.cell(lo) * scale + add
-        return (Fraction(c * scale + add, den) for c in cells[i - lo:hi - lo])
+    def point_runs(self) -> Iterator[Tuple[int, Iterator[int]]]:
+        """The orbit from the current point, one run per item: (den, numerators)
+        with each tick's point n / den (n >= 0, den > 0), fixed when the run is
+        yielded.  The cursor moves past a run when the next one is asked for."""
+        for lo, i, hi, copy, m, m_cells in self._runs(1, 1, TowerStage.level_cells):
+            st, u = self.stage_obj, self.u
+            w = st.width
+            den = lcm(w.denominator, u.denominator)
+            scale = w.numerator * (den // w.denominator)
+            add = u.numerator * (den // u.denominator)
+            if copy:
+                # a copy of m at lo: stage-m cell p is cell p * (w_m / w) + cell(lo)
+                scale, add = scale * (m.width // w), st.cell(lo) * scale + add
+            cells = m_cells[i - lo:hi - lo] if copy else map(st.cell, range(i, hi))
+            yield den, map(add.__add__, map(scale.__mul__, cells))
 
 
 def apply_power(spec: ConstructionSpec, x: Union[OrbitPoint, Fraction, int, str],

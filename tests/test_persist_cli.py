@@ -35,6 +35,7 @@ from rankone.persist import (
     bound_json,
     dump_stage,
     frac_str,
+    frac_strs,
     meta_line,
     parse_frac,
     render_json,
@@ -73,6 +74,12 @@ def test_frac_str_and_parse_round_trip():
 @given(st.fractions())
 def test_frac_round_trip_property(x):
     assert parse_frac(frac_str(x)) == x
+
+
+@given(st.integers(min_value=1, max_value=10**30),
+       st.lists(st.integers(min_value=0, max_value=10**40) | st.integers(0, 12)))
+def test_frac_strs_match_frac_str(den, numerators):
+    assert list(frac_strs(den, numerators)) == [frac_str(F(n, den)) for n in numerators]
 
 
 def test_parse_frac_rejects_garbage():
@@ -277,6 +284,27 @@ def test_cli_orbit_matches_per_step_oracle(spec, x, steps, budget):
     with mock.patch.object(cli, "cmd_orbit", oracle_cmd_orbit), \
             mock.patch.object(cli, "_parser", None):
         assert run_cli(*argv) == got
+
+
+def test_cli_orbit_builds_no_fraction_per_point():
+    # the points are rendered from the walker's integers: a 6,001-point
+    # orbit builds only the Fractions of parsing the start, building the
+    # stages and placing the cursor (40 on CPython 3.11 with no stage
+    # cached), where one Fraction per point would build over 6,000
+    built = 0
+    new = F.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return new(cls, *args, **kwargs)
+
+    argv = ("orbit", "--spec", "staircase", "--x", "1/3", "--steps", "6000",
+            "--stage-budget", "10")
+    with mock.patch.object(F, "__new__", counting_new):
+        code, out, err = run_cli(*argv)
+    assert code == 0 and len(json.loads(out)["data"]) == 6001
+    assert built <= 60
 
 
 def test_cli_return_profile_csv_header_and_identity_row():

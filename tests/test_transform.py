@@ -2,7 +2,7 @@
 
 import time
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice, starmap
 from unittest import mock
 
 import pytest
@@ -19,6 +19,7 @@ from rankone.measure import (
     set_intersection,
 )
 from rankone import transform
+from rankone.persist import frac_str, frac_strs
 from rankone.transform import Cursor, OrbitPoint, apply_power, power_image
 
 F = Fraction
@@ -405,6 +406,42 @@ def oracle_points(spec, x, budget, steps):
     return out, (cur.stage_obj.stage, cur.refinements)
 
 
+def oracle_point_strs(spec, x, budget, steps):
+    """The orbit as `rankone orbit` rendered it point by point: frac_str of
+    each Fraction from points(); the escape outcome, or the cursor's stage
+    and refinements at the end."""
+    cur = Cursor(spec, x, stage_budget=budget)
+    out = []
+    try:
+        for p in islice(cur.points(), steps + 1):
+            out.append(frac_str(p))
+    except OrbitEscaped as exc:
+        return out, escape_outcome(exc)
+    return out, (cur.stage_obj.stage, cur.refinements)
+
+
+@st.composite
+def orbit_starts(draw, spec, budget):
+    """A start anywhere (STARTS), in the top level of a stage k <= budget,
+    or in a spacer level of stage k >= 2 unborn at stage k - 1."""
+    kind = draw(st.sampled_from(("any", "top", "spacer")))
+    k = draw(st.integers(min_value=1, max_value=4))
+    if kind == "any" or k > budget or (kind == "spacer" and k == 1):
+        return draw(STARTS)
+    stage = build_stage(spec, k)
+    if kind == "top":
+        i = stage.height - 1
+    else:
+        spacers = [i for i in range(stage.height)
+                   if stage.ancestor_index(i, k - 1) is None]
+        if not spacers:
+            return draw(STARTS)
+        i = draw(st.sampled_from(spacers))
+    u = draw(st.fractions(min_value=0, max_value=1, max_denominator=97)
+             .filter(lambda f: f < 1))
+    return stage.level_lo(i) + u * stage.width
+
+
 class TestCoarseRuns:
     """levels and points read copies of the coarse stage (the deepest stage at
     most COARSE_LIMIT levels tall); both are checked per tick against the
@@ -452,6 +489,38 @@ class TestCoarseRuns:
             else:
                 assert (cur.stage_obj.stage, cur.refinements) == end
         assert got == expected
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(COARSE_SPECS), COARSE_LIMITS,
+           st.integers(min_value=1, max_value=8),
+           st.integers(min_value=0, max_value=1500), st.data())
+    def test_rendered_runs_match_fraction_points(self, spec, limit, budget,
+                                                 steps, data):
+        budget = min(budget, spec.max_stage)
+        x = data.draw(orbit_starts(spec, budget))
+        with mock.patch.object(transform, "COARSE_LIMIT", limit):
+            expected, end = oracle_point_strs(spec, x, budget, steps)
+            cur = Cursor(spec, x, stage_budget=budget)
+            got = []
+            try:
+                runs = starmap(frac_strs, cur.point_runs())
+                for s in islice(chain.from_iterable(runs), steps + 1):
+                    got.append(s)
+            except OrbitEscaped as exc:
+                assert escape_outcome(exc) == end
+            else:
+                assert (cur.stage_obj.stage, cur.refinements) == end
+        assert got == expected
+
+    def test_runs_read_after_later_runs_keep_their_points(self):
+        # each run's numerators are fixed when it is yielded, so runs taken
+        # ahead of reading them still give the orbit's points
+        spec = ConstructionSpec.staircase()
+        runs = list(islice(Cursor(spec, F(1, 3), stage_budget=10).point_runs(), 6))
+        got = [F(n, den) for den, numerators in runs for n in numerators]
+        assert len(runs) == 6 and len(got) > 6
+        assert got == list(islice(Cursor(spec, F(1, 3), stage_budget=10).points(),
+                                  len(got)))
 
     def test_levels_slice_coarse_copies_above_j(self):
         # staircase stages 3..6 are 5, 18, 78 and 400 levels tall: with the
