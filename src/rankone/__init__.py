@@ -20,7 +20,6 @@ from .construction import (
     CutRule,
     SpacerRule,
     TowerStage,
-    base_occurrences,
     build_stage,
     height_ratio_profile,
 )

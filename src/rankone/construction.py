@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import SpecError
-from .measure import Interval, IntervalSet, MeasureBound, as_fraction, canonicalize
+from .measure import Interval, IntervalSet, as_fraction, canonicalize
 
 __all__ = [
     "CutRule",
@@ -35,7 +35,6 @@ __all__ = [
     "PRESETS",
     "build_stage",
     "height_ratio_profile",
-    "base_occurrences",
 ]
 
 
@@ -611,15 +610,3 @@ def height_ratio_profile(spec_a: ConstructionSpec, spec_b: ConstructionSpec,
         out.append(Fraction(min(ha, hb), max(ha, hb)))
     return tuple(out)
 
-
-def base_occurrences(spec: ConstructionSpec, k: int, J: int):
-    """Occurrence set S_k(J) plus the missing-mass bound.
-
-    Returns (S, missing) where S lists the level indices of tower J whose
-    levels lie inside E_k, and missing is the exact-zero bound: E_k is
-    covered exactly, mu(E_k) = |S| * w_J.
-    """
-    if k > J:
-        raise SpecError(f"occurrence stage k={k} exceeds resolution J={J}")
-    st = build_stage(spec, J)
-    return st.occurrences(k), MeasureBound.zero()

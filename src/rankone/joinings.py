@@ -16,8 +16,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, islice, product, repeat, tee
-from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
-                    Tuple)
+from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from .averaging import WeightSequence, flatness
 from .construction import ConstructionSpec, build_stage
@@ -450,6 +450,13 @@ class FSetSpec:
     weight_flatness: Fraction
 
 
+def _check_shifts(m: BlockMassMatrix, i_max: int, shifts: Iterable[int]) -> None:
+    for h in shifts:
+        if h < 0 or i_max + h > m.h_b - 1:
+            raise SpecError(f"shift h={h} pushes the column out of the second "
+                            f"tower (i_max={i_max}, h_j={m.h_b})")
+
+
 def columns_and_F(m: BlockMassMatrix, delta: RationalLike, w: int,
                   shifts: Sequence[int]) -> FSetSpec:
     """Assemble F = union over h in shifts of the column translated up by h,
@@ -459,11 +466,7 @@ def columns_and_F(m: BlockMassMatrix, delta: RationalLike, w: int,
         raise SpecError("shift set must be nonempty")
     if len(set(shifts)) != len(shifts):
         raise SpecError("shift set has duplicates")
-    i_max = col.members[-1].z2
-    for h in shifts:
-        if h < 0 or i_max + h > m.h_b - 1:
-            raise SpecError(f"shift h={h} pushes the column out of the second "
-                            f"tower (i_max={i_max}, h_j={m.h_b})")
+    _check_shifts(m, col.members[-1].z2, shifts)
     per_shift = {}
     for h in sorted(shifts):
         per_shift[h] = sum((m.mass(BlockIndex(z1, z2 + h))
@@ -499,18 +502,24 @@ def trivialization_check(m: BlockMassMatrix, F: FSetSpec, A: IntervalSet,
     """Compare nu(A x B | F) against mu(A)mu(B), and against the shifted-
     column display sum_h a_h nu(A x T^{-h}B | C).
 
-    The conditional side selects whole blocks (A and B are unions of
-    stage-k levels, so stage-j levels never straddle them).  The display
-    side re-evaluates each term at stage J from level pair counts: the
-    selected column levels against B for product matrices, and for graph
-    ones each selected block's levels inside T^{-h}B against its level
-    under T^k; mass pushed off the tower widens the enclosure.  For
-    empirical matrices the display uses the exact whole-block transport
-    instead (within-tower shifts lose no orbit mass).  display fields are
-    None when the base column itself carries no mass.
+    Both sides read whole stage-j blocks: A and B are unions of stage-k
+    levels, k <= j, so stage-j levels never straddle them.  F's column
+    blocks and every shifted block must lie in m's grid (refused
+    otherwise), so T^{-h} moves whole stage-j levels within one copy of the
+    second tower; mass it pushes off the tower, and for graph matrices the
+    mass T^k pushes off, widens the display's enclosure.  For empirical
+    matrices the display is the exact whole-block transport (within-tower
+    shifts lose no orbit mass).  display fields are None when the base
+    column itself carries no mass.
     """
     if not (1 <= k <= m.j):
         raise SpecError(f"need 1 <= k <= j, got k={k}, j={m.j}")
+    members = F.column.members
+    if any(not (0 <= z1 < m.h_a and 0 <= z2 < m.h_b) for z1, z2 in members):
+        raise SpecError(f"column blocks run out of the block grid "
+                        f"(h_a={m.h_a}, h_b={m.h_b})")
+    _check_shifts(m, max((z2 for _, z2 in members), default=0),
+                  {*F.shifts, *(h for h, _ in F.weights.weights)})
     for label, spec, S in (("A", m.spec_a, A), ("B", m.spec_b, B)):
         if build_stage(spec, k).level_bits(S) is None:
             raise SpecError(f"{label} is not a union of stage-{k} levels")
@@ -518,18 +527,18 @@ def trivialization_check(m: BlockMassMatrix, F: FSetSpec, A: IntervalSet,
     in_B = build_stage(m.spec_b, m.j).level_bits(B)
 
     # per_shift[h]: the mass of the selected blocks of the column shifted by h
-    per_shift = {h: sum((m.mass(BlockIndex(z1, z2 + h)) for z1, z2 in F.column.members
+    per_shift = {h: sum((m.mass(BlockIndex(z1, z2 + h)) for z1, z2 in members
                          if in_A >> z1 & 1 and in_B >> (z2 + h) & 1), Fraction(0))
                  for h in F.shifts}
     conditional = sum(per_shift.values(), Fraction(0)) / F.nu_F
     reference = (A.measure / m.norm_a) * (B.measure / m.norm_b)
     gap = abs(conditional - reference)
 
-    nu_C = sum((m.mass(bi) for bi in F.column.members), Fraction(0))
+    nu_C = sum((m.mass(bi) for bi in members), Fraction(0))
     display_sum = display_gap = None
     slack = Fraction(0)
     if nu_C > 0:
-        lo, hi = _display_route(m, F, in_A, B, per_shift)
+        lo, hi = _display_route(m, F, in_A, in_B, per_shift)
         display_sum = MeasureBound(lo / nu_C, hi / nu_C)
         slack = display_sum.width
         d_lo = max(Fraction(0),
@@ -543,14 +552,17 @@ def trivialization_check(m: BlockMassMatrix, F: FSetSpec, A: IntervalSet,
         weight_flatness=F.weight_flatness, escape_slack=slack)
 
 
-def _display_route(m: BlockMassMatrix, F: FSetSpec, in_A: int, B: IntervalSet,
+def _display_route(m: BlockMassMatrix, F: FSetSpec, in_A: int, in_B: int,
                    per_shift: Dict[int, Fraction]) -> Tuple[Fraction, Fraction]:
     """Enclosure of sum_h a_h nu(A x T^{-h}B intersect C), unnormalized.
 
-    per_shift[h] is the mass of the column's blocks inside A x T^{-h}B.
-    The selected blocks (z1, z2) have level z1 inside A, since A is a
-    union of levels of a stage at most j; their stage-J levels and B's
-    are bitsets, and every level pair is counted by stats._counts."""
+    in_A, in_B are A's and B's stage-j level bitsets, and per_shift[h] is
+    the mass of the column's blocks inside A x T^{-h}B.  Level z2 + h of
+    a block (z1, z2) lies in z2's stage-j copy, so a block is hit by shift
+    h iff level z2 + h is in B, and T^{-h} pushes off the tower only the
+    levels of B below h in the bottom copy, w_J each.  A graph block also
+    loses to T^k the occurrences of level z2 that lag k pushes off, read
+    from one escape vector of E_j's stage-J occurrences."""
     if m.kind == "empirical":
         val = sum((a_h * per_shift[h] for h, a_h in F.weights.weights), Fraction(0))
         return val, val
@@ -559,33 +571,17 @@ def _display_route(m: BlockMassMatrix, F: FSetSpec, in_A: int, B: IntervalSet,
     sel = [bi for bi in F.column.members if in_A >> bi.z1 & 1]
     if not sel:
         return Fraction(0), Fraction(0)
-    # stage-J levels t of the selected second-tower blocks and their pairs
-    # (t, t + h) with t + h in B; outs[top - h]: the levels of B below h,
-    # which T^{-h} pushes off the bottom
     stJ = build_stage(m.spec_b, m.meta["J"])
-    h_J = stJ.height
-    occ = stJ.occurrence_bits(m.j)
-    b = stJ.level_bits(B)
-    C = 0
-    for _, z2 in sel:
-        C |= occ << z2
-    ws = F.weights.weights
-    top = ws[-1][0]
-    hits, outs = _counts(C, b, range(-top, 1 - ws[0][0]), h_J)
     if m.kind == "product":
-        s = m.level_mass_a * stJ.width / m.norm_b
-        lo = s * sum(a_h * hits[top - h] for h, a_h in ws)
-        return lo, lo + s * sum(a_h * outs[top - h] for h, a_h in ws)
-    # graph of T^k: the levels of block z2 inside T^{-h}B that T^k puts in
-    # level z1 resolve, and those it pushes off the tower escape
-    power = range(m.meta["k"], m.meta["k"] + 1)
-    lo = hi = Fraction(0)
-    for h, a_h in ws:
-        n = e = 0
-        for z1, z2 in sel:
-            (n1,), (e1,) = _counts(occ << z1, (occ << z2) & (b >> h), power, h_J)
-            n, e = n + n1, e + e1
-        lo += a_h * n
-        hi += a_h * (n + e + outs[top - h])
-    s = stJ.width / m.norm_a
-    return s * lo, s * hi
+        s, escape = m.level_mass_a * stJ.width / m.norm_b, [0] * m.h_b
+    else:
+        # escape[z2]: the occurrences p of E_j with p + z2 + k off the tower
+        s, k, occ = stJ.width / m.norm_a, m.meta["k"], stJ.occurrence_bits(m.j)
+        _, escape = _counts(occ, occ, range(k, k + m.h_b), stJ.height)
+    lo = out = Fraction(0)
+    for h, a_h in F.weights.weights:
+        hit = [bi for bi in sel if in_B >> (bi.z2 + h) & 1]
+        lo += a_h * sum(map(m.mass, hit), Fraction(0))
+        n = (in_B & ((1 << h) - 1)).bit_count() + sum(escape[z2] for _, z2 in hit)
+        out += a_h * n
+    return lo, lo + s * out

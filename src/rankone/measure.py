@@ -389,7 +389,7 @@ class StepFunction:
         return total
 
     def l2_norm_sq(self) -> Fraction:
-        return self.inner(self)
+        return sum(((hi - lo) * v * v for lo, hi, v in self.segments), Fraction(0))
 
 
 def _breakpoints(segments):

@@ -11,7 +11,7 @@ lag-descent kernel is to fill these vectors without an h_J-bit set.
 The kernel's callers: return_profile, correlation and correlation_series
 here (and flow's windowed returns and consequence_check through them),
 and in joinings graph_blocks (one lag vector of E_j's occurrences) and
-the product and graph displays of trivialization_check.
+the graph display of trivialization_check (one escape vector of them).
 
 Bounds are the counts over one shared denominator, one Fraction per
 distinct count: |S| for a^z_j = mu(T^z E_j | E_j), S the occurrences of

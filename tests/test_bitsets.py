@@ -14,20 +14,27 @@ imaged by T^k).  Hypothesis draws every preset and random:K specs at
 
 import contextlib
 import io
+import os
 import random
+import subprocess
+import sys
 import time
 from bisect import bisect_right
 from fractions import Fraction as F
+from hashlib import sha256
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import rankone
 from rankone import stats
 from rankone.averaging import average_apply
 from rankone.cli import main
-from rankone.construction import ConstructionSpec, bit_indices, build_stage
+from rankone.construction import (ConstructionSpec, TowerStage, bit_indices,
+                                  build_stage)
 from rankone.errors import SpecError
 from rankone.joinings import (
     BlockIndex,
@@ -468,3 +475,57 @@ def test_deep_graph_display_within_budget():
     elapsed = time.monotonic() - t0
     assert code == 0
     assert elapsed < 0.5, f"joining trivialize took {elapsed:.2f} s"
+
+
+def product_trivialize(res):
+    """The chacon x staircase product trivialize command at --res res."""
+    return ["joining", "trivialize", "--kind", "product", "--spec-a", "chacon",
+            "--spec-b", "staircase", "--j", "4", "--res", str(res),
+            "--stage-budget", str(res), "--delta", "1/4", "--w", "0",
+            "--shifts", "0,2", "--A", "0", "--B", "0", "--cond-stage", "1"]
+
+
+def test_deep_product_display_in_a_capped_child():
+    # the stage-J display sets took 8 s and 1 GB at --res 13, and --res 14
+    # ended in MemoryError (exit 4) after 2 s under this 512 MB cap
+    resource = pytest.importorskip("resource")
+    cap = 512 << 20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = str(Path(rankone.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    t0 = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "rankone.cli", *product_trivialize(14)],
+                          env=env, preexec_fn=limit, capture_output=True,
+                          text=True, timeout=60)
+    elapsed = time.monotonic() - t0
+    assert proc.returncode == 0, proc.stderr
+    assert elapsed < 1.0, f"joining trivialize took {elapsed:.2f} s"
+
+
+def test_product_display_bytes_pinned():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(product_trivialize(13)) == 0
+    assert sha256(out.getvalue().encode()).hexdigest() == (
+        "baaa4de30108402df3d08f0245f4ffa72c1cc51734a4e482f0da38348c6b34f4")
+
+
+def test_product_display_reads_no_stage_deeper_than_j():
+    stages = []
+
+    def spy(name):
+        real = getattr(TowerStage, name)
+
+        def call(self, *args):
+            stages.append((name, self.stage))
+            return real(self, *args)
+        return mock.patch.object(TowerStage, name, call)
+
+    with spy("occurrence_bits"), spy("level_bits"), \
+            contextlib.redirect_stdout(io.StringIO()):
+        assert main(product_trivialize(9)) == 0
+    assert stages and all(stage <= 4 for _, stage in stages), stages

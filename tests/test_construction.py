@@ -10,12 +10,11 @@ from rankone.construction import (
     ConstructionSpec,
     CutRule,
     SpacerRule,
-    base_occurrences,
     build_stage,
     height_ratio_profile,
 )
 from rankone.errors import SpecError
-from rankone.measure import MeasureBound, canonicalize
+from rankone.measure import canonicalize
 
 F = Fraction
 
@@ -163,15 +162,14 @@ class TestOccurrences:
                     assert occ[-1] + hk <= stJ.height  # blocks fit
 
     def test_base_occurrences_mass(self):
+        # E_k is covered exactly by its stage-J occurrences: mu(E_k) = |S| w_J
         spec = ConstructionSpec.staircase()
-        occ, missing = base_occurrences(spec, 2, 5)
         stJ = build_stage(spec, 5)
-        assert missing == MeasureBound.zero()
-        assert len(occ) * stJ.width == build_stage(spec, 2).width
+        assert len(stJ.occurrences(2)) * stJ.width == build_stage(spec, 2).width
 
     def test_occurrence_k_above_J_rejected(self):
-        with pytest.raises(SpecError):
-            base_occurrences(ConstructionSpec.odometer(), 4, 3)
+        with pytest.raises(SpecError, match=r"^occurrence stage 4 out of range$"):
+            build_stage(ConstructionSpec.odometer(), 3).occurrences(4)
 
 
 class TestSpecSerialization:

@@ -20,7 +20,9 @@ from rankone.flow import FlowSkeletonSpec, band_masses
 from rankone.joinings import (
     BlockIndex,
     BlockMassMatrix,
+    ColumnSpec,
     DispersionRow,
+    FSetSpec,
     UniformBlockMasses,
     columns_and_F,
     di_estimate,
@@ -734,6 +736,30 @@ def test_trivialization_validation():
     half = IntervalSet((Interval(F(0), F(1, 4)),))  # half of a stage-1 level
     with pytest.raises(SpecError):
         trivialization_check(m, fs, half, B, 1)
+
+
+def test_trivialization_refuses_F_outside_the_grid():
+    # the display reads stage-j levels of m's grid, so an F whose column or
+    # shifted column leaves it is refused, whichever matrix it came from
+    A = build_stage(ODO, 1).levels_set([0])
+    B = build_stage(ST2, 1).levels_set([0])
+    short = product_blocks(ODO, ST2, 3, 5)              # h_b = 5
+    tall = columns_and_F(product_blocks(ODO, ST3, 3, 5), F(1, 4), 0, [4])
+    with pytest.raises(SpecError, match=r"^shift h=4 pushes the column out of "
+                       r"the second tower \(i_max=1, h_j=5\)$"):
+        trivialization_check(short, tall, A, B, 1)
+    m = product_blocks(ST2, ST3, 2, 4)                  # h_a = 2, h_b = 3
+    col = ColumnSpec(F(1, 10), 0, 2, (BlockIndex(0, 0),))
+    hand = FSetSpec(column=col, shifts=(3,), nu_F=F(1, 12),
+                    weights=WeightSequence.delta(3), weight_flatness=F(1))
+    with pytest.raises(SpecError, match=r"^shift h=3 pushes the column out of "
+                       r"the second tower \(i_max=0, h_j=3\)$"):
+        trivialization_check(m, hand, A, B, 1)
+    off = dataclasses.replace(hand, shifts=(0,), weights=WeightSequence.delta(0),
+                              column=dataclasses.replace(col, members=(BlockIndex(2, 0),)))
+    with pytest.raises(SpecError, match=r"^column blocks run out of the block "
+                       r"grid \(h_a=2, h_b=3\)$"):
+        trivialization_check(m, off, A, B, 1)
 
 
 def test_trivialization_weight_flatness_carried():

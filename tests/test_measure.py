@@ -217,6 +217,10 @@ class TestStepFunction:
         assert f.l2_norm_sq() == F(4, 2) + F(1, 2)
         assert f.sup_abs() == 2
 
+    @given(step_functions(max_pieces=8))
+    def test_l2_norm_sq_is_the_self_inner_product(self, f):
+        assert f.l2_norm_sq() == l2_inner(f, f)
+
     @given(step_functions(), step_functions(), st.lists(fractions_st, max_size=6))
     def test_add_matches_pointwise_sum(self, f, g, xs):
         h = f.add(g)
