@@ -12,6 +12,7 @@ from .averaging import (
     WeightSequence,
     adjoint_convolution,
     average_apply,
+    average_moments,
     flatness,
     l2_deviation,
 )

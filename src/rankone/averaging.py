@@ -1,11 +1,14 @@
 """Averaging machinery for flatness-style arguments.
 
 A weight sequence is a finitely supported probability vector a^z over
-nonnegative shifts.  The operator P f = sum_z a^z (f composed with T^{-z})
-pushes each piece of f forward z steps at a chosen resolution; adjoint
-composition collapses to the convolution b^w = sum_z a^{w+z} a^z, and the
-L2 deviation of P f from its mean is enclosed exactly, with escaped mass
-charged at its worst possible pointwise value.
+nonnegative shifts, counted as integers n_z over one denominator D.  The
+operator P f = sum_z a^z (f composed with T^{-z}) pushes each piece of f
+forward z steps at a chosen resolution; adjoint composition collapses to
+the convolution b^w = sum_z a^{w+z} a^z, and the L2 deviation of P f from
+its mean is enclosed exactly, with escaped mass charged at its worst
+possible pointwise value.  average_apply builds P f on the stage-J levels;
+average_moments gives the norm, integral and escape the deviation needs
+from pair counts on stage-J level bitsets, without building P f.
 """
 
 from __future__ import annotations
@@ -14,13 +17,15 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, groupby
-from typing import Dict, List, Tuple
+from itertools import accumulate, groupby, product
+from operator import mul
+from typing import Dict, List, Tuple, Union
 
-from .construction import ConstructionSpec, build_stage
+from .construction import ConstructionSpec, TowerStage, build_stage
 from .errors import SpecError
 from .measure import (Interval, IntervalSet, MeasureBound, RationalLike,
-                      StepFunction, as_fraction)
+                      StepFunction, as_fraction, canonicalize)
+from .stats import _escapes, _hits
 
 Segment = Tuple[Fraction, Fraction, Fraction]
 
@@ -29,6 +34,7 @@ __all__ = [
     "flatness",
     "adjoint_convolution",
     "average_apply",
+    "average_moments",
     "l2_deviation",
 ]
 
@@ -77,27 +83,68 @@ class WeightSequence:
         return tuple(z for z, _ in self.weights)
 
 
+def _numerators(w: WeightSequence) -> Tuple[int, Dict[int, int]]:
+    """(D, {z: n_z}): the weights over their least common denominator D,
+    a^z = n_z / D, in shift order."""
+    D = math.lcm(*(a.denominator for _, a in w.weights))
+    return D, {z: a.numerator * D // a.denominator for z, a in w.weights}
+
+
+def _correlate(xs: Dict[int, int], ys: Dict[int, int]) -> Dict[int, int]:
+    """{m: sum_i xs[i + m] ys[i]} over the lags m of some pair, for positive
+    ints on nonnegative keys: a pair loop when the keys are sparse, else one
+    big-int product with a byte slot per key lo..hi (Kronecker substitution);
+    xs is packed from lo up and ys from hi down, so slot e holds lag e + 1 - n."""
+    lo, hi = min(*xs, *ys), max(*xs, *ys)
+    n, out = hi - lo + 1, {}
+    if len(xs) * len(ys) <= 4 * n:
+        for (k, x), (i, y) in product(xs.items(), ys.items()):
+            out[k - i] = out.get(k - i, 0) + x * y
+        return out
+    nb = (sum(xs.values()) * sum(ys.values())).bit_length() // 8 + 1
+    x, y = (int.from_bytes(b"".join(d.get(i, 0).to_bytes(nb, order)
+                                    for i in range(lo, hi + 1)), order)
+            for d, order in ((xs, "little"), (ys, "big")))
+    prod = (x * y).to_bytes(nb * (2 * n - 1), "little")
+    return {e + 1 - n: v for e in range(2 * n - 1)
+            if (v := int.from_bytes(prod[e * nb:(e + 1) * nb], "little"))}
+
+
 def flatness(w: WeightSequence, q: int = 0) -> Fraction:
     """Largest mass any window of q+1 consecutive shifts carries; q = 0 is
     the largest single weight.  Some window starting at a support point
     carries the largest mass, so only those are summed, from prefix sums."""
     if q < 0:
         raise SpecError("window length q must be nonnegative")
-    zs = w.support
-    cum = list(accumulate((a for _, a in w.weights), initial=Fraction(0)))
-    return max(cum[bisect_right(zs, z + q)] - cum[k] for k, z in enumerate(zs))
+    D, ns = _numerators(w)
+    zs, cum = w.support, list(accumulate(ns.values(), initial=0))
+    return Fraction(max(cum[bisect_right(zs, z + q)] - cum[k] for k, z in enumerate(zs)), D)
 
 
 def adjoint_convolution(w: WeightSequence) -> Dict[int, Fraction]:
     """b^w = sum_z a^{w+z} a^z over all integer lags w, positive and
     negative; sums to 1 and never exceeds the flatness of a."""
-    d = w.as_dict()
-    out: Dict[int, Fraction] = {}
-    for z1, a1 in d.items():
-        for z2, a2 in d.items():
-            lag = z1 - z2
-            out[lag] = out.get(lag, Fraction(0)) + a1 * a2
-    return dict(sorted(out.items()))
+    D, ns = _numerators(w)
+    return {m: Fraction(b, D * D) for m, b in sorted(_correlate(ns, ns).items())}
+
+
+def _cells(f: StepFunction, st: TowerStage) -> Dict[Segment, List[Tuple[int, int]]]:
+    """f cut at stage-J cell boundaries: {(lo, hi, v): runs}, the part of f
+    in one cell relative to the cell in units of w_J, and the runs [c0, c1)
+    of cells holding that part.  f must vanish off [0, M_J)."""
+    if f.segments and (f.segments[0][0] < 0 or f.segments[-1][1] > st.total):
+        raise SpecError("set extends beyond the stage ambient interval")
+    runs: Dict[Segment, List[Tuple[int, int]]] = {}
+    for lo, hi, v in f.segments:
+        x0, x1 = lo / st.width, hi / st.width
+        c0, c1 = math.ceil(x0), math.floor(x1)
+        # [a, b) in cells d0..d1-1: within one cell, or head, whole cells, tail
+        parts = ([(x0 - c1, x1 - c1, c1, c1 + 1)] if c0 > c1 else
+                 [(x0 - c0 + 1, 1, c0 - 1, c0), (0, 1, c0, c1), (0, x1 - c1, c1, c1 + 1)])
+        for a, b, d0, d1 in parts:
+            if a < b and d0 < d1:
+                runs.setdefault((a, b, v), []).append((d0, d1))
+    return runs
 
 
 def average_apply(spec: ConstructionSpec, w: WeightSequence, f: StepFunction,
@@ -112,96 +159,107 @@ def average_apply(spec: ConstructionSpec, w: WeightSequence, f: StepFunction,
     silently zero where mass escaped.  f must vanish off the stage-J
     ambient interval [0, M_J).
 
-    f is cut at stage-J cell boundaries into pieces (lo, hi, v), the part
-    of f in one cell relative to the cell in units of w_J; a run of whole
-    cells is one slice of the level table.  Each (piece, shift) pair adds
-    one integer hit to its target level, counted per weighted piece (lo,
-    hi, a^z v).  The levels are read in cell order, and each distinct
-    hit-count vector is summed once and laid on every cell of its run.
-    That costs |pieces of f| * |w| integer adds plus O(h_J) per weighted
-    piece.
+    Each (level of a piece of f, shift z) pair adds n_z to its target
+    level's count for that piece, a^z = n_z / D: one integer add each.
     """
     if direction not in ("forward", "backward"):
         raise SpecError(f"direction must be forward or backward, got {direction!r}")
     sign = 1 if direction == "forward" else -1
     st = build_stage(spec, J)
-    if f.segments and (f.segments[0][0] < 0 or f.segments[-1][1] > st.total):
-        raise SpecError("set extends beyond the stage ambient interval")
-    if not f.segments:
+    runs = _cells(f, st)
+    if not runs:
         return StepFunction.zero(), MeasureBound.zero()
     width, h = st.width, st.height
     level_at = [0] * h
     for i, c in enumerate(st.level_cells()):
         level_at[c] = i
-    # support[(lo, hi, v)]: the levels whose cell holds that piece of f
-    support: Dict[Segment, List[int]] = {}
-    for lo, hi, v in f.segments:
-        x0, x1 = lo / width, hi / width
-        c0, c1 = math.ceil(x0), math.floor(x1)
-        if c0 > c1:
-            support.setdefault((x0 - c1, x1 - c1, v), []).append(level_at[c1])
-            continue
-        if x0 < c0:
-            support.setdefault((x0 - c0 + 1, 1, v), []).append(level_at[c0 - 1])
-        if c0 < c1:
-            support.setdefault((0, 1, v), []).extend(level_at[c0:c1])
-        if c1 < x1:
-            support.setdefault((0, x1 - c1, v), []).append(level_at[c1])
-    # hits[(lo, hi, a v)][t]: the (piece, shift) pairs with weight a that
-    # land on level t; pairs whose target leaves the tower escape
-    shifts: Dict[Fraction, List[int]] = {}
-    for z, a in w.weights:
-        shifts.setdefault(a, []).append(sign * z)
+    D, ns = _numerators(w)
+    # hits[(lo, hi, v)][t]: the n_z of the pairs (level of that piece, z)
+    # landing on level t; the other pairs escape, and the n_z sum to D
     hits: Dict[Segment, List[int]] = {}
     escaped = Fraction(0)
-    for a, offsets in shifts.items():
-        for (lo, hi, v), levels in support.items():
-            count = hits.setdefault((lo, hi, a * v), [0] * h)
-            n_out = 0
-            for off in offsets:
-                for i in levels:
-                    t = i + off
-                    if 0 <= t < h:
-                        count[t] += 1
-                    else:
-                        n_out += 1
-            escaped += a * (hi - lo) * n_out
-    # walk the levels in cell order, one run per equal count vector
-    counts = list(zip(*hits.values()))
-    cell_sums: Dict[Tuple[int, ...], List[Segment]] = {}
-    pieces = []
-    c = 0
+    for (lo, hi, v), cells in runs.items():
+        levels = [i for c0, c1 in cells for i in level_at[c0:c1]]
+        count = hits[lo, hi, v] = [0] * h
+        for z, n in ns.items():
+            for t in levels:
+                t += sign * z
+                if 0 <= t < h:
+                    count[t] += n
+        escaped += (hi - lo) * (D * len(levels) - sum(count))
+    # the levels in cell order, one run per equal count vector
+    counts, pieces, c = list(zip(*hits.values())), [], 0
     for key, run in groupby(counts[i] for i in level_at):
-        n = len(list(run))
-        parts = cell_sums.get(key)
-        if parts is None:
-            parts = cell_sums[key] = _cell_sum(hits, key)
-        if len(parts) == 1 and parts[0][:2] == (0, 1):
-            spans = [(c, c + n, parts[0][2])]
-        else:
-            spans = [(k + lo, k + hi, v) for k in range(c, c + n)
-                     for lo, hi, v in parts]
-        pieces.extend((IntervalSet((Interval(lo * width, hi * width),)), v)
-                      for lo, hi, v in spans)
+        n, parts = len(list(run)), _cell_sum(hits, key, D)
+        spans = ([(c, c + n, parts[0][2])] if len(parts) == 1 and parts[0][:2] == (0, 1)
+                 else [(k + lo, k + hi, v) for k in range(c, c + n) for lo, hi, v in parts])
+        pieces += [(IntervalSet((Interval(lo * width, hi * width),)), v) for lo, hi, v in spans]
         c += n
-    return StepFunction.from_pieces(pieces), MeasureBound.exact(escaped * width)
+    return StepFunction.from_pieces(pieces), MeasureBound.exact(escaped * width / D)
 
 
-def _cell_sum(hits, key) -> List[Segment]:
-    """The sum of n * (lo, hi, c) over the weighted pieces hit n times, as
-    nonzero segments of the unit cell."""
-    terms = [(lo, hi, c * n) for (lo, hi, c), n in zip(hits, key) if n]
+def _cell_sum(hits, key, D) -> List[Segment]:
+    """The sum of n/D * (lo, hi, v) over the pieces with count n, as nonzero
+    segments of the unit cell."""
+    terms = [(lo, hi, v * n / D) for (lo, hi, v), n in zip(hits, key) if n]
     cuts = sorted({x for lo, hi, _ in terms for x in (lo, hi)})
     sums = [(lo, hi, sum(v for a, b, v in terms if a <= lo < b))
             for lo, hi in zip(cuts, cuts[1:])]
     return [s for s in sums if s[2]]
 
 
-def l2_deviation(Pf: StepFunction, mean: RationalLike, escaped: MeasureBound,
+def average_moments(spec: ConstructionSpec, w: WeightSequence, f: StepFunction,
+                    J: int) -> Tuple[Fraction, Fraction, MeasureBound]:
+    """(||P f||^2, integral of P f, escaped) of average_apply(spec, w, f, J),
+    forward, without building P f.  For the piece classes k = (lo_k, hi_k,
+    v_k) of f (`_cells`) on level sets S_k, tail_k(z) the levels of S_k that
+    z pushes off the top, b_m = sum_z n_{z+m} n_z, X_kl(m) = #{u in S_k :
+    u + m in S_l} and c_k(t) = sum_z n_z [t - z in S_k]:
+      integral = w_J/D sum_k v_k (hi_k - lo_k) sum_z n_z (|S_k| - tail_k(z))
+      escaped = w_J/D sum_k (hi_k - lo_k) sum_z n_z tail_k(z)
+      ||P f||^2 = w_J/D^2 sum_kl v_k v_l |[lo_k, hi_k) cap [lo_l, hi_l)|
+                  (sum_m b_m X_kl(m) - sum_{t >= h_J} c_k(t) c_l(t))
+    Shifts z >= h_J only escape; c reads only the top max z levels.  Cost:
+    one h_J-bit `&` (stats._hits) per lag m >= 0 of b and class pair.
+    """
+    st = build_stage(spec, J)
+    h, width = st.height, st.width
+    D, ns = _numerators(w)
+    near = {z: n for z, n in ns.items() if z < h}
+    L = max(near, default=0)
+    # b_m for m >= 0, with b_{-m} = b_m folded in
+    b = {m: (2 if m else 1) * v for m, v in sorted(_correlate(near, near).items())
+         if m >= 0} if near else {}
+    classes = []
+    for piece, cells in _cells(f, st).items():
+        s = st.level_bits(canonicalize(Interval(c0 * width, c1 * width)
+                                       for c0, c1 in cells))
+        tails = _escapes(s, range(L + 1), h)
+        out = ((D - sum(near.values())) * s.bit_count()
+               + sum(n * tails[z] for z, n in near.items()))
+        # c_k(h - 1 + m) is c[m], from the top L levels u = h - 1 - r of S_k
+        top = {r: 1 for r, bit in enumerate(f"{s >> (h - L):0{L}b}") if bit == "1"}
+        classes.append((piece, s, out, _correlate(near, top) if top else {}))
+    sq = integral = escaped = Fraction(0)
+    for (lo, hi, v), s, out, c in classes:
+        integral += v * (hi - lo) * (D * s.bit_count() - out)
+        escaped += (hi - lo) * out
+        for (lo2, hi2, v2), s2, _, c2 in classes:
+            if min(hi, hi2) > max(lo, lo2):
+                pairs = sum(map(mul, b.values(), _hits(s2, s, b)))
+                pairs -= sum(x * c2.get(m, 0) for m, x in c.items() if m > 0)
+                sq += v * v2 * (min(hi, hi2) - max(lo, lo2)) * pairs
+    return (width * sq / (D * D), width * integral / D,
+            MeasureBound.exact(width * escaped / D))
+
+
+def l2_deviation(Pf: Union[StepFunction, Tuple[Fraction, Fraction]],
+                 mean: RationalLike, escaped: MeasureBound,
                  ambient_measure: RationalLike,
                  sup_f: RationalLike) -> MeasureBound:
     """Enclosure of the squared L2 distance of P f from a constant mean over
-    the ambient interval.
+    the ambient interval.  Pf is P f, or its (||P f||^2, integral of P f)
+    from average_moments.
 
     The computed P f can differ from the true one only on escaped support,
     where both lie within sup|f| of zero; each unit of escaped measure moves
@@ -209,12 +267,13 @@ def l2_deviation(Pf: StepFunction, mean: RationalLike, escaped: MeasureBound,
     the f that P was applied to: the computed P f is zero where mass
     escaped, so its own sup does not bound the true P f.
     """
+    sq, integral = (Pf.l2_norm_sq(), Pf.integral()) if isinstance(Pf, StepFunction) else Pf
     mean = as_fraction(mean)
     M = as_fraction(ambient_measure)
     if M <= 0:
         raise SpecError("ambient measure must be positive")
     s = abs(as_fraction(sup_f))
-    d0 = Pf.l2_norm_sq() - 2 * mean * Pf.integral() + mean * mean * M
+    d0 = sq - 2 * mean * integral + mean * mean * M
     c = (s + abs(mean)) ** 2
     slack = c * escaped.hi
     return MeasureBound(max(Fraction(0), d0 - slack), d0 + slack)

@@ -22,7 +22,7 @@ from itertools import chain, islice, starmap
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from .averaging import WeightSequence, average_apply, flatness, l2_deviation
+from .averaging import WeightSequence, average_moments, flatness, l2_deviation
 from .construction import PRESETS, ConstructionSpec, build_stage
 from .errors import OrbitEscaped, SpecError
 from .flow import FlowSkeletonSpec, band_masses, windowed_return_flow
@@ -224,9 +224,9 @@ def cmd_blum_hanson(args: argparse.Namespace) -> str:
     F = level_set(spec, args.j, parse_int_list(args.f, "--f"))
     f = StepFunction.indicator(F)
     M = build_stage(spec, args.res).total
-    Pf, escaped = average_apply(spec, w, f, args.res)
+    sq, integral, escaped = average_moments(spec, w, f, args.res)
     mean = f.integral() / M
-    dev = l2_deviation(Pf, mean, escaped, M, sup_f=1)
+    dev = l2_deviation((sq, integral), mean, escaped, M, sup_f=1)
     data = {"deviation_sq": bound_json(dev), "mean": frac_str(mean),
             "mean_approx": approx_str(mean),
             "escaped_hi": frac_str(escaped.hi),

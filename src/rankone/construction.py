@@ -22,6 +22,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import SpecError
@@ -342,10 +343,7 @@ class TowerStage:
             self.height = spec.h1
             self.width = spec.width1
             self.total = self.height * self.width
-            self.cut = None
-            self.spacers = None
-            self.offsets = None
-            self.spacer_cum = None
+            self.cut = self.spacers = self.offsets = self.spacer_cum = None
         else:
             j = prev.stage
             r = spec.cuts(j)
@@ -355,16 +353,10 @@ class TowerStage:
             self.cut = r
             self.spacers = s
             self.width = prev.width / r
-            offsets = [0]
-            for c in range(r - 1):
-                offsets.append(offsets[-1] + prev.height + s[c])
-            self.offsets = tuple(offsets)
-            cum = [0]
-            for c in range(r):
-                cum.append(cum[-1] + s[c])
-            self.spacer_cum = tuple(cum)
-            self.height = offsets[-1] + prev.height + s[-1]
-            self.total = prev.total + self.width * cum[-1]
+            self.offsets = tuple(accumulate((prev.height + x for x in s[:-1]), initial=0))
+            self.spacer_cum = tuple(accumulate(s, initial=0))
+            self.height = self.offsets[-1] + prev.height + s[-1]
+            self.total = prev.total + self.width * self.spacer_cum[-1]
 
     # -- level geometry ----------------------------------------------------
     #
@@ -549,12 +541,7 @@ class TowerStage:
         levels l lifts to this stage as S_k << l.
         """
         ends = [x for iv in A.intervals for x in (iv.lo, iv.hi)]
-        chain = []
-        st: Optional[TowerStage] = self
-        while st is not None:
-            chain.append(st)
-            st = st.prev
-        for st in reversed(chain):
+        for st in (build_stage(self.spec, k) for k in range(1, self.stage + 1)):
             if all(0 <= x <= st.total and (x / st.width).denominator == 1
                    for x in ends):
                 occ = self.occurrence_bits(st.stage)
@@ -586,9 +573,7 @@ def build_stage(spec: ConstructionSpec, j: int) -> TowerStage:
     if j > spec.max_stage:
         raise SpecError(
             f"stage {j} exceeds the spec stage budget {spec.max_stage}")
-    stages = _STAGES.get(spec)
-    if stages is None:
-        stages = _STAGES.setdefault(spec, [TowerStage(spec, 1, None)])
+    stages = _STAGES.get(spec) or _STAGES.setdefault(spec, [TowerStage(spec, 1, None)])
     while len(stages) < j:
         stages.append(TowerStage(spec, len(stages) + 1, stages[-1]))
     return stages[j - 1]
@@ -603,10 +588,7 @@ def height_ratio_profile(spec_a: ConstructionSpec, spec_b: ConstructionSpec,
     """
     if J < 1:
         raise SpecError("ratio profile needs J >= 1")
-    out = []
-    for j in range(1, J + 1):
-        ha = build_stage(spec_a, j).height
-        hb = build_stage(spec_b, j).height
-        out.append(Fraction(min(ha, hb), max(ha, hb)))
-    return tuple(out)
+    hs = [(build_stage(spec_a, j).height, build_stage(spec_b, j).height)
+          for j in range(1, J + 1)]
+    return tuple(Fraction(min(pair), max(pair)) for pair in hs)
 

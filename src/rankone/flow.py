@@ -214,18 +214,10 @@ def band_indices(fspec: FlowSkeletonSpec, h_a: int, h_b: int, offset: int,
         z_top = z_bound
     else:
         raise SpecError(f"side must be 'right' or 'left', got {side!r}")
-    out = set()
-    for z in range(z_top + 1):
-        if (p * z) % qp != 0:
-            continue
-        z1 = (p * z) // qp + (offset if side == "right" else 0)
-        if not (0 <= z1 <= h_a - 1):
-            continue
-        base2 = z + (0 if side == "right" else offset)
-        for h in range(q + 1):
-            z2 = base2 + h
-            if 0 <= z2 <= h_b - 1:
-                out.add(BlockIndex(z1, z2))
+    d1, d2 = (offset, 0) if side == "right" else (0, offset)
+    out = {BlockIndex(p * z // qp + d1, z + d2 + h) for z in range(z_top + 1)
+           if p * z % qp == 0 for h in range(q + 1)}
+    out = {b for b in out if 0 <= b.z1 < h_a and 0 <= b.z2 < h_b}
     if not out:
         raise SpecError(f"band ({side}, offset {offset}) is empty after "
                         f"clipping to the tower square")

@@ -23,7 +23,7 @@ from .averaging import WeightSequence, flatness
 from .construction import ConstructionSpec, build_stage
 from .errors import EmptyFSetError, SpecError
 from .measure import IntervalSet, MeasureBound, RationalLike, as_fraction
-from .stats import _counts
+from .stats import _escapes, _hits
 from .transform import Cursor
 
 __all__ = [
@@ -195,13 +195,13 @@ def graph_blocks(spec: ConstructionSpec, k: int, j: int, J: int) -> BlockMassMat
 
     That mass is w_J times the occurrence pairs (p, p + z2 + k - z1) of E_j
     at stage J, so it depends only on z2 - z1: the matrix is one vector of
-    lag counts from stats._counts.  Both occurrences of a pair start whole
+    lag counts from stats._hits.  Both occurrences of a pair start whole
     stage-j copies, so every pair resolves inside the stage-J tower."""
     _check_resolution(j, J)
     st, stJ = build_stage(spec, j), build_stage(spec, J)
     h, M = st.height, stJ.total
     B = stJ.occurrence_bits(j)
-    lags, _ = _counts(B, B, range(k - h + 1, k + h), stJ.height)
+    lags = _hits(B, B, range(k - h + 1, k + h))
     w_norm = stJ.width / M
     masses = {BlockIndex(z1, z2): n * w_norm for z1 in range(h) for z2 in range(h)
               if (n := lags[z2 - z1 + h - 1])}
@@ -286,15 +286,9 @@ def light_blocks(m: BlockMassMatrix, epsilon: RationalLike) -> LightBlockReport:
         light = masses if masses.per < threshold else {}
         covered = masses.per * len(light)
     else:
-        light = {}
-        covered = Fraction(0)
-        for z1 in range(m.h_a):
-            for z2 in range(m.h_b):
-                z = BlockIndex(z1, z2)
-                mass = m.mass(z)
-                if mass < threshold:
-                    light[z] = mass
-                    covered += mass
+        light = {z: x for z in map(BlockIndex._make, product(range(m.h_a), range(m.h_b)))
+                 if (x := m.mass(z)) < threshold}
+        covered = sum(light.values(), Fraction(0))
     return LightBlockReport(epsilon=eps, j=m.j, kind=m.kind,
                             light_set=light, covered_mass=covered,
                             total_blocks=m.h_a * m.h_b)
@@ -422,20 +416,13 @@ def light_shifts(m: BlockMassMatrix, delta: RationalLike, w: int,
     if (epsilon is None) == (mass_threshold is None):
         raise SpecError("pass exactly one of epsilon, mass_threshold")
     col = _make_column(m, delta, w)
-    out = []
-    i_max = col.members[-1].z2
-    for h in range(m.h_b - i_max):
+
+    def ok(h: int) -> bool:
+        shifted = [m.mass(BlockIndex(z1, z2 + h)) for z1, z2 in col.members]
         if epsilon is not None:
-            thr = as_fraction(epsilon) * m.base_mass
-            ok = all(m.mass(BlockIndex(z1, z2 + h)) < thr
-                     for z1, z2 in col.members)
-        else:
-            total = sum((m.mass(BlockIndex(z1, z2 + h))
-                         for z1, z2 in col.members), Fraction(0))
-            ok = total < as_fraction(mass_threshold)
-        if ok:
-            out.append(h)
-    return tuple(out)
+            return max(shifted) < as_fraction(epsilon) * m.base_mass
+        return sum(shifted, Fraction(0)) < as_fraction(mass_threshold)
+    return tuple(filter(ok, range(m.h_b - col.members[-1].z2)))
 
 
 @dataclass(frozen=True)
@@ -518,8 +505,9 @@ def trivialization_check(m: BlockMassMatrix, F: FSetSpec, A: IntervalSet,
     if any(not (0 <= z1 < m.h_a and 0 <= z2 < m.h_b) for z1, z2 in members):
         raise SpecError(f"column blocks run out of the block grid "
                         f"(h_a={m.h_a}, h_b={m.h_b})")
-    _check_shifts(m, max((z2 for _, z2 in members), default=0),
-                  {*F.shifts, *(h for h, _ in F.weights.weights)})
+    if F.nu_F <= 0 or not set(F.weights.support) <= set(F.shifts):
+        raise SpecError("F needs nu_F > 0 and its weights on its own shifts")
+    _check_shifts(m, max((z2 for _, z2 in members), default=0), F.shifts)
     for label, spec, S in (("A", m.spec_a, A), ("B", m.spec_b, B)):
         if build_stage(spec, k).level_bits(S) is None:
             raise SpecError(f"{label} is not a union of stage-{k} levels")
@@ -577,7 +565,7 @@ def _display_route(m: BlockMassMatrix, F: FSetSpec, in_A: int, in_B: int,
     else:
         # escape[z2]: the occurrences p of E_j with p + z2 + k off the tower
         s, k, occ = stJ.width / m.norm_a, m.meta["k"], stJ.occurrence_bits(m.j)
-        _, escape = _counts(occ, occ, range(k, k + m.h_b), stJ.height)
+        escape = _escapes(occ, range(k, k + m.h_b), stJ.height)
     lo = out = Fraction(0)
     for h, a_h in F.weights.weights:
         hit = [bi for bi in sel if in_B >> (bi.z2 + h) & 1]

@@ -133,15 +133,6 @@ class IntervalSet:
         d = as_fraction(offset)
         return IntervalSet(tuple(iv.shift(d) for iv in self.intervals))
 
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        return set_union(self, other)
-
-    def intersection(self, other: "IntervalSet") -> "IntervalSet":
-        return set_intersection(self, other)
-
-    def difference(self, other: "IntervalSet") -> "IntervalSet":
-        return set_difference(self, other)
-
     def is_subset_of(self, other: "IntervalSet") -> bool:
         return set_difference(self, other).is_empty()
 

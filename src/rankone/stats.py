@@ -2,16 +2,13 @@
 
 Sets made of whole stage-J levels are held as int bitsets over the levels,
 and one kernel, `_counts`, gives mu(A intersect T^m B) on them for a range
-of shifts m as two count vectors: the levels i of B with i + m in A (a
-shifted `&`), and the levels pushed past the top (m > 0) or below the
-bottom (m < 0), one prefix count of B's bits per edge.  Escaped mass, w_J
-a level, could land anywhere and widens the upper bound.  ROADMAP item 2's
-lag-descent kernel is to fill these vectors without an h_J-bit set.
-
-The kernel's callers: return_profile, correlation and correlation_series
-here (and flow's windowed returns and consequence_check through them),
-and in joinings graph_blocks (one lag vector of E_j's occurrences) and
-the graph display of trivialization_check (one escape vector of them).
+of shifts m as two count vectors: `_hits`, the levels i of B with i + m in
+A (a shifted `&`), and `_escapes`, the levels pushed past the top (m > 0)
+or below the bottom (m < 0), one prefix count of B's bits per edge.
+Escaped mass, w_J a level, could land anywhere and widens the upper bound.
+ROADMAP item 2's lag-descent kernel is to fill these vectors without an
+h_J-bit set.  Callers besides this module's: flow through it, joinings'
+graph_blocks and graph trivialization display, averaging.average_moments.
 
 Bounds are the counts over one shared denominator, one Fraction per
 distinct count: |S| for a^z_j = mu(T^z E_j | E_j), S the occurrences of
@@ -24,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Dict, FrozenSet, List, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterable, List, Tuple, Union
 
 from .construction import ConstructionSpec, build_stage
 from .errors import SpecError
@@ -58,13 +55,21 @@ def _entries(n: int, name: str) -> range:
 
 def _counts(a: int, b: int, ms: range, h: int) -> Tuple[List[int], List[int]]:
     """(resolved, escaped) level counts of A intersect T^m B for each m in
-    ms, a range of step 1, for level bitsets a, b of a height-h tower: the
-    levels i of B with i + m in A, and those with i + m outside [0, h)."""
+    ms, a range of step 1, for level bitsets a, b of a height-h tower."""
+    return _hits(a, b, ms), _escapes(b, ms, h)
+
+
+def _hits(a: int, b: int, ms: Iterable[int]) -> List[int]:
+    """The levels i of B with i + m in A, for each shift m in ms."""
+    return [(a & (b >> -m) if m < 0 else a >> m & b).bit_count() for m in ms]
+
+
+def _escapes(b: int, ms: range, h: int) -> List[int]:
+    """The levels i of B with i + m outside [0, h), for each m in ms, a
+    range of step 1."""
     neg, pos = range(ms.start, min(ms.stop, 0)), range(max(ms.start, 0), ms.stop)
-    hits = [(a & (b >> -m)).bit_count() for m in neg]
-    hits += [((a >> m) & b).bit_count() for m in pos]
     below = _edge(b, range(-neg[-1], 1 - neg[0]), h, False)[::-1] if neg else []
-    return hits, below + (_edge(b, pos, h, True) if pos else [])
+    return below + (_edge(b, pos, h, True) if pos else [])
 
 
 def _edge(b: int, ds: range, h: int, top: bool) -> List[int]:

@@ -80,13 +80,11 @@ class Cursor:
                                                                       spec.max_stage)
         if x < 0:
             raise SpecError(f"orbit start {x} below the ambient interval")
-        st = None
         for j in range(1, self.budget + 1):
-            cand = build_stage(spec, j)
-            if x < cand.total:
-                st = cand
+            st = build_stage(spec, j)
+            if x < st.total:
                 break
-        if st is None:
+        else:
             raise SpecError(
                 f"orbit start {x} outside the stage-{self.budget} ambient interval")
         self.stage_obj = st

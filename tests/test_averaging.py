@@ -3,8 +3,10 @@
 average_apply counts hits of the pieces of f, cut at stage-J cell
 boundaries, on the stage-J levels.  The differential tests check it against
 `pieces_oracle`, which images each segment of f through power_image once
-per shift and sums the images with StepFunction.add; `flatness` is checked
-against a scan of every window start.
+per shift and sums the images with StepFunction.add, and average_moments
+against the norm, integral and escape of average_apply's P f; `flatness`
+is checked against a scan of every window start, adjoint_convolution
+against the sums over all pairs of weights.
 """
 
 import time
@@ -17,6 +19,7 @@ from rankone.averaging import (
     WeightSequence,
     adjoint_convolution,
     average_apply,
+    average_moments,
     flatness,
     l2_deviation,
 )
@@ -138,6 +141,22 @@ class TestAdjointConvolution:
         assert all(v <= cap for v in b.values())
         # symmetry of the autocorrelation
         assert all(b.get(-lag) == v for lag, v in b.items())
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.integers(0, 60), min_size=1, max_size=40, unique=True),
+           st.lists(st.integers(0, 10**12), max_size=3), st.data())
+    def test_matches_the_pair_sums(self, near, far, data):
+        # dense supports take one big-int product, sparse ones the pair
+        # loop; both give every lag of some pair, as Fractions over D^2
+        zs = sorted(set(near + far))
+        raw = [data.draw(st.integers(1, 9)) for _ in zs]
+        w = WeightSequence(tuple((z, F(r, sum(raw))) for z, r in zip(zs, raw)))
+        want = {}
+        for z1, a1 in w.weights:
+            for z2, a2 in w.weights:
+                want[z1 - z2] = want.get(z1 - z2, 0) + a1 * a2
+        assert adjoint_convolution(w) == want
+        assert list(adjoint_convolution(w)) == sorted(want)
 
 
 def indicator_of_base(spec, j):
@@ -365,6 +384,72 @@ class TestLevelPath:
         for i in (63, 100, 400, 700, 1023):
             hits = sum(1 for z in range(64) if (i - z) % 3 == 0)
             assert Pf.value_at(st10.level(i).lo) == F(hits, 64)
+
+
+@st.composite
+def moment_weights(draw, h):
+    """weights_reaching, or a run of up to 40 equal weights (dense enough
+    for the big-int correlation), with half the mass moved past 10^12 in a
+    quarter of the draws."""
+    if draw(st.booleans()):
+        w = draw(weights_reaching(h))
+    else:
+        z0, n = draw(st.integers(0, h + 2)), draw(st.integers(1, 40))
+        w = WeightSequence(tuple((z0 + i, F(1, n)) for i in range(n)))
+    if draw(st.integers(0, 3)) == 0:
+        w = WeightSequence(tuple((z, a / 2) for z, a in w.weights)
+                           + ((10**12, F(1, 2)),))
+    return w
+
+
+@st.composite
+def moment_functions(draw, spec, J):
+    """Signed step functions on levels of a stage k <= J, on levels of a
+    finer stage, or on a 1/d grid of stage-J cells (part-cell pieces)."""
+    stJ = build_stage(spec, J)
+    mode = draw(st.integers(0, 2))
+    if mode == 0:
+        return draw(level_functions(spec, draw(st.integers(1, J))))
+    if mode == 1 and J + 1 <= spec.max_stage:
+        return draw(level_functions(spec, J + 1, M=stJ.total))
+    d = draw(st.sampled_from([1, 2, 3, 7]))
+    ends = draw(st.lists(st.integers(0, stJ.height * d), min_size=2, max_size=8,
+                         unique=True).map(sorted))
+    return StepFunction.from_pieces(
+        [(IntervalSet((Interval(F(a, d) * stJ.width, F(min(b, a + 4 * d), d) * stJ.width),)),
+          draw(VALUES)) for a, b in zip(ends[::2], ends[1::2])])
+
+
+class TestMoments:
+    @settings(max_examples=150, deadline=None)
+    @given(resolutions(), st.data())
+    def test_moments_match_the_built_average(self, case, data):
+        # average_apply is the oracle: its P f's norm, integral and escape
+        spec, J, h = case
+        f = data.draw(moment_functions(spec, J))
+        w = data.draw(moment_weights(h))
+        Pf, esc = average_apply(spec, w, f, J)
+        assert average_moments(spec, w, f, J) == (Pf.l2_norm_sq(), Pf.integral(), esc)
+
+    def test_deviation_from_moments_equals_the_built_route(self):
+        spec = ConstructionSpec.chacon()
+        f = StepFunction.indicator(build_stage(spec, 3).levels_set([2, 5, 9]), F(-5, 3))
+        w = WeightSequence.from_dict({0: F(1, 2), 3: F(1, 3), 40: F(1, 6)})
+        M = build_stage(spec, 4).total
+        Pf, esc = average_apply(spec, w, f, 4)
+        sq, integral, esc2 = average_moments(spec, w, f, 4)
+        assert esc2 == esc and esc.hi > 0
+        assert l2_deviation((sq, integral), F(1, 3), esc, M, 2) == l2_deviation(
+            Pf, F(1, 3), esc, M, 2)
+
+    def test_zero_function_and_refusal(self):
+        spec = ConstructionSpec.staircase()
+        w = WeightSequence.uniform(3)
+        assert average_moments(spec, w, StepFunction.zero(), 4) == (
+            0, 0, MeasureBound.zero())
+        f = StepFunction.indicator(build_stage(spec, 3).levels_set([4]))
+        with pytest.raises(SpecError, match="beyond the stage ambient"):
+            average_moments(spec, w, f, 2)
 
 
 class TestL2Deviation:

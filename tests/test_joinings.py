@@ -714,6 +714,25 @@ def test_trivialization_empirical_exact_display():
     assert rec.escape_slack == 0
 
 
+def test_trivialization_refuses_hand_built_F_without_mass_or_off_its_shifts():
+    # nu_F = 0 divided by zero, and weights on a shift outside F.shifts read
+    # a missing per-shift mass (KeyError); both are SpecErrors, one line each
+    m = empirical_joining(ODO, ODO, 0, 0, 256, 2, 10)
+    fs = columns_and_F(m, F(1, 10), 0, [0])
+    lvl0 = build_stage(ODO, 2).levels_set([0])
+    bad = (dataclasses.replace(fs, nu_F=F(0)),
+           dataclasses.replace(fs, nu_F=F(-1, 2)),
+           dataclasses.replace(fs, weights=WeightSequence.delta(1)),
+           dataclasses.replace(fs, shifts=(0, 1),
+                               weights=WeightSequence.uniform(2)))
+    for hand in bad[:3]:
+        with pytest.raises(SpecError) as info:
+            trivialization_check(m, hand, lvl0, lvl0, 2)
+        assert "\n" not in str(info.value)
+    # weights on a subset of the shifts are accepted
+    assert trivialization_check(m, bad[3], lvl0, lvl0, 2).conditional == 1
+
+
 def test_trivialization_display_none_when_column_empty():
     # the k=2 graph band misses the w=0 column entirely, yet shifted
     # translates of it do carry mass

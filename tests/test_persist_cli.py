@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import namedtuple
 from fractions import Fraction as F
 from hashlib import sha256
@@ -404,6 +405,75 @@ def test_cli_blum_hanson_f_outside_ambient_exit_2(tmp_path, weights):
                              "--res", "2")
     assert (code, out) == (2, "")
     assert err == "error: set extends beyond the stage ambient interval\n"
+
+
+def _uniform_weights(n):
+    return {str(z): f"1/{n}" for z in range(n)}
+
+
+# blum-hanson stdout digests, recorded when the command built P f as a
+# StepFunction: one op of each benchmark slot, finer stages than --res
+# (part-cell pieces of f), the far shift, mixed weights, a random spec and
+# the deep staircase case that then took about 6 s
+BLUM_HANSON_PINS = [
+    ("staircase", _uniform_weights(10), "0,1", 2, 5,
+     "d9975487acd46cd83f7b6a5067b4b15a91a72c367452dac9692bbf587e00ccd2"),
+    ("odometer", _uniform_weights(45), "1", 1, 6,
+     "7a1b61ee510fa6860ac79f651993c96f1c3ed2960b61eb59aff91ee437a39351"),
+    ("chacon", _uniform_weights(25), "2", 2, 5,
+     "510665a2384df85e4e9f5740745d7f8146d053c5375aad6f410f3bffe31f52e5"),
+    ("staircase", _uniform_weights(12), "0,3", 6, 5,
+     "33b74b23f327c10cb77f6529b67a1218c7556c78cf81b6ce57efbdc0d6760205"),
+    ("odometer", _uniform_weights(12), "0,40,63", 6, 5,
+     "2caa5ceeeab95ff1af3fb4b7df5380e6d46be726e6e7188db8c150d1b254ee69"),
+    ("chacon", _uniform_weights(25), "5,100,363", 6, 5,
+     "d21d5ad9843ecc6c5037ef607c527ce2167e3838b97e881e8c92a296f8de3d86"),
+    ("odometer", {"0": "1/2", str(10**12): "1/2"}, "0", 1, 4,
+     "b8ff56108fdca172dfa80239af9bbc08886cac8514fdebe6b406912915aa6c84"),
+    ("staircase", {"0": "1/2", "3": "1/3", "7": "1/6"}, "0,2", 3, 6,
+     "069e4d43d9b94d196ed23052a9b0085eda1e1a1ffbdd34ef4414f21802ade7bd"),
+    ("random:3", {"0": "1/2", "3": "1/3", "7": "1/6"}, "0,1", 2, 4,
+     "11e03f51b14b36e3fb177bf9ed0d12767b8d27f1e6ca92e31f237f2b9d0e3135"),
+    ("staircase", _uniform_weights(64), "0", 3, 10,
+     "c57d45b55551df4c3cdda2f13f5d959b1fc8cf7b1cf23601770b7c720abee5d9"),
+]
+
+
+@pytest.mark.parametrize("spec,weights,f,j,J,digest", BLUM_HANSON_PINS,
+                         ids=[f"{p[0]}-f{p[2]}-j{p[3]}-res{p[4]}" for p in BLUM_HANSON_PINS])
+def test_cli_blum_hanson_bytes_pinned(tmp_path, spec, weights, f, j, J, digest):
+    wf = tmp_path / "w.json"
+    wf.write_text(json.dumps(weights))
+    code, out, err = run_cli("blum-hanson", "--spec", spec, "--weights", str(wf),
+                             "--f", f, "--j", str(j), "--res", str(J))
+    assert code == 0, err
+    assert sha256(out.encode()).hexdigest() == digest
+
+
+def test_cli_blum_hanson_deep_staircase_in_a_capped_child(tmp_path):
+    # staircase J=11 has 1.2e7 levels: building P f there ran past 60 s
+    # and 1.2 GB; the moments read level bitsets and pair counts
+    resource = pytest.importorskip("resource")
+    cap = 512 << 20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    wf = tmp_path / "w.json"
+    wf.write_text(json.dumps(_uniform_weights(64)))
+    src = str(Path(rankone.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    t0 = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "rankone.cli", "blum-hanson", "--spec", "staircase",
+         "--weights", str(wf), "--f", "0", "--j", "3", "--res", "11",
+         "--stage-budget", "11"],
+        env=env, preexec_fn=limit, capture_output=True, text=True, timeout=60)
+    elapsed = time.monotonic() - t0
+    assert proc.returncode == 0, proc.stderr
+    assert elapsed < 2.0, f"blum-hanson took {elapsed:.2f} s"
+    assert json.loads(proc.stdout)["meta"]["J"] == 11
 
 
 # ---------------------------------------------------------- cli: joinings
