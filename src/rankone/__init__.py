@@ -57,6 +57,7 @@ from .joinings import (
 )
 from .measure import (
     EMPTY_SET,
+    BoundSeries,
     Interval,
     IntervalSet,
     MeasureBound,

@@ -75,9 +75,6 @@ class WeightSequence:
             raise SpecError("uniform weights need n >= 1")
         return cls(tuple((z, Fraction(1, n)) for z in range(n)))
 
-    def as_dict(self) -> Dict[int, Fraction]:
-        return dict(self.weights)
-
     @property
     def support(self) -> Tuple[int, ...]:
         return tuple(z for z, _ in self.weights)

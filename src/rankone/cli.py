@@ -52,7 +52,7 @@ from .persist import (
     render_table,
     spec_hash,
 )
-from .stats import correlation_series, return_profile
+from .stats import MAX_ENTRIES, correlation_series, return_profile
 from .transform import Cursor
 
 
@@ -193,7 +193,7 @@ def cmd_return_profile(args: argparse.Namespace) -> Table:
     meta = {"command": "return-profile", "spec": spec_hash(spec), "j": args.j,
             "J": args.res, "zmax": args.zmax,
             "degenerate": sorted(prof.degenerate)}
-    return Table(("z",) + BOUND_COLUMNS, sorted(prof.values.items()), meta)
+    return Table(("z",) + BOUND_COLUMNS, prof.values, meta)
 
 
 def cmd_correlate(args: argparse.Namespace) -> Table:
@@ -205,7 +205,7 @@ def cmd_correlate(args: argparse.Namespace) -> Table:
             "J": args.res, "mmax": args.mmax,
             "target": frac_str(series.target),
             "normalization": frac_str(series.normalization)}
-    return Table(("m",) + BOUND_COLUMNS, sorted(series.values.items()), meta)
+    return Table(("m",) + BOUND_COLUMNS, series.values, meta)
 
 
 def cmd_blum_hanson(args: argparse.Namespace) -> str:
@@ -325,14 +325,17 @@ def cmd_joining_trivialize(args: argparse.Namespace) -> str:
 def cmd_flow_window(args: argparse.Namespace) -> Table:
     spec = load_spec(args.spec, args.stage_budget)
     fspec = FlowSkeletonSpec(spec, args.grid, parse_frac(args.alpha))
-    rep = windowed_return_flow(fspec, args.j, args.res, range(args.zmax + 1),
-                               q=args.q)
+    q = fspec.grid_inverse if args.q is None else args.q
+    if q >= 0 and args.zmax + q >= MAX_ENTRIES:
+        raise SpecError(f"--zmax {args.zmax} with q={q} needs a return profile of "
+                        f"{args.zmax + q + 1} entries, more than the limit of {MAX_ENTRIES}")
+    rep = windowed_return_flow(fspec, args.j, args.res, range(args.zmax + 1), q=q)
     meta = {"command": "flow window", "spec": spec_hash(spec),
             "alpha": frac_str(fspec.alpha), "grid": args.grid,
             "q": rep.q, "j": args.j, "J": args.res,
             "max_lo": frac_str(rep.max_bound.lo),
             "max_hi": frac_str(rep.max_bound.hi)}
-    return Table(("z",) + BOUND_COLUMNS, sorted(rep.values.items()), meta)
+    return Table(("z",) + BOUND_COLUMNS, rep.values, meta)
 
 
 def cmd_flow_bands(args: argparse.Namespace) -> Table:

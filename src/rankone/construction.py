@@ -415,20 +415,9 @@ class TowerStage:
         lo = self.cell(i) * self.width
         return Interval(lo, lo + self.width)
 
-    def level_lo(self, i: int) -> Fraction:
-        return self.cell(i) * self.width
-
     @property
     def base(self) -> Interval:
         return Interval(Fraction(0), self.width)
-
-    @property
-    def top(self) -> Interval:
-        return self.level(self.height - 1)
-
-    @property
-    def ambient(self) -> Interval:
-        return Interval(Fraction(0), self.total)
 
     def levels_set(self, indices: Sequence[int]) -> IntervalSet:
         return canonicalize([self.level(i) for i in indices])

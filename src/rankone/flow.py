@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, Optional
+from typing import FrozenSet, Iterable, Optional
 
 from .construction import ConstructionSpec, build_stage
 from .errors import SpecError
 from .joinings import BlockIndex, BlockMassMatrix
-from .measure import IntervalSet, MeasureBound, as_fraction
+from .measure import BoundSeries, IntervalSet, MeasureBound, as_fraction
 from .stats import correlation, return_profile, window_sums
 
 __all__ = [
@@ -61,9 +61,6 @@ class FlowSkeletonSpec:
     @property
     def alpha_q(self) -> int:
         return self.alpha.denominator
-
-    def coarse_height(self, j: int) -> int:
-        return build_stage(self.base, j).height // self.grid_inverse
 
     @classmethod
     def doubled(cls, base: ConstructionSpec, grid_inverse: int = 1,
@@ -109,7 +106,7 @@ class FlowWindowReport:
     j: int
     J: int
     q: int
-    values: Dict[int, MeasureBound]
+    values: BoundSeries
     max_bound: MeasureBound
 
 
@@ -122,7 +119,7 @@ def windowed_return_flow(fspec: FlowSkeletonSpec, j: int, J: int,
     exactly.  q defaults to the skeleton's grid_inverse; q = 0 degenerates
     to the plain return profile.  An ascending range is used without listing it."""
     zs = (z_range if isinstance(z_range, range) and z_range.step > 0
-          else sorted(set(z_range)))
+          else tuple(sorted(set(z_range))))
     if not zs:
         raise SpecError("z_range is empty")
     if zs[0] < 0:
@@ -133,11 +130,8 @@ def windowed_return_flow(fspec: FlowSkeletonSpec, j: int, J: int,
         raise SpecError("window length q must be nonnegative")
     prof = return_profile(fspec.base, j, J, zs[-1] + q)
     ws = window_sums(prof, q)
-    values = {z: ws[z] for z in zs}
-    lo = max(b.lo for b in values.values())
-    hi = max(b.hi for b in values.values())
-    return FlowWindowReport(j=j, J=J, q=q, values=values,
-                            max_bound=MeasureBound(lo, hi))
+    values = BoundSeries(zs, [ws.lo[z] for z in zs], [ws.hi[z] for z in zs], ws.den)
+    return FlowWindowReport(j=j, J=J, q=q, values=values, max_bound=values.maximum())
 
 
 @dataclass(frozen=True)

@@ -94,8 +94,8 @@ class BlockMassMatrix:
     norm_a / norm_b are the ambient measures used to normalize each side;
     base_mass is the second system's stage-j base measure in those units and
     is the reference scale for the light-block threshold.  masses is a
-    dict, or a UniformBlockMasses for the product joining, whose checks and
-    sums below cost O(1) instead of one step per block.
+    dict, or a UniformBlockMasses for the product joining, whose check
+    below costs O(1) instead of one step per block.
     """
 
     kind: str
@@ -137,22 +137,6 @@ class BlockMassMatrix:
 
     def mass(self, z: BlockIndex) -> Fraction:
         return self.masses.get(z, Fraction(0))
-
-    @property
-    def total_block_mass(self) -> Fraction:
-        return 1 - self.residual
-
-    def row_sum(self, z1: int) -> Fraction:
-        masses = self.masses
-        if isinstance(masses, UniformBlockMasses):
-            return masses.per * self.h_b if 0 <= z1 < self.h_a else Fraction(0)
-        return sum((m for (a, _), m in masses.items() if a == z1), Fraction(0))
-
-    def col_sum(self, z2: int) -> Fraction:
-        masses = self.masses
-        if isinstance(masses, UniformBlockMasses):
-            return masses.per * self.h_a if 0 <= z2 < self.h_b else Fraction(0)
-        return sum((m for (_, b), m in masses.items() if b == z2), Fraction(0))
 
 
 def _check_resolution(j: int, J: int) -> None:

@@ -9,15 +9,16 @@ no floating type survives that.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import merge
-from operator import attrgetter, itemgetter
-from typing import Iterable, Sequence, Tuple, Union
+from math import lcm
+from operator import attrgetter, gt, lt
+from typing import Iterable, List, Sequence, Tuple, Union
 
 __all__ = [
-    "Rational",
     "RationalLike",
     "as_fraction",
     "Interval",
@@ -29,16 +30,15 @@ __all__ = [
     "set_intersection",
     "set_difference",
     "MeasureBound",
+    "BoundSeries",
     "StepFunction",
     "l2_inner",
 ]
 
-Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
-# bisect keys: the left end of an Interval, of a (lo, hi, value) segment
+# bisect key: the left end of an Interval
 _LO = attrgetter("lo")
-_SEG_LO = itemgetter(0)
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -80,9 +80,6 @@ class Interval:
     def contains(self, x: RationalLike) -> bool:
         x = as_fraction(x)
         return self.lo <= x < self.hi
-
-    def contains_interval(self, other: "Interval") -> bool:
-        return other.is_empty() or (self.lo <= other.lo and other.hi <= self.hi)
 
     def overlaps(self, other: "Interval") -> bool:
         return max(self.lo, other.lo) < min(self.hi, other.hi)
@@ -132,9 +129,6 @@ class IntervalSet:
     def shift(self, offset: RationalLike) -> "IntervalSet":
         d = as_fraction(offset)
         return IntervalSet(tuple(iv.shift(d) for iv in self.intervals))
-
-    def is_subset_of(self, other: "IntervalSet") -> bool:
-        return set_difference(self, other).is_empty()
 
     def __iter__(self):
         return iter(self.intervals)
@@ -244,16 +238,6 @@ class MeasureBound:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def is_exact(self) -> bool:
-        return self.lo == self.hi
-
-    def contains_value(self, value: RationalLike) -> bool:
-        v = as_fraction(value)
-        return self.lo <= v <= self.hi
-
-    def is_subinterval_of(self, other: "MeasureBound") -> bool:
-        return other.lo <= self.lo and self.hi <= other.hi
-
     def overlaps(self, other: "MeasureBound") -> bool:
         return max(self.lo, other.lo) <= min(self.hi, other.hi)
 
@@ -268,6 +252,47 @@ class MeasureBound:
 
     def __repr__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
+
+
+class BoundSeries(Mapping):
+    """Bounds [lo_i/den, hi_i/den] on ascending int keys `domain`, a range or
+    a sorted tuple: a read-only Mapping from int to MeasureBound held as two
+    int lists over one positive denominator.  0 <= lo_i <= hi_i is checked
+    once per vector, in integers; [] builds one validated MeasureBound."""
+
+    __slots__ = ("domain", "lo", "hi", "den")
+
+    def __init__(self, domain: Sequence[int], lo: List[int], hi: List[int], den: int):
+        if not (den > 0 and len(domain) == len(lo) == len(hi)) or min(lo, default=0) < 0 \
+                or any(map(gt, lo, hi)) or not all(map(lt, domain, domain[1:])):
+            raise ValueError(f"invalid bound series over denominator {den}")
+        self.domain, self.lo, self.hi, self.den = domain, lo, hi, den
+
+    @classmethod
+    def of(cls, bounds: Mapping[int, MeasureBound]) -> "BoundSeries":
+        """The series of a {key: MeasureBound} mapping over the lcm of its denominators."""
+        keys = tuple(sorted(bounds))
+        bs = [bounds[k] for k in keys]
+        den = lcm(*(f.denominator for b in bs for f in (b.lo, b.hi)))
+        return cls(keys, [b.lo.numerator * (den // b.lo.denominator) for b in bs],
+                   [b.hi.numerator * (den // b.hi.denominator) for b in bs], den)
+
+    def __getitem__(self, k: int) -> MeasureBound:
+        i = bisect_left(self.domain, k) if isinstance(k, int) else len(self)
+        if i == len(self) or self.domain[i] != k:
+            raise KeyError(k)
+        return MeasureBound(Fraction(self.lo[i], self.den), Fraction(self.hi[i], self.den))
+
+    def __iter__(self):
+        return iter(self.domain)
+
+    def __len__(self) -> int:
+        return len(self.domain)
+
+    def maximum(self, start: int = 0) -> MeasureBound:
+        """Componentwise max of the entries from position start on."""
+        return MeasureBound(Fraction(max(self.lo[start:]), self.den),
+                            Fraction(max(self.hi[start:]), self.den))
 
 
 def _segments_from_pieces(
@@ -318,18 +343,8 @@ class StepFunction:
     def support(self) -> IntervalSet:
         return canonicalize([Interval(lo, hi) for lo, hi, _ in self.segments])
 
-    def value_at(self, x: RationalLike) -> Fraction:
-        x = as_fraction(x)
-        k = bisect_right(self.segments, x, key=_SEG_LO) - 1
-        if k >= 0 and x < self.segments[k][1]:
-            return self.segments[k][2]
-        return Fraction(0)
-
     def integral(self) -> Fraction:
         return sum(((hi - lo) * v for lo, hi, v in self.segments), Fraction(0))
-
-    def sup_abs(self) -> Fraction:
-        return max((abs(v) for _, _, v in self.segments), default=Fraction(0))
 
     def scale(self, factor: RationalLike) -> "StepFunction":
         f = as_fraction(factor)

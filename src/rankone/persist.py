@@ -29,7 +29,7 @@ from typing import Dict, Iterable, Iterator, NamedTuple, Optional, Sequence, Tup
 from . import __version__
 from .construction import ConstructionSpec, TowerStage, build_stage
 from .errors import SpecError
-from .measure import MeasureBound, as_fraction
+from .measure import BoundSeries, MeasureBound, as_fraction
 
 # "format" field of the stage document written by dump_stage
 STAGE_FORMAT = 1
@@ -150,13 +150,13 @@ def render_json(payload: object, **meta: object) -> str:
 
 
 class Table(NamedTuple):
-    """The result of a command that prints CSV or JSON: (key, value) pairs
-    in print order, read once, under the CSV column names.  A key is an
-    int or a tuple of ints, a value a MeasureBound or a Fraction; a CSV row
-    is the key's parts, then the value's numerators and denominators."""
+    """The result of a command that prints CSV or JSON: a BoundSeries, or
+    (key, value) pairs in print order, read once, under the CSV column names.
+    A key is an int or a tuple of ints, a value a MeasureBound or a Fraction;
+    a CSV row is the key's parts, then the value's numerators and denominators."""
 
     columns: Tuple[str, ...]
-    items: Iterable[Tuple[object, object]]
+    items: Union[BoundSeries, Iterable[Tuple[object, object]]]
     meta: Dict[str, object]
 
 
@@ -166,16 +166,29 @@ def _key_parts(k: object) -> tuple:
 
 def render_table(table: Table, fmt: str) -> str:
     """The table as a document in fmt, "csv" (one %d template a row) or
-    "json" (entries keyed by the key's parts joined by ","), only that one."""
+    "json" (entries keyed by the key's parts joined by ","), only that one.
+    A BoundSeries reduces each distinct numerator once, to a "num,den" CSV
+    cell or to one frac_str and approx_str pair."""
     columns, items, meta = table
-    if fmt == "csv":
+    head = f"{meta_line(**meta)}\n{','.join(columns)}\n" if fmt == "csv" else ""
+    if isinstance(items, BoundSeries):
+        s, nums = items, {*items.lo, *items.hi}
+        if fmt == "csv":
+            cells = {n: f"{n // g},{s.den // g}" for n in nums for g in [gcd(n, s.den)]}
+            return head + "".join(map("{},{},{}\n".format, s.domain,
+                                      map(cells.get, s.lo), map(cells.get, s.hi)))
+        strs = {n: (f"{a}/{b}", str(_APPROX_CTX.divide(a, b))) for n in nums
+                for g in [gcd(n, s.den)] for a, b in [(n // g, s.den // g)]}
+        data = {str(k): {"lo": lo[0], "hi": hi[0], "lo_approx": lo[1], "hi_approx": hi[1]}
+                for k, lo, hi in zip(s.domain, map(strs.get, s.lo), map(strs.get, s.hi))}
+    elif fmt == "csv":
         rows = [(*_key_parts(k), *(_BOUND_INTS(v) if isinstance(v, MeasureBound)
                                    else _FRACTION_INTS(v))) for k, v in items]
         row = ",".join(["%d"] * len(columns)) + "\n"
-        return (f"{meta_line(**meta)}\n{','.join(columns)}\n"
-                + (row * len(rows)) % tuple(chain.from_iterable(rows)))
-    data = {",".join(map(str, _key_parts(k))): bound_json(v)
-            if isinstance(v, MeasureBound) else frac_str(v) for k, v in items}
+        return head + (row * len(rows)) % tuple(chain.from_iterable(rows))
+    else:
+        data = {",".join(map(str, _key_parts(k))): bound_json(v)
+                if isinstance(v, MeasureBound) else frac_str(v) for k, v in items}
     return render_json(data, **meta) + "\n"
 
 

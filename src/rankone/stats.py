@@ -10,23 +10,25 @@ ROADMAP item 2's lag-descent kernel is to fill these vectors without an
 h_J-bit set.  Callers besides this module's: flow through it, joinings'
 graph_blocks and graph trivialization display, averaging.average_moments.
 
-Bounds are the counts over one shared denominator, one Fraction per
-distinct count: |S| for a^z_j = mu(T^z E_j | E_j), S the occurrences of
+Bound tables are measure.BoundSeries, the counts as numerators over one
+shared denominator: |S| for a^z_j = mu(T^z E_j | E_j), S the occurrences of
 E_j (dividing by mu(E_j) = |S| w_J cancels the unknown global
 normalization), 1/w_J for level unions; other sets go through power_image.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Dict, FrozenSet, Iterable, List, Tuple, Union
+from operator import sub
+from typing import Dict, FrozenSet, Iterable, List, Tuple, Union
 
 from .construction import ConstructionSpec, build_stage
 from .errors import SpecError
-from .measure import (Interval, IntervalSet, MeasureBound, as_interval_set,
-                      set_intersection)
+from .measure import (BoundSeries, Interval, IntervalSet, MeasureBound,
+                      as_interval_set, set_intersection)
 from .transform import power_image
 
 __all__ = [
@@ -40,7 +42,8 @@ __all__ = [
 ]
 
 
-# Entries a profile or series may hold; 10^5 cost a CLI command <= 2.5 s, 130 MB.
+# Entries a profile or series may hold.  10^5 cost a CLI command 0.4 s at staircase J=8
+# and 14 s at J=10: time grows with h_J, one h_J-bit shift per entry (ROADMAP item 2).
 MAX_ENTRIES = 100_000
 
 
@@ -83,11 +86,12 @@ def _edge(b: int, ds: range, h: int, top: bool) -> List[int]:
 
 
 def _bounds(keys: range, hits: List[int], outs: List[int], cap: int,
-            value: Callable[[int], Fraction]) -> Dict[int, MeasureBound]:
-    """{key: [value(hit), value(min(hit + out, cap))]}, one value a count."""
-    his = [min(hit + out, cap) for hit, out in zip(hits, outs)]
-    pool = {n: value(n) for n in {*hits, *his}}
-    return {k: MeasureBound(pool[lo], pool[hi]) for k, lo, hi in zip(keys, hits, his)}
+            unit: Fraction) -> BoundSeries:
+    """{key: [hit, min(hit + out, cap)] times unit}, over unit's denominator."""
+    n = unit.numerator
+    return BoundSeries(keys, [hit * n for hit in hits],
+                       [min(hit + out, cap) * n for hit, out in zip(hits, outs)],
+                       unit.denominator)
 
 
 @dataclass(frozen=True)
@@ -97,16 +101,21 @@ class ReturnProfile:
     Entries with z >= h_J are vacuous [0, 1] enclosures (no occurrence can
     resolve that far at this resolution); their z values are listed in
     `degenerate` so callers can tell a weak bound from an uninformative one.
+    A plain {z: MeasureBound} dict given as values is made a BoundSeries.
     """
 
     j: int
     J: int
-    values: Dict[int, MeasureBound]
+    values: BoundSeries
     degenerate: FrozenSet[int] = field(default_factory=frozenset)
+
+    def __post_init__(self):
+        if not isinstance(self.values, BoundSeries):
+            object.__setattr__(self, "values", BoundSeries.of(self.values))
 
     @property
     def z_max(self) -> int:
-        return max(self.values)
+        return self.values.domain[-1]
 
     def __getitem__(self, z: int) -> MeasureBound:
         return self.values[z]
@@ -119,8 +128,7 @@ def return_profile(spec: ConstructionSpec, j: int, J: int, z_max: int) -> Return
     st = build_stage(spec, J)
     B = st.occurrence_bits(j)
     count = B.bit_count()
-    values = _bounds(zs, *_counts(B, B, zs, st.height), count,
-                     lambda n: Fraction(n, count))
+    values = _bounds(zs, *_counts(B, B, zs, st.height), count, Fraction(1, count))
     return ReturnProfile(j=j, J=J, values=values,
                          degenerate=frozenset(range(st.height, z_max + 1)))
 
@@ -128,27 +136,25 @@ def return_profile(spec: ConstructionSpec, j: int, J: int, z_max: int) -> Return
 def max_profile(profile: ReturnProfile, z_lo: int = 0) -> MeasureBound:
     """Enclosure of max a^z over z in (z_lo, z_max]: componentwise max of
     the lower and the upper bounds."""
-    zs = [z for z in profile.values if z > z_lo]
-    if not zs:
+    start = bisect_right(profile.values.domain, z_lo)
+    if start == len(profile.values):
         raise SpecError(f"empty range: no profile entries above z={z_lo}")
-    lo = max(profile.values[z].lo for z in zs)
-    hi = max(profile.values[z].hi for z in zs)
-    return MeasureBound(lo, hi)
+    return profile.values.maximum(start)
 
 
-def window_sums(profile: ReturnProfile, q: int) -> Dict[int, MeasureBound]:
+def window_sums(profile: ReturnProfile, q: int) -> BoundSeries:
     """Bounds on the window sums sum_{w=z}^{z+q} a^w for every z the profile
     covers in full, as differences of prefix sums of the bounds."""
     if q < 0:
         raise SpecError("window length q must be nonnegative")
-    z_max = profile.z_max
+    z_max, s = profile.z_max, profile.values
     if q > z_max:
         raise SpecError(f"window 0..{q} exceeds the profile range 0..{z_max}")
-    bounds = [profile.values[z] for z in range(z_max + 1)]
-    lo = list(accumulate((b.lo for b in bounds), initial=Fraction(0)))
-    hi = list(accumulate((b.hi for b in bounds), initial=Fraction(0)))
-    return {z: MeasureBound(lo[z + q + 1] - lo[z], hi[z + q + 1] - hi[z])
-            for z in range(z_max - q + 1)}
+    if s.domain[0] != 0 or len(s) != z_max + 1:
+        raise SpecError(f"the profile does not hold every z in 0..{z_max}")
+    lo, hi = (list(accumulate(v, initial=0)) for v in (s.lo, s.hi))
+    return BoundSeries(range(z_max - q + 1), list(map(sub, lo[q + 1:], lo)),
+                       list(map(sub, hi[q + 1:], hi)), s.den)
 
 
 @dataclass(frozen=True)
@@ -163,7 +169,7 @@ class CorrelationSeries:
 
     A: IntervalSet
     B: IntervalSet
-    values: Dict[int, MeasureBound]
+    values: BoundSeries
     target: Fraction
     normalization: Fraction
 
@@ -181,21 +187,21 @@ def correlation(spec: ConstructionSpec, A: Union[IntervalSet, Interval],
 
 
 def _correlations(spec: ConstructionSpec, A: IntervalSet, B: IntervalSet,
-                  ms: range, J: int) -> Dict[int, MeasureBound]:
+                  ms: range, J: int) -> BoundSeries:
     """correlation for each m in the range ms, with A and B made bitsets once."""
     st = build_stage(spec, J)
     a = st.level_bits(A)
     b = st.level_bits(B) if a is not None else None
     if b is not None:
         return _bounds(ms, *_counts(a, b, ms, st.height),
-                       min(a.bit_count(), b.bit_count()), lambda n: n * st.width)
+                       min(a.bit_count(), b.bit_count()), st.width)
     values: Dict[int, MeasureBound] = {}
     for m in ms:
         img, escaped = power_image(spec, B, m, J)
         lo = set_intersection(A, img).measure
         hi = min(lo + escaped.hi, A.measure, B.measure)
         values[m] = MeasureBound(lo, max(lo, hi))
-    return values
+    return BoundSeries.of(values)
 
 
 def correlation_series(spec: ConstructionSpec, A: Union[IntervalSet, Interval],

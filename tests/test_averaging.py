@@ -34,6 +34,7 @@ from rankone.measure import (
     set_intersection,
 )
 from rankone.transform import power_image
+from helpers import ambient, as_dict, sup_abs, top, value_at
 
 F = Fraction
 
@@ -66,8 +67,8 @@ class TestWeightSequence:
         assert w.support == (0,)
 
     def test_uniform_and_delta(self):
-        assert WeightSequence.uniform(4).as_dict() == {z: F(1, 4) for z in range(4)}
-        assert WeightSequence.delta(3).as_dict() == {3: F(1)}
+        assert as_dict(WeightSequence.uniform(4)) == {z: F(1, 4) for z in range(4)}
+        assert as_dict(WeightSequence.delta(3)) == {3: F(1)}
 
 
 class TestFlatness:
@@ -108,7 +109,7 @@ class TestFlatness:
 def scan_flatness(w, q):
     """The largest window sum over every start from the first support point
     minus q to the last support point."""
-    d = w.as_dict()
+    d = as_dict(w)
     zs = sorted(d)
     best = Fraction(0)
     for start in range(max(0, zs[0] - q), zs[-1] + 1):
@@ -187,7 +188,7 @@ class TestAverageApply:
         assert esc == MeasureBound.exact(F(1, 4))
         assert Pf.integral() == F(1, 4)
         # mean preservation up to escape
-        assert abs(f.integral() - Pf.integral()) <= f.sup_abs() * esc.hi
+        assert abs(f.integral() - Pf.integral()) <= sup_abs(f) * esc.hi
 
     def test_linearity_on_resolved_mass(self):
         spec = ConstructionSpec.chacon()
@@ -364,7 +365,7 @@ class TestLevelPath:
         assert Pf.integral() + esc.hi == f.integral()
         # stage-3 level l lifts to the stage-12 levels i = l mod 8; far from
         # the tower ends the 256 shifts see each residue 32 times
-        assert Pf.value_at(build_stage(spec, 12).level(2000).lo) == F(5, 8)
+        assert value_at(Pf, build_stage(spec, 12).level(2000).lo) == F(5, 8)
 
     def test_part_cell_function_within_budget(self):
         # every third stage-10 level is a quarter of a stage-8 cell; imaged
@@ -383,7 +384,7 @@ class TestLevelPath:
         st10 = build_stage(spec, 10)
         for i in (63, 100, 400, 700, 1023):
             hits = sum(1 for z in range(64) if (i - z) % 3 == 0)
-            assert Pf.value_at(st10.level(i).lo) == F(hits, 64)
+            assert value_at(Pf, st10.level(i).lo) == F(hits, 64)
 
 
 @st.composite
@@ -455,7 +456,7 @@ class TestMoments:
 class TestL2Deviation:
     def test_constant_equals_mean(self):
         Pf = StepFunction.from_pieces(
-            [(IntervalSet((build_stage(ConstructionSpec.odometer(), 1).ambient,)),
+            [(IntervalSet((ambient(build_stage(ConstructionSpec.odometer(), 1)),)),
               F(1, 2))])
         got = l2_deviation(Pf, F(1, 2), MeasureBound.zero(), F(1), sup_f=F(1, 2))
         assert got == MeasureBound.zero()
@@ -489,7 +490,7 @@ class TestL2Deviation:
         # whole support escapes, so the computed P f is zero there and only
         # sup|f| = 100 keeps the J=3 enclosure around the J=7 one
         spec = ConstructionSpec.odometer()
-        f = StepFunction.indicator(IntervalSet((build_stage(spec, 3).top,)), 100)
+        f = StepFunction.indicator(IntervalSet((top(build_stage(spec, 3)),)), 100)
         devs = []
         for J in (3, 7):
             M = build_stage(spec, J).total

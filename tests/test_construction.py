@@ -15,6 +15,7 @@ from rankone.construction import (
 )
 from rankone.errors import SpecError
 from rankone.measure import canonicalize
+from helpers import ambient, contains_interval, level_lo
 
 F = Fraction
 
@@ -84,7 +85,7 @@ class TestGeometry:
                 st_ = build_stage(spec, j)
                 assert st_.height * st_.width == st_.total
                 cov = canonicalize([st_.level(i) for i in range(st_.height)])
-                assert cov.intervals == (st_.ambient,)
+                assert cov.intervals == (ambient(st_),)
 
     def test_levels_nested_in_parents(self):
         spec = ConstructionSpec.staircase()
@@ -96,7 +97,7 @@ class TestGeometry:
                 if p is None:
                     assert lv.lo >= st_.prev.total
                 else:
-                    assert st_.prev.level(p).contains_interval(lv)
+                    assert contains_interval(st_.prev.level(p), lv)
 
     def test_locate_inverts_level(self):
         spec = ConstructionSpec.chacon()
@@ -129,7 +130,7 @@ class TestGeometry:
         for i in range(0, st5.height, 7):
             a = st5.ancestor_index(i, 3)
             if a is not None:
-                assert build_stage(spec, 3).level(a).contains_interval(st5.level(i))
+                assert contains_interval(build_stage(spec, 3).level(a), st5.level(i))
 
 
 class TestOccurrences:
@@ -148,7 +149,7 @@ class TestOccurrences:
                 for k in range(1, J + 1):
                     base_k = build_stage(spec, k).base
                     direct = tuple(i for i in range(stJ.height)
-                                   if base_k.contains_interval(stJ.level(i)))
+                                   if contains_interval(base_k, stJ.level(i)))
                     assert stJ.occurrences(k) == direct
 
     def test_gaps_at_least_h_k(self):
@@ -446,7 +447,7 @@ class TestAncestorRuns:
                 assert a == i2 - lo
                 # a copy run is the stage-k tower translated by the start
                 # of its first level (Cursor.x reads points this way)
-                assert stR.level_lo(i2) == stk.level_lo(a) + stR.level_lo(lo)
+                assert level_lo(stR, i2) == level_lo(stk, a) + level_lo(stR, lo)
             else:
                 assert a is None
         if copy:

@@ -32,3 +32,21 @@ def test_demo_prints_recorded_stdout(demo, tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (RECORDED / f"{demo.stem}.txt").read_text()
+
+
+def test_readme_tour_values_match_their_comments():
+    # the first python block of the README: each `expr  # text` line must
+    # have repr(expr) == text, a tuple's parentheses left out
+    readme = (ROOT / "README.md").read_text()
+    tour = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, checked = {}, 0
+    for line in tour.splitlines():
+        code, _, comment = line.partition("  # ")
+        if not comment or not code.strip():
+            exec(line, namespace)
+            continue
+        value = eval(code, namespace)
+        text = repr(value)[1:-1] if isinstance(value, tuple) else repr(value)
+        assert text == comment.strip(), code
+        checked += 1
+    assert checked == 4

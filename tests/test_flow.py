@@ -20,6 +20,7 @@ from rankone.joinings import BlockIndex, empirical_joining, product_blocks
 from rankone.measure import MeasureBound, set_intersection
 from rankone.stats import return_profile, window_sums
 from rankone.transform import Cursor, power_image
+from helpers import coarse_height, is_exact
 
 ODO = ConstructionSpec.odometer()
 ST2 = ConstructionSpec.staircase(h1=2)
@@ -50,8 +51,8 @@ def test_flow_spec_alpha_reduced():
 
 def test_coarse_height():
     fs = FlowSkeletonSpec(base=ODO, grid_inverse=3, alpha=F(2))
-    assert fs.coarse_height(3) == 8 // 3
-    assert FlowSkeletonSpec.doubled(ODO).coarse_height(3) == 8
+    assert coarse_height(fs, 3) == 8 // 3
+    assert coarse_height(FlowSkeletonSpec.doubled(ODO), 3) == 8
 
 
 # ---------------------------------------------------------------- thickened base
@@ -135,7 +136,7 @@ def test_consequence_exact_when_no_escape():
     fs = FlowSkeletonSpec.doubled(ODO)
     for z in (1, 2, 3):
         rec = consequence_check(fs, 2, 5, z)
-        assert rec.geometric_route.is_exact()
+        assert is_exact(rec.geometric_route)
         assert rec.consistent
         assert rec.window_route.lo <= rec.geometric_route.lo \
             <= rec.window_route.hi

@@ -36,6 +36,7 @@ from rankone.joinings import (
 )
 from rankone.measure import set_intersection
 from rankone.transform import Cursor, apply_power, power_image
+from helpers import col_sum, row_sum, total_block_mass
 
 ODO = ConstructionSpec.odometer()
 ST2 = ConstructionSpec.staircase(h1=2)
@@ -62,7 +63,7 @@ def test_product_covered_is_tower_mass_product():
         m = product_blocks(ST2, ST3, j, J)
         expect = (build_stage(ST2, j).total / build_stage(ST2, J).total) \
             * (build_stage(ST3, j).total / build_stage(ST3, J).total)
-        assert m.total_block_mass == expect
+        assert total_block_mass(m) == expect
 
 
 def test_product_marginal_sums():
@@ -70,11 +71,11 @@ def test_product_marginal_sums():
     covered_b = build_stage(ST3, 2).total / build_stage(ST3, 4).total
     covered_a = build_stage(ST2, 2).total / build_stage(ST2, 4).total
     for z1 in range(m.h_a):
-        assert m.row_sum(z1) == m.level_mass_a * covered_b
-        assert m.row_sum(z1) <= m.level_mass_a
+        assert row_sum(m, z1) == m.level_mass_a * covered_b
+        assert row_sum(m, z1) <= m.level_mass_a
     for z2 in range(m.h_b):
-        assert m.col_sum(z2) == m.level_mass_b * covered_a
-        assert m.col_sum(z2) <= m.level_mass_b
+        assert col_sum(m, z2) == m.level_mass_b * covered_a
+        assert col_sum(m, z2) <= m.level_mass_b
 
 
 @given(st.sampled_from(PRESETS), st.sampled_from(PRESETS),
@@ -116,9 +117,9 @@ def test_product_masses_match_dense_dict(spec_a, spec_b, j, extra, data):
     for z in probes:
         assert m.mass(BlockIndex(*z)) == d.mass(BlockIndex(*z))
     for z1 in range(-1, m.h_a + 1):
-        assert m.row_sum(z1) == d.row_sum(z1)
+        assert row_sum(m, z1) == row_sum(d, z1)
     for z2 in range(-1, m.h_b + 1):
-        assert m.col_sum(z2) == d.col_sum(z2)
+        assert col_sum(m, z2) == col_sum(d, z2)
     # every block is light exactly when epsilon exceeds per / base_mass
     at = u.per / m.base_mass
     for eps in (at / 2, at - at / 1000, at, at + at / 1000, 2 * at):
@@ -232,9 +233,9 @@ def test_graph_row_sums_bounded_by_level_mass():
     for spec, k in [(ODO, 1), (ST2, 2), (CHA, 1)]:
         m = graph_blocks(spec, k, 2, 5)
         for z1 in range(m.h_a):
-            assert m.row_sum(z1) <= m.level_mass_a
+            assert row_sum(m, z1) <= m.level_mass_a
         for z2 in range(m.h_b):
-            assert m.col_sum(z2) <= m.level_mass_b
+            assert col_sum(m, z2) <= m.level_mass_b
 
 
 @given(st.sampled_from(PRESETS), st.integers(0, 5), st.integers(1, 3))
@@ -316,7 +317,7 @@ def test_light_product_threshold_flip():
     assert at.covered_mass == 0 and not at.light_set
     above = light_blocks(m, m.level_mass_a + F(1, 1000))
     assert len(above.light_set) == m.h_a * m.h_b
-    assert above.covered_mass == m.total_block_mass
+    assert above.covered_mass == total_block_mass(m)
 
 
 def test_light_sets_are_row_major_with_masses():

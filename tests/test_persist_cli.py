@@ -846,7 +846,8 @@ def test_cli_oversized_ranges_exit_2_in_a_capped_child():
     assert json.loads(proc.stdout) == [
         [2, "", f"error: 100000001 entries requested, {limit_text}"],
         [2, "", f"error: 100000001 entries requested, {limit_text}"],
-        [2, "", f"error: 100000002 entries requested, {limit_text}"]]
+        [2, "", "error: --zmax 100000000 with q=1 needs a return profile of "
+                f"100000002 entries, {limit_text}"]]
 
 
 # ----------------------------------------------- cli: one parser, formats
@@ -965,6 +966,44 @@ def test_cli_format_matrix_bytes(argv, fmt):
     code, out, err = run_cli(*argv, "--format", fmt)
     assert code == 0, err
     digest = FORMAT_MATRIX[argv][0 if fmt == "csv" else 1]
+    assert sha256(out.encode()).hexdigest() == digest
+
+
+# Bound tables that cross h_J, on both correlate paths (`--j 5 --res 4`
+# takes power_image: stage-5 levels are no union of stage-4 levels), in
+# both formats: sha256 of stdout, recorded when every entry was built as
+# its own MeasureBound and rendered from its Fractions.
+BOUND_TABLE_PINS = {
+    ("return-profile", "--spec", "staircase", "--j", "2", "--res", "6",
+     "--zmax", "450"): (
+        "28c1351ca6d8005f43159299d5e1bb79253fe41afbc9c1ed7fc85c8ef2ca75d9",
+        "5b51284f23f210f4ae4b492dcf8c9a2801773b687a2cda5c0e69c7746e66d6bc"),
+    ("return-profile", "--spec", "random:5", "--j", "1", "--res", "4", "--zmax", "90"): (
+        "13a7bc2327a90248128fd872d0c04c707e4aacf16cca9402cb76fdf4c4215729",
+        "20a9fe7912feddd19e5a3d5a99eb58befb0f97b049e16177fe7d95658462e85e"),
+    ("correlate", "--spec", "staircase", "--A", "0,2", "--B", "1,3", "--j", "3",
+     "--res", "5", "--mmax", "90"): (
+        "c5254f0a466539994e20ca488de6ce9091e281e16337215cff633d6d1b7becbc",
+        "36a3bcf501b51876112677d296c96c83eb66404c1af5386c2524a8d9282ee0c6"),
+    ("correlate", "--spec", "staircase", "--A", "0,3,17", "--B", "0,1,2,3", "--j", "5",
+     "--res", "4", "--mmax", "30"): (
+        "43e7ff371dd4ffa26a0abb5db1e0887bf3f4d59185ba21570635b745a340eeca",
+        "1fd17076d71fe7766cbaef627417c67f489237891ceecb50a037e31a509f330f"),
+    ("flow", "window", "--spec", "chacon", "--alpha", "3/2", "--grid", "3", "--j", "2",
+     "--res", "5", "--zmax", "130"): (
+        "9e3c5ebf918d383145efaa099cae0718ed28fdc487898e245b31d2f6b2923ed8",
+        "275de25ddaf83f19a7ed0a4d9a3e7b43e611f1689849ea6f650bdff7e61c8f2f"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", list(BOUND_TABLE_PINS), ids=[
+    "return-profile-past-hJ", "return-profile-random", "correlate-level-unions",
+    "correlate-interval-path", "flow-window-past-hJ"])
+def test_cli_bound_table_bytes_pinned(argv, fmt):
+    code, out, err = run_cli(*argv, "--format", fmt)
+    assert code == 0, err
+    digest = BOUND_TABLE_PINS[argv][0 if fmt == "csv" else 1]
     assert sha256(out.encode()).hexdigest() == digest
 
 

@@ -21,6 +21,7 @@ from rankone.measure import (
 from rankone import transform
 from rankone.persist import frac_str, frac_strs
 from rankone.transform import Cursor, OrbitPoint, apply_power, power_image
+from helpers import ambient, is_exact, level_lo, top
 
 F = Fraction
 
@@ -43,7 +44,7 @@ def step_image(spec, A, J):
     st_ = build_stage(spec, J)
     moved = []
     for i in range(st_.height - 1):
-        off = st_.level_lo(i + 1) - st_.level_lo(i)
+        off = level_lo(st_, i + 1) - level_lo(st_, i)
         part = set_intersection(A, IntervalSet((st_.level(i),)))
         moved.extend(Interval(iv.lo + off, iv.hi + off) for iv in part)
     img = canonicalize(moved)
@@ -62,13 +63,13 @@ def oracle_power_image(spec, A, n, J):
     hi_i = st_.height - 1 - n if n > 0 else st_.height - 1
     for i in range(lo_i, hi_i + 1):
         src = st_.level(i)
-        off = st_.level_lo(i + n) - src.lo
+        off = level_lo(st_, i + n) - src.lo
         for iv in A.intervals:
             lo, hi = max(iv.lo, src.lo), min(iv.hi, src.hi)
             if lo < hi:
                 moved.append(Interval(lo + off, hi + off))
                 covered += hi - lo
-    inside = set_intersection(A, IntervalSet((st_.ambient,))).measure
+    inside = set_intersection(A, IntervalSet((ambient(st_),))).measure
     if inside != A.measure:
         raise SpecError("set extends beyond the stage ambient interval")
     return canonicalize(moved), MeasureBound.exact(A.measure - covered)
@@ -147,7 +148,7 @@ class TestRealize:
             for J in range(1, 5):
                 st_ = build_stage(spec, J)
                 for n in (1, -1):
-                    img, esc = power_image(spec, st_.ambient, n, J)
+                    img, esc = power_image(spec, ambient(st_), n, J)
                     assert img.measure == (st_.height - 1) * st_.width
                     assert esc == MeasureBound.exact(st_.width)
 
@@ -165,11 +166,11 @@ class TestRealize:
         # base level, and backward the other way round
         spec = ConstructionSpec.staircase()
         st_ = build_stage(spec, 4)
-        whole = IntervalSet((st_.ambient,))
+        whole = IntervalSet((ambient(st_),))
         img, _ = power_image(spec, whole, 1, 4)
         assert img == set_difference(whole, IntervalSet((st_.base,)))
         img, _ = power_image(spec, whole, -1, 4)
-        assert img == set_difference(whole, IntervalSet((st_.top,)))
+        assert img == set_difference(whole, IntervalSet((top(st_),)))
 
 
 class TestApplyPower:
@@ -282,7 +283,7 @@ class TestCursorRuns:
                     after = st_.ancestor_index(i + left, j)
                     assert (after is None) != (z is None) or (
                         z is not None and after != z + left)
-            assert cur.x == st_.level_lo(i) + cur.u
+            assert cur.x == level_lo(st_, i) + cur.u
             tick += 1
 
         try:
@@ -357,7 +358,7 @@ class TestCursorRuns:
         for _ in range(3000):
             st_ = cur.stage_obj
             assert cur.level_at(1) == st_.ancestor_index(cur.index, 1)
-            assert cur.x == st_.level_lo(cur.index) + cur.u
+            assert cur.x == level_lo(st_, cur.index) + cur.u
             cur.step_forward()
         assert cur.refinements == 12
 
@@ -439,7 +440,7 @@ def orbit_starts(draw, spec, budget):
         i = draw(st.sampled_from(spacers))
     u = draw(st.fractions(min_value=0, max_value=1, max_denominator=97)
              .filter(lambda f: f < 1))
-    return stage.level_lo(i) + u * stage.width
+    return level_lo(stage, i) + u * stage.width
 
 
 class TestCoarseRuns:
@@ -594,7 +595,7 @@ class TestImageSet:
     def test_top_level_escapes_entirely(self):
         spec = ConstructionSpec.staircase()
         st_ = build_stage(spec, 3)
-        img, esc = power_image(spec, st_.top, 1, 3)
+        img, esc = power_image(spec, top(st_), 1, 3)
         assert img.measure == 0
         assert esc == MeasureBound.exact(st_.width)
 
@@ -618,7 +619,7 @@ class TestImageSet:
         A = IntervalSet((Interval(F(1, 10), F(2, 5)), Interval(F(1, 2), F(9, 10))))
         img, esc = power_image(spec, A, 1, 4)
         assert img.measure + esc.lo == A.measure
-        assert esc.is_exact()
+        assert is_exact(esc)
 
 
 @st.composite
@@ -661,7 +662,7 @@ class TestPowerImage:
         spec, J, A = sja
         img, esc = power_image(spec, A, n, J)
         assert img.measure + esc.lo == A.measure
-        assert esc.is_exact()
+        assert is_exact(esc)
 
     @settings(max_examples=25, deadline=None)
     @given(level_subsets(), st.integers(min_value=1, max_value=4))
