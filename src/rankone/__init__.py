@@ -51,7 +51,6 @@ from .joinings import (
     empirical_joining,
     graph_blocks,
     light_blocks,
-    light_shifts,
     product_blocks,
     trivialization_check,
 )
@@ -64,10 +63,7 @@ from .measure import (
     StepFunction,
     as_fraction,
     canonicalize,
-    l2_inner,
-    set_difference,
     set_intersection,
-    set_union,
 )
 from .persist import (
     dump_stage,

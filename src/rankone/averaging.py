@@ -229,8 +229,8 @@ def average_moments(spec: ConstructionSpec, w: WeightSequence, f: StepFunction,
          if m >= 0} if near else {}
     classes = []
     for piece, cells in _cells(f, st).items():
-        s = st.level_bits(canonicalize(Interval(c0 * width, c1 * width)
-                                       for c0, c1 in cells))
+        s = st.occurrence_bits(*st.level_bits(canonicalize(
+            Interval(c0 * width, c1 * width) for c0, c1 in cells)))
         tails = _escapes(s, range(L + 1), h)
         out = ((D - sum(near.values())) * s.bit_count()
                + sum(n * tails[z] for z, n in near.items()))

@@ -495,23 +495,28 @@ class TowerStage:
 
     # -- base occurrences --------------------------------------------------
 
-    def occurrence_bits(self, k: int) -> int:
-        """S_k as an int bitset: bit i is set iff level(i) lies inside the
-        stage-k base E_k.
+    def occurrence_bits(self, k: int, bits: int = 1) -> int:
+        """The levels of this stage inside the stage-k levels of the int
+        bitset `bits`, by default the base E_k: bit i is set iff level(i)
+        lies inside them.
 
-        Built by the column recursion S_k(j+1) = OR_c S_k(j) << offset_c on
-        each call; agrees with direct interval containment (tested)
-        because E_k is exactly the union of its stage-j occurrences and
-        spacer mass added at stages >= k is disjoint from [0, M_k).
+        Built by the column recursion S(t) = OR_c S(t-1) << offset_c from
+        stage k up, on each call; agrees with direct interval containment
+        (tested) because a stage-k level is exactly the union of its
+        stage-t copies and spacer mass added at stages >= k is disjoint
+        from [0, M_k).
         """
         if not (1 <= k <= self.stage):
             raise SpecError(f"occurrence stage {k} out of range")
-        if k == self.stage:
-            return 1
-        prev_bits = self.prev.occurrence_bits(k)
-        bits = 0
-        for off in self.offsets:
-            bits |= prev_bits << off
+        chain, st = [], self
+        while st.stage > k:
+            chain.append(st.offsets)
+            st = st.prev
+        for offsets in reversed(chain):
+            lifted = 0
+            for off in offsets:
+                lifted |= bits << off
+            bits = lifted
         return bits
 
     def occurrences(self, k: int) -> Tuple[int, ...]:
@@ -519,26 +524,25 @@ class TowerStage:
         decoded from occurrence_bits(k)."""
         return bit_indices(self.occurrence_bits(k))
 
-    def level_bits(self, A: IntervalSet) -> Optional[int]:
-        """Bitset over this stage's levels of a set A made of whole levels of
-        some stage k <= this stage, or None when A is not such a union.
+    def level_bits(self, A: IntervalSet) -> Optional[Tuple[int, int]]:
+        """(k, bits): a set A made of whole levels of some stage k <= this
+        stage, as a bitset over the stage-k levels, for the smallest such k;
+        None when A is not such a union.  occurrence_bits(k, bits) lifts it.
 
         The test reads the set itself: at stage k the levels tile [0, M_k)
         in cells [c w_k, (c+1) w_k), cell c being level level_of_cell(c), so A
         is a union of stage-k levels iff every endpoint is a multiple of w_k
-        in [0, M_k].  The smallest such k is used, and each of its
-        levels l lifts to this stage as S_k << l.
+        in [0, M_k].
         """
         ends = [x for iv in A.intervals for x in (iv.lo, iv.hi)]
         for st in (build_stage(self.spec, k) for k in range(1, self.stage + 1)):
             if all(0 <= x <= st.total and (x / st.width).denominator == 1
                    for x in ends):
-                occ = self.occurrence_bits(st.stage)
                 bits = 0
                 for iv in A.intervals:
                     for c in range(int(iv.lo / st.width), int(iv.hi / st.width)):
-                        bits |= occ << st.level_of_cell(c)
-                return bits
+                        bits |= 1 << st.level_of_cell(c)
+                return st.stage, bits
         return None
 
     def __repr__(self) -> str:

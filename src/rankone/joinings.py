@@ -23,7 +23,7 @@ from .averaging import WeightSequence, flatness
 from .construction import ConstructionSpec, build_stage
 from .errors import EmptyFSetError, SpecError
 from .measure import IntervalSet, MeasureBound, RationalLike, as_fraction
-from .stats import _escapes, _hits
+from .stats import _stage_counts
 from .transform import Cursor
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "light_blocks",
     "di_estimate",
     "dispersion_experiment",
-    "light_shifts",
     "columns_and_F",
     "trivialization_check",
 ]
@@ -179,13 +178,14 @@ def graph_blocks(spec: ConstructionSpec, k: int, j: int, J: int) -> BlockMassMat
 
     That mass is w_J times the occurrence pairs (p, p + z2 + k - z1) of E_j
     at stage J, so it depends only on z2 - z1: the matrix is one vector of
-    lag counts from stats._hits.  Both occurrences of a pair start whole
-    stage-j copies, so every pair resolves inside the stage-J tower."""
+    lag counts, stats._stage_counts of E_j = (j, 1) over the lags k - h_j
+    + 1 .. k + h_j - 1, which builds no stage-J set.  Both occurrences of a
+    pair start whole stage-j copies, so every pair resolves inside the
+    stage-J tower."""
     _check_resolution(j, J)
     st, stJ = build_stage(spec, j), build_stage(spec, J)
     h, M = st.height, stJ.total
-    B = stJ.occurrence_bits(j)
-    lags = _hits(B, B, range(k - h + 1, k + h))
+    lags = _stage_counts(spec, j, 1, 1, range(k - h + 1, k + h), J)[0]
     w_norm = stJ.width / M
     masses = {BlockIndex(z1, z2): n * w_norm for z1 in range(h) for z2 in range(h)
               if (n := lags[z2 - z1 + h - 1])}
@@ -387,28 +387,6 @@ def _make_column(m: BlockMassMatrix, delta: RationalLike, w: int) -> ColumnSpec:
     return ColumnSpec(delta=d, w=w, j=m.j, members=members)
 
 
-def light_shifts(m: BlockMassMatrix, delta: RationalLike, w: int,
-                 epsilon: Optional[RationalLike] = None,
-                 mass_threshold: Optional[RationalLike] = None) -> Tuple[int, ...]:
-    """Shift set selection for F assembly.
-
-    With epsilon (the default mode): all h whose shifted column consists
-    entirely of epsilon-light blocks.  With mass_threshold: all h whose
-    whole shifted-column mass is strictly below the threshold.  Either way
-    only shifts keeping the column inside the second tower qualify.
-    """
-    if (epsilon is None) == (mass_threshold is None):
-        raise SpecError("pass exactly one of epsilon, mass_threshold")
-    col = _make_column(m, delta, w)
-
-    def ok(h: int) -> bool:
-        shifted = [m.mass(BlockIndex(z1, z2 + h)) for z1, z2 in col.members]
-        if epsilon is not None:
-            return max(shifted) < as_fraction(epsilon) * m.base_mass
-        return sum(shifted, Fraction(0)) < as_fraction(mass_threshold)
-    return tuple(filter(ok, range(m.h_b - col.members[-1].z2)))
-
-
 @dataclass(frozen=True)
 class FSetSpec:
     """Union of vertical translates of a column, with the joining-derived
@@ -492,11 +470,13 @@ def trivialization_check(m: BlockMassMatrix, F: FSetSpec, A: IntervalSet,
     if F.nu_F <= 0 or not set(F.weights.support) <= set(F.shifts):
         raise SpecError("F needs nu_F > 0 and its weights on its own shifts")
     _check_shifts(m, max((z2 for _, z2 in members), default=0), F.shifts)
+    in_sets = []
     for label, spec, S in (("A", m.spec_a, A), ("B", m.spec_b, B)):
-        if build_stage(spec, k).level_bits(S) is None:
+        found = build_stage(spec, k).level_bits(S)
+        if found is None:
             raise SpecError(f"{label} is not a union of stage-{k} levels")
-    in_A = build_stage(m.spec_a, m.j).level_bits(A)
-    in_B = build_stage(m.spec_b, m.j).level_bits(B)
+        in_sets.append(build_stage(spec, m.j).occurrence_bits(*found))
+    in_A, in_B = in_sets
 
     # per_shift[h]: the mass of the selected blocks of the column shifted by h
     per_shift = {h: sum((m.mass(BlockIndex(z1, z2 + h)) for z1, z2 in members
@@ -534,7 +514,7 @@ def _display_route(m: BlockMassMatrix, F: FSetSpec, in_A: int, in_B: int,
     h iff level z2 + h is in B, and T^{-h} pushes off the tower only the
     levels of B below h in the bottom copy, w_J each.  A graph block also
     loses to T^k the occurrences of level z2 that lag k pushes off, read
-    from one escape vector of E_j's stage-J occurrences."""
+    from the escape vector of stats._stage_counts on E_j = (j, 1)."""
     if m.kind == "empirical":
         val = sum((a_h * per_shift[h] for h, a_h in F.weights.weights), Fraction(0))
         return val, val
@@ -548,8 +528,8 @@ def _display_route(m: BlockMassMatrix, F: FSetSpec, in_A: int, in_B: int,
         s, escape = m.level_mass_a * stJ.width / m.norm_b, [0] * m.h_b
     else:
         # escape[z2]: the occurrences p of E_j with p + z2 + k off the tower
-        s, k, occ = stJ.width / m.norm_a, m.meta["k"], stJ.occurrence_bits(m.j)
-        escape = _escapes(occ, range(k, k + m.h_b), stJ.height)
+        s, k = stJ.width / m.norm_a, m.meta["k"]
+        escape = _stage_counts(m.spec_b, m.j, 1, 1, range(k, k + m.h_b), m.meta["J"])[1]
     lo = out = Fraction(0)
     for h, a_h in F.weights.weights:
         hit = [bi for bi in sel if in_B >> (bi.z2 + h) & 1]

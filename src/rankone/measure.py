@@ -26,13 +26,10 @@ __all__ = [
     "EMPTY_SET",
     "as_interval_set",
     "canonicalize",
-    "set_union",
     "set_intersection",
-    "set_difference",
     "MeasureBound",
     "BoundSeries",
     "StepFunction",
-    "l2_inner",
 ]
 
 RationalLike = Union[Fraction, int, str]
@@ -169,10 +166,6 @@ def canonicalize(intervals: Iterable[Interval]) -> IntervalSet:
     return IntervalSet(tuple(merged))
 
 
-def set_union(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    return canonicalize(a.intervals + b.intervals)
-
-
 def set_intersection(a: IntervalSet, b: IntervalSet) -> IntervalSet:
     out: list[Interval] = []
     i = j = 0
@@ -186,27 +179,6 @@ def set_intersection(a: IntervalSet, b: IntervalSet) -> IntervalSet:
             i += 1
         else:
             j += 1
-    return IntervalSet(tuple(out))
-
-
-def set_difference(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    out: list[Interval] = []
-    j = 0
-    bv = b.intervals
-    for iv in a.intervals:
-        lo = iv.lo
-        while j < len(bv) and bv[j].hi <= lo:
-            j += 1
-        k = j
-        while k < len(bv) and bv[k].lo < iv.hi:
-            if bv[k].lo > lo:
-                out.append(Interval(lo, bv[k].lo))
-            lo = max(lo, bv[k].hi)
-            if bv[k].hi >= iv.hi:
-                break
-            k += 1
-        if lo < iv.hi:
-            out.append(Interval(lo, iv.hi))
     return IntervalSet(tuple(out))
 
 
@@ -378,22 +350,6 @@ class StepFunction:
             lo = hi
         return StepFunction(tuple(out))
 
-    def inner(self, other: "StepFunction") -> Fraction:
-        """L2 inner product integral of self * other."""
-        total = Fraction(0)
-        i = j = 0
-        a, b = self.segments, other.segments
-        while i < len(a) and j < len(b):
-            lo = max(a[i][0], b[j][0])
-            hi = min(a[i][1], b[j][1])
-            if lo < hi:
-                total += (hi - lo) * a[i][2] * b[j][2]
-            if a[i][1] <= b[j][1]:
-                i += 1
-            else:
-                j += 1
-        return total
-
     def l2_norm_sq(self) -> Fraction:
         return sum(((hi - lo) * v * v for lo, hi, v in self.segments), Fraction(0))
 
@@ -402,12 +358,3 @@ def _breakpoints(segments):
     for lo, hi, _ in segments:
         yield lo
         yield hi
-
-
-def l2_inner(f: StepFunction, g: StepFunction) -> Fraction:
-    """Exact inner product (f, g) = integral of f*g.
-
-    Bilinear and positive definite on step functions: (f, f) = 0 forces f to
-    vanish off a null set, which for step functions means no segments at all.
-    """
-    return f.inner(g)

@@ -82,12 +82,19 @@ def meta_line(**params: object) -> str:
     return "# " + json.dumps(meta, sort_keys=True, separators=(", ", ": "))
 
 
+class _Rendered(str):
+    """A JSON text already rendered at the nesting level it is placed at."""
+
+
 def _render(o: object, level: int = 0) -> str:
     """o as a JSON text, nested level deep (see the module docstring).
 
     json.dumps takes its pure-Python encoder whenever indent is set; this
     renders int runs, escape-free string runs and lists of equal-length int
-    rows (the block listings) with C-level joins and one %d template."""
+    rows (the block listings) with C-level joins and one %d template.  A
+    _Rendered text is placed as it is."""
+    if type(o) is _Rendered:
+        return o
     if isinstance(o, str):
         return encode_basestring_ascii(o)
     if o is None:
@@ -168,7 +175,8 @@ def render_table(table: Table, fmt: str) -> str:
     """The table as a document in fmt, "csv" (one %d template a row) or
     "json" (entries keyed by the key's parts joined by ","), only that one.
     A BoundSeries reduces each distinct numerator once, to a "num,den" CSV
-    cell or to one frac_str and approx_str pair."""
+    cell or to its JSON "lo"/"lo_approx" and "hi"/"hi_approx" lines, and
+    fills one row template a key in _render's order, sorted by str(key)."""
     columns, items, meta = table
     head = f"{meta_line(**meta)}\n{','.join(columns)}\n" if fmt == "csv" else ""
     if isinstance(items, BoundSeries):
@@ -179,8 +187,11 @@ def render_table(table: Table, fmt: str) -> str:
                                       map(cells.get, s.lo), map(cells.get, s.hi)))
         strs = {n: (f"{a}/{b}", str(_APPROX_CTX.divide(a, b))) for n in nums
                 for g in [gcd(n, s.den)] for a, b in [(n // g, s.den // g)]}
-        data = {str(k): {"lo": lo[0], "hi": hi[0], "lo_approx": lo[1], "hi_approx": hi[1]}
-                for k, lo, hi in zip(s.domain, map(strs.get, s.lo), map(strs.get, s.hi))}
+        row = ('"%s": {\n   "hi": "%s",\n   "hi_approx": "%s",\n'
+               '   "lo": "%s",\n   "lo_approx": "%s"\n  }')
+        rows = sorted(zip(map(str, s.domain), s.hi, s.lo))
+        data = _Rendered("{\n  " + ",\n  ".join([row % (k, *strs[hi], *strs[lo])
+                                                  for k, hi, lo in rows]) + "\n }") if rows else {}
     elif fmt == "csv":
         rows = [(*_key_parts(k), *(_BOUND_INTS(v) if isinstance(v, MeasureBound)
                                    else _FRACTION_INTS(v))) for k, v in items]

@@ -1,14 +1,14 @@
 """Return-time statistics with two-sided bounds.
 
-Sets made of whole stage-J levels are held as int bitsets over the levels,
-and one kernel, `_counts`, gives mu(A intersect T^m B) on them for a range
-of shifts m as two count vectors: `_hits`, the levels i of B with i + m in
-A (a shifted `&`), and `_escapes`, the levels pushed past the top (m > 0)
-or below the bottom (m < 0), one prefix count of B's bits per edge.
-Escaped mass, w_J a level, could land anywhere and widens the upper bound.
-ROADMAP item 2's lag-descent kernel is to fill these vectors without an
-h_J-bit set.  Callers besides this module's: flow through it, joinings'
-graph_blocks and graph trivialization display, averaging.average_moments.
+A set made of whole levels is an int bitset over the levels of its own
+stage, and one kernel, `_stage_counts`, gives mu(A intersect T^m B) at
+stage J for a range of shifts m as two count vectors, levels of B with
+i + m in A and levels pushed off the tower, from `_counts` (a shifted `&`
+each, `_hits`, and one prefix count per edge, `_escapes`) at the first
+stage taller than every |m|, plus the pairs that cross between adjacent
+copies above it; no stage-J set is built.  Escaped mass widens the upper
+bound.  Other callers: flow, joinings' graph_blocks and graph display;
+averaging.average_moments runs `_hits` and `_escapes` on stage-J sets.
 
 Bound tables are measure.BoundSeries, the counts as numerators over one
 shared denominator: |S| for a^z_j = mu(T^z E_j | E_j), S the occurrences of
@@ -19,13 +19,15 @@ normalization), 1/w_J for level unions; other sets go through power_image.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from operator import sub
-from typing import Dict, FrozenSet, Iterable, List, Tuple, Union
+from math import prod
+from operator import add, sub
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple, Union
 
-from .construction import ConstructionSpec, build_stage
+from .construction import ConstructionSpec, TowerStage, build_stage
 from .errors import SpecError
 from .measure import (BoundSeries, Interval, IntervalSet, MeasureBound,
                       as_interval_set, set_intersection)
@@ -42,8 +44,8 @@ __all__ = [
 ]
 
 
-# Entries a profile or series may hold.  10^5 cost a CLI command 0.4 s at staircase J=8
-# and 14 s at J=10: time grows with h_J, one h_J-bit shift per entry (ROADMAP item 2).
+# Entries a profile or series may hold.  10^5 cost a staircase return-profile 0.4 s at J=8,
+# 3.1 s at J=10, 3.9 s at J=20: mostly a shift of the first stage over 10^5 levels an entry.
 MAX_ENTRIES = 100_000
 
 
@@ -60,6 +62,54 @@ def _counts(a: int, b: int, ms: range, h: int) -> Tuple[List[int], List[int]]:
     """(resolved, escaped) level counts of A intersect T^m B for each m in
     ms, a range of step 1, for level bitsets a, b of a height-h tower."""
     return _hits(a, b, ms), _escapes(b, ms, h)
+
+
+def _stage_counts(spec: ConstructionSpec, k: int, a: int, b: int, ms: range,
+                  J: int) -> Tuple[List[int], List[int]]:
+    """_counts of the stage-J lifts of a, b, bitsets over the stage-k
+    levels, for the range ms, without building the lifts.
+
+    With Z = max|m|, the base is the first stage from k on taller than Z,
+    or J.  _counts runs there, on the lifts to the base.  Above it each
+    stage t is r_t copies of stage t-1, which is taller than Z, so only
+    adjacent copies c, c+1 meet under T^m; with spacer s_c between them,
+    hits_t(m) = r_t hits_{t-1}(m) + sum_{c < r_t - 1} X_t(|m| - s_c).  For
+    m > 0, X_t(w) counts the levels of B in the top w levels of stage t-1
+    that land on A in its bottom w; m < 0 swaps A and B.  Stage t-1's
+    bottom is the base's, and its top is the base's pushed up by S_t, the
+    last-column spacers s_{r-1} of the stages between: so X_t(w) =
+    X(w - S_t), X read once on the base sets, and the escapes at J are
+    _escapes at the base height plus S_{J+1}.  Cost: two shifted `&`s per
+    lag at the base, and O(Z) adds per distinct spacer of each stage above.
+    """
+    z = max(-ms.start, ms.stop - 1, 0)
+    chain = _stages(spec, k, J)
+    i = next((i for i, t in enumerate(chain) if t.height > z), len(chain) - 1)
+    st, above = chain[i], chain[i + 1:]
+    a, b = st.occurrence_bits(k, a), st.occurrence_bits(k, b)
+    h = st.height
+    hits, outs = _counts(a, b, ms, h + sum(t.spacers[-1] for t in above))
+    neg, pos = range(ms.start, min(ms.stop, 0)), range(max(ms.start, 0), ms.stop)
+    # X(w) for w = 1, 2, ...: a >> (h - w) & b for m < 0, b >> (h - w) & a for m > 0
+    xn = _hits(a, b, range(h - 1, h + neg.start - 1, -1)) if neg else []
+    xp = _hits(b, a, range(h - 1, h - pos.stop, -1)) if pos else []
+    up = 0  # S_t
+    for t in above:
+        shifts = [s + up for s in t.spacers[:-1] if s + up < z]
+        cross = _cross(xn, shifts)[-neg.start:-neg.stop:-1] if neg else []
+        cross += _cross(xp, shifts)[pos.start:] if pos else []
+        hits = list(map(add, map(t.cut.__mul__, hits), cross))
+        up += t.spacers[-1]
+    return hits, outs
+
+
+def _cross(x: List[int], shifts: Sequence[int]) -> List[int]:
+    """y[d] = sum over s in shifts of X(d - s), for d = 0..len(x), where
+    X(w) = x[w - 1] for w >= 1 and 0 below."""
+    y = [0] * (len(x) + 1)
+    for s, n in Counter(shifts).items():
+        y[s + 1:] = map(add, y[s + 1:], x if n == 1 else [n * v for v in x])
+    return y
 
 
 def _hits(a: int, b: int, ms: Iterable[int]) -> List[int]:
@@ -125,12 +175,18 @@ def return_profile(spec: ConstructionSpec, j: int, J: int, z_max: int) -> Return
     if not (1 <= j <= J):
         raise SpecError(f"need 1 <= j <= J, got j={j}, J={J}")
     zs = _entries(z_max, "z_max")
-    st = build_stage(spec, J)
-    B = st.occurrence_bits(j)
-    count = B.bit_count()
-    values = _bounds(zs, *_counts(B, B, zs, st.height), count, Fraction(1, count))
+    count = prod(t.cut for t in _stages(spec, j, J)[1:])  # |S|, the stage-J copies of E_j
+    values = _bounds(zs, *_stage_counts(spec, j, 1, 1, zs, J), count, Fraction(1, count))
     return ReturnProfile(j=j, J=J, values=values,
-                         degenerate=frozenset(range(st.height, z_max + 1)))
+                         degenerate=frozenset(range(build_stage(spec, J).height, z_max + 1)))
+
+
+def _stages(spec: ConstructionSpec, k: int, J: int) -> List[TowerStage]:
+    """Stages k..J, read down the chain from stage J."""
+    chain = [build_stage(spec, J)]
+    while chain[-1].stage > k:
+        chain.append(chain[-1].prev)
+    return chain[::-1]
 
 
 def max_profile(profile: ReturnProfile, z_lo: int = 0) -> MeasureBound:
@@ -188,13 +244,18 @@ def correlation(spec: ConstructionSpec, A: Union[IntervalSet, Interval],
 
 def _correlations(spec: ConstructionSpec, A: IntervalSet, B: IntervalSet,
                   ms: range, J: int) -> BoundSeries:
-    """correlation for each m in the range ms, with A and B made bitsets once."""
+    """correlation for each m in the range ms, with A and B made bitsets
+    once, at the deeper of their own stages."""
     st = build_stage(spec, J)
     a = st.level_bits(A)
     b = st.level_bits(B) if a is not None else None
     if b is not None:
-        return _bounds(ms, *_counts(a, b, ms, st.height),
-                       min(a.bit_count(), b.bit_count()), st.width)
+        k = max(a[0], b[0])
+        stk = build_stage(spec, k)
+        a, b = stk.occurrence_bits(*a), stk.occurrence_bits(*b)
+        copies = prod(t.cut for t in _stages(spec, k, J)[1:])
+        return _bounds(ms, *_stage_counts(spec, k, a, b, ms, J),
+                       min(a.bit_count(), b.bit_count()) * copies, st.width)
     values: Dict[int, MeasureBound] = {}
     for m in ms:
         img, escaped = power_image(spec, B, m, J)

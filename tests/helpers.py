@@ -6,11 +6,32 @@ from bisect import bisect_right
 from fractions import Fraction
 
 from rankone.construction import build_stage
-from rankone.joinings import UniformBlockMasses
-from rankone.measure import Interval, as_fraction, set_difference
+from rankone.errors import SpecError
+from rankone.joinings import BlockIndex, UniformBlockMasses, _make_column
+from rankone.measure import Interval, IntervalSet, as_fraction, canonicalize
 
 
 # --------------------------------------------------------- BlockMassMatrix
+
+def light_shifts(m, delta, w, epsilon=None, mass_threshold=None):
+    """Shift set selection for F assembly.
+
+    With epsilon (the default mode): all h whose shifted column consists
+    entirely of epsilon-light blocks.  With mass_threshold: all h whose
+    whole shifted-column mass is strictly below the threshold.  Either way
+    only shifts keeping the column inside the second tower qualify.
+    """
+    if (epsilon is None) == (mass_threshold is None):
+        raise SpecError("pass exactly one of epsilon, mass_threshold")
+    col = _make_column(m, delta, w)
+
+    def ok(h):
+        shifted = [m.mass(BlockIndex(z1, z2 + h)) for z1, z2 in col.members]
+        if epsilon is not None:
+            return max(shifted) < as_fraction(epsilon) * m.base_mass
+        return sum(shifted, Fraction(0)) < as_fraction(mass_threshold)
+    return tuple(filter(ok, range(m.h_b - col.members[-1].z2)))
+
 
 def total_block_mass(m):
     return 1 - m.residual
@@ -44,6 +65,28 @@ def sup_abs(f):
     return max((abs(v) for _, _, v in f.segments), default=Fraction(0))
 
 
+def l2_inner(f, g):
+    """Exact inner product (f, g) = integral of f*g, one merge of the two
+    segment lists.
+
+    Bilinear and positive definite on step functions: (f, f) = 0 forces f to
+    vanish off a null set, which for step functions means no segments at all.
+    """
+    total = Fraction(0)
+    i = j = 0
+    a, b = f.segments, g.segments
+    while i < len(a) and j < len(b):
+        lo = max(a[i][0], b[j][0])
+        hi = min(a[i][1], b[j][1])
+        if lo < hi:
+            total += (hi - lo) * a[i][2] * b[j][2]
+        if a[i][1] <= b[j][1]:
+            i += 1
+        else:
+            j += 1
+    return total
+
+
 # ------------------------------------------------------------ MeasureBound
 
 def is_exact(b):
@@ -60,6 +103,31 @@ def is_subinterval_of(b, other):
 
 
 # -------------------------------------------------- Interval, IntervalSet
+
+def set_union(a, b):
+    return canonicalize(a.intervals + b.intervals)
+
+
+def set_difference(a, b):
+    out = []
+    j = 0
+    bv = b.intervals
+    for iv in a.intervals:
+        lo = iv.lo
+        while j < len(bv) and bv[j].hi <= lo:
+            j += 1
+        k = j
+        while k < len(bv) and bv[k].lo < iv.hi:
+            if bv[k].lo > lo:
+                out.append(Interval(lo, bv[k].lo))
+            lo = max(lo, bv[k].hi)
+            if bv[k].hi >= iv.hi:
+                break
+            k += 1
+        if lo < iv.hi:
+            out.append(Interval(lo, iv.hi))
+    return IntervalSet(tuple(out))
+
 
 def contains_interval(a, other):
     return other.is_empty() or (a.lo <= other.lo and other.hi <= a.hi)
@@ -81,6 +149,13 @@ def top(stage):
 
 def ambient(stage):
     return Interval(Fraction(0), stage.total)
+
+
+def lifted_bits(stage, A):
+    """A as a bitset over the levels of this stage, or None when A is no
+    union of levels of a stage up to it."""
+    found = stage.level_bits(A)
+    return None if found is None else stage.occurrence_bits(*found)
 
 
 # ------------------------------------------- FlowSkeletonSpec, WeightSequence

@@ -35,10 +35,10 @@ from rankone.joinings import (
     product_blocks,
     trivialization_check,
 )
-from rankone.measure import IntervalSet, MeasureBound, StepFunction, canonicalize, l2_inner
+from rankone.measure import IntervalSet, MeasureBound, StepFunction, canonicalize
 from rankone.stats import correlation, max_profile, return_profile
 from rankone.transform import power_image
-from helpers import col_sum, row_sum, total_block_mass
+from helpers import col_sum, l2_inner, row_sum, total_block_mass
 
 ODO = ConstructionSpec.odometer()
 ST2 = ConstructionSpec.staircase(h1=2)

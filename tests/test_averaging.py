@@ -30,11 +30,10 @@ from rankone.measure import (
     IntervalSet,
     MeasureBound,
     StepFunction,
-    l2_inner,
     set_intersection,
 )
 from rankone.transform import power_image
-from helpers import ambient, as_dict, sup_abs, top, value_at
+from helpers import ambient, as_dict, l2_inner, sup_abs, top, value_at
 
 F = Fraction
 

@@ -3,7 +3,8 @@
 Each oracle is the per-occurrence (or interval) computation the bitset
 path replaced: the occurrence x shift loop of return_profile, the
 per-shift overlap that the count kernel of stats batches over a range of
-shifts, the plist/bisect loop of graph_blocks, the power_image route of
+shifts, that kernel on stage-J lifts for `_stage_counts`, which builds
+none, the plist/bisect loop of graph_blocks, the power_image route of
 correlation, the level scans that trivialization_check used to find and
 validate its level sets, the P f route (average_apply backward, one
 inner product a level) of its product display, and the power_image route
@@ -54,7 +55,7 @@ from rankone.measure import (
 )
 from rankone.stats import correlation, return_profile
 from rankone.transform import power_image
-from helpers import is_subset_of
+from helpers import is_subset_of, l2_inner, lifted_bits
 
 PRESETS = (ConstructionSpec.odometer(), ConstructionSpec.staircase(),
            ConstructionSpec.chacon())
@@ -120,7 +121,7 @@ def oracle_product_display(m, fs, A, B):
     sel = [z2 for z1, z2 in fs.column.members if z1 in in_A]
     Pf, esc = average_apply(m.spec_b, fs.weights, StepFunction.indicator(B),
                             m.meta["J"], direction="backward")
-    lo = sum((m.level_mass_a * Pf.inner(StepFunction.indicator(
+    lo = sum((m.level_mass_a * l2_inner(Pf, StepFunction.indicator(
         IntervalSet((sb.level(z2),)))) / m.norm_b for z2 in sel), F(0))
     hi = lo + (m.level_mass_a * esc.hi / m.norm_b if sel else 0)
     nu_C = sum((m.mass(bi) for bi in fs.column.members), F(0))
@@ -235,8 +236,8 @@ def test_count_kernel_matches_per_shift_overlap(spec, data):
     J = data.draw(st.integers(1, 8))
     stJ = build_stage(spec, J)
     h = stJ.height
-    a = stJ.level_bits(data.draw(level_sets(spec, J)))
-    b = stJ.level_bits(data.draw(level_sets(spec, J)))
+    a = lifted_bits(stJ, data.draw(level_sets(spec, J)))
+    b = lifted_bits(stJ, data.draw(level_sets(spec, J)))
     edges = st.sampled_from([-h - 3, -h, -h + 1, -150, -1, 0, h - 150, h - 1, h])
     for _ in range(3):
         start = data.draw(st.integers(-h - 3, h + 3) | edges)
@@ -248,6 +249,43 @@ def test_count_kernel_matches_per_shift_overlap(spec, data):
     for m in (-huge, huge):
         assert stats._counts(a, b, range(m, m + 1), h) == tuple(
             [n] for n in oracle_overlap(a, b, m, h))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_specs, st.data())
+def test_stage_counts_match_counts_on_stage_J_lifts(spec, data):
+    # A and B drawn at stages ka, kb in either order and lifted to the
+    # deeper one; ranges of either sign, across 0, ending at and past
+    # +-h_{J-1} and +-h_J or at any stage height (so that several stages
+    # sit above the base), empty ones and Z = 0
+    J = data.draw(st.integers(1, 8))
+    ka, kb = data.draw(st.integers(1, J)), data.draw(st.integers(1, J))
+    k = max(ka, kb)
+    stk, stJ = build_stage(spec, k), build_stage(spec, J)
+    sets = []
+    for i in (ka, kb):
+        hi = build_stage(spec, i).height
+        levels = data.draw(st.sets(st.integers(0, hi - 1) | st.sampled_from([0, hi - 1]),
+                                   max_size=8))
+        sets.append((i, sum(1 << x for x in levels)))
+    (ia, a), (ib, b) = sets
+    a_k, b_k = stk.occurrence_bits(ia, a), stk.occurrence_bits(ib, b)
+    a_J, b_J = stJ.occurrence_bits(ia, a), stJ.occurrence_bits(ib, b)
+    h = stJ.height
+    hp = build_stage(spec, J - 1).height if J > 1 else h
+    heights = [build_stage(spec, t).height for t in range(1, J + 1)]
+    ends = (st.sampled_from([-h - 2, -h, -hp - 1, -hp, 1 - hp, -1, 0, 1, hp - 1, hp,
+                             hp + 1, h - 1, h, h + 2])
+            | st.sampled_from(heights).flatmap(lambda x: st.sampled_from([-x, x - 1, x]))
+            | st.integers(-h - 3, h + 3) | st.integers(-60, 60))
+    ranges = [range(0, 1), range(0, 0), range(5, 5), range(-3, -3)]
+    for _ in range(3):
+        lo, top = sorted(data.draw(ends) for _ in range(2))
+        ranges.append(range(max(lo, top - 600), top + 1))
+        ranges.append(range(lo, min(top, lo + 600)))
+    for ms in ranges:
+        assert stats._stage_counts(spec, k, a_k, b_k, ms, J) == \
+            stats._counts(a_J, b_J, ms, h), ms
 
 
 @settings(max_examples=40, deadline=None)
@@ -301,7 +339,7 @@ def test_level_set_correlation_matches_power_image(case, data):
     stJ = build_stage(spec, J)
     A = data.draw(level_sets(spec, J))
     B = data.draw(level_sets(spec, J))
-    bits = stJ.level_bits(B)
+    bits = lifted_bits(stJ, B)
     assert bits == sum(1 << i for i in oracle_levels_inside(stJ, B))
     h = stJ.height
     for m in {0, h, -h, *data.draw(st.lists(st.integers(-h - 2, h + 2),
@@ -345,7 +383,7 @@ def test_trivialization_level_sets_match_scan(spec, data):
     stk, stj = build_stage(spec, k), build_stage(spec, j)
     assert stk.level_bits(A) is not None
     assert oracle_is_level_union(stk, A)
-    assert frozenset(bit_indices(stj.level_bits(A))) == oracle_levels_inside(stj, A)
+    assert frozenset(bit_indices(lifted_bits(stj, A))) == oracle_levels_inside(stj, A)
 
 
 @settings(max_examples=40, deadline=None)
@@ -486,9 +524,9 @@ def product_trivialize(res):
             "--shifts", "0,2", "--A", "0", "--B", "0", "--cond-stage", "1"]
 
 
-def test_deep_product_display_in_a_capped_child():
-    # the stage-J display sets took 8 s and 1 GB at --res 13, and --res 14
-    # ended in MemoryError (exit 4) after 2 s under this 512 MB cap
+def run_capped(argv):
+    """(exit code, stderr, wall seconds) of one CLI run in a child process
+    under a 512 MB address-space cap."""
     resource = pytest.importorskip("resource")
     cap = 512 << 20
 
@@ -499,12 +537,64 @@ def test_deep_product_display_in_a_capped_child():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     t0 = time.monotonic()
-    proc = subprocess.run([sys.executable, "-m", "rankone.cli", *product_trivialize(14)],
+    proc = subprocess.run([sys.executable, "-m", "rankone.cli", *argv],
                           env=env, preexec_fn=limit, capture_output=True,
                           text=True, timeout=60)
-    elapsed = time.monotonic() - t0
-    assert proc.returncode == 0, proc.stderr
+    return proc.returncode, proc.stderr, time.monotonic() - t0
+
+
+def test_deep_product_display_in_a_capped_child():
+    # the stage-J display sets took 8 s and 1 GB at --res 13, and --res 14
+    # ended in MemoryError (exit 4) after 2 s under this 512 MB cap
+    code, err, elapsed = run_capped(product_trivialize(14))
+    assert code == 0, err
     assert elapsed < 1.0, f"joining trivialize took {elapsed:.2f} s"
+
+
+def graph_trivialize(res):
+    """The staircase graph trivialize command at --res res."""
+    return ["joining", "trivialize", "--kind", "graph", "--spec", "staircase",
+            "--k", "1", "--j", "4", "--res", str(res), "--stage-budget", str(res),
+            "--delta", "1/4", "--w", "1", "--shifts", "0,1,2", "--A", "1",
+            "--B", "0", "--cond-stage", "1"]
+
+
+def deep_rows():
+    """(name, argv) of each staircase row that had to answer at depth."""
+    stair = ["--spec", "staircase"]
+    rows = [(f"return-profile-J{J}", ["return-profile", *stair, "--j", "2", "--zmax",
+                                      "2000", "--res", str(J)]) for J in (12, 16, 20)]
+    for J in (12, 20):
+        rows.append((f"correlate-J{J}", ["correlate", *stair, "--j", "3", "--A", "0",
+                                          "--B", "1", "--mmax", "2000", "--res", str(J)]))
+        rows.append((f"flow-window-J{J}", ["flow", "window", *stair, "--alpha", "2", "--j",
+                                            "2", "--zmax", "500", "--res", str(J)]))
+    for J in (13, 20):
+        rows.append((f"graph-blocks-J{J}", ["joining", "blocks", "--kind", "graph", *stair,
+                                             "--k", "1", "--j", "3", "--res", str(J)]))
+    rows = [(name, argv + ["--stage-budget", argv[-1]]) for name, argv in rows]
+    return rows + [("graph-trivialize-J14", graph_trivialize(14))]
+
+
+@pytest.mark.parametrize("argv", [pytest.param(argv, id=name) for name, argv in deep_rows()])
+def test_deep_rows_in_a_capped_child(argv):
+    # before the stage-count kernel these timed out (return-profile and
+    # correlate at J=12), took 25 s (flow window, J=12) or 635 MB (joining
+    # blocks, J=13), or ended in MemoryError (J=14 and deeper) on a 2-core
+    # VM under CPython 3.11.7; the kernel builds no stage-J set
+    code, err, elapsed = run_capped(argv)
+    assert code == 0, err
+    assert elapsed < 10.0, f"{' '.join(argv)} took {elapsed:.2f} s"
+
+
+def test_graph_display_bytes_pinned():
+    # recorded before the stage-count kernel, which reads this display's
+    # escape vector from stage 4 up instead of from E_4's stage-12 set
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(graph_trivialize(12)) == 0
+    assert sha256(out.getvalue().encode()).hexdigest() == (
+        "79ce0fa2afdb6290baca710fda76cb9cde6ac02f77e83b5f7c5e85c7a8b9f490")
 
 
 def test_product_display_bytes_pinned():

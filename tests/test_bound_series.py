@@ -26,6 +26,7 @@ from rankone.persist import BOUND_COLUMNS, Table, render_table
 from rankone.stats import (ReturnProfile, correlation_series, max_profile,
                            return_profile, window_sums)
 from rankone.transform import power_image
+from helpers import lifted_bits
 
 PRESETS = (ConstructionSpec.odometer(), ConstructionSpec.staircase(),
            ConstructionSpec.chacon(), ConstructionSpec.staircase(h1=3))
@@ -60,8 +61,8 @@ def oracle_profile(spec, j, J, z_max):
 
 def oracle_correlations(spec, A, B, ms, J):
     stJ = build_stage(spec, J)
-    a = stJ.level_bits(A)
-    b = stJ.level_bits(B) if a is not None else None
+    a = lifted_bits(stJ, A)
+    b = lifted_bits(stJ, B) if a is not None else None
     if b is not None:
         return oracle_bounds(ms, *stats._counts(a, b, ms, stJ.height),
                              min(a.bit_count(), b.bit_count()), lambda n: n * stJ.width)

@@ -20,7 +20,7 @@ from rankone.joinings import BlockIndex, empirical_joining, product_blocks
 from rankone.measure import MeasureBound, set_intersection
 from rankone.stats import return_profile, window_sums
 from rankone.transform import Cursor, power_image
-from helpers import coarse_height, is_exact
+from helpers import coarse_height, is_exact, lifted_bits
 
 ODO = ConstructionSpec.odometer()
 ST2 = ConstructionSpec.staircase(h1=2)
@@ -192,7 +192,7 @@ def power_bits_route(fspec, j, J, z):
     bits, h = stJ.occurrence_bits(j), stJ.height
     img = (bits << z) & ((1 << h) - 1) if z < h else 0
     out = bits >> max(h - z, 0)
-    e1 = stJ.level_bits(thickened_base(fspec, j, J).E1)
+    e1 = lifted_bits(stJ, thickened_base(fspec, j, J).E1)
     resolved = (e1 & img).bit_count() * stJ.width
     return MeasureBound(resolved, resolved + out.bit_count() * stJ.width)
 

@@ -30,13 +30,12 @@ from rankone.joinings import (
     empirical_joining,
     graph_blocks,
     light_blocks,
-    light_shifts,
     product_blocks,
     trivialization_check,
 )
 from rankone.measure import set_intersection
 from rankone.transform import Cursor, apply_power, power_image
-from helpers import col_sum, row_sum, total_block_mass
+from helpers import col_sum, light_shifts, row_sum, total_block_mass
 
 ODO = ConstructionSpec.odometer()
 ST2 = ConstructionSpec.staircase(h1=2)

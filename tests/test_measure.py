@@ -14,12 +14,10 @@ from rankone.measure import (
     StepFunction,
     as_fraction,
     canonicalize,
-    l2_inner,
-    set_difference,
     set_intersection,
-    set_union,
 )
-from helpers import contains_value, is_exact, sup_abs, value_at
+from helpers import (contains_value, is_exact, l2_inner, set_difference, set_union,
+                     sup_abs, value_at)
 
 F = Fraction
 

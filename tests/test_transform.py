@@ -15,13 +15,12 @@ from rankone.measure import (
     IntervalSet,
     MeasureBound,
     canonicalize,
-    set_difference,
     set_intersection,
 )
 from rankone import transform
 from rankone.persist import frac_str, frac_strs
 from rankone.transform import Cursor, OrbitPoint, apply_power, power_image
-from helpers import ambient, is_exact, level_lo, top
+from helpers import ambient, is_exact, level_lo, set_difference, top
 
 F = Fraction
 
