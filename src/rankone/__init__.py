@@ -22,7 +22,6 @@ from .construction import (
     SpacerRule,
     TowerStage,
     build_stage,
-    height_ratio_profile,
 )
 from .errors import EmptyFSetError, OrbitEscaped, SpecError
 from .flow import (
@@ -43,6 +42,7 @@ from .joinings import (
     DispersionRow,
     FSetSpec,
     LightBlockReport,
+    LightBlocks,
     TrivializationRecord,
     UniformBlockMasses,
     columns_and_F,

@@ -66,10 +66,6 @@ class WeightSequence:
         return cls(tuple((z, as_fraction(a)) for z, a in weights.items()))
 
     @classmethod
-    def delta(cls, z: int = 0) -> "WeightSequence":
-        return cls(((z, Fraction(1)),))
-
-    @classmethod
     def uniform(cls, n: int) -> "WeightSequence":
         if n < 1:
             raise SpecError("uniform weights need n >= 1")

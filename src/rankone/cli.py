@@ -18,7 +18,7 @@ import json
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from itertools import chain, islice, starmap
+from itertools import chain, islice, repeat, starmap
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -28,7 +28,9 @@ from .errors import OrbitEscaped, SpecError
 from .flow import FlowSkeletonSpec, band_masses, windowed_return_flow
 from .joinings import (
     BlockIndex,
+    MAX_BLOCKS,
     BlockMassMatrix,
+    UniformBlockMasses,
     columns_and_F,
     dispersion_experiment,
     empirical_joining,
@@ -43,6 +45,7 @@ from .persist import (
     BOUND_COLUMNS,
     Table,
     approx_str,
+    block_list,
     bound_json,
     dump_stage,
     frac_str,
@@ -236,22 +239,32 @@ def cmd_blum_hanson(args: argparse.Namespace) -> str:
                        support=list(w.support)) + "\n"
 
 
+def _check_listing(blocks: int) -> None:
+    if blocks > MAX_BLOCKS:
+        raise SpecError(f"{blocks} blocks to list, more than the limit of {MAX_BLOCKS}")
+
+
 def cmd_joining_blocks(args: argparse.Namespace) -> Table:
     m = matrix_from_args(args)
+    _check_listing(len(m.masses))
     meta = matrix_meta(m)
     meta["command"] = "joining blocks"
-    return Table(("z1", "z2", "num", "den"), sorted(m.masses.items()), meta)
+    # a uniform grid iterates in sorted order; an empirical Counter does not
+    items = (zip(m.masses, repeat(m.masses.per)) if isinstance(m.masses, UniformBlockMasses)
+             else sorted(m.masses.items()))
+    return Table(("z1", "z2", "num", "den"), items, meta)
 
 
 def cmd_joining_light(args: argparse.Namespace) -> str:
     m = matrix_from_args(args)
     rep = light_blocks(m, parse_frac(args.epsilon))
+    _check_listing(len(rep.light_set))
     data = {"epsilon": frac_str(rep.epsilon),
             "covered_mass": frac_str(rep.covered_mass),
             "covered_mass_approx": approx_str(rep.covered_mass),
             "total_blocks": rep.total_blocks,
             "heavy_count": rep.heavy_count,
-            "light": list(rep.light_set)}
+            "light": block_list(rep.light_set.rows(), m.h_b, 2)}
     meta = matrix_meta(m)
     meta["command"] = "joining light"
     return render_json(data, **meta) + "\n"

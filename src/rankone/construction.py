@@ -35,7 +35,6 @@ __all__ = [
     "TowerStage",
     "PRESETS",
     "build_stage",
-    "height_ratio_profile",
 ]
 
 
@@ -570,18 +569,3 @@ def build_stage(spec: ConstructionSpec, j: int) -> TowerStage:
     while len(stages) < j:
         stages.append(TowerStage(spec, len(stages) + 1, stages[-1]))
     return stages[j - 1]
-
-
-def height_ratio_profile(spec_a: ConstructionSpec, spec_b: ConstructionSpec,
-                         J: int) -> Tuple[Fraction, ...]:
-    """Exact per-stage height ratios min(h, h')/max(h, h') for stages 1..J.
-
-    The smaller height goes in the numerator stage by stage, so identical
-    specs give a profile of ones.
-    """
-    if J < 1:
-        raise SpecError("ratio profile needs J >= 1")
-    hs = [(build_stage(spec_a, j).height, build_stage(spec_b, j).height)
-          for j in range(1, J + 1)]
-    return tuple(Fraction(min(pair), max(pair)) for pair in hs)
-

@@ -221,5 +221,4 @@ def band_indices(fspec: FlowSkeletonSpec, h_a: int, h_b: int, offset: int,
 def band_masses(m: BlockMassMatrix, fspec: FlowSkeletonSpec, offset: int,
                 side: str, z_bound: Optional[int] = None) -> Fraction:
     """Total matrix mass carried by one band's blocks."""
-    idx = band_indices(fspec, m.h_a, m.h_b, offset, side, z_bound)
-    return sum((m.mass(z) for z in idx), Fraction(0))
+    return m.mass_of(band_indices(fspec, m.h_a, m.h_b, offset, side, z_bound))

@@ -29,6 +29,7 @@ from .transform import Cursor
 __all__ = [
     "BlockIndex",
     "UniformBlockMasses",
+    "LightBlocks",
     "BlockMassMatrix",
     "LightBlockReport",
     "ColumnSpec",
@@ -83,6 +84,43 @@ class UniformBlockMasses(Mapping):
     def __repr__(self) -> str:
         return f"UniformBlockMasses({self.h_a}, {self.h_b}, {self.per})"
 
+    def rows(self) -> Iterator[Tuple[int, range]]:
+        """(z1, the z2 of row z1) for each row z1, in order."""
+        return zip(range(self.h_a), repeat(range(self.h_b)))
+
+
+class LightBlocks(Mapping):
+    """The blocks of an h_a x h_b grid less the heavy ones, each mapped to
+    its mass in `masses` (0 when absent), listed only when iterated: [],
+    `in` and len are O(1); iteration and rows() go in sorted order."""
+
+    __slots__ = ("h_a", "h_b", "masses", "heavy")
+
+    def __init__(self, h_a: int, h_b: int, masses: Mapping[BlockIndex, Fraction],
+                 heavy: Iterable[BlockIndex]):
+        self.h_a, self.h_b, self.masses, self.heavy = h_a, h_b, masses, set(heavy)
+
+    def __getitem__(self, z) -> Fraction:
+        if (isinstance(z, tuple) and len(z) == 2 and 0 <= z[0] < self.h_a
+                and 0 <= z[1] < self.h_b and z not in self.heavy):
+            return self.masses.get(z, Fraction(0))
+        raise KeyError(z)
+
+    def __iter__(self) -> Iterator[BlockIndex]:
+        return (BlockIndex(z1, z2) for z1, z2s in self.rows() for z2 in z2s)
+
+    def __len__(self) -> int:
+        return self.h_a * self.h_b - len(self.heavy)
+
+    def rows(self) -> Iterator[Tuple[int, Sequence[int]]]:
+        """(z1, the light z2 of row z1) for each row z1, in order."""
+        cut: Dict[int, set] = {}
+        for z1, z2 in self.heavy:
+            cut.setdefault(z1, set()).add(z2)
+        for z1 in range(self.h_a):
+            yield z1, ([z2 for z2 in range(self.h_b) if z2 not in cut[z1]]
+                       if z1 in cut else range(self.h_b))
+
 
 @dataclass(frozen=True)
 class BlockMassMatrix:
@@ -94,7 +132,7 @@ class BlockMassMatrix:
     base_mass is the second system's stage-j base measure in those units and
     is the reference scale for the light-block threshold.  masses is a
     dict, or a UniformBlockMasses for the product joining, whose check
-    below costs O(1) instead of one step per block.
+    below costs O(1) and whose mass_of adds no Fraction per block.
     """
 
     kind: str
@@ -137,6 +175,14 @@ class BlockMassMatrix:
     def mass(self, z: BlockIndex) -> Fraction:
         return self.masses.get(z, Fraction(0))
 
+    def mass_of(self, blocks: Iterable[Tuple[int, int]]) -> Fraction:
+        """Total mass of the blocks, each counted as often as given, none
+        off the grid: on a uniform grid, per times the blocks in the grid."""
+        masses, h_a, h_b = self.masses, self.h_a, self.h_b
+        if isinstance(masses, UniformBlockMasses):
+            return masses.per * sum(1 for z1, z2 in blocks if 0 <= z1 < h_a and 0 <= z2 < h_b)
+        return sum(map(masses.get, blocks, repeat(0)), Fraction(0))
+
 
 def _check_resolution(j: int, J: int) -> None:
     if not (1 <= j <= J):
@@ -152,9 +198,9 @@ def product_blocks(spec_a: ConstructionSpec, spec_b: ConstructionSpec, j: int,
     The masses are one UniformBlockMasses (h_a, h_b, per), so building the
     matrix, checking it and its row and column sums cost O(1) in the
     number of blocks, and so does light_blocks' test, since all blocks are
-    light or none is.  Walking the h_a * h_b blocks is left to the callers
-    that list them: iterating the masses, as `joining blocks` output does,
-    and an all-light report, whose light set holds every BlockIndex.
+    light or none is.  Walking the h_a * h_b blocks is left to the
+    listings, `joining blocks` and the `joining light` listing of an
+    all-light report, whose light set is this UniformBlockMasses.
     """
     _check_resolution(j, J)
     sa, sb = build_stage(spec_a, j), build_stage(spec_b, j)
@@ -181,15 +227,17 @@ def graph_blocks(spec: ConstructionSpec, k: int, j: int, J: int) -> BlockMassMat
     lag counts, stats._stage_counts of E_j = (j, 1) over the lags k - h_j
     + 1 .. k + h_j - 1, which builds no stage-J set.  Both occurrences of a
     pair start whole stage-j copies, so every pair resolves inside the
-    stage-J tower."""
+    stage-J tower.  The dict is built from the nonzero lags in row-major
+    order; lag d covers h - |d| blocks."""
     _check_resolution(j, J)
     st, stJ = build_stage(spec, j), build_stage(spec, J)
     h, M = st.height, stJ.total
     lags = _stage_counts(spec, j, 1, 1, range(k - h + 1, k + h), J)[0]
     w_norm = stJ.width / M
-    masses = {BlockIndex(z1, z2): n * w_norm for z1 in range(h) for z2 in range(h)
-              if (n := lags[z2 - z1 + h - 1])}
-    covered = sum(masses.values(), Fraction(0))
+    nonzero = [(d - h + 1, n * w_norm) for d, n in enumerate(lags) if n]  # (z2 - z1, mass)
+    masses = {BlockIndex(z1, z1 + d): x for z1 in range(h) for d, x in nonzero
+              if 0 <= z1 + d < h}
+    covered = sum((x * (h - abs(d)) for d, x in nonzero), Fraction(0))
     lvl = st.width / M
     return BlockMassMatrix(
         kind="graph", j=j, h_a=h, h_b=h, masses=masses, residual=1 - covered,
@@ -244,8 +292,9 @@ def empirical_joining(spec_a: ConstructionSpec, spec_b: ConstructionSpec,
 class LightBlockReport:
     """Blocks whose mass falls strictly below epsilon times the base
     measure, and the total joining mass they carry.  light_set maps each
-    light block to its mass in row-major order, which is sorted order; for
-    an all-light uniform grid it is the matrix's UniformBlockMasses."""
+    light block to its mass in sorted order, listing none until iterated:
+    a uniform matrix's own UniformBlockMasses (an empty one when no block
+    is light), or a LightBlocks view of a dict matrix's grid."""
 
     epsilon: Fraction
     j: int
@@ -267,12 +316,13 @@ def light_blocks(m: BlockMassMatrix, epsilon: RationalLike) -> LightBlockReport:
     masses = m.masses
     if isinstance(masses, UniformBlockMasses):
         # one mass for every block: all blocks are light or none is
-        light = masses if masses.per < threshold else {}
+        light = masses if masses.per < threshold else UniformBlockMasses(0, 0, masses.per)
         covered = masses.per * len(light)
     else:
-        light = {z: x for z in map(BlockIndex._make, product(range(m.h_a), range(m.h_b)))
-                 if (x := m.mass(z)) < threshold}
-        covered = sum(light.values(), Fraction(0))
+        # a block absent from the dict has mass 0, so it is light
+        light = LightBlocks(m.h_a, m.h_b, masses,
+                            [z for z, x in masses.items() if x >= threshold])
+        covered = sum((x for x in masses.values() if x < threshold), Fraction(0))
     return LightBlockReport(epsilon=eps, j=m.j, kind=m.kind,
                             light_set=light, covered_mass=covered,
                             total_blocks=m.h_a * m.h_b)
@@ -303,6 +353,8 @@ def di_estimate(reports: Sequence[LightBlockReport]) -> Fraction:
 
 # Ticks a dispersion experiment may list; 10^7 took about 2 s and 98 MB.
 MAX_TICKS = 10_000_000
+# Blocks one listing may print: 839,680 took 0.6 s in joining light, 1.4 s in joining blocks.
+MAX_BLOCKS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -416,10 +468,8 @@ def columns_and_F(m: BlockMassMatrix, delta: RationalLike, w: int,
     if len(set(shifts)) != len(shifts):
         raise SpecError("shift set has duplicates")
     _check_shifts(m, col.members[-1].z2, shifts)
-    per_shift = {}
-    for h in sorted(shifts):
-        per_shift[h] = sum((m.mass(BlockIndex(z1, z2 + h))
-                            for z1, z2 in col.members), Fraction(0))
+    per_shift = {h: m.mass_of((z1, z2 + h) for z1, z2 in col.members)
+                 for h in sorted(shifts)}
     nu_F = sum(per_shift.values(), Fraction(0))
     if nu_F == 0:
         raise EmptyFSetError(
@@ -479,14 +529,14 @@ def trivialization_check(m: BlockMassMatrix, F: FSetSpec, A: IntervalSet,
     in_A, in_B = in_sets
 
     # per_shift[h]: the mass of the selected blocks of the column shifted by h
-    per_shift = {h: sum((m.mass(BlockIndex(z1, z2 + h)) for z1, z2 in members
-                         if in_A >> z1 & 1 and in_B >> (z2 + h) & 1), Fraction(0))
+    per_shift = {h: m.mass_of((z1, z2 + h) for z1, z2 in members
+                              if in_A >> z1 & 1 and in_B >> (z2 + h) & 1)
                  for h in F.shifts}
     conditional = sum(per_shift.values(), Fraction(0)) / F.nu_F
     reference = (A.measure / m.norm_a) * (B.measure / m.norm_b)
     gap = abs(conditional - reference)
 
-    nu_C = sum((m.mass(bi) for bi in members), Fraction(0))
+    nu_C = m.mass_of(members)
     display_sum = display_gap = None
     slack = Fraction(0)
     if nu_C > 0:
@@ -533,7 +583,7 @@ def _display_route(m: BlockMassMatrix, F: FSetSpec, in_A: int, in_B: int,
     lo = out = Fraction(0)
     for h, a_h in F.weights.weights:
         hit = [bi for bi in sel if in_B >> (bi.z2 + h) & 1]
-        lo += a_h * sum(map(m.mass, hit), Fraction(0))
+        lo += a_h * m.mass_of(hit)
         n = (in_B & ((1 << h) - 1)).bit_count() + sum(escape[z2] for _, z2 in hit)
         out += a_h * n
     return lo, lo + s * out

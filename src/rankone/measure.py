@@ -9,7 +9,7 @@ no floating type survives that.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -74,17 +74,6 @@ class Interval:
     def is_empty(self) -> bool:
         return self.lo == self.hi
 
-    def contains(self, x: RationalLike) -> bool:
-        x = as_fraction(x)
-        return self.lo <= x < self.hi
-
-    def overlaps(self, other: "Interval") -> bool:
-        return max(self.lo, other.lo) < min(self.hi, other.hi)
-
-    def shift(self, offset: RationalLike) -> "Interval":
-        d = as_fraction(offset)
-        return Interval(self.lo + d, self.hi + d)
-
     def __repr__(self) -> str:
         return f"[{self.lo}, {self.hi})"
 
@@ -117,15 +106,6 @@ class IntervalSet:
 
     def is_empty(self) -> bool:
         return not self.intervals
-
-    def contains(self, x: RationalLike) -> bool:
-        x = as_fraction(x)
-        k = bisect_right(self.intervals, x, key=_LO) - 1
-        return k >= 0 and x < self.intervals[k].hi
-
-    def shift(self, offset: RationalLike) -> "IntervalSet":
-        d = as_fraction(offset)
-        return IntervalSet(tuple(iv.shift(d) for iv in self.intervals))
 
     def __iter__(self):
         return iter(self.intervals)
@@ -311,18 +291,8 @@ class StepFunction:
     def zero(cls) -> "StepFunction":
         return cls(())
 
-    @property
-    def support(self) -> IntervalSet:
-        return canonicalize([Interval(lo, hi) for lo, hi, _ in self.segments])
-
     def integral(self) -> Fraction:
         return sum(((hi - lo) * v for lo, hi, v in self.segments), Fraction(0))
-
-    def scale(self, factor: RationalLike) -> "StepFunction":
-        f = as_fraction(factor)
-        if f == 0:
-            return StepFunction(())
-        return StepFunction(tuple((lo, hi, v * f) for lo, hi, v in self.segments))
 
     def add(self, other: "StepFunction") -> "StepFunction":
         """Pointwise sum, exact: one linear merge of the two segment lists.

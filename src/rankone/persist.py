@@ -12,6 +12,8 @@ separators=(",", ": "), indent=1)` would print it: keys sorted, one space
 of indent per level, every non-ASCII or control character as a `\\u`
 escape.  A document may hold only dicts with str keys, lists, tuples,
 str, int, bool and None; a float or any other value raises TypeError.
+Bound tables and block listings print from row templates, not through
+the generic recursion.
 """
 
 from __future__ import annotations
@@ -20,11 +22,10 @@ import json
 from decimal import ROUND_HALF_EVEN, Context
 from fractions import Fraction
 from hashlib import sha256
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import gcd
 from operator import attrgetter
-from typing import Dict, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, NamedTuple, Sequence, Tuple, Union
 
 from . import __version__
 from .construction import ConstructionSpec, TowerStage, build_stage
@@ -90,8 +91,7 @@ def _render(o: object, level: int = 0) -> str:
     """o as a JSON text, nested level deep (see the module docstring).
 
     json.dumps takes its pure-Python encoder whenever indent is set; this
-    renders int runs, escape-free string runs and lists of equal-length int
-    rows (the block listings) with C-level joins and one %d template.  A
+    renders int runs and escape-free string runs with C-level joins.  A
     _Rendered text is placed as it is."""
     if type(o) is _Rendered:
         return o
@@ -129,26 +129,20 @@ def _render(o: object, level: int = 0) -> str:
     elif types == {int}:
         body = sep.join(map(int.__repr__, o))
     else:
-        body = _int_rows(o, types, level + 1)
-        if body is None:
-            body = sep.join([_render(x, level + 1) for x in o])
+        body = sep.join([_render(x, level + 1) for x in o])
     return "[" + inner + body + "\n" + " " * level + "]"
 
 
-def _int_rows(rows: Sequence, types: set, level: int) -> Optional[str]:
-    """The items of a list of rows, nested level deep, when every row is a
-    non-empty list or tuple of the same length holding only plain ints
-    (bool excluded); None otherwise."""
-    if not all(issubclass(t, (list, tuple)) for t in types):
-        return None
-    widths = set(map(len, rows))
-    flat = tuple(chain.from_iterable(rows))
-    if len(widths) != 1 or set(map(type, flat)) != {int}:
-        return None
-    width, = widths
-    inner = "\n" + " " * (level + 1)
-    row = "[" + inner + ("," + inner).join(["%d"] * width) + "\n" + " " * level + "]"
-    return (",\n" + " " * level).join([row] * len(rows)) % flat
+def block_list(rows: Iterable[Tuple[int, Sequence[int]]], h_b: int, level: int) -> str:
+    """The blocks of (z1, z2s) rows, z2 < h_b, as the JSON list of their
+    [z1, z2] pairs nested level deep: each row is one join of a tail string
+    per column, made once, under a head string per row."""
+    ind1, ind2 = "\n" + " " * (level + 1), "\n" + " " * (level + 2)
+    sep = "," + ind1
+    tails = [f"{z2}{ind1}]" for z2 in range(h_b)]
+    body = sep.join([head + (sep + head).join(map(tails.__getitem__, z2s))
+                     for z1, z2s in rows if z2s for head in [f"[{ind2}{z1},{ind2}"]])
+    return _Rendered(f"[{ind1}{body}\n{' ' * level}]" if body else "[]")
 
 
 def render_json(payload: object, **meta: object) -> str:
@@ -159,24 +153,20 @@ def render_json(payload: object, **meta: object) -> str:
 class Table(NamedTuple):
     """The result of a command that prints CSV or JSON: a BoundSeries, or
     (key, value) pairs in print order, read once, under the CSV column names.
-    A key is an int or a tuple of ints, a value a MeasureBound or a Fraction;
-    a CSV row is the key's parts, then the value's numerators and denominators."""
+    Keys are ints or int tuples of one length, values all MeasureBounds or all
+    Fractions; a CSV row is the key's parts, then the value's ints."""
 
     columns: Tuple[str, ...]
     items: Union[BoundSeries, Iterable[Tuple[object, object]]]
     meta: Dict[str, object]
 
 
-def _key_parts(k: object) -> tuple:
-    return k if isinstance(k, tuple) else (k,)
-
-
 def render_table(table: Table, fmt: str) -> str:
-    """The table as a document in fmt, "csv" (one %d template a row) or
-    "json" (entries keyed by the key's parts joined by ","), only that one.
-    A BoundSeries reduces each distinct numerator once, to a "num,den" CSV
-    cell or to its JSON "lo"/"lo_approx" and "hi"/"hi_approx" lines, and
-    fills one row template a key in _render's order, sorted by str(key)."""
+    """The table as a document in fmt, "csv" or "json" (entries keyed by
+    the key's parts joined by ",", sorted as _render sorts them), only
+    that one.  Each distinct value is formatted once: a BoundSeries's
+    numerators, reduced by one gcd each, or the other items' values, told
+    apart by their ints; each row fills one template."""
     columns, items, meta = table
     head = f"{meta_line(**meta)}\n{','.join(columns)}\n" if fmt == "csv" else ""
     if isinstance(items, BoundSeries):
@@ -187,20 +177,25 @@ def render_table(table: Table, fmt: str) -> str:
                                       map(cells.get, s.lo), map(cells.get, s.hi)))
         strs = {n: (f"{a}/{b}", str(_APPROX_CTX.divide(a, b))) for n in nums
                 for g in [gcd(n, s.den)] for a, b in [(n // g, s.den // g)]}
-        row = ('"%s": {\n   "hi": "%s",\n   "hi_approx": "%s",\n'
+        row = ('{\n   "hi": "%s",\n   "hi_approx": "%s",\n'
                '   "lo": "%s",\n   "lo_approx": "%s"\n  }')
-        rows = sorted(zip(map(str, s.domain), s.hi, s.lo))
-        data = _Rendered("{\n  " + ",\n  ".join([row % (k, *strs[hi], *strs[lo])
-                                                  for k, hi, lo in rows]) + "\n }") if rows else {}
-    elif fmt == "csv":
-        rows = [(*_key_parts(k), *(_BOUND_INTS(v) if isinstance(v, MeasureBound)
-                                   else _FRACTION_INTS(v))) for k, v in items]
-        row = ",".join(["%d"] * len(columns)) + "\n"
-        return head + (row * len(rows)) % tuple(chain.from_iterable(rows))
+        rows = [(k, row % (*strs[hi], *strs[lo]))
+                for k, hi, lo in zip(map(str, s.domain), s.hi, s.lo)]
     else:
-        data = {",".join(map(str, _key_parts(k))): bound_json(v)
-                if isinstance(v, MeasureBound) else frac_str(v) for k, v in items}
-    return render_json(data, **meta) + "\n"
+        texts, rows, last, t = {}, [], None, ()
+        for k, v in items:
+            if v is not last:  # a run of one value object is looked up once
+                last, t = v, _BOUND_INTS(v) if isinstance(v, MeasureBound) else _FRACTION_INTS(v)
+                if t not in texts:
+                    texts[t] = ",".join(map(str, t)) if fmt == "csv" else _render(
+                        bound_json(v) if isinstance(v, MeasureBound) else frac_str(v), 2)
+            rows.append((*(k if isinstance(k, tuple) else (k,)), texts[t]))
+        key = ",".join(["%d"] * (len(columns) - len(t)))  # one %d per key part
+        if fmt == "csv":
+            return head + "".join(map((key + ",%s\n").__mod__, rows))
+        rows = [(key % r[:-1], r[-1]) for r in rows]
+    body = ",\n  ".join([f'"{k}": {text}' for k, text in sorted(dict(rows).items())])
+    return render_json(_Rendered("{\n  " + body + "\n }") if rows else {}, **meta) + "\n"
 
 
 # ------------------------------------------------------------- stage records

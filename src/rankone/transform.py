@@ -201,13 +201,6 @@ class Cursor:
             for lo, i, hi, copy, _, name in self._runs(
                 j, step, lambda m: m.stage_name(j)))
 
-    def points(self) -> Iterator[Fraction]:
-        """The point at each forward step of the orbit, tick 0 the current
-        point: the Fraction view of point_runs, whose integers `rankone
-        orbit` renders with no Fraction."""
-        return chain.from_iterable(map(Fraction, numerators, repeat(den))
-                                   for den, numerators in self.point_runs())
-
     def point_runs(self) -> Iterator[Tuple[int, Iterator[int]]]:
         """The orbit from the current point, one run per item: (den, numerators)
         with each tick's point n / den (n >= 0, den > 0), fixed when the run is

@@ -1,13 +1,24 @@
 """Helpers that only the tests call, kept out of the library: each takes
 the object it used to be a method or property of as its first argument and
-computes what that method computed."""
+computes what that method computed.  Also the oracles that library fast
+paths are checked against, and the capped child-process runner."""
 
+import os
+import subprocess
+import sys
+import time
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import chain, product, repeat
+from pathlib import Path
 
+import pytest
+
+import rankone
+from rankone.averaging import WeightSequence
 from rankone.construction import build_stage
 from rankone.errors import SpecError
-from rankone.joinings import BlockIndex, UniformBlockMasses, _make_column
+from rankone.joinings import BlockIndex, LightBlockReport, UniformBlockMasses, _make_column
 from rankone.measure import Interval, IntervalSet, as_fraction, canonicalize
 
 
@@ -31,6 +42,21 @@ def light_shifts(m, delta, w, epsilon=None, mass_threshold=None):
             return max(shifted) < as_fraction(epsilon) * m.base_mass
         return sum(shifted, Fraction(0)) < as_fraction(mass_threshold)
     return tuple(filter(ok, range(m.h_b - col.members[-1].z2)))
+
+
+def dict_light_blocks(m, epsilon):
+    """light_blocks(m, epsilon) with its light set built as a dict of every
+    light block and its mass, by walking the whole h_a x h_b grid in
+    row-major order: the oracle of the light-set views."""
+    eps = as_fraction(epsilon)
+    if eps <= 0:
+        raise SpecError("epsilon must be positive")
+    threshold = eps * m.base_mass
+    light = {z: x for z in map(BlockIndex._make, product(range(m.h_a), range(m.h_b)))
+             if (x := m.mass(z)) < threshold}
+    return LightBlockReport(epsilon=eps, j=m.j, kind=m.kind, light_set=light,
+                            covered_mass=sum(light.values(), Fraction(0)),
+                            total_blocks=m.h_a * m.h_b)
 
 
 def total_block_mass(m):
@@ -59,6 +85,10 @@ def value_at(f, x):
     if k >= 0 and x < f.segments[k][1]:
         return f.segments[k][2]
     return Fraction(0)
+
+
+def support(f):
+    return canonicalize([Interval(lo, hi) for lo, hi, _ in f.segments])
 
 
 def sup_abs(f):
@@ -103,6 +133,23 @@ def is_subinterval_of(b, other):
 
 
 # -------------------------------------------------- Interval, IntervalSet
+
+def contains(A, x):
+    """x in the Interval or IntervalSet A, the set searched by bisection."""
+    x = as_fraction(x)
+    if isinstance(A, Interval):
+        return A.lo <= x < A.hi
+    k = bisect_right(A.intervals, x, key=lambda iv: iv.lo) - 1
+    return k >= 0 and x < A.intervals[k].hi
+
+
+def shifted(A, offset):
+    """The Interval or IntervalSet A translated by offset."""
+    d = as_fraction(offset)
+    if isinstance(A, Interval):
+        return Interval(A.lo + d, A.hi + d)
+    return IntervalSet(tuple(shifted(iv, d) for iv in A.intervals))
+
 
 def set_union(a, b):
     return canonicalize(a.intervals + b.intervals)
@@ -151,6 +198,19 @@ def ambient(stage):
     return Interval(Fraction(0), stage.total)
 
 
+def height_ratio_profile(spec_a, spec_b, J):
+    """Exact per-stage height ratios min(h, h')/max(h, h') for stages 1..J.
+
+    The smaller height goes in the numerator stage by stage, so identical
+    specs give a profile of ones.
+    """
+    if J < 1:
+        raise SpecError("ratio profile needs J >= 1")
+    hs = [(build_stage(spec_a, j).height, build_stage(spec_b, j).height)
+          for j in range(1, J + 1)]
+    return tuple(Fraction(min(pair), max(pair)) for pair in hs)
+
+
 def lifted_bits(stage, A):
     """A as a bitset over the levels of this stage, or None when A is no
     union of levels of a stage up to it."""
@@ -164,5 +224,40 @@ def coarse_height(fspec, j):
     return build_stage(fspec.base, j).height // fspec.grid_inverse
 
 
+def delta_weights(z=0):
+    """The weight sequence with all its mass on shift z."""
+    return WeightSequence(((z, Fraction(1)),))
+
+
 def as_dict(w):
     return dict(w.weights)
+
+
+# ------------------------------------------------------------------ Cursor
+
+def points(cur):
+    """The point at each forward step of the cursor's orbit, tick 0 the
+    current point: the Fraction view of Cursor.point_runs."""
+    return chain.from_iterable(map(Fraction, numerators, repeat(den))
+                               for den, numerators in cur.point_runs())
+
+
+# ---------------------------------------------------------- child process
+
+def run_capped(argv, cap_mb=512, timeout=60):
+    """(CompletedProcess, wall seconds) of `python *argv`, run with the
+    library on its path in a child process under a cap_mb address-space
+    cap (RLIMIT_AS); for the command line, argv starts "-m", "rankone.cli"."""
+    resource = pytest.importorskip("resource")
+    cap = cap_mb << 20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = str(Path(rankone.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    t0 = time.monotonic()
+    proc = subprocess.run([sys.executable, *argv], env=env, preexec_fn=limit,
+                          capture_output=True, text=True, timeout=timeout)
+    return proc, time.monotonic() - t0

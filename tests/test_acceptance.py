@@ -38,7 +38,7 @@ from rankone.joinings import (
 from rankone.measure import IntervalSet, MeasureBound, StepFunction, canonicalize
 from rankone.stats import correlation, max_profile, return_profile
 from rankone.transform import power_image
-from helpers import col_sum, l2_inner, row_sum, total_block_mass
+from helpers import col_sum, delta_weights, l2_inner, row_sum, total_block_mass
 
 ODO = ConstructionSpec.odometer()
 ST2 = ConstructionSpec.staircase(h1=2)
@@ -148,7 +148,7 @@ def test_05_adjoint_weights_and_duality():
     # weight sequences plus uniform and delta; operator duality exact
     rng = random.Random(50331)
     seqs = [WeightSequence.uniform(n) for n in (1, 2, 5, 8)]
-    seqs += [WeightSequence.delta(z) for z in (0, 3)]
+    seqs += [delta_weights(z) for z in (0, 3)]
     for _ in range(500):
         zs = rng.sample(range(40), rng.randint(1, 6))
         nums = [rng.randint(1, 20) for _ in zs]

@@ -33,7 +33,8 @@ from rankone.measure import (
     set_intersection,
 )
 from rankone.transform import power_image
-from helpers import ambient, as_dict, l2_inner, sup_abs, top, value_at
+from helpers import (ambient, as_dict, delta_weights, l2_inner, sup_abs, support, top,
+                     value_at)
 
 F = Fraction
 
@@ -67,12 +68,12 @@ class TestWeightSequence:
 
     def test_uniform_and_delta(self):
         assert as_dict(WeightSequence.uniform(4)) == {z: F(1, 4) for z in range(4)}
-        assert as_dict(WeightSequence.delta(3)) == {3: F(1)}
+        assert as_dict(delta_weights(3)) == {3: F(1)}
 
 
 class TestFlatness:
     def test_delta_is_one(self):
-        assert flatness(WeightSequence.delta(0), 0) == 1
+        assert flatness(delta_weights(0), 0) == 1
 
     def test_uniform(self):
         assert flatness(WeightSequence.uniform(7), 0) == F(1, 7)
@@ -120,8 +121,8 @@ def scan_flatness(w, q):
 
 class TestAdjointConvolution:
     def test_delta(self):
-        assert adjoint_convolution(WeightSequence.delta(0)) == {0: F(1)}
-        assert adjoint_convolution(WeightSequence.delta(4)) == {0: F(1)}
+        assert adjoint_convolution(delta_weights(0)) == {0: F(1)}
+        assert adjoint_convolution(delta_weights(4)) == {0: F(1)}
 
     def test_uniform_two(self):
         got = adjoint_convolution(WeightSequence.uniform(2))
@@ -167,7 +168,7 @@ class TestAverageApply:
     def test_delta_is_identity(self):
         spec = ConstructionSpec.odometer()
         f = indicator_of_base(spec, 1)
-        Pf, esc = average_apply(spec, WeightSequence.delta(0), f, 2)
+        Pf, esc = average_apply(spec, delta_weights(0), f, 2)
         assert Pf == f
         assert esc == MeasureBound.zero()
 
@@ -183,7 +184,7 @@ class TestAverageApply:
         # shifting E_1 by 3 at stage 2 resolves one occurrence and loses one
         spec = ConstructionSpec.odometer()
         f = indicator_of_base(spec, 1)
-        Pf, esc = average_apply(spec, WeightSequence.delta(3), f, 2)
+        Pf, esc = average_apply(spec, delta_weights(3), f, 2)
         assert esc == MeasureBound.exact(F(1, 4))
         assert Pf.integral() == F(1, 4)
         # mean preservation up to escape
@@ -218,11 +219,11 @@ class TestAverageApply:
         # z = 0 alone moves nothing, and f is still checked
         spec = ConstructionSpec.staircase()
         f = StepFunction.indicator(build_stage(spec, 3).levels_set([4]))
-        for w in (WeightSequence.delta(0), WeightSequence.uniform(2)):
+        for w in (delta_weights(0), WeightSequence.uniform(2)):
             for direction in ("forward", "backward"):
                 with pytest.raises(SpecError, match="beyond the stage ambient"):
                     average_apply(spec, w, f, 2, direction)
-        assert average_apply(spec, WeightSequence.delta(0), f, 3)[0] == f
+        assert average_apply(spec, delta_weights(0), f, 3)[0] == f
 
 
 # ------------------------------------------- level path against the oracle
@@ -250,7 +251,7 @@ def weights_reaching(draw, h):
     """delta_0, or weights on a run of consecutive shifts plus scattered
     ones, some at or past h."""
     if draw(st.integers(0, 5)) == 0:
-        return WeightSequence.delta(0)
+        return delta_weights(0)
     z0 = draw(st.integers(0, h + 2))
     zs = set(range(z0, z0 + draw(st.integers(1, 6))))
     zs |= set(draw(st.lists(st.integers(0, h + 3), max_size=4)))
@@ -470,7 +471,7 @@ class TestL2Deviation:
     def test_indicator_variance(self):
         spec = ConstructionSpec.odometer()
         f = indicator_of_base(spec, 1)
-        Pf, esc = average_apply(spec, WeightSequence.delta(0), f, 2)
+        Pf, esc = average_apply(spec, delta_weights(0), f, 2)
         got = l2_deviation(Pf, F(1, 2), esc, F(1), sup_f=1)
         assert got == MeasureBound.exact(F(1, 4))
 
@@ -493,7 +494,7 @@ class TestL2Deviation:
         devs = []
         for J in (3, 7):
             M = build_stage(spec, J).total
-            Pf, esc = average_apply(spec, WeightSequence.delta(1), f, J)
+            Pf, esc = average_apply(spec, delta_weights(1), f, J)
             devs.append(l2_deviation(Pf, f.integral() / M, esc, M, sup_f=100))
         coarse, fine = devs
         assert fine.lo == F(479375, 512)
@@ -520,7 +521,7 @@ class TestL2Deviation:
 
 
 def correlation_term(spec, f, lag):
-    sup = f.support
+    sup = support(f)
     img, esc = power_image(spec, sup, lag, 3)
     assert esc.hi == 0
     return set_intersection(sup, img).measure

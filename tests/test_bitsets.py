@@ -15,22 +15,17 @@ imaged by T^k).  Hypothesis draws every preset and random:K specs at
 
 import contextlib
 import io
-import os
 import random
-import subprocess
-import sys
 import time
 from bisect import bisect_right
 from fractions import Fraction as F
 from hashlib import sha256
-from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import rankone
 from rankone import stats
 from rankone.averaging import average_apply
 from rankone.cli import main
@@ -55,7 +50,7 @@ from rankone.measure import (
 )
 from rankone.stats import correlation, return_profile
 from rankone.transform import power_image
-from helpers import is_subset_of, l2_inner, lifted_bits
+from helpers import is_subset_of, l2_inner, lifted_bits, run_capped
 
 PRESETS = (ConstructionSpec.odometer(), ConstructionSpec.staircase(),
            ConstructionSpec.chacon())
@@ -524,29 +519,11 @@ def product_trivialize(res):
             "--shifts", "0,2", "--A", "0", "--B", "0", "--cond-stage", "1"]
 
 
-def run_capped(argv):
-    """(exit code, stderr, wall seconds) of one CLI run in a child process
-    under a 512 MB address-space cap."""
-    resource = pytest.importorskip("resource")
-    cap = 512 << 20
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-
-    src = str(Path(rankone.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    t0 = time.monotonic()
-    proc = subprocess.run([sys.executable, "-m", "rankone.cli", *argv],
-                          env=env, preexec_fn=limit, capture_output=True,
-                          text=True, timeout=60)
-    return proc.returncode, proc.stderr, time.monotonic() - t0
-
-
 def test_deep_product_display_in_a_capped_child():
     # the stage-J display sets took 8 s and 1 GB at --res 13, and --res 14
     # ended in MemoryError (exit 4) after 2 s under this 512 MB cap
-    code, err, elapsed = run_capped(product_trivialize(14))
+    proc, elapsed = run_capped(["-m", "rankone.cli", *product_trivialize(14)])
+    code, err = proc.returncode, proc.stderr
     assert code == 0, err
     assert elapsed < 1.0, f"joining trivialize took {elapsed:.2f} s"
 
@@ -582,7 +559,8 @@ def test_deep_rows_in_a_capped_child(argv):
     # correlate at J=12), took 25 s (flow window, J=12) or 635 MB (joining
     # blocks, J=13), or ended in MemoryError (J=14 and deeper) on a 2-core
     # VM under CPython 3.11.7; the kernel builds no stage-J set
-    code, err, elapsed = run_capped(argv)
+    proc, elapsed = run_capped(["-m", "rankone.cli", *argv])
+    code, err = proc.returncode, proc.stderr
     assert code == 0, err
     assert elapsed < 10.0, f"{' '.join(argv)} took {elapsed:.2f} s"
 

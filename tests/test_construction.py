@@ -11,11 +11,10 @@ from rankone.construction import (
     CutRule,
     SpacerRule,
     build_stage,
-    height_ratio_profile,
 )
 from rankone.errors import SpecError
 from rankone.measure import canonicalize
-from helpers import ambient, contains_interval, level_lo
+from helpers import ambient, contains_interval, height_ratio_profile, level_lo, shifted
 
 F = Fraction
 
@@ -75,7 +74,7 @@ class TestGeometry:
         assert st1.width == F(1, 2)
         assert st1.total == 1
         assert st1.level(0).lo == 0
-        assert st1.level(1) == st1.base.shift(F(1, 2))
+        assert st1.level(1) == shifted(st1.base, F(1, 2))
 
     def test_tower_covers_ambient_exactly(self):
         for spec in (ConstructionSpec.odometer(), ConstructionSpec.staircase(),

@@ -4,15 +4,18 @@ conditional trivialization check."""
 import contextlib
 import dataclasses
 import io
+import json
 import time
 from fractions import Fraction as F
+from itertools import groupby, product
+from operator import itemgetter
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rankone import cli, joinings
+from rankone import __version__, cli, joinings, stats
 from rankone.averaging import WeightSequence
 from rankone.construction import ConstructionSpec, build_stage
 from rankone.errors import EmptyFSetError, OrbitEscaped, SpecError
@@ -23,6 +26,7 @@ from rankone.joinings import (
     ColumnSpec,
     DispersionRow,
     FSetSpec,
+    LightBlocks,
     UniformBlockMasses,
     columns_and_F,
     di_estimate,
@@ -34,8 +38,10 @@ from rankone.joinings import (
     trivialization_check,
 )
 from rankone.measure import set_intersection
+from rankone.persist import block_list, render_json
 from rankone.transform import Cursor, apply_power, power_image
-from helpers import col_sum, light_shifts, row_sum, total_block_mass
+from helpers import (col_sum, delta_weights, dict_light_blocks, light_shifts, row_sum,
+                     run_capped, total_block_mass)
 
 ODO = ConstructionSpec.odometer()
 ST2 = ConstructionSpec.staircase(h1=2)
@@ -246,6 +252,21 @@ def test_graph_mass_accounting(spec, k, j):
     assert total + m.residual == 1
 
 
+@settings(max_examples=40, deadline=None)
+@given(specs, st.integers(0, 6), st.integers(1, 4), st.integers(0, 2))
+def test_graph_blocks_by_lag_match_grid_walk(spec, k, j, extra):
+    # oracle: every (z1, z2) of the grid tested against its lag, in
+    # row-major order, so the same dict in the same insertion order
+    m = graph_blocks(spec, k, j, j + extra)
+    h, stJ = m.h_a, build_stage(spec, j + extra)
+    lags = stats._stage_counts(spec, j, 1, 1, range(k - h + 1, k + h), j + extra)[0]
+    w = stJ.width / stJ.total
+    grid = {BlockIndex(z1, z2): n * w for z1 in range(h) for z2 in range(h)
+            if (n := lags[z2 - z1 + h - 1])}
+    assert list(m.masses.items()) == list(grid.items())
+    assert m.residual == 1 - sum(grid.values(), F(0))
+
+
 # ---------------------------------------------------------------- empirical
 
 def test_empirical_identical_orbits_diagonal():
@@ -353,6 +374,134 @@ def test_light_validation():
     m = graph_blocks(ODO, 0, 2, 4)
     with pytest.raises(SpecError):
         light_blocks(m, 0)
+
+
+@st.composite
+def block_matrices(draw):
+    """A product matrix, its dense dict, one with explicit zero-mass
+    entries, a graph matrix or an empirical histogram, at stages 1-3."""
+    kind = draw(st.sampled_from(["product", "dense", "zeros", "graph", "empirical"]))
+    j = draw(st.integers(1, 3))
+    if kind == "graph":
+        return graph_blocks(draw(specs), draw(st.integers(0, 4)), j, j + draw(st.integers(0, 2)))
+    if kind == "empirical":
+        x_a, x_b = (draw(st.sampled_from([0, F(1, 3), F(2, 7), F(5, 9)])) for _ in "ab")
+        try:
+            return empirical_joining(draw(specs), draw(specs), x_a, x_b,
+                                     draw(st.integers(1, 200)), j, 10)
+        except OrbitEscaped:
+            assume(False)
+    m = product_blocks(draw(specs), draw(specs), j, j + draw(st.integers(0, 2)))
+    if kind == "product":
+        return m
+    d = dense(m)
+    if kind == "dense":
+        return d
+    zeros = draw(st.sets(st.sampled_from(sorted(d.masses))))
+    return dataclasses.replace(
+        d, masses={z: F(0) if z in zeros else x for z, x in d.masses.items()},
+        residual=d.residual + sum((d.masses[z] for z in zeros), F(0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_matrices(), st.data())
+def test_mass_of_matches_per_block_sum(m, data):
+    # in-grid, off-grid and repeated blocks, as tuples or BlockIndex, from
+    # a list or a one-shot iterator
+    near = st.tuples(st.integers(-2, m.h_a + 1), st.integers(-2, m.h_b + 1))
+    blocks = data.draw(st.lists(near, max_size=30))
+    blocks += blocks[:data.draw(st.integers(0, len(blocks)))]
+    total = m.mass_of(blocks)
+    assert type(total) is F
+    assert total == sum((m.masses.get(BlockIndex(*z), F(0)) for z in blocks), F(0))
+    assert m.mass_of(map(BlockIndex._make, blocks)) == m.mass_of(iter(blocks)) == total
+    assert m.mass_of(product(range(m.h_a), range(m.h_b))) == 1 - m.residual
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_matrices(), st.data())
+def test_light_sets_match_dict_oracle(m, data):
+    masses = {m.masses.per} if isinstance(m.masses, UniformBlockMasses) else set(m.masses.values())
+    at = data.draw(st.sampled_from(sorted(x / m.base_mass for x in masses | {F(1)} if x > 0)))
+    eps = at * data.draw(st.sampled_from([F(1, 2), F(999, 1000), F(1), F(1001, 1000), F(2)]))
+    rep, oracle = light_blocks(m, eps), dict_light_blocks(m, eps)
+    assert rep == oracle
+    light = rep.light_set
+    assert len(light) == len(oracle.light_set)
+    assert (rep.covered_mass, rep.heavy_count) == (oracle.covered_mass, oracle.heavy_count)
+    # row-major order, as BlockIndex, and the same blocks row by row
+    assert list(light) == list(oracle.light_set)
+    assert all(type(z) is BlockIndex for z in light)
+    assert [(z1, list(z2s)) for z1, z2s in light.rows() if z2s] == [
+        (z1, [z2 for _, z2 in row]) for z1, row in groupby(oracle.light_set, itemgetter(0))]
+    probes = [(z1, z2) for z1 in (-1, 0, m.h_a - 1, m.h_a) for z2 in (-1, 0, m.h_b - 1, m.h_b)]
+    for z in probes + list(m.masses)[:20] + [(0,), (0, 0, 0), "00"]:
+        assert (z in light) == (z in oracle.light_set)
+        assert light.get(z) == oracle.light_set.get(z)
+
+
+def listing_matches_json_dumps(h_a, h_b, heavy, level):
+    """block_list of both light-set views of an h_a x h_b grid, nested
+    level deep in a document, against json.dumps of the listed blocks."""
+    masses = {BlockIndex(*z): F(1) for z in heavy}
+    for light in (LightBlocks(h_a, h_b, masses, list(masses)),
+                  UniformBlockMasses(h_a, h_b, F(0))):
+        payload, expect = block_list(light.rows(), h_b, level), [list(z) for z in light]
+        for _ in range(level - 1):
+            payload, expect = [payload], [expect]
+        assert render_json(payload) == json.dumps(
+            {"data": expect, "meta": {"tool_version": __version__}},
+            sort_keys=True, separators=(",", ": "), indent=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 5), st.integers(1, 4), st.data())
+def test_block_listing_matches_json_dumps(h_a, h_b, level, data):
+    grid = list(product(range(h_a), range(h_b)))
+    heavy = data.draw(st.sets(st.sampled_from(grid))) if grid else set()
+    listing_matches_json_dumps(h_a, h_b, heavy, level)
+
+
+def test_block_listing_edge_grids():
+    # empty grids, one row, one column, and grids with every block heavy
+    # in some rows or everywhere
+    grids = [(0, 0, []), (0, 3, []), (3, 0, []), (1, 1, []), (1, 1, [(0, 0)]),
+             (1, 4, [(0, 2)]), (4, 1, [(1, 0), (3, 0)]), (2, 3, [(1, 0), (1, 1), (1, 2)]),
+             (2, 2, list(product(range(2), range(2))))]
+    for h_a, h_b, heavy in grids:
+        for level in (1, 2, 3):
+            listing_matches_json_dumps(h_a, h_b, heavy, level)
+
+
+def test_listings_over_the_block_cap_exit_2():
+    # sized from the view or the matrix in O(1), before any block is listed
+    chacon2 = ("--kind", "product", "--spec-a", "chacon", "--spec-b", "chacon", "--j", "7",
+               "--res", "8")
+    graph = ("--kind", "graph", "--spec", "staircase", "--k", "1", "--j", "7", "--res", "8")
+    limit = f"more than the limit of {joinings.MAX_BLOCKS}\n"
+    t0 = time.perf_counter()
+    for argv, n in [(("joining", "light", *chacon2, "--epsilon", "1"), 1093 ** 2),
+                    (("joining", "blocks", *chacon2), 1093 ** 2),
+                    # h_7 = 2,415: all blocks light but the 2,414 of one lag
+                    (("joining", "light", *graph, "--epsilon", "1/2"), 2415 ** 2 - 2414)]:
+        assert run_cli(*argv) == (2, "", f"error: {n} blocks to list, {limit}")
+    assert time.perf_counter() - t0 < 2.0
+
+
+def test_joining_di_graph_at_stage_7_in_a_capped_child():
+    # the light set of a stage-7 graph matrix held 5.8M blocks, one dict
+    # per (stage, epsilon): exit 4, MemoryError, after about 60 s under a
+    # 2 GB cap on a 2-core VM (CPython 3.11.7); the views list none
+    proc, elapsed = run_capped(["-m", "rankone.cli", "joining", "di", "--kind", "graph",
+                                "--spec", "staircase", "--k", "1", "--stages", "6,7",
+                                "--epsilons", "1/2,1/4", "--res", "9"])
+    assert proc.returncode == 0, proc.stderr
+    assert elapsed < 10.0, f"joining di took {elapsed:.2f} s"
+    # the proxy from the graph matrices' own entries below each threshold
+    ms = [graph_blocks(ST2, 1, j, 9) for j in (6, 7)]
+    proxy = min(max(sum((x for x in m.masses.values() if x < eps * m.base_mass), F(0))
+                    for m in ms) for eps in (F(1, 2), F(1, 4)))
+    assert json.loads(proc.stdout)["data"]["proxy"] == f"{proxy.numerator}/{proxy.denominator}"
 
 
 # ---------------------------------------------------------------- di estimate
@@ -620,7 +769,7 @@ def test_F_product_uniform_weights():
 def test_F_single_shift_is_delta():
     m = product_blocks(ST2, ST3, 2, 4)
     fs = columns_and_F(m, F(1, 10), 0, [0])
-    assert fs.weights == WeightSequence.delta(0)
+    assert fs.weights == delta_weights(0)
     assert fs.weight_flatness == 1
 
 
@@ -722,7 +871,7 @@ def test_trivialization_refuses_hand_built_F_without_mass_or_off_its_shifts():
     lvl0 = build_stage(ODO, 2).levels_set([0])
     bad = (dataclasses.replace(fs, nu_F=F(0)),
            dataclasses.replace(fs, nu_F=F(-1, 2)),
-           dataclasses.replace(fs, weights=WeightSequence.delta(1)),
+           dataclasses.replace(fs, weights=delta_weights(1)),
            dataclasses.replace(fs, shifts=(0, 1),
                                weights=WeightSequence.uniform(2)))
     for hand in bad[:3]:
@@ -770,11 +919,11 @@ def test_trivialization_refuses_F_outside_the_grid():
     m = product_blocks(ST2, ST3, 2, 4)                  # h_a = 2, h_b = 3
     col = ColumnSpec(F(1, 10), 0, 2, (BlockIndex(0, 0),))
     hand = FSetSpec(column=col, shifts=(3,), nu_F=F(1, 12),
-                    weights=WeightSequence.delta(3), weight_flatness=F(1))
+                    weights=delta_weights(3), weight_flatness=F(1))
     with pytest.raises(SpecError, match=r"^shift h=3 pushes the column out of "
                        r"the second tower \(i_max=0, h_j=3\)$"):
         trivialization_check(m, hand, A, B, 1)
-    off = dataclasses.replace(hand, shifts=(0,), weights=WeightSequence.delta(0),
+    off = dataclasses.replace(hand, shifts=(0,), weights=delta_weights(0),
                               column=dataclasses.replace(col, members=(BlockIndex(2, 0),)))
     with pytest.raises(SpecError, match=r"^column blocks run out of the block "
                        r"grid \(h_a=2, h_b=3\)$"):

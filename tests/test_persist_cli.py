@@ -12,7 +12,6 @@ import json
 import os
 import subprocess
 import sys
-import time
 from collections import namedtuple
 from fractions import Fraction as F
 from hashlib import sha256
@@ -45,6 +44,7 @@ from rankone.persist import (
 )
 from rankone.stats import correlation_series, return_profile
 from rankone.transform import Cursor, apply_power
+from helpers import run_capped
 
 ODO = ConstructionSpec.odometer()
 ST2 = ConstructionSpec.staircase(h1=2)
@@ -453,24 +453,12 @@ def test_cli_blum_hanson_bytes_pinned(tmp_path, spec, weights, f, j, J, digest):
 def test_cli_blum_hanson_deep_staircase_in_a_capped_child(tmp_path):
     # staircase J=11 has 1.2e7 levels: building P f there ran past 60 s
     # and 1.2 GB; the moments read level bitsets and pair counts
-    resource = pytest.importorskip("resource")
-    cap = 512 << 20
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-
     wf = tmp_path / "w.json"
     wf.write_text(json.dumps(_uniform_weights(64)))
-    src = str(Path(rankone.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    t0 = time.monotonic()
-    proc = subprocess.run(
-        [sys.executable, "-m", "rankone.cli", "blum-hanson", "--spec", "staircase",
+    proc, elapsed = run_capped(
+        ["-m", "rankone.cli", "blum-hanson", "--spec", "staircase",
          "--weights", str(wf), "--f", "0", "--j", "3", "--res", "11",
-         "--stage-budget", "11"],
-        env=env, preexec_fn=limit, capture_output=True, text=True, timeout=60)
-    elapsed = time.monotonic() - t0
+         "--stage-budget", "11"])
     assert proc.returncode == 0, proc.stderr
     assert elapsed < 2.0, f"blum-hanson took {elapsed:.2f} s"
     assert json.loads(proc.stdout)["meta"]["J"] == 11
@@ -813,7 +801,6 @@ def test_cli_oversized_ranges_exit_2_in_a_capped_child():
     # without the entry limit these end in MemoryError (exit 4) or run for
     # minutes; the child's 512 MB address-space cap keeps such a regression
     # from taking the host's memory
-    resource = pytest.importorskip("resource")
     script = "\n".join((
         "import contextlib, io, json",
         "from rankone.cli import main",
@@ -830,17 +817,7 @@ def test_cli_oversized_ranges_exit_2_in_a_capped_child():
         "        codes.append((main(argv), out.getvalue(), err.getvalue()))",
         "print(json.dumps(codes))",
     ))
-    cap = 512 << 20
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-
-    src = str(Path(rankone.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          preexec_fn=limit, capture_output=True, text=True,
-                          timeout=60)
+    proc, _ = run_capped(["-c", script])
     assert proc.returncode == 0, proc.stderr
     limit_text = f"more than the limit of {stats.MAX_ENTRIES}\n"
     assert json.loads(proc.stdout) == [
@@ -1004,6 +981,48 @@ def test_cli_bound_table_bytes_pinned(argv, fmt):
     code, out, err = run_cli(*argv, "--format", fmt)
     assert code == 0, err
     digest = BOUND_TABLE_PINS[argv][0 if fmt == "csv" else 1]
+    assert sha256(out.encode()).hexdigest() == digest
+
+
+# Block listings: sha256 of stdout, recorded when `joining light` listed
+# its light set as a list of BlockIndex tuples and `joining blocks` sorted
+# and rendered every block's Fraction.  The last is the 159,601-block
+# (4.4 MB) light listing of a stage-6 graph matrix.
+_PRODUCT = ("--kind", "product", "--spec-a", "staircase", "--spec-b", "chacon")
+LISTING_PINS = {
+    "light-product-all-light": (
+        ("joining", "light", *_PRODUCT, "--j", "4", "--res", "5", "--epsilon", "1/4"),
+        "8890e17df695ca19855a21221284155491b00782a9ba3ddacd92f177cb2cef6d"),
+    "light-product-none-light": (
+        ("joining", "light", *_PRODUCT, "--j", "4", "--res", "5", "--epsilon", "1/1000"),
+        "61cd66989b3243c7e78b5d4381ea3d553c4591cc65dff442c9d2267988e7e271"),
+    "light-graph": (
+        ("joining", "light", "--kind", "graph", "--spec", "staircase", "--k", "1",
+         "--j", "4", "--res", "7", "--epsilon", "1/2"),
+        "88785945a9d155883285bff85a70511e3e37fb63a38cc6b5acfb195878ba840c"),
+    "light-empirical": (
+        ("joining", "light", "--kind", "empirical", "--spec-a", "staircase", "--spec-b",
+         "staircase", "--x-a", "0/1", "--x-b", "1/3", "-N", "3000", "--j", "3", "--res", "10",
+         "--stage-budget", "10", "--epsilon", "1/4"),
+        "9afb5cfbef99f564c49b8d155888cd70e8ae6b65cbfe7ea72d1dbf9ce21967b3"),
+    "blocks-product-json": (
+        ("joining", "blocks", *_PRODUCT, "--j", "4", "--res", "6", "--format", "json"),
+        "c69821668c7336b28510d5eeaeec884703fd13327bdc52283081219498adfc0e"),
+    "blocks-product-csv": (
+        ("joining", "blocks", *_PRODUCT, "--j", "4", "--res", "6", "--format", "csv"),
+        "42c2963fe1a394c44c9c7cd793851ed138f30a66abafb6f7fc3810194f95ea2f"),
+    "light-graph-stage-6": (
+        ("joining", "light", "--kind", "graph", "--spec", "staircase", "--k", "1",
+         "--j", "6", "--res", "8", "--epsilon", "1/2"),
+        "843214a126d2b69971752a8a3a41cee4e11009b5a7246ddec8a12c66b5ffae80"),
+}
+
+
+@pytest.mark.parametrize("name", list(LISTING_PINS))
+def test_cli_block_listing_bytes_pinned(name):
+    argv, digest = LISTING_PINS[name]
+    code, out, err = run_cli(*argv)
+    assert code == 0, err
     assert sha256(out.encode()).hexdigest() == digest
 
 

@@ -20,7 +20,8 @@ from rankone.measure import (
 from rankone import transform
 from rankone.persist import frac_str, frac_strs
 from rankone.transform import Cursor, OrbitPoint, apply_power, power_image
-from helpers import ambient, is_exact, level_lo, set_difference, top
+from helpers import (ambient, contains, is_exact, level_lo, points, set_difference, shifted,
+                     top)
 
 F = Fraction
 
@@ -117,7 +118,7 @@ class TestPowerImageCells:
         A = Interval(lv.lo + lv.length / 3, lv.hi)
         img, esc = power_image(spec, A, 7, 9)
         assert time.perf_counter() - t0 < 5
-        assert img == IntervalSet((A.shift(st9.level(i + 7).lo - lv.lo),))
+        assert img == IntervalSet((shifted(A, st9.level(i + 7).lo - lv.lo),))
         assert esc == MeasureBound.zero()
 
 
@@ -237,7 +238,7 @@ class TestApplyPower:
         for _ in range(30):
             idx = cur.level_at(4) if cur.stage_obj.stage >= 4 else None
             if idx is not None:
-                assert st4.level(idx).contains(cur.x)
+                assert contains(st4.level(idx), cur.x)
             cur.step_forward()
 
 
@@ -413,7 +414,7 @@ def oracle_point_strs(spec, x, budget, steps):
     cur = Cursor(spec, x, stage_budget=budget)
     out = []
     try:
-        for p in islice(cur.points(), steps + 1):
+        for p in islice(points(cur), steps + 1):
             out.append(frac_str(p))
     except OrbitEscaped as exc:
         return out, escape_outcome(exc)
@@ -482,7 +483,7 @@ class TestCoarseRuns:
         with mock.patch.object(transform, "COARSE_LIMIT", limit):
             cur = Cursor(spec, x, stage_budget=budget)
             try:
-                for p in islice(cur.points(), steps + 1):
+                for p in islice(points(cur), steps + 1):
                     got.append(p)
             except OrbitEscaped as exc:
                 assert escape_outcome(exc) == end
@@ -519,7 +520,7 @@ class TestCoarseRuns:
         runs = list(islice(Cursor(spec, F(1, 3), stage_budget=10).point_runs(), 6))
         got = [F(n, den) for den, numerators in runs for n in numerators]
         assert len(runs) == 6 and len(got) > 6
-        assert got == list(islice(Cursor(spec, F(1, 3), stage_budget=10).points(),
+        assert got == list(islice(points(Cursor(spec, F(1, 3), stage_budget=10)),
                                   len(got)))
 
     def test_levels_slice_coarse_copies_above_j(self):
@@ -684,7 +685,7 @@ class TestPowerImage:
             i = st_.locate(x)
             img, _ = power_image(spec, st_.level(i), n, 5)
             if img.measure > 0:
-                assert img.contains(y.x)
+                assert contains(img, y.x)
 
     def test_escape_monotone_in_n(self):
         spec = ConstructionSpec.chacon()
