@@ -432,19 +432,22 @@ class TowerStage:
 
     # -- lineage -----------------------------------------------------------
 
-    def stage_name(self, j: int) -> Sequence[Optional[int]]:
-        """ancestor_index(i, j) for every level i, as one word: range(h_j)
-        at stage j, and at a later stage, for each column c, the previous
-        stage's name followed by s_c Nones.  Built by C-level
-        concatenation on each call; nothing is kept."""
+    def stage_name(self, j: int, scale: int = 1) -> Sequence[int]:
+        """scale * ancestor_index(i, j) for every level i, or scale * h_j where
+        that is None, as one word: range(0, scale * h_j, scale) at stage j,
+        and at a later stage, for each column c, the previous stage's name
+        and s_c unborn codes.  Built by C-level concatenation; none is kept."""
         if not (1 <= j <= self.stage):
             raise SpecError(f"ancestor stage {j} out of range")
         if j == self.stage:
-            return range(self.height)
-        prev, name = self.prev.stage_name(j), []
+            return range(0, scale * self.height, scale)
+        st, name = self.prev, []
+        while st.stage > j:
+            st = st.prev
+        prev, unborn = self.prev.stage_name(j, scale), (scale * st.height,)
         for s in self.spacers:
             name += prev
-            name += (None,) * s
+            name += unborn * s
         return tuple(name)
 
     def ancestor_index(self, i: int, k: int) -> Optional[int]:

@@ -11,11 +11,15 @@ thresholds, and covered-mass reports are directly comparable across kinds.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Mapping
+from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, islice, product, repeat, tee
+from itertools import islice, product, repeat
+from operator import add
 from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
@@ -245,14 +249,32 @@ def graph_blocks(spec: ConstructionSpec, k: int, j: int, J: int) -> BlockMassMat
         spec_a=spec, spec_b=spec, meta={"J": J, "k": k})
 
 
-def _paired_levels(ca: Cursor, cb: Cursor, j: int, ticks: int, step_a: int,
-                   step_b: int) -> Iterator[Tuple[Optional[int], Optional[int]]]:
-    """Stage-j levels (za, zb) of the paired orbit for `ticks` ticks, each
-    advancing ca by step_a and cb by step_b.  zip asks ca first, so when
-    both escape at one tick ca's OrbitEscaped is raised.  Cursor.levels
-    refuses step sizes below 1 when called, before any tick."""
-    return zip(islice(ca.levels(j, step_a), ticks),
-               islice(cb.levels(j, step_b), ticks))
+# Ticks a paired orbit may run, N plus the largest advance: 10^7 took 1.5 s and 103 MB dispersing.
+MAX_TICKS = 10_000_000
+
+
+def _paired_codes(spec_a: ConstructionSpec, spec_b: ConstructionSpec, x_a: RationalLike,
+                  x_b: RationalLike, ticks: int, j: int, J: int, step_a: int, step_b: int):
+    """(codes, stage j of each system, the two cursors): `ticks` ticks of
+    the orbit of (x_a, x_b), x_a moved step_a steps and x_b step_b a tick,
+    as za * (h_b + 1) + zb for the stage-j levels, h_a or h_b where unborn.
+    Over MAX_TICKS is refused before any cursor is built; map asks the first
+    cursor first, so it is the one to escape when both do at one tick."""
+    if ticks > MAX_TICKS:
+        raise SpecError(f"{ticks} ticks requested, more than the limit of {MAX_TICKS}")
+    sa, sb = build_stage(spec_a, j), build_stage(spec_b, j)
+    ca = Cursor(spec_a, as_fraction(x_a), stage_budget=J)
+    cb = Cursor(spec_b, as_fraction(x_b), stage_budget=J)
+    return map(add, islice(ca.codes(j, step_a, sb.height + 1), ticks),
+               islice(cb.codes(j, step_b), ticks)), sa, sb, ca, cb
+
+
+def _block_counts(counts: Iterable[Tuple[int, int]], h_a: int, h_b: int
+                  ) -> Dict[BlockIndex, int]:
+    """The counts of the codes of blocks in the h_a x h_b grid, keyed by
+    block in the order given; codes with an unborn level are left out."""
+    return {BlockIndex(*z): c for code, c in counts
+            if (z := divmod(code, h_b + 1))[0] < h_a and z[1] < h_b}
 
 
 def empirical_joining(spec_a: ConstructionSpec, spec_b: ConstructionSpec,
@@ -264,23 +286,21 @@ def empirical_joining(spec_a: ConstructionSpec, spec_b: ConstructionSpec,
     by step_b (both default 1); the pair's stage-j levels index the block.
     Ticks with either point in spacer mass unborn at stage j count toward
     the residual.  Orbit refinement is capped at stage J; OrbitEscaped
-    propagates when the budget is insufficient.
+    propagates when the budget is insufficient.  N is at most MAX_TICKS;
+    the ticks are counted as they stream, so memory does not grow with N.
     """
     _check_resolution(j, J)
     if N < 1:
         raise SpecError("empirical joining needs N >= 1")
-    sa, sb = build_stage(spec_a, j), build_stage(spec_b, j)
-    ca = Cursor(spec_a, as_fraction(x_a), stage_budget=J)
-    cb = Cursor(spec_b, as_fraction(x_b), stage_budget=J)
-    counts = Counter(_paired_levels(ca, cb, j, N, step_a, step_b))
-    outside = sum(c for z, c in counts.items() if None in z)
+    codes, sa, sb, ca, cb = _paired_codes(spec_a, spec_b, x_a, x_b, N, j, J,
+                                          step_a, step_b)
+    blocks = _block_counts(Counter(codes).items(), sa.height, sb.height)
+    masses = {z: Fraction(c, N) for z, c in blocks.items()}
     Ra, Rb = ca.stage_obj.stage, cb.stage_obj.stage
     Ma, Mb = build_stage(spec_a, Ra).total, build_stage(spec_b, Rb).total
-    masses = {BlockIndex(*z): Fraction(c, N)
-              for z, c in counts.items() if None not in z}
     return BlockMassMatrix(
         kind="empirical", j=j, h_a=sa.height, h_b=sb.height, masses=masses,
-        residual=Fraction(outside, N), norm_a=Ma, norm_b=Mb,
+        residual=Fraction(N - sum(blocks.values()), N), norm_a=Ma, norm_b=Mb,
         level_mass_a=sa.width / Ma, level_mass_b=sb.width / Mb,
         base_mass=sb.width / Mb, spec_a=spec_a, spec_b=spec_b,
         meta={"J": J, "N": N, "seeds": (str(as_fraction(x_a)), str(as_fraction(x_b))),
@@ -351,8 +371,6 @@ def di_estimate(reports: Sequence[LightBlockReport]) -> Fraction:
     return min(max(r.covered_mass for r in group) for group in by_eps.values())
 
 
-# Ticks a dispersion experiment may list; 10^7 took about 2 s and 98 MB.
-MAX_TICKS = 10_000_000
 # Blocks one listing may print: 839,680 took 0.6 s in joining light, 1.4 s in joining blocks.
 MAX_BLOCKS = 1_000_000
 
@@ -386,31 +404,34 @@ def dispersion_experiment(spec_a: ConstructionSpec, spec_b: ConstructionSpec,
     if not n_list:
         raise SpecError("n_list must be nonempty")
     z = BlockIndex(*z)
-    ticks = N + max(max(n_list), 0)
-    if ticks > MAX_TICKS:
-        raise SpecError(f"{ticks} ticks requested, more than the limit of {MAX_TICKS}")
-    ca = Cursor(spec_a, as_fraction(x_a), stage_budget=J)
-    cb = Cursor(spec_b, as_fraction(x_b), stage_budget=J)
-    # one tuple per distinct pair, not per tick
-    pairs = tee(_paired_levels(ca, cb, j, ticks, step_a, step_b))
-    track = list(map({}.setdefault, *pairs))
-    hits = list(compress(range(N), map(z.__eq__, track)))
+    codes, sa, sb, _, _ = _paired_codes(spec_a, spec_b, x_a, x_b, N + max(max(n_list), 0),
+                                        j, J, step_a, step_b)
+    h_a, h_b = sa.height, sb.height
+    track = array("q") if (h_a + 1) * (h_b + 1) <= 1 << 63 else []  # int64: 8 B a tick
+    track.extend(codes)
+    hits, i = [], -1
+    if 0 <= z.z1 < h_a and 0 <= z.z2 < h_b:  # off the grid, z's code is another's
+        with suppress(ValueError):
+            while True:
+                i = track.index(z.z1 * (h_b + 1) + z.z2, i + 1, N)
+                hits.append(i)
     if not hits:
         raise SpecError(f"conditioning set empty: block {tuple(z)} has count 0 "
                         f"in the first {N} ticks")
     rows = []
     for n in n_list:
-        landed = [track[m + n] for m in hits if 0 <= m + n < len(track)]
+        # the hits m with m + n >= 0: m + n < ticks holds for every hit, m < N
+        landed = hits[bisect_left(hits, -n):]
         if not landed:
             raise SpecError(f"advance n={n} leaves no conditioned times in range")
         used = len(landed)
-        counts = Counter(b for b in landed if None not in b)
-        hist = {BlockIndex(*b): Fraction(c, used)
-                for b, c in sorted(counts.items())}
+        counts = Counter(map(track.__getitem__, map(n.__add__, landed)))
+        blocks = _block_counts(sorted(counts.items()), h_a, h_b)
+        hist = {b: Fraction(c, used) for b, c in blocks.items()}
         rows.append(DispersionRow(
             n=n, conditioning_count=used, histogram=hist,
             max_mass=max(hist.values(), default=Fraction(0)),
-            residual=Fraction(used - sum(counts.values()), used)))
+            residual=Fraction(used - sum(blocks.values()), used)))
     return tuple(rows)
 
 

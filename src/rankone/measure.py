@@ -46,9 +46,7 @@ def as_fraction(value: RationalLike) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}: {value!r}")
 

@@ -78,9 +78,8 @@ def bound_json(b: MeasureBound) -> Dict[str, str]:
 
 
 def meta_line(**params: object) -> str:
-    meta = {"tool_version": __version__}
-    meta.update(params)
-    return "# " + json.dumps(meta, sort_keys=True, separators=(", ", ": "))
+    return "# " + json.dumps({"tool_version": __version__, **params}, sort_keys=True,
+                             separators=(", ", ": "))
 
 
 class _Rendered(str):
@@ -146,8 +145,7 @@ def block_list(rows: Iterable[Tuple[int, Sequence[int]]], h_b: int, level: int) 
 
 
 def render_json(payload: object, **meta: object) -> str:
-    doc = {"meta": {"tool_version": __version__, **meta}, "data": payload}
-    return _render(doc)
+    return _render({"meta": {"tool_version": __version__, **meta}, "data": payload})
 
 
 class Table(NamedTuple):

@@ -3,8 +3,8 @@
 A set made of whole levels is an int bitset over the levels of its own
 stage, and one kernel, `_stage_counts`, gives mu(A intersect T^m B) at
 stage J for a range of shifts m as two count vectors, levels of B with
-i + m in A and levels pushed off the tower, from `_counts` (a shifted `&`
-each, `_hits`, and one prefix count per edge, `_escapes`) at the first
+i + m in A and levels pushed off the tower, from `_hits` (a shifted `&`
+each) and `_escapes` (one prefix count per edge) at the first
 stage taller than every |m|, plus the pairs that cross between adjacent
 copies above it; no stage-J set is built.  Escaped mass widens the upper
 bound.  Other callers: flow, joinings' graph_blocks and graph display;
@@ -58,19 +58,14 @@ def _entries(n: int, name: str) -> range:
     return range(n + 1)
 
 
-def _counts(a: int, b: int, ms: range, h: int) -> Tuple[List[int], List[int]]:
-    """(resolved, escaped) level counts of A intersect T^m B for each m in
-    ms, a range of step 1, for level bitsets a, b of a height-h tower."""
-    return _hits(a, b, ms), _escapes(b, ms, h)
-
-
 def _stage_counts(spec: ConstructionSpec, k: int, a: int, b: int, ms: range,
                   J: int) -> Tuple[List[int], List[int]]:
-    """_counts of the stage-J lifts of a, b, bitsets over the stage-k
-    levels, for the range ms, without building the lifts.
+    """(resolved, escaped) level counts of A intersect T^m B at stage J
+    for each m in the range ms, of step 1, for the lifts of a, b, bitsets
+    over the stage-k levels, without building the lifts.
 
     With Z = max|m|, the base is the first stage from k on taller than Z,
-    or J.  _counts runs there, on the lifts to the base.  Above it each
+    or J.  _hits and _escapes run there, on the lifts to the base.  Above it each
     stage t is r_t copies of stage t-1, which is taller than Z, so only
     adjacent copies c, c+1 meet under T^m; with spacer s_c between them,
     hits_t(m) = r_t hits_{t-1}(m) + sum_{c < r_t - 1} X_t(|m| - s_c).  For
@@ -88,7 +83,7 @@ def _stage_counts(spec: ConstructionSpec, k: int, a: int, b: int, ms: range,
     st, above = chain[i], chain[i + 1:]
     a, b = st.occurrence_bits(k, a), st.occurrence_bits(k, b)
     h = st.height
-    hits, outs = _counts(a, b, ms, h + sum(t.spacers[-1] for t in above))
+    hits, outs = _hits(a, b, ms), _escapes(b, ms, h + sum(t.spacers[-1] for t in above))
     neg, pos = range(ms.start, min(ms.stop, 0)), range(max(ms.start, 0), ms.stop)
     # X(w) for w = 1, 2, ...: a >> (h - w) & b for m < 0, b >> (h - w) & a for m > 0
     xn = _hits(a, b, range(h - 1, h + neg.start - 1, -1)) if neg else []

@@ -47,8 +47,8 @@ class OrbitPoint:
 
 
 # A cursor reads its orbit off copies of its coarse stage: the deepest
-# stage at most this many levels tall.  One copy is one slice of the stage
-# name in levels and of the stage's integer cells in point_runs.
+# stage at most this many levels tall.  One copy is one slice of the scaled
+# stage name in codes and of the stage's integer cells in point_runs.
 COARSE_LIMIT = 1024
 
 
@@ -57,19 +57,16 @@ class Cursor:
     level).  Stepping is O(1) integer work except at tower tops and bottoms,
     where the representation refines one stage and retries; advance(n)
     moves |n| steps, of the sign of n, with one add per tower top or bottom
-    it meets.
+    it meets.  level_at(k) is one descent; x is cell(index) * w + u.
 
-    Questions about a coarser stage k are answered per run, one copy of
-    the stage-k tower or one spacer run, by one descent
-    (TowerStage.ancestor_run); x is cell(index) * w + u.  The streams
-    levels(j) and point_runs() share one run walker, which reads the orbit
-    off the coarse stage m, the deepest stage at most COARSE_LIMIT levels
-    tall (never below j): a copy run starting at level lo holds the stage-m
-    levels 0..h_m-1, so levels slices the stage name of m
-    (TowerStage.stage_name) and point_runs reads the point at level i as
-    cells_m[i - lo] * w_m + cell(lo) * w + u, one integer numerator over
-    one denominator per run.  Each stream builds its word of m once per
-    coarse stage; the cursor keeps nothing between calls."""
+    The streams codes(j, step, scale) and point_runs() share one run
+    walker, which reads the orbit off the coarse stage m, the deepest stage
+    at most COARSE_LIMIT levels tall (never below j): a copy run starting
+    at level lo holds the stage-m levels 0..h_m-1, so codes slices the
+    scaled stage name of m (TowerStage.stage_name) and point_runs reads
+    the point at level i as cells_m[i - lo] * w_m + cell(lo) * w + u.
+    Each stream builds its word of m once per coarse stage; the cursor
+    keeps nothing between calls."""
 
     __slots__ = ("spec", "budget", "stage_obj", "index", "u", "refinements")
 
@@ -154,18 +151,7 @@ class Cursor:
     def level_at(self, j: int) -> Optional[int]:
         """Level of tower j currently occupied, or None while the point sits
         in spacer mass unborn at stage j."""
-        return self.level_run(j)[0]
-
-    def level_run(self, j: int) -> Tuple[Optional[int], int]:
-        """(level_at(j), levels left in its run from the current one up):
-        the next `left - 1` forward steps stay in the same stage-j copy,
-        one level up each, or in the same spacer run."""
-        if j > self.stage_obj.stage:
-            raise SpecError(f"cursor at stage {self.stage_obj.stage} cannot "
-                            f"answer for finer stage {j}")
-        i = self.index
-        lo, hi, copy = self.stage_obj.ancestor_run(i, j)
-        return (i - lo if copy else None), hi - i
+        return self.stage_obj.ancestor_index(self.index, j)
 
     def _runs(self, j: int, step: int, word: Callable[[TowerStage], Sequence]
               ) -> Iterator[Tuple[int, int, int, bool, TowerStage, Sequence]]:
@@ -188,18 +174,18 @@ class Cursor:
             self.advance(n, done)
             done += n
 
-    def levels(self, j: int, step: int = 1) -> Iterator[Optional[int]]:
-        """The stage-j level of each tick of the orbit (None in spacer
-        mass unborn at stage j), tick 0 at the current point refined to
-        stage j and each later tick `step` forward steps on: one slice of
-        a stage name per coarse copy, or one run of None per spacer run,
-        so ticks cost C-level work."""
+    def codes(self, j: int, step: int = 1, scale: int = 1) -> Iterator[int]:
+        """scale times the stage-j level of each tick of the orbit, and
+        scale * h_j at ticks in spacer mass unborn at stage j; tick 0 is the
+        current point refined to stage j and each later tick `step` forward
+        steps on.  One slice of the coarse stage's scaled name per copy, or
+        one repeat per spacer run, so ticks cost C-level work."""
         if step < 1:
             raise SpecError("step sizes must be >= 1")
+        unborn = scale * build_stage(self.spec, j).height
         return chain.from_iterable(
-            name[i - lo:hi - lo:step] if copy else repeat(None, -(-(hi - i) // step))
-            for lo, i, hi, copy, _, name in self._runs(
-                j, step, lambda m: m.stage_name(j)))
+            name[i - lo:hi - lo:step] if copy else repeat(unborn, -(-(hi - i) // step))
+            for lo, i, hi, copy, _, name in self._runs(j, step, lambda m: m.stage_name(j, scale)))
 
     def point_runs(self) -> Iterator[Tuple[int, Iterator[int]]]:
         """The orbit from the current point, one run per item: (den, numerators)

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import rankone
+from rankone import stats
 from rankone.averaging import WeightSequence
 from rankone.construction import build_stage
 from rankone.errors import SpecError
@@ -233,7 +234,35 @@ def as_dict(w):
     return dict(w.weights)
 
 
+# -------------------------------------------------------------- count kernel
+
+def counts(a, b, ms, h):
+    """(resolved, escaped) level counts of A intersect T^m B for each m in
+    ms, a range of step 1, for level bitsets a, b of a height-h tower: the
+    count kernel on one stage's own bitsets, which stats._stage_counts
+    must agree with on the stage-J lifts."""
+    return stats._hits(a, b, ms), stats._escapes(b, ms, h)
+
+
 # ------------------------------------------------------------------ Cursor
+
+def level_run(cur, j):
+    """(cur.level_at(j), levels left in its run from the current one up):
+    the next `left - 1` forward steps stay in the same stage-j copy, one
+    level up each, or in the same spacer run."""
+    i = cur.index
+    lo, hi, copy = cur.stage_obj.ancestor_run(i, j)
+    return (i - lo if copy else None), hi - i
+
+
+def levels(cur, j, step=1):
+    """The stage-j level of each tick of the cursor's orbit, None in spacer
+    mass unborn at stage j: Cursor.codes(j, step) with its unborn code
+    h_j read as None."""
+    codes = cur.codes(j, step)
+    unborn = build_stage(cur.spec, j).height
+    return (None if c == unborn else c for c in codes)
+
 
 def points(cur):
     """The point at each forward step of the cursor's orbit, tick 0 the

@@ -50,7 +50,7 @@ from rankone.measure import (
 )
 from rankone.stats import correlation, return_profile
 from rankone.transform import power_image
-from helpers import is_subset_of, l2_inner, lifted_bits, run_capped
+from helpers import counts, is_subset_of, l2_inner, lifted_bits, run_capped
 
 PRESETS = (ConstructionSpec.odometer(), ConstructionSpec.staircase(),
            ConstructionSpec.chacon())
@@ -237,12 +237,12 @@ def test_count_kernel_matches_per_shift_overlap(spec, data):
     for _ in range(3):
         start = data.draw(st.integers(-h - 3, h + 3) | edges)
         ms = range(start, start + data.draw(st.integers(0, min(2 * h + 6, 300))))
-        hits, outs = stats._counts(a, b, ms, h)
+        hits, outs = counts(a, b, ms, h)
         assert len(hits) == len(outs) == len(ms)
         assert list(zip(hits, outs)) == [oracle_overlap(a, b, m, h) for m in ms]
     huge = h + 10**12
     for m in (-huge, huge):
-        assert stats._counts(a, b, range(m, m + 1), h) == tuple(
+        assert counts(a, b, range(m, m + 1), h) == tuple(
             [n] for n in oracle_overlap(a, b, m, h))
 
 
@@ -280,7 +280,7 @@ def test_stage_counts_match_counts_on_stage_J_lifts(spec, data):
         ranges.append(range(lo, min(top, lo + 600)))
     for ms in ranges:
         assert stats._stage_counts(spec, k, a_k, b_k, ms, J) == \
-            stats._counts(a_J, b_J, ms, h), ms
+            counts(a_J, b_J, ms, h), ms
 
 
 @settings(max_examples=40, deadline=None)

@@ -26,7 +26,7 @@ from rankone.persist import BOUND_COLUMNS, Table, render_table
 from rankone.stats import (ReturnProfile, correlation_series, max_profile,
                            return_profile, window_sums)
 from rankone.transform import power_image
-from helpers import lifted_bits
+from helpers import counts, lifted_bits
 
 PRESETS = (ConstructionSpec.odometer(), ConstructionSpec.staircase(),
            ConstructionSpec.chacon(), ConstructionSpec.staircase(h1=3))
@@ -55,7 +55,7 @@ def oracle_profile(spec, j, J, z_max):
     B = stJ.occurrence_bits(j)
     count = B.bit_count()
     zs = range(z_max + 1)
-    return oracle_bounds(zs, *stats._counts(B, B, zs, stJ.height), count,
+    return oracle_bounds(zs, *counts(B, B, zs, stJ.height), count,
                          lambda n: F(n, count))
 
 
@@ -64,7 +64,7 @@ def oracle_correlations(spec, A, B, ms, J):
     a = lifted_bits(stJ, A)
     b = lifted_bits(stJ, B) if a is not None else None
     if b is not None:
-        return oracle_bounds(ms, *stats._counts(a, b, ms, stJ.height),
+        return oracle_bounds(ms, *counts(a, b, ms, stJ.height),
                              min(a.bit_count(), b.bit_count()), lambda n: n * stJ.width)
     values = {}
     for m in ms:

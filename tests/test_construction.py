@@ -460,14 +460,20 @@ class TestAncestorRuns:
     @given(st.one_of(st.sampled_from(PRESETS + (ConstructionSpec.staircase(h1=3),)),
                      st.integers(0, 10_000).map(ConstructionSpec.random_spacers)),
            st.integers(min_value=1, max_value=6),
-           st.integers(min_value=1, max_value=6))
-    def test_stage_name_is_every_ancestor(self, spec, R, j):
+           st.integers(min_value=1, max_value=6),
+           st.sampled_from([1, 2, 7, 10 ** 6]))
+    def test_stage_name_is_every_ancestor(self, spec, R, j, scale):
+        # unborn levels read as scale * h_j; stage j's own name stays a
+        # range, however tall the stage
         j = min(j, R)
         stR = build_stage(spec, R)
-        name = stR.stage_name(j)
-        assert list(name) == [oracle_ancestor(stR, i, j)
-                              for i in range(stR.height)]
+        unborn = scale * build_stage(spec, j).height
+        name = stR.stage_name(j, scale)
+        assert list(name) == [unborn if a is None else scale * a
+                              for a in (oracle_ancestor(stR, i, j)
+                                        for i in range(stR.height))]
         assert isinstance(name, range if j == R else tuple)
+        assert list(stR.stage_name(j)) == list(stR.stage_name(j, 1))
         for bad in (0, R + 1):
             with pytest.raises(SpecError):
                 stR.stage_name(bad)

@@ -6,6 +6,8 @@ import dataclasses
 import io
 import json
 import time
+import tracemalloc
+from array import array
 from fractions import Fraction as F
 from itertools import groupby, product
 from operator import itemgetter
@@ -327,6 +329,88 @@ def test_empirical_validation():
         empirical_joining(ODO, ODO, 0, 0, 10, 2, 8, step_a=0)
 
 
+EMPIRICAL_ARGVS = [
+    ("joining", "blocks", "--kind", "empirical", "--j", "2"),
+    ("joining", "light", "--kind", "empirical", "--j", "2", "--epsilon", "1/2"),
+    ("joining", "di", "--kind", "empirical", "--stages", "2,3", "--epsilons", "1/2,1/4"),
+    ("joining", "trivialize", "--kind", "empirical", "--j", "2", "--delta", "1/2",
+     "--w", "0", "--shifts", "0", "--A", "0", "--B", "0", "--cond-stage", "1"),
+    ("flow", "bands", "--matrix", "empirical", "--spec", "odometer", "--alpha", "2",
+     "--j", "2", "--side", "right", "--offsets", "0"),
+]
+
+
+def test_empirical_refuses_too_many_ticks_before_any_cursor(monkeypatch):
+    built = []
+
+    def cursor(*a, **kw):
+        built.append(a)
+        raise SpecError("cursor built")
+
+    monkeypatch.setattr(joinings, "Cursor", cursor)
+    limit = joinings.MAX_TICKS
+    with pytest.raises(SpecError) as exc:
+        empirical_joining(ODO, ODO, 0, F(1, 3), limit + 1, 2, 40)
+    assert str(exc.value) == f"{limit + 1} ticks requested, more than the limit of {limit}"
+    assert built == []
+    pair = ("--x-a", "0/1", "--x-b", "1/3", "--res", "40", "--stage-budget", "40")
+    for argv in EMPIRICAL_ARGVS:
+        spec = () if argv[0] == "flow" else ("--spec-a", "odometer", "--spec-b", "odometer")
+        assert run_cli(*argv, *spec, *pair, "-N", str(limit + 1)) == (
+            2, "", f"error: {limit + 1} ticks requested, more than the limit of {limit}\n")
+    assert built == []
+    # the limit itself is allowed: the joining goes on to build its cursors
+    with pytest.raises(SpecError, match="cursor built"):
+        empirical_joining(ODO, ODO, 0, F(1, 3), limit, 2, 40)
+    assert len(built) == 1
+
+
+def traced_peak(fn, *args):
+    """The peak of the memory tracemalloc traces while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_empirical_joining_memory_does_not_grow_with_N():
+    # the ticks are counted as they stream: 100 times the ticks, a peak
+    # within a few KB (the Counter of distinct codes and the coarse words);
+    # a list of ticks would add 8 B or more a tick, 7.9 MB here
+    spec = ConstructionSpec.odometer(max_stage=24)
+    args = (spec, spec, F(1, 3), F(2, 5))
+    empirical_joining(*args, 10 ** 6, 4, 24)  # build the stages first
+    small, large = (traced_peak(empirical_joining, *args, N, 4, 24)
+                    for N in (10 ** 4, 10 ** 6))
+    assert large - small < 64 * 1024, (small, large)
+
+
+def test_dispersion_track_holds_8_bytes_a_tick(monkeypatch):
+    # odometer x chacon at j = 4 (towers 16 and 40 tall) has codes up to
+    # 16 * 41 + 40, mostly past 256, each a fresh int object in a list (8 B
+    # a pointer and 28 B an int a tick); the track is one int64 array, 8 B
+    # a tick plus its growth headroom of at most 1/16, and the whole call
+    # grows by under 10 B a tick (the hits, 1 tick in 640 here, included)
+    tracks = []
+
+    def int64_array(typecode):
+        tracks.append(array(typecode))
+        return tracks[-1]
+
+    monkeypatch.setattr(joinings, "array", int64_array)
+    a, b = ConstructionSpec.odometer(max_stage=24), ConstructionSpec.chacon(max_stage=24)
+    args = (a, b, 0, 0)
+    rest = (BlockIndex(0, 0), [0, 5], 4, 24)
+    dispersion_experiment(*args, 10 ** 6, *rest)  # build the stages first
+    small, large = (traced_peak(dispersion_experiment, *args, N, *rest)
+                    for N in (10 ** 4, 10 ** 6))
+    assert [(t.typecode, t.itemsize, len(t)) for t in tracks] == [
+        ("q", 8, N + 5) for N in (10 ** 6, 10 ** 4, 10 ** 6)]
+    assert (large - small) / (10 ** 6 - 10 ** 4) < 10, (small, large)
+
+
 # ---------------------------------------------------------------- light blocks
 
 def test_light_product_threshold_flip():
@@ -573,6 +657,31 @@ def test_dispersion_empty_conditioning_refused():
         dispersion_experiment(ODO, ODO, 0, 0, 40, BlockIndex(0, 1), [1], 2, 8)
 
 
+@pytest.mark.parametrize("z, alias", [
+    # z off the h_a x h_b grid, and the block its code za * (h_b + 1) + zb
+    # would read as: another block, or a tick with an unborn level
+    (lambda ha, hb: (0, hb + 1), (1, 0)),
+    (lambda ha, hb: (0, hb), (0, None)),
+    (lambda ha, hb: (ha, 0), (None, 0)),
+    (lambda ha, hb: (-1, hb + 1), (0, 0)),
+    (lambda ha, hb: (1, -1), (0, None)),
+    (lambda ha, hb: (2, -hb - 1), (1, 0)),
+    (lambda ha, hb: (0, -1), None),
+], ids=["next row", "b unborn", "a unborn", "negative row", "negative column",
+        "row back", "below the grid"])
+def test_dispersion_refuses_blocks_off_the_grid(z, alias):
+    # ST2 x ST3 at j = 2 (towers 2 and 3 tall) visits every alias block
+    args = (ST2, ST3, 0, F(1, 3), 3000)
+    rest = ([0, 1], 2, 10, 1, 1)
+    track, _, _ = oracle_ticks(*args, 2, 10, 1, 1)
+    assert alias is None or alias in track
+    z = BlockIndex(*z(2, 3))
+    got = outcome(dispersion_experiment, *args, z, *rest)
+    assert got == outcome(oracle_dispersion_experiment, *args, z, *rest)
+    assert got == (SpecError, f"conditioning set empty: block {tuple(z)} has "
+                              f"count 0 in the first 3000 ticks")
+
+
 def test_dispersion_refuses_too_many_ticks_before_any_cursor(monkeypatch):
     built = []
 
@@ -699,6 +808,33 @@ def test_paired_orbits_match_per_tick_oracle(spec_a, spec_b, x_a, x_b, N, j,
     slow = (outcome(oracle_empirical_joining, *args),
             outcome(oracle_dispersion_experiment, *d_args))
     assert fast == slow
+
+
+def test_paired_orbits_past_int64_codes_in_a_capped_child():
+    # odometer stage 32 is 2^32 levels tall: codes pass 2^63, so the track
+    # is a list, and the stage-32 cursors read stage 32 itself as their
+    # coarse stage, whose name must stay a range (as a list it would not
+    # fit in the 512 MB cap)
+    spec = ConstructionSpec.odometer(max_stage=33)
+    cur = Cursor(spec, F(1, 3))
+    cur.refine_to(32)
+    z = BlockIndex(0, cur.level_at(32))
+    d_args = (spec, spec, 0, F(1, 3), 60, z, [0, 1, 7], 32, 33, 1, 1)
+    common = ("--x-a", "0/1", "--x-b", "1/3", "-N", "60", "--j", "32", "--res", "33",
+              "--stage-budget", "33", "--spec-a", "odometer", "--spec-b", "odometer")
+    proc, _ = run_capped(["-m", "rankone.cli", "joining", "disperse", *common,
+                          "--z", f"0,{z.z2}", "--n-list", "0,1,7"])
+    assert proc.returncode == 0, proc.stderr
+    assert [(r["n"], r["count"], r["histogram"]) for r in json.loads(proc.stdout)["data"]] == [
+        (r.n, r.conditioning_count, {f"{b.z1},{b.z2}": f"{v.numerator}/{v.denominator}"
+                                     for b, v in r.histogram.items()})
+        for r in oracle_dispersion_experiment(*d_args)]
+    proc, _ = run_capped(["-m", "rankone.cli", "joining", "blocks", "--kind", "empirical",
+                          *common, "--format", "json"])
+    assert proc.returncode == 0, proc.stderr
+    m = oracle_empirical_joining(spec, spec, 0, F(1, 3), 60, 32, 33, 1, 1)
+    assert json.loads(proc.stdout)["data"] == {
+        f"{b.z1},{b.z2}": f"{v.numerator}/{v.denominator}" for b, v in m.masses.items()}
 
 
 @pytest.mark.parametrize("x_a, x_b, point, steps_done", [

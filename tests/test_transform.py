@@ -20,8 +20,8 @@ from rankone.measure import (
 from rankone import transform
 from rankone.persist import frac_str, frac_strs
 from rankone.transform import Cursor, OrbitPoint, apply_power, power_image
-from helpers import (ambient, contains, is_exact, level_lo, points, set_difference, shifted,
-                     top)
+from helpers import (ambient, contains, is_exact, level_lo, level_run, levels, points,
+                     set_difference, shifted, top)
 
 F = Fraction
 
@@ -274,7 +274,7 @@ class TestCursorRuns:
                     continue
                 z = st_.ancestor_index(i, j)
                 assert cur.level_at(j) == z
-                z2, left = cur.level_run(j)
+                z2, left = level_run(cur, j)
                 assert z2 == z and left >= 1
                 # the run goes on, one level up per step, exactly `left` levels
                 end = st_.ancestor_index(i + left - 1, j)
@@ -328,18 +328,18 @@ class TestCursorRuns:
                                 max_stage=3)
         cur = Cursor(spec, 1)
         assert (cur.stage_obj.stage, cur.index) == (2, 4)
-        assert cur.level_run(1) == (None, 1)
+        assert level_run(cur, 1) == (None, 1)
         assert cur.x == 1
         cur.refine_to(3)
         assert (cur.stage_obj.stage, cur.index) == (3, 4)
-        assert cur.level_run(1) == (None, 2)
+        assert level_run(cur, 1) == (None, 2)
         assert cur.x == 1
 
     @pytest.mark.parametrize("spec, j, step", [
         (WALK_SPECS[1], 3, 1), (WALK_SPECS[2], 2, 2), (WALK_SPECS[3], 3, 3)])
     def test_levels_match_single_steps(self, spec, j, step):
         # one range per run against level_at after each single step
-        stream = Cursor(spec, F(2, 7), stage_budget=9).levels(j, step)
+        stream = levels(Cursor(spec, F(2, 7), stage_budget=9), j, step)
         cur = Cursor(spec, F(2, 7), stage_budget=9)
         cur.refine_to(j)
         for _ in range(400):
@@ -348,7 +348,7 @@ class TestCursorRuns:
                 cur.step_forward()
         for bad in (0, -1):
             with pytest.raises(SpecError, match="step sizes must be >= 1"):
-                cur.levels(j, bad)
+                levels(cur, j, bad)
 
     def test_run_cache_follows_refinement(self):
         # the odometer orbit of 1/3 refines 12 times in 3000 steps, from
@@ -465,13 +465,39 @@ class TestCoarseRuns:
         with mock.patch.object(transform, "COARSE_LIMIT", limit):
             cur = Cursor(spec, x, stage_budget=budget)
             try:
-                for z in islice(cur.levels(j, step), ticks):
+                for z in islice(levels(cur, j, step), ticks):
                     got.append(z)
             except OrbitEscaped as exc:
                 assert escape_outcome(exc) == end
             else:
                 assert cur.stage_obj.stage == end
         assert got == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(COARSE_SPECS), STARTS, COARSE_LIMITS,
+           st.integers(min_value=1, max_value=7),
+           st.integers(min_value=1, max_value=4),
+           st.integers(min_value=1, max_value=3),
+           st.integers(min_value=1, max_value=600),
+           st.integers(min_value=1, max_value=10 ** 7))
+    def test_codes_are_scaled_levels(self, spec, x, limit, budget, j, step,
+                                     ticks, scale):
+        # scale * z for a stage-j level z, scale * h_j for an unborn one
+        budget = min(budget, spec.max_stage)
+        if j > budget:
+            return
+        expected, end = oracle_levels(spec, x, budget, j, step, ticks)
+        h = build_stage(spec, j).height
+        got = []
+        with mock.patch.object(transform, "COARSE_LIMIT", limit):
+            cur = Cursor(spec, x, stage_budget=budget)
+            try:
+                got.extend(islice(cur.codes(j, step, scale), ticks))
+            except OrbitEscaped as exc:
+                assert escape_outcome(exc) == end
+            else:
+                assert cur.stage_obj.stage == end
+        assert got == [scale * (h if z is None else z) for z in expected]
 
     @settings(max_examples=120, deadline=None)
     @given(st.sampled_from(COARSE_SPECS), STARTS, COARSE_LIMITS,
@@ -535,7 +561,7 @@ class TestCoarseRuns:
             ticks = 2 * build_stage(spec, 7).height
             got = []
             with pytest.raises(OrbitEscaped) as exc:
-                got.extend(islice(cur.levels(3, 2), ticks))
+                got.extend(islice(levels(cur, 3, 2), ticks))
         expected, end = oracle_levels(spec, F(1, 3), 7, 3, 2, ticks)
         assert escape_outcome(exc.value) == end
         assert got == expected and None in got
