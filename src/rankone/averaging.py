@@ -7,8 +7,8 @@ forward z steps at a chosen resolution; adjoint composition collapses to
 the convolution b^w = sum_z a^{w+z} a^z, and the L2 deviation of P f from
 its mean is enclosed exactly, with escaped mass charged at its worst
 possible pointwise value.  average_apply builds P f on the stage-J levels;
-average_moments gives the norm, integral and escape the deviation needs
-from pair counts on stage-J level bitsets, without building P f.
+average_moments reads the norm, integral and escape from stats' lag
+counts, building neither P f nor any stage-J set.
 """
 
 from __future__ import annotations
@@ -18,14 +18,13 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, groupby, product
-from operator import mul
 from typing import Dict, List, Tuple, Union
 
 from .construction import ConstructionSpec, TowerStage, build_stage
 from .errors import SpecError
 from .measure import (Interval, IntervalSet, MeasureBound, RationalLike,
                       StepFunction, as_fraction, canonicalize)
-from .stats import _escapes, _hits
+from .stats import _stage_counts
 
 Segment = Tuple[Fraction, Fraction, Fraction]
 
@@ -62,10 +61,6 @@ class WeightSequence:
         object.__setattr__(self, "weights", kept)
 
     @classmethod
-    def from_dict(cls, weights: Dict[int, RationalLike]) -> "WeightSequence":
-        return cls(tuple((z, as_fraction(a)) for z, a in weights.items()))
-
-    @classmethod
     def uniform(cls, n: int) -> "WeightSequence":
         if n < 1:
             raise SpecError("uniform weights need n >= 1")
@@ -88,7 +83,7 @@ def _correlate(xs: Dict[int, int], ys: Dict[int, int]) -> Dict[int, int]:
     ints on nonnegative keys: a pair loop when the keys are sparse, else one
     big-int product with a byte slot per key lo..hi (Kronecker substitution);
     xs is packed from lo up and ys from hi down, so slot e holds lag e + 1 - n."""
-    lo, hi = min(*xs, *ys), max(*xs, *ys)
+    lo, hi = min([*xs, *ys], default=0), max([*xs, *ys], default=0)
     n, out = hi - lo + 1, {}
     if len(xs) * len(ys) <= 4 * n:
         for (k, x), (i, y) in product(xs.items(), ys.items()):
@@ -212,8 +207,8 @@ def average_moments(spec: ConstructionSpec, w: WeightSequence, f: StepFunction,
       escaped = w_J/D sum_k (hi_k - lo_k) sum_z n_z tail_k(z)
       ||P f||^2 = w_J/D^2 sum_kl v_k v_l |[lo_k, hi_k) cap [lo_l, hi_l)|
                   (sum_m b_m X_kl(m) - sum_{t >= h_J} c_k(t) c_l(t))
-    Shifts z >= h_J only escape; c reads only the top max z levels.  Cost:
-    one h_J-bit `&` (stats._hits) per lag m >= 0 of b and class pair.
+    Shifts z >= h_J only escape.  Cost: one stats._stage_counts per class
+    pair at b's lags, from the deepest class stage; the diagonal gives |S_k|, tail_k, c.
     """
     st = build_stage(spec, J)
     h, width = st.height, st.width
@@ -221,26 +216,29 @@ def average_moments(spec: ConstructionSpec, w: WeightSequence, f: StepFunction,
     near = {z: n for z, n in ns.items() if z < h}
     L = max(near, default=0)
     # b_m for m >= 0, with b_{-m} = b_m folded in
-    b = {m: (2 if m else 1) * v for m, v in sorted(_correlate(near, near).items())
-         if m >= 0} if near else {}
+    b = {m: (2 if m else 1) * v for m, v in _correlate(near, near).items() if m >= 0}
+    sets = [(piece, st.level_bits(canonicalize(Interval(c0 * width, c1 * width)
+                                               for c0, c1 in cells)))
+            for piece, cells in _cells(f, st).items()]
+    k = max((kb[0] for _, kb in sets), default=J)
+    lags = sorted({*b, L})  # b's lags, and L for the tails up to it
     classes = []
-    for piece, cells in _cells(f, st).items():
-        s = st.occurrence_bits(*st.level_bits(canonicalize(
-            Interval(c0 * width, c1 * width) for c0, c1 in cells)))
-        tails = _escapes(s, range(L + 1), h)
-        out = ((D - sum(near.values())) * s.bit_count()
-               + sum(n * tails[z] for z, n in near.items()))
-        # c_k(h - 1 + m) is c[m], from the top L levels u = h - 1 - r of S_k
-        top = {r: 1 for r, bit in enumerate(f"{s >> (h - L):0{L}b}") if bit == "1"}
-        classes.append((piece, s, out, _correlate(near, top) if top else {}))
+    for piece, kb in sets:
+        s = build_stage(spec, k).occurrence_bits(*kb)
+        hits, tails = _stage_counts(spec, k, s, s, lags, J)  # hits[0] = |S_k|
+        out = (D - sum(near.values())) * hits[0] + sum(n * tails[z] for z, n in near.items())
+        # c_k(h - 1 + m) = c[m]; level h - 1 - r is in S_k iff tail_k steps at r
+        top = {r: 1 for r in range(L) if tails[r + 1] > tails[r]}
+        classes.append((piece, s, hits, out, _correlate(near, top)))
     sq = integral = escaped = Fraction(0)
-    for (lo, hi, v), s, out, c in classes:
-        integral += v * (hi - lo) * (D * s.bit_count() - out)
+    for (lo, hi, v), s, hits, out, c in classes:
+        integral += v * (hi - lo) * (D * hits[0] - out)
         escaped += (hi - lo) * out
-        for (lo2, hi2, v2), s2, _, c2 in classes:
+        for (lo2, hi2, v2), s2, _, _, c2 in classes:
             if min(hi, hi2) > max(lo, lo2):
-                pairs = sum(map(mul, b.values(), _hits(s2, s, b)))
-                pairs -= sum(x * c2.get(m, 0) for m, x in c.items() if m > 0)
+                x = hits if s2 == s else _stage_counts(spec, k, s2, s, lags, J)[0]
+                pairs = sum(b.get(m, 0) * n for m, n in zip(lags, x))
+                pairs -= sum(y * c2.get(m, 0) for m, y in c.items() if m > 0)
                 sq += v * v2 * (min(hi, hi2) - max(lo, lo2)) * pairs
     return (width * sq / (D * D), width * integral / D,
             MeasureBound.exact(width * escaped / D))

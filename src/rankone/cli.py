@@ -217,11 +217,11 @@ def cmd_blum_hanson(args: argparse.Namespace) -> str:
         raw = json.loads(Path(args.weights).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise SpecError(f"cannot read weights file {args.weights}: {exc}") from None
-    if not isinstance(raw, dict):
-        raise SpecError("weights file must be a JSON object mapping z to num/den")
-    try:
-        w = WeightSequence.from_dict({int(z): parse_frac(str(v))
-                                      for z, v in raw.items()})
+    # floats are refused: json.loads has already rounded them to binary
+    if not isinstance(raw, dict) or {type(v) for v in raw.values()} - {str, int}:
+        raise SpecError("weights file must be a JSON object mapping z to num/den or an int")
+    try:  # as pairs, so that keys naming one z are refused as duplicates
+        w = WeightSequence(tuple((int(z), parse_frac(str(v))) for z, v in raw.items()))
     except ValueError as exc:
         raise SpecError(f"bad weights file: {exc}") from None
     F = level_set(spec, args.j, parse_int_list(args.f, "--f"))

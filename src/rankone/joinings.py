@@ -399,22 +399,22 @@ def dispersion_experiment(spec_a: ConstructionSpec, spec_b: ConstructionSpec,
     blocks under some advance n is the spreading mechanism this probes.
     """
     _check_resolution(j, J)
+    z, h_a, h_b = BlockIndex(*z), build_stage(spec_a, j).height, build_stage(spec_b, j).height
+    if not (0 <= z.z1 < h_a and 0 <= z.z2 < h_b):  # off the grid, z's code is another's
+        raise SpecError(f"block {tuple(z)} is off the {h_a} x {h_b} grid of stage {j}")
     if N < 1:
         raise SpecError("dispersion experiment needs N >= 1")
     if not n_list:
         raise SpecError("n_list must be nonempty")
-    z = BlockIndex(*z)
-    codes, sa, sb, _, _ = _paired_codes(spec_a, spec_b, x_a, x_b, N + max(max(n_list), 0),
-                                        j, J, step_a, step_b)
-    h_a, h_b = sa.height, sb.height
+    codes, *_ = _paired_codes(spec_a, spec_b, x_a, x_b, N + max(max(n_list), 0),
+                              j, J, step_a, step_b)
     track = array("q") if (h_a + 1) * (h_b + 1) <= 1 << 63 else []  # int64: 8 B a tick
     track.extend(codes)
     hits, i = [], -1
-    if 0 <= z.z1 < h_a and 0 <= z.z2 < h_b:  # off the grid, z's code is another's
-        with suppress(ValueError):
-            while True:
-                i = track.index(z.z1 * (h_b + 1) + z.z2, i + 1, N)
-                hits.append(i)
+    with suppress(ValueError):
+        while True:
+            i = track.index(z.z1 * (h_b + 1) + z.z2, i + 1, N)
+            hits.append(i)
     if not hits:
         raise SpecError(f"conditioning set empty: block {tuple(z)} has count 0 "
                         f"in the first {N} ticks")

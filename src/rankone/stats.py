@@ -1,14 +1,12 @@
 """Return-time statistics with two-sided bounds.
 
-A set made of whole levels is an int bitset over the levels of its own
-stage, and one kernel, `_stage_counts`, gives mu(A intersect T^m B) at
-stage J for a range of shifts m as two count vectors, levels of B with
-i + m in A and levels pushed off the tower, from `_hits` (a shifted `&`
-each) and `_escapes` (one prefix count per edge) at the first
-stage taller than every |m|, plus the pairs that cross between adjacent
-copies above it; no stage-J set is built.  Escaped mass widens the upper
-bound.  Other callers: flow, joinings' graph_blocks and graph display;
-averaging.average_moments runs `_hits` and `_escapes` on stage-J sets.
+A set made of whole levels is an int bitset over its own stage's levels.
+One kernel, `_stage_counts`, counts mu(A intersect T^m B) at stage J over
+a range or list of m as levels of B with i + m in A and levels off the
+tower: `_hits` (a shifted `&` each) and `_escapes` (a prefix count per
+edge) at the first stage taller than every |m|, plus the pairs crossing
+between adjacent copies above it, with no stage-J set.  Escaped mass
+widens the upper bound.  Other callers: flow, joinings' graph views, averaging.
 
 Bound tables are measure.BoundSeries, the counts as numerators over one
 shared denominator: |S| for a^z_j = mu(T^z E_j | E_j), S the occurrences of
@@ -22,7 +20,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import prod
 from operator import add, sub
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple, Union
@@ -58,11 +56,12 @@ def _entries(n: int, name: str) -> range:
     return range(n + 1)
 
 
-def _stage_counts(spec: ConstructionSpec, k: int, a: int, b: int, ms: range,
-                  J: int) -> Tuple[List[int], List[int]]:
-    """(resolved, escaped) level counts of A intersect T^m B at stage J
-    for each m in the range ms, of step 1, for the lifts of a, b, bitsets
-    over the stage-k levels, without building the lifts.
+def _stage_counts(spec: ConstructionSpec, k: int, a: int, b: int,
+                  ms: Sequence[int], J: int) -> Tuple[List[int], List[int]]:
+    """(resolved, escaped) level counts of A intersect T^m B at stage J for
+    the lifts of a, b, bitsets over the stage-k levels, without building the
+    lifts: resolved at each m in ms (a range of step 1 or a sorted list),
+    escaped at each m from ms[0] to ms[-1].
 
     With Z = max|m|, the base is the first stage from k on taller than Z,
     or J.  _hits and _escapes run there, on the lifts to the base.  Above it each
@@ -73,28 +72,32 @@ def _stage_counts(spec: ConstructionSpec, k: int, a: int, b: int, ms: range,
     that land on A in its bottom w; m < 0 swaps A and B.  Stage t-1's
     bottom is the base's, and its top is the base's pushed up by S_t, the
     last-column spacers s_{r-1} of the stages between: so X_t(w) =
-    X(w - S_t), X read once on the base sets, and the escapes at J are
-    _escapes at the base height plus S_{J+1}.  Cost: two shifted `&`s per
-    lag at the base, and O(Z) adds per distinct spacer of each stage above.
+    X(w - S_t), X read on the base sets where some m needs it, and the
+    escapes at J are _escapes at the base height plus S_{J+1}.  Cost: two
+    shifted `&`s per lag at the base, and O(Z) adds per distinct spacer above.
     """
-    z = max(-ms.start, ms.stop - 1, 0)
+    span = range(ms[0], ms[-1] + 1) if ms else ms
+    dense = len(span) == len(ms)  # a range, or a list without gaps
+    z = max(-span.start, span.stop - 1, 0)
     chain = _stages(spec, k, J)
     i = next((i for i, t in enumerate(chain) if t.height > z), len(chain) - 1)
     st, above = chain[i], chain[i + 1:]
-    a, b = st.occurrence_bits(k, a), st.occurrence_bits(k, b)
-    h = st.height
-    hits, outs = _hits(a, b, ms), _escapes(b, ms, h + sum(t.spacers[-1] for t in above))
-    neg, pos = range(ms.start, min(ms.stop, 0)), range(max(ms.start, 0), ms.stop)
-    # X(w) for w = 1, 2, ...: a >> (h - w) & b for m < 0, b >> (h - w) & a for m > 0
-    xn = _hits(a, b, range(h - 1, h + neg.start - 1, -1)) if neg else []
-    xp = _hits(b, a, range(h - 1, h - pos.stop, -1)) if pos else []
-    up = 0  # S_t
-    for t in above:
-        shifts = [s + up for s in t.spacers[:-1] if s + up < z]
-        cross = _cross(xn, shifts)[-neg.start:-neg.stop:-1] if neg else []
-        cross += _cross(xp, shifts)[pos.start:] if pos else []
+    a, b, h = st.occurrence_bits(k, a), st.occurrence_bits(k, b), st.height
+    hits, outs = _hits(a, b, ms), _escapes(b, span, h + sum(t.spacers[-1] for t in above))
+    ups = accumulate((t.spacers[-1] for t in above), initial=0)  # S_t
+    shifts = [[s + up for s in t.spacers[:-1] if s + up < z] for t, up in zip(above, ups)]
+    need = range(min(span.start, 0), max(span.stop, 0)) if dense and any(shifts) else {
+        m - s if m > 0 else m + s for m in ms if m for sh in shifts for s in sh}
+    neg, pos = range(span.start, min(span.stop, 0)), range(max(span.start, 0), span.stop)
+    # X(|w|) where some m needs it: a >> (h + w) & b for m < 0, b >> (h - w) & a for m > 0
+    x = {w: (a >> (h + w) & b if w < 0 else b >> (h - w) & a).bit_count() for w in need if w}
+    xn = list(map(x.get, range(-1, neg.start - 1, -1), repeat(0))) if above else []
+    xp = list(map(x.get, range(1, pos.stop), repeat(0))) if above else []
+    for t, sh in zip(above, shifts):
+        cross = _cross(xn, sh)[-neg.start:-neg.stop:-1] if neg else []
+        cross += _cross(xp, sh)[pos.start:] if pos else []
+        cross = cross if dense else [cross[m - span.start] for m in ms]
         hits = list(map(add, map(t.cut.__mul__, hits), cross))
-        up += t.spacers[-1]
     return hits, outs
 
 
@@ -113,8 +116,7 @@ def _hits(a: int, b: int, ms: Iterable[int]) -> List[int]:
 
 
 def _escapes(b: int, ms: range, h: int) -> List[int]:
-    """The levels i of B with i + m outside [0, h), for each m in ms, a
-    range of step 1."""
+    """The levels i of B with i + m outside [0, h), for each m in the step-1 range ms."""
     neg, pos = range(ms.start, min(ms.stop, 0)), range(max(ms.start, 0), ms.stop)
     below = _edge(b, range(-neg[-1], 1 - neg[0]), h, False)[::-1] if neg else []
     return below + (_edge(b, pos, h, True) if pos else [])

@@ -153,8 +153,8 @@ def test_05_adjoint_weights_and_duality():
         zs = rng.sample(range(40), rng.randint(1, 6))
         nums = [rng.randint(1, 20) for _ in zs]
         tot = sum(nums)
-        seqs.append(WeightSequence.from_dict(
-            {z: F(n, tot) for z, n in zip(zs, nums)}))
+        seqs.append(WeightSequence(
+            tuple((z, F(n, tot)) for z, n in zip(zs, nums))))
     for w in seqs:
         b = adjoint_convolution(w)
         assert sum(b.values(), F(0)) == 1

@@ -257,7 +257,7 @@ def weights_reaching(draw, h):
     zs |= set(draw(st.lists(st.integers(0, h + 3), max_size=4)))
     raw = {z: draw(st.sampled_from([1, 1, 1, 2, 3])) for z in zs}
     total = sum(raw.values())
-    return WeightSequence.from_dict({z: F(r, total) for z, r in raw.items()})
+    return WeightSequence(tuple((z, F(r, total)) for z, r in raw.items()))
 
 
 @st.composite
@@ -404,15 +404,39 @@ def moment_weights(draw, h):
 
 
 @st.composite
+def two_stage_functions(draw, spec, J):
+    """One value on levels of a stage k1 and another on levels of a finer
+    stage k2 <= J off them: two piece classes whose own stages differ,
+    unless the fine levels cover whole coarse ones."""
+    k2 = draw(st.integers(2, J))
+    coarse, fine = build_stage(spec, draw(st.integers(1, k2 - 1))), build_stage(spec, k2)
+    A = coarse.levels_set(draw(st.lists(st.integers(0, coarse.height - 1), min_size=1,
+                                        max_size=3, unique=True)))
+    free = [i for i in range(fine.height)
+            if not any(iv.lo <= fine.level(i).lo < iv.hi for iv in A.intervals)]
+    v = draw(VALUES)
+    pieces = [(A, v)]
+    if free:
+        B = fine.levels_set(draw(st.lists(st.sampled_from(free), min_size=1, max_size=3,
+                                          unique=True)))
+        pieces.append((B, draw(VALUES.filter(lambda x: x != v))))
+    return StepFunction.from_pieces(pieces)
+
+
+@st.composite
 def moment_functions(draw, spec, J):
     """Signed step functions on levels of a stage k <= J, on levels of a
-    finer stage, or on a 1/d grid of stage-J cells (part-cell pieces)."""
+    finer stage, on levels of two stages k1 < k2 <= J (piece classes whose
+    own stages differ), or on a 1/d grid of stage-J cells (part-cell
+    pieces)."""
     stJ = build_stage(spec, J)
-    mode = draw(st.integers(0, 2))
+    mode = draw(st.integers(0, 3))
     if mode == 0:
         return draw(level_functions(spec, draw(st.integers(1, J))))
     if mode == 1 and J + 1 <= spec.max_stage:
         return draw(level_functions(spec, J + 1, M=stJ.total))
+    if mode == 2 and J >= 2:
+        return draw(two_stage_functions(spec, J))
     d = draw(st.sampled_from([1, 2, 3, 7]))
     ends = draw(st.lists(st.integers(0, stJ.height * d), min_size=2, max_size=8,
                          unique=True).map(sorted))
@@ -435,7 +459,7 @@ class TestMoments:
     def test_deviation_from_moments_equals_the_built_route(self):
         spec = ConstructionSpec.chacon()
         f = StepFunction.indicator(build_stage(spec, 3).levels_set([2, 5, 9]), F(-5, 3))
-        w = WeightSequence.from_dict({0: F(1, 2), 3: F(1, 3), 40: F(1, 6)})
+        w = WeightSequence(((0, F(1, 2)), (3, F(1, 3)), (40, F(1, 6))))
         M = build_stage(spec, 4).total
         Pf, esc = average_apply(spec, w, f, 4)
         sq, integral, esc2 = average_moments(spec, w, f, 4)

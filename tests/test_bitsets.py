@@ -281,6 +281,12 @@ def test_stage_counts_match_counts_on_stage_J_lifts(spec, data):
     for ms in ranges:
         assert stats._stage_counts(spec, k, a_k, b_k, ms, J) == \
             counts(a_J, b_J, ms, h), ms
+        if ms:
+            # a sorted list: hits at its lags, escapes over its span
+            lags = sorted(data.draw(st.sets(st.sampled_from(ms), min_size=1, max_size=4)))
+            hits, outs = counts(a_J, b_J, range(lags[0], lags[-1] + 1), h)
+            assert stats._stage_counts(spec, k, a_k, b_k, lags, J) == \
+                ([hits[m - lags[0]] for m in lags], outs), lags
 
 
 @settings(max_examples=40, deadline=None)

@@ -678,8 +678,21 @@ def test_dispersion_refuses_blocks_off_the_grid(z, alias):
     z = BlockIndex(*z(2, 3))
     got = outcome(dispersion_experiment, *args, z, *rest)
     assert got == outcome(oracle_dispersion_experiment, *args, z, *rest)
-    assert got == (SpecError, f"conditioning set empty: block {tuple(z)} has "
-                              f"count 0 in the first 3000 ticks")
+    assert got == (SpecError, f"block {tuple(z)} is off the 2 x 3 grid of stage 2")
+
+
+def test_dispersion_refuses_blocks_off_the_grid_before_walking(monkeypatch):
+    # the z check reads only h_a and h_b: a walk of 10^7 ticks first took
+    # 1.5 s and 97.5 MB to end in the same exit 2
+    walked = []
+    monkeypatch.setattr(joinings, "_paired_codes", lambda *a, **kw: walked.append(a))
+    code, out, err = run_cli(
+        "joining", "disperse", "--spec-a", "odometer", "--spec-b", "chacon",
+        "--x-a", "0/1", "--x-b", "0/1", "--z", "0,1000", "--n-list", "0", "--j", "3",
+        "--res", "24", "--stage-budget", "24", "-N", "9999999")
+    h_a, h_b = build_stage(ODO, 3).height, build_stage(ConstructionSpec.chacon(), 3).height
+    assert (code, out, walked) == (2, "", [])
+    assert err == f"error: block (0, 1000) is off the {h_a} x {h_b} grid of stage 3\n"
 
 
 def test_dispersion_refuses_too_many_ticks_before_any_cursor(monkeypatch):
@@ -756,6 +769,9 @@ def oracle_empirical_joining(spec_a, spec_b, x_a, x_b, N, j, J, step_a, step_b):
 
 def oracle_dispersion_experiment(spec_a, spec_b, x_a, x_b, N, z, n_list, j, J,
                                  step_a, step_b):
+    h_a, h_b = build_stage(spec_a, j).height, build_stage(spec_b, j).height
+    if not (0 <= z[0] < h_a and 0 <= z[1] < h_b):
+        raise SpecError(f"block {tuple(z)} is off the {h_a} x {h_b} grid of stage {j}")
     track, _, _ = oracle_ticks(spec_a, spec_b, x_a, x_b,
                                N + max(max(n_list), 0), j, J, step_a, step_b)
     hits = [m for m in range(N) if track[m] == tuple(z)]

@@ -385,13 +385,21 @@ def test_cli_blum_hanson_far_shift(tmp_path):
     assert doc["meta"]["support"] == [0, 10**12]
 
 
-def test_cli_blum_hanson_rejects_unnormalized_weights(tmp_path):
+@pytest.mark.parametrize("text, message", [
+    ('{"0": "1/2"}', "sum to exactly 1"),
+    # "1" and "01" name one index: merged, the weights read [1, 2] and sum to 1
+    ('{"1": "1/2", "01": "1/2", "2": "1/2"}', "duplicate weight index 1"),
+    # json.loads has already rounded a float to binary
+    ('{"0": 0.5, "1": 0.5}', "mapping z to num/den or an int"),
+    ('{"0": true}', "mapping z to num/den or an int"),
+], ids=["sum below 1", "keys naming one index", "float values", "bool value"])
+def test_cli_blum_hanson_rejects_unnormalized_weights(tmp_path, text, message):
     wf = tmp_path / "w.json"
-    wf.write_text(json.dumps({"0": "1/2"}))
+    wf.write_text(text)
     code, out, err = run_cli("blum-hanson", "--spec", "odometer",
                              "--weights", str(wf), "--f", "0", "--res", "4")
-    assert code == 2
-    assert "sum to exactly 1" in err
+    assert (code, out) == (2, "")
+    assert message in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("weights", [{"0": "1"}, {"0": "1/2", "1": "1/2"}])
@@ -414,7 +422,8 @@ def _uniform_weights(n):
 # blum-hanson stdout digests, recorded when the command built P f as a
 # StepFunction: one op of each benchmark slot, finer stages than --res
 # (part-cell pieces of f), the far shift, mixed weights, a random spec and
-# the deep staircase case that then took about 6 s
+# the deep staircase case that then took about 6 s; the J=12 row was
+# recorded when the moments lifted every piece class to stage J (3.6 s)
 BLUM_HANSON_PINS = [
     ("staircase", _uniform_weights(10), "0,1", 2, 5,
      "d9975487acd46cd83f7b6a5067b4b15a91a72c367452dac9692bbf587e00ccd2"),
@@ -436,6 +445,8 @@ BLUM_HANSON_PINS = [
      "11e03f51b14b36e3fb177bf9ed0d12767b8d27f1e6ca92e31f237f2b9d0e3135"),
     ("staircase", _uniform_weights(64), "0", 3, 10,
      "c57d45b55551df4c3cdda2f13f5d959b1fc8cf7b1cf23601770b7c720abee5d9"),
+    ("staircase", _uniform_weights(64), "0", 3, 12,
+     "117cec0565af4f7c75d8487e06f11043ea8f8f3f59a9f8725d46b6140d3ea2a8"),
 ]
 
 
@@ -444,24 +455,43 @@ BLUM_HANSON_PINS = [
 def test_cli_blum_hanson_bytes_pinned(tmp_path, spec, weights, f, j, J, digest):
     wf = tmp_path / "w.json"
     wf.write_text(json.dumps(weights))
+    budget = ("--stage-budget", str(J)) if J > 10 else ()  # staircase's default is 10
     code, out, err = run_cli("blum-hanson", "--spec", spec, "--weights", str(wf),
-                             "--f", f, "--j", str(j), "--res", str(J))
+                             "--f", f, "--j", str(j), "--res", str(J), *budget)
     assert code == 0, err
     assert sha256(out.encode()).hexdigest() == digest
 
 
-def test_cli_blum_hanson_deep_staircase_in_a_capped_child(tmp_path):
+@pytest.mark.parametrize("J", [11, 16], ids=["res11", "res16"])
+def test_cli_blum_hanson_deep_staircase_in_a_capped_child(tmp_path, J):
     # staircase J=11 has 1.2e7 levels: building P f there ran past 60 s
-    # and 1.2 GB; the moments read level bitsets and pair counts
+    # and 1.2 GB; lifting each piece class to stage J took 3.1-4.0 s at
+    # J=12 and ended in MemoryError at J=16 (4.4e12 levels).  The moments
+    # count lags by window descent from the classes' own stage 3
     wf = tmp_path / "w.json"
     wf.write_text(json.dumps(_uniform_weights(64)))
     proc, elapsed = run_capped(
         ["-m", "rankone.cli", "blum-hanson", "--spec", "staircase",
-         "--weights", str(wf), "--f", "0", "--j", "3", "--res", "11",
-         "--stage-budget", "11"])
+         "--weights", str(wf), "--f", "0", "--j", "3", "--res", str(J),
+         "--stage-budget", str(J)])
     assert proc.returncode == 0, proc.stderr
     assert elapsed < 2.0, f"blum-hanson took {elapsed:.2f} s"
-    assert json.loads(proc.stdout)["meta"]["J"] == 11
+    assert json.loads(proc.stdout)["meta"]["J"] == J
+
+
+def test_cli_blum_hanson_far_near_shift_in_a_capped_child(tmp_path):
+    # weights {0, 10^6}: b has lags 0 and 10^6 only.  Counting every lag
+    # up to 10^6 ran past 100 s; counting at b's lags takes about 0.7 s,
+    # the bytes of the stage-J bitset route (digest recorded there)
+    wf = tmp_path / "w.json"
+    wf.write_text(json.dumps({"0": "1/2", str(10**6): "1/2"}))
+    proc, elapsed = run_capped(
+        ["-m", "rankone.cli", "blum-hanson", "--spec", "staircase",
+         "--weights", str(wf), "--f", "0", "--j", "3", "--res", "10"], timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert elapsed < 4.0, f"blum-hanson took {elapsed:.2f} s"
+    assert sha256(proc.stdout.encode()).hexdigest() == \
+        "6e54f20eb32496eaa86882bd29d6b1f6b05ee6873ea40ff5235b4f367247cc9e"
 
 
 # ---------------------------------------------------------- cli: joinings
