@@ -20,13 +20,11 @@ from fractions import Fraction
 from itertools import accumulate, groupby, product
 from typing import Dict, List, Tuple, Union
 
-from .construction import ConstructionSpec, TowerStage, build_stage
+from .construction import ConstructionSpec, bit_indices, build_stage
 from .errors import SpecError
 from .measure import (Interval, IntervalSet, MeasureBound, RationalLike,
-                      StepFunction, as_fraction, canonicalize)
-from .stats import _stage_counts
-
-Segment = Tuple[Fraction, Fraction, Fraction]
+                      StepFunction, as_fraction)
+from .stats import Segment, _classes, _stage_counts
 
 __all__ = [
     "WeightSequence",
@@ -116,25 +114,6 @@ def adjoint_convolution(w: WeightSequence) -> Dict[int, Fraction]:
     return {m: Fraction(b, D * D) for m, b in sorted(_correlate(ns, ns).items())}
 
 
-def _cells(f: StepFunction, st: TowerStage) -> Dict[Segment, List[Tuple[int, int]]]:
-    """f cut at stage-J cell boundaries: {(lo, hi, v): runs}, the part of f
-    in one cell relative to the cell in units of w_J, and the runs [c0, c1)
-    of cells holding that part.  f must vanish off [0, M_J)."""
-    if f.segments and (f.segments[0][0] < 0 or f.segments[-1][1] > st.total):
-        raise SpecError("set extends beyond the stage ambient interval")
-    runs: Dict[Segment, List[Tuple[int, int]]] = {}
-    for lo, hi, v in f.segments:
-        x0, x1 = lo / st.width, hi / st.width
-        c0, c1 = math.ceil(x0), math.floor(x1)
-        # [a, b) in cells d0..d1-1: within one cell, or head, whole cells, tail
-        parts = ([(x0 - c1, x1 - c1, c1, c1 + 1)] if c0 > c1 else
-                 [(x0 - c0 + 1, 1, c0 - 1, c0), (0, 1, c0, c1), (0, x1 - c1, c1, c1 + 1)])
-        for a, b, d0, d1 in parts:
-            if a < b and d0 < d1:
-                runs.setdefault((a, b, v), []).append((d0, d1))
-    return runs
-
-
 def average_apply(spec: ConstructionSpec, w: WeightSequence, f: StepFunction,
                   J: int, direction: str = "forward",
                   ) -> Tuple[StepFunction, MeasureBound]:
@@ -154,8 +133,8 @@ def average_apply(spec: ConstructionSpec, w: WeightSequence, f: StepFunction,
         raise SpecError(f"direction must be forward or backward, got {direction!r}")
     sign = 1 if direction == "forward" else -1
     st = build_stage(spec, J)
-    runs = _cells(f, st)
-    if not runs:
+    classes = _classes(st, f.segments)
+    if not classes:
         return StepFunction.zero(), MeasureBound.zero()
     width, h = st.width, st.height
     level_at = [0] * h
@@ -166,8 +145,8 @@ def average_apply(spec: ConstructionSpec, w: WeightSequence, f: StepFunction,
     # landing on level t; the other pairs escape, and the n_z sum to D
     hits: Dict[Segment, List[int]] = {}
     escaped = Fraction(0)
-    for (lo, hi, v), cells in runs.items():
-        levels = [i for c0, c1 in cells for i in level_at[c0:c1]]
+    for (lo, hi, v), kb in classes.items():
+        levels = bit_indices(st.occurrence_bits(*kb))
         count = hits[lo, hi, v] = [0] * h
         for z, n in ns.items():
             for t in levels:
@@ -200,7 +179,7 @@ def average_moments(spec: ConstructionSpec, w: WeightSequence, f: StepFunction,
                     J: int) -> Tuple[Fraction, Fraction, MeasureBound]:
     """(||P f||^2, integral of P f, escaped) of average_apply(spec, w, f, J),
     forward, without building P f.  For the piece classes k = (lo_k, hi_k,
-    v_k) of f (`_cells`) on level sets S_k, tail_k(z) the levels of S_k that
+    v_k) of f (`stats._classes`) on level sets S_k, tail_k(z) the levels of S_k that
     z pushes off the top, b_m = sum_z n_{z+m} n_z, X_kl(m) = #{u in S_k :
     u + m in S_l} and c_k(t) = sum_z n_z [t - z in S_k]:
       integral = w_J/D sum_k v_k (hi_k - lo_k) sum_z n_z (|S_k| - tail_k(z))
@@ -208,7 +187,7 @@ def average_moments(spec: ConstructionSpec, w: WeightSequence, f: StepFunction,
       ||P f||^2 = w_J/D^2 sum_kl v_k v_l |[lo_k, hi_k) cap [lo_l, hi_l)|
                   (sum_m b_m X_kl(m) - sum_{t >= h_J} c_k(t) c_l(t))
     Shifts z >= h_J only escape.  Cost: one stats._stage_counts per class
-    pair at b's lags, from the deepest class stage; the diagonal gives |S_k|, tail_k, c.
+    pair at b's lags, each from its own class stages; the diagonal gives |S_k|, tail_k, c.
     """
     st = build_stage(spec, J)
     h, width = st.height, st.width
@@ -217,26 +196,21 @@ def average_moments(spec: ConstructionSpec, w: WeightSequence, f: StepFunction,
     L = max(near, default=0)
     # b_m for m >= 0, with b_{-m} = b_m folded in
     b = {m: (2 if m else 1) * v for m, v in _correlate(near, near).items() if m >= 0}
-    sets = [(piece, st.level_bits(canonicalize(Interval(c0 * width, c1 * width)
-                                               for c0, c1 in cells)))
-            for piece, cells in _cells(f, st).items()]
-    k = max((kb[0] for _, kb in sets), default=J)
     lags = sorted({*b, L})  # b's lags, and L for the tails up to it
     classes = []
-    for piece, kb in sets:
-        s = build_stage(spec, k).occurrence_bits(*kb)
-        hits, tails = _stage_counts(spec, k, s, s, lags, J)  # hits[0] = |S_k|
+    for piece, kb in _classes(st, f.segments).items():
+        hits, tails = _stage_counts(spec, kb, kb, lags, J)  # hits[0] = |S_k|
         out = (D - sum(near.values())) * hits[0] + sum(n * tails[z] for z, n in near.items())
         # c_k(h - 1 + m) = c[m]; level h - 1 - r is in S_k iff tail_k steps at r
         top = {r: 1 for r in range(L) if tails[r + 1] > tails[r]}
-        classes.append((piece, s, hits, out, _correlate(near, top)))
+        classes.append((piece, kb, hits, out, _correlate(near, top)))
     sq = integral = escaped = Fraction(0)
-    for (lo, hi, v), s, hits, out, c in classes:
+    for (lo, hi, v), kb, hits, out, c in classes:
         integral += v * (hi - lo) * (D * hits[0] - out)
         escaped += (hi - lo) * out
-        for (lo2, hi2, v2), s2, _, _, c2 in classes:
+        for (lo2, hi2, v2), kb2, _, _, c2 in classes:
             if min(hi, hi2) > max(lo, lo2):
-                x = hits if s2 == s else _stage_counts(spec, k, s2, s, lags, J)[0]
+                x = hits if kb2 == kb else _stage_counts(spec, kb2, kb, lags, J)[0]
                 pairs = sum(b.get(m, 0) * n for m, n in zip(lags, x))
                 pairs -= sum(y * c2.get(m, 0) for m, y in c.items() if m > 0)
                 sq += v * v2 * (min(hi, hi2) - max(lo, lo2)) * pairs

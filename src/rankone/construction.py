@@ -37,6 +37,9 @@ __all__ = [
     "build_stage",
 ]
 
+# Bits a level bitset may hold, one per level up to its highest: 8 MB.
+MAX_BITS = 1 << 26
+
 
 def _check_int(name: str, value: object, minimum: Optional[int] = None) -> None:
     """Refuse anything but a genuine int (bool and float included) below
@@ -514,6 +517,9 @@ class TowerStage:
         while st.stage > k:
             chain.append(st.offsets)
             st = st.prev
+        need = bits.bit_length() + sum(offsets[-1] for offsets in chain) if bits else 0
+        if need > MAX_BITS:
+            raise SpecError(f"{need} level bits requested, more than the limit of {MAX_BITS}")
         for offsets in reversed(chain):
             lifted = 0
             for off in offsets:
@@ -540,11 +546,12 @@ class TowerStage:
         for st in (build_stage(self.spec, k) for k in range(1, self.stage + 1)):
             if all(0 <= x <= st.total and (x / st.width).denominator == 1
                    for x in ends):
-                bits = 0
-                for iv in A.intervals:
-                    for c in range(int(iv.lo / st.width), int(iv.hi / st.width)):
-                        bits |= 1 << st.level_of_cell(c)
-                return st.stage, bits
+                levels = [st.level_of_cell(c) for iv in A.intervals
+                          for c in range(int(iv.lo / st.width), int(iv.hi / st.width))]
+                if (need := max(levels, default=-1) + 1) > MAX_BITS:
+                    raise SpecError(f"{need} level bits requested, more than the limit "
+                                    f"of {MAX_BITS}")
+                return st.stage, sum(1 << i for i in levels)
         return None
 
     def __repr__(self) -> str:

@@ -188,8 +188,8 @@ def band_indices(fspec: FlowSkeletonSpec, h_a: int, h_b: int, offset: int,
     side "right" (offset w): blocks (p*z/q' + w, z + h) over grid-aligned z
     (q' divides p*z) with 0 <= z <= h_b - w and 0 <= h <= q.  side "left"
     (offset v): blocks (p*z/q', z + h + v) with 0 <= z <= z_bound, which
-    must be given explicitly.  Indices falling outside the tower square are
-    dropped; an empty band is refused.
+    must be given explicitly.  Only z and h with z2 < h_b are walked, and
+    blocks with z1 >= h_a are dropped; an empty band is refused.
     """
     p, qp = fspec.alpha_p, fspec.alpha_q
     q = fspec.grid_inverse
@@ -209,9 +209,9 @@ def band_indices(fspec: FlowSkeletonSpec, h_a: int, h_b: int, offset: int,
     else:
         raise SpecError(f"side must be 'right' or 'left', got {side!r}")
     d1, d2 = (offset, 0) if side == "right" else (0, offset)
-    out = {BlockIndex(p * z // qp + d1, z + d2 + h) for z in range(z_top + 1)
-           if p * z % qp == 0 for h in range(q + 1)}
-    out = {b for b in out if 0 <= b.z1 < h_a and 0 <= b.z2 < h_b}
+    out = {BlockIndex(p * z // qp + d1, z + d2 + h) for z in range(min(z_top + 1, h_b - d2))
+           if p * z % qp == 0 for h in range(min(q + 1, h_b - z - d2))}
+    out = {b for b in out if b.z1 < h_a}
     if not out:
         raise SpecError(f"band ({side}, offset {offset}) is empty after "
                         f"clipping to the tower square")

@@ -236,7 +236,7 @@ def graph_blocks(spec: ConstructionSpec, k: int, j: int, J: int) -> BlockMassMat
     _check_resolution(j, J)
     st, stJ = build_stage(spec, j), build_stage(spec, J)
     h, M = st.height, stJ.total
-    lags = _stage_counts(spec, j, 1, 1, range(k - h + 1, k + h), J)[0]
+    lags = _stage_counts(spec, (j, 1), (j, 1), range(k - h + 1, k + h), J)[0]
     w_norm = stJ.width / M
     nonzero = [(d - h + 1, n * w_norm) for d, n in enumerate(lags) if n]  # (z2 - z1, mass)
     masses = {BlockIndex(z1, z1 + d): x for z1 in range(h) for d, x in nonzero
@@ -600,7 +600,7 @@ def _display_route(m: BlockMassMatrix, F: FSetSpec, in_A: int, in_B: int,
     else:
         # escape[z2]: the occurrences p of E_j with p + z2 + k off the tower
         s, k = stJ.width / m.norm_a, m.meta["k"]
-        escape = _stage_counts(m.spec_b, m.j, 1, 1, range(k, k + m.h_b), m.meta["J"])[1]
+        escape = _stage_counts(m.spec_b, (m.j, 1), (m.j, 1), range(k, k + m.h_b), m.meta["J"])[1]
     lo = out = Fraction(0)
     for h, a_h in F.weights.weights:
         hit = [bi for bi in sel if in_B >> (bi.z2 + h) & 1]

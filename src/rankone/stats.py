@@ -1,35 +1,37 @@
 """Return-time statistics with two-sided bounds.
 
-A set made of whole levels is an int bitset over its own stage's levels.
 One kernel, `_stage_counts`, counts mu(A intersect T^m B) at stage J over
-a range or list of m as levels of B with i + m in A and levels off the
-tower: `_hits` (a shifted `&` each) and `_escapes` (a prefix count per
+a range or list of m, for A and B each whole levels of its own stage k, an
+int bitset (k, bits): the levels of B with i + m in A and those off the
+tower, by `_hits` (a shifted `&` each) and `_escapes` (a prefix count per
 edge) at the first stage taller than every |m|, plus the pairs crossing
-between adjacent copies above it, with no stage-J set.  Escaped mass
-widens the upper bound.  Other callers: flow, joinings' graph views, averaging.
+between adjacent copies above it, with no stage-J set.  Other sets go by
+piece classes (`_classes`), one count per class pair.  Escaped mass widens
+the upper bound.  Callers: flow, joinings' graph views, averaging.
 
 Bound tables are measure.BoundSeries, the counts as numerators over one
 shared denominator: |S| for a^z_j = mu(T^z E_j | E_j), S the occurrences of
 E_j (dividing by mu(E_j) = |S| w_J cancels the unknown global
-normalization), 1/w_J for level unions; other sets go through power_image.
+normalization), D/w_J for correlations, D = 1 for unions of whole levels.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import prod
 from operator import add, sub
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple, Union
 
 from .construction import ConstructionSpec, TowerStage, build_stage
 from .errors import SpecError
 from .measure import (BoundSeries, Interval, IntervalSet, MeasureBound,
-                      as_interval_set, set_intersection)
-from .transform import power_image
+                      as_interval_set, canonicalize)
+
+Segment = Tuple[Fraction, Fraction, Fraction]
 
 __all__ = [
     "ReturnProfile",
@@ -56,16 +58,16 @@ def _entries(n: int, name: str) -> range:
     return range(n + 1)
 
 
-def _stage_counts(spec: ConstructionSpec, k: int, a: int, b: int,
+def _stage_counts(spec: ConstructionSpec, a: Tuple[int, int], b: Tuple[int, int],
                   ms: Sequence[int], J: int) -> Tuple[List[int], List[int]]:
     """(resolved, escaped) level counts of A intersect T^m B at stage J for
-    the lifts of a, b, bitsets over the stage-k levels, without building the
-    lifts: resolved at each m in ms (a range of step 1 or a sorted list),
-    escaped at each m from ms[0] to ms[-1].
+    A, B given as level_bits gives them, (k, bits) over the stage-k levels,
+    without their stage-J lifts: resolved at each m in ms (a range of step
+    1 or a sorted list), escaped at each m from ms[0] to ms[-1].
 
-    With Z = max|m|, the base is the first stage from k on taller than Z,
-    or J.  _hits and _escapes run there, on the lifts to the base.  Above it each
-    stage t is r_t copies of stage t-1, which is taller than Z, so only
+    With Z = max|m|, the base is the first stage from the deeper k on taller
+    than Z, or J.  _hits and _escapes run there, on the lifts to the base.
+    Above it each stage t is r_t copies of stage t-1, which is taller than Z, so only
     adjacent copies c, c+1 meet under T^m; with spacer s_c between them,
     hits_t(m) = r_t hits_{t-1}(m) + sum_{c < r_t - 1} X_t(|m| - s_c).  For
     m > 0, X_t(w) counts the levels of B in the top w levels of stage t-1
@@ -79,10 +81,12 @@ def _stage_counts(spec: ConstructionSpec, k: int, a: int, b: int,
     span = range(ms[0], ms[-1] + 1) if ms else ms
     dense = len(span) == len(ms)  # a range, or a list without gaps
     z = max(-span.start, span.stop - 1, 0)
-    chain = _stages(spec, k, J)
+    chain = [build_stage(spec, J)]  # stages from the deeper k to J
+    while chain[0].stage > max(a[0], b[0]):
+        chain.insert(0, chain[0].prev)
     i = next((i for i, t in enumerate(chain) if t.height > z), len(chain) - 1)
     st, above = chain[i], chain[i + 1:]
-    a, b, h = st.occurrence_bits(k, a), st.occurrence_bits(k, b), st.height
+    a, b, h = st.occurrence_bits(*a), st.occurrence_bits(*b), st.height
     hits, outs = _hits(a, b, ms), _escapes(b, span, h + sum(t.spacers[-1] for t in above))
     ups = accumulate((t.spacers[-1] for t in above), initial=0)  # S_t
     shifts = [[s + up for s in t.spacers[:-1] if s + up < z] for t, up in zip(above, ups)]
@@ -172,18 +176,10 @@ def return_profile(spec: ConstructionSpec, j: int, J: int, z_max: int) -> Return
     if not (1 <= j <= J):
         raise SpecError(f"need 1 <= j <= J, got j={j}, J={J}")
     zs = _entries(z_max, "z_max")
-    count = prod(t.cut for t in _stages(spec, j, J)[1:])  # |S|, the stage-J copies of E_j
-    values = _bounds(zs, *_stage_counts(spec, j, 1, 1, zs, J), count, Fraction(1, count))
+    hits, outs = _stage_counts(spec, (j, 1), (j, 1), zs, J)  # hits[0] = |S|
+    values = _bounds(zs, hits, outs, hits[0], Fraction(1, hits[0]))
     return ReturnProfile(j=j, J=J, values=values,
                          degenerate=frozenset(range(build_stage(spec, J).height, z_max + 1)))
-
-
-def _stages(spec: ConstructionSpec, k: int, J: int) -> List[TowerStage]:
-    """Stages k..J, read down the chain from stage J."""
-    chain = [build_stage(spec, J)]
-    while chain[-1].stage > k:
-        chain.append(chain[-1].prev)
-    return chain[::-1]
 
 
 def max_profile(profile: ReturnProfile, z_lo: int = 0) -> MeasureBound:
@@ -229,37 +225,60 @@ class CorrelationSeries:
 
 def correlation(spec: ConstructionSpec, A: Union[IntervalSet, Interval],
                 B: Union[IntervalSet, Interval], m: int, J: int) -> MeasureBound:
-    """Bound on mu(A intersect T^m B) via the stage-J image of B.
+    """Bound on mu(A intersect T^m B) at stage J.
 
-    The lower bound is the exact overlap with the resolved image; escaped
-    mass could in principle land anywhere, so it widens the upper bound,
-    clamped by min(mu A, mu B).
+    The lower bound is the exact overlap of A with the part of B that T^m
+    keeps on the stage-J tower; the mass it moves off could land anywhere,
+    so it widens the upper bound, clamped by min(mu A, mu B).
     """
     A, B = as_interval_set(A), as_interval_set(B)
     return _correlations(spec, A, B, range(m, m + 1), J)[m]
 
 
+def _classes(st: TowerStage, f: Union[Sequence[Segment], IntervalSet],
+             ) -> Dict[Segment, Tuple[int, int]]:
+    """The sorted segments f of a step function, or the indicator of a set,
+    cut at the cells of stage st into piece classes {(lo, hi, v): (k, bits)}:
+    the part of f in one cell relative to the cell, and the cells holding it
+    as level_bits gives them.  f must vanish off [0, M).  A union of whole
+    levels is its own single class (0, 1, 1)."""
+    if isinstance(f, IntervalSet):
+        if (kb := st.level_bits(f)) is not None:
+            return {(0, 1, 1): kb}
+        f = [(iv.lo, iv.hi, 1) for iv in f.intervals]
+    if f and (f[0][0] < 0 or f[-1][1] > st.total):
+        raise SpecError("set extends beyond the stage ambient interval")
+    w, runs = st.width, {}
+    for lo, hi, v in f:
+        x0, x1 = lo / w, hi / w
+        c0, c1 = math.ceil(x0), math.floor(x1)
+        # [a, b) in cells d0..d1-1: within one cell, or head, whole cells, tail
+        parts = ([(x0 - c1, x1 - c1, c1, c1 + 1)] if c0 > c1 else
+                 [(x0 - c0 + 1, 1, c0 - 1, c0), (0, 1, c0, c1), (0, x1 - c1, c1, c1 + 1)])
+        for a, b, d0, d1 in parts:
+            if a < b and d0 < d1:
+                runs.setdefault((a, b, v), []).append(Interval(d0 * w, d1 * w))
+    return {piece: st.level_bits(canonicalize(ivs)) for piece, ivs in runs.items()}
+
+
 def _correlations(spec: ConstructionSpec, A: IntervalSet, B: IntervalSet,
                   ms: range, J: int) -> BoundSeries:
-    """correlation for each m in the range ms, with A and B made bitsets
-    once, at the deeper of their own stages."""
+    """correlation for each m in the range ms, in units of w_J / D: over the
+    piece classes k of A and l of B (as in average_moments), sum_kl |[lo_k,
+    hi_k) cap [lo_l, hi_l)| hits_kl(m) resolved, sum_l (hi_l - lo_l) escapes_l(m)."""
     st = build_stage(spec, J)
-    a = st.level_bits(A)
-    b = st.level_bits(B) if a is not None else None
-    if b is not None:
-        k = max(a[0], b[0])
-        stk = build_stage(spec, k)
-        a, b = stk.occurrence_bits(*a), stk.occurrence_bits(*b)
-        copies = prod(t.cut for t in _stages(spec, k, J)[1:])
-        return _bounds(ms, *_stage_counts(spec, k, a, b, ms, J),
-                       min(a.bit_count(), b.bit_count()) * copies, st.width)
-    values: Dict[int, MeasureBound] = {}
-    for m in ms:
-        img, escaped = power_image(spec, B, m, J)
-        lo = set_intersection(A, img).measure
-        hi = min(lo + escaped.hi, A.measure, B.measure)
-        values[m] = MeasureBound(lo, max(lo, hi))
-    return BoundSeries.of(values)
+    ca, cb = _classes(st, A), _classes(st, B)
+    D = math.lcm(*(x.denominator for lo, hi, _ in (*ca, *cb) for x in (lo, hi)))
+    hits, outs = [0] * len(ms), [0] * len(ms)
+    for (lo, hi, _), b in cb.items():
+        out = None
+        for (lo2, hi2, _), a in ca.items():
+            if (n := int((min(hi, hi2) - max(lo, lo2)) * D)) > 0:
+                x, out = _stage_counts(spec, a, b, ms, J)
+                hits = list(map(add, hits, map(n.__mul__, x)))
+        out = out or _stage_counts(spec, (b[0], 0), b, ms, J)[1]  # escapes only
+        outs = list(map(add, outs, map(int((hi - lo) * D).__mul__, out)))
+    return _bounds(ms, hits, outs, min(A.measure, B.measure) * D // st.width, st.width / D)
 
 
 def correlation_series(spec: ConstructionSpec, A: Union[IntervalSet, Interval],

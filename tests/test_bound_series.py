@@ -205,7 +205,7 @@ def test_level_union_correlations_match_oracle(spec, data):
 @given(specs, st.data())
 def test_interval_path_correlations_match_oracle(spec, data):
     # levels of a stage finer than J are no union of stage-J levels, so the
-    # bounds come from power_image and sit over the lcm of their denominators
+    # sets go by piece classes, over w_J / D; the oracle images B instead
     J = data.draw(st.integers(1, 4))
     stJ, stk = build_stage(spec, J), build_stage(spec, J + data.draw(st.integers(1, 2)))
     inside = [i for i in range(min(stk.height, 400)) if stk.level(i).hi <= stJ.total]

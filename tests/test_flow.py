@@ -249,6 +249,32 @@ def test_band_alpha2_matches_display():
                         band_indices(fs, h, h, v, "left", z_bound=h)
 
 
+def unclipped_band(fs, h_a, h_b, offset, side, z_bound):
+    """band_indices' set by its first walk: every z up to z_top and h up
+    to q, then the blocks off the h_a x h_b grid dropped."""
+    p, qp, q = fs.alpha_p, fs.alpha_q, fs.grid_inverse
+    z_top = h_b - offset if side == "right" else z_bound
+    d1, d2 = (offset, 0) if side == "right" else (0, offset)
+    out = {BlockIndex(p * z // qp + d1, z + d2 + h) for z in range(z_top + 1)
+           if p * z % qp == 0 for h in range(q + 1)}
+    return frozenset(b for b in out if 0 <= b.z1 < h_a and 0 <= b.z2 < h_b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 5), st.integers(1, 12), st.integers(1, 9),
+       st.integers(1, 9), st.integers(0, 10), st.sampled_from(["left", "right"]),
+       st.integers(0, 30))
+def test_band_indices_walk_only_the_grid(qp, dp, q, h_a, h_b, offset, side, z_bound):
+    # z_bound, q and the offsets run past the grid
+    fs = FlowSkeletonSpec(base=ODO, grid_inverse=q, alpha=F(qp + dp, qp))
+    want = unclipped_band(fs, h_a, h_b, offset, side, z_bound)
+    if want and not (side == "right" and offset > h_a - 1):
+        assert band_indices(fs, h_a, h_b, offset, side, z_bound=z_bound) == want
+    else:
+        with pytest.raises(SpecError):
+            band_indices(fs, h_a, h_b, offset, side, z_bound=z_bound)
+
+
 def test_band_alpha32_grid_alignment():
     # slope 3/2 admits only even z, landing at first coordinate 3z/2
     fs = FlowSkeletonSpec(base=ODO, grid_inverse=1, alpha=F(3, 2))

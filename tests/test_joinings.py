@@ -261,7 +261,7 @@ def test_graph_blocks_by_lag_match_grid_walk(spec, k, j, extra):
     # row-major order, so the same dict in the same insertion order
     m = graph_blocks(spec, k, j, j + extra)
     h, stJ = m.h_a, build_stage(spec, j + extra)
-    lags = stats._stage_counts(spec, j, 1, 1, range(k - h + 1, k + h), j + extra)[0]
+    lags = stats._stage_counts(spec, (j, 1), (j, 1), range(k - h + 1, k + h), j + extra)[0]
     w = stJ.width / stJ.total
     grid = {BlockIndex(z1, z2): n * w for z1 in range(h) for z2 in range(h)
             if (n := lags[z2 - z1 + h - 1])}

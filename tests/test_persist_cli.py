@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 import rankone
 from rankone import cli, stats
 from rankone.cli import load_spec, main
-from rankone.construction import PRESETS, ConstructionSpec, build_stage
+from rankone.construction import MAX_BITS, PRESETS, ConstructionSpec, build_stage
 from rankone.errors import SpecError
 from rankone.joinings import BlockIndex
 from rankone.measure import MeasureBound
@@ -610,6 +610,35 @@ def test_cli_flow_bands_left_needs_zbound():
     assert "z_bound" in err
 
 
+# Bands on a 5 x 5 grid (staircase j=3): past the grid, z_bound and the
+# grid's q only lengthened the walk over (z, h), whose blocks off the grid
+# were dropped afterwards.  The first took 5.3-6.6 s and 329 MB, the second
+# ended in MemoryError after 17 s under a 1 GB cap.
+BANDS_PAST_THE_GRID = ("flow", "bands", "--spec", "staircase", "--alpha", "2",
+                       "--j", "3", "--res", "5")
+
+
+def test_cli_flow_bands_far_z_bound_in_a_capped_child():
+    proc, elapsed = run_capped(["-m", "rankone.cli", *BANDS_PAST_THE_GRID, "--side", "left",
+                                "--offsets", "0", "--zbound", "1000000"])
+    assert proc.returncode == 0, proc.stderr
+    assert elapsed < 2.0, f"flow bands took {elapsed:.2f} s"
+    assert sha256(proc.stdout.encode()).hexdigest() == \
+        "daa3fbe688bc774cce513b516c5179f449446871a29a01644926998c88bd0c24"
+
+
+def test_cli_flow_bands_huge_grid_in_a_capped_child():
+    # every h past h_b - 1 is off the grid, so grid 10^8 gives grid 4's rows
+    argv = [*BANDS_PAST_THE_GRID, "--side", "right", "--offsets", "0,1"]
+    proc, elapsed = run_capped(["-m", "rankone.cli", *argv, "--grid", "100000000"])
+    assert proc.returncode == 0, proc.stderr
+    assert elapsed < 2.0, f"flow bands took {elapsed:.2f} s"
+    code, out, err = run_cli(*argv, "--grid", "4")
+    assert code == 0, err
+    assert proc.stdout.splitlines()[1:] == out.splitlines()[1:] == \
+        ["offset,mass_num,mass_den", "0,48,169", "1,36,169"]
+
+
 def test_cli_flow_window_matches_library():
     doc = cli_json("flow", "window", "--spec", "odometer", "--alpha", "2",
                    "--j", "2", "--res", "5", "--zmax", "4",
@@ -857,6 +886,50 @@ def test_cli_oversized_ranges_exit_2_in_a_capped_child():
                 f"100000002 entries, {limit_text}"]]
 
 
+# A level set is an int with one bit per level up to its highest: level
+# 4e12 of staircase stage 16, or the copy above a 10^12-level spacer, asked
+# for a 10^12-bit int, and each of these ended in MemoryError (exit 4).
+_HUGE_SPACER = {"h1": 2, "cut_rule": {"kind": "constant", "value": 2},
+                "spacer_rule": {"kind": "list", "rows": [[10**12, 0], [0, 0], [0, 0]]},
+                "max_stage": 4}
+_DEEP = ("--j", "16", "--res", "16", "--stage-budget", "16")
+OVERSIZED_BITSETS = {
+    "correlate-high-level": ("correlate", "--spec", "staircase", "--A", "4000000000000",
+                             "--B", "0", "--mmax", "3", *_DEEP),
+    "blum-hanson-high-level": ("blum-hanson", "--spec", "staircase", "--weights", "WEIGHTS",
+                               "--f", "4000000000000", *_DEEP),
+    "return-profile-huge-spacer": ("return-profile", "--spec", "SPEC", "--j", "1",
+                                   "--res", "3", "--zmax", "5"),
+    "correlate-huge-spacer": ("correlate", "--spec", "SPEC", "--A", "0", "--B", "1",
+                              "--j", "1", "--res", "3", "--mmax", "5"),
+    "graph-blocks-huge-spacer": ("joining", "blocks", "--kind", "graph", "--spec", "SPEC",
+                                 "--k", "1", "--j", "1", "--res", "3"),
+}
+
+
+@pytest.mark.parametrize("name", list(OVERSIZED_BITSETS))
+def test_cli_oversized_level_bitset_exit_2_in_a_capped_child(tmp_path, name):
+    files = {"SPEC": tmp_path / "spec.json", "WEIGHTS": tmp_path / "w.json"}
+    files["SPEC"].write_text(json.dumps(_HUGE_SPACER))
+    files["WEIGHTS"].write_text(json.dumps({"0": "1/2", "1": "1/2"}))
+    argv = [str(files.get(a, a)) for a in OVERSIZED_BITSETS[name]]
+    proc, _ = run_capped(["-m", "rankone.cli", *argv])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    need = 4 * 10**12 + 1 if "high-level" in name else 10**12 + 3
+    assert proc.stderr == (f"error: {need} level bits requested, more than the limit "
+                           f"of {MAX_BITS}\n")
+
+
+def test_cli_deep_low_levels_are_low_bits():
+    # level 0 of stage 16 is bit 0 however tall the stage: no refusal, and
+    # the bytes recorded before the limit
+    code, out, err = run_cli("correlate", "--spec", "staircase", "--A", "0", "--B", "1",
+                             "--mmax", "3", *_DEEP)
+    assert code == 0, err
+    assert sha256(out.encode()).hexdigest() == \
+        "53a8d576bd8b377ac0c1bd1b7330e4586d676cbc4d376dc1aadfb840abd0a33d"
+
+
 # ----------------------------------------------- cli: one parser, formats
 
 def test_cli_parser_built_on_first_main_call_not_at_import():
@@ -976,8 +1049,9 @@ def test_cli_format_matrix_bytes(argv, fmt):
     assert sha256(out.encode()).hexdigest() == digest
 
 
-# Bound tables that cross h_J, on both correlate paths (`--j 5 --res 4`
-# takes power_image: stage-5 levels are no union of stage-4 levels), in
+# Bound tables that cross h_J, for level unions and for sets cut into
+# several piece classes (`--j 5 --res 4`: stage-5 levels are no union of
+# stage-4 levels; these were imaged through power_image when recorded), in
 # both formats: sha256 of stdout, recorded when every entry was built as
 # its own MeasureBound and rendered from its Fractions.
 BOUND_TABLE_PINS = {

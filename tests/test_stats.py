@@ -285,13 +285,14 @@ class TestCorrelationSeries:
             assert value == correlation(spec, A, B, m, J), m
 
     @settings(max_examples=40, deadline=None)
-    @given(SERIES_SPECS, st.integers(1, 4), st.data())
-    def test_kernel_matches_power_image(self, spec, J, data):
-        # level unions take the bitset kernel; the oracle pushes B through
+    @given(SERIES_SPECS, st.integers(1, 4), st.booleans(), st.booleans(), st.data())
+    def test_kernel_matches_power_image(self, spec, J, whole_a, whole_b, data):
+        # level unions and sets with part of a stage-J level both take the
+        # lag kernel, by piece classes; the oracle pushes B through
         # power_image, for shifts of either sign and past the tower
         hJ = build_stage(spec, J).height
-        A = draw_set(data, spec, J, True)
-        B = draw_set(data, spec, J, True)
+        A = draw_set(data, spec, J, whole_a)
+        B = draw_set(data, spec, J, whole_b)
         m = data.draw(st.integers(-hJ - 2, hJ + 2))
         img, esc = power_image(spec, B, m, J)
         lo = set_intersection(A, img).measure
