@@ -3,8 +3,12 @@
 Each command handler turns its flags into library calls and returns its
 document: the text of it, or a persist.Table for the commands that take
 --format, which main renders in the format asked for.  persist decides
-how every document looks.  The argparse parser is built on the first
-call to main and reused by every later call in the process.
+how every document looks.  One argparse parser is built on the first
+call to main and reused by every later call in the process; each call is
+parsed by the leaf parser its command words name (`orbit`, `joining
+light`), and argv that names no command goes to the whole tree.  At
+import only the modules every command needs are loaded; each handler
+imports the rest of what it uses.
 
 Exit codes: 0 success, 2 invalid request (bad flags, a validation refusal
 or an --out path that cannot be written), 3 orbit escaped the stage budget,
@@ -16,30 +20,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from itertools import chain, islice, repeat, starmap
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from .averaging import WeightSequence, average_moments, flatness, l2_deviation
 from .construction import PRESETS, ConstructionSpec, build_stage
 from .errors import OrbitEscaped, SpecError
-from .flow import FlowSkeletonSpec, band_masses, windowed_return_flow
-from .joinings import (
-    BlockIndex,
-    MAX_BLOCKS,
-    BlockMassMatrix,
-    UniformBlockMasses,
-    columns_and_F,
-    dispersion_experiment,
-    empirical_joining,
-    graph_blocks,
-    light_blocks,
-    di_estimate,
-    product_blocks,
-    trivialization_check,
-)
 from .measure import StepFunction
 from .persist import (
     BOUND_COLUMNS,
@@ -55,8 +42,9 @@ from .persist import (
     render_table,
     spec_hash,
 )
-from .stats import MAX_ENTRIES, correlation_series, return_profile
-from .transform import Cursor
+
+if TYPE_CHECKING:
+    from .joinings import BlockMassMatrix
 
 
 def load_spec(token: str, stage_budget: Optional[int] = None) -> ConstructionSpec:
@@ -68,24 +56,24 @@ def load_spec(token: str, stage_budget: Optional[int] = None) -> ConstructionSpe
             data = json.loads(p.read_text())
         except json.JSONDecodeError as exc:
             raise SpecError(f"spec file {token}: invalid JSON: {exc}") from None
-        spec = ConstructionSpec.from_json(data)
     elif token in PRESETS and token != "random":
-        spec = ConstructionSpec.from_json({"preset": token})
+        data = {"preset": token}
     elif token.startswith("random:"):
         try:
             seed = int(token.split(":", 1)[1])
         except ValueError:
             raise SpecError(f"bad random spec {token!r}, expected random:SEED") from None
-        spec = ConstructionSpec.random_spacers(seed)
+        data = {"preset": "random", "seed": seed}
     else:
         names = [name for name in PRESETS if name != "random"]
         raise SpecError(
             f"spec {token!r} is neither a file nor one of "
             f"{', '.join(names)}, random:SEED")
-    if stage_budget is not None:
-        if stage_budget < 1:
-            raise SpecError("--stage-budget must be >= 1")
-        spec = replace(spec, max_stage=stage_budget)
+    if stage_budget is not None and stage_budget >= 1 and isinstance(data, dict):
+        data = {**data, "max_stage": stage_budget}
+    spec = ConstructionSpec.from_json(data)  # a bad spec is named before a bad budget
+    if stage_budget is not None and stage_budget < 1:
+        raise SpecError("--stage-budget must be >= 1")
     return spec
 
 
@@ -133,6 +121,7 @@ def matrix_from_args(args: argparse.Namespace, j: Optional[int] = None,
     needs --spec-a/--spec-b/--x-a/--x-b/-N.  The stage defaults to --j but
     sweep commands may override it.
     """
+    from .joinings import empirical_joining, graph_blocks, product_blocks
     j = args.j if j is None else j
     budget = args.stage_budget
     if args.kind == "product":
@@ -182,6 +171,7 @@ def cmd_orbit(args: argparse.Namespace) -> str:
         raise SpecError("--steps must be nonnegative")
     if args.steps > MAX_STEPS:
         raise SpecError(f"{args.steps} steps requested, more than the limit of {MAX_STEPS}")
+    from .transform import Cursor
     cur = Cursor(spec, x)
     runs = starmap(frac_strs, cur.point_runs())
     points = list(islice(chain.from_iterable(runs), args.steps + 1))
@@ -191,6 +181,7 @@ def cmd_orbit(args: argparse.Namespace) -> str:
 
 
 def cmd_return_profile(args: argparse.Namespace) -> Table:
+    from .stats import return_profile
     spec = load_spec(args.spec, args.stage_budget)
     prof = return_profile(spec, args.j, args.res, args.zmax)
     meta = {"command": "return-profile", "spec": spec_hash(spec), "j": args.j,
@@ -200,6 +191,7 @@ def cmd_return_profile(args: argparse.Namespace) -> Table:
 
 
 def cmd_correlate(args: argparse.Namespace) -> Table:
+    from .stats import correlation_series
     spec = load_spec(args.spec, args.stage_budget)
     A = level_set(spec, args.j, parse_int_list(args.A, "--A"))
     B = level_set(spec, args.j, parse_int_list(args.B, "--B"))
@@ -212,6 +204,7 @@ def cmd_correlate(args: argparse.Namespace) -> Table:
 
 
 def cmd_blum_hanson(args: argparse.Namespace) -> str:
+    from .averaging import WeightSequence, average_moments, flatness, l2_deviation
     spec = load_spec(args.spec, args.stage_budget)
     try:
         raw = json.loads(Path(args.weights).read_text())
@@ -240,11 +233,13 @@ def cmd_blum_hanson(args: argparse.Namespace) -> str:
 
 
 def _check_listing(blocks: int) -> None:
+    from .joinings import MAX_BLOCKS
     if blocks > MAX_BLOCKS:
         raise SpecError(f"{blocks} blocks to list, more than the limit of {MAX_BLOCKS}")
 
 
 def cmd_joining_blocks(args: argparse.Namespace) -> Table:
+    from .joinings import UniformBlockMasses
     m = matrix_from_args(args)
     _check_listing(len(m.masses))
     meta = matrix_meta(m)
@@ -256,6 +251,7 @@ def cmd_joining_blocks(args: argparse.Namespace) -> Table:
 
 
 def cmd_joining_light(args: argparse.Namespace) -> str:
+    from .joinings import light_blocks
     m = matrix_from_args(args)
     rep = light_blocks(m, parse_frac(args.epsilon))
     _check_listing(len(rep.light_set))
@@ -271,6 +267,7 @@ def cmd_joining_light(args: argparse.Namespace) -> str:
 
 
 def cmd_joining_di(args: argparse.Namespace) -> str:
+    from .joinings import di_estimate, light_blocks
     stages = parse_int_list(args.stages, "--stages")
     epsilons = parse_frac_list(args.epsilons, "--epsilons")
     reports = []
@@ -292,6 +289,7 @@ def cmd_joining_di(args: argparse.Namespace) -> str:
 
 
 def cmd_joining_disperse(args: argparse.Namespace) -> str:
+    from .joinings import BlockIndex, dispersion_experiment
     budget = args.stage_budget
     spec_a = load_spec(args.spec_a, budget)
     spec_b = load_spec(args.spec_b, budget)
@@ -314,6 +312,7 @@ def cmd_joining_disperse(args: argparse.Namespace) -> str:
 
 
 def cmd_joining_trivialize(args: argparse.Namespace) -> str:
+    from .joinings import columns_and_F, trivialization_check
     m = matrix_from_args(args)
     F = columns_and_F(m, parse_frac(args.delta), args.w,
                       parse_int_list(args.shifts, "--shifts"))
@@ -336,6 +335,8 @@ def cmd_joining_trivialize(args: argparse.Namespace) -> str:
 
 
 def cmd_flow_window(args: argparse.Namespace) -> Table:
+    from .flow import FlowSkeletonSpec, windowed_return_flow
+    from .stats import MAX_ENTRIES
     spec = load_spec(args.spec, args.stage_budget)
     fspec = FlowSkeletonSpec(spec, args.grid, parse_frac(args.alpha))
     q = fspec.grid_inverse if args.q is None else args.q
@@ -352,6 +353,8 @@ def cmd_flow_window(args: argparse.Namespace) -> Table:
 
 
 def cmd_flow_bands(args: argparse.Namespace) -> Table:
+    from .flow import FlowSkeletonSpec, band_masses
+    from .joinings import empirical_joining, product_blocks
     spec = load_spec(args.spec, args.stage_budget)
     fspec = FlowSkeletonSpec(spec, args.grid, parse_frac(args.alpha))
     offsets = parse_int_list(args.offsets, "--offsets")
@@ -528,6 +531,11 @@ def build_parser() -> argparse.ArgumentParser:
     _common(fb, fmt="csv")
     fb.set_defaults(handler=cmd_flow_bands)
 
+    # command words -> the parser of that leaf, for main's dispatch
+    p.leaves = {(name,): q for name, q in sp.choices.items()
+                if name not in ("joining", "flow")}
+    p.leaves.update(((group, name), q) for group, subs in (("joining", jsp), ("flow", fsp))
+                    for name, q in subs.choices.items())
     return p
 
 
@@ -546,6 +554,22 @@ def _escape_flags(args: argparse.Namespace, budget: int) -> str:
     return " and ".join(flags)
 
 
+def parse(parser: argparse.ArgumentParser, argv: List[str]) -> argparse.Namespace:
+    """parser.parse_args(argv) of build_parser's tree, less the command
+    words: argv whose leading words name a leaf command is parsed by that
+    leaf alone, where the tree would rescan every argument at each level.
+    Any other argv (no command, --help, an unknown command) goes to the tree.
+    """
+    for n in (1, 2):
+        leaf = parser.leaves.get(tuple(argv[:n]))
+        if leaf is not None:
+            args, extra = leaf.parse_known_args(argv[n:])
+            if extra:  # the tree's own refusal, usage line included
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
+            return args
+    return parser.parse_args(argv)
+
+
 _parser: Optional[argparse.ArgumentParser] = None
 
 
@@ -556,7 +580,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # cheap; a process that calls main many times builds it once.
         _parser = build_parser()
     try:
-        args = _parser.parse_args(argv)
+        args = parse(_parser, sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -551,7 +551,10 @@ class TowerStage:
                 if (need := max(levels, default=-1) + 1) > MAX_BITS:
                     raise SpecError(f"{need} level bits requested, more than the limit "
                                     f"of {MAX_BITS}")
-                return st.stage, sum(1 << i for i in levels)
+                buf = bytearray((need + 7) // 8)  # one pass: linear in the levels
+                for i in levels:
+                    buf[i >> 3] |= 1 << (i & 7)
+                return st.stage, int.from_bytes(buf, "little")
         return None
 
     def __repr__(self) -> str:

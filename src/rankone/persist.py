@@ -50,10 +50,15 @@ def frac_str(x: Union[Fraction, int]) -> str:
 
 
 def frac_strs(den: int, numerators: Iterable[int]) -> Iterator[str]:
-    """frac_str(Fraction(n, den)) of each n >= 0, den > 0: one gcd each."""
+    """frac_str(Fraction(n, den)) of each n >= 0, den > 0: one gcd each,
+    and one "/den" tail per gcd value."""
+    tails: Dict[int, str] = {}
     for n in numerators:
         g = gcd(n, den)
-        yield f"{n // g}/{den // g}"
+        tail = tails.get(g)
+        if tail is None:
+            tail = tails[g] = f"/{den // g}"
+        yield f"{n // g}{tail}"
 
 
 def parse_frac(s: str) -> Fraction:

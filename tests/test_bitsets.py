@@ -184,6 +184,43 @@ def level_sets(draw, spec, J):
     return stk.levels_set(sorted(set(levels)))
 
 
+# --------------------------------------------------------------- level_bits
+
+@settings(max_examples=80, deadline=None)
+@given(resolutions(ORACLE_MAX_HEIGHT), st.data())
+def test_level_bits_match_one_shift_per_level(case, data):
+    # level_bits fills one buffer; the oracle is its first formula, one
+    # shift per level summed (O(levels x height) bit work), at the first
+    # stage whose levels A is a union of, found by scanning every level
+    spec, _, J = case
+    stJ = build_stage(spec, J)
+    k = data.draw(st.integers(1, J))
+    stk = build_stage(spec, k)
+    levels = data.draw(st.one_of(
+        st.lists(st.integers(0, stk.height - 1), max_size=40),
+        st.just(range(stk.height))))
+    A = data.draw(st.one_of(st.just(stk.levels_set(sorted(set(levels)))),
+                            level_sets(spec, J)))
+    stages = [build_stage(spec, i) for i in range(1, J + 1)]
+    want = next(((s.stage, sum(1 << i for i in oracle_levels_inside(s, A)))
+                 for s in stages if oracle_is_level_union(s, A)), None)
+    assert stJ.level_bits(A) == want
+
+
+def test_whole_ambient_correlation_in_a_capped_child():
+    # all 1,218,960 levels of staircase stage 10: summing one shift per
+    # level ran past 20 s; the buffer answers in about 4 s (2-core VM,
+    # CPython 3.11.7)
+    script = ("from rankone import ConstructionSpec, Interval, IntervalSet, "
+              "build_stage, correlation\n"
+              "spec = ConstructionSpec.staircase()\n"
+              "A = IntervalSet((Interval(0, build_stage(spec, 10).total),))\n"
+              "print(correlation(spec, A, A, 1, 10))\n")
+    proc, _ = run_capped(["-c", script], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[174137/103680, 1693/1008]\n"
+
+
 # ------------------------------------------------------------ occurrences
 
 @settings(max_examples=60, deadline=None)

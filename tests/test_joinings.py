@@ -181,7 +181,7 @@ def test_product_documents_match_dense_dict(argv):
              "chacon", "--j", "4", "--res", "5")
     code, out, err = run_cli(*argv)
     assert code == 0, err
-    with mock.patch.object(cli, "product_blocks",
+    with mock.patch.object(joinings, "product_blocks",
                            lambda *a: dense(product_blocks(*a))):
         assert run_cli(*argv) == (0, out, "")
 

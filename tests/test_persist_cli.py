@@ -7,6 +7,7 @@ checked byte for byte.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -704,6 +705,39 @@ def test_preset_name_file_and_classmethod_agree(tmp_path, name):
     assert classmethod_spec.max_stage == PRESETS[name]["max_stage"]
 
 
+@pytest.mark.parametrize("token", ["odometer", "chacon", "random:7", "file"])
+def test_stage_budget_builds_the_spec_once(tmp_path, monkeypatch, token):
+    # the budget goes into the spec data: one spec built and validated,
+    # equal to the unbudgeted spec with its max_stage replaced
+    if token == "file":
+        token = str(tmp_path / "spec.json")
+        Path(token).write_text(ConstructionSpec.staircase(h1=3).canonical_json())
+    want = dataclasses.replace(load_spec(token), max_stage=7)
+    built = []
+    post_init = ConstructionSpec.__post_init__
+    monkeypatch.setattr(ConstructionSpec, "__post_init__",
+                        lambda self: built.append(1) or post_init(self))
+    assert load_spec(token, 7) == want
+    assert len(built) == 1
+
+
+def test_stage_budget_refused_after_the_spec(tmp_path):
+    # a bad spec is named first, in the words it gets without a budget
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"h1": "2", **_ODO_RULES}))
+    listing = tmp_path / "list.json"
+    listing.write_text("[1]")
+    for token in (str(bad), str(listing), "nope", "random:x"):
+        with pytest.raises(SpecError) as alone:
+            load_spec(token)
+        for budget in (0, 7):
+            with pytest.raises(SpecError) as budgeted:
+                load_spec(token, budget)
+            assert str(budgeted.value) == str(alone.value)
+    with pytest.raises(SpecError, match="^--stage-budget must be >= 1$"):
+        load_spec("odometer", 0)
+
+
 # ------------------------------------------------------- cli: exit codes
 
 def test_cli_unknown_spec_exit_2():
@@ -806,7 +840,7 @@ def test_cli_orbit_refuses_too_many_steps_before_any_cursor(monkeypatch):
         built.append(a)
         raise SpecError("cursor built")
 
-    monkeypatch.setattr(cli, "Cursor", cursor)
+    monkeypatch.setattr("rankone.transform.Cursor", cursor)
     argv = ("orbit", "--spec", "odometer", "--x", "1/3", "--stage-budget", "30",
             "--steps")
     assert run_cli(*argv, str(cli.MAX_STEPS + 1)) == (
