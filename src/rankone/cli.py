@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 from itertools import chain, islice, repeat, starmap
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from .construction import PRESETS, ConstructionSpec, build_stage
 from .errors import OrbitEscaped, SpecError
@@ -140,7 +140,7 @@ def matrix_from_args(args: argparse.Namespace, j: Optional[int] = None,
     raise SpecError(f"unknown matrix kind {args.kind!r}")
 
 
-def matrix_meta(m: BlockMassMatrix) -> Dict[str, object]:
+def matrix_meta(m: BlockMassMatrix, **extra: object) -> Dict[str, object]:
     meta = {"kind": m.kind, "j": m.j, "J": m.meta.get("J"),
             "h_a": m.h_a, "h_b": m.h_b,
             "N": m.meta.get("N"), "seeds": m.meta.get("seeds"),
@@ -148,7 +148,7 @@ def matrix_meta(m: BlockMassMatrix) -> Dict[str, object]:
             "spec_a": spec_hash(m.spec_a), "spec_b": spec_hash(m.spec_b)}
     if "k" in m.meta:
         meta["k"] = m.meta["k"]
-    return meta
+    return {**meta, **extra}
 
 
 # ----------------------------------------------------------------- handlers
@@ -242,8 +242,7 @@ def cmd_joining_blocks(args: argparse.Namespace) -> Table:
     from .joinings import UniformBlockMasses
     m = matrix_from_args(args)
     _check_listing(len(m.masses))
-    meta = matrix_meta(m)
-    meta["command"] = "joining blocks"
+    meta = matrix_meta(m, command="joining blocks")
     # a uniform grid iterates in sorted order; an empirical Counter does not
     items = (zip(m.masses, repeat(m.masses.per)) if isinstance(m.masses, UniformBlockMasses)
              else sorted(m.masses.items()))
@@ -261,8 +260,7 @@ def cmd_joining_light(args: argparse.Namespace) -> str:
             "total_blocks": rep.total_blocks,
             "heavy_count": rep.heavy_count,
             "light": block_list(rep.light_set.rows(), m.h_b, 2)}
-    meta = matrix_meta(m)
-    meta["command"] = "joining light"
+    meta = matrix_meta(m, command="joining light")
     return render_json(data, **meta) + "\n"
 
 
@@ -329,8 +327,7 @@ def cmd_joining_trivialize(args: argparse.Namespace) -> str:
             "weight_flatness": frac_str(rec.weight_flatness),
             "escape_slack": frac_str(rec.escape_slack),
             "nu_F": frac_str(F.nu_F)}
-    meta = matrix_meta(m)
-    meta.update(command="joining trivialize", k_cond=args.k2)
+    meta = matrix_meta(m, command="joining trivialize", k_cond=args.k2)
     return render_json(data, **meta) + "\n"
 
 
@@ -367,15 +364,17 @@ def cmd_flow_bands(args: argparse.Namespace) -> Table:
                               step_a=fspec.alpha_p, step_b=fspec.alpha_q)
     masses = [band_masses(m, fspec, off, args.side, z_bound=args.zbound)
               for off in offsets]
-    meta = matrix_meta(m)
-    meta.update(command="flow bands", alpha=frac_str(fspec.alpha),
-                grid=args.grid, side=args.side, zbound=args.zbound)
+    meta = matrix_meta(m, command="flow bands", alpha=frac_str(fspec.alpha),
+                       grid=args.grid, side=args.side, zbound=args.zbound)
     return Table(("offset", "mass_num", "mass_den"), zip(offsets, masses), meta)
 
 
 # ------------------------------------------------------------------- parser
 
-def _common(sub: argparse.ArgumentParser, fmt: Optional[str] = None) -> None:
+def _common(sub: argparse.ArgumentParser, handler: Callable[[argparse.Namespace], object],
+            fmt: Optional[str] = None) -> None:
+    """The flags every command takes, and the handler that runs it."""
+    sub.set_defaults(handler=handler)
     sub.add_argument("--out", help="write the document here instead of stdout")
     if fmt is not None:
         sub.add_argument("--format", choices=("csv", "json"), default=fmt,
@@ -411,23 +410,20 @@ def build_parser() -> argparse.ArgumentParser:
     b = sp.add_parser("build", help="serialize construction stages")
     b.add_argument("--spec", required=True)
     b.add_argument("--stage", type=int, required=True)
-    _common(b)
-    b.set_defaults(handler=cmd_build)
+    _common(b, cmd_build)
 
     o = sp.add_parser("orbit", help="iterate a point exactly")
     o.add_argument("--spec", required=True)
     o.add_argument("--x", required=True, help="start NUM/DEN")
     o.add_argument("--steps", type=int, required=True)
-    _common(o)
-    o.set_defaults(handler=cmd_orbit)
+    _common(o, cmd_orbit)
 
     r = sp.add_parser("return-profile", help="two-sided return time bounds")
     r.add_argument("--spec", required=True)
     r.add_argument("--j", type=int, required=True)
     r.add_argument("--res", type=int, required=True)
     r.add_argument("--zmax", type=int, required=True)
-    _common(r, fmt="csv")
-    r.set_defaults(handler=cmd_return_profile)
+    _common(r, cmd_return_profile, fmt="csv")
 
     c = sp.add_parser("correlate", help="bounds on mu(A meet T^m B)")
     c.add_argument("--spec", required=True)
@@ -436,8 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--mmax", type=int, required=True)
     c.add_argument("--j", type=int, default=1, help="stage the levels refer to")
     c.add_argument("--res", type=int, required=True)
-    _common(c, fmt="json")
-    c.set_defaults(handler=cmd_correlate)
+    _common(c, cmd_correlate, fmt="json")
 
     bh = sp.add_parser("blum-hanson", help="weighted-average L2 deviation")
     bh.add_argument("--spec", required=True)
@@ -446,30 +441,26 @@ def build_parser() -> argparse.ArgumentParser:
     bh.add_argument("--f", required=True, help="comma separated level indices")
     bh.add_argument("--j", type=int, default=1, help="stage the levels refer to")
     bh.add_argument("--res", type=int, required=True)
-    _common(bh)
-    bh.set_defaults(handler=cmd_blum_hanson)
+    _common(bh, cmd_blum_hanson)
 
     jn = sp.add_parser("joining", help="block-mass matrices and diagnostics")
     jsp = jn.add_subparsers(dest="subcommand", required=True)
 
     jb = jsp.add_parser("blocks", help="emit the block-mass matrix")
     _matrix_flags(jb)
-    _common(jb, fmt="csv")
-    jb.set_defaults(handler=cmd_joining_blocks)
+    _common(jb, cmd_joining_blocks, fmt="csv")
 
     jl = jsp.add_parser("light", help="epsilon-light block report")
     _matrix_flags(jl)
     jl.add_argument("--epsilon", required=True, help="threshold NUM/DEN")
-    _common(jl)
-    jl.set_defaults(handler=cmd_joining_light)
+    _common(jl, cmd_joining_light)
 
     jd = jsp.add_parser("di", help="powder-mass proxy over a grid")
     _matrix_flags(jd, with_j=False)
     jd.add_argument("--stages", required=True, help="comma separated stages")
     jd.add_argument("--epsilons", required=True,
                     help="comma separated NUM/DEN thresholds")
-    _common(jd)
-    jd.set_defaults(handler=cmd_joining_di)
+    _common(jd, cmd_joining_di)
 
     jx = jsp.add_parser("disperse", help="conditioned return dispersion")
     jx.add_argument("--spec-a", required=True)
@@ -483,8 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     jx.add_argument("--res", type=int, required=True)
     jx.add_argument("--step-a", type=int, default=1)
     jx.add_argument("--step-b", type=int, default=1)
-    _common(jx)
-    jx.set_defaults(handler=cmd_joining_disperse)
+    _common(jx, cmd_joining_disperse)
 
     jt = jsp.add_parser("trivialize", help="F-set trivialization check")
     _matrix_flags(jt)
@@ -495,8 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     jt.add_argument("--B", required=True, help="level indices, second system")
     jt.add_argument("--cond-stage", type=int, required=True, dest="k2",
                     help="stage the A and B levels refer to")
-    _common(jt)
-    jt.set_defaults(handler=cmd_joining_trivialize)
+    _common(jt, cmd_joining_trivialize)
 
     fl = sp.add_parser("flow", help="suspension skeleton diagnostics")
     fsp = fl.add_subparsers(dest="subcommand", required=True)
@@ -510,8 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     fw.add_argument("--zmax", type=int, required=True)
     fw.add_argument("--q", type=int, default=None,
                     help="window length override (default --grid)")
-    _common(fw, fmt="csv")
-    fw.set_defaults(handler=cmd_flow_window)
+    _common(fw, cmd_flow_window, fmt="csv")
 
     fb = fsp.add_parser("bands", help="block mass along skeleton bands")
     fb.add_argument("--spec", required=True)
@@ -528,8 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     fb.add_argument("--x-a", help="first orbit start (empirical matrix)")
     fb.add_argument("--x-b", help="second orbit start (empirical matrix)")
     fb.add_argument("-N", type=int, dest="N", help="ticks (empirical matrix)")
-    _common(fb, fmt="csv")
-    fb.set_defaults(handler=cmd_flow_bands)
+    _common(fb, cmd_flow_bands, fmt="csv")
 
     # command words -> the parser of that leaf, for main's dispatch
     p.leaves = {(name,): q for name, q in sp.choices.items()

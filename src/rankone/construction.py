@@ -444,10 +444,8 @@ class TowerStage:
             raise SpecError(f"ancestor stage {j} out of range")
         if j == self.stage:
             return range(0, scale * self.height, scale)
-        st, name = self.prev, []
-        while st.stage > j:
-            st = st.prev
-        prev, unborn = self.prev.stage_name(j, scale), (scale * st.height,)
+        name, unborn = [], (scale * build_stage(self.spec, j).height,)
+        prev = self.prev.stage_name(j, scale)
         for s in self.spacers:
             name += prev
             name += unborn * s

@@ -18,8 +18,9 @@ from collections.abc import Mapping
 from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice, product, repeat
+from itertools import chain, product, repeat
 from operator import add
+from sys import byteorder
 from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
@@ -27,8 +28,8 @@ from .averaging import WeightSequence, flatness
 from .construction import ConstructionSpec, build_stage
 from .errors import EmptyFSetError, SpecError
 from .measure import IntervalSet, MeasureBound, RationalLike, as_fraction
-from .stats import _stage_counts
-from .transform import Cursor
+from .stats import _check_resolution, _stage_counts
+from .transform import CHUNK, Cursor
 
 __all__ = [
     "BlockIndex",
@@ -188,11 +189,6 @@ class BlockMassMatrix:
         return sum(map(masses.get, blocks, repeat(0)), Fraction(0))
 
 
-def _check_resolution(j: int, J: int) -> None:
-    if not (1 <= j <= J):
-        raise SpecError(f"need 1 <= j <= J, got j={j}, J={J}")
-
-
 def product_blocks(spec_a: ConstructionSpec, spec_b: ConstructionSpec, j: int,
                    J: int) -> BlockMassMatrix:
     """Product-measure block matrix: every block carries the product of the
@@ -255,18 +251,35 @@ MAX_TICKS = 10_000_000
 
 def _paired_codes(spec_a: ConstructionSpec, spec_b: ConstructionSpec, x_a: RationalLike,
                   x_b: RationalLike, ticks: int, j: int, J: int, step_a: int, step_b: int):
-    """(codes, stage j of each system, the two cursors): `ticks` ticks of
-    the orbit of (x_a, x_b), x_a moved step_a steps and x_b step_b a tick,
-    as za * (h_b + 1) + zb for the stage-j levels, h_a or h_b where unborn.
-    Over MAX_TICKS is refused before any cursor is built; map asks the first
-    cursor first, so it is the one to escape when both do at one tick."""
+    """(chunks, typecode, stage j of each system, the two cursors): `ticks`
+    ticks of the orbit of (x_a, x_b), x_a moved step_a steps and x_b step_b
+    a tick, as za * (h_b + 1) + zb for the stage-j levels, h_a or h_b where
+    unborn, CHUNK a chunk, each side packed in the narrowest typecode (lists
+    past 64 bits) and the two added as one int.  The side with fewer ticks
+    fills first, the first on a tie, so it is the one to escape when both do
+    at one tick.  Over MAX_TICKS is refused before any cursor is built."""
     if ticks > MAX_TICKS:
         raise SpecError(f"{ticks} ticks requested, more than the limit of {MAX_TICKS}")
     sa, sb = build_stage(spec_a, j), build_stage(spec_b, j)
     ca = Cursor(spec_a, as_fraction(x_a), stage_budget=J)
     cb = Cursor(spec_b, as_fraction(x_b), stage_budget=J)
-    return map(add, islice(ca.codes(j, step_a, sb.height + 1), ticks),
-               islice(cb.codes(j, step_b), ticks)), sa, sb, ca, cb
+    top = (sa.height + 1) * (sb.height + 1) - 1
+    tc = next((t for t, bits in zip("BHIQ", (8, 16, 32, 64)) if top >> bits == 0), None)
+    sides = ca.codes(j, step_a, sb.height + 1, tc), cb.codes(j, step_b, 1, tc)
+
+    def chunks() -> Iterator[Sequence[int]]:
+        bufs = ([], []) if tc is None else (array(tc), array(tc))
+        for done in range(0, ticks, CHUNK):
+            n = min(CHUNK, ticks - done)
+            while min(map(len, bufs)) < n:
+                side = len(bufs[1]) < len(bufs[0])
+                bufs[side].extend(next(sides[side]))
+            a, b = bufs[0][:n], bufs[1][:n]
+            del bufs[0][:n], bufs[1][:n]
+            yield list(map(add, a, b)) if tc is None else array(tc, (
+                int.from_bytes(a, byteorder) + int.from_bytes(b, byteorder)
+            ).to_bytes(n * a.itemsize, byteorder))
+    return chunks(), tc, sa, sb, ca, cb
 
 
 def _block_counts(counts: Iterable[Tuple[int, int]], h_a: int, h_b: int
@@ -287,14 +300,14 @@ def empirical_joining(spec_a: ConstructionSpec, spec_b: ConstructionSpec,
     Ticks with either point in spacer mass unborn at stage j count toward
     the residual.  Orbit refinement is capped at stage J; OrbitEscaped
     propagates when the budget is insufficient.  N is at most MAX_TICKS;
-    the ticks are counted as they stream, so memory does not grow with N.
-    """
+    the ticks are counted a packed chunk at a time, so memory does not grow
+    with N."""
     _check_resolution(j, J)
     if N < 1:
         raise SpecError("empirical joining needs N >= 1")
-    codes, sa, sb, ca, cb = _paired_codes(spec_a, spec_b, x_a, x_b, N, j, J,
-                                          step_a, step_b)
-    blocks = _block_counts(Counter(codes).items(), sa.height, sb.height)
+    chunks, _, sa, sb, ca, cb = _paired_codes(spec_a, spec_b, x_a, x_b, N, j, J,
+                                              step_a, step_b)
+    blocks = _block_counts(Counter(chain.from_iterable(chunks)).items(), sa.height, sb.height)
     masses = {z: Fraction(c, N) for z, c in blocks.items()}
     Ra, Rb = ca.stage_obj.stage, cb.stage_obj.stage
     Ma, Mb = build_stage(spec_a, Ra).total, build_stage(spec_b, Rb).total
@@ -396,8 +409,8 @@ def dispersion_experiment(spec_a: ConstructionSpec, spec_b: ConstructionSpec,
     by each n, and histogram where the conditioned mass lands.
 
     A heavy source block whose conditional mass disperses over several
-    blocks under some advance n is the spreading mechanism this probes.
-    """
+    blocks under some advance n is the spreading mechanism this probes.  The
+    track is the packed chunks joined in one array of their typecode."""
     _check_resolution(j, J)
     z, h_a, h_b = BlockIndex(*z), build_stage(spec_a, j).height, build_stage(spec_b, j).height
     if not (0 <= z.z1 < h_a and 0 <= z.z2 < h_b):  # off the grid, z's code is another's
@@ -406,10 +419,11 @@ def dispersion_experiment(spec_a: ConstructionSpec, spec_b: ConstructionSpec,
         raise SpecError("dispersion experiment needs N >= 1")
     if not n_list:
         raise SpecError("n_list must be nonempty")
-    codes, *_ = _paired_codes(spec_a, spec_b, x_a, x_b, N + max(max(n_list), 0),
-                              j, J, step_a, step_b)
-    track = array("q") if (h_a + 1) * (h_b + 1) <= 1 << 63 else []  # int64: 8 B a tick
-    track.extend(codes)
+    chunks, tc, *_ = _paired_codes(spec_a, spec_b, x_a, x_b, N + max(max(n_list), 0),
+                                   j, J, step_a, step_b)
+    track = [] if tc is None else array(tc)
+    for chunk in chunks:
+        track.extend(chunk)
     hits, i = [], -1
     with suppress(ValueError):
         while True:

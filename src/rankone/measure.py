@@ -245,28 +245,6 @@ class BoundSeries(Mapping):
                             Fraction(max(self.hi[start:]), self.den))
 
 
-def _segments_from_pieces(
-    pieces: Sequence[Tuple[IntervalSet, RationalLike]],
-) -> Tuple[Tuple[Fraction, Fraction, Fraction], ...]:
-    segs: list[Tuple[Fraction, Fraction, Fraction]] = []
-    for support, value in pieces:
-        v = as_fraction(value)
-        if v == 0:
-            continue
-        for iv in support.intervals:
-            segs.append((iv.lo, iv.hi, v))
-    segs.sort(key=lambda s: s[0])
-    merged: list[Tuple[Fraction, Fraction, Fraction]] = []
-    for lo, hi, v in segs:
-        if merged and lo < merged[-1][1]:
-            raise ValueError("step function pieces must have disjoint supports")
-        if merged and lo == merged[-1][1] and v == merged[-1][2]:
-            merged[-1] = (merged[-1][0], hi, v)
-        else:
-            merged.append((lo, hi, v))
-    return tuple(merged)
-
-
 @dataclass(frozen=True)
 class StepFunction:
     """Finitely supported rational step function, zero off its pieces.
@@ -279,7 +257,23 @@ class StepFunction:
 
     @classmethod
     def from_pieces(cls, pieces: Sequence[Tuple[IntervalSet, RationalLike]]) -> "StepFunction":
-        return cls(_segments_from_pieces(pieces))
+        segs: list[Tuple[Fraction, Fraction, Fraction]] = []
+        for support, value in pieces:
+            v = as_fraction(value)
+            if v == 0:
+                continue
+            for iv in support.intervals:
+                segs.append((iv.lo, iv.hi, v))
+        segs.sort(key=lambda s: s[0])
+        merged: list[Tuple[Fraction, Fraction, Fraction]] = []
+        for lo, hi, v in segs:
+            if merged and lo < merged[-1][1]:
+                raise ValueError("step function pieces must have disjoint supports")
+            if merged and lo == merged[-1][1] and v == merged[-1][2]:
+                merged[-1] = (merged[-1][0], hi, v)
+            else:
+                merged.append((lo, hi, v))
+        return cls(tuple(merged))
 
     @classmethod
     def indicator(cls, support: IntervalSet, value: RationalLike = 1) -> "StepFunction":

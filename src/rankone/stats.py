@@ -172,9 +172,13 @@ class ReturnProfile:
         return self.values[z]
 
 
-def return_profile(spec: ConstructionSpec, j: int, J: int, z_max: int) -> ReturnProfile:
+def _check_resolution(j: int, J: int) -> None:
     if not (1 <= j <= J):
         raise SpecError(f"need 1 <= j <= J, got j={j}, J={J}")
+
+
+def return_profile(spec: ConstructionSpec, j: int, J: int, z_max: int) -> ReturnProfile:
+    _check_resolution(j, J)
     zs = _entries(z_max, "z_max")
     hits, outs = _stage_counts(spec, (j, 1), (j, 1), zs, J)  # hits[0] = |S|
     values = _bounds(zs, hits, outs, hits[0], Fraction(1, hits[0]))
@@ -267,7 +271,8 @@ def _correlations(spec: ConstructionSpec, A: IntervalSet, B: IntervalSet,
     piece classes k of A and l of B (as in average_moments), sum_kl |[lo_k,
     hi_k) cap [lo_l, hi_l)| hits_kl(m) resolved, sum_l (hi_l - lo_l) escapes_l(m)."""
     st = build_stage(spec, J)
-    ca, cb = _classes(st, A), _classes(st, B)
+    ca = _classes(st, A)
+    cb = ca if B == A else _classes(st, B)  # an autocorrelation converts its set once
     D = math.lcm(*(x.denominator for lo, hi, _ in (*ca, *cb) for x in (lo, hi)))
     hits, outs = [0] * len(ms), [0] * len(ms)
     for (lo, hi, _), b in cb.items():

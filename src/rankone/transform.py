@@ -9,11 +9,12 @@ region exactly, so every result is either exact or a two-sided enclosure.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import repeat
 from math import lcm
-from typing import Callable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from .construction import ConstructionSpec, TowerStage, build_stage
 from .errors import OrbitEscaped, SpecError
@@ -46,10 +47,10 @@ class OrbitPoint:
         object.__setattr__(self, "x", as_fraction(self.x))
 
 
-# A cursor reads its orbit off copies of its coarse stage: the deepest
-# stage at most this many levels tall.  One copy is one slice of the scaled
-# stage name in codes and of the stage's integer cells in point_runs.
+# A cursor reads its orbit off copies of its coarse stage, the deepest stage
+# at most COARSE_LIMIT levels tall, and at most CHUNK ticks of a run at a time.
 COARSE_LIMIT = 1024
+CHUNK = 4096
 
 
 class Cursor:
@@ -59,14 +60,12 @@ class Cursor:
     moves |n| steps, of the sign of n, with one add per tower top or bottom
     it meets.  level_at(k) is one descent; x is cell(index) * w + u.
 
-    The streams codes(j, step, scale) and point_runs() share one run
-    walker, which reads the orbit off the coarse stage m, the deepest stage
-    at most COARSE_LIMIT levels tall (never below j): a copy run starting
-    at level lo holds the stage-m levels 0..h_m-1, so codes slices the
-    scaled stage name of m (TowerStage.stage_name) and point_runs reads
-    the point at level i as cells_m[i - lo] * w_m + cell(lo) * w + u.
-    Each stream builds its word of m once per coarse stage; the cursor
-    keeps nothing between calls."""
+    The streams codes and point_runs share one run walker, _runs, which
+    reads the orbit off copies of the coarse stage m (the deepest stage at
+    most COARSE_LIMIT levels tall, never below j), a run of at most CHUNK
+    ticks at a time: codes slices m's scaled stage name, packed once per
+    coarse stage when it is given a typecode, and point_runs m's integer
+    cells.  The cursor keeps nothing between calls."""
 
     __slots__ = ("spec", "budget", "stage_obj", "index", "u", "refinements")
 
@@ -157,10 +156,10 @@ class Cursor:
               ) -> Iterator[Tuple[int, int, int, bool, TowerStage, Sequence]]:
         """The orbit from the current point refined to stage j, one run of
         the current stage per item, a copy of the coarse stage m or a spacer
-        run: (lo, i, hi, copy, m, word(m)), the run's ticks being the
-        levels i, i + step, ... below hi.  word(m) is built once per coarse
-        stage.  The cursor stays at level i while the run is read and moves
-        past it when the next run is asked for."""
+        run, cut after CHUNK ticks: (lo, i, hi, copy, m, word(m)), the run's
+        ticks being the levels i, i + step, ... below hi.  word(m) is built
+        once per coarse stage.  The cursor stays at level i while the run is
+        read and moves past it when the next run is asked for."""
         self.refine_to(j)
         done, m = 0, None
         while True:
@@ -169,23 +168,26 @@ class Cursor:
             if coarse is not m:
                 m, m_word = coarse, word(coarse)
             lo, hi, copy = st.ancestor_run(i, m.stage)
+            hi = min(hi, i + CHUNK * step)
             yield lo, i, hi, copy, m, m_word
             n = -(-(hi - i) // step) * step
             self.advance(n, done)
             done += n
 
-    def codes(self, j: int, step: int = 1, scale: int = 1) -> Iterator[int]:
+    def codes(self, j: int, step: int = 1, scale: int = 1,
+              typecode: Optional[str] = None) -> Iterator[Iterable[int]]:
         """scale times the stage-j level of each tick of the orbit, and
         scale * h_j at ticks in spacer mass unborn at stage j; tick 0 is the
         current point refined to stage j and each later tick `step` forward
-        steps on.  One slice of the coarse stage's scaled name per copy, or
-        one repeat per spacer run, so ticks cost C-level work."""
+        steps on.  A piece per run: a slice of the coarse stage's scaled name,
+        packed above stage j as an array of typecode if given, or a repeat."""
         if step < 1:
             raise SpecError("step sizes must be >= 1")
         unborn = scale * build_stage(self.spec, j).height
-        return chain.from_iterable(
-            name[i - lo:hi - lo:step] if copy else repeat(unborn, -(-(hi - i) // step))
-            for lo, i, hi, copy, _, name in self._runs(j, step, lambda m: m.stage_name(j, scale)))
+        runs = self._runs(j, step, lambda m: m.stage_name(j, scale) if typecode is None
+                          or m.stage == j else array(typecode, m.stage_name(j, scale)))
+        return (name[i - lo:hi - lo:step] if copy else repeat(unborn, -(-(hi - i) // step))
+                for lo, i, hi, copy, _, name in runs)
 
     def point_runs(self) -> Iterator[Tuple[int, Iterator[int]]]:
         """The orbit from the current point, one run per item: (den, numerators)

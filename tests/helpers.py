@@ -257,9 +257,9 @@ def level_run(cur, j):
 
 def levels(cur, j, step=1):
     """The stage-j level of each tick of the cursor's orbit, None in spacer
-    mass unborn at stage j: Cursor.codes(j, step) with its unborn code
-    h_j read as None."""
-    codes = cur.codes(j, step)
+    mass unborn at stage j: the pieces of Cursor.codes(j, step) read as
+    one stream, with its unborn code h_j read as None."""
+    codes = chain.from_iterable(cur.codes(j, step))
     unborn = build_stage(cur.spec, j).height
     return (None if c == unborn else c for c in codes)
 

@@ -409,6 +409,37 @@ def test_non_level_sets_take_the_interval_path(case, seed, data):
         assert (correlation(spec, A, B, m, J), correlation(spec, B, A, m, J)) == want
 
 
+@pytest.mark.parametrize("levels, j, J", [([0, 3], 3, 6), ([0, 3, 17], 11, 10)],
+                         ids=["level union", "finer than J"])
+def test_autocorrelation_converts_its_set_once(levels, j, J):
+    # with B == A the piece classes of A serve both sides: level_bits runs
+    # as often as for converting A alone (once for a union of levels), and
+    # the bounds are the oracle's
+    spec = ConstructionSpec.staircase(max_stage=11)
+    A = build_stage(spec, j).levels_set(levels)
+    stJ = build_stage(spec, J)
+    calls = []
+    level_bits = TowerStage.level_bits
+
+    def spy(stage, S):
+        calls.append(S)
+        return level_bits(stage, S)
+
+    with mock.patch.object(TowerStage, "level_bits", spy):
+        stats._classes(stJ, A)
+        alone, calls[:] = len(calls), []
+        got = [correlation(spec, A, A, m, J) for m in (0, 1, 5)]
+        assert len(calls) == 3 * alone
+        calls.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["correlate", "--spec", "staircase", "--A", ",".join(map(str, levels)),
+                         "--B", ",".join(map(str, levels)), "--j", str(j), "--res", str(J),
+                         "--stage-budget", "11", "--mmax", "5"]) == 0
+        assert len(calls) == alone
+    assert (alone == 1) == (j <= J)
+    assert got == [oracle_correlation(spec, A, A, m, J) for m in (0, 1, 5)]
+
+
 def test_non_level_correlate_in_a_capped_child():
     # stage-11 levels at J = 10 are parts of stage-10 cells: imaging B
     # through power_image once per shift took 18-20 s for these 99,999

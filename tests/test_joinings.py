@@ -387,28 +387,33 @@ def test_empirical_joining_memory_does_not_grow_with_N():
     assert large - small < 64 * 1024, (small, large)
 
 
-def test_dispersion_track_holds_8_bytes_a_tick(monkeypatch):
+def test_dispersion_track_holds_2_bytes_a_tick(monkeypatch):
     # odometer x chacon at j = 4 (towers 16 and 40 tall) has codes up to
-    # 16 * 41 + 40, mostly past 256, each a fresh int object in a list (8 B
-    # a pointer and 28 B an int a tick); the track is one int64 array, 8 B
-    # a tick plus its growth headroom of at most 1/16, and the whole call
-    # grows by under 10 B a tick (the hits, 1 tick in 640 here, included)
-    tracks = []
+    # 16 * 41 + 40 < 2^16, each a fresh int object in a list (8 B a pointer
+    # and 28 B an int a tick); the track is one 'H' array, 2 B a tick plus
+    # its growth headroom of at most 1/16, and the whole call grows by under
+    # 4 B a tick (the hits, 1 tick in 640 here, included).  Of the arrays a
+    # call starts empty, the track is the one past CHUNK ticks; the others
+    # are the two sides' buffers.  The chunks, made from bytes, are not kept.
+    made = []
 
-    def int64_array(typecode):
-        tracks.append(array(typecode))
-        return tracks[-1]
+    def recorded_array(typecode, *init):
+        made_here = array(typecode, *init)
+        if not init:
+            made.append(made_here)
+        return made_here
 
-    monkeypatch.setattr(joinings, "array", int64_array)
+    monkeypatch.setattr(joinings, "array", recorded_array)
     a, b = ConstructionSpec.odometer(max_stage=24), ConstructionSpec.chacon(max_stage=24)
     args = (a, b, 0, 0)
     rest = (BlockIndex(0, 0), [0, 5], 4, 24)
     dispersion_experiment(*args, 10 ** 6, *rest)  # build the stages first
     small, large = (traced_peak(dispersion_experiment, *args, N, *rest)
                     for N in (10 ** 4, 10 ** 6))
+    tracks = [t for t in made if len(t) > joinings.CHUNK]
     assert [(t.typecode, t.itemsize, len(t)) for t in tracks] == [
-        ("q", 8, N + 5) for N in (10 ** 6, 10 ** 4, 10 ** 6)]
-    assert (large - small) / (10 ** 6 - 10 ** 4) < 10, (small, large)
+        ("H", 2, N + 5) for N in (10 ** 6, 10 ** 4, 10 ** 6)]
+    assert (large - small) / (10 ** 6 - 10 ** 4) < 4, (small, large)
 
 
 # ---------------------------------------------------------------- light blocks
@@ -824,6 +829,55 @@ def test_paired_orbits_match_per_tick_oracle(spec_a, spec_b, x_a, x_b, N, j,
     slow = (outcome(oracle_empirical_joining, *args),
             outcome(oracle_dispersion_experiment, *d_args))
     assert fast == slow
+
+
+CHUNK = joinings.CHUNK
+ODO16 = ConstructionSpec.odometer(max_stage=16)
+STAIR = ConstructionSpec.staircase()
+
+
+def odometer_13(i, u):
+    """The point u of the way into level i of the odometer's stage 13, 8,192
+    levels tall: under a budget of 13 its orbit escapes at tick 8192 - i,
+    from the point u of the way into the top level, which names the side."""
+    st13 = build_stage(ODO16, 13)
+    return st13.cell(i) * st13.width + u * st13.width
+
+
+@pytest.mark.parametrize("spec_a, spec_b, x_a, x_b, N, j, J, step_a, step_b", [
+    # N one below, at and one above one chunk and two chunks, with spacers
+    *((STAIR, STAIR, F(1, 3), F(2, 5), N, 3, 10, 1, 1)
+      for N in (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1)),
+    (CHA, STAIR, F(2, 7), F(1, 3), CHUNK + 1, 2, 10, 2, 3),
+    # stage 13 is its own coarse stage, its copy runs two chunks long
+    (ODO16, ODO16, F(1, 3), F(2, 5), 2 * CHUNK + 1, 13, 16, 1, 1),
+    (ODO16, ODO16, F(1, 3), F(2, 5), CHUNK + 1, 13, 16, 3, 1),
+    # codes below and above 2^8 (j = 3, 4) and 2^16 (j = 7, 8)
+    *((ODO16, ODO16, F(1, 3), F(2, 5), CHUNK + 1, j, 16, 1, 2) for j in (3, 4, 7, 8)),
+    # escapes in one chunk: a first, b first, at one tick (a reported)
+    *((ODO16, ODO16, odometer_13(ia, F(1, 3)), odometer_13(ib, F(1, 5)), 2 * CHUNK,
+       3, 13, 1, 1) for ia, ib in ((100, 60), (60, 100), (100, 100),
+                                   # one escape on the first tick of the
+                                   # second chunk, on either side
+                                   (CHUNK, 0), (0, CHUNK))),
+])
+def test_paired_orbits_across_chunks_match_per_tick_oracle(spec_a, spec_b, x_a, x_b, N,
+                                                           j, J, step_a, step_b):
+    args = (spec_a, spec_b, x_a, x_b, N, j, J, step_a, step_b)
+    [z], _, _ = oracle_ticks(spec_a, spec_b, x_a, x_b, 1, j, J, step_a, step_b)
+    z = BlockIndex(0, 0) if None in z else BlockIndex(*z)
+    d_args = (*args[:5], z, [0, 1, -3, CHUNK], j, J, step_a, step_b)
+    fast = (outcome(empirical_joining, *args),
+            outcome(dispersion_experiment, *d_args))
+    assert fast == (outcome(oracle_empirical_joining, *args),
+                    outcome(oracle_dispersion_experiment, *d_args))
+
+
+def test_paired_codes_pack_into_the_narrowest_typecode():
+    # odometer stage j is 2^j levels tall: (2^j + 1)^2 - 1 codes
+    got = [joinings._paired_codes(ODO16, ODO16, 0, 0, 1, j, 16, 1, 1)[1]
+           for j in (3, 4, 7, 8, 16)]
+    assert got == ["B", "H", "H", "I", "Q"]
 
 
 def test_paired_orbits_past_int64_codes_in_a_capped_child():

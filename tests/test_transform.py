@@ -479,10 +479,12 @@ class TestCoarseRuns:
            st.integers(min_value=1, max_value=4),
            st.integers(min_value=1, max_value=3),
            st.integers(min_value=1, max_value=600),
-           st.integers(min_value=1, max_value=10 ** 7))
+           st.integers(min_value=1, max_value=10 ** 7),
+           st.sampled_from([None, "Q"]))
     def test_codes_are_scaled_levels(self, spec, x, limit, budget, j, step,
-                                     ticks, scale):
-        # scale * z for a stage-j level z, scale * h_j for an unborn one
+                                     ticks, scale, typecode):
+        # scale * z for a stage-j level z, scale * h_j for an unborn one,
+        # with the coarse names read as tuples or packed as arrays of typecode
         budget = min(budget, spec.max_stage)
         if j > budget:
             return
@@ -492,7 +494,8 @@ class TestCoarseRuns:
         with mock.patch.object(transform, "COARSE_LIMIT", limit):
             cur = Cursor(spec, x, stage_budget=budget)
             try:
-                got.extend(islice(cur.codes(j, step, scale), ticks))
+                pieces = cur.codes(j, step, scale, typecode)
+                got.extend(islice(chain.from_iterable(pieces), ticks))
             except OrbitEscaped as exc:
                 assert escape_outcome(exc) == end
             else:
