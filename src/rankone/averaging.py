@@ -6,9 +6,9 @@ operator P f = sum_z a^z (f composed with T^{-z}) pushes each piece of f
 forward z steps at a chosen resolution; adjoint composition collapses to
 the convolution b^w = sum_z a^{w+z} a^z, and the L2 deviation of P f from
 its mean is enclosed exactly, with escaped mass charged at its worst
-possible pointwise value.  average_apply builds P f on the stage-J levels;
-average_moments reads the norm, integral and escape from stats' lag
-counts, building neither P f nor any stage-J set.
+possible pointwise value.  average_apply sums one segment per piece class
+of f and stage-J level into P f; average_moments reads the norm, integral
+and escape from stats' lag counts, building neither P f nor any stage-J set.
 """
 
 from __future__ import annotations
@@ -17,14 +17,13 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, groupby, product
-from typing import Dict, List, Tuple, Union
+from itertools import accumulate, product
+from typing import Dict, Tuple, Union
 
 from .construction import ConstructionSpec, bit_indices, build_stage
 from .errors import SpecError
-from .measure import (Interval, IntervalSet, MeasureBound, RationalLike,
-                      StepFunction, as_fraction)
-from .stats import Segment, _classes, _stage_counts
+from .measure import MeasureBound, RationalLike, StepFunction, as_fraction
+from .stats import _classes, _stage_counts
 
 __all__ = [
     "WeightSequence",
@@ -126,53 +125,32 @@ def average_apply(spec: ConstructionSpec, w: WeightSequence, f: StepFunction,
     silently zero where mass escaped.  f must vanish off the stage-J
     ambient interval [0, M_J).
 
-    Each (level of a piece of f, shift z) pair adds n_z to its target
-    level's count for that piece, a^z = n_z / D: one integer add each.
+    Each (level of a piece class (lo, hi, v) of f, shift z) pair adds n_z
+    to the class's count n at its target level t, a^z = n_z / D.  The sweep
+    StepFunction.summed adds the segments v n / D on (cell(t) + [lo, hi)) w_J.
     """
     if direction not in ("forward", "backward"):
         raise SpecError(f"direction must be forward or backward, got {direction!r}")
     sign = 1 if direction == "forward" else -1
     st = build_stage(spec, J)
-    classes = _classes(st, f.segments)
-    if not classes:
-        return StepFunction.zero(), MeasureBound.zero()
     width, h = st.width, st.height
-    level_at = [0] * h
-    for i, c in enumerate(st.level_cells()):
-        level_at[c] = i
     D, ns = _numerators(w)
-    # hits[(lo, hi, v)][t]: the n_z of the pairs (level of that piece, z)
-    # landing on level t; the other pairs escape, and the n_z sum to D
-    hits: Dict[Segment, List[int]] = {}
-    escaped = Fraction(0)
-    for (lo, hi, v), kb in classes.items():
+    pieces, escaped = [], Fraction(0)
+    for (lo, hi, v), kb in _classes(st, f.segments).items():
         levels = bit_indices(st.occurrence_bits(*kb))
-        count = hits[lo, hi, v] = [0] * h
+        # count[t]: n_z summed over the pairs landing on level t; the rest escape
+        count = [0] * h
         for z, n in ns.items():
             for t in levels:
                 t += sign * z
                 if 0 <= t < h:
                     count[t] += n
         escaped += (hi - lo) * (D * len(levels) - sum(count))
-    # the levels in cell order, one run per equal count vector
-    counts, pieces, c = list(zip(*hits.values())), [], 0
-    for key, run in groupby(counts[i] for i in level_at):
-        n, parts = len(list(run)), _cell_sum(hits, key, D)
-        spans = ([(c, c + n, parts[0][2])] if len(parts) == 1 and parts[0][:2] == (0, 1)
-                 else [(k + lo, k + hi, v) for k in range(c, c + n) for lo, hi, v in parts])
-        pieces += [(IntervalSet((Interval(lo * width, hi * width),)), v) for lo, hi, v in spans]
-        c += n
-    return StepFunction.from_pieces(pieces), MeasureBound.exact(escaped * width / D)
-
-
-def _cell_sum(hits, key, D) -> List[Segment]:
-    """The sum of n/D * (lo, hi, v) over the pieces with count n, as nonzero
-    segments of the unit cell."""
-    terms = [(lo, hi, v * n / D) for (lo, hi, v), n in zip(hits, key) if n]
-    cuts = sorted({x for lo, hi, _ in terms for x in (lo, hi)})
-    sums = [(lo, hi, sum(v for a, b, v in terms if a <= lo < b))
-            for lo, hi in zip(cuts, cuts[1:])]
-    return [s for s in sums if s[2]]
+        for t, n in enumerate(count):
+            if n:
+                c = st.cell(t)
+                pieces.append(((c + lo) * width, (c + hi) * width, v * n / D))
+    return StepFunction.summed(pieces), MeasureBound.exact(escaped * width / D)
 
 
 def average_moments(spec: ConstructionSpec, w: WeightSequence, f: StepFunction,

@@ -13,7 +13,7 @@ from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import merge
+from itertools import accumulate
 from math import lcm
 from operator import attrgetter, gt, lt
 from typing import Iterable, List, Sequence, Tuple, Union
@@ -276,6 +276,19 @@ class StepFunction:
         return cls(tuple(merged))
 
     @classmethod
+    def summed(cls, segments: Iterable[Tuple[Fraction, Fraction, Fraction]]) -> "StepFunction":
+        """Pointwise sum of (lo, hi, v) segments that may overlap, in one
+        sweep: v steps in at lo and out at hi, and from_pieces takes the
+        running sums between consecutive ends, dropping zeros."""
+        steps: dict[Fraction, Fraction] = {}
+        for lo, hi, v in segments:
+            steps[lo] = steps.get(lo, 0) + v
+            steps[hi] = steps.get(hi, 0) - v
+        ends = sorted(steps)
+        return cls.from_pieces([(IntervalSet((Interval(lo, hi),)), v) for lo, hi, v in
+                                zip(ends, ends[1:], accumulate(steps[x] for x in ends))])
+
+    @classmethod
     def indicator(cls, support: IntervalSet, value: RationalLike = 1) -> "StepFunction":
         return cls.from_pieces([(support, value)])
 
@@ -287,36 +300,9 @@ class StepFunction:
         return sum(((hi - lo) * v for lo, hi, v in self.segments), Fraction(0))
 
     def add(self, other: "StepFunction") -> "StepFunction":
-        """Pointwise sum, exact: one linear merge of the two segment lists.
-
-        The breakpoints of both arrive in sorted order; between consecutive
-        ones each side's value is read from a pointer that only moves up.
-        """
-        a, b = self.segments, other.segments
-        out: list[Tuple[Fraction, Fraction, Fraction]] = []
-        i = k = 0
-        lo = None
-        for hi in merge(_breakpoints(a), _breakpoints(b)):
-            if lo is not None and lo < hi:
-                while i < len(a) and a[i][1] <= lo:
-                    i += 1
-                while k < len(b) and b[k][1] <= lo:
-                    k += 1
-                v = ((a[i][2] if i < len(a) and a[i][0] <= lo else 0)
-                     + (b[k][2] if k < len(b) and b[k][0] <= lo else 0))
-                if v:
-                    if out and out[-1][1] == lo and out[-1][2] == v:
-                        out[-1] = (out[-1][0], hi, v)
-                    else:
-                        out.append((lo, hi, v))
-            lo = hi
-        return StepFunction(tuple(out))
+        """Pointwise sum, exact: one sweep over the segments of both."""
+        return StepFunction.summed(self.segments + other.segments)
 
     def l2_norm_sq(self) -> Fraction:
         return sum(((hi - lo) * v * v for lo, hi, v in self.segments), Fraction(0))
 
-
-def _breakpoints(segments):
-    for lo, hi, _ in segments:
-        yield lo
-        yield hi

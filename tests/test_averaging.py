@@ -3,12 +3,14 @@
 average_apply counts hits of the pieces of f, cut at stage-J cell
 boundaries, on the stage-J levels.  The differential tests check it against
 `pieces_oracle`, which images each segment of f through power_image once
-per shift and sums the images with StepFunction.add, and average_moments
+per shift and sums the images with StepFunction.add (the sweep
+StepFunction.summed, checked pointwise in test_measure), and average_moments
 against the norm, integral and escape of average_apply's P f; `flatness`
 is checked against a scan of every window start, adjoint_convolution
 against the sums over all pairs of weights.
 """
 
+import random
 import time
 from fractions import Fraction
 
@@ -347,6 +349,62 @@ class TestLevelPath:
         w = data.draw(weights_reaching(h))
         assert average_apply(spec, w, f, J, direction) == pieces_oracle(
             spec, w, f, J, direction)
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    @pytest.mark.parametrize("weights, top_piece, meet", [
+        # level 0 moved one level up meets level 1 unmoved, and back
+        ({0: F(1, 2), 1: F(1, 2)}, False, {"forward": 1, "backward": 0}),
+        # forward they meet two levels up while the piece on the top level
+        # escapes entirely; backward the piece on level 0 escapes entirely
+        ({1: F(1, 2), 2: F(1, 2)}, True, {"forward": 2}),
+    ])
+    def test_overlapping_classes_on_one_level(self, direction, weights, top_piece, meet):
+        # 1 on the first half of level 0's cell and 2 on the middle half of
+        # level 1's: two piece classes whose parts of a cell overlap
+        spec, J = ConstructionSpec.odometer(), 3
+        stJ = build_stage(spec, J)
+
+        def part(i, a, b):
+            lvl = stJ.level(i)
+            return IntervalSet((Interval(lvl.lo + a * lvl.length, lvl.lo + b * lvl.length),))
+
+        pieces = [(part(0, 0, F(1, 2)), 1), (part(1, F(1, 4), F(3, 4)), 2)]
+        if top_piece:
+            pieces.append((part(stJ.height - 1, F(1, 2), 1), -1))
+        f = StepFunction.from_pieces(pieces)
+        w = WeightSequence(tuple(weights.items()))
+        Pf, esc = average_apply(spec, w, f, J, direction)
+        assert (Pf, esc) == pieces_oracle(spec, w, f, J, direction)
+        if direction in meet:
+            # each lands there at weight 1/2: 1/2 + 1 on the quarter they share
+            shared = part(meet[direction], F(1, 4), F(1, 2)).intervals[0]
+            assert value_at(Pf, shared.lo) == value_at(Pf, (shared.lo + shared.hi) / 2) == F(3, 2)
+        else:
+            # all of level 0's half cell, and level 1's at z = 2 (weight 1/2)
+            assert esc.hi == stJ.width * (F(1, 2) + F(1, 2) * F(1, 2))
+
+    def test_many_classes_within_budget(self):
+        # 100 pieces on a 1/7 grid of stage-10 cells, with assorted values:
+        # well over 100 piece classes, whose segments overlap on most levels
+        spec, J = ConstructionSpec.odometer(), 10
+        stJ = build_stage(spec, J)
+        rng = random.Random(7)
+        ends = sorted(rng.sample(range(7 * stJ.height), 200))
+        f = StepFunction.from_pieces([
+            (IntervalSet((Interval(F(a, 7) * stJ.width, F(b, 7) * stJ.width),)),
+             F(rng.choice([-3, -2, -1, 1, 2, 3, 4, 5]), rng.choice([1, 2, 3, 5])))
+            for a, b in zip(ends[::2], ends[1::2])])
+        t0 = time.monotonic()
+        Pf, _ = average_apply(spec, WeightSequence.uniform(32), f, J)
+        elapsed = time.monotonic() - t0
+        assert elapsed < 5.0, f"average_apply took {elapsed:.2f} s"
+        # on level t >= 31 the 32 shifts back all stay in the tower: the
+        # value at x is the mean of f at x's place in the cells of levels
+        # t - 31, ..., t
+        for _ in range(50):
+            t, u = rng.randrange(31, stJ.height), F(rng.randrange(14) * 2 + 1, 28)
+            at = [stJ.level(t - z).lo + u * stJ.width for z in range(32)]
+            assert value_at(Pf, at[0]) == sum(value_at(f, x) for x in at) / 32
 
     def test_zero_function(self):
         spec = ConstructionSpec.chacon()

@@ -4,7 +4,7 @@ functions."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rankone.measure import (
     EMPTY_SET,
@@ -48,6 +48,24 @@ def step_functions(draw, max_pieces=4):
     return StepFunction.from_pieces(
         [(IntervalSet((Interval(lo, hi),)), draw(values))
          for lo, hi in zip(cuts[:-1], cuts[1:])])
+
+
+@st.composite
+def overlapping_segments(draw, max_segments=8):
+    """(lo, hi, v) segments, lo < hi, with ends on a grid of thirds so that
+    ends are shared and segments nest; some come with their negation, so
+    that sums cancel to 0 where those two overlap."""
+    grid = st.integers(-6, 6).map(lambda k: F(k, 3))
+    values = st.sampled_from([F(1), F(-1), F(1, 2), F(-1, 2), F(3)])
+    segs = []
+    for a, b, v, cancel in draw(st.lists(st.tuples(grid, grid, values, st.booleans()),
+                                         max_size=max_segments)):
+        if a != b:
+            segs.append((min(a, b), max(a, b), v))
+            if cancel:
+                c, d = sorted(draw(st.lists(grid, min_size=2, max_size=2, unique=True)))
+                segs.append((c, d, -v))
+    return segs
 
 
 def assert_canonical(f):
@@ -236,6 +254,26 @@ class TestStepFunction:
             [(IntervalSet((Interval(a, b),)), value_at(f, a) + value_at(g, a))
              for a, b in zip(cuts, cuts[1:])])
         assert g.add(f) == h and h.integral() == f.integral() + g.integral()
+
+    @given(overlapping_segments(), st.lists(fractions_st, max_size=4))
+    @example([], [F(0)])
+    @example([(F(0), F(2), F(1)), (F(1, 3), F(1), F(-1))], [])  # nested
+    @example([(F(0), F(1), F(1, 2)), (F(1), F(2), F(1, 2))], [])  # shared end, equal values
+    @example([(F(0), F(1), F(3)), (F(0), F(1), F(-3)), (F(1), F(2), F(1))], [])  # cancels
+    def test_summed_is_the_sum_over_covering_segments(self, segs, xs):
+        f = StepFunction.summed(segs)
+        assert_canonical(f)
+        cuts = sorted({x for s in segs for x in s[:2]})
+        probes = set(cuts) | set(xs) | {(a + b) / 2 for a, b in zip(cuts, cuts[1:])}
+        if cuts:
+            probes |= {cuts[0] - 1, cuts[-1] + 1}
+        for x in probes:
+            assert value_at(f, x) == sum((v for lo, hi, v in segs if lo <= x < hi), F(0))
+
+    def test_from_pieces_refuses_overlapping_pieces(self):
+        with pytest.raises(ValueError, match="disjoint"):
+            StepFunction.from_pieces([(IntervalSet((iv(0, 1),)), 1),
+                                      (IntervalSet((iv("1/2", 2),)), 1)])
 
     @settings(max_examples=50)
     @given(interval_sets(), fractions_st)

@@ -1203,3 +1203,24 @@ def test_cli_json_documents_are_fixed_points(name, tmp_path):
     code, out, err = run_cli(*argv)
     assert code == 0, err
     assert out == oracle_json(json.loads(out)) + "\n"
+
+
+# Library functions that no command reaches: each stays in the library as
+# a test oracle of the path that replaced it.  Should a command come to
+# route through one, its speed matters again, and this test says so.
+ORACLE_ONLY = ("rankone.transform.power_image", "rankone.averaging.average_apply",
+               "rankone.measure.StepFunction.add", "rankone.measure.set_intersection")
+
+
+def test_commands_never_reach_the_oracle_only_functions(tmp_path):
+    wf = tmp_path / "w.json"
+    wf.write_text(json.dumps({"0": "1/2", "1": "1/2"}))
+    argvs = [[str(wf) if a == "WEIGHTS" else a for a in argv]
+             for argv in [*JSON_COMMANDS.values(), *FORMAT_MATRIX]]
+    with contextlib.ExitStack() as stack:
+        for name in ORACLE_ONLY:
+            stack.enter_context(mock.patch(name, side_effect=AssertionError(name)))
+        patched = [run_cli(*argv) for argv in argvs]
+    for argv, got in zip(argvs, patched):
+        assert got[0] == 0, (argv, got[2])
+        assert got == run_cli(*argv), argv
