@@ -327,9 +327,9 @@ class TowerStage:
     Levels are indexed 0..height-1 from the base up.  Their geometry is
     integer: level i is the cell [c w, (c+1) w) for c = cell(i), and the
     cells 0..height-1 tile the ambient [0, M).  A stage holds O(r_j)
-    integers; level queries go through cell(i), one descent to stage 1,
-    and level_cells and stage_name build a whole stage's cells or
-    coarse-stage levels on request.
+    integers; level queries go through ancestor_run, one descent by the
+    column rule, and level_cells and stage_name build a whole stage's
+    cells or coarse-stage levels on request.
     """
 
     __slots__ = (
@@ -364,25 +364,44 @@ class TowerStage:
     #
     # The column rule: column c of this stage puts the stage-(j-1) cell p at
     # cell p r + c, and its spacers in the cells from h_{j-1} r +
-    # spacer_cum[c] up, past M_{j-1} = h_{j-1} r w.  cell, level_of_cell and
-    # level_cells are the three readings of that rule.
+    # spacer_cum[c] up, past M_{j-1} = h_{j-1} r w.  ancestor_run reads it
+    # downwards from a level (cell is its descent to stage 1), level_of_cell
+    # upwards from a cell, and level_cells for a whole stage at once.
 
-    def cell(self, i: int) -> int:
-        """Cell of level i: one descent to stage 1, integer work only."""
-        if not (0 <= i < self.height):
-            raise SpecError(f"level index {i} out of range for stage {self.stage}")
-        st, scale, add = self, 1, 0
-        while st.prev is not None:
+    def ancestor_run(self, i: int, k: int) -> Tuple[int, int, bool, int, int]:
+        """The run [lo, hi) of levels around level i that is one copy of the
+        stage-k tower, or the spacers one column of one stage above k adds,
+        with its cells: (lo, hi, copy, add, scale).
+
+        On a copy run (copy True) level i' sits in stage-k level i' - lo
+        and has cell add + scale * cell_k(i' - lo); on a spacer run it sits
+        in no stage-k level and has cell add + scale * (i' - lo).  One
+        descent from this stage to k by the column rule, one bisect per
+        stage.
+        """
+        if not (1 <= k <= self.stage):
+            raise SpecError(f"ancestor stage {k} out of range")
+        st, lo, idx, add, scale = self, 0, i, 0, 1
+        while st.stage > k:
             prev, offsets = st.prev, st.offsets
-            c = bisect_right(offsets, i) - 1
-            i -= offsets[c]
-            if i >= prev.height:
-                spacer = prev.height * st.cut + st.spacer_cum[c] + i - prev.height
-                return add + scale * spacer
+            c = bisect_right(offsets, idx) - 1
+            idx -= offsets[c]
+            lo += offsets[c]
+            if idx >= prev.height:
+                lo += prev.height
+                add += scale * (prev.height * st.cut + st.spacer_cum[c])
+                return lo, lo + st.spacers[c], False, add, scale
             add += scale * c
             scale *= st.cut
             st = prev
-        return add + scale * i
+        return lo, lo + st.height, True, add, scale
+
+    def cell(self, i: int) -> int:
+        """Cell of level i: ancestor_run's descent to stage 1."""
+        if not (0 <= i < self.height):
+            raise SpecError(f"level index {i} out of range for stage {self.stage}")
+        lo, _, _, add, scale = self.ancestor_run(i, 1)
+        return add + scale * (i - lo)
 
     def level_of_cell(self, c: int) -> int:
         """Level occupying cell c, the inverse of cell: one descent."""
@@ -454,47 +473,8 @@ class TowerStage:
     def ancestor_index(self, i: int, k: int) -> Optional[int]:
         """Level of stage k containing level i of this stage, or None if the
         level sits in spacer mass added after stage k."""
-        lo, _, copy = self.ancestor_run(i, k)
+        lo, _, copy, _, _ = self.ancestor_run(i, k)
         return i - lo if copy else None
-
-    def ancestor_run(self, i: int, k: int) -> Tuple[int, int, bool]:
-        """The maximal run [lo, hi) of levels around level i that lie in one
-        copy of the stage-k tower, or in one run of spacer levels added
-        after stage k, as (lo, hi, copy).
-
-        This tower is a concatenation of contiguous stage-k copies and
-        spacer runs, so on a copy run (copy True) level i' sits in stage-k
-        level i' - lo; on a spacer run (copy False) it sits in no stage-k
-        level.  One descent from this stage to k, one bisect per stage.  A
-        spacer run found in column c of stage st takes in downwards the
-        spacers topping the st.prev copy below it (a tower's top carries
-        the last-column spacers of every stage above k), and upwards, while
-        the column is the last one, the spacers above each enclosing copy,
-        read from the columns this descent passed.
-        """
-        if not (1 <= k <= self.stage):
-            raise SpecError(f"ancestor stage {k} out of range")
-        st, lo, idx, path = self, 0, i, []
-        while st.stage > k:
-            offsets = st.offsets
-            c = bisect_right(offsets, idx) - 1
-            idx -= offsets[c]
-            lo += offsets[c]
-            prev = st.prev
-            if idx >= prev.height:
-                below, t = 0, prev
-                while t.stage > k:
-                    below += t.spacers[-1]
-                    t = t.prev
-                start = lo + prev.height
-                hi = start + st.spacers[c]
-                while path and c == st.cut - 1:
-                    st, c = path.pop()
-                    hi += st.spacers[c]
-                return start - below, hi, False
-            path.append((st, c))
-            st = prev
-        return lo, lo + st.height, True
 
     # -- base occurrences --------------------------------------------------
 

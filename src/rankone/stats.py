@@ -5,8 +5,8 @@ a range or list of m, for A and B each whole levels of its own stage k, an
 int bitset (k, bits): the levels of B with i + m in A and those off the
 tower, by `_hits` (a shifted `&` each) and `_escapes` (a prefix count per
 edge) at the first stage taller than every |m|, plus the pairs crossing
-between adjacent copies above it, with no stage-J set.  Other sets go by
-piece classes (`_classes`), one count per class pair.  Escaped mass widens
+between adjacent copies above it, with no stage-J set.  Interval sets go
+by piece classes (`_classes`), one count per class pair.  Escaped mass widens
 the upper bound.  Callers: flow, joinings' graph views, averaging.
 
 Bound tables are measure.BoundSeries, the counts as numerators over one
@@ -244,11 +244,8 @@ def _classes(st: TowerStage, f: Union[Sequence[Segment], IntervalSet],
     """The sorted segments f of a step function, or the indicator of a set,
     cut at the cells of stage st into piece classes {(lo, hi, v): (k, bits)}:
     the part of f in one cell relative to the cell, and the cells holding it
-    as level_bits gives them.  f must vanish off [0, M).  A union of whole
-    levels is its own single class (0, 1, 1)."""
+    as level_bits gives them.  f must vanish off [0, M)."""
     if isinstance(f, IntervalSet):
-        if (kb := st.level_bits(f)) is not None:
-            return {(0, 1, 1): kb}
         f = [(iv.lo, iv.hi, 1) for iv in f.intervals]
     if f and (f[0][0] < 0 or f[-1][1] > st.total):
         raise SpecError("set extends beyond the stage ambient interval")

@@ -55,17 +55,19 @@ CHUNK = 4096
 
 class Cursor:
     """Mutable orbit-iteration state: (stage, level index, offset within the
-    level).  Stepping is O(1) integer work except at tower tops and bottoms,
-    where the representation refines one stage and retries; advance(n)
-    moves |n| steps, of the sign of n, with one add per tower top or bottom
-    it meets.  level_at(k) is one descent; x is cell(index) * w + u.
+    level).  advance(n) moves |n| steps, of the sign of n, with one add up
+    to each tower top or bottom it meets, where the representation refines
+    one stage; step_forward and step_backward are advance(1) and
+    advance(-1).  level_at(k) is one descent; x is cell(index) * w + u.
 
     The streams codes and point_runs share one run walker, _runs, which
-    reads the orbit off copies of the coarse stage m (the deepest stage at
-    most COARSE_LIMIT levels tall, never below j), a run of at most CHUNK
-    ticks at a time: codes slices m's scaled stage name, packed once per
-    coarse stage when it is given a typecode, and point_runs m's integer
-    cells.  The cursor keeps nothing between calls."""
+    reads the orbit off the runs of ancestor_run down to the coarse stage m
+    (the deepest stage at most COARSE_LIMIT levels tall, never below j):
+    copies of m, and the spacers of one column each, at most CHUNK ticks of
+    a run at a time.  codes slices m's scaled stage name, packed once per
+    coarse stage when it is given a typecode; point_runs reads a tick's cell
+    as the run's add + scale * c, c its stage-m cell on a copy and its
+    offset in the run on spacers.  The cursor keeps nothing between calls."""
 
     __slots__ = ("spec", "budget", "stage_obj", "index", "u", "refinements")
 
@@ -116,21 +118,16 @@ class Cursor:
         self.refinements += 1
 
     def step_forward(self, steps_done: int = 0) -> None:
-        while self.index == self.stage_obj.height - 1:
-            self._refine(steps_done)
-        self.index += 1
+        self.advance(1, steps_done)
 
     def step_backward(self, steps_done: int = 0) -> None:
-        while self.index == 0:
-            self._refine(steps_done)
-        self.index -= 1
+        self.advance(-1, steps_done)
 
     def advance(self, n: int, steps_done: int = 0) -> None:
         """|n| steps, forward for n > 0 and backward for n < 0: one integer
         add up to the tower top (or bottom), and one refinement wherever a
         step leaves it."""
-        sign, step = (1, self.step_forward) if n > 0 else (-1, self.step_backward)
-        n = abs(n)
+        sign, n = (1 if n > 0 else -1), abs(n)
         while n:
             i = self.index
             room = min(self.stage_obj.height - 1 - i if sign > 0 else i, n)
@@ -138,9 +135,7 @@ class Cursor:
             steps_done += room
             n -= room
             if n:
-                step(steps_done)
-                steps_done += 1
-                n -= 1
+                self._refine(steps_done)
 
     def refine_to(self, j: int, steps_done: int = 0) -> None:
         """Refine the representation until the cursor's stage is at least j."""
@@ -153,13 +148,14 @@ class Cursor:
         return self.stage_obj.ancestor_index(self.index, j)
 
     def _runs(self, j: int, step: int, word: Callable[[TowerStage], Sequence]
-              ) -> Iterator[Tuple[int, int, int, bool, TowerStage, Sequence]]:
+              ) -> Iterator[Tuple[int, int, int, bool, int, int, Sequence]]:
         """The orbit from the current point refined to stage j, one run of
-        the current stage per item, a copy of the coarse stage m or a spacer
-        run, cut after CHUNK ticks: (lo, i, hi, copy, m, word(m)), the run's
-        ticks being the levels i, i + step, ... below hi.  word(m) is built
-        once per coarse stage.  The cursor stays at level i while the run is
-        read and moves past it when the next run is asked for."""
+        the current stage per item, a copy of the coarse stage m or the
+        spacers of one column, cut after CHUNK ticks: (lo, i, hi, copy, add,
+        scale, word(m)) with the run's cells as ancestor_run gives them, the
+        run's ticks being the levels i, i + step, ... below hi.  word(m) is
+        built once per coarse stage.  The cursor stays at level i while the
+        run is read and moves past it when the next run is asked for."""
         self.refine_to(j)
         done, m = 0, None
         while True:
@@ -167,9 +163,9 @@ class Cursor:
             coarse = self._coarse(j)
             if coarse is not m:
                 m, m_word = coarse, word(coarse)
-            lo, hi, copy = st.ancestor_run(i, m.stage)
+            lo, hi, copy, add, scale = st.ancestor_run(i, m.stage)
             hi = min(hi, i + CHUNK * step)
-            yield lo, i, hi, copy, m, m_word
+            yield lo, i, hi, copy, add, scale, m_word
             n = -(-(hi - i) // step) * step
             self.advance(n, done)
             done += n
@@ -187,23 +183,19 @@ class Cursor:
         runs = self._runs(j, step, lambda m: m.stage_name(j, scale) if typecode is None
                           or m.stage == j else array(typecode, m.stage_name(j, scale)))
         return (name[i - lo:hi - lo:step] if copy else repeat(unborn, -(-(hi - i) // step))
-                for lo, i, hi, copy, _, name in runs)
+                for lo, i, hi, copy, _, _, name in runs)
 
     def point_runs(self) -> Iterator[Tuple[int, Iterator[int]]]:
         """The orbit from the current point, one run per item: (den, numerators)
         with each tick's point n / den (n >= 0, den > 0), fixed when the run is
         yielded.  The cursor moves past a run when the next one is asked for."""
-        for lo, i, hi, copy, m, m_cells in self._runs(1, 1, TowerStage.level_cells):
-            st, u = self.stage_obj, self.u
-            w = st.width
+        for lo, i, hi, copy, add, scale, m_cells in self._runs(1, 1, TowerStage.level_cells):
+            w, u = self.stage_obj.width, self.u
             den = lcm(w.denominator, u.denominator)
-            scale = w.numerator * (den // w.denominator)
-            add = u.numerator * (den // u.denominator)
-            if copy:
-                # a copy of m at lo: stage-m cell p is cell p * (w_m / w) + cell(lo)
-                scale, add = scale * (m.width // w), st.cell(lo) * scale + add
-            cells = m_cells[i - lo:hi - lo] if copy else map(st.cell, range(i, hi))
-            yield den, map(add.__add__, map(scale.__mul__, cells))
+            wn, un = w.numerator * (den // w.denominator), u.numerator * (den // u.denominator)
+            # tick i' has cell add + scale * c, c its stage-m cell or i' - lo
+            cells = m_cells[i - lo:hi - lo] if copy else range(i - lo, hi - lo)
+            yield den, map((add * wn + un).__add__, map((scale * wn).__mul__, cells))
 
 
 def apply_power(spec: ConstructionSpec, x: Union[OrbitPoint, Fraction, int, str],

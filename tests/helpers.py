@@ -249,9 +249,9 @@ def counts(a, b, ms, h):
 def level_run(cur, j):
     """(cur.level_at(j), levels left in its run from the current one up):
     the next `left - 1` forward steps stay in the same stage-j copy, one
-    level up each, or in the same spacer run."""
+    level up each, or among the spacers of the same column of one stage."""
     i = cur.index
-    lo, hi, copy = cur.stage_obj.ancestor_run(i, j)
+    lo, hi, copy, _, _ = cur.stage_obj.ancestor_run(i, j)
     return (i - lo if copy else None), hi - i
 
 

@@ -413,7 +413,7 @@ def test_non_level_sets_take_the_interval_path(case, seed, data):
                          ids=["level union", "finer than J"])
 def test_autocorrelation_converts_its_set_once(levels, j, J):
     # with B == A the piece classes of A serve both sides: level_bits runs
-    # as often as for converting A alone (once for a union of levels), and
+    # as often as for converting A alone (once per piece class of A), and
     # the bounds are the oracle's
     spec = ConstructionSpec.staircase(max_stage=11)
     A = build_stage(spec, j).levels_set(levels)
@@ -436,7 +436,7 @@ def test_autocorrelation_converts_its_set_once(levels, j, J):
                          "--B", ",".join(map(str, levels)), "--j", str(j), "--res", str(J),
                          "--stage-budget", "11", "--mmax", "5"]) == 0
         assert len(calls) == alone
-    assert (alone == 1) == (j <= J)
+    assert alone == len(stats._classes(stJ, A))
     assert got == [oracle_correlation(spec, A, A, m, J) for m in (0, 1, 5)]
 
 

@@ -336,35 +336,23 @@ def oracle_ancestor(stage, i, k):
 
 
 def oracle_ancestor_run(stage, i, k):
-    """ancestor_run's descent with the run ends read off the column
-    offsets: from this stage down to k, the spacer run's upward merge read
-    from the path of that one descent."""
-    st_, idx, path = stage, i, []
+    """The plain descent, column by column from this stage down to k, to a
+    stage-k copy or the spacers of the column it lands in, with the cells
+    read off the Fraction geometry: add is the run's first cell and scale
+    the width of the stage it ends in over this stage's width."""
+    st_, rel, lo = stage, i, 0
     while st_.stage > k:
-        c = bisect_right(st_.offsets, idx) - 1
-        rel = idx - st_.offsets[c]
-        prev = st_.prev
-        if rel >= prev.height:
-            below, t = 0, prev
-            while t.stage > k:
-                below += t.spacers[-1]
-                t = t.prev
-            lo = i - (rel - prev.height) - below
-            last = len(st_.offsets) - 1
-            hi = i - rel + (st_.offsets[c + 1] - st_.offsets[c] if c < last
-                            else st_.height - st_.offsets[c])
-            at_top = c == last
-            for up, cu in reversed(path):
-                if not at_top:
-                    break
-                hi += up.spacers[cu]
-                at_top = cu == len(up.offsets) - 1
-            return lo, hi, False
-        path.append((st_, c))
-        idx = rel
-        st_ = prev
-    lo = i - idx
-    return lo, lo + st_.height, True
+        c, rel = oracle_column(st_, rel)
+        lo += st_.offsets[c]
+        if rel >= st_.prev.height:
+            lo += st_.prev.height
+            hi, copy = lo + st_.spacers[c], False
+            break
+        st_ = st_.prev
+    else:
+        hi, copy = lo + st_.height, True
+    return (lo, hi, copy, oracle_level_lo(stage, lo) / stage.width,
+            st_.width / stage.width)
 
 
 def birth_stage(stage, i, k):
@@ -405,24 +393,29 @@ class TestChainedDescent:
         (ConstructionSpec.staircase(h1=3), 5, 1),
         (ConstructionSpec.random_spacers(seed=3), 6, 2),
     ])
-    def test_spacer_runs_merge_across_stages(self, spec, R, k):
-        # every level in order: the runs tile the tower, and some spacer
-        # runs hold spacers added at two or more stages, so the descent from
-        # a run's bottom level merges upwards through the spacers of the
-        # copies enclosing the column it found, read from its path
+    def test_spacer_runs_split_between_stages(self, spec, R, k):
+        # every level in order: the runs tile the tower, a spacer run holds
+        # spacers born at one stage, and some spacer runs sit right on top
+        # of one another, born at rising stages (a tower's top stacks the
+        # last-column spacers of every stage above k)
         stR = build_stage(spec, R)
-        i, merged = 0, 0
+        i, stacked, below = 0, 0, None
         while i < stR.height:
-            lo, hi, copy = stR.ancestor_run(i, k)
+            run = stR.ancestor_run(i, k)
+            lo, hi, copy = run[:3]
             assert lo == i < hi
             for i2 in range(lo, hi):
-                assert stR.ancestor_run(i2, k) == oracle_ancestor_run(stR, i2, k)
+                assert stR.ancestor_run(i2, k) == run == oracle_ancestor_run(stR, i2, k)
+            born = None
             if not copy:
-                births = [birth_stage(stR, i2, k) for i2 in range(lo, hi)]
-                assert births == sorted(births)
-                merged += births[0] < births[-1]
-            i = hi
-        assert merged > 0
+                births = {birth_stage(stR, i2, k) for i2 in range(lo, hi)}
+                assert len(births) == 1
+                born = births.pop()
+                if below is not None:
+                    assert below < born
+                    stacked += 1
+            below, i = born, hi
+        assert stacked > 0
 
 
 class TestAncestorRuns:
@@ -436,25 +429,55 @@ class TestAncestorRuns:
         k = min(k, R)
         stR, stk = build_stage(spec, R), build_stage(spec, k)
         i = int(where * stR.height)
-        lo, hi, copy = stR.ancestor_run(i, k)
+        lo, hi, copy, add, scale = stR.ancestor_run(i, k)
         assume(hi - lo <= RUN_CHECK_MAX_HEIGHT)
         assert 0 <= lo <= i < hi <= stR.height
         assert stR.ancestor_index(i, k) == oracle_ancestor(stR, i, k)
         for i2 in range(lo, hi):
             a = oracle_ancestor(stR, i2, k)
+            cell = oracle_level_lo(stR, i2) / stR.width
             if copy:
                 assert a == i2 - lo
                 # a copy run is the stage-k tower translated by the start
                 # of its first level (Cursor.x reads points this way)
                 assert level_lo(stR, i2) == level_lo(stk, a) + level_lo(stR, lo)
+                assert cell == add + scale * oracle_level_lo(stk, a) / stk.width
             else:
                 assert a is None
+                assert cell == add + scale * (i2 - lo)
         if copy:
             assert hi - lo == stk.height
         else:
-            # maximal: the levels just outside a spacer run lie in stage-k copies
-            assert lo == 0 or oracle_ancestor(stR, lo - 1, k) is not None
-            assert hi == stR.height or oracle_ancestor(stR, hi, k) is not None
+            # one stage's spacers: the levels just outside the run lie in
+            # stage-k copies or are spacers born at another stage
+            born = birth_stage(stR, lo, k)
+            assert {birth_stage(stR, i2, k) for i2 in range(lo, hi)} == {born}
+            for out in (lo - 1, hi):
+                if 0 <= out < stR.height and oracle_ancestor(stR, out, k) is None:
+                    assert birth_stage(stR, out, k) != born
+
+    @settings(max_examples=60, deadline=None)
+    @given(CHAIN_SPECS, st.integers(min_value=1, max_value=6),
+           st.integers(min_value=1, max_value=6))
+    def test_runs_tile_the_tower(self, spec, R, k):
+        # walked from level 0 the runs tile the tower; a spacer run is
+        # exactly the spacers of one column of the stage they are born at,
+        # and every level has the oracle's ancestor and the run's cell
+        k = min(k, R)
+        stR, stk = build_stage(spec, R), build_stage(spec, k)
+        i = 0
+        while i < stR.height:
+            lo, hi, copy, add, scale = stR.ancestor_run(i, k)
+            assert lo == i < hi <= stR.height
+            if not copy:
+                stb = build_stage(spec, birth_stage(stR, lo, k))
+                c, rel = oracle_column(stb, oracle_ancestor(stR, lo, stb.stage))
+                assert rel == stb.prev.height and hi - lo == stb.spacers[c]
+            for i2 in range(lo, hi):
+                a = oracle_ancestor(stR, i2, k)
+                assert a == (i2 - lo if copy else None)
+                assert stR.cell(i2) == add + scale * (stk.cell(a) if copy else i2 - lo)
+            i = hi
 
     @settings(max_examples=40, deadline=None)
     @given(st.one_of(st.sampled_from(PRESETS + (ConstructionSpec.staircase(h1=3),)),
@@ -481,7 +504,7 @@ class TestAncestorRuns:
     def test_own_stage_is_one_copy(self):
         st5 = build_stage(ConstructionSpec.staircase(), 5)
         for i in (0, 40, st5.height - 1):
-            assert st5.ancestor_run(i, 5) == (0, st5.height, True)
+            assert st5.ancestor_run(i, 5) == (0, st5.height, True, 0, 1)
 
     def test_rejects_stage_out_of_range(self):
         st3 = build_stage(ConstructionSpec.chacon(), 3)

@@ -6,7 +6,7 @@ from itertools import chain, islice, starmap
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rankone.construction import ConstructionSpec, CutRule, SpacerRule, build_stage
 from rankone.errors import OrbitEscaped, SpecError
@@ -245,6 +245,13 @@ class TestApplyPower:
 WALK_SPECS = PRESETS[:3] + [ConstructionSpec.random_spacers(seed=k) for k in (1, 2, 3)]
 
 
+def born(stage, i, j):
+    """The stage above j that level i of the stage was born at, a spacer
+    unborn at stage j: the first stage it is a level of."""
+    return min(s for s in range(j + 1, stage.stage + 1)
+               if stage.ancestor_index(i, s) is not None)
+
+
 class TestCursorRuns:
     """The cursor answers level_at, level_run and x from one descent; the
     oracle is the stage object's own ancestor_index and level_lo at the
@@ -279,10 +286,14 @@ class TestCursorRuns:
                 # the run goes on, one level up per step, exactly `left` levels
                 end = st_.ancestor_index(i + left - 1, j)
                 assert end == (None if z is None else z + left - 1)
+                if z is None:
+                    assert born(st_, i, j) == born(st_, i + left - 1, j)
                 if i + left < st_.height:
+                    # past a copy's top, or past the spacers born at one stage
                     after = st_.ancestor_index(i + left, j)
                     assert (after is None) != (z is None) or (
-                        z is not None and after != z + left)
+                        z is not None and after != z + left) or (
+                        z is None and born(st_, i + left, j) != born(st_, i, j))
             assert cur.x == level_lo(st_, i) + cur.u
             tick += 1
 
@@ -321,24 +332,32 @@ class TestCursorRuns:
 
     def test_run_cache_is_per_stage_object(self):
         # the stage-2 top level is a spacer, and refining to stage 3 keeps
-        # the point in column 0, right below one more spacer: the run read
-        # at stage 2 still covers its index but is one short at stage 3
+        # the point in column 0, right below one more spacer: each stage
+        # object reads the stage-2 spacer as a run of its own, in its own
+        # cells, and the stage-3 spacer above it as another run
         spec = ConstructionSpec(h1=2, cut_rule=CutRule("constant", value=2),
                                 spacer_rule=SpacerRule("list", rows=((0, 1), (1, 0))),
                                 max_stage=3)
         cur = Cursor(spec, 1)
         assert (cur.stage_obj.stage, cur.index) == (2, 4)
         assert level_run(cur, 1) == (None, 1)
+        assert cur.stage_obj.ancestor_run(4, 1) == (4, 5, False, 4, 1)
         assert cur.x == 1
         cur.refine_to(3)
         assert (cur.stage_obj.stage, cur.index) == (3, 4)
-        assert level_run(cur, 1) == (None, 2)
+        assert level_run(cur, 1) == (None, 1)
+        assert cur.stage_obj.ancestor_run(4, 1) == (4, 5, False, 8, 2)
+        assert cur.stage_obj.ancestor_run(5, 1) == (5, 6, False, 10, 1)
         assert cur.x == 1
 
     @pytest.mark.parametrize("spec, j, step", [
-        (WALK_SPECS[1], 3, 1), (WALK_SPECS[2], 2, 2), (WALK_SPECS[3], 3, 3)])
+        (WALK_SPECS[1], 3, 1), (WALK_SPECS[2], 2, 2), (WALK_SPECS[3], 3, 3),
+        (ConstructionSpec.staircase(h1=3), 6, 1)])
     def test_levels_match_single_steps(self, spec, j, step):
-        # one range per run against level_at after each single step
+        # one range per run against level_at after each single step; the
+        # h1 = 3 staircase orbit reaches stage 8, where the top spacers of a
+        # stage-7 copy and the stage-8 spacers above them are two runs
+        # between stage-6 copies
         stream = levels(Cursor(spec, F(2, 7), stage_budget=9), j, step)
         cur = Cursor(spec, F(2, 7), stage_budget=9)
         cur.refine_to(j)
@@ -506,6 +525,9 @@ class TestCoarseRuns:
     @given(st.sampled_from(COARSE_SPECS), STARTS, COARSE_LIMITS,
            st.integers(min_value=1, max_value=8),
            st.integers(min_value=0, max_value=1500))
+    # the orbit of 0 climbs the whole stage-6 tower, through every stack of
+    # spacer runs of stages 3 to 6 over stage-2 copies
+    @example(ConstructionSpec.staircase(h1=3), F(0), 3, 6, 600)
     def test_points_match_single_steps(self, spec, x, limit, budget, steps):
         expected, end = oracle_points(spec, x, budget, steps)
         got = []
