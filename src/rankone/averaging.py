@@ -18,11 +18,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
-from typing import Dict, Tuple, Union
+from typing import Dict, Iterable, Tuple, Union
 
-from .construction import ConstructionSpec, bit_indices, build_stage
+from .construction import ConstructionSpec, LevelSet, bit_indices, build_stage
 from .errors import SpecError
-from .measure import MeasureBound, RationalLike, StepFunction, as_fraction
+from .measure import IntervalSet, MeasureBound, RationalLike, StepFunction, as_fraction
 from .stats import _classes, _stage_counts
 
 __all__ = [
@@ -35,44 +35,50 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class WeightSequence:
-    """Finitely supported weights a^z >= 0 over z >= 0 with sum exactly 1."""
+    """Finitely supported weights a^z >= 0 over z >= 0 with sum exactly 1,
+    held as int numerators (z, n_z > 0) in shift order over one denominator
+    den in lowest terms.  Built from (z, a) pairs with a^z = a / den, each a
+    an int (checked in integers) or a Fraction or "num/den" string."""
 
-    weights: Tuple[Tuple[int, Fraction], ...]
+    numerators: Tuple[Tuple[int, int], ...]
+    den: int
 
-    def __post_init__(self):
+    def __init__(self, weights: Iterable[Tuple[int, RationalLike]], den: int = 1):
+        if den < 1:
+            raise SpecError(f"weight denominator {den} is not positive")
         seen = {}
-        for z, a in self.weights:
+        for z, a in weights:
             if z < 0:
                 raise SpecError(f"weight index {z} is negative")
-            a = as_fraction(a)
+            a = a if isinstance(a, int) else as_fraction(a)
             if a < 0:
                 raise SpecError(f"weight at z={z} is negative")
             if z in seen:
                 raise SpecError(f"duplicate weight index {z}")
             seen[z] = a
-        kept = tuple(sorted((z, a) for z, a in seen.items() if a > 0))
-        if sum((a for _, a in kept), Fraction(0)) != 1:
+        D = math.lcm(*(a.denominator * den for a in seen.values()))
+        ns = {z: a.numerator * (D // (a.denominator * den)) for z, a in sorted(seen.items()) if a}
+        if sum(ns.values()) != D:
             raise SpecError("weights must sum to exactly 1")
-        object.__setattr__(self, "weights", kept)
+        g = math.gcd(D, *ns.values())
+        object.__setattr__(self, "numerators", tuple((z, n // g) for z, n in ns.items()))
+        object.__setattr__(self, "den", D // g)
 
     @classmethod
     def uniform(cls, n: int) -> "WeightSequence":
         if n < 1:
             raise SpecError("uniform weights need n >= 1")
-        return cls(tuple((z, Fraction(1, n)) for z in range(n)))
+        return cls(((z, 1) for z in range(n)), n)
+
+    @property
+    def weights(self) -> Tuple[Tuple[int, Fraction], ...]:
+        return tuple((z, Fraction(n, self.den)) for z, n in self.numerators)
 
     @property
     def support(self) -> Tuple[int, ...]:
-        return tuple(z for z, _ in self.weights)
-
-
-def _numerators(w: WeightSequence) -> Tuple[int, Dict[int, int]]:
-    """(D, {z: n_z}): the weights over their least common denominator D,
-    a^z = n_z / D, in shift order."""
-    D = math.lcm(*(a.denominator for _, a in w.weights))
-    return D, {z: a.numerator * D // a.denominator for z, a in w.weights}
+        return tuple(z for z, _ in self.numerators)
 
 
 def _correlate(xs: Dict[int, int], ys: Dict[int, int]) -> Dict[int, int]:
@@ -101,16 +107,15 @@ def flatness(w: WeightSequence, q: int = 0) -> Fraction:
     carries the largest mass, so only those are summed, from prefix sums."""
     if q < 0:
         raise SpecError("window length q must be nonnegative")
-    D, ns = _numerators(w)
-    zs, cum = w.support, list(accumulate(ns.values(), initial=0))
-    return Fraction(max(cum[bisect_right(zs, z + q)] - cum[k] for k, z in enumerate(zs)), D)
+    zs, cum = w.support, list(accumulate((n for _, n in w.numerators), initial=0))
+    return Fraction(max(cum[bisect_right(zs, z + q)] - cum[k] for k, z in enumerate(zs)), w.den)
 
 
 def adjoint_convolution(w: WeightSequence) -> Dict[int, Fraction]:
     """b^w = sum_z a^{w+z} a^z over all integer lags w, positive and
     negative; sums to 1 and never exceeds the flatness of a."""
-    D, ns = _numerators(w)
-    return {m: Fraction(b, D * D) for m, b in sorted(_correlate(ns, ns).items())}
+    ns = dict(w.numerators)
+    return {m: Fraction(b, w.den ** 2) for m, b in sorted(_correlate(ns, ns).items())}
 
 
 def average_apply(spec: ConstructionSpec, w: WeightSequence, f: StepFunction,
@@ -134,13 +139,13 @@ def average_apply(spec: ConstructionSpec, w: WeightSequence, f: StepFunction,
     sign = 1 if direction == "forward" else -1
     st = build_stage(spec, J)
     width, h = st.width, st.height
-    D, ns = _numerators(w)
+    D = w.den
     pieces, escaped = [], Fraction(0)
     for (lo, hi, v), kb in _classes(st, f.segments).items():
         levels = bit_indices(st.occurrence_bits(*kb))
         # count[t]: n_z summed over the pairs landing on level t; the rest escape
         count = [0] * h
-        for z, n in ns.items():
+        for z, n in w.numerators:
             for t in levels:
                 t += sign * z
                 if 0 <= t < h:
@@ -153,13 +158,15 @@ def average_apply(spec: ConstructionSpec, w: WeightSequence, f: StepFunction,
     return StepFunction.summed(pieces), MeasureBound.exact(escaped * width / D)
 
 
-def average_moments(spec: ConstructionSpec, w: WeightSequence, f: StepFunction,
-                    J: int) -> Tuple[Fraction, Fraction, MeasureBound]:
+def average_moments(spec: ConstructionSpec, w: WeightSequence,
+                    f: Union[StepFunction, IntervalSet, LevelSet], J: int,
+                    ) -> Tuple[Fraction, Fraction, MeasureBound]:
     """(||P f||^2, integral of P f, escaped) of average_apply(spec, w, f, J),
-    forward, without building P f.  For the piece classes k = (lo_k, hi_k,
-    v_k) of f (`stats._classes`) on level sets S_k, tail_k(z) the levels of S_k that
-    z pushes off the top, b_m = sum_z n_{z+m} n_z, X_kl(m) = #{u in S_k :
-    u + m in S_l} and c_k(t) = sum_z n_z [t - z in S_k]:
+    forward, without building P f; a set f stands for its indicator.  For
+    the piece classes k = (lo_k, hi_k, v_k) of f (`stats._classes`) on level
+    sets S_k, tail_k(z) the levels of S_k that z pushes off the top, b_m =
+    sum_z n_{z+m} n_z, X_kl(m) = #{u in S_k : u + m in S_l} and c_k(t) =
+    sum_z n_z [t - z in S_k]:
       integral = w_J/D sum_k v_k (hi_k - lo_k) sum_z n_z (|S_k| - tail_k(z))
       escaped = w_J/D sum_k (hi_k - lo_k) sum_z n_z tail_k(z)
       ||P f||^2 = w_J/D^2 sum_kl v_k v_l |[lo_k, hi_k) cap [lo_l, hi_l)|
@@ -169,14 +176,14 @@ def average_moments(spec: ConstructionSpec, w: WeightSequence, f: StepFunction,
     """
     st = build_stage(spec, J)
     h, width = st.height, st.width
-    D, ns = _numerators(w)
-    near = {z: n for z, n in ns.items() if z < h}
+    D = w.den
+    near = {z: n for z, n in w.numerators if z < h}
     L = max(near, default=0)
     # b_m for m >= 0, with b_{-m} = b_m folded in
     b = {m: (2 if m else 1) * v for m, v in _correlate(near, near).items() if m >= 0}
     lags = sorted({*b, L})  # b's lags, and L for the tails up to it
     classes = []
-    for piece, kb in _classes(st, f.segments).items():
+    for piece, kb in _classes(st, f.segments if isinstance(f, StepFunction) else f).items():
         hits, tails = _stage_counts(spec, kb, kb, lags, J)  # hits[0] = |S_k|
         out = (D - sum(near.values())) * hits[0] + sum(n * tails[z] for z, n in near.items())
         # c_k(h - 1 + m) = c[m]; level h - 1 - r is in S_k iff tail_k steps at r

@@ -19,15 +19,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from itertools import chain, islice, repeat, starmap
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .construction import PRESETS, ConstructionSpec, build_stage
+from .construction import MAX_BITS, PRESETS, ConstructionSpec, LevelSet, build_stage, pack_bits
 from .errors import OrbitEscaped, SpecError
-from .measure import StepFunction
+from .measure import IntervalSet
 from .persist import (
     BOUND_COLUMNS,
     Table,
@@ -94,12 +95,31 @@ def parse_frac_list(text: str, flag: str) -> List[Fraction]:
     return vals
 
 
-def level_set(spec: ConstructionSpec, j: int, levels: Sequence[int]):
+def level_set(spec: ConstructionSpec, j: int, levels: Sequence[int]
+              ) -> Union[LevelSet, IntervalSet]:
+    """The union of the given stage-j levels, as a LevelSet: its bits straight
+    from the list.  A list past MAX_BITS bits stays intervals, so it is
+    refused (or narrowed to a coarser stage) where any set would be."""
     st = build_stage(spec, j)
     for i in levels:
         if not 0 <= i < st.height:
             raise SpecError(f"level {i} outside stage {j} (height {st.height})")
-    return st.levels_set(levels)
+    return LevelSet(j, pack_bits(levels)) if max(levels) < MAX_BITS else st.levels_set(levels)
+
+
+def _weight(v: Union[str, int]) -> Tuple[int, int]:
+    """(num, den) of a weight: an int, or "num/den" in decimal digits, read
+    with int(); any other spelling (such as "0.25"), a zero denominator or
+    digits past int's limit go through parse_frac, whose refusal names them."""
+    num, slash, den = str(v).partition("/")
+    den = den if slash else "1"
+    try:
+        if num.isdecimal() and den.isdecimal() and (d := int(den)):
+            return int(num), d
+    except ValueError:  # digits past int's limit
+        pass
+    x = parse_frac(str(v))
+    return x.numerator, x.denominator
 
 
 def _require(args: argparse.Namespace, names: Sequence[str], context: str) -> None:
@@ -205,6 +225,7 @@ def cmd_correlate(args: argparse.Namespace) -> Table:
 
 def cmd_blum_hanson(args: argparse.Namespace) -> str:
     from .averaging import WeightSequence, average_moments, flatness, l2_deviation
+    from .stats import _measure
     spec = load_spec(args.spec, args.stage_budget)
     try:
         raw = json.loads(Path(args.weights).read_text())
@@ -214,14 +235,15 @@ def cmd_blum_hanson(args: argparse.Namespace) -> str:
     if not isinstance(raw, dict) or {type(v) for v in raw.values()} - {str, int}:
         raise SpecError("weights file must be a JSON object mapping z to num/den or an int")
     try:  # as pairs, so that keys naming one z are refused as duplicates
-        w = WeightSequence(tuple((int(z), parse_frac(str(v))) for z, v in raw.items()))
+        ws = [(int(z), *_weight(v)) for z, v in raw.items()]
+        D = math.lcm(*(d for _, _, d in ws))
+        w = WeightSequence(((z, n * (D // d)) for z, n, d in ws), D)
     except ValueError as exc:
         raise SpecError(f"bad weights file: {exc}") from None
     F = level_set(spec, args.j, parse_int_list(args.f, "--f"))
-    f = StepFunction.indicator(F)
     M = build_stage(spec, args.res).total
-    sq, integral, escaped = average_moments(spec, w, f, args.res)
-    mean = f.integral() / M
+    sq, integral, escaped = average_moments(spec, w, F, args.res)
+    mean = _measure(spec, F) / M
     dev = l2_deviation((sq, integral), mean, escaped, M, sup_f=1)
     data = {"deviation_sq": bound_json(dev), "mean": frac_str(mean),
             "mean_approx": approx_str(mean),

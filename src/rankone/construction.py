@@ -23,7 +23,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import SpecError
 from .measure import Interval, IntervalSet, as_fraction, canonicalize
@@ -33,6 +33,7 @@ __all__ = [
     "SpacerRule",
     "ConstructionSpec",
     "TowerStage",
+    "LevelSet",
     "PRESETS",
     "build_stage",
 ]
@@ -74,6 +75,25 @@ def bit_indices(bits: int) -> Tuple[int, ...]:
         out.append(i)
         i = digits.find("1", i + 1)
     return tuple(out)
+
+
+def pack_bits(levels: Sequence[int]) -> int:
+    """The int with bit i set for each i >= 0 in levels, filled in one
+    buffer: linear in the levels.  Refused past MAX_BITS bits."""
+    if (need := max(levels, default=-1) + 1) > MAX_BITS:
+        raise SpecError(f"{need} level bits requested, more than the limit of {MAX_BITS}")
+    buf = bytearray((need + 7) // 8)
+    for i in levels:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
+
+
+class LevelSet(NamedTuple):
+    """The union of the stage-k levels i with bit i set in bits: the (k,
+    bits) pair the lag kernel takes."""
+
+    k: int
+    bits: int
 
 
 @dataclass(frozen=True)
@@ -510,29 +530,29 @@ class TowerStage:
         decoded from occurrence_bits(k)."""
         return bit_indices(self.occurrence_bits(k))
 
-    def level_bits(self, A: IntervalSet) -> Optional[Tuple[int, int]]:
-        """(k, bits): a set A made of whole levels of some stage k <= this
-        stage, as a bitset over the stage-k levels, for the smallest such k;
-        None when A is not such a union.  occurrence_bits(k, bits) lifts it.
+    def level_bits(self, A: Union[IntervalSet, Sequence[int]]) -> Optional[LevelSet]:
+        """A set A made of whole levels of some stage k <= this stage, as a
+        LevelSet for the smallest such k; None when A is not such a union.
+        A is an IntervalSet, or the sorted ends d0 < d1 < d0' < ... of the
+        runs [d0, d1) of this stage's cells it covers.  occurrence_bits(k,
+        bits) lifts it.
 
-        The test reads the set itself: at stage k the levels tile [0, M_k)
-        in cells [c w_k, (c+1) w_k), cell c being level level_of_cell(c), so A
-        is a union of stage-k levels iff every endpoint is a multiple of w_k
-        in [0, M_k].
+        A stage-k cell is R_k cells of this stage, and cell c of stage k is
+        level level_of_cell(c), so A is a union of stage-k levels iff every
+        end is a multiple of R_k in [0, h_k R_k]; all in integers.
         """
-        ends = [x for iv in A.intervals for x in (iv.lo, iv.hi)]
+        if isinstance(A, IntervalSet):
+            A = [x / self.width for iv in A.intervals for x in (iv.lo, iv.hi)]
+            if any(e.denominator != 1 for e in A) or A and A[0] < 0:
+                return None
+            A = [e.numerator for e in A]
+        R = (self.spec.width1 / self.width).numerator  # R_1
         for st in (build_stage(self.spec, k) for k in range(1, self.stage + 1)):
-            if all(0 <= x <= st.total and (x / st.width).denominator == 1
-                   for x in ends):
-                levels = [st.level_of_cell(c) for iv in A.intervals
-                          for c in range(int(iv.lo / st.width), int(iv.hi / st.width))]
-                if (need := max(levels, default=-1) + 1) > MAX_BITS:
-                    raise SpecError(f"{need} level bits requested, more than the limit "
-                                    f"of {MAX_BITS}")
-                buf = bytearray((need + 7) // 8)  # one pass: linear in the levels
-                for i in levels:
-                    buf[i >> 3] |= 1 << (i & 7)
-                return st.stage, int.from_bytes(buf, "little")
+            R //= st.cut or 1
+            if all(e % R == 0 for e in A) and (not A or A[-1] <= st.height * R):
+                return LevelSet(st.stage, pack_bits([st.level_of_cell(c) for d0, d1 in
+                                                     zip(A[::2], A[1::2])
+                                                     for c in range(d0 // R, d1 // R)]))
         return None
 
     def __repr__(self) -> str:

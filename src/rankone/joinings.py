@@ -22,13 +22,13 @@ from itertools import chain, product, repeat
 from operator import add
 from sys import byteorder
 from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
-                    Sequence, Tuple)
+                    Sequence, Tuple, Union)
 
 from .averaging import WeightSequence, flatness
-from .construction import ConstructionSpec, build_stage
+from .construction import ConstructionSpec, LevelSet, bit_indices, build_stage
 from .errors import EmptyFSetError, SpecError
 from .measure import IntervalSet, MeasureBound, RationalLike, as_fraction
-from .stats import _check_resolution, _stage_counts
+from .stats import _check_resolution, _measure, _stage_counts
 from .transform import CHUNK, Cursor
 
 __all__ = [
@@ -531,13 +531,14 @@ class TrivializationRecord:
     escape_slack: Fraction
 
 
-def trivialization_check(m: BlockMassMatrix, F: FSetSpec, A: IntervalSet,
-                         B: IntervalSet, k: int) -> TrivializationRecord:
+def trivialization_check(m: BlockMassMatrix, F: FSetSpec, A: Union[IntervalSet, LevelSet],
+                         B: Union[IntervalSet, LevelSet], k: int) -> TrivializationRecord:
     """Compare nu(A x B | F) against mu(A)mu(B), and against the shifted-
     column display sum_h a_h nu(A x T^{-h}B | C).
 
     Both sides read whole stage-j blocks: A and B are unions of stage-k
-    levels, k <= j, so stage-j levels never straddle them.  F's column
+    levels, k <= j, so stage-j levels never straddle them (a LevelSet of a
+    stage up to k is one; level_bits tests any other set).  F's column
     blocks and every shifted block must lie in m's grid (refused
     otherwise), so T^{-h} moves whole stage-j levels within one copy of the
     second tower; mass it pushes off the tower, and for graph matrices the
@@ -557,7 +558,9 @@ def trivialization_check(m: BlockMassMatrix, F: FSetSpec, A: IntervalSet,
     _check_shifts(m, max((z2 for _, z2 in members), default=0), F.shifts)
     in_sets = []
     for label, spec, S in (("A", m.spec_a, A), ("B", m.spec_b, B)):
-        found = build_stage(spec, k).level_bits(S)
+        if isinstance(S, LevelSet) and S.k > k:
+            S = build_stage(spec, S.k).levels_set(bit_indices(S.bits))
+        found = S if isinstance(S, LevelSet) else build_stage(spec, k).level_bits(S)
         if found is None:
             raise SpecError(f"{label} is not a union of stage-{k} levels")
         in_sets.append(build_stage(spec, m.j).occurrence_bits(*found))
@@ -568,7 +571,7 @@ def trivialization_check(m: BlockMassMatrix, F: FSetSpec, A: IntervalSet,
                               if in_A >> z1 & 1 and in_B >> (z2 + h) & 1)
                  for h in F.shifts}
     conditional = sum(per_shift.values(), Fraction(0)) / F.nu_F
-    reference = (A.measure / m.norm_a) * (B.measure / m.norm_b)
+    reference = (_measure(m.spec_a, A) / m.norm_a) * (_measure(m.spec_b, B) / m.norm_b)
     gap = abs(conditional - reference)
 
     nu_C = m.mass_of(members)

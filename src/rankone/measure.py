@@ -121,7 +121,7 @@ EMPTY_SET = IntervalSet(())
 
 def as_interval_set(A: Union[IntervalSet, Interval]) -> IntervalSet:
     """A as a set: an Interval becomes the set of it, or the empty set when
-    it has zero length; an IntervalSet is returned as it is."""
+    it has zero length; any other set is returned as it is."""
     if isinstance(A, Interval):
         return EMPTY_SET if A.is_empty() else IntervalSet((A,))
     return A

@@ -26,12 +26,13 @@ from itertools import accumulate, repeat
 from operator import add, sub
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple, Union
 
-from .construction import ConstructionSpec, TowerStage, build_stage
+from .construction import ConstructionSpec, LevelSet, TowerStage, bit_indices, build_stage
 from .errors import SpecError
-from .measure import (BoundSeries, Interval, IntervalSet, MeasureBound,
-                      as_interval_set, canonicalize)
+from .measure import BoundSeries, Interval, IntervalSet, MeasureBound, as_interval_set
 
 Segment = Tuple[Fraction, Fraction, Fraction]
+# A set, given as intervals or as whole levels of one stage
+SetLike = Union[IntervalSet, Interval, LevelSet]
 
 __all__ = [
     "ReturnProfile",
@@ -220,15 +221,21 @@ class CorrelationSeries:
     stage-J normalization; that caveat travels in `normalization`.
     """
 
-    A: IntervalSet
-    B: IntervalSet
+    A: Union[IntervalSet, LevelSet]
+    B: Union[IntervalSet, LevelSet]
     values: BoundSeries
     target: Fraction
     normalization: Fraction
 
 
-def correlation(spec: ConstructionSpec, A: Union[IntervalSet, Interval],
-                B: Union[IntervalSet, Interval], m: int, J: int) -> MeasureBound:
+def _measure(spec: ConstructionSpec, S: Union[IntervalSet, LevelSet]) -> Fraction:
+    """mu(S); a LevelSet's is its level count times w_k."""
+    if isinstance(S, LevelSet):
+        return S.bits.bit_count() * build_stage(spec, S.k).width
+    return S.measure
+
+
+def correlation(spec: ConstructionSpec, A: SetLike, B: SetLike, m: int, J: int) -> MeasureBound:
     """Bound on mu(A intersect T^m B) at stage J.
 
     The lower bound is the exact overlap of A with the part of B that T^m
@@ -239,31 +246,39 @@ def correlation(spec: ConstructionSpec, A: Union[IntervalSet, Interval],
     return _correlations(spec, A, B, range(m, m + 1), J)[m]
 
 
-def _classes(st: TowerStage, f: Union[Sequence[Segment], IntervalSet],
-             ) -> Dict[Segment, Tuple[int, int]]:
+def _classes(st: TowerStage, f: Union[Sequence[Segment], IntervalSet, LevelSet],
+             ) -> Dict[Segment, LevelSet]:
     """The sorted segments f of a step function, or the indicator of a set,
     cut at the cells of stage st into piece classes {(lo, hi, v): (k, bits)}:
     the part of f in one cell relative to the cell, and the cells holding it
-    as level_bits gives them.  f must vanish off [0, M)."""
+    as level_bits gives them.  f must vanish off [0, M).  A LevelSet of a
+    stage up to st's is its own one class [0, 1).  The cut reads each end
+    as an integer over one denominator D, in which a cell is W = w D wide."""
+    if isinstance(f, LevelSet):
+        if f.k <= st.stage:
+            return {(0, 1, 1): f}
+        f = build_stage(st.spec, f.k).levels_set(bit_indices(f.bits))
     if isinstance(f, IntervalSet):
         f = [(iv.lo, iv.hi, 1) for iv in f.intervals]
     if f and (f[0][0] < 0 or f[-1][1] > st.total):
         raise SpecError("set extends beyond the stage ambient interval")
     w, runs = st.width, {}
+    D = math.lcm(w.denominator, *(x.denominator for lo, hi, _ in f for x in (lo, hi)))
+    W = w.numerator * (D // w.denominator)
     for lo, hi, v in f:
-        x0, x1 = lo / w, hi / w
-        c0, c1 = math.ceil(x0), math.floor(x1)
-        # [a, b) in cells d0..d1-1: within one cell, or head, whole cells, tail
-        parts = ([(x0 - c1, x1 - c1, c1, c1 + 1)] if c0 > c1 else
-                 [(x0 - c0 + 1, 1, c0 - 1, c0), (0, 1, c0, c1), (0, x1 - c1, c1, c1 + 1)])
+        (c0, a), (c1, b) = (divmod(x.numerator * (D // x.denominator), W) for x in (lo, hi))
+        # [lo, hi) in cells d0..d1-1: within one cell, or head, whole cells, tail
+        parts = ([(a, b, c0, c0 + 1)] if c0 == c1 else
+                 [(a, W, c0, c0 + 1), (0, W, c0 + 1, c1), (0, b, c1, c1 + 1)])
         for a, b, d0, d1 in parts:
-            if a < b and d0 < d1:
-                runs.setdefault((a, b, v), []).append(Interval(d0 * w, d1 * w))
-    return {piece: st.level_bits(canonicalize(ivs)) for piece, ivs in runs.items()}
+            if a < b and d0 < d1:  # a class's runs are disjoint: ^ joins adjacent ones
+                runs.setdefault((a, b, v), set()).symmetric_difference_update((d0, d1))
+    return {(Fraction(a, W), Fraction(b, W), v): st.level_bits(sorted(ends))
+            for (a, b, v), ends in runs.items()}
 
 
-def _correlations(spec: ConstructionSpec, A: IntervalSet, B: IntervalSet,
-                  ms: range, J: int) -> BoundSeries:
+def _correlations(spec: ConstructionSpec, A: Union[IntervalSet, LevelSet],
+                  B: Union[IntervalSet, LevelSet], ms: range, J: int) -> BoundSeries:
     """correlation for each m in the range ms, in units of w_J / D: over the
     piece classes k of A and l of B (as in average_moments), sum_kl |[lo_k,
     hi_k) cap [lo_l, hi_l)| hits_kl(m) resolved, sum_l (hi_l - lo_l) escapes_l(m)."""
@@ -280,14 +295,14 @@ def _correlations(spec: ConstructionSpec, A: IntervalSet, B: IntervalSet,
                 hits = list(map(add, hits, map(n.__mul__, x)))
         out = out or _stage_counts(spec, (b[0], 0), b, ms, J)[1]  # escapes only
         outs = list(map(add, outs, map(int((hi - lo) * D).__mul__, out)))
-    return _bounds(ms, hits, outs, min(A.measure, B.measure) * D // st.width, st.width / D)
+    cap = min(_measure(spec, A), _measure(spec, B)) * D // st.width
+    return _bounds(ms, hits, outs, cap, st.width / D)
 
 
-def correlation_series(spec: ConstructionSpec, A: Union[IntervalSet, Interval],
-                       B: Union[IntervalSet, Interval], m_max: int,
+def correlation_series(spec: ConstructionSpec, A: SetLike, B: SetLike, m_max: int,
                        J: int) -> CorrelationSeries:
     A, B = as_interval_set(A), as_interval_set(B)
     values = _correlations(spec, A, B, _entries(m_max, "m_max"), J)
     M = build_stage(spec, J).total
-    return CorrelationSeries(A=A, B=B, values=values,
-                             target=A.measure * B.measure / M, normalization=M)
+    return CorrelationSeries(A=A, B=B, values=values, normalization=M,
+                             target=_measure(spec, A) * _measure(spec, B) / M)

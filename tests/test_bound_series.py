@@ -221,13 +221,17 @@ def test_interval_path_correlations_match_oracle(spec, data):
 
 
 def test_cli_interval_path_series_matches_oracle():
-    # the sets of `correlate --j 5 --res 4`: stage-5 levels, resolution 4
+    # the sets of `correlate --j 5 --res 4`: stage-5 levels, resolution 4;
+    # the command's LevelSets of a stage past J go the interval route
     spec = ConstructionSpec.staircase()
-    A, B = level_set(spec, 5, [0, 3, 17]), level_set(spec, 5, [0, 1, 2, 3])
+    st5 = build_stage(spec, 5)
+    A, B = st5.levels_set([0, 3, 17]), st5.levels_set([0, 1, 2, 3])
     assert build_stage(spec, 4).level_bits(A) is None
     series = correlation_series(spec, A, B, 40, 4)
     expect = oracle_correlations(spec, A, B, range(41), 4)
     assert series.values == expect
+    cli_sets = level_set(spec, 5, [0, 3, 17]), level_set(spec, 5, [0, 1, 2, 3])
+    assert correlation_series(spec, *cli_sets, 40, 4).values == expect
     assert any(b.lo > 0 for b in expect.values())
     assert len({f.denominator for b in expect.values() for f in (b.lo, b.hi)}) > 1
     assert_prints_as_pairs(series.values)
