@@ -37,10 +37,9 @@ __all__ = [
 
 @dataclass(frozen=True, init=False)
 class WeightSequence:
-    """Finitely supported weights a^z >= 0 over z >= 0 with sum exactly 1,
-    held as int numerators (z, n_z > 0) in shift order over one denominator
-    den in lowest terms.  Built from (z, a) pairs with a^z = a / den, each a
-    an int (checked in integers) or a Fraction or "num/den" string."""
+    """Weights a^z >= 0 over z >= 0 summing to exactly 1, as int numerators
+    (z, n_z > 0) in shift order over one denominator den, in lowest terms.
+    Built from (z, a) pairs, a^z = a / den, with a an int or a rational."""
 
     numerators: Tuple[Tuple[int, int], ...]
     den: int
@@ -138,8 +137,7 @@ def average_apply(spec: ConstructionSpec, w: WeightSequence, f: StepFunction,
         raise SpecError(f"direction must be forward or backward, got {direction!r}")
     sign = 1 if direction == "forward" else -1
     st = build_stage(spec, J)
-    width, h = st.width, st.height
-    D = w.den
+    width, h, D = st.width, st.height, w.den
     pieces, escaped = [], Fraction(0)
     for (lo, hi, v), kb in _classes(st, f.segments).items():
         levels = bit_indices(st.occurrence_bits(*kb))
@@ -175,8 +173,7 @@ def average_moments(spec: ConstructionSpec, w: WeightSequence,
     pair at b's lags, each from its own class stages; the diagonal gives |S_k|, tail_k, c.
     """
     st = build_stage(spec, J)
-    h, width = st.height, st.width
-    D = w.den
+    h, width, D = st.height, st.width, w.den
     near = {z: n for z, n in w.numerators if z < h}
     L = max(near, default=0)
     # b_m for m >= 0, with b_{-m} = b_m folded in
@@ -218,12 +215,10 @@ def l2_deviation(Pf: Union[StepFunction, Tuple[Fraction, Fraction]],
     escaped, so its own sup does not bound the true P f.
     """
     sq, integral = (Pf.l2_norm_sq(), Pf.integral()) if isinstance(Pf, StepFunction) else Pf
-    mean = as_fraction(mean)
-    M = as_fraction(ambient_measure)
+    mean, M = as_fraction(mean), as_fraction(ambient_measure)
     if M <= 0:
         raise SpecError("ambient measure must be positive")
     s = abs(as_fraction(sup_f))
     d0 = sq - 2 * mean * integral + mean * mean * M
-    c = (s + abs(mean)) ** 2
-    slack = c * escaped.hi
+    slack = (s + abs(mean)) ** 2 * escaped.hi
     return MeasureBound(max(Fraction(0), d0 - slack), d0 + slack)

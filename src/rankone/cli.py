@@ -21,7 +21,6 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 from itertools import chain, islice, repeat, starmap
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -88,18 +87,10 @@ def parse_int_list(text: str, flag: str) -> List[int]:
     return vals
 
 
-def parse_frac_list(text: str, flag: str) -> List[Fraction]:
-    vals = [parse_frac(t) for t in text.split(",") if t.strip() != ""]
-    if not vals:
-        raise SpecError(f"{flag} is empty")
-    return vals
-
-
 def level_set(spec: ConstructionSpec, j: int, levels: Sequence[int]
               ) -> Union[LevelSet, IntervalSet]:
-    """The union of the given stage-j levels, as a LevelSet: its bits straight
-    from the list.  A list past MAX_BITS bits stays intervals, so it is
-    refused (or narrowed to a coarser stage) where any set would be."""
+    """The given stage-j levels as a LevelSet, its bits set straight from the list;
+    past MAX_BITS bits as intervals, refused or read at a coarser stage as any set is."""
     st = build_stage(spec, j)
     for i in levels:
         if not 0 <= i < st.height:
@@ -108,9 +99,8 @@ def level_set(spec: ConstructionSpec, j: int, levels: Sequence[int]
 
 
 def _weight(v: Union[str, int]) -> Tuple[int, int]:
-    """(num, den) of a weight: an int, or "num/den" in decimal digits, read
-    with int(); any other spelling (such as "0.25"), a zero denominator or
-    digits past int's limit go through parse_frac, whose refusal names them."""
+    """(num, den) of a weight: int() reads an int or "num/den" in decimal digits, and
+    parse_frac any other spelling ("0.25"), a zero den or digits past int's limit."""
     num, slash, den = str(v).partition("/")
     den = den if slash else "1"
     try:
@@ -282,16 +272,16 @@ def cmd_joining_light(args: argparse.Namespace) -> str:
             "total_blocks": rep.total_blocks,
             "heavy_count": rep.heavy_count,
             "light": block_list(rep.light_set.rows(), m.h_b, 2)}
-    meta = matrix_meta(m, command="joining light")
-    return render_json(data, **meta) + "\n"
+    return render_json(data, **matrix_meta(m, command="joining light")) + "\n"
 
 
 def cmd_joining_di(args: argparse.Namespace) -> str:
     from .joinings import di_estimate, light_blocks
     stages = parse_int_list(args.stages, "--stages")
-    epsilons = parse_frac_list(args.epsilons, "--epsilons")
-    reports = []
-    grid = []
+    epsilons = [parse_frac(t) for t in args.epsilons.split(",") if t.strip() != ""]
+    if not epsilons:
+        raise SpecError("--epsilons is empty")
+    reports, grid = [], []
     for j in stages:
         m = matrix_from_args(args, j=j)
         for eps in epsilons:
@@ -342,15 +332,12 @@ def cmd_joining_trivialize(args: argparse.Namespace) -> str:
     data = {"conditional": frac_str(rec.conditional),
             "reference": frac_str(rec.reference),
             "gap": frac_str(rec.gap), "gap_approx": approx_str(rec.gap),
-            "display_sum": bound_json(rec.display_sum)
-            if rec.display_sum is not None else None,
-            "display_gap": bound_json(rec.display_gap)
-            if rec.display_gap is not None else None,
+            "display_sum": rec.display_sum and bound_json(rec.display_sum),
+            "display_gap": rec.display_gap and bound_json(rec.display_gap),
             "weight_flatness": frac_str(rec.weight_flatness),
             "escape_slack": frac_str(rec.escape_slack),
             "nu_F": frac_str(F.nu_F)}
-    meta = matrix_meta(m, command="joining trivialize", k_cond=args.k2)
-    return render_json(data, **meta) + "\n"
+    return render_json(data, **matrix_meta(m, command="joining trivialize", k_cond=args.k2)) + "\n"
 
 
 def cmd_flow_window(args: argparse.Namespace) -> Table:

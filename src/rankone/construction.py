@@ -23,7 +23,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import SpecError
 from .measure import Interval, IntervalSet, as_fraction, canonicalize
@@ -59,10 +59,21 @@ def _int_tuple(name: str, value: object, minimum: int) -> Tuple[int, ...]:
     return tuple(value)
 
 
-def _rule_json(name: str, data: object) -> dict:
-    if not isinstance(data, dict) or "kind" not in data:
-        raise SpecError(f"{name} must be a JSON object with a kind")
-    return data
+class _Rule:
+    """The JSON form of a rule dataclass: its kind, then each other field
+    that is set, tuples as lists; __match_args__ lists the fields in order
+    and json_name names the rule in a refusal."""
+
+    def to_json(self) -> dict:
+        return {name: [list(x) if isinstance(x, tuple) else x for x in v]
+                if isinstance(v, tuple) else v
+                for name in self.__match_args__ if (v := getattr(self, name)) is not None}
+
+    @classmethod
+    def from_json(cls, data: dict) -> "_Rule":
+        if not isinstance(data, dict) or "kind" not in data:
+            raise SpecError(f"{cls.json_name} must be a JSON object with a kind")
+        return cls(**{name: data.get(name) for name in cls.__match_args__})
 
 
 def bit_indices(bits: int) -> Tuple[int, ...]:
@@ -97,7 +108,7 @@ class LevelSet(NamedTuple):
 
 
 @dataclass(frozen=True)
-class CutRule:
+class CutRule(_Rule):
     """Number of columns r_j used when cutting stage j.
 
     kinds: "constant" (value), "stage" (r_j = j, so r_1 = 1 is a degenerate
@@ -108,6 +119,7 @@ class CutRule:
     kind: str
     value: Optional[int] = None
     values: Optional[Tuple[int, ...]] = None
+    json_name = "cut_rule"
 
     def __post_init__(self):
         if self.kind not in ("constant", "stage", "stage_plus_one", "list"):
@@ -133,23 +145,9 @@ class CutRule:
             raise SpecError(f"cut rule list exhausted at stage {j}")
         return self.values[j - 1]
 
-    def to_json(self) -> dict:
-        out = {"kind": self.kind}
-        if self.value is not None:
-            out["value"] = self.value
-        if self.values is not None:
-            out["values"] = list(self.values)
-        return out
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CutRule":
-        data = _rule_json("cut_rule", data)
-        return cls(kind=data["kind"], value=data.get("value"),
-                   values=data.get("values"))
-
 
 @dataclass(frozen=True)
-class SpacerRule:
+class SpacerRule(_Rule):
     """Spacer counts per column at each stage.
 
     kinds: "none" (s = 0), "staircase" (s_{j,i} = i), "chacon" (s = (0,1,0),
@@ -160,6 +158,7 @@ class SpacerRule:
     kind: str
     bound: Optional[int] = None
     rows: Optional[Tuple[Tuple[int, ...], ...]] = None
+    json_name = "spacer_rule"
 
     def __post_init__(self):
         if self.kind not in ("none", "staircase", "chacon", "random", "list"):
@@ -196,20 +195,6 @@ class SpacerRule:
         if len(row) != r:
             raise SpecError(f"spacer row at stage {j} has length {len(row)}, expected {r}")
         return row
-
-    def to_json(self) -> dict:
-        out = {"kind": self.kind}
-        if self.bound is not None:
-            out["bound"] = self.bound
-        if self.rows is not None:
-            out["rows"] = [list(r) for r in self.rows]
-        return out
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SpacerRule":
-        data = _rule_json("spacer_rule", data)
-        return cls(kind=data["kind"], bound=data.get("bound"),
-                   rows=data.get("rows"))
 
 
 # The presets by name: the classmethods, ConstructionSpec.from_json and the
@@ -530,28 +515,19 @@ class TowerStage:
         decoded from occurrence_bits(k)."""
         return bit_indices(self.occurrence_bits(k))
 
-    def level_bits(self, A: Union[IntervalSet, Sequence[int]]) -> Optional[LevelSet]:
-        """A set A made of whole levels of some stage k <= this stage, as a
-        LevelSet for the smallest such k; None when A is not such a union.
-        A is an IntervalSet, or the sorted ends d0 < d1 < d0' < ... of the
-        runs [d0, d1) of this stage's cells it covers.  occurrence_bits(k,
-        bits) lifts it.
-
-        A stage-k cell is R_k cells of this stage, and cell c of stage k is
-        level level_of_cell(c), so A is a union of stage-k levels iff every
-        end is a multiple of R_k in [0, h_k R_k]; all in integers.
-        """
-        if isinstance(A, IntervalSet):
-            A = [x / self.width for iv in A.intervals for x in (iv.lo, iv.hi)]
-            if any(e.denominator != 1 for e in A) or A and A[0] < 0:
-                return None
-            A = [e.numerator for e in A]
+    def level_bits(self, ends: Sequence[int]) -> Optional[LevelSet]:
+        """The union of the runs [d0, d1) of this stage's cells given by their
+        sorted ends d0 < d1 < d0' < ..., as a LevelSet of the smallest stage k
+        whose levels it is a union of (occurrence_bits(k, bits) lifts it), or
+        None.  A stage-k cell is R_k cells of this stage, and cell c of stage k
+        is level level_of_cell(c), so the union is one of stage-k levels iff
+        every end is a multiple of R_k in [0, h_k R_k]; all in integers."""
         R = (self.spec.width1 / self.width).numerator  # R_1
         for st in (build_stage(self.spec, k) for k in range(1, self.stage + 1)):
             R //= st.cut or 1
-            if all(e % R == 0 for e in A) and (not A or A[-1] <= st.height * R):
+            if all(e % R == 0 for e in ends) and (not ends or ends[-1] <= st.height * R):
                 return LevelSet(st.stage, pack_bits([st.level_of_cell(c) for d0, d1 in
-                                                     zip(A[::2], A[1::2])
+                                                     zip(ends[::2], ends[1::2])
                                                      for c in range(d0 // R, d1 // R)]))
         return None
 

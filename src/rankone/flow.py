@@ -86,8 +86,7 @@ def thickened_base(fspec: FlowSkeletonSpec, j: int, J: int,
     coarse grid step).  q defaults to the skeleton's grid_inverse; q = 0
     degenerates to the plain base.
     """
-    if q is None:
-        q = fspec.grid_inverse
+    q = fspec.grid_inverse if q is None else q
     if q < 0:
         raise SpecError("thickening q must be nonnegative")
     if j > J:
@@ -124,8 +123,7 @@ def windowed_return_flow(fspec: FlowSkeletonSpec, j: int, J: int,
         raise SpecError("z_range is empty")
     if zs[0] < 0:
         raise SpecError("window starts must be nonnegative")
-    if q is None:
-        q = fspec.grid_inverse
+    q = fspec.grid_inverse if q is None else q
     if q < 0:
         raise SpecError("window length q must be nonnegative")
     prof = return_profile(fspec.base, j, J, zs[-1] + q)

@@ -25,10 +25,10 @@ from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple, Union)
 
 from .averaging import WeightSequence, flatness
-from .construction import ConstructionSpec, LevelSet, bit_indices, build_stage
+from .construction import ConstructionSpec, LevelSet, build_stage
 from .errors import EmptyFSetError, SpecError
 from .measure import IntervalSet, MeasureBound, RationalLike, as_fraction
-from .stats import _check_resolution, _measure, _stage_counts
+from .stats import _check_resolution, _classes, _measure, _stage_counts
 from .transform import CHUNK, Cursor
 
 __all__ = [
@@ -537,8 +537,8 @@ def trivialization_check(m: BlockMassMatrix, F: FSetSpec, A: Union[IntervalSet, 
     column display sum_h a_h nu(A x T^{-h}B | C).
 
     Both sides read whole stage-j blocks: A and B are unions of stage-k
-    levels, k <= j, so stage-j levels never straddle them (a LevelSet of a
-    stage up to k is one; level_bits tests any other set).  F's column
+    levels, k <= j, so stage-j levels never straddle them: cut at the stage-k
+    cells (stats._classes), such a set is one class.  F's column
     blocks and every shifted block must lie in m's grid (refused
     otherwise), so T^{-h} moves whole stage-j levels within one copy of the
     second tower; mass it pushes off the tower, and for graph matrices the
@@ -558,12 +558,10 @@ def trivialization_check(m: BlockMassMatrix, F: FSetSpec, A: Union[IntervalSet, 
     _check_shifts(m, max((z2 for _, z2 in members), default=0), F.shifts)
     in_sets = []
     for label, spec, S in (("A", m.spec_a, A), ("B", m.spec_b, B)):
-        if isinstance(S, LevelSet) and S.k > k:
-            S = build_stage(spec, S.k).levels_set(bit_indices(S.bits))
-        found = S if isinstance(S, LevelSet) else build_stage(spec, k).level_bits(S)
-        if found is None:
+        found = _classes(build_stage(spec, k), S)  # a union of levels is one class, or none
+        if found.keys() - {(0, 1, 1)}:
             raise SpecError(f"{label} is not a union of stage-{k} levels")
-        in_sets.append(build_stage(spec, m.j).occurrence_bits(*found))
+        in_sets.append(build_stage(spec, m.j).occurrence_bits(*found.get((0, 1, 1), (k, 0))))
     in_A, in_B = in_sets
 
     # per_shift[h]: the mass of the selected blocks of the column shifted by h
@@ -581,11 +579,8 @@ def trivialization_check(m: BlockMassMatrix, F: FSetSpec, A: Union[IntervalSet, 
         lo, hi = _display_route(m, F, in_A, in_B, per_shift)
         display_sum = MeasureBound(lo / nu_C, hi / nu_C)
         slack = display_sum.width
-        d_lo = max(Fraction(0),
-                   max(display_sum.lo - conditional, conditional - display_sum.hi))
-        d_hi = max(abs(conditional - display_sum.lo),
-                   abs(conditional - display_sum.hi))
-        display_gap = MeasureBound(d_lo, d_hi)
+        d0, d1 = display_sum.lo - conditional, display_sum.hi - conditional
+        display_gap = MeasureBound(max(Fraction(0), d0, -d1), max(abs(d0), abs(d1)))
     return TrivializationRecord(
         j=m.j, k=k, conditional=conditional, reference=reference, gap=gap,
         display_sum=display_sum, display_gap=display_gap,

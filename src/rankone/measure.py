@@ -90,13 +90,10 @@ class IntervalSet:
     def __post_init__(self):
         ivs = tuple(self.intervals)
         object.__setattr__(self, "intervals", ivs)
-        prev_hi = None
-        for iv in ivs:
-            if iv.is_empty():
-                raise ValueError("canonical interval set may not contain empty intervals")
-            if prev_hi is not None and iv.lo <= prev_hi:
-                raise ValueError("canonical interval set must be sorted and disjoint")
-            prev_hi = iv.hi
+        if any(iv.is_empty() for iv in ivs):
+            raise ValueError("canonical interval set may not contain empty intervals")
+        if any(a.hi >= b.lo for a, b in zip(ivs, ivs[1:])):
+            raise ValueError("canonical interval set must be sorted and disjoint")
 
     @property
     def measure(self) -> Fraction:
@@ -257,36 +254,31 @@ class StepFunction:
 
     @classmethod
     def from_pieces(cls, pieces: Sequence[Tuple[IntervalSet, RationalLike]]) -> "StepFunction":
-        segs: list[Tuple[Fraction, Fraction, Fraction]] = []
-        for support, value in pieces:
-            v = as_fraction(value)
-            if v == 0:
-                continue
-            for iv in support.intervals:
-                segs.append((iv.lo, iv.hi, v))
-        segs.sort(key=lambda s: s[0])
-        merged: list[Tuple[Fraction, Fraction, Fraction]] = []
-        for lo, hi, v in segs:
-            if merged and lo < merged[-1][1]:
-                raise ValueError("step function pieces must have disjoint supports")
-            if merged and lo == merged[-1][1] and v == merged[-1][2]:
-                merged[-1] = (merged[-1][0], hi, v)
-            else:
-                merged.append((lo, hi, v))
-        return cls(tuple(merged))
+        """The function with each value on its support; the supports of the
+        nonzero values must be disjoint."""
+        segs = sorted((iv.lo, iv.hi, v) for support, value in pieces
+                      if (v := as_fraction(value)) for iv in support.intervals)
+        if any(s[1] > t[0] for s, t in zip(segs, segs[1:])):
+            raise ValueError("step function pieces must have disjoint supports")
+        return cls.summed(segs)
 
     @classmethod
     def summed(cls, segments: Iterable[Tuple[Fraction, Fraction, Fraction]]) -> "StepFunction":
         """Pointwise sum of (lo, hi, v) segments that may overlap, in one
-        sweep: v steps in at lo and out at hi, and from_pieces takes the
-        running sums between consecutive ends, dropping zeros."""
+        sweep: v steps in at lo and out at hi, and the running sums between
+        consecutive ends are the pieces, zeros dropped and equal neighbours
+        merged."""
         steps: dict[Fraction, Fraction] = {}
         for lo, hi, v in segments:
             steps[lo] = steps.get(lo, 0) + v
             steps[hi] = steps.get(hi, 0) - v
-        ends = sorted(steps)
-        return cls.from_pieces([(IntervalSet((Interval(lo, hi),)), v) for lo, hi, v in
-                                zip(ends, ends[1:], accumulate(steps[x] for x in ends))])
+        ends, merged = sorted(steps), []
+        for lo, hi, v in zip(ends, ends[1:], accumulate(steps[x] for x in ends)):
+            if merged and merged[-1][1] == lo and merged[-1][2] == v:
+                merged[-1] = (merged[-1][0], hi, v)
+            elif v:
+                merged.append((lo, hi, v))
+        return cls(tuple(merged))
 
     @classmethod
     def indicator(cls, support: IntervalSet, value: RationalLike = 1) -> "StepFunction":

@@ -219,9 +219,7 @@ def _stage_record(st: TowerStage) -> Dict[str, object]:
 
 def dump_stage(spec: ConstructionSpec, J: int) -> str:
     """Serialize stages 1..J with exact rationals."""
-    if J > spec.max_stage:
-        raise SpecError(
-            f"stage {J} exceeds the spec stage budget {spec.max_stage}")
+    build_stage(spec, J)  # a J past the stage budget is refused before any stage is built
     stages = [_stage_record(build_stage(spec, j)) for j in range(1, J + 1)]
     doc = {"format": STAGE_FORMAT, "tool_version": __version__,
            "spec": json.loads(spec.canonical_json()),

@@ -277,8 +277,8 @@ def _classes(st: TowerStage, f: Union[Sequence[Segment], IntervalSet, LevelSet],
             for (a, b, v), ends in runs.items()}
 
 
-def _correlations(spec: ConstructionSpec, A: Union[IntervalSet, LevelSet],
-                  B: Union[IntervalSet, LevelSet], ms: range, J: int) -> BoundSeries:
+def _correlations(spec: ConstructionSpec, A: SetLike, B: SetLike, ms: range, J: int
+                  ) -> BoundSeries:
     """correlation for each m in the range ms, in units of w_J / D: over the
     piece classes k of A and l of B (as in average_moments), sum_kl |[lo_k,
     hi_k) cap [lo_l, hi_l)| hits_kl(m) resolved, sum_l (hi_l - lo_l) escapes_l(m)."""

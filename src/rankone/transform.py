@@ -18,21 +18,10 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Unio
 
 from .construction import ConstructionSpec, TowerStage, build_stage
 from .errors import OrbitEscaped, SpecError
-from .measure import (
-    Interval,
-    IntervalSet,
-    MeasureBound,
-    as_fraction,
-    as_interval_set,
-    canonicalize,
-)
+from .measure import (Interval, IntervalSet, MeasureBound, as_fraction, as_interval_set,
+                      canonicalize)
 
-__all__ = [
-    "Cursor",
-    "OrbitPoint",
-    "apply_power",
-    "power_image",
-]
+__all__ = ["Cursor", "OrbitPoint", "apply_power", "power_image"]
 
 
 @dataclass(frozen=True)

@@ -212,10 +212,18 @@ def height_ratio_profile(spec_a, spec_b, J):
     return tuple(Fraction(min(pair), max(pair)) for pair in hs)
 
 
+def level_bits(stage, A):
+    """What stage.level_bits gave for a set A in [0, M): A's one piece class
+    (stats._classes) when A is a union of whole levels of a stage up to
+    this one, else None."""
+    classes = stats._classes(stage, A)
+    return None if classes.keys() - {(0, 1, 1)} else classes.get((0, 1, 1), (1, 0))
+
+
 def lifted_bits(stage, A):
     """A as a bitset over the levels of this stage, or None when A is no
     union of levels of a stage up to it."""
-    found = stage.level_bits(A)
+    found = level_bits(stage, A)
     return None if found is None else stage.occurrence_bits(*found)
 
 

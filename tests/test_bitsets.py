@@ -50,7 +50,7 @@ from rankone.measure import (
 )
 from rankone.stats import correlation, return_profile
 from rankone.transform import power_image
-from helpers import counts, is_subset_of, l2_inner, lifted_bits, run_capped
+from helpers import counts, is_subset_of, l2_inner, level_bits, lifted_bits, run_capped
 
 PRESETS = (ConstructionSpec.odometer(), ConstructionSpec.staircase(),
            ConstructionSpec.chacon())
@@ -189,9 +189,10 @@ def level_sets(draw, spec, J):
 @settings(max_examples=80, deadline=None)
 @given(resolutions(ORACLE_MAX_HEIGHT), st.data())
 def test_level_bits_match_one_shift_per_level(case, data):
-    # level_bits fills one buffer; the oracle is its first formula, one
-    # shift per level summed (O(levels x height) bit work), at the first
-    # stage whose levels A is a union of, found by scanning every level
+    # level_bits, reached through the cut of stats._classes, fills one
+    # buffer; the oracle is its first formula, one shift per level summed
+    # (O(levels x height) bit work), at the first stage whose levels A is a
+    # union of, found by scanning every level
     spec, _, J = case
     stJ = build_stage(spec, J)
     k = data.draw(st.integers(1, J))
@@ -204,7 +205,7 @@ def test_level_bits_match_one_shift_per_level(case, data):
     stages = [build_stage(spec, i) for i in range(1, J + 1)]
     want = next(((s.stage, sum(1 << i for i in oracle_levels_inside(s, A)))
                  for s in stages if oracle_is_level_union(s, A)), None)
-    assert stJ.level_bits(A) == want
+    assert level_bits(stJ, A) == want
 
 
 def test_whole_ambient_correlation_in_a_capped_child():
@@ -402,7 +403,7 @@ def test_non_level_sets_take_the_interval_path(case, seed, data):
     A = canonicalize(pieces)
     assume(not A.is_empty())
     B = data.draw(st.one_of(st.just(A), level_sets(spec, J)))
-    assert stJ.level_bits(A) is None
+    assert level_bits(stJ, A) is None
     m = data.draw(st.integers(-stJ.height - 2, stJ.height + 2))
     want = oracle_correlation(spec, A, B, m, J), oracle_correlation(spec, B, A, m, J)
     with mock.patch("rankone.transform.power_image", side_effect=AssertionError):
@@ -464,7 +465,7 @@ def test_trivialization_level_sets_match_scan(spec, data):
     k = data.draw(st.integers(1, j))
     A = data.draw(level_sets(spec, k))
     stk, stj = build_stage(spec, k), build_stage(spec, j)
-    assert stk.level_bits(A) is not None
+    assert level_bits(stk, A) is not None
     assert oracle_is_level_union(stk, A)
     assert frozenset(bit_indices(lifted_bits(stj, A))) == oracle_levels_inside(stj, A)
 
@@ -505,7 +506,7 @@ def test_trivialization_refuses_sets_that_split_levels(spec, data):
     assume(not is_subset_of(IntervalSet((lvl,)), whole))
     half = Interval(lvl.lo, lvl.lo + stk.width / 2)
     A = canonicalize([*whole, half])
-    assert stk.level_bits(A) is None
+    assert level_bits(stk, A) is None
     assert not oracle_is_level_union(stk, A)
     g = graph_blocks(spec, 0, j, j)
     fs = columns_and_F(g, F(1, 10), 0, [0])

@@ -26,7 +26,7 @@ from rankone.persist import BOUND_COLUMNS, Table, render_table
 from rankone.stats import (ReturnProfile, correlation_series, max_profile,
                            return_profile, window_sums)
 from rankone.transform import power_image
-from helpers import counts, lifted_bits
+from helpers import counts, level_bits, lifted_bits
 
 PRESETS = (ConstructionSpec.odometer(), ConstructionSpec.staircase(),
            ConstructionSpec.chacon(), ConstructionSpec.staircase(h1=3))
@@ -211,7 +211,7 @@ def test_interval_path_correlations_match_oracle(spec, data):
     inside = [i for i in range(min(stk.height, 400)) if stk.level(i).hi <= stJ.total]
     levels = st.lists(st.sampled_from(inside), min_size=1, max_size=3)
     A, B = (stk.levels_set(data.draw(levels)) for _ in "AB")
-    assume(stJ.level_bits(A) is None)
+    assume(level_bits(stJ, A) is None)
     h = stJ.height
     start = data.draw(st.integers(-h - 2, h + 2))
     ms = range(start, start + data.draw(st.integers(1, 12)))
@@ -226,7 +226,7 @@ def test_cli_interval_path_series_matches_oracle():
     spec = ConstructionSpec.staircase()
     st5 = build_stage(spec, 5)
     A, B = st5.levels_set([0, 3, 17]), st5.levels_set([0, 1, 2, 3])
-    assert build_stage(spec, 4).level_bits(A) is None
+    assert level_bits(build_stage(spec, 4), A) is None
     series = correlation_series(spec, A, B, 40, 4)
     expect = oracle_correlations(spec, A, B, range(41), 4)
     assert series.values == expect

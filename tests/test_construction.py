@@ -186,6 +186,24 @@ class TestSpecSerialization:
         assert spec.h1 == 2
         assert heights(spec, 4) == [2, 4, 8, 16]
 
+    def test_rule_json_lists_set_fields_in_order(self):
+        cases = ((CutRule("list", values=(2, 3)), {"kind": "list", "values": [2, 3]}),
+                 (CutRule("constant", value=2), {"kind": "constant", "value": 2}),
+                 (CutRule("stage"), {"kind": "stage"}),
+                 (SpacerRule("list", rows=((0, 1), (2,))),
+                  {"kind": "list", "rows": [[0, 1], [2]]}),
+                 (SpacerRule("random", bound=3), {"kind": "random", "bound": 3}))
+        for rule, doc in cases:
+            got = rule.to_json()
+            assert got == doc and list(got) == list(doc)
+            assert all(type(v) is list for v in got.values() if not isinstance(v, (str, int)))
+            assert all(type(r) is list for r in got.get("rows", ()))
+            assert type(rule).from_json(got) == rule
+        for cls, name in ((CutRule, "cut_rule"), (SpacerRule, "spacer_rule")):
+            for bad in ([], {}, {"value": 2}):
+                with pytest.raises(SpecError, match=f"^{name} must be a JSON object with a kind$"):
+                    cls.from_json(bad)
+
     def test_unknown_preset_rejected(self):
         with pytest.raises(SpecError):
             ConstructionSpec.from_json({"preset": "mystery"})

@@ -115,6 +115,15 @@ class TestCanonicalize:
         assert canonicalize([]) is not None
         assert canonicalize([]).measure == 0
 
+    def test_constructor_refuses_non_canonical_data(self):
+        for ivs, message in (((iv(0, 1), iv(1, 2)), "sorted and disjoint"),
+                             ((iv(0, 2), iv(1, 3)), "sorted and disjoint"),
+                             ((iv(2, 3), iv(0, 1)), "sorted and disjoint"),
+                             ((iv(0, 1), iv(2, 2)), "empty intervals")):
+            with pytest.raises(ValueError, match=message):
+                IntervalSet(ivs)
+        assert IntervalSet((iv(0, 1), iv(F(3, 2), 2))).measure == F(3, 2)
+
     @given(interval_sets())
     def test_idempotent(self, s):
         assert canonicalize(s.intervals) == s
@@ -269,6 +278,17 @@ class TestStepFunction:
             probes |= {cuts[0] - 1, cuts[-1] + 1}
         for x in probes:
             assert value_at(f, x) == sum((v for lo, hi, v in segs if lo <= x < hi), F(0))
+
+    def test_from_pieces_skips_zero_pieces_and_merges_equal_neighbours(self):
+        # a zero value may overlap anything; equal adjacent values are one segment
+        f = StepFunction.from_pieces([(IntervalSet((iv(0, 2),)), 0),
+                                      (IntervalSet((iv(1, 3),)), 5),
+                                      (IntervalSet((iv(3, 4), iv(5, 6))), "5"),
+                                      (IntervalSet((iv(0, 9),)), "0/7")])
+        assert f.segments == ((1, 4, 5), (5, 6, 5))
+        assert all(type(x) is F for seg in f.segments for x in seg)
+        assert StepFunction.from_pieces([(EMPTY_SET, 3), (IntervalSet((iv(0, 1),)), 0)]) \
+            == StepFunction.zero()
 
     def test_from_pieces_refuses_overlapping_pieces(self):
         with pytest.raises(ValueError, match="disjoint"):

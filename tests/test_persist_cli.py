@@ -811,6 +811,18 @@ def test_cli_validation_refusal_exit_2():
     assert "unrecognized arguments: --j -7" in err
 
 
+def test_cli_di_refuses_an_empty_epsilon_list():
+    for text in ("", ",", " , "):
+        code, out, err = run_cli("joining", "di", "--kind", "product", "--spec-a", "odometer",
+                                 "--spec-b", "odometer", "--res", "4", "--stages", "1,2",
+                                 "--epsilons", text)
+        assert (code, out, err) == (2, "", "error: --epsilons is empty\n")
+    code, out, err = run_cli("joining", "di", "--kind", "product", "--spec-a", "odometer",
+                             "--spec-b", "odometer", "--res", "4", "--stages", "1,2",
+                             "--epsilons", "1/4,x")
+    assert (code, out) == (2, "") and err.startswith("error: cannot parse rational 'x'")
+
+
 def test_cli_build_past_budget_names_the_stage():
     # the refusal names the stage asked for, not the first stage past the
     # budget that building up to it would reach
@@ -962,6 +974,22 @@ def test_cli_deep_low_levels_are_low_bits():
     assert code == 0, err
     assert sha256(out.encode()).hexdigest() == \
         "53a8d576bd8b377ac0c1bd1b7330e4586d676cbc4d376dc1aadfb840abd0a33d"
+
+
+def test_cli_deep_copies_of_a_coarse_level_read_at_the_coarse_stage(tmp_path):
+    # the stage-16 copies of stage-15 level 0 reach past MAX_BITS bits, so
+    # the list goes as intervals, which make stage-15 level 0 again: the
+    # document is the one for that level named at stage 15, but for its j
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps({"0": "1/2", "3": "1/2"}))
+    copies = build_stage(ConstructionSpec.staircase(max_stage=16), 16).offsets
+    assert copies[-1] >= MAX_BITS
+    docs = [cli_json("blum-hanson", "--spec", "staircase", "--weights", str(weights),
+                     "--f", levels, "--j", j, "--res", "16", "--stage-budget", "16")
+            for levels, j in ((",".join(map(str, copies)), "16"), ("0", "15"))]
+    assert (docs[0]["meta"].pop("j"), docs[1]["meta"].pop("j")) == (16, 15)
+    assert docs[0] == docs[1]
+    assert docs[0]["data"]["mean"] != "0/1"
 
 
 # ----------------------------------------------- cli: one parser, formats
