@@ -23,7 +23,7 @@ from typing import Dict, Iterable, Tuple, Union
 from .construction import ConstructionSpec, LevelSet, bit_indices, build_stage
 from .errors import SpecError
 from .measure import IntervalSet, MeasureBound, RationalLike, StepFunction, as_fraction
-from .stats import _classes, _stage_counts
+from .stats import _classes, _lane_product, _stage_counts
 
 __all__ = [
     "WeightSequence",
@@ -83,8 +83,8 @@ class WeightSequence:
 def _correlate(xs: Dict[int, int], ys: Dict[int, int]) -> Dict[int, int]:
     """{m: sum_i xs[i + m] ys[i]} over the lags m of some pair, for positive
     ints on nonnegative keys: a pair loop when the keys are sparse, else one
-    big-int product with a byte slot per key lo..hi (Kronecker substitution);
-    xs is packed from lo up and ys from hi down, so slot e holds lag e + 1 - n."""
+    stats._lane_product with a lane per key lo..hi, xs packed from lo up and
+    ys from hi down, so that lane e holds lag e + 1 - n."""
     lo, hi = min([*xs, *ys], default=0), max([*xs, *ys], default=0)
     n, out = hi - lo + 1, {}
     if len(xs) * len(ys) <= 4 * n:
@@ -92,10 +92,8 @@ def _correlate(xs: Dict[int, int], ys: Dict[int, int]) -> Dict[int, int]:
             out[k - i] = out.get(k - i, 0) + x * y
         return out
     nb = (sum(xs.values()) * sum(ys.values())).bit_length() // 8 + 1
-    x, y = (int.from_bytes(b"".join(d.get(i, 0).to_bytes(nb, order)
-                                    for i in range(lo, hi + 1)), order)
-            for d, order in ((xs, "little"), (ys, "big")))
-    prod = (x * y).to_bytes(nb * (2 * n - 1), "little")
+    prod = _lane_product(*(b"".join(d.get(i, 0).to_bytes(nb, order) for i in range(lo, hi + 1))
+                           for d, order in ((xs, "little"), (ys, "big"))), nb)
     return {e + 1 - n: v for e in range(2 * n - 1)
             if (v := int.from_bytes(prod[e * nb:(e + 1) * nb], "little"))}
 

@@ -370,7 +370,7 @@ def cmd_flow_bands(args: argparse.Namespace) -> Table:
         _require(args, ["x_a", "x_b", "N"], "--matrix empirical")
         m = empirical_joining(spec, spec, parse_frac(args.x_a),
                               parse_frac(args.x_b), args.N, args.j, args.res,
-                              step_a=fspec.alpha_p, step_b=fspec.alpha_q)
+                              step_a=fspec.alpha.numerator, step_b=fspec.alpha.denominator)
     masses = [band_masses(m, fspec, off, args.side, z_bound=args.zbound)
               for off in offsets]
     meta = matrix_meta(m, command="flow bands", alpha=frac_str(fspec.alpha),
@@ -500,22 +500,18 @@ def build_parser() -> argparse.ArgumentParser:
     fsp = fl.add_subparsers(dest="subcommand", required=True)
 
     fw = fsp.add_parser("window", help="windowed return bounds")
-    fw.add_argument("--spec", required=True)
-    fw.add_argument("--alpha", required=True, help="speed ratio NUM/DEN > 1")
-    fw.add_argument("--grid", type=int, default=1, help="inverse grid step")
-    fw.add_argument("--j", type=int, required=True)
-    fw.add_argument("--res", type=int, required=True)
+    fb = fsp.add_parser("bands", help="block mass along skeleton bands")
+    for f in (fw, fb):  # the skeleton and its stages
+        f.add_argument("--spec", required=True)
+        f.add_argument("--alpha", required=True, help="speed ratio NUM/DEN > 1")
+        f.add_argument("--grid", type=int, default=1, help="inverse grid step")
+        f.add_argument("--j", type=int, required=True)
+        f.add_argument("--res", type=int, required=True)
     fw.add_argument("--zmax", type=int, required=True)
     fw.add_argument("--q", type=int, default=None,
                     help="window length override (default --grid)")
     _common(fw, cmd_flow_window, fmt="csv")
 
-    fb = fsp.add_parser("bands", help="block mass along skeleton bands")
-    fb.add_argument("--spec", required=True)
-    fb.add_argument("--alpha", required=True, help="speed ratio NUM/DEN > 1")
-    fb.add_argument("--grid", type=int, default=1, help="inverse grid step")
-    fb.add_argument("--j", type=int, required=True)
-    fb.add_argument("--res", type=int, required=True)
     fb.add_argument("--side", choices=("right", "left"), required=True)
     fb.add_argument("--offsets", required=True, help="comma separated offsets")
     fb.add_argument("--zbound", type=int, default=None,

@@ -54,14 +54,6 @@ class FlowSkeletonSpec:
     def t(self) -> Fraction:
         return Fraction(1, self.grid_inverse)
 
-    @property
-    def alpha_p(self) -> int:
-        return self.alpha.numerator
-
-    @property
-    def alpha_q(self) -> int:
-        return self.alpha.denominator
-
     @classmethod
     def doubled(cls, base: ConstructionSpec, grid_inverse: int = 1,
                 ) -> "FlowSkeletonSpec":
@@ -189,7 +181,7 @@ def band_indices(fspec: FlowSkeletonSpec, h_a: int, h_b: int, offset: int,
     must be given explicitly.  Only z and h with z2 < h_b are walked, and
     blocks with z1 >= h_a are dropped; an empty band is refused.
     """
-    p, qp = fspec.alpha_p, fspec.alpha_q
+    p, qp = fspec.alpha.numerator, fspec.alpha.denominator
     q = fspec.grid_inverse
     if offset < 0:
         raise SpecError("band offset must be nonnegative")

@@ -14,7 +14,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
 from operator import attrgetter, gt, lt
 from typing import Iterable, List, Sequence, Tuple, Union
 
@@ -177,10 +176,6 @@ class MeasureBound:
         v = as_fraction(value)
         return cls(v, v)
 
-    @classmethod
-    def zero(cls) -> "MeasureBound":
-        return cls(Fraction(0), Fraction(0))
-
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
@@ -205,24 +200,17 @@ class BoundSeries(Mapping):
     """Bounds [lo_i/den, hi_i/den] on ascending int keys `domain`, a range or
     a sorted tuple: a read-only Mapping from int to MeasureBound held as two
     int lists over one positive denominator.  0 <= lo_i <= hi_i is checked
-    once per vector, in integers; [] builds one validated MeasureBound."""
+    once per vector, in integers, and a range's order by its step alone; []
+    builds one validated MeasureBound."""
 
     __slots__ = ("domain", "lo", "hi", "den")
 
     def __init__(self, domain: Sequence[int], lo: List[int], hi: List[int], den: int):
-        if not (den > 0 and len(domain) == len(lo) == len(hi)) or min(lo, default=0) < 0 \
-                or any(map(gt, lo, hi)) or not all(map(lt, domain, domain[1:])):
+        ordered = domain.step > 0 if type(domain) is range else all(map(lt, domain, domain[1:]))
+        if not (ordered and den > 0 and len(domain) == len(lo) == len(hi)) \
+                or min(lo, default=0) < 0 or any(map(gt, lo, hi)):
             raise ValueError(f"invalid bound series over denominator {den}")
         self.domain, self.lo, self.hi, self.den = domain, lo, hi, den
-
-    @classmethod
-    def of(cls, bounds: Mapping[int, MeasureBound]) -> "BoundSeries":
-        """The series of a {key: MeasureBound} mapping over the lcm of its denominators."""
-        keys = tuple(sorted(bounds))
-        bs = [bounds[k] for k in keys]
-        den = lcm(*(f.denominator for b in bs for f in (b.lo, b.hi)))
-        return cls(keys, [b.lo.numerator * (den // b.lo.denominator) for b in bs],
-                   [b.hi.numerator * (den // b.hi.denominator) for b in bs], den)
 
     def __getitem__(self, k: int) -> MeasureBound:
         i = bisect_left(self.domain, k) if isinstance(k, int) else len(self)
@@ -283,10 +271,6 @@ class StepFunction:
     @classmethod
     def indicator(cls, support: IntervalSet, value: RationalLike = 1) -> "StepFunction":
         return cls.from_pieces([(support, value)])
-
-    @classmethod
-    def zero(cls) -> "StepFunction":
-        return cls(())
 
     def integral(self) -> Fraction:
         return sum(((hi - lo) * v for lo, hi, v in self.segments), Fraction(0))

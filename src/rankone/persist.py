@@ -173,17 +173,19 @@ def render_table(table: Table, fmt: str) -> str:
     columns, items, meta = table
     head = f"{meta_line(**meta)}\n{','.join(columns)}\n" if fmt == "csv" else ""
     if isinstance(items, BoundSeries):
-        s, nums = items, {*items.lo, *items.hi}
+        s, cells = items, {}
+        for n in {*s.lo, *s.hi}:
+            g = gcd(n, s.den)
+            a, b = n // g, s.den // g
+            cells[n] = f"{a},{b}" if fmt == "csv" else (
+                f'"{a}/{b}"', f'"{_APPROX_CTX.divide(a, b)}"')
         if fmt == "csv":
-            cells = {n: f"{n // g},{s.den // g}" for n in nums for g in [gcd(n, s.den)]}
-            return head + "".join(map("{},{},{}\n".format, s.domain,
-                                      map(cells.get, s.lo), map(cells.get, s.hi)))
-        strs = {n: (f"{a}/{b}", str(_APPROX_CTX.divide(a, b))) for n in nums
-                for g in [gcd(n, s.den)] for a, b in [(n // g, s.den // g)]}
-        row = ('{\n   "hi": "%s",\n   "hi_approx": "%s",\n'
-               '   "lo": "%s",\n   "lo_approx": "%s"\n  }')
-        rows = [(k, row % (*strs[hi], *strs[lo]))
-                for k, hi, lo in zip(map(str, s.domain), s.hi, s.lo)]
+            return head + "".join([f"{k},{cells[lo]},{cells[hi]}\n"
+                                   for k, lo, hi in zip(s.domain, s.lo, s.hi)])
+        rows = [(str(k), f'{{\n   "hi": {hi},\n   "hi_approx": {hi_x},\n'
+                         f'   "lo": {lo},\n   "lo_approx": {lo_x}\n  }}')
+                for k, (lo, lo_x), (hi, hi_x) in zip(s.domain, map(cells.__getitem__, s.lo),
+                                                     map(cells.__getitem__, s.hi))]
     else:
         texts, rows, last, t = {}, [], None, ()
         for k, v in items:

@@ -46,8 +46,8 @@ class Cursor:
     """Mutable orbit-iteration state: (stage, level index, offset within the
     level).  advance(n) moves |n| steps, of the sign of n, with one add up
     to each tower top or bottom it meets, where the representation refines
-    one stage; step_forward and step_backward are advance(1) and
-    advance(-1).  level_at(k) is one descent; x is cell(index) * w + u.
+    one stage; step_forward is advance(1), level_at(k) one descent, and x
+    cell(index) * w + u.
 
     The streams codes and point_runs share one run walker, _runs, which
     reads the orbit off the runs of ancestor_run down to the coarse stage m
@@ -108,9 +108,6 @@ class Cursor:
 
     def step_forward(self, steps_done: int = 0) -> None:
         self.advance(1, steps_done)
-
-    def step_backward(self, steps_done: int = 0) -> None:
-        self.advance(-1, steps_done)
 
     def advance(self, n: int, steps_done: int = 0) -> None:
         """|n| steps, forward for n > 0 and backward for n < 0: one integer

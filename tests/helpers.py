@@ -10,6 +10,8 @@ import time
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import chain, product, repeat
+from math import lcm
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -20,7 +22,7 @@ from rankone.averaging import WeightSequence
 from rankone.construction import build_stage
 from rankone.errors import SpecError
 from rankone.joinings import BlockIndex, LightBlockReport, UniformBlockMasses, _make_column
-from rankone.measure import Interval, IntervalSet, as_fraction, canonicalize
+from rankone.measure import BoundSeries, Interval, IntervalSet, as_fraction, canonicalize
 
 
 # --------------------------------------------------------- BlockMassMatrix
@@ -116,6 +118,18 @@ def l2_inner(f, g):
         else:
             j += 1
     return total
+
+
+# ------------------------------------------------------------ BoundSeries
+
+def series_of(bounds):
+    """The BoundSeries of a {key: MeasureBound} mapping over the lcm of its
+    denominators."""
+    keys = tuple(sorted(bounds))
+    bs = [bounds[k] for k in keys]
+    den = lcm(*(f.denominator for b in bs for f in (b.lo, b.hi)))
+    return BoundSeries(keys, [b.lo.numerator * (den // b.lo.denominator) for b in bs],
+                       [b.hi.numerator * (den // b.hi.denominator) for b in bs], den)
 
 
 # ------------------------------------------------------------ MeasureBound
@@ -244,12 +258,30 @@ def as_dict(w):
 
 # -------------------------------------------------------------- count kernel
 
+def hits(a, b, ms):
+    """The levels i of B with i + m in A for each shift m in ms, for level
+    bitsets a, b: one shifted `&` a lag, the route stats._lag_counts takes
+    where its lane product costs more."""
+    return [(a & (b >> -m) if m < 0 else a >> m & b).bit_count() for m in ms]
+
+
 def counts(a, b, ms, h):
     """(resolved, escaped) level counts of A intersect T^m B for each m in
     ms, a range of step 1, for level bitsets a, b of a height-h tower: the
     count kernel on one stage's own bitsets, which stats._stage_counts
     must agree with on the stage-J lifts."""
-    return stats._hits(a, b, ms), stats._escapes(b, ms, h)
+    neg, pos = range(ms.start, min(ms.stop, 0)), range(max(ms.start, 0), ms.stop)
+    return hits(a, b, ms), stats._escapes(b, neg, pos, h)
+
+
+def cross(x, weights):
+    """What stats._cross gives, one pass of x a shift: y[d] = sum over the
+    shifts s of weights[s] X(d - s), for d = 0..len(x), where X(w) =
+    x[w - 1] for w >= 1 and 0 below."""
+    y = [0] * (len(x) + 1)
+    for s, n in weights.items():
+        y[s + 1:] = map(add, y[s + 1:], [n * v for v in x])
+    return y
 
 
 # ------------------------------------------------------------------ Cursor

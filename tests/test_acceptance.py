@@ -165,7 +165,7 @@ def test_05_adjoint_weights_and_duality():
     f = StepFunction.indicator(IntervalSet((st3.level(3),)))
     Pf, ef = average_apply(ODO, w, f, 3)
     PstarPf, eb = average_apply(ODO, w, Pf, 3, direction="backward")
-    assert ef == MeasureBound.zero() and eb == MeasureBound.zero()
+    assert ef == MeasureBound.exact(0) and eb == MeasureBound.exact(0)
     assert Pf.l2_norm_sq() == l2_inner(PstarPf, f) == F(1, 16)
     print(f"[PASS] adjoint inequality exact on {len(seqs)} weight "
           f"sequences; duality value 1/16 exact")

@@ -172,14 +172,14 @@ class TestAverageApply:
         f = indicator_of_base(spec, 1)
         Pf, esc = average_apply(spec, delta_weights(0), f, 2)
         assert Pf == f
-        assert esc == MeasureBound.zero()
+        assert esc == MeasureBound.exact(0)
 
     def test_odometer_uniform_smooths_to_constant(self):
         # E_1 and T E_1 tile [0,1), so the two-term average is 1/2
         spec = ConstructionSpec.odometer()
         f = indicator_of_base(spec, 1)
         Pf, esc = average_apply(spec, WeightSequence.uniform(2), f, 2)
-        assert esc == MeasureBound.zero()
+        assert esc == MeasureBound.exact(0)
         assert Pf.segments == ((F(0), F(1), F(1, 2)),)
 
     def test_escape_accounting(self):
@@ -213,7 +213,7 @@ class TestAverageApply:
         g = StepFunction.indicator(IntervalSet((st3.level(4),)))
         Pf, ef = average_apply(spec, w, f, 3)
         Pstar_g, eg = average_apply(spec, w, g, 3, direction="backward")
-        assert ef == MeasureBound.zero() and eg == MeasureBound.zero()
+        assert ef == MeasureBound.exact(0) and eg == MeasureBound.exact(0)
         assert l2_inner(Pf, g) == l2_inner(f, Pstar_g)
 
     def test_support_outside_ambient_refused_for_every_weight(self):
@@ -276,7 +276,7 @@ def level_functions(draw, spec, k, M=None):
 def pieces_oracle(spec, w, f, J, direction="forward"):
     """P f by imaging each segment of f through power_image once per shift."""
     sign = 1 if direction == "forward" else -1
-    out = StepFunction.zero()
+    out = StepFunction(())
     escaped = Fraction(0)
     for z, a in w.weights:
         for lo, hi, v in f.segments:
@@ -408,8 +408,8 @@ class TestLevelPath:
 
     def test_zero_function(self):
         spec = ConstructionSpec.chacon()
-        got = average_apply(spec, WeightSequence.uniform(3), StepFunction.zero(), 4)
-        assert got == (StepFunction.zero(), MeasureBound.zero())
+        got = average_apply(spec, WeightSequence.uniform(3), StepFunction(()), 4)
+        assert got == (StepFunction(()), MeasureBound.exact(0))
 
     def test_deep_odometer_within_budget(self):
         # h_12 = 4096: the interval path images each piece once per shift
@@ -528,8 +528,8 @@ class TestMoments:
     def test_zero_function_and_refusal(self):
         spec = ConstructionSpec.staircase()
         w = WeightSequence.uniform(3)
-        assert average_moments(spec, w, StepFunction.zero(), 4) == (
-            0, 0, MeasureBound.zero())
+        assert average_moments(spec, w, StepFunction(()), 4) == (
+            0, 0, MeasureBound.exact(0))
         f = StepFunction.indicator(build_stage(spec, 3).levels_set([4]))
         with pytest.raises(SpecError, match="beyond the stage ambient"):
             average_moments(spec, w, f, 2)
@@ -540,15 +540,15 @@ class TestL2Deviation:
         Pf = StepFunction.from_pieces(
             [(IntervalSet((ambient(build_stage(ConstructionSpec.odometer(), 1)),)),
               F(1, 2))])
-        got = l2_deviation(Pf, F(1, 2), MeasureBound.zero(), F(1), sup_f=F(1, 2))
-        assert got == MeasureBound.zero()
+        got = l2_deviation(Pf, F(1, 2), MeasureBound.exact(0), F(1), sup_f=F(1, 2))
+        assert got == MeasureBound.exact(0)
 
     def test_smoothed_odometer_deviation_zero(self):
         spec = ConstructionSpec.odometer()
         f = indicator_of_base(spec, 1)
         Pf, esc = average_apply(spec, WeightSequence.uniform(2), f, 2)
         got = l2_deviation(Pf, F(1, 2), esc, build_stage(spec, 2).total, sup_f=1)
-        assert got == MeasureBound.zero()
+        assert got == MeasureBound.exact(0)
 
     def test_indicator_variance(self):
         spec = ConstructionSpec.odometer()
@@ -589,10 +589,10 @@ class TestL2Deviation:
         w = WeightSequence.uniform(2)
         f = StepFunction.indicator(IntervalSet((st3.level(3),)))
         Pf, ef = average_apply(spec, w, f, 3)
-        assert ef == MeasureBound.zero()
+        assert ef == MeasureBound.exact(0)
         direct = Pf.l2_norm_sq()
         PstarPf, eb = average_apply(spec, w, Pf, 3, direction="backward")
-        assert eb == MeasureBound.zero()
+        assert eb == MeasureBound.exact(0)
         assert direct == l2_inner(PstarPf, f) == F(1, 16)
         # convolution route: sum_w b^w (T^w f, f) with only the w=0 term
         # surviving for a single mid-tower level

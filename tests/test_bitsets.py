@@ -18,6 +18,7 @@ import io
 import random
 import time
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction as F
 from hashlib import sha256
 from unittest import mock
@@ -50,7 +51,7 @@ from rankone.measure import (
 )
 from rankone.stats import correlation, return_profile
 from rankone.transform import power_image
-from helpers import counts, is_subset_of, l2_inner, level_bits, lifted_bits, run_capped
+from helpers import counts, cross, is_subset_of, l2_inner, level_bits, lifted_bits, run_capped
 
 PRESETS = (ConstructionSpec.odometer(), ConstructionSpec.staircase(),
            ConstructionSpec.chacon())
@@ -285,6 +286,71 @@ def test_count_kernel_matches_per_shift_overlap(spec, data):
 
 
 @settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_lag_product_matches_one_shift_per_lag(data):
+    # every lag of one lane product against its own shift, and the
+    # cross-copy counts X(w) against their own shifts (b's top w levels
+    # onto a's bottom w for w > 0, a's onto b's for w < 0), on random
+    # bitsets of 1 to 300 bits, over ranges past both ends of the tower,
+    # empty ones and sorted lists; repeating the wants makes the product
+    # the cheaper route
+    h = data.draw(st.integers(1, 300) | st.sampled_from([1, 2, 255, 256]))
+    a, b = (data.draw(st.integers(0, (1 << h) - 1) | st.sampled_from([0, 1, (1 << h) - 1]))
+            for _ in "ab")
+    lags = sorted(data.draw(st.sets(st.integers(-h - 3, h + 3), max_size=8)))
+    lo = data.draw(st.integers(1 - h, h))
+    inner = range(lo, data.draw(st.integers(lo, h)))  # within -h < m < h
+    wants = [range(-h - 2, h + 3), lags, range(h, h), range(h + 5, h), inner] * 60
+    with mock.patch.object(stats, "_lane_product", wraps=stats._lane_product) as product:
+        got = stats._lag_counts(a, b, h, wants)
+    assert product.call_count == 1
+    assert got[0] == [oracle_overlap(a, b, m, h)[0] for m in wants[0]]
+    assert got[1] == [oracle_overlap(a, b, m, h)[0] for m in lags]
+    assert got[2] == got[3] == []
+    assert got[4] == got[0][lo + h + 2:inner.stop + h + 2]
+    for w in range(1 - h, h):
+        x = (b >> (h - w) & a if w > 0 else a >> (h + w) & b).bit_count()
+        assert got[0][(w - h if w > 0 else h + w) + h + 2] == x
+    assert stats._lag_counts(a, b, h, wants[:3]) == got[:3]  # whichever route
+
+
+@pytest.mark.parametrize("n", [255, 256, 65_535, 65_536])
+def test_lag_product_lanes_hold_the_largest_count(n):
+    # lag 0 of a with itself counts all n of its bits: the lanes must be
+    # the narrowest width that holds n (1, 2, 2 and 4 bytes), or that count
+    # carries into the next lag's lane
+    rng = random.Random(n)
+    h = n + n // 3
+    a = sum(1 << i for i in rng.sample(range(h), n))
+    b = a | rng.getrandbits(h)
+    for x, y in ((a, a), (a, b), (b, a)):
+        with mock.patch.object(stats, "_lane_product", wraps=stats._lane_product) as product:
+            got, = stats._lag_counts(x, y, h, [range(1 - h, h)])
+        assert product.call_count == 1
+        for m in {0, 1, -1, h - 1, 1 - h, *rng.sample(range(1 - h, h), 30)}:
+            assert got[m + h - 1] == oracle_overlap(x, y, m, h)[0], (x == y, m)
+
+
+# shifts of a cross-copy sum: long runs of one weight, runs whose weight
+# steps, gaps, isolated shifts, and shifts at or past the end of x
+cross_weights = st.lists(
+    st.tuples(st.integers(0, 70), st.integers(1, 40),
+              st.lists(st.integers(1, 3) | st.integers(1, 10**30), min_size=1, max_size=3)),
+    max_size=4).map(lambda runs: [
+        (s, ns[i * len(ns) // k]) for start, k, ns in runs
+        for i, s in enumerate(range(start, start + k))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 10**6), max_size=80), cross_weights)
+def test_run_length_cross_matches_per_shift_cross(x, shifts):
+    weights = Counter()
+    for s, n in shifts:  # overlapping runs add up, so weights repeat
+        weights[s] += n
+    assert stats._cross(x, weights) == cross(x, weights)
+
+
+@settings(max_examples=150, deadline=None)
 @given(kernel_specs, st.data())
 def test_stage_counts_match_counts_on_stage_J_lifts(spec, data):
     # A and B drawn at stages ka, kb in either order, each passed at its own
@@ -323,6 +389,37 @@ def test_stage_counts_match_counts_on_stage_J_lifts(spec, data):
             hits, outs = counts(a_J, b_J, range(lags[0], lags[-1] + 1), h)
             assert stats._stage_counts(spec, (ia, a), (ib, b), lags, J) == \
                 ([hits[m - lags[0]] for m in lags], outs), lags
+    # sparse lists over a whole span, with lags past h_{J-1} and h_J
+    lo, top = sorted(data.draw(ends) for _ in range(2))
+    lags = sorted({lo, top, *data.draw(st.sets(st.integers(lo, top), max_size=12))})
+    hits, outs = counts(a_J, b_J, range(lo, top + 1), h)
+    assert stats._stage_counts(spec, (ia, a), (ib, b), lags, J) == \
+        ([hits[m - lo] for m in lags], outs), lags
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_specs, st.data())
+def test_stage_counts_of_one_level_a_copy_match_counts(spec, data):
+    # sparse sets: one level in each stage-(k-1) copy of stage k, so that
+    # few levels sit far apart, against dense ranges and sparse lists
+    J = data.draw(st.integers(2, 8))
+    stJ, h = build_stage(spec, J), build_stage(spec, J).height
+    sets = []
+    for _ in "ab":
+        k = data.draw(st.integers(2, J))
+        stk = build_stage(spec, k)
+        hp = stk.prev.height
+        sets.append((k, sum(1 << (off + data.draw(st.integers(0, hp - 1)))
+                            for off in stk.offsets)))
+    (ka, a), (kb, b) = sets
+    a_J, b_J = stJ.occurrence_bits(ka, a), stJ.occurrence_bits(kb, b)
+    end = data.draw(st.integers(0, h + 3))
+    ms = range(-end, end + 1)
+    assert stats._stage_counts(spec, (ka, a), (kb, b), ms, J) == counts(a_J, b_J, ms, h)
+    lags = sorted({-end, end, *data.draw(st.sets(st.sampled_from(ms), max_size=10))})
+    hits = counts(a_J, b_J, ms, h)[0]
+    assert stats._stage_counts(spec, (ka, a), (kb, b), lags, J)[0] == \
+        [hits[m + end] for m in lags]
 
 
 @settings(max_examples=40, deadline=None)
@@ -687,3 +784,21 @@ def test_product_display_reads_no_stage_deeper_than_j():
             contextlib.redirect_stdout(io.StringIO()):
         assert main(product_trivialize(9)) == 0
     assert stages and all(stage <= 4 for _, stage in stages), stages
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["return-profile", "--spec", "staircase", "--j", "2", "--res", "12", "--zmax", "99998",
+      "--stage-budget", "12"],
+     "f4cce344843ace3f83a0448799d089c5df70b9fedfee2005fc5c7ae7945a799d"),
+    (["joining", "di", "--kind", "graph", "--spec", "staircase", "--k", "1", "--stages", "8,9",
+      "--epsilons", "1/2,1/4", "--res", "12", "--stage-budget", "12"],
+     "010e35399b490563316244c436cab5ad0157da29a82bd43b66023733b80942de"),
+], ids=["return-profile-J12", "joining-di-8-9"])
+def test_deep_lag_products_bytes_pinned(argv, digest):
+    # recorded when every base lag took its own shift (2.6 s and 21 s on a
+    # 2-core VM under CPython 3.11.7); the lane product answers each in
+    # about a second
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    assert sha256(out.getvalue().encode()).hexdigest() == digest

@@ -26,7 +26,7 @@ from rankone.persist import BOUND_COLUMNS, Table, render_table
 from rankone.stats import (ReturnProfile, correlation_series, max_profile,
                            return_profile, window_sums)
 from rankone.transform import power_image
-from helpers import counts, level_bits, lifted_bits
+from helpers import counts, level_bits, lifted_bits, series_of
 
 PRESETS = (ConstructionSpec.odometer(), ConstructionSpec.staircase(),
            ConstructionSpec.chacon(), ConstructionSpec.staircase(h1=3))
@@ -126,7 +126,7 @@ def test_series_entries_and_documents_match_its_pairs(case, meta):
     assert list(s) == list(s.domain) and len(s) == len(ends)
     assert dict(s.items()) == {k: MeasureBound(F(lo, den), F(hi, den))
                                for k, (lo, hi) in zip(s.domain, ends)}
-    assert s == dict(s.items()) and BoundSeries.of(s) == s
+    assert s == dict(s.items()) and series_of(s) == s
     assert_prints_as_pairs(s, meta)
     for k in (min(s.domain, default=0) - 1, max(s.domain, default=0) + 1, "0", 0.0):
         assert k not in s and s.get(k) is None
@@ -150,14 +150,14 @@ def test_series_refuses_invalid_vectors(args):
         BoundSeries(*args)
 
 
-def test_profile_from_a_plain_dict_is_a_series():
+def test_profile_of_given_bounds_and_its_windows():
     values = {0: MeasureBound(F(1, 2), F(3, 4)), 1: MeasureBound(F(0), F(1, 6)),
               2: MeasureBound(F(2, 9), F(1))}
-    prof = ReturnProfile(j=1, J=1, values=values)
-    assert isinstance(prof.values, BoundSeries) and prof.values.den == 36
+    prof = ReturnProfile(j=1, J=1, values=series_of(values))
+    assert prof.values.den == 36
     assert prof.values == values and prof.z_max == 2
     assert window_sums(prof, 1) == oracle_window_sums(values, 1)
-    gapped = ReturnProfile(j=1, J=1, values={0: values[0], 2: values[2]})
+    gapped = ReturnProfile(j=1, J=1, values=series_of({0: values[0], 2: values[2]}))
     with pytest.raises(SpecError, match=r"^the profile does not hold every z in 0\.\.2$"):
         window_sums(gapped, 0)
 

@@ -43,10 +43,10 @@ def test_flow_spec_validation():
 
 def test_flow_spec_alpha_reduced():
     fs = FlowSkeletonSpec(base=ODO, grid_inverse=2, alpha=F(4, 2))
-    assert fs.alpha_p == 2 and fs.alpha_q == 1
+    assert (fs.alpha.numerator, fs.alpha.denominator) == (2, 1)
     assert fs.t == F(1, 2)
     fs32 = FlowSkeletonSpec(base=ODO, grid_inverse=1, alpha=F(3, 2))
-    assert fs32.alpha_p == 3 and fs32.alpha_q == 2
+    assert (fs32.alpha.numerator, fs32.alpha.denominator) == (3, 2)
 
 
 def test_coarse_height():
@@ -252,7 +252,7 @@ def test_band_alpha2_matches_display():
 def unclipped_band(fs, h_a, h_b, offset, side, z_bound):
     """band_indices' set by its first walk: every z up to z_top and h up
     to q, then the blocks off the h_a x h_b grid dropped."""
-    p, qp, q = fs.alpha_p, fs.alpha_q, fs.grid_inverse
+    p, qp, q = fs.alpha.numerator, fs.alpha.denominator, fs.grid_inverse
     z_top = h_b - offset if side == "right" else z_bound
     d1, d2 = (offset, 0) if side == "right" else (0, offset)
     out = {BlockIndex(p * z // qp + d1, z + d2 + h) for z in range(z_top + 1)

@@ -129,6 +129,29 @@ def test_level_set_of_a_finer_stage_is_refused_as_intervals_are():
             correlation_series(spec, S, S, 3, 3)
 
 
+@pytest.mark.parametrize("S", [LevelSet(2, 0b111), LevelSet(2, 0b100), LevelSet(3, 1 << 5),
+                               LevelSet(2, -1)])
+def test_level_set_bits_past_its_stage_are_refused(S):
+    # staircase stage 2 has levels 0 and 1 and stage 3 has 5: a bit at or
+    # past h_k names no level (LevelSet(2, 0b111) gave the bound [5/4, 5/4]
+    # at m = 0, where its own measure reads 3/2), so each route that makes
+    # a set (k, bits) refuses it as the command line does
+    spec = ConstructionSpec.staircase()
+    h = build_stage(spec, S.k).height
+    message = f"^level {S.bits.bit_length() - 1} outside stage {S.k} \\(height {h}\\)$"
+    w = WeightSequence(((0, F(1, 2)), (1, F(1, 2))))
+    m = product_blocks(spec, spec, 3, 4)
+    fs = columns_and_F(m, F(1, 4), 0, [0])
+    ok = LevelSet(2, 1)
+    for call in (lambda: correlation_series(spec, S, S, 2, 4),
+                 lambda: correlation_series(spec, ok, S, 2, 4),
+                 lambda: average_moments(spec, w, S, 4),
+                 lambda: trivialization_check(m, fs, S, ok, 3),
+                 lambda: trivialization_check(m, fs, ok, S, 3)):
+        with pytest.raises(SpecError, match=message):
+            call()
+
+
 # ------------------------------------------------------------------ weights
 
 @settings(max_examples=100, deadline=None)

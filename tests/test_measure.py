@@ -288,7 +288,7 @@ class TestStepFunction:
         assert f.segments == ((1, 4, 5), (5, 6, 5))
         assert all(type(x) is F for seg in f.segments for x in seg)
         assert StepFunction.from_pieces([(EMPTY_SET, 3), (IntervalSet((iv(0, 1),)), 0)]) \
-            == StepFunction.zero()
+            == StepFunction(())
 
     def test_from_pieces_refuses_overlapping_pieces(self):
         with pytest.raises(ValueError, match="disjoint"):

@@ -20,7 +20,7 @@ from rankone.stats import (
     window_sums,
 )
 from rankone.transform import power_image
-from helpers import is_subinterval_of
+from helpers import is_subinterval_of, series_of
 
 F = Fraction
 
@@ -44,7 +44,7 @@ class TestReturnProfile:
                 hj = build_stage(spec, j).height
                 prof = return_profile(spec, j, j + 2, hj - 1)
                 for z in range(1, hj):
-                    assert prof[z] == MeasureBound.zero()
+                    assert prof[z] == MeasureBound.exact(0)
 
     def test_odometer_z2_bounds_sharpen(self):
         spec = ConstructionSpec.odometer()
@@ -86,7 +86,7 @@ class TestMaxProfile:
     def test_range_inside_tower_height_is_zero(self):
         spec = ConstructionSpec.staircase()
         prof = return_profile(spec, 3, 5, 4)  # h_3 = 5, so z in 1..4
-        assert max_profile(prof, 0) == MeasureBound.zero()
+        assert max_profile(prof, 0) == MeasureBound.exact(0)
 
     def test_empty_range_refused(self):
         prof = return_profile(ConstructionSpec.odometer(), 1, 3, 2)
@@ -128,8 +128,8 @@ class TestWindowSums:
         spec = ConstructionSpec.staircase()
         prof = return_profile(spec, 3, 5, 4)
         sums = window_sums(prof, 2)
-        assert sums[1] == MeasureBound.zero()
-        assert sums[2] == MeasureBound.zero()
+        assert sums[1] == MeasureBound.exact(0)
+        assert sums[2] == MeasureBound.exact(0)
 
     def test_q_zero_reproduces_profile(self):
         prof = return_profile(ConstructionSpec.odometer(), 1, 4, 6)
@@ -162,7 +162,7 @@ class TestWindowSums:
     def test_matches_naive_sums(self, pairs, data):
         values = {z: MeasureBound(min(a, b), max(a, b))
                   for z, (a, b) in enumerate(pairs)}
-        prof = ReturnProfile(j=1, J=1, values=values)
+        prof = ReturnProfile(j=1, J=1, values=series_of(values))
         q = data.draw(st.integers(0, prof.z_max))
         assert window_sums(prof, q) == naive_window_sums(prof, q)
 
@@ -170,7 +170,7 @@ class TestWindowSums:
 def naive_window_sums(profile, q):
     out = {}
     for z in range(profile.z_max - q + 1):
-        total = MeasureBound.zero()
+        total = MeasureBound.exact(0)
         for w in range(z, z + q + 1):
             total = total + profile.values[w]
         out[z] = total
@@ -191,7 +191,7 @@ class TestCorrelation:
         st3 = build_stage(spec, 3)
         A = canonicalize([st3.level(0), st3.level(2)])
         B = canonicalize([st3.level(1), st3.level(4)])
-        assert correlation(spec, A, B, 0, 3) == MeasureBound.zero()
+        assert correlation(spec, A, B, 0, 3) == MeasureBound.exact(0)
 
     def test_odometer_base_m2_oracle(self):
         spec = ConstructionSpec.odometer()
@@ -222,13 +222,13 @@ class TestCorrelation:
         st3 = build_stage(spec, 3)
         x = st3.level(2).lo
         B = IntervalSet((st3.level(1),))
-        assert correlation(spec, Interval(x, x), B, 1, 3) == MeasureBound.zero()
-        assert correlation(spec, B, Interval(x, x), 1, 3) == MeasureBound.zero()
+        assert correlation(spec, Interval(x, x), B, 1, 3) == MeasureBound.exact(0)
+        assert correlation(spec, B, Interval(x, x), 1, 3) == MeasureBound.exact(0)
         assert correlation(spec, st3.level(2), st3.level(1), 1, 3) == \
             correlation(spec, IntervalSet((st3.level(2),)), B, 1, 3)
         series = correlation_series(spec, Interval(x, x), B, 2, 3)
         assert series.A.is_empty() and series.target == 0
-        assert all(v == MeasureBound.zero() for v in series.values.values())
+        assert all(v == MeasureBound.exact(0) for v in series.values.values())
 
     def test_two_path_agreement(self):
         # combinatorial occurrence overlap vs geometric image pushing must

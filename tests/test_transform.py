@@ -119,7 +119,7 @@ class TestPowerImageCells:
         img, esc = power_image(spec, A, 7, 9)
         assert time.perf_counter() - t0 < 5
         assert img == IntervalSet((shifted(A, st9.level(i + 7).lo - lv.lo),))
-        assert esc == MeasureBound.zero()
+        assert esc == MeasureBound.exact(0)
 
 
 class TestRealize:
@@ -129,7 +129,7 @@ class TestRealize:
         spec = ConstructionSpec.odometer()
         img, esc = power_image(spec, Interval(F(0), F(1, 2)), 1, 1)
         assert img.intervals == (Interval(F(1, 2), F(1)),)
-        assert esc == MeasureBound.zero()
+        assert esc == MeasureBound.exact(0)
         img, esc = power_image(spec, Interval(F(1, 2), F(1)), 1, 1)
         assert img.measure == 0 and esc == MeasureBound.exact(F(1, 2))
 
@@ -139,7 +139,7 @@ class TestRealize:
         for lo, to in ((F(0), F(1, 2)), (F(1, 2), F(1, 4)), (F(1, 4), F(3, 4))):
             img, esc = power_image(spec, Interval(lo, lo + q), 1, 2)
             assert img.intervals == (Interval(to, to + q),)
-            assert esc == MeasureBound.zero()
+            assert esc == MeasureBound.exact(0)
         img, esc = power_image(spec, Interval(F(3, 4), F(1)), 1, 2)  # top level
         assert img.measure == 0 and esc == MeasureBound.exact(q)
 
@@ -158,7 +158,7 @@ class TestRealize:
                 st_ = build_stage(spec, J)
                 for i in range(st_.height - 1):
                     img, esc = power_image(spec, st_.level(i), 1, J)
-                    assert esc == MeasureBound.zero()
+                    assert esc == MeasureBound.exact(0)
                     assert img.intervals == (st_.level(i + 1),)
 
     def test_image_measure_matches_domain(self):
@@ -306,7 +306,7 @@ class TestCursorRuns:
                     n = length if kind == "jump" else -length
                     twin = Cursor(spec, cur.x, stage_budget=budget)
                     twin.refine_to(cur.stage_obj.stage)
-                    step = twin.step_forward if n > 0 else twin.step_backward
+                    step = twin.step_forward if n > 0 else lambda done: twin.advance(-1, done)
                     try:
                         for done in range(length):
                             step(done)
@@ -325,7 +325,7 @@ class TestCursorRuns:
                     if kind == "up":
                         cur.step_forward()
                     else:
-                        cur.step_backward()
+                        cur.advance(-1)
                     check()
         except OrbitEscaped:
             pass
@@ -606,7 +606,7 @@ class TestCoarseRuns:
                         if n > 0:
                             cur.step_forward()
                         else:
-                            cur.step_backward()
+                            cur.advance(-1)
                         st_ = cur.stage_obj
                         assert cur.x == st_.cell(cur.index) * st_.width + cur.u
             except OrbitEscaped as exc:
@@ -622,7 +622,7 @@ class TestCoarseRuns:
         twin = Cursor(spec, x, stage_budget=budget)
         try:
             for k in range(n):
-                twin.step_backward(k)
+                twin.advance(-1, k)
         except OrbitEscaped as exc:
             with pytest.raises(OrbitEscaped) as got:
                 cur.advance(-n)
@@ -640,7 +640,7 @@ class TestImageSet:
         for spec in PRESETS:
             st_ = build_stage(spec, 3)
             img, esc = power_image(spec, st_.base, 1, 3)
-            assert esc == MeasureBound.zero()
+            assert esc == MeasureBound.exact(0)
             assert img.intervals == (st_.level(1),)
 
     def test_top_level_escapes_entirely(self):
@@ -653,16 +653,16 @@ class TestImageSet:
     def test_odometer_stage2_half_interval(self):
         img, esc = power_image(ConstructionSpec.odometer(),
                                Interval(F(0), F(1, 2)), 1, 2)
-        assert esc == MeasureBound.zero()
+        assert esc == MeasureBound.exact(0)
         assert img.intervals == (Interval(F(1, 2), F(1)),)
 
     def test_backward_inverts_forward(self):
         spec = ConstructionSpec.chacon()
         A = IntervalSet((Interval(F(0), F(1, 9)), Interval(F(1, 3), F(10, 27))))
         fwd, esc = power_image(spec, A, 1, 3)
-        assert esc == MeasureBound.zero()
+        assert esc == MeasureBound.exact(0)
         back, esc2 = power_image(spec, fwd, -1, 3)
-        assert esc2 == MeasureBound.zero()
+        assert esc2 == MeasureBound.exact(0)
         assert back == A
 
     def test_measure_conservation(self):
@@ -688,7 +688,7 @@ class TestPowerImage:
         spec = ConstructionSpec.odometer()
         A = IntervalSet((Interval(F(1, 8), F(3, 8)),))
         img, esc = power_image(spec, A, 0, 3)
-        assert img == A and esc == MeasureBound.zero()
+        assert img == A and esc == MeasureBound.exact(0)
 
     def test_odometer_base_shift_two(self):
         spec = ConstructionSpec.odometer()
