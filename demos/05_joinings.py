@@ -30,7 +30,7 @@ CHA = ConstructionSpec.chacon()
 def main():
     m = product_blocks(ST2, ST3, 2, 5)
     print(f"product blocks at stage 2: {m.h_a} x {m.h_b} grid, "
-          f"each mass {m.mass((0, 0))}, residual {m.residual}")
+          f"each mass {m.mass_of([(0, 0)])}, residual {m.residual}")
 
     g = graph_blocks(ODO, 1, 1, 4)
     shown = {(z.z1, z.z2): str(v) for z, v in sorted(g.masses.items())}

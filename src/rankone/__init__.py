@@ -22,9 +22,9 @@ _EXPORTS = {name: module for module, names in {
     "flow": "ConsequenceRecord FlowSkeletonSpec FlowWindowReport ThickenedBase "
             "band_indices band_masses consequence_check thickened_base "
             "windowed_return_flow",
-    "joinings": "BlockIndex BlockMassMatrix ColumnSpec DispersionRow FSetSpec "
-                "LightBlockReport LightBlocks TrivializationRecord "
-                "UniformBlockMasses columns_and_F di_estimate "
+    "joinings": "BlockIndex BlockMassMatrix BlockMasses ColumnSpec DispersionRow "
+                "FSetSpec LightBlockReport LightBlocks TrivializationRecord "
+                "columns_and_F di_estimate "
                 "dispersion_experiment empirical_joining graph_blocks "
                 "light_blocks product_blocks trivialization_check",
     "measure": "EMPTY_SET BoundSeries Interval IntervalSet MeasureBound "

@@ -21,7 +21,7 @@ import argparse
 import json
 import math
 import sys
-from itertools import chain, islice, repeat, starmap
+from itertools import chain, islice, starmap
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -251,14 +251,10 @@ def _check_listing(blocks: int) -> None:
 
 
 def cmd_joining_blocks(args: argparse.Namespace) -> Table:
-    from .joinings import UniformBlockMasses
     m = matrix_from_args(args)
     _check_listing(len(m.masses))
-    meta = matrix_meta(m, command="joining blocks")
-    # a uniform grid iterates in sorted order; an empirical Counter does not
-    items = (zip(m.masses, repeat(m.masses.per)) if isinstance(m.masses, UniformBlockMasses)
-             else sorted(m.masses.items()))
-    return Table(("z1", "z2", "num", "den"), items, meta)
+    return Table(("z1", "z2", "num", "den"), m.masses.items(),
+                 matrix_meta(m, command="joining blocks"))
 
 
 def cmd_joining_light(args: argparse.Namespace) -> str:

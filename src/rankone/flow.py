@@ -199,13 +199,13 @@ def band_indices(fspec: FlowSkeletonSpec, h_a: int, h_b: int, offset: int,
     else:
         raise SpecError(f"side must be 'right' or 'left', got {side!r}")
     d1, d2 = (offset, 0) if side == "right" else (0, offset)
-    out = {BlockIndex(p * z // qp + d1, z + d2 + h) for z in range(min(z_top + 1, h_b - d2))
-           if p * z % qp == 0 for h in range(min(q + 1, h_b - z - d2))}
-    out = {b for b in out if b.z1 < h_a}
+    out = frozenset(BlockIndex(z1 + d1, z + d2 + h) for z in range(min(z_top + 1, h_b - d2))
+                    if p * z % qp == 0 and (z1 := p * z // qp) + d1 < h_a
+                    for h in range(min(q + 1, h_b - z - d2)))
     if not out:
         raise SpecError(f"band ({side}, offset {offset}) is empty after "
                         f"clipping to the tower square")
-    return frozenset(out)
+    return out
 
 
 def band_masses(m: BlockMassMatrix, fspec: FlowSkeletonSpec, offset: int,

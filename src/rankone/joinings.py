@@ -18,8 +18,8 @@ from collections.abc import Mapping
 from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, product, repeat
-from operator import add
+from itertools import chain, repeat
+from operator import add, mul
 from sys import byteorder
 from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple, Union)
@@ -33,7 +33,7 @@ from .transform import CHUNK, Cursor
 
 __all__ = [
     "BlockIndex",
-    "UniformBlockMasses",
+    "BlockMasses",
     "LightBlocks",
     "BlockMassMatrix",
     "LightBlockReport",
@@ -57,74 +57,106 @@ class BlockIndex(NamedTuple):
     z2: int
 
 
-class UniformBlockMasses(Mapping):
-    """The masses of an h_a x h_b block grid in which every block carries
-    the same mass `per`, held as those three numbers.
+class BlockMasses(Mapping):
+    """The masses of an h_a x h_b block grid as integer counts of one
+    `unit`, the mass of one count: by lag, counts is {z2 - z1: n} and every
+    block on lag d has count n; by block, it is {BlockIndex: n} in
+    row-major order.
 
-    A read-only Mapping from BlockIndex to Fraction: [], get, `in` and len
-    are O(1); iteration yields the h_a * h_b blocks in row-major order,
-    which is sorted order, at C level, and costs O(h_a h_b) only when a
-    caller iterates.
+    A read-only Mapping from BlockIndex to Fraction over the counted blocks:
+    [], get, `in` and len are O(1); iteration and items go in row-major
+    order, which is sorted order.  size, the counted blocks, and total, the
+    count summed over them, are summed once, in O(keys).
     """
 
-    __slots__ = ("h_a", "h_b", "per")
+    __slots__ = ("h_a", "h_b", "counts", "unit", "by_lag", "size", "total")
 
-    def __init__(self, h_a: int, h_b: int, per: Fraction):
-        self.h_a, self.h_b, self.per = h_a, h_b, per
+    def __init__(self, h_a: int, h_b: int, counts: Dict, unit: Fraction, by_lag: bool):
+        self.h_a, self.h_b, self.counts, self.unit, self.by_lag = h_a, h_b, counts, unit, by_lag
+        ns = counts.values()
+        if by_lag:
+            # lag d covers h_a + d blocks below min(0, h_b - h_a), h_b - d
+            # above max(0, h_b - h_a) and min(h_a, h_b) between: none off the grid
+            lo, hi, mid = min(0, h_b - h_a), max(0, h_b - h_a), min(h_a, h_b)
+            covers = [h_b - d if d > hi else mid if d >= lo else h_a + d for d in counts]
+            self.size, self.total = sum(covers), sum(map(mul, ns, covers))
+            on_grid = min(covers, default=1) > 0
+        else:
+            self.size, self.total = len(counts), sum(ns)
+            on_grid = all(lo <= min(zs) and max(zs) < hi  # the z1, then the z2
+                          for zs, lo, hi in zip(zip(*counts), (0, 0), (h_a, h_b)))
+        if not on_grid:
+            raise SpecError("block index out of tower range")
+        if unit.numerator <= 0 or min(ns, default=0) < 0:  # a Fraction's sign is its numerator's
+            raise SpecError("negative block mass")
 
-    def __getitem__(self, z) -> Fraction:
-        if (isinstance(z, tuple) and len(z) == 2
-                and 0 <= z[0] < self.h_a and 0 <= z[1] < self.h_b):
-            return self.per
+    def key(self, z) -> object:
+        """Block z's key in counts, z2 - z1 by lag; KeyError off the grid."""
+        if isinstance(z, tuple) and len(z) == 2 and 0 <= z[0] < self.h_a and 0 <= z[1] < self.h_b:
+            return z[1] - z[0] if self.by_lag else z
         raise KeyError(z)
 
+    def __getitem__(self, z) -> Fraction:
+        return self.unit * self.counts[self.key(z)]
+
     def __iter__(self) -> Iterator[BlockIndex]:
-        # BlockIndex._make on each pair, at C level
-        return map(tuple.__new__, repeat(BlockIndex),
-                   product(range(self.h_a), range(self.h_b)))
+        if not (self.by_lag and self.counts):
+            return iter(self.counts)
+        # row z1 holds the lags -z1 .. h_b - 1 - z1; BlockIndex._make on each pair at C level
+        lags, h_b = sorted(self.counts), self.h_b
+        return chain.from_iterable(map(tuple.__new__, repeat(BlockIndex), zip(repeat(z1), map(
+            z1.__add__, lags[bisect_left(lags, -z1):bisect_left(lags, h_b - z1)])))
+            for z1 in range(self.h_a))
 
     def __len__(self) -> int:
-        return self.h_a * self.h_b
+        return self.size
 
-    def __repr__(self) -> str:
-        return f"UniformBlockMasses({self.h_a}, {self.h_b}, {self.per})"
+    def count_of(self, blocks: Iterable[Tuple[int, int]]) -> int:
+        """The counts of the blocks summed, repeats included, 0 off the grid."""
+        counts, h_a, h_b, lag = self.counts, self.h_a, self.h_b, self.by_lag
+        return sum(counts.get(z2 - z1 if lag else (z1, z2), 0) for z1, z2 in blocks
+                   if 0 <= z1 < h_a and 0 <= z2 < h_b)
 
-    def rows(self) -> Iterator[Tuple[int, range]]:
-        """(z1, the z2 of row z1) for each row z1, in order."""
-        return zip(range(self.h_a), repeat(range(self.h_b)))
+    def items(self) -> Iterator[Tuple[BlockIndex, Fraction]]:
+        """(block, mass) in row-major order, one Fraction per distinct count."""
+        counts, lag = self.counts, self.by_lag
+        mass = {n: self.unit * n for n in set(counts.values())}
+        return ((z, mass[counts[z.z2 - z.z1 if lag else z]]) for z in self)
 
 
 class LightBlocks(Mapping):
-    """The blocks of an h_a x h_b grid less the heavy ones, each mapped to
-    its mass in `masses` (0 when absent), listed only when iterated: [],
-    `in` and len are O(1); iteration and rows() go in sorted order."""
+    """The blocks of a matrix's grid less the heavy ones, each mapped to
+    its mass (0 when uncounted), listed only when iterated.  heavy is the
+    BlockMasses of the matrix's heavy keys: [], `in` and len are O(1);
+    iteration and rows() go in sorted order."""
 
-    __slots__ = ("h_a", "h_b", "masses", "heavy")
+    __slots__ = ("masses", "heavy")
 
-    def __init__(self, h_a: int, h_b: int, masses: Mapping[BlockIndex, Fraction],
-                 heavy: Iterable[BlockIndex]):
-        self.h_a, self.h_b, self.masses, self.heavy = h_a, h_b, masses, set(heavy)
+    def __init__(self, masses: BlockMasses, heavy: BlockMasses):
+        self.masses, self.heavy = masses, heavy
 
     def __getitem__(self, z) -> Fraction:
-        if (isinstance(z, tuple) and len(z) == 2 and 0 <= z[0] < self.h_a
-                and 0 <= z[1] < self.h_b and z not in self.heavy):
-            return self.masses.get(z, Fraction(0))
-        raise KeyError(z)
+        if (key := self.masses.key(z)) in self.heavy.counts:
+            raise KeyError(z)
+        return self.masses.unit * self.masses.counts.get(key, 0)
 
     def __iter__(self) -> Iterator[BlockIndex]:
         return (BlockIndex(z1, z2) for z1, z2s in self.rows() for z2 in z2s)
 
     def __len__(self) -> int:
-        return self.h_a * self.h_b - len(self.heavy)
+        return self.masses.h_a * self.masses.h_b - self.heavy.size
 
     def rows(self) -> Iterator[Tuple[int, Sequence[int]]]:
-        """(z1, the light z2 of row z1) for each row z1, in order."""
+        """(z1, the light z2 of row z1) for each row z1 in order, a range where
+        the row holds no heavy block; no row when every block is heavy."""
+        h_a, h_b = self.masses.h_a, self.masses.h_b
+        if not (len(self) and self.heavy.counts):
+            return zip(range(h_a) if len(self) else (), repeat(range(h_b)))
         cut: Dict[int, set] = {}
         for z1, z2 in self.heavy:
             cut.setdefault(z1, set()).add(z2)
-        for z1 in range(self.h_a):
-            yield z1, ([z2 for z2 in range(self.h_b) if z2 not in cut[z1]]
-                       if z1 in cut else range(self.h_b))
+        return ((z1, [z2 for z2 in range(h_b) if z2 not in cut[z1]] if z1 in cut else range(h_b))
+                for z1 in range(h_a))
 
 
 @dataclass(frozen=True)
@@ -135,16 +167,14 @@ class BlockMassMatrix:
 
     norm_a / norm_b are the ambient measures used to normalize each side;
     base_mass is the second system's stage-j base measure in those units and
-    is the reference scale for the light-block threshold.  masses is a
-    dict, or a UniformBlockMasses for the product joining, whose check
-    below costs O(1) and whose mass_of adds no Fraction per block.
+    is the reference scale for the light-block threshold.
     """
 
     kind: str
     j: int
     h_a: int
     h_b: int
-    masses: Mapping[BlockIndex, Fraction]
+    masses: BlockMasses
     residual: Fraction
     norm_a: Fraction
     norm_b: Fraction
@@ -156,37 +186,18 @@ class BlockMassMatrix:
     meta: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
-        total = self.residual
-        masses = self.masses
-        if isinstance(masses, UniformBlockMasses):
-            if (masses.h_a, masses.h_b) != (self.h_a, self.h_b):
-                raise SpecError(f"uniform block grid {masses.h_a} x {masses.h_b} "
-                                f"does not match towers {self.h_a} x {self.h_b}")
-            if masses.per < 0:
-                raise SpecError("negative block mass")
-            total += masses.per * len(masses)
-        else:
-            for (z1, z2), m in masses.items():
-                if not (0 <= z1 < self.h_a and 0 <= z2 < self.h_b):
-                    raise SpecError(f"block index ({z1}, {z2}) out of tower range")
-                if m < 0:
-                    raise SpecError(f"negative block mass at ({z1}, {z2})")
-                total += m
+        m = self.masses
+        if (m.h_a, m.h_b) != (self.h_a, self.h_b):
+            raise SpecError(f"a {m.h_a} x {m.h_b} block grid on {self.h_a} x {self.h_b} towers")
         if self.residual < 0:
             raise SpecError("negative residual mass")
-        if total != 1:
+        if (total := m.unit * m.total + self.residual) != 1:
             raise SpecError(f"block masses + residual sum to {total}, expected 1")
-
-    def mass(self, z: BlockIndex) -> Fraction:
-        return self.masses.get(z, Fraction(0))
 
     def mass_of(self, blocks: Iterable[Tuple[int, int]]) -> Fraction:
         """Total mass of the blocks, each counted as often as given, none
-        off the grid: on a uniform grid, per times the blocks in the grid."""
-        masses, h_a, h_b = self.masses, self.h_a, self.h_b
-        if isinstance(masses, UniformBlockMasses):
-            return masses.per * sum(1 for z1, z2 in blocks if 0 <= z1 < h_a and 0 <= z2 < h_b)
-        return sum(map(masses.get, blocks, repeat(0)), Fraction(0))
+        off the grid."""
+        return self.masses.unit * self.masses.count_of(blocks)
 
 
 def product_blocks(spec_a: ConstructionSpec, spec_b: ConstructionSpec, j: int,
@@ -195,23 +206,19 @@ def product_blocks(spec_a: ConstructionSpec, spec_b: ConstructionSpec, j: int,
     two level measures; the residual is the mass of the product space off
     the stage-j tower product.
 
-    The masses are one UniformBlockMasses (h_a, h_b, per), so building the
-    matrix, checking it and its row and column sums cost O(1) in the
-    number of blocks, and so does light_blocks' test, since all blocks are
-    light or none is.  Walking the h_a * h_b blocks is left to the
-    listings, `joining blocks` and the `joining light` listing of an
-    all-light report, whose light set is this UniformBlockMasses.
+    Every lag has count 1 of unit per, so building the matrix, checking it
+    and light_blocks' test cost O(h_a + h_b), not O(h_a h_b): all blocks
+    are light or none is.  Walking the blocks is left to the listings.
     """
     _check_resolution(j, J)
     sa, sb = build_stage(spec_a, j), build_stage(spec_b, j)
     Ma, Mb = build_stage(spec_a, J).total, build_stage(spec_b, J).total
     la, lb = sa.width / Ma, sb.width / Mb
-    per = la * lb
-    masses = UniformBlockMasses(sa.height, sb.height, per)
-    covered = per * len(masses)
+    masses = BlockMasses(sa.height, sb.height, dict.fromkeys(range(1 - sa.height, sb.height), 1),
+                         la * lb, True)
     return BlockMassMatrix(
         kind="product", j=j, h_a=sa.height, h_b=sb.height, masses=masses,
-        residual=1 - covered, norm_a=Ma, norm_b=Mb,
+        residual=1 - masses.unit * (sa.height * sb.height), norm_a=Ma, norm_b=Mb,
         level_mass_a=la, level_mass_b=lb, base_mass=lb,
         spec_a=spec_a, spec_b=spec_b, meta={"J": J})
 
@@ -219,28 +226,28 @@ def product_blocks(spec_a: ConstructionSpec, spec_b: ConstructionSpec, j: int,
 def graph_blocks(spec: ConstructionSpec, k: int, j: int, J: int) -> BlockMassMatrix:
     """Self-joining supported on the graph of T^k: block (z1, z2) receives
     mu(T^{z1}E_j intersect T^{z2+k}E_j), resolved combinatorially at stage J
-    with unresolved overlap absorbed into the residual (masses are exact
-    lower bounds).
+    with unresolved overlap absorbed into the residual.
+
+    Masses are over the stage-J ambient measure M_J (norm_a = norm_b =
+    M_J), not the limit system's M_inf > M_J where later stages add
+    spacers, so a shallow J overstates them: block (0, 0) of the h1 = 2
+    staircase at k = 0, j = 2 reads 2/5 at J = 3 and 1/3 at J = 4.
 
     That mass is w_J times the occurrence pairs (p, p + z2 + k - z1) of E_j
-    at stage J, so it depends only on z2 - z1: the matrix is one vector of
-    lag counts, stats._stage_counts of E_j = (j, 1) over the lags k - h_j
-    + 1 .. k + h_j - 1, which builds no stage-J set.  Both occurrences of a
-    pair start whole stage-j copies, so every pair resolves inside the
-    stage-J tower.  The dict is built from the nonzero lags in row-major
-    order; lag d covers h - |d| blocks."""
+    at stage J, so it depends only on z2 - z1: the counts are by lag, of
+    unit w_J / M_J, the nonzero ones of stats._stage_counts of E_j = (j, 1)
+    over the lags k - h_j + 1 .. k + h_j - 1, which builds no stage-J set.
+    Both occurrences of a pair start whole stage-j copies, so every pair
+    resolves inside the stage-J tower."""
     _check_resolution(j, J)
     st, stJ = build_stage(spec, j), build_stage(spec, J)
     h, M = st.height, stJ.total
     lags = _stage_counts(spec, (j, 1), (j, 1), range(k - h + 1, k + h), J)[0]
-    w_norm = stJ.width / M
-    nonzero = [(d - h + 1, n * w_norm) for d, n in enumerate(lags) if n]  # (z2 - z1, mass)
-    masses = {BlockIndex(z1, z1 + d): x for z1 in range(h) for d, x in nonzero
-              if 0 <= z1 + d < h}
-    covered = sum((x * (h - abs(d)) for d, x in nonzero), Fraction(0))
+    masses = BlockMasses(h, h, {i - h + 1: n for i, n in enumerate(lags) if n},
+                         stJ.width / M, True)
     lvl = st.width / M
     return BlockMassMatrix(
-        kind="graph", j=j, h_a=h, h_b=h, masses=masses, residual=1 - covered,
+        kind="graph", j=j, h_a=h, h_b=h, masses=masses, residual=1 - masses.unit * masses.total,
         norm_a=M, norm_b=M, level_mass_a=lvl, level_mass_b=lvl, base_mass=lvl,
         spec_a=spec, spec_b=spec, meta={"J": J, "k": k})
 
@@ -301,18 +308,19 @@ def empirical_joining(spec_a: ConstructionSpec, spec_b: ConstructionSpec,
     the residual.  Orbit refinement is capped at stage J; OrbitEscaped
     propagates when the budget is insufficient.  N is at most MAX_TICKS;
     the ticks are counted a packed chunk at a time, so memory does not grow
-    with N."""
+    with N.  The counts are by block, in row-major order, of unit 1/N."""
     _check_resolution(j, J)
     if N < 1:
         raise SpecError("empirical joining needs N >= 1")
     chunks, _, sa, sb, ca, cb = _paired_codes(spec_a, spec_b, x_a, x_b, N, j, J,
                                               step_a, step_b)
-    blocks = _block_counts(Counter(chain.from_iterable(chunks)).items(), sa.height, sb.height)
-    masses = {z: Fraction(c, N) for z, c in blocks.items()}
+    blocks = _block_counts(sorted(Counter(chain.from_iterable(chunks)).items()),
+                           sa.height, sb.height)
     Ra, Rb = ca.stage_obj.stage, cb.stage_obj.stage
     Ma, Mb = build_stage(spec_a, Ra).total, build_stage(spec_b, Rb).total
     return BlockMassMatrix(
-        kind="empirical", j=j, h_a=sa.height, h_b=sb.height, masses=masses,
+        kind="empirical", j=j, h_a=sa.height, h_b=sb.height,
+        masses=BlockMasses(sa.height, sb.height, blocks, Fraction(1, N), False),
         residual=Fraction(N - sum(blocks.values()), N), norm_a=Ma, norm_b=Mb,
         level_mass_a=sa.width / Ma, level_mass_b=sb.width / Mb,
         base_mass=sb.width / Mb, spec_a=spec_a, spec_b=spec_b,
@@ -326,8 +334,7 @@ class LightBlockReport:
     """Blocks whose mass falls strictly below epsilon times the base
     measure, and the total joining mass they carry.  light_set maps each
     light block to its mass in sorted order, listing none until iterated:
-    a uniform matrix's own UniformBlockMasses (an empty one when no block
-    is light), or a LightBlocks view of a dict matrix's grid."""
+    a LightBlocks view of the matrix's grid less its heavy keys."""
 
     epsilon: Fraction
     j: int
@@ -345,19 +352,14 @@ def light_blocks(m: BlockMassMatrix, epsilon: RationalLike) -> LightBlockReport:
     eps = as_fraction(epsilon)
     if eps <= 0:
         raise SpecError("epsilon must be positive")
-    threshold = eps * m.base_mass
-    masses = m.masses
-    if isinstance(masses, UniformBlockMasses):
-        # one mass for every block: all blocks are light or none is
-        light = masses if masses.per < threshold else UniformBlockMasses(0, 0, masses.per)
-        covered = masses.per * len(light)
-    else:
-        # a block absent from the dict has mass 0, so it is light
-        light = LightBlocks(m.h_a, m.h_b, masses,
-                            [z for z, x in masses.items() if x >= threshold])
-        covered = sum((x for x in masses.values() if x < threshold), Fraction(0))
+    masses, (a, b), (p, q) = m.masses, eps.as_integer_ratio(), m.base_mass.as_integer_ratio()
+    # the least count n with n * unit >= eps * base_mass
+    bound = -(-a * p * masses.unit.denominator // (b * q * masses.unit.numerator))
+    heavy = BlockMasses(m.h_a, m.h_b, {key: n for key, n in masses.counts.items() if n >= bound},
+                        masses.unit, masses.by_lag)
     return LightBlockReport(epsilon=eps, j=m.j, kind=m.kind,
-                            light_set=light, covered_mass=covered,
+                            light_set=LightBlocks(masses, heavy),
+                            covered_mass=masses.unit * (masses.total - heavy.total),
                             total_blocks=m.h_a * m.h_b)
 
 
@@ -503,15 +505,15 @@ def columns_and_F(m: BlockMassMatrix, delta: RationalLike, w: int,
     if len(set(shifts)) != len(shifts):
         raise SpecError("shift set has duplicates")
     _check_shifts(m, col.members[-1].z2, shifts)
-    per_shift = {h: m.mass_of((z1, z2 + h) for z1, z2 in col.members)
+    per_shift = {h: m.masses.count_of((z1, z2 + h) for z1, z2 in col.members)
                  for h in sorted(shifts)}
-    nu_F = sum(per_shift.values(), Fraction(0))
-    if nu_F == 0:
+    total = sum(per_shift.values())
+    if total == 0:
         raise EmptyFSetError(
             f"F set carries no joining mass (column w={col.w}, "
             f"shifts {sorted(shifts)})")
-    weights = WeightSequence(tuple((h, v / nu_F) for h, v in per_shift.items()))
-    return FSetSpec(column=col, shifts=tuple(sorted(shifts)), nu_F=nu_F,
+    weights = WeightSequence(per_shift.items(), total)
+    return FSetSpec(column=col, shifts=tuple(sorted(shifts)), nu_F=m.masses.unit * total,
                     weights=weights, weight_flatness=flatness(weights, 0))
 
 
@@ -564,20 +566,20 @@ def trivialization_check(m: BlockMassMatrix, F: FSetSpec, A: Union[IntervalSet, 
         in_sets.append(build_stage(spec, m.j).occurrence_bits(*found.get((0, 1, 1), (k, 0))))
     in_A, in_B = in_sets
 
-    # per_shift[h]: the mass of the selected blocks of the column shifted by h
-    per_shift = {h: m.mass_of((z1, z2 + h) for z1, z2 in members
-                              if in_A >> z1 & 1 and in_B >> (z2 + h) & 1)
+    # per_shift[h]: the count of the selected blocks of the column shifted by h
+    count_of, unit = m.masses.count_of, m.masses.unit
+    per_shift = {h: count_of((z1, z2 + h) for z1, z2 in members
+                             if in_A >> z1 & 1 and in_B >> (z2 + h) & 1)
                  for h in F.shifts}
-    conditional = sum(per_shift.values(), Fraction(0)) / F.nu_F
+    conditional = unit * sum(per_shift.values()) / F.nu_F
     reference = (_measure(m.spec_a, A) / m.norm_a) * (_measure(m.spec_b, B) / m.norm_b)
     gap = abs(conditional - reference)
 
-    nu_C = m.mass_of(members)
     display_sum = display_gap = None
     slack = Fraction(0)
-    if nu_C > 0:
+    if n_C := count_of(members):
         lo, hi = _display_route(m, F, in_A, in_B, per_shift)
-        display_sum = MeasureBound(lo / nu_C, hi / nu_C)
+        display_sum = MeasureBound(lo / (unit * n_C), hi / (unit * n_C))
         slack = display_sum.width
         d0, d1 = display_sum.lo - conditional, display_sum.hi - conditional
         display_gap = MeasureBound(max(Fraction(0), d0, -d1), max(abs(d0), abs(d1)))
@@ -588,18 +590,19 @@ def trivialization_check(m: BlockMassMatrix, F: FSetSpec, A: Union[IntervalSet, 
 
 
 def _display_route(m: BlockMassMatrix, F: FSetSpec, in_A: int, in_B: int,
-                   per_shift: Dict[int, Fraction]) -> Tuple[Fraction, Fraction]:
+                   per_shift: Dict[int, int]) -> Tuple[Fraction, Fraction]:
     """Enclosure of sum_h a_h nu(A x T^{-h}B intersect C), unnormalized.
 
     in_A, in_B are A's and B's stage-j level bitsets, and per_shift[h] is
-    the mass of the column's blocks inside A x T^{-h}B.  Level z2 + h of
+    the count of the column's blocks inside A x T^{-h}B.  Level z2 + h of
     a block (z1, z2) lies in z2's stage-j copy, so a block is hit by shift
     h iff level z2 + h is in B, and T^{-h} pushes off the tower only the
     levels of B below h in the bottom copy, w_J each.  A graph block also
     loses to T^k the occurrences of level z2 that lag k pushes off, read
     from the escape vector of stats._stage_counts on E_j = (j, 1)."""
+    unit, ns, den = m.masses.unit, F.weights.numerators, F.weights.den
     if m.kind == "empirical":
-        val = sum((a_h * per_shift[h] for h, a_h in F.weights.weights), Fraction(0))
+        val = unit * sum(n_h * per_shift[h] for h, n_h in ns) / den
         return val, val
     if m.kind not in ("product", "graph"):
         raise SpecError(f"unknown matrix kind: {m.kind!r}")
@@ -613,10 +616,10 @@ def _display_route(m: BlockMassMatrix, F: FSetSpec, in_A: int, in_B: int,
         # escape[z2]: the occurrences p of E_j with p + z2 + k off the tower
         s, k = stJ.width / m.norm_a, m.meta["k"]
         escape = _stage_counts(m.spec_b, (m.j, 1), (m.j, 1), range(k, k + m.h_b), m.meta["J"])[1]
-    lo = out = Fraction(0)
-    for h, a_h in F.weights.weights:
+    lo = out = 0
+    for h, n_h in ns:
         hit = [bi for bi in sel if in_B >> (bi.z2 + h) & 1]
-        lo += a_h * m.mass_of(hit)
-        n = (in_B & ((1 << h) - 1)).bit_count() + sum(escape[z2] for _, z2 in hit)
-        out += a_h * n
-    return lo, lo + s * out
+        lo += n_h * m.masses.count_of(hit)
+        out += n_h * ((in_B & ((1 << h) - 1)).bit_count() + sum(escape[z2] for _, z2 in hit))
+    lo = unit * lo / den
+    return lo, lo + s * out / den

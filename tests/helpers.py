@@ -3,29 +3,158 @@ the object it used to be a method or property of as its first argument and
 computes what that method computed.  Also the oracles that library fast
 paths are checked against, and the capped child-process runner."""
 
+import dataclasses
 import os
 import subprocess
 import sys
 import time
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 from itertools import chain, product, repeat
 from math import lcm
 from operator import add
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import rankone
-from rankone import stats
-from rankone.averaging import WeightSequence
+from rankone import joinings, stats
+from rankone.averaging import WeightSequence, flatness
 from rankone.construction import build_stage
-from rankone.errors import SpecError
-from rankone.joinings import BlockIndex, LightBlockReport, UniformBlockMasses, _make_column
-from rankone.measure import BoundSeries, Interval, IntervalSet, as_fraction, canonicalize
+from rankone.errors import EmptyFSetError, SpecError
+from rankone.joinings import (BlockIndex, FSetSpec, LightBlockReport, TrivializationRecord,
+                              _make_column)
+from rankone.measure import (BoundSeries, Interval, IntervalSet, MeasureBound, as_fraction,
+                             canonicalize)
 
 
 # --------------------------------------------------------- BlockMassMatrix
+#
+# The oracle of the count matrices: the route block masses took before a
+# matrix held integer counts of one unit, a dict of one Fraction per block,
+# and the functions that read that dict.
+
+def dict_matrix(m):
+    """m's fields, with masses rebuilt as a dict of one Fraction per block
+    in row-major order: product, the two level measures' product on every
+    block; graph, w_J / M_J times each nonzero lag count of E_j on the
+    blocks of its lag; empirical, each block count over N."""
+    J = m.meta["J"]
+    if m.kind == "product":
+        per = (build_stage(m.spec_a, m.j).width / build_stage(m.spec_a, J).total
+               * build_stage(m.spec_b, m.j).width / build_stage(m.spec_b, J).total)
+        masses = {BlockIndex(*z): per for z in product(range(m.h_a), range(m.h_b))}
+    elif m.kind == "graph":
+        h, k, stJ = m.h_a, m.meta["k"], build_stage(m.spec_a, J)
+        lags = stats._stage_counts(m.spec_a, (m.j, 1), (m.j, 1), range(k - h + 1, k + h), J)[0]
+        w = stJ.width / stJ.total
+        masses = {BlockIndex(z1, z2): n * w for z1 in range(h) for z2 in range(h)
+                  if (n := lags[z2 - z1 + h - 1])}
+    else:
+        N = m.meta["N"]
+        chunks, *_ = joinings._paired_codes(m.spec_a, m.spec_b, *map(Fraction, m.meta["seeds"]),
+                                            N, m.j, J, m.meta["step_a"], m.meta["step_b"])
+        blocks = joinings._block_counts(Counter(chain.from_iterable(chunks)).items(), m.h_a, m.h_b)
+        masses = {z: Fraction(c, N) for z, c in sorted(blocks.items())}
+    return SimpleNamespace(**{**{f.name: getattr(m, f.name) for f in dataclasses.fields(m)},
+                              "masses": masses})
+
+
+def dict_mass_of(d, blocks):
+    return sum(map(d.masses.get, blocks, repeat(0)), Fraction(0))
+
+
+def dict_light_blocks(d, epsilon):
+    """light_blocks(d, epsilon) with its light set built as a dict of every
+    light block and its mass, by walking the whole h_a x h_b grid in
+    row-major order; a block absent from the dict weighs 0."""
+    eps = as_fraction(epsilon)
+    if eps <= 0:
+        raise SpecError("epsilon must be positive")
+    threshold = eps * d.base_mass
+    light = {z: x for z in map(BlockIndex._make, product(range(d.h_a), range(d.h_b)))
+             if (x := d.masses.get(z, Fraction(0))) < threshold}
+    return LightBlockReport(epsilon=eps, j=d.j, kind=d.kind, light_set=light,
+                            covered_mass=sum(light.values(), Fraction(0)),
+                            total_blocks=d.h_a * d.h_b)
+
+
+def dict_columns_and_F(d, delta, w, shifts):
+    col = _make_column(d, delta, w)
+    if not shifts:
+        raise SpecError("shift set must be nonempty")
+    if len(set(shifts)) != len(shifts):
+        raise SpecError("shift set has duplicates")
+    joinings._check_shifts(d, col.members[-1].z2, shifts)
+    per_shift = {h: dict_mass_of(d, ((z1, z2 + h) for z1, z2 in col.members))
+                 for h in sorted(shifts)}
+    nu_F = sum(per_shift.values(), Fraction(0))
+    if nu_F == 0:
+        raise EmptyFSetError(f"F set carries no joining mass (column w={col.w}, "
+                             f"shifts {sorted(shifts)})")
+    weights = WeightSequence(tuple((h, v / nu_F) for h, v in per_shift.items()))
+    return FSetSpec(column=col, shifts=tuple(sorted(shifts)), nu_F=nu_F,
+                    weights=weights, weight_flatness=flatness(weights, 0))
+
+
+def dict_trivialization_check(d, F, A, B, k):
+    """trivialization_check over the dict, each mass sum a sum of Fractions."""
+    if not (1 <= k <= d.j):
+        raise SpecError(f"need 1 <= k <= j, got k={k}, j={d.j}")
+    members = F.column.members
+    if any(not (0 <= z1 < d.h_a and 0 <= z2 < d.h_b) for z1, z2 in members):
+        raise SpecError(f"column blocks run out of the block grid "
+                        f"(h_a={d.h_a}, h_b={d.h_b})")
+    if F.nu_F <= 0 or not set(F.weights.support) <= set(F.shifts):
+        raise SpecError("F needs nu_F > 0 and its weights on its own shifts")
+    joinings._check_shifts(d, max((z2 for _, z2 in members), default=0), F.shifts)
+    in_sets = []
+    for label, spec, S in (("A", d.spec_a, A), ("B", d.spec_b, B)):
+        found = stats._classes(build_stage(spec, k), S)
+        if found.keys() - {(0, 1, 1)}:
+            raise SpecError(f"{label} is not a union of stage-{k} levels")
+        in_sets.append(build_stage(spec, d.j).occurrence_bits(*found.get((0, 1, 1), (k, 0))))
+    in_A, in_B = in_sets
+    per_shift = {h: dict_mass_of(d, ((z1, z2 + h) for z1, z2 in members
+                                     if in_A >> z1 & 1 and in_B >> (z2 + h) & 1))
+                 for h in F.shifts}
+    conditional = sum(per_shift.values(), Fraction(0)) / F.nu_F
+    reference = (stats._measure(d.spec_a, A) / d.norm_a) * (stats._measure(d.spec_b, B) / d.norm_b)
+    nu_C = dict_mass_of(d, members)
+    display_sum = display_gap = None
+    slack = Fraction(0)
+    if nu_C > 0:
+        sel = [bi for bi in members if in_A >> bi.z1 & 1]
+        if d.kind == "empirical":
+            lo = hi = sum((a_h * per_shift[h] for h, a_h in F.weights.weights), Fraction(0))
+        elif not sel:
+            lo = hi = Fraction(0)
+        else:
+            stJ = build_stage(d.spec_b, d.meta["J"])
+            if d.kind == "product":
+                s, escape = d.level_mass_a * stJ.width / d.norm_b, [0] * d.h_b
+            else:
+                s, kk = stJ.width / d.norm_a, d.meta["k"]
+                escape = stats._stage_counts(d.spec_b, (d.j, 1), (d.j, 1),
+                                             range(kk, kk + d.h_b), d.meta["J"])[1]
+            lo = out = Fraction(0)
+            for h, a_h in F.weights.weights:
+                hit = [bi for bi in sel if in_B >> (bi.z2 + h) & 1]
+                lo += a_h * dict_mass_of(d, hit)
+                out += a_h * ((in_B & ((1 << h) - 1)).bit_count()
+                              + sum(escape[z2] for _, z2 in hit))
+            hi = lo + s * out
+        display_sum = MeasureBound(lo / nu_C, hi / nu_C)
+        slack = display_sum.width
+        d0, d1 = display_sum.lo - conditional, display_sum.hi - conditional
+        display_gap = MeasureBound(max(Fraction(0), d0, -d1), max(abs(d0), abs(d1)))
+    return TrivializationRecord(
+        j=d.j, k=k, conditional=conditional, reference=reference,
+        gap=abs(conditional - reference), display_sum=display_sum,
+        display_gap=display_gap, weight_flatness=F.weight_flatness, escape_slack=slack)
+
 
 def light_shifts(m, delta, w, epsilon=None, mass_threshold=None):
     """Shift set selection for F assembly.
@@ -40,26 +169,11 @@ def light_shifts(m, delta, w, epsilon=None, mass_threshold=None):
     col = _make_column(m, delta, w)
 
     def ok(h):
-        shifted = [m.mass(BlockIndex(z1, z2 + h)) for z1, z2 in col.members]
+        shifted = [m.mass_of([BlockIndex(z1, z2 + h)]) for z1, z2 in col.members]
         if epsilon is not None:
             return max(shifted) < as_fraction(epsilon) * m.base_mass
         return sum(shifted, Fraction(0)) < as_fraction(mass_threshold)
     return tuple(filter(ok, range(m.h_b - col.members[-1].z2)))
-
-
-def dict_light_blocks(m, epsilon):
-    """light_blocks(m, epsilon) with its light set built as a dict of every
-    light block and its mass, by walking the whole h_a x h_b grid in
-    row-major order: the oracle of the light-set views."""
-    eps = as_fraction(epsilon)
-    if eps <= 0:
-        raise SpecError("epsilon must be positive")
-    threshold = eps * m.base_mass
-    light = {z: x for z in map(BlockIndex._make, product(range(m.h_a), range(m.h_b)))
-             if (x := m.mass(z)) < threshold}
-    return LightBlockReport(epsilon=eps, j=m.j, kind=m.kind, light_set=light,
-                            covered_mass=sum(light.values(), Fraction(0)),
-                            total_blocks=m.h_a * m.h_b)
 
 
 def total_block_mass(m):
@@ -67,17 +181,11 @@ def total_block_mass(m):
 
 
 def row_sum(m, z1):
-    masses = m.masses
-    if isinstance(masses, UniformBlockMasses):
-        return masses.per * m.h_b if 0 <= z1 < m.h_a else Fraction(0)
-    return sum((v for (a, _), v in masses.items() if a == z1), Fraction(0))
+    return m.mass_of((z1, z2) for z2 in range(m.h_b))
 
 
 def col_sum(m, z2):
-    masses = m.masses
-    if isinstance(masses, UniformBlockMasses):
-        return masses.per * m.h_a if 0 <= z2 < m.h_b else Fraction(0)
-    return sum((v for (_, b), v in masses.items() if b == z2), Fraction(0))
+    return m.mass_of((z1, z2) for z1 in range(m.h_a))
 
 
 # ------------------------------------------------------------ StepFunction

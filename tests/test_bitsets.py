@@ -120,7 +120,7 @@ def oracle_product_display(m, fs, A, B):
     lo = sum((m.level_mass_a * l2_inner(Pf, StepFunction.indicator(
         IntervalSet((sb.level(z2),)))) / m.norm_b for z2 in sel), F(0))
     hi = lo + (m.level_mass_a * esc.hi / m.norm_b if sel else 0)
-    nu_C = sum((m.mass(bi) for bi in fs.column.members), F(0))
+    nu_C = sum((m.mass_of([bi]) for bi in fs.column.members), F(0))
     return MeasureBound(lo / nu_C, hi / nu_C)
 
 
@@ -147,7 +147,7 @@ def oracle_graph_display(m, fs, A, B):
             extra += esc2.hi / m.norm_a
         lo += a_h * t_lo
         hi += a_h * (t_lo + extra + (esc.hi / m.norm_b if sel else F(0)))
-    nu_C = sum((m.mass(bi) for bi in fs.column.members), F(0))
+    nu_C = sum((m.mass_of([bi]) for bi in fs.column.members), F(0))
     return MeasureBound(lo / nu_C, hi / nu_C) if nu_C else None
 
 
@@ -583,7 +583,7 @@ def test_trivialization_conditional_uses_stage_j_levels(spec, data):
                                 max_size=2, unique=True))
     fs = columns_and_F(m, F(1, 4), 0, [0, *shifts])
     in_A, in_B = oracle_levels_inside(stj, A), oracle_levels_inside(stj, B)
-    num = sum((m.mass(BlockIndex(z1, z2 + h)) for h in fs.shifts
+    num = sum((m.mass_of([BlockIndex(z1, z2 + h)]) for h in fs.shifts
                for z1, z2 in fs.column.members if z1 in in_A and z2 + h in in_B),
               F(0))
     rec = trivialization_check(m, fs, A, B, k)
@@ -641,7 +641,7 @@ def check_display(m, fs, A, B, k, want):
     display fields from the display oracle's enclosure `want`."""
     in_A = oracle_levels_inside(build_stage(m.spec_a, m.j), A)
     in_B = oracle_levels_inside(build_stage(m.spec_b, m.j), B)
-    cond = sum((m.mass(BlockIndex(z1, z2 + h)) for h in fs.shifts
+    cond = sum((m.mass_of([BlockIndex(z1, z2 + h)]) for h in fs.shifts
                 for z1, z2 in fs.column.members if z1 in in_A and z2 + h in in_B),
                F(0)) / fs.nu_F
     rec = trivialization_check(m, fs, A, B, k)

@@ -9,6 +9,7 @@ import time
 import tracemalloc
 from array import array
 from fractions import Fraction as F
+from hashlib import sha256
 from itertools import groupby, product
 from operator import itemgetter
 from unittest import mock
@@ -24,12 +25,12 @@ from rankone.errors import EmptyFSetError, OrbitEscaped, SpecError
 from rankone.flow import FlowSkeletonSpec, band_masses
 from rankone.joinings import (
     BlockIndex,
+    BlockMasses,
     BlockMassMatrix,
     ColumnSpec,
     DispersionRow,
     FSetSpec,
     LightBlocks,
-    UniformBlockMasses,
     columns_and_F,
     di_estimate,
     dispersion_experiment,
@@ -42,8 +43,9 @@ from rankone.joinings import (
 from rankone.measure import set_intersection
 from rankone.persist import block_list, render_json
 from rankone.transform import Cursor, apply_power, power_image
-from helpers import (col_sum, delta_weights, dict_light_blocks, light_shifts, row_sum,
-                     run_capped, total_block_mass)
+from helpers import (col_sum, delta_weights, dict_columns_and_F, dict_light_blocks,
+                     dict_mass_of, dict_matrix, dict_trivialization_check, light_shifts,
+                     row_sum, run_capped, total_block_mass)
 
 ODO = ConstructionSpec.odometer()
 ST2 = ConstructionSpec.staircase(h1=2)
@@ -98,8 +100,11 @@ def test_product_mass_accounting(spec_a, spec_b, j, extra):
 # ------------------------------------------ product masses against a dict
 
 def dense(m):
-    """The same matrix with every block's mass stored in a dict."""
-    return dataclasses.replace(m, masses=dict(m.masses))
+    """The same matrix with its counts held by block, one key per counted
+    block, in row-major order."""
+    u = m.masses
+    return dataclasses.replace(m, masses=BlockMasses(
+        m.h_a, m.h_b, {z: u.counts[u.key(z)] for z in u}, u.unit, False))
 
 
 specs = st.one_of(st.sampled_from(PRESETS),
@@ -112,23 +117,25 @@ def test_product_masses_match_dense_dict(spec_a, spec_b, j, extra, data):
     m = product_blocks(spec_a, spec_b, j, j + extra)
     d = dense(m)
     u = m.masses
-    assert isinstance(u, UniformBlockMasses)
+    assert u.by_lag and u.counts == dict.fromkeys(range(1 - m.h_a, m.h_b), 1)
+    assert not d.masses.by_lag and len(d.masses.counts) == m.h_a * m.h_b
     assert len(u) == len(d.masses) == m.h_a * m.h_b
-    assert list(u) == sorted(d.masses)
+    assert list(u) == list(d.masses) == sorted(d.masses)
     assert u == d.masses and d.masses == u
+    assert list(u.items()) == list(d.masses.items()) == list(dict_matrix(m).masses.items())
     probes = [(z1, z2) for z1 in (-1, 0, m.h_a - 1, m.h_a)
               for z2 in (-1, 0, m.h_b - 1, m.h_b)]
     for z in probes + [(0,), (0, 0, 0), "00"]:
         assert (z in u) == (z in d.masses)
         assert u.get(z) == d.masses.get(z)
     for z in probes:
-        assert m.mass(BlockIndex(*z)) == d.mass(BlockIndex(*z))
+        assert m.mass_of([BlockIndex(*z)]) == d.mass_of([BlockIndex(*z)])
     for z1 in range(-1, m.h_a + 1):
         assert row_sum(m, z1) == row_sum(d, z1)
     for z2 in range(-1, m.h_b + 1):
         assert col_sum(m, z2) == col_sum(d, z2)
     # every block is light exactly when epsilon exceeds per / base_mass
-    at = u.per / m.base_mass
+    at = u.unit / m.base_mass
     for eps in (at / 2, at - at / 1000, at, at + at / 1000, 2 * at):
         rep = light_blocks(m, eps)
         assert rep == light_blocks(d, eps)
@@ -138,7 +145,7 @@ def test_product_masses_match_dense_dict(spec_a, spec_b, j, extra, data):
     i_max = int(delta * m.h_b)
     w = data.draw(st.integers(0, m.h_a))
     for kw in ({"epsilon": at + data.draw(st.sampled_from([-at / 2, 0, at]))},
-               {"mass_threshold": u.per * data.draw(st.integers(0, i_max + 2))}):
+               {"mass_threshold": u.unit * data.draw(st.integers(0, i_max + 2))}):
         assert outcome(light_shifts, m, delta, w, **kw) == \
             outcome(light_shifts, d, delta, w, **kw)
     shifts = data.draw(st.lists(st.integers(0, max(m.h_b - 1 - i_max, 0)),
@@ -210,6 +217,12 @@ def test_graph_k1_odometer_frozen():
     assert m.residual == F(1, 16)
 
 
+def test_graph_masses_are_over_the_stage_J_ambient():
+    # the limit system's ambient exceeds M_J, so a shallow J overstates a mass
+    assert [graph_blocks(ST2, 0, 2, J).mass_of([(0, 0)]) for J in (3, 4, 10)] == [
+        F(2, 5), F(1, 3), F(504, 1693)]
+
+
 def test_graph_wraparound_at_k_h2():
     # the odometer satisfies T^2 E_1 = E_1 up to resolution loss, so the
     # k = 2 band at stage 1 folds back onto the diagonal
@@ -233,7 +246,7 @@ def test_graph_mass_matches_direct_geometry():
                 base = stJ.levels_set([p + z2 for p in occ])
                 img, _ = power_image(spec, base, k, J)
                 direct = set_intersection(u, img).measure / M
-                assert m.mass(BlockIndex(z1, z2)) == direct
+                assert m.mass_of([BlockIndex(z1, z2)]) == direct
 
 
 def test_graph_row_sums_bounded_by_level_mass():
@@ -317,7 +330,7 @@ def test_empirical_equivariance():
         xb = apply_power(ST3, 0, shift).x
         moved = empirical_joining(ST2, ST3, xa, xb, N, 2, 10)
         keys = set(base.masses) | set(moved.masses)
-        tv = sum(abs(base.mass(z) - moved.mass(z)) for z in keys)
+        tv = sum(abs(base.mass_of([z]) - moved.mass_of([z])) for z in keys)
         tv += abs(base.residual - moved.residual)
         assert tv <= F(2 * shift, N)
 
@@ -430,17 +443,18 @@ def test_light_product_threshold_flip():
 
 
 def test_light_sets_are_row_major_with_masses():
-    # the listing prints light_set in iteration order, unsorted: a uniform
-    # grid lends its own masses, a dict matrix lists blocks row by row
+    # the listing prints light_set in iteration order, unsorted: every row
+    # of an all-light grid is a range, and other grids list blocks row by row
     m = product_blocks(ST2, ST3, 3, 4)
     above = light_blocks(m, m.level_mass_a + F(1, 1000))
-    assert above.light_set is m.masses
+    assert all(z2s == range(m.h_b) for _, z2s in above.light_set.rows())
+    assert list(above.light_set) == list(m.masses)
     assert list(above.light_set) == sorted(above.light_set)
     assert all(type(z) is BlockIndex for z in above.light_set)
     for m in (graph_blocks(ST2, 1, 3, 5), graph_blocks(ODO, 0, 3, 5)):
         rep = light_blocks(m, F(1, 2))
         assert rep.light_set and list(rep.light_set) == sorted(rep.light_set)
-        assert all(v == m.mass(z) for z, v in rep.light_set.items())
+        assert all(v == m.mass_of([z]) for z, v in rep.light_set.items())
         assert rep.covered_mass == sum(rep.light_set.values())
 
 
@@ -467,8 +481,8 @@ def test_light_validation():
 
 @st.composite
 def block_matrices(draw):
-    """A product matrix, its dense dict, one with explicit zero-mass
-    entries, a graph matrix or an empirical histogram, at stages 1-3."""
+    """A product matrix, its counts by block, those with explicit zero
+    counts, a graph matrix or an empirical histogram, at stages 1-3."""
     kind = draw(st.sampled_from(["product", "dense", "zeros", "graph", "empirical"]))
     j = draw(st.integers(1, 3))
     if kind == "graph":
@@ -487,9 +501,11 @@ def block_matrices(draw):
     if kind == "dense":
         return d
     zeros = draw(st.sets(st.sampled_from(sorted(d.masses))))
+    u = d.masses
     return dataclasses.replace(
-        d, masses={z: F(0) if z in zeros else x for z, x in d.masses.items()},
-        residual=d.residual + sum((d.masses[z] for z in zeros), F(0)))
+        d, masses=BlockMasses(m.h_a, m.h_b, {z: 0 if z in zeros else n for z, n in u.counts.items()},
+                              u.unit, False),
+        residual=d.residual + u.unit * len(zeros))
 
 
 @settings(max_examples=60, deadline=None)
@@ -510,7 +526,7 @@ def test_mass_of_matches_per_block_sum(m, data):
 @settings(max_examples=60, deadline=None)
 @given(block_matrices(), st.data())
 def test_light_sets_match_dict_oracle(m, data):
-    masses = {m.masses.per} if isinstance(m.masses, UniformBlockMasses) else set(m.masses.values())
+    masses = set(m.masses.values())
     at = data.draw(st.sampled_from(sorted(x / m.base_mass for x in masses | {F(1)} if x > 0)))
     eps = at * data.draw(st.sampled_from([F(1, 2), F(999, 1000), F(1), F(1001, 1000), F(2)]))
     rep, oracle = light_blocks(m, eps), dict_light_blocks(m, eps)
@@ -529,12 +545,85 @@ def test_light_sets_match_dict_oracle(m, data):
         assert light.get(z) == oracle.light_set.get(z)
 
 
+# ------------------------------ count matrices against the Fraction-dict route
+
+@st.composite
+def count_matrices(draw):
+    """A product, graph or empirical matrix of presets and random:K specs at
+    stages 1-3, graph powers negative, zero and past the stage-J tower."""
+    kind = draw(st.sampled_from(["product", "graph", "empirical"]))
+    j = draw(st.integers(1, 3))
+    J = j + draw(st.integers(0, 2))
+    if kind == "product":
+        return product_blocks(draw(specs), draw(specs), j, J)
+    if kind == "graph":
+        spec = draw(specs)
+        h = build_stage(spec, j).height
+        k = draw(st.sampled_from([-h, -1, 0, 1, h - 1, h, build_stage(spec, J).height + 2])
+                 | st.integers(-2 * h, 2 * h))
+        return graph_blocks(spec, k, j, J)
+    x_a, x_b = (draw(st.sampled_from([0, F(1, 3), F(2, 7), F(5, 9)])) for _ in "ab")
+    try:
+        return empirical_joining(draw(specs), draw(specs), x_a, x_b,
+                                 draw(st.integers(1, 200)), j, 10)
+    except OrbitEscaped:
+        assume(False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(count_matrices(), st.data())
+def test_count_matrices_match_the_fraction_dict_route(m, data):
+    d = dict_matrix(m)
+    # the mapping, its order and its length
+    assert list(m.masses.items()) == list(d.masses.items())
+    assert list(m.masses) == list(d.masses) and len(m.masses) == len(d.masses)
+    assert m.masses == d.masses and m.residual == 1 - sum(d.masses.values(), F(0))
+    # mass_of and lookups over in-grid, off-grid and repeated blocks
+    near = st.tuples(st.integers(-2, m.h_a + 1), st.integers(-2, m.h_b + 1))
+    blocks = data.draw(st.lists(near, max_size=30))
+    blocks += blocks[:data.draw(st.integers(0, len(blocks)))]
+    assert m.mass_of(blocks) == dict_mass_of(d, blocks)
+    for z in blocks:
+        assert (z in m.masses) == (z in d.masses) and m.masses.get(z) == d.masses.get(z)
+    # light blocks, with a count of the matrix on the threshold: such a block is heavy
+    n = data.draw(st.sampled_from(sorted({*m.masses.counts.values(), 1} - {0})))
+    at = m.masses.unit * n / m.base_mass
+    for eps in (at, at * F(999, 1000), at * F(1001, 1000)):
+        rep, oracle = light_blocks(m, eps), dict_light_blocks(d, eps)
+        assert (rep.covered_mass, rep.heavy_count, len(rep.light_set)) == (
+            oracle.covered_mass, oracle.heavy_count, len(oracle.light_set))
+        assert [(z1, list(z2s)) for z1, z2s in rep.light_set.rows() if z2s] == [
+            (z1, [z2 for _, z2 in row]) for z1, row in groupby(oracle.light_set, itemgetter(0))]
+        assert list(rep.light_set.items()) == list(oracle.light_set.items())
+    on = light_blocks(m, at).light_set
+    assert not any(z in on for z, x in d.masses.items() if x == m.masses.unit * n)
+    # F sets and the trivialization records
+    delta = data.draw(st.sampled_from([F(1, 10), F(1, 4), F(1, 2)]))
+    w = data.draw(st.integers(0, m.h_a))
+    i_max = int(delta * m.h_b)
+    shifts = data.draw(st.lists(st.integers(0, max(m.h_b - 1 - i_max, 0)),
+                                min_size=1, max_size=4, unique=True))
+    fs = outcome(columns_and_F, m, delta, w, shifts)
+    assert fs == outcome(dict_columns_and_F, d, delta, w, shifts)
+    if not isinstance(fs, tuple):
+        k = data.draw(st.integers(1, m.j))
+        sa, sb = build_stage(m.spec_a, k), build_stage(m.spec_b, k)
+        A, B = (s.levels_set(data.draw(st.lists(st.integers(0, s.height - 1),
+                                                max_size=3, unique=True))) for s in (sa, sb))
+        assert outcome(trivialization_check, m, fs, A, B, k) == \
+            outcome(dict_trivialization_check, d, fs, A, B, k)
+
+
 def listing_matches_json_dumps(h_a, h_b, heavy, level):
-    """block_list of both light-set views of an h_a x h_b grid, nested
-    level deep in a document, against json.dumps of the listed blocks."""
-    masses = {BlockIndex(*z): F(1) for z in heavy}
-    for light in (LightBlocks(h_a, h_b, masses, list(masses)),
-                  UniformBlockMasses(h_a, h_b, F(0))):
+    """block_list of light-set views of an h_a x h_b grid, nested level
+    deep in a document, against json.dumps of the listed blocks: the heavy
+    blocks cut out, the lags of the heavy blocks cut out, and none cut."""
+    by_block = BlockMasses(h_a, h_b, dict.fromkeys(map(BlockIndex._make, sorted(heavy)), 1),
+                           F(1), False)
+    by_lag = BlockMasses(h_a, h_b, dict.fromkeys(sorted({z2 - z1 for z1, z2 in heavy}), 1),
+                         F(1), True)
+    for light in (LightBlocks(by_block, by_block), LightBlocks(by_lag, by_lag),
+                  LightBlocks(by_block, BlockMasses(h_a, h_b, {}, F(1), False))):
         payload, expect = block_list(light.rows(), h_b, level), [list(z) for z in light]
         for _ in range(level - 1):
             payload, expect = [payload], [expect]
@@ -591,6 +680,17 @@ def test_joining_di_graph_at_stage_7_in_a_capped_child():
     proxy = min(max(sum((x for x in m.masses.values() if x < eps * m.base_mass), F(0))
                     for m in ms) for eps in (F(1, 2), F(1, 4)))
     assert json.loads(proc.stdout)["data"]["proxy"] == f"{proxy.numerator}/{proxy.denominator}"
+
+
+def test_joining_di_graph_at_stages_9_and_10_bytes_pinned():
+    # recorded when every graph block mass was its own Fraction (10.7 s and
+    # 344 MB on a 2-core VM, CPython 3.11.7); the lag counts list no block
+    code, out, err = run_cli("joining", "di", "--kind", "graph", "--spec", "staircase", "--k",
+                             "1", "--stages", "9,10", "--epsilons", "1/2,1/4", "--res", "12",
+                             "--stage-budget", "12")
+    assert code == 0, err
+    assert sha256(out.encode()).hexdigest() == (
+        "843aef0a29da3364d72bc2c5c6dc541e03df50e1bbcfff14574b48ec53a00062")
 
 
 # ---------------------------------------------------------------- di estimate
@@ -763,7 +863,7 @@ def oracle_empirical_joining(spec_a, spec_b, x_a, x_b, N, j, J, step_a, step_b):
     Ma, Mb = build_stage(spec_a, Ra).total, build_stage(spec_b, Rb).total
     return BlockMassMatrix(
         kind="empirical", j=j, h_a=sa.height, h_b=sb.height,
-        masses={z: F(c, N) for z, c in counts.items()},
+        masses=BlockMasses(sa.height, sb.height, dict(sorted(counts.items())), F(1, N), False),
         residual=F(outside, N), norm_a=Ma, norm_b=Mb,
         level_mass_a=sa.width / Ma, level_mass_b=sb.width / Mb,
         base_mass=sb.width / Mb, spec_a=spec_a, spec_b=spec_b,
@@ -1148,31 +1248,30 @@ def test_trivialization_weight_flatness_carried():
 # ---------------------------------------------------------------- validation
 
 def test_matrix_validation():
-    with pytest.raises(SpecError):
-        BlockMassMatrix(kind="product", j=1, h_a=2, h_b=2,
-                        masses={BlockIndex(5, 0): F(1)}, residual=F(0),
-                        norm_a=F(1), norm_b=F(1), level_mass_a=F(1, 2),
-                        level_mass_b=F(1, 2), base_mass=F(1, 2),
-                        spec_a=ODO, spec_b=ODO)
-    with pytest.raises(SpecError):
-        BlockMassMatrix(kind="product", j=1, h_a=2, h_b=2,
-                        masses={BlockIndex(0, 0): F(1, 2)}, residual=F(1, 4),
-                        norm_a=F(1), norm_b=F(1), level_mass_a=F(1, 2),
-                        level_mass_b=F(1, 2), base_mass=F(1, 2),
-                        spec_a=ODO, spec_b=ODO)
-    with pytest.raises(SpecError):
-        BlockMassMatrix(kind="product", j=1, h_a=2, h_b=2,
-                        masses={BlockIndex(0, 0): F(-1, 2),
-                                BlockIndex(0, 1): F(3, 2)}, residual=F(0),
-                        norm_a=F(1), norm_b=F(1), level_mass_a=F(1, 2),
-                        level_mass_b=F(1, 2), base_mass=F(1, 2),
-                        spec_a=ODO, spec_b=ODO)
-    # a uniform grid must match the towers and carry a nonnegative mass
-    for masses in (UniformBlockMasses(4, 1, F(1, 4)),
-                   UniformBlockMasses(2, 2, F(-1, 4))):
+    def matrix(masses, residual):
+        return BlockMassMatrix(kind="product", j=1, h_a=2, h_b=2, masses=masses,
+                               residual=residual, norm_a=F(1), norm_b=F(1),
+                               level_mass_a=F(1, 2), level_mass_b=F(1, 2), base_mass=F(1, 2),
+                               spec_a=ODO, spec_b=ODO)
+
+    lags = dict.fromkeys(range(-1, 2), 1)
+    assert matrix(BlockMasses(2, 2, lags, F(1, 4), True), F(0)).mass_of([(1, 0)]) == F(1, 4)
+    for counts, unit, by_lag, residual in [
+            # a block or a lag off the grid
+            ({BlockIndex(5, 0): 1}, F(1), False, F(0)),
+            ({BlockIndex(0, -1): 1}, F(1), False, F(0)),
+            ({2: 1}, F(1), True, F(1)),
+            ({-2: 1}, F(1), True, F(1)),
+            # masses + residual != 1
+            ({BlockIndex(0, 0): 1}, F(1, 2), False, F(1, 4)),
+            (lags, F(1, 4), True, F(1, 4)),
+            # a negative count or unit, or a negative residual
+            ({BlockIndex(0, 0): -1, BlockIndex(0, 1): 3}, F(1, 2), False, F(0)),
+            ({0: -1, 1: 3}, F(1, 2), True, F(1, 2)),
+            (lags, F(-1, 4), True, F(2)),
+            ({0: 3}, F(1, 4), True, F(-1, 2))]:
         with pytest.raises(SpecError):
-            BlockMassMatrix(kind="product", j=1, h_a=2, h_b=2,
-                            masses=masses, residual=F(0) if masses.per > 0 else F(2),
-                            norm_a=F(1), norm_b=F(1), level_mass_a=F(1, 2),
-                            level_mass_b=F(1, 2), base_mass=F(1, 2),
-                            spec_a=ODO, spec_b=ODO)
+            matrix(BlockMasses(2, 2, counts, unit, by_lag), residual)
+    # a grid that does not match the towers
+    with pytest.raises(SpecError):
+        matrix(BlockMasses(4, 1, dict.fromkeys(range(-3, 1), 1), F(1, 4), True), F(0))
