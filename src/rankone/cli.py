@@ -127,9 +127,9 @@ def matrix_from_args(args: argparse.Namespace, j: Optional[int] = None,
                      ) -> BlockMassMatrix:
     """Build the block-mass matrix a subcommand asked for.
 
-    product needs --spec-a/--spec-b, graph needs --spec/--k, empirical
-    needs --spec-a/--spec-b/--x-a/--x-b/-N.  The stage defaults to --j but
-    sweep commands may override it.
+    product needs --spec-a/--spec-b, graph --spec/--k, and empirical, the one
+    other --kind argparse lets through, --spec-a/--spec-b/--x-a/--x-b/-N.
+    The stage defaults to --j but sweep commands may override it.
     """
     from .joinings import empirical_joining, graph_blocks, product_blocks
     j = args.j if j is None else j
@@ -141,13 +141,11 @@ def matrix_from_args(args: argparse.Namespace, j: Optional[int] = None,
     if args.kind == "graph":
         _require(args, ["spec", "k"], "--kind graph")
         return graph_blocks(load_spec(args.spec, budget), args.k, j, args.res)
-    if args.kind == "empirical":
-        _require(args, ["spec_a", "spec_b", "x_a", "x_b", "N"], "--kind empirical")
-        return empirical_joining(
-            load_spec(args.spec_a, budget), load_spec(args.spec_b, budget),
-            parse_frac(args.x_a), parse_frac(args.x_b), args.N, j, args.res,
-            step_a=args.step_a, step_b=args.step_b)
-    raise SpecError(f"unknown matrix kind {args.kind!r}")
+    _require(args, ["spec_a", "spec_b", "x_a", "x_b", "N"], "--kind empirical")
+    return empirical_joining(
+        load_spec(args.spec_a, budget), load_spec(args.spec_b, budget),
+        parse_frac(args.x_a), parse_frac(args.x_b), args.N, j, args.res,
+        step_a=args.step_a, step_b=args.step_b)
 
 
 def matrix_meta(m: BlockMassMatrix, **extra: object) -> Dict[str, object]:
@@ -309,8 +307,7 @@ def cmd_joining_disperse(args: argparse.Namespace) -> str:
     data = [{"n": r.n, "count": r.conditioning_count,
              "max_mass": frac_str(r.max_mass),
              "residual": frac_str(r.residual),
-             "histogram": {f"{z.z1},{z.z2}": frac_str(v)
-                           for z, v in sorted(r.histogram.items())}}
+             "histogram": {f"{z.z1},{z.z2}": frac_str(v) for z, v in r.histogram.items()}}
             for r in rows]
     return render_json(data, command="joining disperse",
                        spec_a=spec_hash(spec_a), spec_b=spec_hash(spec_b),

@@ -40,6 +40,9 @@ __all__ = [
 
 # Bits a level bitset may hold, one per level up to its highest: 8 MB.
 MAX_BITS = 1 << 26
+# Integer bits one spec's stages may hold (TowerStage.held_bits, the sum of r_t bitlen(h_t)
+# below it): staircase J = 250 holds 3.0e7 and J = 317 is refused, as is odometer J = 8,192.
+MAX_STAGE_BITS = 1 << 26
 
 
 def _check_int(name: str, value: object, minimum: Optional[int] = None) -> None:
@@ -73,6 +76,8 @@ class _Rule:
     def from_json(cls, data: dict) -> "_Rule":
         if not isinstance(data, dict) or "kind" not in data:
             raise SpecError(f"{cls.json_name} must be a JSON object with a kind")
+        if unknown := sorted(map(repr, data.keys() - cls.__match_args__)):
+            raise SpecError(f"unknown {cls.json_name} key: {', '.join(unknown)}")
         return cls(**{name: data.get(name) for name in cls.__match_args__})
 
 
@@ -112,8 +117,8 @@ class CutRule(_Rule):
     """Number of columns r_j used when cutting stage j.
 
     kinds: "constant" (value), "stage" (r_j = j, so r_1 = 1 is a degenerate
-    no-cut stage), "stage_plus_one" (r_j = j + 1), "list" (explicit values,
-    1-indexed by stage).
+    no-cut stage), "list" (explicit values, 1-indexed by stage).  Its JSON
+    object holds kind, value and values; any other key is refused.
     """
 
     kind: str
@@ -122,7 +127,7 @@ class CutRule(_Rule):
     json_name = "cut_rule"
 
     def __post_init__(self):
-        if self.kind not in ("constant", "stage", "stage_plus_one", "list"):
+        if self.kind not in ("constant", "stage", "list"):
             raise SpecError(f"unknown cut rule kind: {self.kind!r}")
         if self.kind == "constant":
             _check_int("constant cut rule value", self.value, 1)
@@ -139,8 +144,6 @@ class CutRule(_Rule):
             return self.value
         if self.kind == "stage":
             return j
-        if self.kind == "stage_plus_one":
-            return j + 1
         if j > len(self.values):
             raise SpecError(f"cut rule list exhausted at stage {j}")
         return self.values[j - 1]
@@ -216,9 +219,10 @@ PRESETS = {
 class ConstructionSpec:
     """Full recipe for a rank-one construction, hashable and serializable.
 
-    base_width defaults to 1/h1 so the first tower fills [0, 1); pass an
-    explicit Fraction to override.  max_stage caps how deep any consumer may
-    refine (the stage budget).
+    h1 and the two rules fix the system; the first tower fills [0, 1), so
+    w_1 = 1/h1.  max_stage caps how deep any consumer may refine (the stage
+    budget).  Its JSON object holds these fields and preset; any other key
+    is refused, so a file is never read as another system than it names.
     """
 
     h1: int
@@ -226,7 +230,6 @@ class ConstructionSpec:
     spacer_rule: SpacerRule
     max_stage: int = 10
     seed: Optional[int] = None
-    base_width: Optional[Fraction] = None
     preset: str = "custom"
 
     def __post_init__(self):
@@ -234,20 +237,6 @@ class ConstructionSpec:
         _check_int("max_stage", self.max_stage, 1)
         if self.seed is not None:
             _check_int("seed", self.seed)
-        if self.base_width is not None:
-            try:
-                bw = as_fraction(self.base_width)
-            except (TypeError, ValueError, ZeroDivisionError):
-                raise SpecError(
-                    f"base_width must be an exact rational, got {self.base_width!r}"
-                ) from None
-            if bw <= 0:
-                raise SpecError("base_width must be positive")
-            object.__setattr__(self, "base_width", bw)
-
-    @property
-    def width1(self) -> Fraction:
-        return self.base_width if self.base_width is not None else Fraction(1, self.h1)
 
     def cuts(self, j: int) -> int:
         return self.cut_rule.at(j)
@@ -294,8 +283,6 @@ class ConstructionSpec:
         }
         if self.seed is not None:
             out["seed"] = self.seed
-        if self.base_width is not None:
-            out["base_width"] = str(self.base_width)
         return out
 
     def canonical_json(self) -> str:
@@ -305,6 +292,8 @@ class ConstructionSpec:
     def from_json(cls, data: dict) -> "ConstructionSpec":
         if not isinstance(data, dict):
             raise SpecError(f"spec must be a JSON object, got {type(data).__name__}")
+        if unknown := sorted(map(repr, data.keys() - cls.__match_args__)):
+            raise SpecError(f"unknown spec key: {', '.join(unknown)}")
         preset = data.get("preset", "custom")
         if not isinstance(preset, str) or (
                 preset != "custom" and preset not in PRESETS):
@@ -321,7 +310,6 @@ class ConstructionSpec:
             spacer_rule=SpacerRule.from_json(merged["spacer_rule"]),
             max_stage=merged.get("max_stage", 10),
             seed=merged.get("seed"),
-            base_width=merged.get("base_width"),
             preset=preset,
         )
 
@@ -339,7 +327,7 @@ class TowerStage:
 
     __slots__ = (
         "spec", "stage", "height", "width", "total", "prev",
-        "cut", "spacers", "offsets", "spacer_cum",
+        "cut", "spacers", "offsets", "spacer_cum", "held_bits",
     )
 
     def __init__(self, spec: ConstructionSpec, stage: int, prev: Optional["TowerStage"]):
@@ -348,16 +336,19 @@ class TowerStage:
         self.prev = prev
         if prev is None:
             self.height = spec.h1
-            self.width = spec.width1
+            self.width = Fraction(1, spec.h1)
             self.total = self.height * self.width
+            self.held_bits = 0
             self.cut = self.spacers = self.offsets = self.spacer_cum = None
         else:
             j = prev.stage
             r = spec.cuts(j)
+            if (bits := prev.held_bits + r * prev.height.bit_length()) > MAX_STAGE_BITS:
+                raise SpecError(f"stages 1..{stage} would hold about {bits} integer bits, "
+                                f"more than the limit of {MAX_STAGE_BITS}")
             s = spec.spacers(j)
-            if len(s) != r:
-                raise SpecError(f"spacer vector at stage {j} has wrong length")
             self.cut = r
+            self.held_bits = bits
             self.spacers = s
             self.width = prev.width / r
             self.offsets = tuple(accumulate((prev.height + x for x in s[:-1]), initial=0))
@@ -515,21 +506,21 @@ class TowerStage:
         decoded from occurrence_bits(k)."""
         return bit_indices(self.occurrence_bits(k))
 
-    def level_bits(self, ends: Sequence[int]) -> Optional[LevelSet]:
+    def level_bits(self, ends: Sequence[int]) -> LevelSet:
         """The union of the runs [d0, d1) of this stage's cells given by their
-        sorted ends d0 < d1 < d0' < ..., as a LevelSet of the smallest stage k
-        whose levels it is a union of (occurrence_bits(k, bits) lifts it), or
-        None.  A stage-k cell is R_k cells of this stage, and cell c of stage k
+        sorted ends d0 < d1 < d0' < ... in [0, h], as a LevelSet of the smallest
+        stage k whose levels it is a union of (occurrence_bits(k, bits) lifts
+        it).  A stage-k cell is R_k cells of this stage, and cell c of stage k
         is level level_of_cell(c), so the union is one of stage-k levels iff
-        every end is a multiple of R_k in [0, h_k R_k]; all in integers."""
-        R = (self.spec.width1 / self.width).numerator  # R_1
+        every end is a multiple of R_k in [0, h_k R_k]: at k = this stage, R_k
+        = 1 and every union is.  All in integers."""
+        R = (self.spec.h1 * self.width).denominator  # R_1, as w_1 = 1/h1 is R_1 w
         for st in (build_stage(self.spec, k) for k in range(1, self.stage + 1)):
             R //= st.cut or 1
             if all(e % R == 0 for e in ends) and (not ends or ends[-1] <= st.height * R):
                 return LevelSet(st.stage, pack_bits([st.level_of_cell(c) for d0, d1 in
                                                      zip(ends[::2], ends[1::2])
                                                      for c in range(d0 // R, d1 // R)]))
-        return None
 
     def __repr__(self) -> str:
         return (f"TowerStage(stage={self.stage}, height={self.height}, "

@@ -16,7 +16,7 @@ from typing import FrozenSet, Iterable, Optional
 
 from .construction import ConstructionSpec, build_stage
 from .errors import SpecError
-from .joinings import BlockIndex, BlockMassMatrix
+from .joinings import MAX_TABLE, BlockIndex, BlockMassMatrix
 from .measure import BoundSeries, IntervalSet, MeasureBound, as_fraction
 from .stats import correlation, return_profile, window_sums
 
@@ -179,7 +179,8 @@ def band_indices(fspec: FlowSkeletonSpec, h_a: int, h_b: int, offset: int,
     (q' divides p*z) with 0 <= z <= h_b - w and 0 <= h <= q.  side "left"
     (offset v): blocks (p*z/q', z + h + v) with 0 <= z <= z_bound, which
     must be given explicitly.  Only z and h with z2 < h_b are walked, and
-    blocks with z1 >= h_a are dropped; an empty band is refused.
+    blocks with z1 >= h_a are dropped; an empty band is refused, and so is a walk
+    past MAX_TABLE blocks, q + 1 at most for each z that q' divides.
     """
     p, qp = fspec.alpha.numerator, fspec.alpha.denominator
     q = fspec.grid_inverse
@@ -199,7 +200,10 @@ def band_indices(fspec: FlowSkeletonSpec, h_a: int, h_b: int, offset: int,
     else:
         raise SpecError(f"side must be 'right' or 'left', got {side!r}")
     d1, d2 = (offset, 0) if side == "right" else (0, offset)
-    out = frozenset(BlockIndex(z1 + d1, z + d2 + h) for z in range(min(z_top + 1, h_b - d2))
+    z_end = max(0, min(z_top + 1, h_b - d2, -(-(h_a - d1) * qp // p)))  # p z / q' + d1 < h_a
+    if (n := -(-z_end // qp) * min(q + 1, h_b - d2)) > MAX_TABLE:
+        raise SpecError(f"{n} band blocks requested, more than the limit of {MAX_TABLE}")
+    out = frozenset(BlockIndex(z1 + d1, z + d2 + h) for z in range(z_end)
                     if p * z % qp == 0 and (z1 := p * z // qp) + d1 < h_a
                     for h in range(min(q + 1, h_b - z - d2)))
     if not out:

@@ -163,41 +163,47 @@ class LightBlocks(Mapping):
 class BlockMassMatrix:
     """Masses of the stage-j blocks of one joining, plus the residual mass
     the block grid does not capture (spacer regions, unresolved overlaps,
-    orbit time outside either tower).  Masses + residual = 1 exactly.
+    orbit time outside either tower): 1 - unit x total, never negative.
 
-    norm_a / norm_b are the ambient measures used to normalize each side;
-    base_mass is the second system's stage-j base measure in those units and
-    is the reference scale for the light-block threshold.
+    norm_a / norm_b are the ambient measures used to normalize each side.
+    The rest is derived: h_a x h_b, the masses' grid, is the two towers'
+    stage-j grid; level_mass_a / _b are the stage-j widths over the norms,
+    and base_mass, the light-block threshold's scale, is level_mass_b.
     """
 
     kind: str
     j: int
-    h_a: int
-    h_b: int
     masses: BlockMasses
-    residual: Fraction
     norm_a: Fraction
     norm_b: Fraction
-    level_mass_a: Fraction
-    level_mass_b: Fraction
-    base_mass: Fraction
     spec_a: ConstructionSpec
     spec_b: ConstructionSpec
     meta: Dict[str, object] = field(default_factory=dict)
+    h_a: int = field(init=False)
+    h_b: int = field(init=False)
+    residual: Fraction = field(init=False)
+    level_mass_a: Fraction = field(init=False)
+    level_mass_b: Fraction = field(init=False)
+    base_mass: Fraction = field(init=False)
 
     def __post_init__(self):
-        m = self.masses
-        if (m.h_a, m.h_b) != (self.h_a, self.h_b):
-            raise SpecError(f"a {m.h_a} x {m.h_b} block grid on {self.h_a} x {self.h_b} towers")
-        if self.residual < 0:
-            raise SpecError("negative residual mass")
-        if (total := m.unit * m.total + self.residual) != 1:
-            raise SpecError(f"block masses + residual sum to {total}, expected 1")
+        m, sa, sb = self.masses, build_stage(self.spec_a, self.j), build_stage(self.spec_b, self.j)
+        if (m.h_a, m.h_b) != (sa.height, sb.height):
+            raise SpecError(f"a {m.h_a} x {m.h_b} block grid on {sa.height} x {sb.height} towers")
+        if (residual := 1 - m.unit * m.total) < 0:
+            raise SpecError(f"block masses sum to {1 - residual}, more than 1")
+        lb = sb.width / self.norm_b  # set past the frozen __setattr__, once
+        self.__dict__.update(h_a=sa.height, h_b=sb.height, residual=residual,
+                             level_mass_a=sa.width / self.norm_a, level_mass_b=lb, base_mass=lb)
 
     def mass_of(self, blocks: Iterable[Tuple[int, int]]) -> Fraction:
         """Total mass of the blocks, each counted as often as given, none
         off the grid."""
         return self.masses.unit * self.masses.count_of(blocks)
+
+
+# Lags a product matrix or blocks a flow band may hold: staircase j = 10 has 2,437,919 lags.
+MAX_TABLE = 1 << 22
 
 
 def product_blocks(spec_a: ConstructionSpec, spec_b: ConstructionSpec, j: int,
@@ -212,15 +218,13 @@ def product_blocks(spec_a: ConstructionSpec, spec_b: ConstructionSpec, j: int,
     """
     _check_resolution(j, J)
     sa, sb = build_stage(spec_a, j), build_stage(spec_b, j)
+    if (lags := sa.height + sb.height - 1) > MAX_TABLE:
+        raise SpecError(f"{lags} lags requested, more than the limit of {MAX_TABLE}")
     Ma, Mb = build_stage(spec_a, J).total, build_stage(spec_b, J).total
-    la, lb = sa.width / Ma, sb.width / Mb
     masses = BlockMasses(sa.height, sb.height, dict.fromkeys(range(1 - sa.height, sb.height), 1),
-                         la * lb, True)
-    return BlockMassMatrix(
-        kind="product", j=j, h_a=sa.height, h_b=sb.height, masses=masses,
-        residual=1 - masses.unit * (sa.height * sb.height), norm_a=Ma, norm_b=Mb,
-        level_mass_a=la, level_mass_b=lb, base_mass=lb,
-        spec_a=spec_a, spec_b=spec_b, meta={"J": J})
+                         sa.width / Ma * sb.width / Mb, True)
+    return BlockMassMatrix(kind="product", j=j, masses=masses, norm_a=Ma, norm_b=Mb,
+                           spec_a=spec_a, spec_b=spec_b, meta={"J": J})
 
 
 def graph_blocks(spec: ConstructionSpec, k: int, j: int, J: int) -> BlockMassMatrix:
@@ -245,11 +249,8 @@ def graph_blocks(spec: ConstructionSpec, k: int, j: int, J: int) -> BlockMassMat
     lags = _stage_counts(spec, (j, 1), (j, 1), range(k - h + 1, k + h), J)[0]
     masses = BlockMasses(h, h, {i - h + 1: n for i, n in enumerate(lags) if n},
                          stJ.width / M, True)
-    lvl = st.width / M
-    return BlockMassMatrix(
-        kind="graph", j=j, h_a=h, h_b=h, masses=masses, residual=1 - masses.unit * masses.total,
-        norm_a=M, norm_b=M, level_mass_a=lvl, level_mass_b=lvl, base_mass=lvl,
-        spec_a=spec, spec_b=spec, meta={"J": J, "k": k})
+    return BlockMassMatrix(kind="graph", j=j, masses=masses, norm_a=M, norm_b=M,
+                           spec_a=spec, spec_b=spec, meta={"J": J, "k": k})
 
 
 # Ticks a paired orbit may run, N plus the largest advance: 10^7 took 1.5 s and 103 MB dispersing.
@@ -317,13 +318,10 @@ def empirical_joining(spec_a: ConstructionSpec, spec_b: ConstructionSpec,
     blocks = _block_counts(sorted(Counter(chain.from_iterable(chunks)).items()),
                            sa.height, sb.height)
     Ra, Rb = ca.stage_obj.stage, cb.stage_obj.stage
-    Ma, Mb = build_stage(spec_a, Ra).total, build_stage(spec_b, Rb).total
+    masses = BlockMasses(sa.height, sb.height, blocks, Fraction(1, N), False)
     return BlockMassMatrix(
-        kind="empirical", j=j, h_a=sa.height, h_b=sb.height,
-        masses=BlockMasses(sa.height, sb.height, blocks, Fraction(1, N), False),
-        residual=Fraction(N - sum(blocks.values()), N), norm_a=Ma, norm_b=Mb,
-        level_mass_a=sa.width / Ma, level_mass_b=sb.width / Mb,
-        base_mass=sb.width / Mb, spec_a=spec_a, spec_b=spec_b,
+        kind="empirical", j=j, masses=masses, spec_a=spec_a, spec_b=spec_b,
+        norm_a=build_stage(spec_a, Ra).total, norm_b=build_stage(spec_b, Rb).total,
         meta={"J": J, "N": N, "seeds": (str(as_fraction(x_a)), str(as_fraction(x_b))),
               "step_a": step_a, "step_b": step_b,
               "deepest_stage_a": Ra, "deepest_stage_b": Rb})
@@ -371,8 +369,6 @@ def di_estimate(reports: Sequence[LightBlockReport]) -> Fraction:
     (epsilon, j) table, not the limit itself.  Requires at least two
     distinct epsilons and two distinct stages.
     """
-    if not reports:
-        raise SpecError("di_estimate needs at least one report")
     kinds = {r.kind for r in reports}
     if len(kinds) > 1:
         raise SpecError(f"reports mix joining kinds: {sorted(kinds)}")
@@ -393,11 +389,11 @@ MAX_BLOCKS = 1_000_000
 @dataclass(frozen=True)
 class DispersionRow:
     """Conditional block distribution after advancing the conditioned times
-    by n ticks."""
+    by n ticks: the landing counts by block, of unit 1/conditioning_count."""
 
     n: int
     conditioning_count: int
-    histogram: Dict[BlockIndex, Fraction]
+    histogram: BlockMasses
     max_mass: Fraction
     residual: Fraction
 
@@ -442,12 +438,12 @@ def dispersion_experiment(spec_a: ConstructionSpec, spec_b: ConstructionSpec,
             raise SpecError(f"advance n={n} leaves no conditioned times in range")
         used = len(landed)
         counts = Counter(map(track.__getitem__, map(n.__add__, landed)))
-        blocks = _block_counts(sorted(counts.items()), h_a, h_b)
-        hist = {b: Fraction(c, used) for b, c in blocks.items()}
+        hist = BlockMasses(h_a, h_b, _block_counts(sorted(counts.items()), h_a, h_b),
+                           Fraction(1, used), False)
         rows.append(DispersionRow(
             n=n, conditioning_count=used, histogram=hist,
-            max_mass=max(hist.values(), default=Fraction(0)),
-            residual=Fraction(used - sum(blocks.values()), used)))
+            max_mass=hist.unit * max(hist.counts.values(), default=0),
+            residual=1 - hist.unit * hist.total))
     return tuple(rows)
 
 

@@ -5,9 +5,11 @@ import contextlib
 import dataclasses
 import io
 import json
+import re
 import time
 import tracemalloc
 from array import array
+from collections import Counter
 from fractions import Fraction as F
 from hashlib import sha256
 from itertools import groupby, product
@@ -504,8 +506,7 @@ def block_matrices(draw):
     u = d.masses
     return dataclasses.replace(
         d, masses=BlockMasses(m.h_a, m.h_b, {z: 0 if z in zeros else n for z, n in u.counts.items()},
-                              u.unit, False),
-        residual=d.residual + u.unit * len(zeros))
+                              u.unit, False))
 
 
 @settings(max_examples=60, deadline=None)
@@ -521,6 +522,21 @@ def test_mass_of_matches_per_block_sum(m, data):
     assert total == sum((m.masses.get(BlockIndex(*z), F(0)) for z in blocks), F(0))
     assert m.mass_of(map(BlockIndex._make, blocks)) == m.mass_of(iter(blocks)) == total
     assert m.mass_of(product(range(m.h_a), range(m.h_b))) == 1 - m.residual
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_matrices())
+def test_matrix_derives_grid_level_masses_and_residual(m):
+    # each derived field once from masses, norms and towers: the stage-j
+    # heights, the stage-j widths over the norms, and 1 - unit x total
+    sa, sb = build_stage(m.spec_a, m.j), build_stage(m.spec_b, m.j)
+    assert (m.h_a, m.h_b) == (sa.height, sb.height) == (m.masses.h_a, m.masses.h_b)
+    assert m.level_mass_a == sa.width / m.norm_a
+    assert m.level_mass_b == m.base_mass == sb.width / m.norm_b
+    assert m.residual == 1 - m.masses.unit * m.masses.total >= 0
+    assert m.residual == 1 - sum(m.masses.values(), F(0))
+    # rebuilt from its own arguments, it derives the same fields
+    assert dataclasses.replace(m) == m
 
 
 @settings(max_examples=60, deadline=None)
@@ -757,6 +773,31 @@ def test_dispersion_staircase_pair_spreads():
     assert len(rows[1].histogram) >= 2
 
 
+@pytest.mark.parametrize("spec_a, spec_b, x_a, x_b, N, z, n_list, j", [
+    (ODO, ODO, 0, 0, 40, (0, 0), [0, 1, 4], 2),
+    (ST2, ST3, 0, 0, 5000, (4, 0), [0, 78, -3], 3),
+    (CHA, ST2, F(1, 3), F(2, 7), 3000, (1, 1), [0, 5, 40, 400], 2),
+])
+def test_dispersion_histogram_is_block_counts_of_unit_one_over_count(
+        spec_a, spec_b, x_a, x_b, N, z, n_list, j):
+    # each histogram is the landing counts by block, of unit 1/count: as a
+    # mapping, {b: Fraction(c, count)} over the same visits, per tick
+    rows = dispersion_experiment(spec_a, spec_b, x_a, x_b, N, BlockIndex(*z), n_list, j, 10)
+    track, _, _ = oracle_ticks(spec_a, spec_b, x_a, x_b, N + max(max(n_list), 0), j, 10, 1, 1)
+    hits = [t for t in range(N) if track[t] == z]
+    for row, n in zip(rows, n_list):
+        landed = [track[t + n] for t in hits if t + n >= 0]
+        counts = Counter(BlockIndex(*b) for b in landed if None not in b)
+        hist = row.histogram
+        assert isinstance(hist, BlockMasses) and not hist.by_lag
+        assert hist.unit == F(1, row.conditioning_count) and row.conditioning_count == len(landed)
+        assert hist.counts == dict(sorted(counts.items()))
+        assert hist == {b: F(c, len(landed)) for b, c in counts.items()}
+        assert list(hist.items()) == sorted((b, F(c, len(landed))) for b, c in counts.items())
+        assert row.max_mass == max(hist.values(), default=F(0))
+        assert row.residual == F(len(landed) - sum(counts.values()), len(landed))
+
+
 def test_dispersion_empty_conditioning_refused():
     with pytest.raises(SpecError, match="count 0"):
         dispersion_experiment(ODO, ODO, 0, 0, 40, BlockIndex(0, 1), [1], 2, 8)
@@ -861,15 +902,16 @@ def oracle_empirical_joining(spec_a, spec_b, x_a, x_b, N, j, J, step_a, step_b):
     sa, sb = build_stage(spec_a, j), build_stage(spec_b, j)
     Ra, Rb = ca.stage_obj.stage, cb.stage_obj.stage
     Ma, Mb = build_stage(spec_a, Ra).total, build_stage(spec_b, Rb).total
-    return BlockMassMatrix(
-        kind="empirical", j=j, h_a=sa.height, h_b=sb.height,
+    m = BlockMassMatrix(
+        kind="empirical", j=j,
         masses=BlockMasses(sa.height, sb.height, dict(sorted(counts.items())), F(1, N), False),
-        residual=F(outside, N), norm_a=Ma, norm_b=Mb,
-        level_mass_a=sa.width / Ma, level_mass_b=sb.width / Mb,
-        base_mass=sb.width / Mb, spec_a=spec_a, spec_b=spec_b,
+        norm_a=Ma, norm_b=Mb, spec_a=spec_a, spec_b=spec_b,
         meta={"J": J, "N": N, "seeds": (str(F(x_a)), str(F(x_b))),
               "step_a": step_a, "step_b": step_b,
               "deepest_stage_a": Ra, "deepest_stage_b": Rb})
+    # the residual the matrix derives is the ticks outside the grid
+    assert m.residual == F(outside, N)
+    return m
 
 
 def oracle_dispersion_experiment(spec_a, spec_b, x_a, x_b, N, z, n_list, j, J,
@@ -1248,30 +1290,36 @@ def test_trivialization_weight_flatness_carried():
 # ---------------------------------------------------------------- validation
 
 def test_matrix_validation():
-    def matrix(masses, residual):
-        return BlockMassMatrix(kind="product", j=1, h_a=2, h_b=2, masses=masses,
-                               residual=residual, norm_a=F(1), norm_b=F(1),
-                               level_mass_a=F(1, 2), level_mass_b=F(1, 2), base_mass=F(1, 2),
+    def matrix(masses):
+        return BlockMassMatrix(kind="product", j=1, masses=masses, norm_a=F(1), norm_b=F(1),
                                spec_a=ODO, spec_b=ODO)
 
     lags = dict.fromkeys(range(-1, 2), 1)
-    assert matrix(BlockMasses(2, 2, lags, F(1, 4), True), F(0)).mass_of([(1, 0)]) == F(1, 4)
-    for counts, unit, by_lag, residual in [
+    m = matrix(BlockMasses(2, 2, lags, F(1, 4), True))
+    assert m.mass_of([(1, 0)]) == F(1, 4)
+    assert (m.h_a, m.h_b, m.residual) == (2, 2, F(0))
+    assert m.level_mass_a == m.level_mass_b == m.base_mass == F(1, 2)
+    assert matrix(BlockMasses(2, 2, {BlockIndex(0, 0): 1}, F(1, 2), False)).residual == F(1, 2)
+    for counts, unit, by_lag, message in [
             # a block or a lag off the grid
-            ({BlockIndex(5, 0): 1}, F(1), False, F(0)),
-            ({BlockIndex(0, -1): 1}, F(1), False, F(0)),
-            ({2: 1}, F(1), True, F(1)),
-            ({-2: 1}, F(1), True, F(1)),
-            # masses + residual != 1
-            ({BlockIndex(0, 0): 1}, F(1, 2), False, F(1, 4)),
-            (lags, F(1, 4), True, F(1, 4)),
-            # a negative count or unit, or a negative residual
-            ({BlockIndex(0, 0): -1, BlockIndex(0, 1): 3}, F(1, 2), False, F(0)),
-            ({0: -1, 1: 3}, F(1, 2), True, F(1, 2)),
-            (lags, F(-1, 4), True, F(2)),
-            ({0: 3}, F(1, 4), True, F(-1, 2))]:
-        with pytest.raises(SpecError):
-            matrix(BlockMasses(2, 2, counts, unit, by_lag), residual)
-    # a grid that does not match the towers
-    with pytest.raises(SpecError):
-        matrix(BlockMasses(4, 1, dict.fromkeys(range(-3, 1), 1), F(1, 4), True), F(0))
+            ({BlockIndex(5, 0): 1}, F(1), False, "block index out of tower range"),
+            ({BlockIndex(0, -1): 1}, F(1), False, "block index out of tower range"),
+            ({2: 1}, F(1), True, "block index out of tower range"),
+            ({-2: 1}, F(1), True, "block index out of tower range"),
+            # a negative count or unit
+            ({BlockIndex(0, 0): -1, BlockIndex(0, 1): 3}, F(1, 2), False, "negative block mass"),
+            ({0: -1, 1: 3}, F(1, 2), True, "negative block mass"),
+            (lags, F(-1, 4), True, "negative block mass"),
+            # unit x total past 1, so the residual would be negative
+            ({0: 3}, F(1, 4), True, "block masses sum to 3/2, more than 1"),
+            ({BlockIndex(0, 0): 3}, F(1, 2), False, "block masses sum to 3/2, more than 1")]:
+        with pytest.raises(SpecError, match=f"^{re.escape(message)}$"):
+            matrix(BlockMasses(2, 2, counts, unit, by_lag))
+    # a grid that is not the two towers' stage-j grid
+    with pytest.raises(SpecError, match=r"^a 4 x 1 block grid on 2 x 2 towers$"):
+        matrix(BlockMasses(4, 1, dict.fromkeys(range(-3, 1), 1), F(1, 4), True))
+    # the six derived fields are no constructor arguments
+    for name in ("h_a", "h_b", "residual", "level_mass_a", "level_mass_b", "base_mass"):
+        with pytest.raises(TypeError, match=name):
+            BlockMassMatrix(kind="product", j=1, masses=m.masses, norm_a=F(1), norm_b=F(1),
+                            spec_a=ODO, spec_b=ODO, **{name: 0})
