@@ -22,7 +22,7 @@ _EXPORTS = {name: module for module, names in {
     "flow": "ConsequenceRecord FlowSkeletonSpec FlowWindowReport ThickenedBase "
             "band_indices band_masses consequence_check thickened_base "
             "windowed_return_flow",
-    "joinings": "BlockIndex BlockMassMatrix BlockMasses ColumnSpec DispersionRow "
+    "joinings": "BlockIndex BlockMassMatrix BlockMasses DispersionRow "
                 "FSetSpec LightBlockReport LightBlocks TrivializationRecord "
                 "columns_and_F di_estimate "
                 "dispersion_experiment empirical_joining graph_blocks "

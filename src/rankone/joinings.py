@@ -37,7 +37,6 @@ __all__ = [
     "LightBlocks",
     "BlockMassMatrix",
     "LightBlockReport",
-    "ColumnSpec",
     "FSetSpec",
     "DispersionRow",
     "TrivializationRecord",
@@ -187,6 +186,8 @@ class BlockMassMatrix:
     base_mass: Fraction = field(init=False)
 
     def __post_init__(self):
+        if self.kind not in ("product", "graph", "empirical"):
+            raise SpecError(f"unknown matrix kind: {self.kind!r}")
         m, sa, sb = self.masses, build_stage(self.spec_a, self.j), build_stage(self.spec_b, self.j)
         if (m.h_a, m.h_b) != (sa.height, sb.height):
             raise SpecError(f"a {m.h_a} x {m.h_b} block grid on {sa.height} x {sb.height} towers")
@@ -448,36 +449,14 @@ def dispersion_experiment(spec_a: ConstructionSpec, spec_b: ConstructionSpec,
 
 
 @dataclass(frozen=True)
-class ColumnSpec:
-    """Diagonal strip of blocks: (w+i, i) for i = 0..floor(delta*h_j)."""
+class FSetSpec:
+    """Union of vertical translates of the column of blocks (w+i, i),
+    i = 0..floor(delta*h_j), with the joining-derived weights over the
+    shift set."""
 
     delta: Fraction
     w: int
-    j: int
     members: Tuple[BlockIndex, ...]
-
-
-def _make_column(m: BlockMassMatrix, delta: RationalLike, w: int) -> ColumnSpec:
-    d = as_fraction(delta)
-    if not (0 < d < 1):
-        raise SpecError("delta must lie strictly between 0 and 1")
-    if w < 0:
-        raise SpecError("column offset w must be nonnegative")
-    i_max = int(d * m.h_b)
-    if w + i_max > m.h_a - 1:
-        raise SpecError(
-            f"column blocks (w+i, i) run out of the first tower: "
-            f"w={w}, i_max={i_max}, h={m.h_a}")
-    members = tuple(BlockIndex(w + i, i) for i in range(i_max + 1))
-    return ColumnSpec(delta=d, w=w, j=m.j, members=members)
-
-
-@dataclass(frozen=True)
-class FSetSpec:
-    """Union of vertical translates of a column, with the joining-derived
-    weights over the shift set."""
-
-    column: ColumnSpec
     shifts: Tuple[int, ...]
     nu_F: Fraction
     weights: WeightSequence
@@ -493,24 +472,35 @@ def _check_shifts(m: BlockMassMatrix, i_max: int, shifts: Iterable[int]) -> None
 
 def columns_and_F(m: BlockMassMatrix, delta: RationalLike, w: int,
                   shifts: Sequence[int]) -> FSetSpec:
-    """Assemble F = union over h in shifts of the column translated up by h,
-    with weights a_h proportional to each translate's joining mass."""
-    col = _make_column(m, delta, w)
+    """Assemble F = union over h in shifts of the column (w+i, i),
+    i = 0..floor(delta*h_j), translated up by h, with weights a_h
+    proportional to each translate's joining mass."""
+    d = as_fraction(delta)
+    if not (0 < d < 1):
+        raise SpecError("delta must lie strictly between 0 and 1")
+    if w < 0:
+        raise SpecError("column offset w must be nonnegative")
+    if w + (i_max := int(d * m.h_b)) > m.h_a - 1:
+        raise SpecError(
+            f"column blocks (w+i, i) run out of the first tower: "
+            f"w={w}, i_max={i_max}, h={m.h_a}")
     if not shifts:
         raise SpecError("shift set must be nonempty")
     if len(set(shifts)) != len(shifts):
         raise SpecError("shift set has duplicates")
-    _check_shifts(m, col.members[-1].z2, shifts)
-    per_shift = {h: m.masses.count_of((z1, z2 + h) for z1, z2 in col.members)
+    _check_shifts(m, i_max, shifts)
+    members = tuple(BlockIndex(w + i, i) for i in range(i_max + 1))
+    per_shift = {h: m.masses.count_of((z1, z2 + h) for z1, z2 in members)
                  for h in sorted(shifts)}
     total = sum(per_shift.values())
     if total == 0:
         raise EmptyFSetError(
-            f"F set carries no joining mass (column w={col.w}, "
+            f"F set carries no joining mass (column w={w}, "
             f"shifts {sorted(shifts)})")
     weights = WeightSequence(per_shift.items(), total)
-    return FSetSpec(column=col, shifts=tuple(sorted(shifts)), nu_F=m.masses.unit * total,
-                    weights=weights, weight_flatness=flatness(weights, 0))
+    return FSetSpec(delta=d, w=w, members=members, shifts=tuple(sorted(shifts)),
+                    nu_F=m.masses.unit * total, weights=weights,
+                    weight_flatness=flatness(weights, 0))
 
 
 @dataclass(frozen=True)
@@ -539,42 +529,67 @@ def trivialization_check(m: BlockMassMatrix, F: FSetSpec, A: Union[IntervalSet, 
     cells (stats._classes), such a set is one class.  F's column
     blocks and every shifted block must lie in m's grid (refused
     otherwise), so T^{-h} moves whole stage-j levels within one copy of the
-    second tower; mass it pushes off the tower, and for graph matrices the
-    mass T^k pushes off, widens the display's enclosure.  For empirical
-    matrices the display is the exact whole-block transport (within-tower
-    shifts lose no orbit mass).  display fields are None when the base
-    column itself carries no mass.
+    second tower.  display fields are None when the base column itself
+    carries no mass.
+
+    One walk: A's and B's stage-j level bitsets are decoded once into a
+    string of one "0" or "1" per level; the column blocks (z1, z2) with z1
+    in A are picked once, and for each shift h the hit list of those with
+    z2 + h in B.  Its counts give the conditional and the display's lower
+    end.  For empirical matrices the display is that exact whole-block
+    transport (within-tower shifts lose no orbit mass).  Product and graph
+    displays widen it by the escape, w_J each: the levels of B below h,
+    which T^{-h} pushes off the bottom copy when a block is picked, and
+    for graph matrices the occurrences of each hit block's level z2 that
+    T^k pushes off, read from the escape vector of stats._stage_counts on
+    E_j = (j, 1).
     """
     if not (1 <= k <= m.j):
         raise SpecError(f"need 1 <= k <= j, got k={k}, j={m.j}")
-    members = F.column.members
+    members = F.members
     if any(not (0 <= z1 < m.h_a and 0 <= z2 < m.h_b) for z1, z2 in members):
         raise SpecError(f"column blocks run out of the block grid "
                         f"(h_a={m.h_a}, h_b={m.h_b})")
     if F.nu_F <= 0 or not set(F.weights.support) <= set(F.shifts):
         raise SpecError("F needs nu_F > 0 and its weights on its own shifts")
     _check_shifts(m, max((z2 for _, z2 in members), default=0), F.shifts)
-    in_sets = []
+    levels = []
     for label, spec, S in (("A", m.spec_a, A), ("B", m.spec_b, B)):
         found = _classes(build_stage(spec, k), S)  # a union of levels is one class, or none
         if found.keys() - {(0, 1, 1)}:
             raise SpecError(f"{label} is not a union of stage-{k} levels")
-        in_sets.append(build_stage(spec, m.j).occurrence_bits(*found.get((0, 1, 1), (k, 0))))
-    in_A, in_B = in_sets
+        st = build_stage(spec, m.j)
+        bits = st.occurrence_bits(*found.get((0, 1, 1), (k, 0)))
+        levels.append(format(bits, f"0{st.height}b")[::-1])  # level i is character i
+    in_A, in_B = levels
 
-    # per_shift[h]: the count of the selected blocks of the column shifted by h
     count_of, unit = m.masses.count_of, m.masses.unit
-    per_shift = {h: count_of((z1, z2 + h) for z1, z2 in members
-                             if in_A >> z1 & 1 and in_B >> (z2 + h) & 1)
-                 for h in F.shifts}
+    n_C, ns = count_of(members), dict(F.weights.numerators)
+    sel = [bi for bi in members if in_A[bi.z1] == "1"]
+    wide = n_C and sel and m.kind != "empirical"  # the display has escapes to add
+    if wide and m.kind == "graph":
+        # escape[z2]: the occurrences p of E_j with p + z2 + k off the tower
+        kg = m.meta["k"]
+        escape = _stage_counts(m.spec_b, (m.j, 1), (m.j, 1), range(kg, kg + m.h_b), m.meta["J"])[1]
+    per_shift, out = {}, 0  # the hit blocks' count by shift; the escaped levels, weighted
+    for h in F.shifts:
+        hit = [bi for bi in sel if in_B[bi.z2 + h] == "1"]
+        per_shift[h] = count_of((z1, z2 + h) for z1, z2 in hit)
+        if wide and (n_h := ns.get(h)):
+            out += n_h * (in_B.count("1", 0, h)
+                          + (m.kind == "graph" and sum(escape[z2] for _, z2 in hit)))
     conditional = unit * sum(per_shift.values()) / F.nu_F
     reference = (_measure(m.spec_a, A) / m.norm_a) * (_measure(m.spec_b, B) / m.norm_b)
     gap = abs(conditional - reference)
 
     display_sum = display_gap = None
     slack = Fraction(0)
-    if n_C := count_of(members):
-        lo, hi = _display_route(m, F, in_A, in_B, per_shift)
+    if n_C:
+        lo = hi = unit * sum(n_h * per_shift[h] for h, n_h in ns.items()) / F.weights.den
+        if out:
+            w_J = build_stage(m.spec_b, m.meta["J"]).width
+            s = m.level_mass_a * w_J / m.norm_b if m.kind == "product" else w_J / m.norm_a
+            hi += s * out / F.weights.den
         display_sum = MeasureBound(lo / (unit * n_C), hi / (unit * n_C))
         slack = display_sum.width
         d0, d1 = display_sum.lo - conditional, display_sum.hi - conditional
@@ -583,39 +598,3 @@ def trivialization_check(m: BlockMassMatrix, F: FSetSpec, A: Union[IntervalSet, 
         j=m.j, k=k, conditional=conditional, reference=reference, gap=gap,
         display_sum=display_sum, display_gap=display_gap,
         weight_flatness=F.weight_flatness, escape_slack=slack)
-
-
-def _display_route(m: BlockMassMatrix, F: FSetSpec, in_A: int, in_B: int,
-                   per_shift: Dict[int, int]) -> Tuple[Fraction, Fraction]:
-    """Enclosure of sum_h a_h nu(A x T^{-h}B intersect C), unnormalized.
-
-    in_A, in_B are A's and B's stage-j level bitsets, and per_shift[h] is
-    the count of the column's blocks inside A x T^{-h}B.  Level z2 + h of
-    a block (z1, z2) lies in z2's stage-j copy, so a block is hit by shift
-    h iff level z2 + h is in B, and T^{-h} pushes off the tower only the
-    levels of B below h in the bottom copy, w_J each.  A graph block also
-    loses to T^k the occurrences of level z2 that lag k pushes off, read
-    from the escape vector of stats._stage_counts on E_j = (j, 1)."""
-    unit, ns, den = m.masses.unit, F.weights.numerators, F.weights.den
-    if m.kind == "empirical":
-        val = unit * sum(n_h * per_shift[h] for h, n_h in ns) / den
-        return val, val
-    if m.kind not in ("product", "graph"):
-        raise SpecError(f"unknown matrix kind: {m.kind!r}")
-    sel = [bi for bi in F.column.members if in_A >> bi.z1 & 1]
-    if not sel:
-        return Fraction(0), Fraction(0)
-    stJ = build_stage(m.spec_b, m.meta["J"])
-    if m.kind == "product":
-        s, escape = m.level_mass_a * stJ.width / m.norm_b, [0] * m.h_b
-    else:
-        # escape[z2]: the occurrences p of E_j with p + z2 + k off the tower
-        s, k = stJ.width / m.norm_a, m.meta["k"]
-        escape = _stage_counts(m.spec_b, (m.j, 1), (m.j, 1), range(k, k + m.h_b), m.meta["J"])[1]
-    lo = out = 0
-    for h, n_h in ns:
-        hit = [bi for bi in sel if in_B >> (bi.z2 + h) & 1]
-        lo += n_h * m.masses.count_of(hit)
-        out += n_h * ((in_B & ((1 << h) - 1)).bit_count() + sum(escape[z2] for _, z2 in hit))
-    lo = unit * lo / den
-    return lo, lo + s * out / den

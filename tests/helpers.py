@@ -24,8 +24,7 @@ from rankone import joinings, stats
 from rankone.averaging import WeightSequence, flatness
 from rankone.construction import build_stage
 from rankone.errors import EmptyFSetError, SpecError
-from rankone.joinings import (BlockIndex, FSetSpec, LightBlockReport, TrivializationRecord,
-                              _make_column)
+from rankone.joinings import BlockIndex, FSetSpec, LightBlockReport, TrivializationRecord
 from rankone.measure import (BoundSeries, Interval, IntervalSet, MeasureBound, as_fraction,
                              canonicalize)
 
@@ -81,29 +80,44 @@ def dict_light_blocks(d, epsilon):
                             total_blocks=d.h_a * d.h_b)
 
 
+def column(d, delta, w):
+    """(delta, the column blocks (w+i, i), i = 0..floor(delta*h_b)) of
+    columns_and_F, with its refusals of delta, w and the first tower."""
+    delta = as_fraction(delta)
+    if not (0 < delta < 1):
+        raise SpecError("delta must lie strictly between 0 and 1")
+    if w < 0:
+        raise SpecError("column offset w must be nonnegative")
+    i_max = int(delta * d.h_b)
+    if w + i_max > d.h_a - 1:
+        raise SpecError(f"column blocks (w+i, i) run out of the first tower: "
+                        f"w={w}, i_max={i_max}, h={d.h_a}")
+    return delta, tuple(BlockIndex(w + i, i) for i in range(i_max + 1))
+
+
 def dict_columns_and_F(d, delta, w, shifts):
-    col = _make_column(d, delta, w)
+    delta, members = column(d, delta, w)
     if not shifts:
         raise SpecError("shift set must be nonempty")
     if len(set(shifts)) != len(shifts):
         raise SpecError("shift set has duplicates")
-    joinings._check_shifts(d, col.members[-1].z2, shifts)
-    per_shift = {h: dict_mass_of(d, ((z1, z2 + h) for z1, z2 in col.members))
+    joinings._check_shifts(d, members[-1].z2, shifts)
+    per_shift = {h: dict_mass_of(d, ((z1, z2 + h) for z1, z2 in members))
                  for h in sorted(shifts)}
     nu_F = sum(per_shift.values(), Fraction(0))
     if nu_F == 0:
-        raise EmptyFSetError(f"F set carries no joining mass (column w={col.w}, "
+        raise EmptyFSetError(f"F set carries no joining mass (column w={w}, "
                              f"shifts {sorted(shifts)})")
     weights = WeightSequence(tuple((h, v / nu_F) for h, v in per_shift.items()))
-    return FSetSpec(column=col, shifts=tuple(sorted(shifts)), nu_F=nu_F,
-                    weights=weights, weight_flatness=flatness(weights, 0))
+    return FSetSpec(delta=delta, w=w, members=members, shifts=tuple(sorted(shifts)),
+                    nu_F=nu_F, weights=weights, weight_flatness=flatness(weights, 0))
 
 
 def dict_trivialization_check(d, F, A, B, k):
     """trivialization_check over the dict, each mass sum a sum of Fractions."""
     if not (1 <= k <= d.j):
         raise SpecError(f"need 1 <= k <= j, got k={k}, j={d.j}")
-    members = F.column.members
+    members = F.members
     if any(not (0 <= z1 < d.h_a and 0 <= z2 < d.h_b) for z1, z2 in members):
         raise SpecError(f"column blocks run out of the block grid "
                         f"(h_a={d.h_a}, h_b={d.h_b})")
@@ -166,14 +180,14 @@ def light_shifts(m, delta, w, epsilon=None, mass_threshold=None):
     """
     if (epsilon is None) == (mass_threshold is None):
         raise SpecError("pass exactly one of epsilon, mass_threshold")
-    col = _make_column(m, delta, w)
+    members = column(m, delta, w)[1]
 
     def ok(h):
-        shifted = [m.mass_of([BlockIndex(z1, z2 + h)]) for z1, z2 in col.members]
+        shifted = [m.mass_of([BlockIndex(z1, z2 + h)]) for z1, z2 in members]
         if epsilon is not None:
             return max(shifted) < as_fraction(epsilon) * m.base_mass
         return sum(shifted, Fraction(0)) < as_fraction(mass_threshold)
-    return tuple(filter(ok, range(m.h_b - col.members[-1].z2)))
+    return tuple(filter(ok, range(m.h_b - members[-1].z2)))
 
 
 def total_block_mass(m):

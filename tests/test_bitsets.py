@@ -51,7 +51,8 @@ from rankone.measure import (
 )
 from rankone.stats import correlation, return_profile
 from rankone.transform import power_image
-from helpers import counts, cross, is_subset_of, l2_inner, level_bits, lifted_bits, run_capped
+from helpers import (counts, cross, dict_matrix, dict_trivialization_check, is_subset_of, l2_inner,
+                     level_bits, lifted_bits, run_capped)
 
 PRESETS = (ConstructionSpec.odometer(), ConstructionSpec.staircase(),
            ConstructionSpec.chacon())
@@ -114,13 +115,13 @@ def oracle_product_display(m, fs, A, B):
     of a column block inside A, and the escape of P once if any."""
     sb = build_stage(m.spec_b, m.j)
     in_A = oracle_levels_inside(build_stage(m.spec_a, m.j), A)
-    sel = [z2 for z1, z2 in fs.column.members if z1 in in_A]
+    sel = [z2 for z1, z2 in fs.members if z1 in in_A]
     Pf, esc = average_apply(m.spec_b, fs.weights, StepFunction.indicator(B),
                             m.meta["J"], direction="backward")
     lo = sum((m.level_mass_a * l2_inner(Pf, StepFunction.indicator(
         IntervalSet((sb.level(z2),)))) / m.norm_b for z2 in sel), F(0))
     hi = lo + (m.level_mass_a * esc.hi / m.norm_b if sel else 0)
-    nu_C = sum((m.mass_of([bi]) for bi in fs.column.members), F(0))
+    nu_C = sum((m.mass_of([bi]) for bi in fs.members), F(0))
     return MeasureBound(lo / nu_C, hi / nu_C)
 
 
@@ -130,7 +131,7 @@ def oracle_graph_display(m, fs, A, B):
     met with its first-tower level inside A; B's escape under T^{-h} once
     per shift if any block is selected, and each T^k escape."""
     in_A = oracle_levels_inside(build_stage(m.spec_a, m.j), A)
-    sel = [bi for bi in fs.column.members if bi.z1 in in_A]
+    sel = [bi for bi in fs.members if bi.z1 in in_A]
     J = m.meta["J"]
     kg = m.meta["k"]
     sa, sb = build_stage(m.spec_a, m.j), build_stage(m.spec_b, m.j)
@@ -147,7 +148,7 @@ def oracle_graph_display(m, fs, A, B):
             extra += esc2.hi / m.norm_a
         lo += a_h * t_lo
         hi += a_h * (t_lo + extra + (esc.hi / m.norm_b if sel else F(0)))
-    nu_C = sum((m.mass_of([bi]) for bi in fs.column.members), F(0))
+    nu_C = sum((m.mass_of([bi]) for bi in fs.members), F(0))
     return MeasureBound(lo / nu_C, hi / nu_C) if nu_C else None
 
 
@@ -584,7 +585,7 @@ def test_trivialization_conditional_uses_stage_j_levels(spec, data):
     fs = columns_and_F(m, F(1, 4), 0, [0, *shifts])
     in_A, in_B = oracle_levels_inside(stj, A), oracle_levels_inside(stj, B)
     num = sum((m.mass_of([BlockIndex(z1, z2 + h)]) for h in fs.shifts
-               for z1, z2 in fs.column.members if z1 in in_A and z2 + h in in_B),
+               for z1, z2 in fs.members if z1 in in_A and z2 + h in in_B),
               F(0))
     rec = trivialization_check(m, fs, A, B, k)
     assert rec.conditional == num / fs.nu_F
@@ -642,7 +643,7 @@ def check_display(m, fs, A, B, k, want):
     in_A = oracle_levels_inside(build_stage(m.spec_a, m.j), A)
     in_B = oracle_levels_inside(build_stage(m.spec_b, m.j), B)
     cond = sum((m.mass_of([BlockIndex(z1, z2 + h)]) for h in fs.shifts
-                for z1, z2 in fs.column.members if z1 in in_A and z2 + h in in_B),
+                for z1, z2 in fs.members if z1 in in_A and z2 + h in in_B),
                F(0)) / fs.nu_F
     rec = trivialization_check(m, fs, A, B, k)
     assert rec.conditional == cond
@@ -767,6 +768,52 @@ def test_product_display_bytes_pinned():
         assert main(product_trivialize(13)) == 0
     assert sha256(out.getvalue().encode()).hexdigest() == (
         "baaa4de30108402df3d08f0245f4ffa72c1cc51734a4e482f0da38348c6b34f4")
+
+
+def test_deep_product_trivialize_in_a_capped_child():
+    # each column block tested its levels by shifting the whole stage-10
+    # level bitset (2 x 1.2e6 levels), so this took 45 s on a 2-core VM under
+    # CPython 3.11.7; one decoded string a set answers in about 2.5 s
+    argv = ["joining", "trivialize", "--kind", "product", "--spec-a", "staircase",
+            "--spec-b", "staircase", "--j", "10", "--res", "10", "--delta", "1/2",
+            "--w", "0", "--shifts", "0", "--A", "0", "--B", "0", "--cond-stage", "1"]
+    proc, _ = run_capped(["-m", "rankone.cli", *argv], cap_mb=1024, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert sha256(proc.stdout.encode()).hexdigest() == (
+        "39618d6a677cfc5cbbf8f85e5f1d8b5ac5fb8fb90e61db4c18fc4d93fbdc8317")
+
+
+@pytest.mark.parametrize("j, J, delta, w, shifts", [
+    *((4, J, d, 0, h) for J in (5, 6) for d in (F(1, 4), F(1, 3)) for h in ((0, 1), (0, 2))),
+    *((5, 6, d, w, h) for d in (F(1, 4), F(1, 5)) for w in (0, 1) for h in ((0, 1, 2), (1, 2, 3))),
+])
+def test_product_trivialize_slots_match_the_oracles(j, J, delta, w, shifts):
+    # every variant of the trivialize-4 and trivialize-5 benchmark slots:
+    # staircase x chacon, A and B level 0 of stage 1
+    sa, sb = ConstructionSpec.staircase(), ConstructionSpec.chacon()
+    m = product_blocks(sa, sb, j, J)
+    fs = columns_and_F(m, delta, w, list(shifts))
+    A, B = build_stage(sa, 1).levels_set([0]), build_stage(sb, 1).levels_set([0])
+    assert trivialization_check(m, fs, A, B, 1) == \
+        dict_trivialization_check(dict_matrix(m), fs, A, B, 1)
+    check_display(m, fs, A, B, 1, oracle_product_display(m, fs, A, B))
+
+
+def test_graph_trivialize_multi_level_matches_the_oracles():
+    # chacon j = 4: the column (3 + i, i) lies on lag -3, and T^43 carries mass
+    # on the lags 40 and 41 of E_4's occurrences at stage 6, so the weights sit
+    # on shifts 0 and 1 and none on 29; B holds level 0, which T^{-1} pushes
+    # off, and T^43 pushes the top occurrences of E_4 off the tower
+    spec = ConstructionSpec.chacon()
+    g = graph_blocks(spec, 43, 4, 6)
+    fs = columns_and_F(g, F(1, 4), 3, [0, 1, 29])
+    assert fs.weights.numerators == ((0, 1), (1, 1))
+    st3 = build_stage(spec, 3)
+    A, B = st3.levels_set([0, 2, 4, 7, 12]), st3.levels_set([0, 2, 3, 9])
+    rec = trivialization_check(g, fs, A, B, 3)
+    assert rec == dict_trivialization_check(dict_matrix(g), fs, A, B, 3)
+    assert rec.escape_slack == F(3, 88)
+    check_display(g, fs, A, B, 3, oracle_graph_display(g, fs, A, B))
 
 
 def test_product_display_reads_no_stage_deeper_than_j():

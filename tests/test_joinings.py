@@ -29,7 +29,6 @@ from rankone.joinings import (
     BlockIndex,
     BlockMasses,
     BlockMassMatrix,
-    ColumnSpec,
     DispersionRow,
     FSetSpec,
     LightBlocks,
@@ -1089,11 +1088,10 @@ def test_empirical_joining_wall_time():
 def test_column_members():
     m = product_blocks(ST2, ST3, 2, 4)
     fs = columns_and_F(m, F(1, 10), 0, [0])
-    assert fs.column.members == (BlockIndex(0, 0),)
+    assert fs.members == (BlockIndex(0, 0),)
     g = graph_blocks(ST2, 0, 3, 5)
     fs2 = columns_and_F(g, F(1, 2), 0, [0])
-    assert fs2.column.members == (BlockIndex(0, 0), BlockIndex(1, 1),
-                                  BlockIndex(2, 2))
+    assert fs2.members == (BlockIndex(0, 0), BlockIndex(1, 1), BlockIndex(2, 2))
 
 
 def test_column_validation():
@@ -1265,14 +1263,13 @@ def test_trivialization_refuses_F_outside_the_grid():
                        r"the second tower \(i_max=1, h_j=5\)$"):
         trivialization_check(short, tall, A, B, 1)
     m = product_blocks(ST2, ST3, 2, 4)                  # h_a = 2, h_b = 3
-    col = ColumnSpec(F(1, 10), 0, 2, (BlockIndex(0, 0),))
-    hand = FSetSpec(column=col, shifts=(3,), nu_F=F(1, 12),
-                    weights=delta_weights(3), weight_flatness=F(1))
+    hand = FSetSpec(delta=F(1, 10), w=0, members=(BlockIndex(0, 0),), shifts=(3,),
+                    nu_F=F(1, 12), weights=delta_weights(3), weight_flatness=F(1))
     with pytest.raises(SpecError, match=r"^shift h=3 pushes the column out of "
                        r"the second tower \(i_max=0, h_j=3\)$"):
         trivialization_check(m, hand, A, B, 1)
     off = dataclasses.replace(hand, shifts=(0,), weights=delta_weights(0),
-                              column=dataclasses.replace(col, members=(BlockIndex(2, 0),)))
+                              members=(BlockIndex(2, 0),))
     with pytest.raises(SpecError, match=r"^column blocks run out of the block "
                        r"grid \(h_a=2, h_b=3\)$"):
         trivialization_check(m, off, A, B, 1)
@@ -1315,6 +1312,10 @@ def test_matrix_validation():
             ({BlockIndex(0, 0): 3}, F(1, 2), False, "block masses sum to 3/2, more than 1")]:
         with pytest.raises(SpecError, match=f"^{re.escape(message)}$"):
             matrix(BlockMasses(2, 2, counts, unit, by_lag))
+    # a kind that is none of the three
+    with pytest.raises(SpecError, match=r"^unknown matrix kind: 'lagged'$"):
+        BlockMassMatrix(kind="lagged", j=1, masses=m.masses, norm_a=F(1), norm_b=F(1),
+                        spec_a=ODO, spec_b=ODO)
     # a grid that is not the two towers' stage-j grid
     with pytest.raises(SpecError, match=r"^a 4 x 1 block grid on 2 x 2 towers$"):
         matrix(BlockMasses(4, 1, dict.fromkeys(range(-3, 1), 1), F(1, 4), True))

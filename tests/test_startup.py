@@ -92,7 +92,7 @@ def test_every_export_resolves_to_its_defining_module():
     script = (
         "import importlib, rankone\n"
         "from rankone import _EXPORTS\n"
-        "assert rankone.__all__ == sorted(_EXPORTS) and len(rankone.__all__) == 64\n"
+        "assert rankone.__all__ == sorted(_EXPORTS) and len(rankone.__all__) == 63\n"
         "assert set(rankone.__all__) <= set(dir(rankone))\n"
         "for name, mod in _EXPORTS.items():\n"
         "    obj = getattr(rankone, name)\n"
