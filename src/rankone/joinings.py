@@ -526,23 +526,21 @@ def trivialization_check(m: BlockMassMatrix, F: FSetSpec, A: Union[IntervalSet, 
 
     Both sides read whole stage-j blocks: A and B are unions of stage-k
     levels, k <= j, so stage-j levels never straddle them: cut at the stage-k
-    cells (stats._classes), such a set is one class.  F's column
-    blocks and every shifted block must lie in m's grid (refused
-    otherwise), so T^{-h} moves whole stage-j levels within one copy of the
-    second tower.  display fields are None when the base column itself
-    carries no mass.
+    cells (stats._classes), such a set is one class.  F's column blocks and
+    every shifted block must lie in m's grid (refused otherwise), so T^{-h}
+    moves whole stage-j levels within one copy of the second tower.
+    display fields are None when the base column itself carries no mass.
 
     One walk: A's and B's stage-j level bitsets are decoded once into a
     string of one "0" or "1" per level; the column blocks (z1, z2) with z1
     in A are picked once, and for each shift h the hit list of those with
-    z2 + h in B.  Its counts give the conditional and the display's lower
-    end.  For empirical matrices the display is that exact whole-block
-    transport (within-tower shifts lose no orbit mass).  Product and graph
-    displays widen it by the escape, w_J each: the levels of B below h,
+    z2 + h in B.  Its blocks shifted by h give the conditional and the
+    empirical display, the exact whole-block transport (within-tower shifts
+    lose no orbit mass).  Product and graph displays count its unshifted
+    blocks and widen by the escape, w_J each: the levels of B below h,
     which T^{-h} pushes off the bottom copy when a block is picked, and
     for graph matrices the occurrences of each hit block's level z2 that
-    T^k pushes off, read from the escape vector of stats._stage_counts on
-    E_j = (j, 1).
+    T^k pushes off, read from stats._stage_counts' escape on E_j = (j, 1).
     """
     if not (1 <= k <= m.j):
         raise SpecError(f"need 1 <= k <= j, got k={k}, j={m.j}")
@@ -566,26 +564,28 @@ def trivialization_check(m: BlockMassMatrix, F: FSetSpec, A: Union[IntervalSet, 
     count_of, unit = m.masses.count_of, m.masses.unit
     n_C, ns = count_of(members), dict(F.weights.numerators)
     sel = [bi for bi in members if in_A[bi.z1] == "1"]
-    wide = n_C and sel and m.kind != "empirical"  # the display has escapes to add
+    wide = bool(n_C and sel) and m.kind != "empirical"  # the display has escapes to add
     if wide and m.kind == "graph":
         # escape[z2]: the occurrences p of E_j with p + z2 + k off the tower
         kg = m.meta["k"]
         escape = _stage_counts(m.spec_b, (m.j, 1), (m.j, 1), range(kg, kg + m.h_b), m.meta["J"])[1]
-    per_shift, out = {}, 0  # the hit blocks' count by shift; the escaped levels, weighted
+    # counts of the shifted hit blocks; weighted, of the displayed blocks and escapes
+    cond = moved = out = 0
     for h in F.shifts:
         hit = [bi for bi in sel if in_B[bi.z2 + h] == "1"]
-        per_shift[h] = count_of((z1, z2 + h) for z1, z2 in hit)
-        if wide and (n_h := ns.get(h)):
-            out += n_h * (in_B.count("1", 0, h)
-                          + (m.kind == "graph" and sum(escape[z2] for _, z2 in hit)))
-    conditional = unit * sum(per_shift.values()) / F.nu_F
+        cond += (n_hit := count_of((z1, z2 + h) for z1, z2 in hit))
+        if n_h := ns.get(h):
+            moved += n_h * (n_hit if m.kind == "empirical" else count_of(hit))
+            out += wide and n_h * (in_B.count("1", 0, h)
+                                   + (m.kind == "graph" and sum(escape[z2] for _, z2 in hit)))
+    conditional = unit * cond / F.nu_F
     reference = (_measure(m.spec_a, A) / m.norm_a) * (_measure(m.spec_b, B) / m.norm_b)
     gap = abs(conditional - reference)
 
     display_sum = display_gap = None
     slack = Fraction(0)
     if n_C:
-        lo = hi = unit * sum(n_h * per_shift[h] for h, n_h in ns.items()) / F.weights.den
+        lo = hi = unit * moved / F.weights.den
         if out:
             w_J = build_stage(m.spec_b, m.meta["J"]).width
             s = m.level_mass_a * w_J / m.norm_b if m.kind == "product" else w_J / m.norm_a

@@ -684,6 +684,21 @@ def test_graph_display_matches_power_image_route(spec, data):
     check_display(g, fs, A, B, k, oracle_graph_display(g, fs, A, B))
 
 
+def test_graph_display_counts_the_column_blocks_not_their_shifts():
+    # staircase h1 = 3, j = 1 on lag 3: the hit column block (0, 0) weighs
+    # 1/8 and its shift (0, 1) by h = 1 weighs 1/24; the display reads the
+    # former, the conditional the latter
+    spec = ConstructionSpec.staircase(h1=3)
+    g = graph_blocks(spec, 3, 1, 4)
+    fs = columns_and_F(g, F(1, 3), 0, [0, 1])
+    st1 = build_stage(spec, 1)
+    A, B = st1.levels_set([0]), st1.levels_set([1])
+    rec = trivialization_check(g, fs, A, B, 1)
+    assert rec.display_sum == MeasureBound(F(1, 8), F(1, 8))
+    assert rec == dict_trivialization_check(dict_matrix(g), fs, A, B, 1)
+    check_display(g, fs, A, B, 1, oracle_graph_display(g, fs, A, B))
+
+
 def test_deep_graph_display_within_budget():
     # imaging B and each block through power_image took 3.15 s of this
     # command's 3.9-4.2 s on a 2-core VM under CPython 3.11.7
