@@ -4,11 +4,13 @@ Each command handler turns its flags into library calls and returns its
 document: the text of it, or a persist.Table for the commands that take
 --format, which main renders in the format asked for.  persist decides
 how every document looks.  One argparse parser is built on the first
-call to main and reused by every later call in the process; each call is
-parsed by the leaf parser its command words name (`orbit`, `joining
-light`), and argv that names no command goes to the whole tree.  At
-import only the modules every command needs are loaded; each handler
-imports the rest of what it uses.
+call to main and reused by every later call in the process.  Argv that
+is a leaf's command words (`orbit`, `joining light`) and then exact
+--flag value pairs is read straight from that leaf's actions (parse);
+any other argv goes to the whole tree, which alone refuses and prints
+help.  A preset --spec name is resolved to one spec per process and
+stage budget (load_spec).  At import only the modules every command
+needs are loaded; each handler imports the rest of what it uses.
 
 Exit codes: 0 success, 2 invalid request (bad flags, a validation refusal
 or an --out path that cannot be written), 3 orbit escaped the stage budget,
@@ -47,15 +49,21 @@ if TYPE_CHECKING:
     from .joinings import BlockMassMatrix
 
 
+# (preset name or random:SEED, stage budget) -> its spec: grows as construction._STAGES does
+_SPECS: Dict[Tuple[str, Optional[int]], ConstructionSpec] = {}
+
+
 def load_spec(token: str, stage_budget: Optional[int] = None) -> ConstructionSpec:
-    """Resolve a --spec argument: a JSON file path, a preset name, or
-    random:SEED."""
-    p = Path(token)
-    if p.is_file():
+    """Resolve a --spec argument: a JSON file path, read on every call and
+    winning over a preset name, or a preset name or random:SEED, resolved once
+    per budget to one spec that _STAGES finds by identity; no refusal is stored."""
+    if is_file := Path(token).is_file():
         try:
-            data = json.loads(p.read_text())
+            data = json.loads(Path(token).read_text())
         except json.JSONDecodeError as exc:
             raise SpecError(f"spec file {token}: invalid JSON: {exc}") from None
+    elif spec := _SPECS.get((token, stage_budget)):
+        return spec
     elif token in PRESETS and token != "random":
         data = {"preset": token}
     elif token.startswith("random:"):
@@ -74,7 +82,7 @@ def load_spec(token: str, stage_budget: Optional[int] = None) -> ConstructionSpe
     spec = ConstructionSpec.from_json(data)  # a bad spec is named before a bad budget
     if stage_budget is not None and stage_budget < 1:
         raise SpecError("--stage-budget must be >= 1")
-    return spec
+    return spec if is_file else _SPECS.setdefault((token, stage_budget), spec)
 
 
 def parse_int_list(text: str, flag: str) -> List[int]:
@@ -124,20 +132,22 @@ def _require(args: argparse.Namespace, names: Sequence[str], context: str) -> No
 # ----------------------------------------------------------------- matrices
 
 def matrix_from_args(args: argparse.Namespace, j: Optional[int] = None,
-                     ) -> BlockMassMatrix:
+                     stages: Sequence[int] = ()) -> BlockMassMatrix:
     """Build the block-mass matrix a subcommand asked for.
 
     product needs --spec-a/--spec-b, graph --spec/--k, and empirical, the one
     other --kind argparse lets through, --spec-a/--spec-b/--x-a/--x-b/-N.
-    The stage defaults to --j but sweep commands may override it.
+    The stage defaults to --j but a sweep gives it, with all its stages.
     """
-    from .joinings import empirical_joining, graph_blocks, product_blocks
+    from .joinings import _product_stages, empirical_joining, graph_blocks, product_blocks
     j = args.j if j is None else j
     budget = args.stage_budget
     if args.kind == "product":
         _require(args, ["spec_a", "spec_b"], "--kind product")
-        return product_blocks(load_spec(args.spec_a, budget),
-                              load_spec(args.spec_b, budget), j, args.res)
+        a, b = load_spec(args.spec_a, budget), load_spec(args.spec_b, budget)
+        for k in stages:  # every swept stage's lag count, before any matrix is built
+            _product_stages(a, b, k, args.res)
+        return product_blocks(a, b, j, args.res)
     if args.kind == "graph":
         _require(args, ["spec", "k"], "--kind graph")
         return graph_blocks(load_spec(args.spec, budget), args.k, j, args.res)
@@ -277,7 +287,7 @@ def cmd_joining_di(args: argparse.Namespace) -> str:
         raise SpecError("--epsilons is empty")
     reports, grid = [], []
     for j in stages:
-        m = matrix_from_args(args, j=j)
+        m = matrix_from_args(args, j=j, stages=stages)
         for eps in epsilons:
             rep = light_blocks(m, eps)
             reports.append(rep)
@@ -294,9 +304,7 @@ def cmd_joining_di(args: argparse.Namespace) -> str:
 
 def cmd_joining_disperse(args: argparse.Namespace) -> str:
     from .joinings import BlockIndex, dispersion_experiment
-    budget = args.stage_budget
-    spec_a = load_spec(args.spec_a, budget)
-    spec_b = load_spec(args.spec_b, budget)
+    spec_a, spec_b = (load_spec(t, args.stage_budget) for t in (args.spec_a, args.spec_b))
     z_pair = parse_int_list(args.z, "--z")
     if len(z_pair) != 2:
         raise SpecError("--z expects exactly two integers Z1,Z2")
@@ -501,14 +509,12 @@ def build_parser() -> argparse.ArgumentParser:
         f.add_argument("--j", type=int, required=True)
         f.add_argument("--res", type=int, required=True)
     fw.add_argument("--zmax", type=int, required=True)
-    fw.add_argument("--q", type=int, default=None,
-                    help="window length override (default --grid)")
+    fw.add_argument("--q", type=int, help="window length override (default --grid)")
     _common(fw, cmd_flow_window, fmt="csv")
 
     fb.add_argument("--side", choices=("right", "left"), required=True)
     fb.add_argument("--offsets", required=True, help="comma separated offsets")
-    fb.add_argument("--zbound", type=int, default=None,
-                    help="translation range bound (left side)")
+    fb.add_argument("--zbound", type=int, help="translation range bound (left side)")
     fb.add_argument("--matrix", choices=("product", "empirical"),
                     default="product", help="which self-joining to weigh")
     fb.add_argument("--x-a", help="first orbit start (empirical matrix)")
@@ -516,11 +522,9 @@ def build_parser() -> argparse.ArgumentParser:
     fb.add_argument("-N", type=int, dest="N", help="ticks (empirical matrix)")
     _common(fb, cmd_flow_bands, fmt="csv")
 
-    # command words -> the parser of that leaf, for main's dispatch
-    p.leaves = {(name,): q for name, q in sp.choices.items()
-                if name not in ("joining", "flow")}
-    p.leaves.update(((group, name), q) for group, subs in (("joining", jsp), ("flow", fsp))
-                    for name, q in subs.choices.items())
+    # command words -> the parser of that leaf, for parse's direct read
+    p.leaves = {tuple(q.prog.split()[1:]): q for subs in (sp, jsp, fsp)
+                for q in subs.choices.values() if "handler" in q._defaults}
     return p
 
 
@@ -540,19 +544,31 @@ def _escape_flags(args: argparse.Namespace, budget: int) -> str:
 
 
 def parse(parser: argparse.ArgumentParser, argv: List[str]) -> argparse.Namespace:
-    """parser.parse_args(argv) of build_parser's tree, less the command
-    words: argv whose leading words name a leaf command is parsed by that
-    leaf alone, where the tree would rescan every argument at each level.
-    Any other argv (no command, --help, an unknown command) goes to the tree.
-    """
-    for n in (1, 2):
-        leaf = parser.leaves.get(tuple(argv[:n]))
-        if leaf is not None:
-            args, extra = leaf.parse_known_args(argv[n:])
-            if extra:  # the tree's own refusal, usage line included
-                parser.error(f"unrecognized arguments: {' '.join(extra)}")
-            return args
-    return parser.parse_args(argv)
+    """parser.parse_args(argv) of build_parser's tree, less the command words.
+    A leaf's command words, then exact `--flag value` pairs of its plain store
+    actions, each flag once, are read from the leaf's own actions by argparse's
+    conversion, checks and defaults (each action's, then set_defaults').  Any
+    other argv, a value led by "-" but a negative integer included, goes to
+    the tree, the one source of refusals and --help."""
+    n = 1 if tuple(argv[:1]) in parser.leaves else 2
+    leaf, tokens, ns = parser.leaves.get(tuple(argv[:n])), argv[n:], {}
+    if leaf is None or len(tokens) % 2:
+        return parser.parse_args(argv)
+    for flag, value in zip(tokens[::2], tokens[1::2]):
+        a = leaf._option_string_actions.get(flag)
+        if type(a) is not argparse._StoreAction or a.nargs is not None or a.dest in ns or (
+                value[:1] == "-" and (not value[1:].isdecimal() or leaf._parse_optional(value))):
+            return parser.parse_args(argv)
+        try:
+            leaf._check_value(a, v := leaf._get_value(a, value))
+        except argparse.ArgumentError:
+            return parser.parse_args(argv)
+        ns[a.dest] = v
+    if any(a.required and a.dest not in ns for a in leaf._actions):
+        return parser.parse_args(argv)
+    defaults = {a.dest: a.default for a in leaf._actions
+                if argparse.SUPPRESS not in (a.dest, a.default)}
+    return argparse.Namespace(**{**leaf._defaults, **defaults, **ns})
 
 
 _parser: Optional[argparse.ArgumentParser] = None
@@ -581,14 +597,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
-    out = getattr(args, "out", None)
-    if not out:
+    if not args.out:  # every leaf takes --out
         sys.stdout.write(text)
         return 0
     try:
-        Path(out).write_text(text)
+        Path(args.out).write_text(text)
     except OSError as exc:
-        print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
+        print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     return 0
 

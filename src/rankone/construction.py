@@ -63,13 +63,13 @@ def _int_tuple(name: str, value: object, minimum: int) -> Tuple[int, ...]:
 
 
 class _Rule:
-    """The JSON form of a rule dataclass: its kind, then each other field
-    that is set, tuples as lists; __match_args__ lists the fields in order
-    and json_name names the rule in a refusal."""
+    """The JSON form of a rule or spec dataclass: each field that is set, a
+    rule as its JSON form and tuples as lists; __match_args__ lists the
+    fields in order and a rule's json_name names it in a refusal."""
 
     def to_json(self) -> dict:
-        return {name: [list(x) if isinstance(x, tuple) else x for x in v]
-                if isinstance(v, tuple) else v
+        return {name: v.to_json() if isinstance(v, _Rule) else
+                [list(x) if isinstance(x, tuple) else x for x in v] if isinstance(v, tuple) else v
                 for name in self.__match_args__ if (v := getattr(self, name)) is not None}
 
     @classmethod
@@ -216,7 +216,7 @@ PRESETS = {
 
 
 @dataclass(frozen=True)
-class ConstructionSpec:
+class ConstructionSpec(_Rule):
     """Full recipe for a rank-one construction, hashable and serializable.
 
     h1 and the two rules fix the system; the first tower fills [0, 1), so
@@ -273,18 +273,6 @@ class ConstructionSpec:
         return cls._from_preset("random", seed=seed, h1=h1, spacer_rule=rule,
                                max_stage=max_stage)
 
-    def to_json(self) -> dict:
-        out = {
-            "preset": self.preset,
-            "h1": self.h1,
-            "cut_rule": self.cut_rule.to_json(),
-            "spacer_rule": self.spacer_rule.to_json(),
-            "max_stage": self.max_stage,
-        }
-        if self.seed is not None:
-            out["seed"] = self.seed
-        return out
-
     def canonical_json(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
 
@@ -295,23 +283,16 @@ class ConstructionSpec:
         if unknown := sorted(map(repr, data.keys() - cls.__match_args__)):
             raise SpecError(f"unknown spec key: {', '.join(unknown)}")
         preset = data.get("preset", "custom")
-        if not isinstance(preset, str) or (
-                preset != "custom" and preset not in PRESETS):
+        if preset not in ("custom", *PRESETS):  # only a str equals a name
             raise SpecError(f"unknown preset: {preset!r}")
-        merged = dict(PRESETS.get(preset, {}))
-        merged.update(data)
+        merged = {**PRESETS.get(preset, {}), **data}
         if "cut_rule" not in merged or "spacer_rule" not in merged:
             raise SpecError("spec needs cut_rule and spacer_rule (or a known preset)")
         if "h1" not in merged:
             raise SpecError("spec needs h1 (or a known preset)")
-        return cls(
-            h1=merged["h1"],
-            cut_rule=CutRule.from_json(merged["cut_rule"]),
-            spacer_rule=SpacerRule.from_json(merged["spacer_rule"]),
-            max_stage=merged.get("max_stage", 10),
-            seed=merged.get("seed"),
-            preset=preset,
-        )
+        return cls(**{**merged, "preset": preset,
+                      "cut_rule": CutRule.from_json(merged["cut_rule"]),
+                      "spacer_rule": SpacerRule.from_json(merged["spacer_rule"])})
 
 
 class TowerStage:

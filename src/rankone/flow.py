@@ -190,16 +190,15 @@ def band_indices(fspec: FlowSkeletonSpec, h_a: int, h_b: int, offset: int,
         if offset > h_a - 1:
             raise SpecError(f"band offset w={offset} outside the first tower "
                             f"(height {h_a})")
-        z_top = h_b - offset
+        z_top, d1, d2 = h_b - offset, offset, 0
     elif side == "left":
         if z_bound is None:
             raise SpecError("left bands need an explicit z_bound")
         if z_bound < 0:
             raise SpecError("z_bound must be nonnegative")
-        z_top = z_bound
+        z_top, d1, d2 = z_bound, 0, offset
     else:
         raise SpecError(f"side must be 'right' or 'left', got {side!r}")
-    d1, d2 = (offset, 0) if side == "right" else (0, offset)
     z_end = max(0, min(z_top + 1, h_b - d2, -(-(h_a - d1) * qp // p)))  # p z / q' + d1 < h_a
     if (n := -(-z_end // qp) * min(q + 1, h_b - d2)) > MAX_TABLE:
         raise SpecError(f"{n} band blocks requested, more than the limit of {MAX_TABLE}")

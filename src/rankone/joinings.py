@@ -18,14 +18,14 @@ from collections.abc import Mapping
 from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from operator import add, mul
 from sys import byteorder
 from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple, Union)
 
 from .averaging import WeightSequence, flatness
-from .construction import ConstructionSpec, LevelSet, build_stage
+from .construction import ConstructionSpec, LevelSet, TowerStage, build_stage
 from .errors import EmptyFSetError, SpecError
 from .measure import IntervalSet, MeasureBound, RationalLike, as_fraction
 from .stats import _check_resolution, _classes, _measure, _stage_counts
@@ -101,11 +101,7 @@ class BlockMasses(Mapping):
     def __iter__(self) -> Iterator[BlockIndex]:
         if not (self.by_lag and self.counts):
             return iter(self.counts)
-        # row z1 holds the lags -z1 .. h_b - 1 - z1; BlockIndex._make on each pair at C level
-        lags, h_b = sorted(self.counts), self.h_b
-        return chain.from_iterable(map(tuple.__new__, repeat(BlockIndex), zip(repeat(z1), map(
-            z1.__add__, lags[bisect_left(lags, -z1):bisect_left(lags, h_b - z1)])))
-            for z1 in range(self.h_a))
+        return chain.from_iterable(self._rows())
 
     def __len__(self) -> int:
         return self.size
@@ -118,9 +114,20 @@ class BlockMasses(Mapping):
 
     def items(self) -> Iterator[Tuple[BlockIndex, Fraction]]:
         """(block, mass) in row-major order, one Fraction per distinct count."""
-        counts, lag = self.counts, self.by_lag
+        counts = self.counts
         mass = {n: self.unit * n for n in set(counts.values())}
-        return ((z, mass[counts[z.z2 - z.z1 if lag else z]]) for z in self)
+        if not self.by_lag:
+            return zip(counts, map(mass.__getitem__, counts.values()))
+        return chain.from_iterable(self._rows({d: mass[n] for d, n in counts.items()}))
+
+    def _rows(self, of_lag: Optional[Dict[int, Fraction]] = None) -> Iterator[Iterator]:
+        """By lag, row z1's blocks (z1, z1 + d), d = -z1 .. h_b - 1 - z1 in counts,
+        made at C level, each zipped with of_lag[d] if given; row by row."""
+        lags, h_b = sorted(self.counts), self.h_b
+        for z1 in range(self.h_a):
+            ds = lags[bisect_left(lags, -z1):bisect_left(lags, h_b - z1)]
+            row = map(tuple.__new__, repeat(BlockIndex), zip(repeat(z1), map(z1.__add__, ds)))
+            yield row if of_lag is None else zip(row, map(of_lag.__getitem__, ds))
 
 
 class LightBlocks(Mapping):
@@ -207,6 +214,16 @@ class BlockMassMatrix:
 MAX_TABLE = 1 << 22
 
 
+def _product_stages(spec_a: ConstructionSpec, spec_b: ConstructionSpec, j: int,
+                    J: int) -> Tuple[TowerStage, TowerStage]:
+    """Both stage-j towers of a product matrix, or product_blocks' refusal."""
+    _check_resolution(j, J)
+    sa, sb = build_stage(spec_a, j), build_stage(spec_b, j)
+    if (lags := sa.height + sb.height - 1) > MAX_TABLE:
+        raise SpecError(f"{lags} lags requested, more than the limit of {MAX_TABLE}")
+    return sa, sb
+
+
 def product_blocks(spec_a: ConstructionSpec, spec_b: ConstructionSpec, j: int,
                    J: int) -> BlockMassMatrix:
     """Product-measure block matrix: every block carries the product of the
@@ -217,10 +234,7 @@ def product_blocks(spec_a: ConstructionSpec, spec_b: ConstructionSpec, j: int,
     and light_blocks' test cost O(h_a + h_b), not O(h_a h_b): all blocks
     are light or none is.  Walking the blocks is left to the listings.
     """
-    _check_resolution(j, J)
-    sa, sb = build_stage(spec_a, j), build_stage(spec_b, j)
-    if (lags := sa.height + sb.height - 1) > MAX_TABLE:
-        raise SpecError(f"{lags} lags requested, more than the limit of {MAX_TABLE}")
+    sa, sb = _product_stages(spec_a, spec_b, j, J)
     Ma, Mb = build_stage(spec_a, J).total, build_stage(spec_b, J).total
     masses = BlockMasses(sa.height, sb.height, dict.fromkeys(range(1 - sa.height, sb.height), 1),
                          sa.width / Ma * sb.width / Mb, True)
@@ -489,7 +503,7 @@ def columns_and_F(m: BlockMassMatrix, delta: RationalLike, w: int,
     if len(set(shifts)) != len(shifts):
         raise SpecError("shift set has duplicates")
     _check_shifts(m, i_max, shifts)
-    members = tuple(BlockIndex(w + i, i) for i in range(i_max + 1))
+    members = tuple(map(tuple.__new__, repeat(BlockIndex), zip(count(w), range(i_max + 1))))
     per_shift = {h: m.masses.count_of((z1, z2 + h) for z1, z2 in members)
                  for h in sorted(shifts)}
     total = sum(per_shift.values())

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from decimal import ROUND_HALF_EVEN, Context
 from fractions import Fraction
+from functools import cache
 from hashlib import sha256
 from json.encoder import encode_basestring_ascii
 from math import gcd
@@ -28,7 +29,7 @@ from operator import attrgetter
 from typing import Dict, Iterable, Iterator, NamedTuple, Sequence, Tuple, Union
 
 from . import __version__
-from .construction import ConstructionSpec, TowerStage, build_stage
+from .construction import ConstructionSpec, build_stage
 from .errors import SpecError
 from .measure import BoundSeries, MeasureBound, as_fraction
 
@@ -73,6 +74,7 @@ def approx_str(x: Union[Fraction, int]) -> str:
     return str(_APPROX_CTX.divide(*_FRACTION_INTS(as_fraction(x))))
 
 
+@cache  # one sha256 per spec: grows as construction._STAGES does
 def spec_hash(spec: ConstructionSpec) -> str:
     return sha256(spec.canonical_json().encode()).hexdigest()[:16]
 
@@ -205,26 +207,15 @@ def render_table(table: Table, fmt: str) -> str:
 
 # ------------------------------------------------------------- stage records
 
-def _stage_record(st: TowerStage) -> Dict[str, object]:
-    return {
-        "stage": st.stage,
-        "height": st.height,
-        "width": frac_str(st.width),
-        "total": frac_str(st.total),
-        "cut": st.cut,
-        "spacers": list(st.spacers) if st.spacers is not None else None,
-        "offsets": list(st.offsets) if st.offsets is not None else None,
-        "spacer_cum": list(st.spacer_cum) if st.spacer_cum is not None else None,
-        "spacer_zone_lo": frac_str(st.prev.total) if st.prev is not None else None,
-    }
-
-
 def dump_stage(spec: ConstructionSpec, J: int) -> str:
-    """Serialize stages 1..J with exact rationals."""
+    """Serialize stages 1..J with exact rationals; a stage's tuples print as lists."""
     build_stage(spec, J)  # a J past the stage budget is refused before any stage is built
-    stages = [_stage_record(build_stage(spec, j)) for j in range(1, J + 1)]
-    doc = {"format": STAGE_FORMAT, "tool_version": __version__,
-           "spec": json.loads(spec.canonical_json()),
-           "spec_hash": spec_hash(spec), "J": J, "stages": stages}
-    return _render(doc)
+    stages = [{"stage": st.stage, "height": st.height, "width": frac_str(st.width),
+               "total": frac_str(st.total), "cut": st.cut, "spacers": st.spacers,
+               "offsets": st.offsets, "spacer_cum": st.spacer_cum,
+               "spacer_zone_lo": st.prev and frac_str(st.prev.total)}
+              for st in (build_stage(spec, j) for j in range(1, J + 1))]
+    return _render({"format": STAGE_FORMAT, "tool_version": __version__,
+                    "spec": json.loads(spec.canonical_json()),
+                    "spec_hash": spec_hash(spec), "J": J, "stages": stages})
 

@@ -708,8 +708,11 @@ def test_preset_name_file_and_classmethod_agree(tmp_path, name):
 @pytest.mark.parametrize("token", ["odometer", "chacon", "random:7", "file"])
 def test_stage_budget_builds_the_spec_once(tmp_path, monkeypatch, token):
     # the budget goes into the spec data: one spec built and validated,
-    # equal to the unbudgeted spec with its max_stage replaced
-    if token == "file":
+    # equal to the unbudgeted spec with its max_stage replaced.  A name is
+    # then resolved from the memo, the same object; a file is read again
+    monkeypatch.setattr(cli, "_SPECS", {})
+    named = token != "file"
+    if not named:
         token = str(tmp_path / "spec.json")
         Path(token).write_text(ConstructionSpec.staircase(h1=3).canonical_json())
     want = dataclasses.replace(load_spec(token), max_stage=7)
@@ -717,8 +720,38 @@ def test_stage_budget_builds_the_spec_once(tmp_path, monkeypatch, token):
     post_init = ConstructionSpec.__post_init__
     monkeypatch.setattr(ConstructionSpec, "__post_init__",
                         lambda self: built.append(1) or post_init(self))
-    assert load_spec(token, 7) == want
+    first = load_spec(token, 7)
+    assert first == want
     assert len(built) == 1
+    again = load_spec(token, 7)
+    assert again == want and (again is first) == named
+    assert len(built) == 1 + (not named)
+
+
+def test_spec_memo_rereads_files_and_stores_no_refusal(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_SPECS", {})
+    # a spec file is read again on every call: its bytes can change
+    sf = tmp_path / "spec.json"
+    sf.write_text(ConstructionSpec.staircase(h1=3).canonical_json())
+    assert load_spec(str(sf)) == ConstructionSpec.staircase(h1=3)
+    sf.write_text(ConstructionSpec.staircase(h1=4).canonical_json())
+    assert load_spec(str(sf)) == ConstructionSpec.staircase(h1=4)
+    # a file named as a preset wins over the stored preset, and only while it exists
+    stored = load_spec("staircase")
+    monkeypatch.chdir(tmp_path)
+    Path("staircase").write_text(ConstructionSpec.odometer().canonical_json())
+    assert load_spec("staircase") == ConstructionSpec.odometer()
+    Path("staircase").unlink()
+    assert load_spec("staircase") is stored
+    # a refusal is never stored: refused again, in the same words
+    for token, budget, message in (
+            ("random:x", None, "bad random spec 'random:x', expected random:SEED"),
+            ("odometer", 0, "--stage-budget must be >= 1")):
+        for _ in range(2):
+            with pytest.raises(SpecError) as exc:
+                load_spec(token, budget)
+            assert str(exc.value) == message
+    assert list(cli._SPECS) == [("staircase", None)]
 
 
 def test_stage_budget_refused_after_the_spec(tmp_path):

@@ -245,6 +245,14 @@ CAPPED = [
 ]
 
 
+def test_product_di_refuses_every_stage_before_any_matrix():
+    # stage 11's lag count is refused before stage 10's 2,437,919-lag matrix
+    # (269 MB) is built: the whole run fits in a quarter of the 1 GB cap
+    argv = dict((row[0], row[1]) for row in CAPPED)["di_product_staircase_10_11"]
+    proc, _ = run_capped(["-m", "rankone.cli", *argv], cap_mb=256)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {_LAGS_11}\n")
+
+
 @pytest.mark.parametrize("argv, line", [row[1:] for row in CAPPED],
                          ids=[row[0] for row in CAPPED])
 def test_oversized_request_exits_2_in_a_capped_child(argv, line):

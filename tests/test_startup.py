@@ -6,6 +6,7 @@ Module sets are read in a fresh interpreter per case (`run_capped`), since
 the test process has long loaded every module.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -202,3 +203,81 @@ def test_leaf_parse_matches_the_full_tree(tree, head, tokens):
 
 def test_leaves_are_every_command():
     assert sorted(cli.build_parser().leaves) == sorted(LEAVES)
+
+
+# --------------------------------------------- direct read of exact flags
+
+FLAG_EDITS = ["bad int", "bad choice", "repeat", "flag=value", "abbreviation",
+              "negative", "drop required", "odd token"]
+
+
+LEAF_TREE = cli.build_parser()
+
+
+def _store_flags(leaf):
+    return [a for a in leaf._actions if type(a) is argparse._StoreAction]
+
+
+def _value(draw, a):
+    if a.choices is not None:
+        return draw(st.sampled_from(list(a.choices)))
+    if a.type is int:
+        return str(draw(st.integers(0, 40)))
+    return draw(st.sampled_from(["odometer", "1/3", "0,1", "7", "a b", "", "x=1"]))
+
+
+@st.composite
+def leaf_argv(draw):
+    """A leaf's command words and every required flag with a valid value,
+    a sample of its optional flags, in any order; then at most one edit."""
+    words = draw(st.sampled_from(LEAVES))
+    acts = _store_flags(LEAF_TREE.leaves[words])
+    chosen = [a for a in acts if a.required or draw(st.booleans())]
+    pairs = draw(st.permutations([[draw(st.sampled_from(a.option_strings)), _value(draw, a)]
+                                  for a in chosen]))
+    edit = draw(st.one_of(st.none(), st.sampled_from(FLAG_EDITS)))
+    of = {flag: a for a in acts for flag in a.option_strings}
+    ints = [p for p in pairs if of[p[0]].type is int]
+    choices = [p for p in pairs if of[p[0]].choices is not None]
+    required = [p for p in pairs if of[p[0]].required]
+    if edit == "bad int" and ints:
+        draw(st.sampled_from(ints))[1] = draw(st.sampled_from(["x", "1.5", "", "0x1"]))
+    elif edit == "bad choice" and choices:
+        draw(st.sampled_from(choices))[1] = "bogus"
+    elif edit == "repeat" and pairs:
+        flag = draw(st.sampled_from(pairs))[0]
+        pairs.append([flag, _value(draw, of[flag])])
+    elif edit == "flag=value" and pairs:
+        i = draw(st.integers(0, len(pairs) - 1))
+        pairs[i] = ["=".join(pairs[i])]
+    elif edit == "abbreviation" and pairs:
+        p = draw(st.sampled_from(pairs))
+        p[0] = p[0][:draw(st.integers(2, len(p[0]) - 1))] if len(p[0]) > 2 else p[0]
+    elif edit == "negative" and pairs:
+        p = draw(st.sampled_from(pairs))
+        p[1] = "-" + (str(draw(st.integers(0, 9))) if of[p[0]].type is int
+                      else draw(st.sampled_from(["1", "1/3", "x", "1 2", ""])))
+    elif edit == "drop required" and required:
+        pairs.remove(draw(st.sampled_from(required)))
+    elif edit == "odd token":
+        pairs.append([draw(st.sampled_from(["x", "--spec", "-h", "--", "-1"]))])
+    return [*words, *(t for p in pairs for t in p)]
+
+
+def test_flag_read_matches_the_full_tree():
+    # against a second tree's parse_args, as outcome compares them; the
+    # parse tree's own parse_args is wrapped to count the fallbacks
+    tree, oracle, fell_back, read = cli.build_parser(), cli.build_parser(), [], []
+    parse_args = tree.parse_args
+    tree.parse_args = lambda argv: fell_back.append(1) or parse_args(argv)
+
+    @settings(max_examples=300, deadline=None)
+    @given(leaf_argv())
+    def check(argv):
+        before = len(fell_back)
+        assert outcome(lambda a: cli.parse(tree, a), argv) == outcome(oracle.parse_args, argv)
+        read.append(len(fell_back) == before)
+
+    check()
+    assert len(read) >= 300
+    assert 3 * sum(read) >= len(read), f"{sum(read)} of {len(read)} read directly"
