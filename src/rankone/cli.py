@@ -131,23 +131,20 @@ def _require(args: argparse.Namespace, names: Sequence[str], context: str) -> No
 
 # ----------------------------------------------------------------- matrices
 
-def matrix_from_args(args: argparse.Namespace, j: Optional[int] = None,
-                     stages: Sequence[int] = ()) -> BlockMassMatrix:
+def matrix_from_args(args: argparse.Namespace, j: Optional[int] = None) -> BlockMassMatrix:
     """Build the block-mass matrix a subcommand asked for.
 
     product needs --spec-a/--spec-b, graph --spec/--k, and empirical, the one
     other --kind argparse lets through, --spec-a/--spec-b/--x-a/--x-b/-N.
-    The stage defaults to --j but a sweep gives it, with all its stages.
+    The stage defaults to --j but a sweep gives it.
     """
-    from .joinings import _product_stages, empirical_joining, graph_blocks, product_blocks
+    from .joinings import empirical_joining, graph_blocks, product_blocks
     j = args.j if j is None else j
     budget = args.stage_budget
     if args.kind == "product":
         _require(args, ["spec_a", "spec_b"], "--kind product")
-        a, b = load_spec(args.spec_a, budget), load_spec(args.spec_b, budget)
-        for k in stages:  # every swept stage's lag count, before any matrix is built
-            _product_stages(a, b, k, args.res)
-        return product_blocks(a, b, j, args.res)
+        return product_blocks(load_spec(args.spec_a, budget), load_spec(args.spec_b, budget),
+                              j, args.res)
     if args.kind == "graph":
         _require(args, ["spec", "k"], "--kind graph")
         return graph_blocks(load_spec(args.spec, budget), args.k, j, args.res)
@@ -287,7 +284,7 @@ def cmd_joining_di(args: argparse.Namespace) -> str:
         raise SpecError("--epsilons is empty")
     reports, grid = [], []
     for j in stages:
-        m = matrix_from_args(args, j=j, stages=stages)
+        m = matrix_from_args(args, j=j)
         for eps in epsilons:
             rep = light_blocks(m, eps)
             reports.append(rep)
@@ -323,6 +320,7 @@ def cmd_joining_disperse(args: argparse.Namespace) -> str:
 
 
 def cmd_joining_trivialize(args: argparse.Namespace) -> str:
+    from .averaging import flatness
     from .joinings import columns_and_F, trivialization_check
     m = matrix_from_args(args)
     F = columns_and_F(m, parse_frac(args.delta), args.w,
@@ -335,8 +333,8 @@ def cmd_joining_trivialize(args: argparse.Namespace) -> str:
             "gap": frac_str(rec.gap), "gap_approx": approx_str(rec.gap),
             "display_sum": rec.display_sum and bound_json(rec.display_sum),
             "display_gap": rec.display_gap and bound_json(rec.display_gap),
-            "weight_flatness": frac_str(rec.weight_flatness),
-            "escape_slack": frac_str(rec.escape_slack),
+            "weight_flatness": frac_str(flatness(F.weights, 0)),
+            "escape_slack": frac_str(rec.display_sum.width if rec.display_sum else 0),
             "nu_F": frac_str(F.nu_F)}
     return render_json(data, **matrix_meta(m, command="joining trivialize", k_cond=args.k2)) + "\n"
 

@@ -233,6 +233,11 @@ class ConstructionSpec(_Rule):
     preset: str = "custom"
 
     def __post_init__(self):
+        if self.preset not in ("custom", *PRESETS):  # only a str equals a name
+            raise SpecError(f"unknown preset: {self.preset!r}")
+        for rule in (CutRule, SpacerRule):
+            if not isinstance(value := getattr(self, rule.json_name), rule):
+                object.__setattr__(self, rule.json_name, rule.from_json(value))
         _check_int("h1", self.h1, 1)
         _check_int("max_stage", self.max_stage, 1)
         if self.seed is not None:
@@ -283,16 +288,12 @@ class ConstructionSpec(_Rule):
         if unknown := sorted(map(repr, data.keys() - cls.__match_args__)):
             raise SpecError(f"unknown spec key: {', '.join(unknown)}")
         preset = data.get("preset", "custom")
-        if preset not in ("custom", *PRESETS):  # only a str equals a name
-            raise SpecError(f"unknown preset: {preset!r}")
-        merged = {**PRESETS.get(preset, {}), **data}
+        merged = {**(PRESETS.get(preset, {}) if isinstance(preset, str) else {}), **data}
         if "cut_rule" not in merged or "spacer_rule" not in merged:
             raise SpecError("spec needs cut_rule and spacer_rule (or a known preset)")
         if "h1" not in merged:
             raise SpecError("spec needs h1 (or a known preset)")
-        return cls(**{**merged, "preset": preset,
-                      "cut_rule": CutRule.from_json(merged["cut_rule"]),
-                      "spacer_rule": SpacerRule.from_json(merged["spacer_rule"])})
+        return cls(**merged)
 
 
 class TowerStage:

@@ -18,14 +18,14 @@ from collections.abc import Mapping
 from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, count, repeat
+from itertools import chain, repeat
 from operator import add, mul
 from sys import byteorder
 from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple, Union)
 
-from .averaging import WeightSequence, flatness
-from .construction import ConstructionSpec, LevelSet, TowerStage, build_stage
+from .averaging import WeightSequence
+from .construction import ConstructionSpec, LevelSet, build_stage
 from .errors import EmptyFSetError, SpecError
 from .measure import IntervalSet, MeasureBound, RationalLike, as_fraction
 from .stats import _check_resolution, _classes, _measure, _stage_counts
@@ -59,21 +59,27 @@ class BlockIndex(NamedTuple):
 class BlockMasses(Mapping):
     """The masses of an h_a x h_b block grid as integer counts of one
     `unit`, the mass of one count: by lag, counts is {z2 - z1: n} and every
-    block on lag d has count n; by block, it is {BlockIndex: n} in
-    row-major order.
+    block on lag d has count n, or range(1 - h_a, h_b) for count 1 on every
+    block; by block, it is {BlockIndex: n} in row-major order.
 
     A read-only Mapping from BlockIndex to Fraction over the counted blocks:
     [], get, `in` and len are O(1); iteration and items go in row-major
     order, which is sorted order.  size, the counted blocks, and total, the
-    count summed over them, are summed once, in O(keys).
+    count summed over them, are summed once, in O(keys), or O(1) for a range.
     """
 
     __slots__ = ("h_a", "h_b", "counts", "unit", "by_lag", "size", "total")
 
-    def __init__(self, h_a: int, h_b: int, counts: Dict, unit: Fraction, by_lag: bool):
+    def __init__(self, h_a: int, h_b: int, counts: Union[Dict, range], unit: Fraction,
+                 by_lag: bool):
         self.h_a, self.h_b, self.counts, self.unit, self.by_lag = h_a, h_b, counts, unit, by_lag
-        ns = counts.values()
-        if by_lag:
+        ns = (1,) if (whole := isinstance(counts, range)) else counts.values()
+        if whole:
+            if not by_lag or counts != range(1 - h_a, h_b):
+                raise SpecError(f"a range of counts must be the grid's lags, "
+                                f"range({1 - h_a}, {h_b})")
+            self.size, self.total, on_grid = h_a * h_b, h_a * h_b, True
+        elif by_lag:
             # lag d covers h_a + d blocks below min(0, h_b - h_a), h_b - d
             # above max(0, h_b - h_a) and min(h_a, h_b) between: none off the grid
             lo, hi, mid = min(0, h_b - h_a), max(0, h_b - h_a), min(h_a, h_b)
@@ -96,7 +102,8 @@ class BlockMasses(Mapping):
         raise KeyError(z)
 
     def __getitem__(self, z) -> Fraction:
-        return self.unit * self.counts[self.key(z)]
+        key = self.key(z)
+        return self.unit if isinstance(self.counts, range) else self.unit * self.counts[key]
 
     def __iter__(self) -> Iterator[BlockIndex]:
         if not (self.by_lag and self.counts):
@@ -109,12 +116,23 @@ class BlockMasses(Mapping):
     def count_of(self, blocks: Iterable[Tuple[int, int]]) -> int:
         """The counts of the blocks summed, repeats included, 0 off the grid."""
         counts, h_a, h_b, lag = self.counts, self.h_a, self.h_b, self.by_lag
+        if isinstance(counts, range):  # count 1 on every block of the grid
+            return sum(0 <= z1 < h_a and 0 <= z2 < h_b for z1, z2 in blocks)
         return sum(counts.get(z2 - z1 if lag else (z1, z2), 0) for z1, z2 in blocks
                    if 0 <= z1 < h_a and 0 <= z2 < h_b)
+
+    def column_count(self, rows: Sequence[int], w: int, h: int) -> int:
+        """The counts of the on-grid blocks (w + i, h + i), i in rows: O(1) by lag."""
+        if self.by_lag:
+            return len(rows) * (1 if isinstance(self.counts, range) else self.counts.get(h - w, 0))
+        return sum(map(self.counts.get, zip(map(w.__add__, rows), map(h.__add__, rows)),
+                       repeat(0)))
 
     def items(self) -> Iterator[Tuple[BlockIndex, Fraction]]:
         """(block, mass) in row-major order, one Fraction per distinct count."""
         counts = self.counts
+        if isinstance(counts, range):
+            return zip(self, repeat(self.unit))
         mass = {n: self.unit * n for n in set(counts.values())}
         if not self.by_lag:
             return zip(counts, map(mass.__getitem__, counts.values()))
@@ -123,7 +141,7 @@ class BlockMasses(Mapping):
     def _rows(self, of_lag: Optional[Dict[int, Fraction]] = None) -> Iterator[Iterator]:
         """By lag, row z1's blocks (z1, z1 + d), d = -z1 .. h_b - 1 - z1 in counts,
         made at C level, each zipped with of_lag[d] if given; row by row."""
-        lags, h_b = sorted(self.counts), self.h_b
+        lags, h_b = self.counts if isinstance(self.counts, range) else sorted(self.counts), self.h_b
         for z1 in range(self.h_a):
             ds = lags[bisect_left(lags, -z1):bisect_left(lags, h_b - z1)]
             row = map(tuple.__new__, repeat(BlockIndex), zip(repeat(z1), map(z1.__add__, ds)))
@@ -142,9 +160,9 @@ class LightBlocks(Mapping):
         self.masses, self.heavy = masses, heavy
 
     def __getitem__(self, z) -> Fraction:
-        if (key := self.masses.key(z)) in self.heavy.counts:
+        if self.masses.key(z) in self.heavy.counts:
             raise KeyError(z)
-        return self.masses.unit * self.masses.counts.get(key, 0)
+        return self.masses.get(z, Fraction(0))
 
     def __iter__(self) -> Iterator[BlockIndex]:
         return (BlockIndex(z1, z2) for z1, z2s in self.rows() for z2 in z2s)
@@ -174,7 +192,7 @@ class BlockMassMatrix:
     norm_a / norm_b are the ambient measures used to normalize each side.
     The rest is derived: h_a x h_b, the masses' grid, is the two towers'
     stage-j grid; level_mass_a / _b are the stage-j widths over the norms,
-    and base_mass, the light-block threshold's scale, is level_mass_b.
+    and level_mass_b is the light-block threshold's scale.
     """
 
     kind: str
@@ -190,7 +208,6 @@ class BlockMassMatrix:
     residual: Fraction = field(init=False)
     level_mass_a: Fraction = field(init=False)
     level_mass_b: Fraction = field(init=False)
-    base_mass: Fraction = field(init=False)
 
     def __post_init__(self):
         if self.kind not in ("product", "graph", "empirical"):
@@ -200,9 +217,9 @@ class BlockMassMatrix:
             raise SpecError(f"a {m.h_a} x {m.h_b} block grid on {sa.height} x {sb.height} towers")
         if (residual := 1 - m.unit * m.total) < 0:
             raise SpecError(f"block masses sum to {1 - residual}, more than 1")
-        lb = sb.width / self.norm_b  # set past the frozen __setattr__, once
-        self.__dict__.update(h_a=sa.height, h_b=sb.height, residual=residual,
-                             level_mass_a=sa.width / self.norm_a, level_mass_b=lb, base_mass=lb)
+        self.__dict__.update(h_a=sa.height, h_b=sb.height, residual=residual,  # past the frozen
+                             level_mass_a=sa.width / self.norm_a,  # __setattr__, once
+                             level_mass_b=sb.width / self.norm_b)
 
     def mass_of(self, blocks: Iterable[Tuple[int, int]]) -> Fraction:
         """Total mass of the blocks, each counted as often as given, none
@@ -210,18 +227,8 @@ class BlockMassMatrix:
         return self.masses.unit * self.masses.count_of(blocks)
 
 
-# Lags a product matrix or blocks a flow band may hold: staircase j = 10 has 2,437,919 lags.
+# Rows a column walk or blocks a flow band may hold: staircase j = 10, delta 1/2 has 609,481 rows.
 MAX_TABLE = 1 << 22
-
-
-def _product_stages(spec_a: ConstructionSpec, spec_b: ConstructionSpec, j: int,
-                    J: int) -> Tuple[TowerStage, TowerStage]:
-    """Both stage-j towers of a product matrix, or product_blocks' refusal."""
-    _check_resolution(j, J)
-    sa, sb = build_stage(spec_a, j), build_stage(spec_b, j)
-    if (lags := sa.height + sb.height - 1) > MAX_TABLE:
-        raise SpecError(f"{lags} lags requested, more than the limit of {MAX_TABLE}")
-    return sa, sb
 
 
 def product_blocks(spec_a: ConstructionSpec, spec_b: ConstructionSpec, j: int,
@@ -230,13 +237,15 @@ def product_blocks(spec_a: ConstructionSpec, spec_b: ConstructionSpec, j: int,
     two level measures; the residual is the mass of the product space off
     the stage-j tower product.
 
-    Every lag has count 1 of unit per, so building the matrix, checking it
-    and light_blocks' test cost O(h_a + h_b), not O(h_a h_b): all blocks
-    are light or none is.  Walking the blocks is left to the listings.
+    Every block has count 1 of unit per: the counts are the grid's lag
+    range, so building the matrix, checking it and light_blocks' test cost
+    O(1): all blocks are light or none is.  Walking the blocks is left to
+    the listings.
     """
-    sa, sb = _product_stages(spec_a, spec_b, j, J)
+    _check_resolution(j, J)
+    sa, sb = build_stage(spec_a, j), build_stage(spec_b, j)
     Ma, Mb = build_stage(spec_a, J).total, build_stage(spec_b, J).total
-    masses = BlockMasses(sa.height, sb.height, dict.fromkeys(range(1 - sa.height, sb.height), 1),
+    masses = BlockMasses(sa.height, sb.height, range(1 - sa.height, sb.height),
                          sa.width / Ma * sb.width / Mb, True)
     return BlockMassMatrix(kind="product", j=j, masses=masses, norm_a=Ma, norm_b=Mb,
                            spec_a=spec_a, spec_b=spec_b, meta={"J": J})
@@ -365,10 +374,12 @@ def light_blocks(m: BlockMassMatrix, epsilon: RationalLike) -> LightBlockReport:
     eps = as_fraction(epsilon)
     if eps <= 0:
         raise SpecError("epsilon must be positive")
-    masses, (a, b), (p, q) = m.masses, eps.as_integer_ratio(), m.base_mass.as_integer_ratio()
-    # the least count n with n * unit >= eps * base_mass
+    masses, (a, b), (p, q) = m.masses, eps.as_integer_ratio(), m.level_mass_b.as_integer_ratio()
+    # the least count n with n * unit >= eps * level_mass_b
     bound = -(-a * p * masses.unit.denominator // (b * q * masses.unit.numerator))
-    heavy = BlockMasses(m.h_a, m.h_b, {key: n for key, n in masses.counts.items() if n >= bound},
+    counts = masses.counts
+    heavy = BlockMasses(m.h_a, m.h_b, (counts if bound <= 1 else {}) if isinstance(counts, range)
+                        else {key: n for key, n in counts.items() if n >= bound},
                         masses.unit, masses.by_lag)
     return LightBlockReport(epsilon=eps, j=m.j, kind=m.kind,
                             light_set=LightBlocks(masses, heavy),
@@ -465,19 +476,21 @@ def dispersion_experiment(spec_a: ConstructionSpec, spec_b: ConstructionSpec,
 @dataclass(frozen=True)
 class FSetSpec:
     """Union of vertical translates of the column of blocks (w+i, i),
-    i = 0..floor(delta*h_j), with the joining-derived weights over the
-    shift set."""
+    i = 0..i_max = floor(delta*h_j), all on lag -w, with the joining-derived
+    weights over the shift set."""
 
     delta: Fraction
     w: int
-    members: Tuple[BlockIndex, ...]
+    i_max: int
     shifts: Tuple[int, ...]
     nu_F: Fraction
     weights: WeightSequence
-    weight_flatness: Fraction
 
 
-def _check_shifts(m: BlockMassMatrix, i_max: int, shifts: Iterable[int]) -> None:
+def _check_column(m: BlockMassMatrix, i_max: int, shifts: Iterable[int]) -> None:
+    """Refuse a column past MAX_TABLE rows, before any walk, or shifted out of the tower."""
+    if i_max + 1 > MAX_TABLE:
+        raise SpecError(f"{i_max + 1} column rows requested, more than the limit of {MAX_TABLE}")
     for h in shifts:
         if h < 0 or i_max + h > m.h_b - 1:
             raise SpecError(f"shift h={h} pushes the column out of the second "
@@ -488,7 +501,7 @@ def columns_and_F(m: BlockMassMatrix, delta: RationalLike, w: int,
                   shifts: Sequence[int]) -> FSetSpec:
     """Assemble F = union over h in shifts of the column (w+i, i),
     i = 0..floor(delta*h_j), translated up by h, with weights a_h
-    proportional to each translate's joining mass."""
+    proportional to each translate's joining mass, all on lag h - w."""
     d = as_fraction(delta)
     if not (0 < d < 1):
         raise SpecError("delta must lie strictly between 0 and 1")
@@ -502,35 +515,26 @@ def columns_and_F(m: BlockMassMatrix, delta: RationalLike, w: int,
         raise SpecError("shift set must be nonempty")
     if len(set(shifts)) != len(shifts):
         raise SpecError("shift set has duplicates")
-    _check_shifts(m, i_max, shifts)
-    members = tuple(map(tuple.__new__, repeat(BlockIndex), zip(count(w), range(i_max + 1))))
-    per_shift = {h: m.masses.count_of((z1, z2 + h) for z1, z2 in members)
-                 for h in sorted(shifts)}
+    _check_column(m, i_max, shifts)
+    per_shift = {h: m.masses.column_count(range(i_max + 1), w, h) for h in sorted(shifts)}
     total = sum(per_shift.values())
     if total == 0:
         raise EmptyFSetError(
             f"F set carries no joining mass (column w={w}, "
             f"shifts {sorted(shifts)})")
-    weights = WeightSequence(per_shift.items(), total)
-    return FSetSpec(delta=d, w=w, members=members, shifts=tuple(sorted(shifts)),
-                    nu_F=m.masses.unit * total, weights=weights,
-                    weight_flatness=flatness(weights, 0))
+    return FSetSpec(delta=d, w=w, i_max=i_max, shifts=tuple(sorted(shifts)),
+                    nu_F=m.masses.unit * total, weights=WeightSequence(per_shift.items(), total))
 
 
 @dataclass(frozen=True)
 class TrivializationRecord:
-    """Both sides of the conditional product test, with the two-path display
-    evaluation and its enclosure."""
+    """The conditional product test's sides and its display, whose width is the escape slack."""
 
-    j: int
-    k: int
     conditional: Fraction
     reference: Fraction
     gap: Fraction
     display_sum: Optional[MeasureBound]
     display_gap: Optional[MeasureBound]
-    weight_flatness: Fraction
-    escape_slack: Fraction
 
 
 def trivialization_check(m: BlockMassMatrix, F: FSetSpec, A: Union[IntervalSet, LevelSet],
@@ -546,25 +550,25 @@ def trivialization_check(m: BlockMassMatrix, F: FSetSpec, A: Union[IntervalSet, 
     display fields are None when the base column itself carries no mass.
 
     One walk: A's and B's stage-j level bitsets are decoded once into a
-    string of one "0" or "1" per level; the column blocks (z1, z2) with z1
-    in A are picked once, and for each shift h the hit list of those with
-    z2 + h in B.  Its blocks shifted by h give the conditional and the
-    empirical display, the exact whole-block transport (within-tower shifts
-    lose no orbit mass).  Product and graph displays count its unshifted
-    blocks and widen by the escape, w_J each: the levels of B below h,
-    which T^{-h} pushes off the bottom copy when a block is picked, and
-    for graph matrices the occurrences of each hit block's level z2 that
-    T^k pushes off, read from stats._stage_counts' escape on E_j = (j, 1).
+    string of one "0" or "1" per level; the column rows i with w + i in A
+    are picked once, and for each shift h the hit rows with i + h in B.
+    Their blocks (w + i, i + h) give the conditional and the empirical
+    display, the exact whole-block transport (within-tower shifts lose no
+    orbit mass).  Product and graph displays count the blocks (w + i, i)
+    and widen by the escape, w_J each: the levels of B below h, which
+    T^{-h} pushes off the bottom copy when a block is picked, and for graph
+    matrices the occurrences of each hit level i that T^k pushes off, read
+    from stats._stage_counts' escape on E_j = (j, 1).
     """
     if not (1 <= k <= m.j):
         raise SpecError(f"need 1 <= k <= j, got k={k}, j={m.j}")
-    members = F.members
-    if any(not (0 <= z1 < m.h_a and 0 <= z2 < m.h_b) for z1, z2 in members):
+    w, i_max = F.w, F.i_max
+    if i_max >= 0 and not (0 <= w and w + i_max < m.h_a and i_max < m.h_b):
         raise SpecError(f"column blocks run out of the block grid "
                         f"(h_a={m.h_a}, h_b={m.h_b})")
     if F.nu_F <= 0 or not set(F.weights.support) <= set(F.shifts):
         raise SpecError("F needs nu_F > 0 and its weights on its own shifts")
-    _check_shifts(m, max((z2 for _, z2 in members), default=0), F.shifts)
+    _check_column(m, max(i_max, 0), F.shifts)
     levels = []
     for label, spec, S in (("A", m.spec_a, A), ("B", m.spec_b, B)):
         found = _classes(build_stage(spec, k), S)  # a union of levels is one class, or none
@@ -575,9 +579,9 @@ def trivialization_check(m: BlockMassMatrix, F: FSetSpec, A: Union[IntervalSet, 
         levels.append(format(bits, f"0{st.height}b")[::-1])  # level i is character i
     in_A, in_B = levels
 
-    count_of, unit = m.masses.count_of, m.masses.unit
-    n_C, ns = count_of(members), dict(F.weights.numerators)
-    sel = [bi for bi in members if in_A[bi.z1] == "1"]
+    column, unit = m.masses.column_count, m.masses.unit
+    n_C, ns = column(range(i_max + 1), w, 0), dict(F.weights.numerators)
+    sel = [i for i, a in enumerate(in_A[w:w + i_max + 1]) if a == "1"]
     wide = bool(n_C and sel) and m.kind != "empirical"  # the display has escapes to add
     if wide and m.kind == "graph":
         # escape[z2]: the occurrences p of E_j with p + z2 + k off the tower
@@ -586,18 +590,16 @@ def trivialization_check(m: BlockMassMatrix, F: FSetSpec, A: Union[IntervalSet, 
     # counts of the shifted hit blocks; weighted, of the displayed blocks and escapes
     cond = moved = out = 0
     for h in F.shifts:
-        hit = [bi for bi in sel if in_B[bi.z2 + h] == "1"]
-        cond += (n_hit := count_of((z1, z2 + h) for z1, z2 in hit))
+        hit = [i for i in sel if in_B[i + h] == "1"]
+        cond += (n_hit := column(hit, w, h))
         if n_h := ns.get(h):
-            moved += n_h * (n_hit if m.kind == "empirical" else count_of(hit))
+            moved += n_h * (n_hit if m.kind == "empirical" else column(hit, w, 0))
             out += wide and n_h * (in_B.count("1", 0, h)
-                                   + (m.kind == "graph" and sum(escape[z2] for _, z2 in hit)))
+                                   + (m.kind == "graph" and sum(escape[i] for i in hit)))
     conditional = unit * cond / F.nu_F
     reference = (_measure(m.spec_a, A) / m.norm_a) * (_measure(m.spec_b, B) / m.norm_b)
-    gap = abs(conditional - reference)
 
     display_sum = display_gap = None
-    slack = Fraction(0)
     if n_C:
         lo = hi = unit * moved / F.weights.den
         if out:
@@ -605,10 +607,8 @@ def trivialization_check(m: BlockMassMatrix, F: FSetSpec, A: Union[IntervalSet, 
             s = m.level_mass_a * w_J / m.norm_b if m.kind == "product" else w_J / m.norm_a
             hi += s * out / F.weights.den
         display_sum = MeasureBound(lo / (unit * n_C), hi / (unit * n_C))
-        slack = display_sum.width
         d0, d1 = display_sum.lo - conditional, display_sum.hi - conditional
         display_gap = MeasureBound(max(Fraction(0), d0, -d1), max(abs(d0), abs(d1)))
-    return TrivializationRecord(
-        j=m.j, k=k, conditional=conditional, reference=reference, gap=gap,
-        display_sum=display_sum, display_gap=display_gap,
-        weight_flatness=F.weight_flatness, escape_slack=slack)
+    return TrivializationRecord(conditional=conditional, reference=reference,
+                                gap=abs(conditional - reference),
+                                display_sum=display_sum, display_gap=display_gap)

@@ -21,7 +21,7 @@ import pytest
 
 import rankone
 from rankone import joinings, stats
-from rankone.averaging import WeightSequence, flatness
+from rankone.averaging import WeightSequence
 from rankone.construction import build_stage
 from rankone.errors import EmptyFSetError, SpecError
 from rankone.joinings import BlockIndex, FSetSpec, LightBlockReport, TrivializationRecord
@@ -72,7 +72,7 @@ def dict_light_blocks(d, epsilon):
     eps = as_fraction(epsilon)
     if eps <= 0:
         raise SpecError("epsilon must be positive")
-    threshold = eps * d.base_mass
+    threshold = eps * d.level_mass_b
     light = {z: x for z in map(BlockIndex._make, product(range(d.h_a), range(d.h_b)))
              if (x := d.masses.get(z, Fraction(0))) < threshold}
     return LightBlockReport(epsilon=eps, j=d.j, kind=d.kind, light_set=light,
@@ -82,7 +82,8 @@ def dict_light_blocks(d, epsilon):
 
 def column(d, delta, w):
     """(delta, the column blocks (w+i, i), i = 0..floor(delta*h_b)) of
-    columns_and_F, with its refusals of delta, w and the first tower."""
+    columns_and_F, with its refusals of delta, w and the first tower: the
+    tuple walk that FSetSpec's (w, i_max) replaced."""
     delta = as_fraction(delta)
     if not (0 < delta < 1):
         raise SpecError("delta must lie strictly between 0 and 1")
@@ -95,13 +96,18 @@ def column(d, delta, w):
     return delta, tuple(BlockIndex(w + i, i) for i in range(i_max + 1))
 
 
+def column_blocks(F):
+    """F's column blocks (w+i, i), i = 0..i_max, as a tuple."""
+    return tuple(BlockIndex(F.w + i, i) for i in range(F.i_max + 1))
+
+
 def dict_columns_and_F(d, delta, w, shifts):
     delta, members = column(d, delta, w)
     if not shifts:
         raise SpecError("shift set must be nonempty")
     if len(set(shifts)) != len(shifts):
         raise SpecError("shift set has duplicates")
-    joinings._check_shifts(d, members[-1].z2, shifts)
+    joinings._check_column(d, members[-1].z2, shifts)
     per_shift = {h: dict_mass_of(d, ((z1, z2 + h) for z1, z2 in members))
                  for h in sorted(shifts)}
     nu_F = sum(per_shift.values(), Fraction(0))
@@ -109,21 +115,22 @@ def dict_columns_and_F(d, delta, w, shifts):
         raise EmptyFSetError(f"F set carries no joining mass (column w={w}, "
                              f"shifts {sorted(shifts)})")
     weights = WeightSequence(tuple((h, v / nu_F) for h, v in per_shift.items()))
-    return FSetSpec(delta=delta, w=w, members=members, shifts=tuple(sorted(shifts)),
-                    nu_F=nu_F, weights=weights, weight_flatness=flatness(weights, 0))
+    return FSetSpec(delta=delta, w=w, i_max=members[-1].z2, shifts=tuple(sorted(shifts)),
+                    nu_F=nu_F, weights=weights)
 
 
 def dict_trivialization_check(d, F, A, B, k):
-    """trivialization_check over the dict, each mass sum a sum of Fractions."""
+    """trivialization_check over the dict, each mass sum a sum of Fractions,
+    walking the column as a tuple of blocks."""
     if not (1 <= k <= d.j):
         raise SpecError(f"need 1 <= k <= j, got k={k}, j={d.j}")
-    members = F.members
+    members = column_blocks(F)
     if any(not (0 <= z1 < d.h_a and 0 <= z2 < d.h_b) for z1, z2 in members):
         raise SpecError(f"column blocks run out of the block grid "
                         f"(h_a={d.h_a}, h_b={d.h_b})")
     if F.nu_F <= 0 or not set(F.weights.support) <= set(F.shifts):
         raise SpecError("F needs nu_F > 0 and its weights on its own shifts")
-    joinings._check_shifts(d, max((z2 for _, z2 in members), default=0), F.shifts)
+    joinings._check_column(d, max((z2 for _, z2 in members), default=0), F.shifts)
     in_sets = []
     for label, spec, S in (("A", d.spec_a, A), ("B", d.spec_b, B)):
         found = stats._classes(build_stage(spec, k), S)
@@ -138,7 +145,6 @@ def dict_trivialization_check(d, F, A, B, k):
     reference = (stats._measure(d.spec_a, A) / d.norm_a) * (stats._measure(d.spec_b, B) / d.norm_b)
     nu_C = dict_mass_of(d, members)
     display_sum = display_gap = None
-    slack = Fraction(0)
     if nu_C > 0:
         sel = [bi for bi in members if in_A >> bi.z1 & 1]
         if d.kind == "empirical":
@@ -161,13 +167,11 @@ def dict_trivialization_check(d, F, A, B, k):
                               + sum(escape[z2] for _, z2 in hit))
             hi = lo + s * out
         display_sum = MeasureBound(lo / nu_C, hi / nu_C)
-        slack = display_sum.width
         d0, d1 = display_sum.lo - conditional, display_sum.hi - conditional
         display_gap = MeasureBound(max(Fraction(0), d0, -d1), max(abs(d0), abs(d1)))
     return TrivializationRecord(
-        j=d.j, k=k, conditional=conditional, reference=reference,
-        gap=abs(conditional - reference), display_sum=display_sum,
-        display_gap=display_gap, weight_flatness=F.weight_flatness, escape_slack=slack)
+        conditional=conditional, reference=reference, gap=abs(conditional - reference),
+        display_sum=display_sum, display_gap=display_gap)
 
 
 def light_shifts(m, delta, w, epsilon=None, mass_threshold=None):
@@ -185,7 +189,7 @@ def light_shifts(m, delta, w, epsilon=None, mass_threshold=None):
     def ok(h):
         shifted = [m.mass_of([BlockIndex(z1, z2 + h)]) for z1, z2 in members]
         if epsilon is not None:
-            return max(shifted) < as_fraction(epsilon) * m.base_mass
+            return max(shifted) < as_fraction(epsilon) * m.level_mass_b
         return sum(shifted, Fraction(0)) < as_fraction(mass_threshold)
     return tuple(filter(ok, range(m.h_b - members[-1].z2)))
 

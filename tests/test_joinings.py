@@ -21,7 +21,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rankone import __version__, cli, joinings, stats
-from rankone.averaging import WeightSequence
+from rankone.averaging import WeightSequence, flatness
 from rankone.construction import ConstructionSpec, build_stage
 from rankone.errors import EmptyFSetError, OrbitEscaped, SpecError
 from rankone.flow import FlowSkeletonSpec, band_masses
@@ -44,9 +44,9 @@ from rankone.joinings import (
 from rankone.measure import set_intersection
 from rankone.persist import block_list, render_json
 from rankone.transform import Cursor, apply_power, power_image
-from helpers import (col_sum, delta_weights, dict_columns_and_F, dict_light_blocks,
-                     dict_mass_of, dict_matrix, dict_trivialization_check, light_shifts,
-                     row_sum, run_capped, total_block_mass)
+from helpers import (col_sum, column, column_blocks, delta_weights, dict_columns_and_F,
+                     dict_light_blocks, dict_mass_of, dict_matrix, dict_trivialization_check,
+                     light_shifts, row_sum, run_capped, total_block_mass)
 
 ODO = ConstructionSpec.odometer()
 ST2 = ConstructionSpec.staircase(h1=2)
@@ -65,7 +65,6 @@ def test_product_equal_masses_and_residual():
     assert m.residual == F(1, 2)
     assert m.level_mass_a == F(1, 3)
     assert m.level_mass_b == F(1, 4)
-    assert m.base_mass == F(1, 4)
 
 
 def test_product_covered_is_tower_mass_product():
@@ -100,12 +99,13 @@ def test_product_mass_accounting(spec_a, spec_b, j, extra):
 
 # ------------------------------------------ product masses against a dict
 
-def dense(m):
-    """The same matrix with its counts held by block, one key per counted
-    block, in row-major order."""
+def dense(m, by_lag=False):
+    """The same matrix with its counts held in a dict: by block, one key per
+    counted block in row-major order, or by lag, one key per counted lag."""
     u = m.masses
-    return dataclasses.replace(m, masses=BlockMasses(
-        m.h_a, m.h_b, {z: u.counts[u.key(z)] for z in u}, u.unit, False))
+    counts = ({d: 1 for d in u.counts} if by_lag else  # by lag, of a product's lag range
+              {z: (u[z] / u.unit).numerator for z in u})
+    return dataclasses.replace(m, masses=BlockMasses(m.h_a, m.h_b, counts, u.unit, by_lag))
 
 
 specs = st.one_of(st.sampled_from(PRESETS),
@@ -115,32 +115,42 @@ specs = st.one_of(st.sampled_from(PRESETS),
 @settings(max_examples=40, deadline=None)
 @given(specs, specs, st.integers(1, 4), st.integers(0, 2), st.data())
 def test_product_masses_match_dense_dict(spec_a, spec_b, j, extra, data):
+    # the range of the grid's lags against a dict of a 1 for every lag and
+    # a dict of a 1 for every block
     m = product_blocks(spec_a, spec_b, j, j + extra)
-    d = dense(m)
+    d, lagged = dense(m), dense(m, by_lag=True)
     u = m.masses
-    assert u.by_lag and u.counts == dict.fromkeys(range(1 - m.h_a, m.h_b), 1)
+    assert u.by_lag and u.counts == range(1 - m.h_a, m.h_b)
+    assert lagged.masses.counts == dict.fromkeys(range(1 - m.h_a, m.h_b), 1)
     assert not d.masses.by_lag and len(d.masses.counts) == m.h_a * m.h_b
-    assert len(u) == len(d.masses) == m.h_a * m.h_b
-    assert list(u) == list(d.masses) == sorted(d.masses)
-    assert u == d.masses and d.masses == u
-    assert list(u.items()) == list(d.masses.items()) == list(dict_matrix(m).masses.items())
+    assert len(u) == len(lagged.masses) == len(d.masses) == m.h_a * m.h_b
+    assert u.total == lagged.masses.total == d.masses.total == m.h_a * m.h_b
+    assert list(u) == list(lagged.masses) == list(d.masses) == sorted(d.masses)
+    assert u == d.masses and d.masses == u and u == lagged.masses
+    assert list(u.items()) == list(lagged.masses.items()) == list(d.masses.items()) == \
+        list(dict_matrix(m).masses.items())
     probes = [(z1, z2) for z1 in (-1, 0, m.h_a - 1, m.h_a)
               for z2 in (-1, 0, m.h_b - 1, m.h_b)]
     for z in probes + [(0,), (0, 0, 0), "00"]:
-        assert (z in u) == (z in d.masses)
-        assert u.get(z) == d.masses.get(z)
+        assert (z in u) == (z in lagged.masses) == (z in d.masses)
+        assert u.get(z) == lagged.masses.get(z) == d.masses.get(z)
+        if z in u:
+            assert u[z] == lagged.masses[z] == d.masses[z]
+    blocks = probes + [tuple(z) for z in u][:9] * 2
+    assert u.count_of(blocks) == lagged.masses.count_of(blocks) == d.masses.count_of(blocks)
     for z in probes:
         assert m.mass_of([BlockIndex(*z)]) == d.mass_of([BlockIndex(*z)])
     for z1 in range(-1, m.h_a + 1):
         assert row_sum(m, z1) == row_sum(d, z1)
     for z2 in range(-1, m.h_b + 1):
         assert col_sum(m, z2) == col_sum(d, z2)
-    # every block is light exactly when epsilon exceeds per / base_mass
-    at = u.unit / m.base_mass
+    # every block is light exactly when epsilon exceeds unit / level_mass_b
+    at = u.unit / m.level_mass_b
     for eps in (at / 2, at - at / 1000, at, at + at / 1000, 2 * at):
         rep = light_blocks(m, eps)
-        assert rep == light_blocks(d, eps)
+        assert rep == light_blocks(lagged, eps) == light_blocks(d, eps)
         assert len(rep.light_set) == (m.h_a * m.h_b if eps > at else 0)
+        assert list(rep.light_set.items()) == list(light_blocks(d, eps).light_set.items())
 
     delta = data.draw(st.sampled_from([F(1, 10), F(1, 4), F(1, 2)]))
     i_max = int(delta * m.h_b)
@@ -152,7 +162,8 @@ def test_product_masses_match_dense_dict(spec_a, spec_b, j, extra, data):
     shifts = data.draw(st.lists(st.integers(0, max(m.h_b - 1 - i_max, 0)),
                                 min_size=1, max_size=4, unique=True))
     fs = outcome(columns_and_F, m, delta, w, shifts)
-    assert fs == outcome(columns_and_F, d, delta, w, shifts)
+    assert fs == outcome(columns_and_F, d, delta, w, shifts) == \
+        outcome(columns_and_F, lagged, delta, w, shifts)
     if not isinstance(fs, tuple):
         k = data.draw(st.integers(1, j))
         sa, sb = build_stage(spec_a, k), build_stage(spec_b, k)
@@ -161,7 +172,7 @@ def test_product_masses_match_dense_dict(spec_a, spec_b, j, extra, data):
         B = sb.levels_set(data.draw(st.lists(st.integers(0, sb.height - 1),
                                              min_size=1, max_size=3, unique=True)))
         assert trivialization_check(m, fs, A, B, k) == \
-            trivialization_check(d, fs, A, B, k)
+            trivialization_check(d, fs, A, B, k) == trivialization_check(lagged, fs, A, B, k)
     fspec = FlowSkeletonSpec(spec_a, data.draw(st.integers(1, 2)),
                              data.draw(st.sampled_from([F(2), F(3, 2)])))
     for off in range(0, m.h_a, max(m.h_a // 4, 1)):
@@ -433,7 +444,7 @@ def test_dispersion_track_holds_2_bytes_a_tick(monkeypatch):
 # ---------------------------------------------------------------- light blocks
 
 def test_light_product_threshold_flip():
-    # every product block has mass level_mass_a * base_mass, so lightness
+    # every product block has mass level_mass_a * level_mass_b, so lightness
     # flips for the whole grid exactly when epsilon crosses level_mass_a
     m = product_blocks(ST2, ST3, 2, 4)
     at = light_blocks(m, m.level_mass_a)
@@ -531,7 +542,7 @@ def test_matrix_derives_grid_level_masses_and_residual(m):
     sa, sb = build_stage(m.spec_a, m.j), build_stage(m.spec_b, m.j)
     assert (m.h_a, m.h_b) == (sa.height, sb.height) == (m.masses.h_a, m.masses.h_b)
     assert m.level_mass_a == sa.width / m.norm_a
-    assert m.level_mass_b == m.base_mass == sb.width / m.norm_b
+    assert m.level_mass_b == sb.width / m.norm_b
     assert m.residual == 1 - m.masses.unit * m.masses.total >= 0
     assert m.residual == 1 - sum(m.masses.values(), F(0))
     # rebuilt from its own arguments, it derives the same fields
@@ -542,7 +553,7 @@ def test_matrix_derives_grid_level_masses_and_residual(m):
 @given(block_matrices(), st.data())
 def test_light_sets_match_dict_oracle(m, data):
     masses = set(m.masses.values())
-    at = data.draw(st.sampled_from(sorted(x / m.base_mass for x in masses | {F(1)} if x > 0)))
+    at = data.draw(st.sampled_from(sorted(x / m.level_mass_b for x in masses | {F(1)} if x > 0)))
     eps = at * data.draw(st.sampled_from([F(1, 2), F(999, 1000), F(1), F(1001, 1000), F(2)]))
     rep, oracle = light_blocks(m, eps), dict_light_blocks(m, eps)
     assert rep == oracle
@@ -601,8 +612,9 @@ def test_count_matrices_match_the_fraction_dict_route(m, data):
     for z in blocks:
         assert (z in m.masses) == (z in d.masses) and m.masses.get(z) == d.masses.get(z)
     # light blocks, with a count of the matrix on the threshold: such a block is heavy
-    n = data.draw(st.sampled_from(sorted({*m.masses.counts.values(), 1} - {0})))
-    at = m.masses.unit * n / m.base_mass
+    n = data.draw(st.sampled_from(sorted({*(x / m.masses.unit for x in m.masses.values()), 1}
+                                         - {0})))
+    at = m.masses.unit * n / m.level_mass_b
     for eps in (at, at * F(999, 1000), at * F(1001, 1000)):
         rep, oracle = light_blocks(m, eps), dict_light_blocks(d, eps)
         assert (rep.covered_mass, rep.heavy_count, len(rep.light_set)) == (
@@ -621,6 +633,8 @@ def test_count_matrices_match_the_fraction_dict_route(m, data):
     fs = outcome(columns_and_F, m, delta, w, shifts)
     assert fs == outcome(dict_columns_and_F, d, delta, w, shifts)
     if not isinstance(fs, tuple):
+        # (w, i_max) names the blocks the tuple walk lists
+        assert column_blocks(fs) == column(d, delta, w)[1]
         k = data.draw(st.integers(1, m.j))
         sa, sb = build_stage(m.spec_a, k), build_stage(m.spec_b, k)
         A, B = (s.levels_set(data.draw(st.lists(st.integers(0, s.height - 1),
@@ -692,7 +706,7 @@ def test_joining_di_graph_at_stage_7_in_a_capped_child():
     assert elapsed < 10.0, f"joining di took {elapsed:.2f} s"
     # the proxy from the graph matrices' own entries below each threshold
     ms = [graph_blocks(ST2, 1, j, 9) for j in (6, 7)]
-    proxy = min(max(sum((x for x in m.masses.values() if x < eps * m.base_mass), F(0))
+    proxy = min(max(sum((x for x in m.masses.values() if x < eps * m.level_mass_b), F(0))
                     for m in ms) for eps in (F(1, 2), F(1, 4)))
     assert json.loads(proc.stdout)["data"]["proxy"] == f"{proxy.numerator}/{proxy.denominator}"
 
@@ -1088,10 +1102,13 @@ def test_empirical_joining_wall_time():
 def test_column_members():
     m = product_blocks(ST2, ST3, 2, 4)
     fs = columns_and_F(m, F(1, 10), 0, [0])
-    assert fs.members == (BlockIndex(0, 0),)
+    assert (fs.w, fs.i_max) == (0, 0)
+    assert column_blocks(fs) == column(m, F(1, 10), 0)[1] == (BlockIndex(0, 0),)
     g = graph_blocks(ST2, 0, 3, 5)
     fs2 = columns_and_F(g, F(1, 2), 0, [0])
-    assert fs2.members == (BlockIndex(0, 0), BlockIndex(1, 1), BlockIndex(2, 2))
+    assert (fs2.w, fs2.i_max) == (0, 2)
+    assert column_blocks(fs2) == column(g, F(1, 2), 0)[1] == (
+        BlockIndex(0, 0), BlockIndex(1, 1), BlockIndex(2, 2))
 
 
 def test_column_validation():
@@ -1109,14 +1126,14 @@ def test_F_product_uniform_weights():
     fs = columns_and_F(m, F(1, 10), 0, [0, 1, 2])
     assert fs.nu_F == F(1, 4)
     assert fs.weights.weights == ((0, F(1, 3)), (1, F(1, 3)), (2, F(1, 3)))
-    assert fs.weight_flatness == F(1, 3)
+    assert flatness(fs.weights, 0) == F(1, 3)
 
 
 def test_F_single_shift_is_delta():
     m = product_blocks(ST2, ST3, 2, 4)
     fs = columns_and_F(m, F(1, 10), 0, [0])
     assert fs.weights == delta_weights(0)
-    assert fs.weight_flatness == 1
+    assert flatness(fs.weights, 0) == 1
 
 
 def test_F_graph_offdiagonal_empty():
@@ -1164,7 +1181,6 @@ def test_trivialization_product_frozen():
     assert rec.gap == F(1, 2)
     assert rec.display_sum.lo == F(2, 3) and rec.display_sum.hi == F(5, 6)
     assert rec.display_gap.lo == 0
-    assert rec.escape_slack == rec.display_sum.width
 
 
 def test_trivialization_product_display_brackets_conditional():
@@ -1206,7 +1222,6 @@ def test_trivialization_empirical_exact_display():
     assert rec.conditional == 1
     assert rec.display_sum.lo == rec.display_sum.hi == 1
     assert rec.display_gap.lo == rec.display_gap.hi == 0
-    assert rec.escape_slack == 0
 
 
 def test_trivialization_refuses_hand_built_F_without_mass_or_off_its_shifts():
@@ -1263,25 +1278,32 @@ def test_trivialization_refuses_F_outside_the_grid():
                        r"the second tower \(i_max=1, h_j=5\)$"):
         trivialization_check(short, tall, A, B, 1)
     m = product_blocks(ST2, ST3, 2, 4)                  # h_a = 2, h_b = 3
-    hand = FSetSpec(delta=F(1, 10), w=0, members=(BlockIndex(0, 0),), shifts=(3,),
-                    nu_F=F(1, 12), weights=delta_weights(3), weight_flatness=F(1))
+    hand = FSetSpec(delta=F(1, 10), w=0, i_max=0, shifts=(3,), nu_F=F(1, 12),
+                    weights=delta_weights(3))
     with pytest.raises(SpecError, match=r"^shift h=3 pushes the column out of "
                        r"the second tower \(i_max=0, h_j=3\)$"):
         trivialization_check(m, hand, A, B, 1)
-    off = dataclasses.replace(hand, shifts=(0,), weights=delta_weights(0),
-                              members=(BlockIndex(2, 0),))
+    off = dataclasses.replace(hand, shifts=(0,), weights=delta_weights(0), w=2)
     with pytest.raises(SpecError, match=r"^column blocks run out of the block "
                        r"grid \(h_a=2, h_b=3\)$"):
         trivialization_check(m, off, A, B, 1)
 
 
 def test_trivialization_weight_flatness_carried():
-    m = product_blocks(ST2, ST3, 2, 4)
+    # the document prints F's weight flatness and the display's width, the
+    # escape slack, each computed from the F set and the record
+    argv = ("joining", "trivialize", "--kind", "product", "--spec-a", "staircase",
+            "--spec-b", "chacon", "--j", "2", "--res", "4", "--delta", "1/10", "--w", "0",
+            "--shifts", "0,1,2", "--A", "0", "--B", "0", "--cond-stage", "1")
+    code, out, err = run_cli(*argv)
+    assert code == 0, err
+    data = json.loads(out)["data"]
+    m = product_blocks(ST2, CHA, 2, 4)
     fs = columns_and_F(m, F(1, 10), 0, [0, 1, 2])
-    A = build_stage(ST2, 1).levels_set([0])
-    B = build_stage(ST3, 1).levels_set([0])
-    rec = trivialization_check(m, fs, A, B, 1)
-    assert rec.weight_flatness == F(1, 3)
+    rec = trivialization_check(m, fs, build_stage(ST2, 1).levels_set([0]),
+                               build_stage(CHA, 1).levels_set([0]), 1)
+    assert data["weight_flatness"] == "1/3" == str(flatness(fs.weights, 0))
+    assert F(data["escape_slack"]) == rec.display_sum.width > 0
 
 
 # ---------------------------------------------------------------- validation
@@ -1295,7 +1317,7 @@ def test_matrix_validation():
     m = matrix(BlockMasses(2, 2, lags, F(1, 4), True))
     assert m.mass_of([(1, 0)]) == F(1, 4)
     assert (m.h_a, m.h_b, m.residual) == (2, 2, F(0))
-    assert m.level_mass_a == m.level_mass_b == m.base_mass == F(1, 2)
+    assert m.level_mass_a == m.level_mass_b == F(1, 2)
     assert matrix(BlockMasses(2, 2, {BlockIndex(0, 0): 1}, F(1, 2), False)).residual == F(1, 2)
     for counts, unit, by_lag, message in [
             # a block or a lag off the grid
@@ -1319,8 +1341,14 @@ def test_matrix_validation():
     # a grid that is not the two towers' stage-j grid
     with pytest.raises(SpecError, match=r"^a 4 x 1 block grid on 2 x 2 towers$"):
         matrix(BlockMasses(4, 1, dict.fromkeys(range(-3, 1), 1), F(1, 4), True))
-    # the six derived fields are no constructor arguments
-    for name in ("h_a", "h_b", "residual", "level_mass_a", "level_mass_b", "base_mass"):
+    # a range of counts is the grid's lags, count 1 on every block
+    assert matrix(BlockMasses(2, 2, range(-1, 2), F(1, 4), True)).masses == m.masses
+    for lags, by_lag in [(range(0, 2), True), (range(-1, 3), True), (range(-1, 2), False)]:
+        with pytest.raises(SpecError, match=r"^a range of counts must be the grid's lags, "
+                                            r"range\(-1, 2\)$"):
+            BlockMasses(2, 2, lags, F(1, 4), by_lag)
+    # the five derived fields are no constructor arguments
+    for name in ("h_a", "h_b", "residual", "level_mass_a", "level_mass_b"):
         with pytest.raises(TypeError, match=name):
             BlockMassMatrix(kind="product", j=1, masses=m.masses, norm_a=F(1), norm_b=F(1),
                             spec_a=ODO, spec_b=ODO, **{name: 0})

@@ -2,7 +2,7 @@
 and requests too large to hold are turned down before they are allocated.
 
 The first table covers library refusals, each with its exception type and
-whole message, and the command-line refusals with exit code 2 and the
+whole message, and the command-line refusals with their exit code and the
 whole stderr line.  The spec tables check that a spec names only the keys
 it reads.  The capped table runs the command line in a child process under
 a 1 GB address-space cap, where each row once ended in MemoryError (exit 4)
@@ -13,7 +13,9 @@ import contextlib
 import io
 import json
 import re
+import tracemalloc
 from fractions import Fraction as F
+from hashlib import sha256
 
 import pytest
 
@@ -23,7 +25,8 @@ from rankone.construction import (MAX_STAGE_BITS, ConstructionSpec, CutRule, Spa
                                   build_stage)
 from rankone.errors import SpecError
 from rankone.flow import FlowSkeletonSpec, band_indices, thickened_base, windowed_return_flow
-from rankone.joinings import MAX_TABLE, BlockIndex, dispersion_experiment, product_blocks
+from rankone.joinings import (MAX_TABLE, BlockIndex, di_estimate, dispersion_experiment,
+                              light_blocks, product_blocks)
 from rankone.measure import MeasureBound, StepFunction
 from rankone.stats import return_profile, window_sums
 from rankone.transform import Cursor
@@ -132,24 +135,55 @@ def test_library_refusal(call, exc, message):
         call()
 
 
+# The files the command-line rows name as {name}, each written as given;
+# {missing} names a file that is never written.
+FILES = {
+    "bad": "not json",
+    "cut_values_3": _spec(cut={"kind": "list", "values": 3}),
+    "cut_value_x": _spec(cut={"kind": "stage", "value": "x"}),
+    "spacer_bound_x": _spec(spacer={"kind": "none", "bound": "x"}),
+}
+_DISPERSE = ("joining", "disperse", "--spec-a", "odometer", "--spec-b", "odometer", "--x-a", "0",
+             "--x-b", "0")
 CLI = [
-    ("invalid_json_spec_file", ("build", "--spec", "{bad}", "--stage", "1"),
+    ("invalid_json_spec_file", ("build", "--spec", "{bad}", "--stage", "1"), 2,
      "spec file {bad}: invalid JSON: Expecting value: line 1 column 1 (char 0)"),
-    ("negative_orbit_steps", ("orbit", "--spec", "odometer", "--x", "0", "--steps", "-1"),
+    ("negative_orbit_steps", ("orbit", "--spec", "odometer", "--x", "0", "--steps", "-1"), 2,
      "--steps must be nonnegative"),
-    ("three_block_indices", ("joining", "disperse", "--spec-a", "odometer", "--spec-b",
-                             "odometer", "--x-a", "0", "--x-b", "0", "-N", "8", "--z", "1,2,3",
-                             "--n-list", "0", "--j", "1", "--res", "3"),
+    ("three_block_indices", (*_DISPERSE, "-N", "8", "--z", "1,2,3", "--n-list", "0", "--j", "1",
+                             "--res", "3"), 2,
      "--z expects exactly two integers Z1,Z2"),
+    ("build_stage_0", ("build", "--spec", "odometer", "--stage", "0"), 2,
+     "--stage must be >= 1"),
+    ("bands_empty_offsets", ("flow", "bands", "--spec", "odometer", "--alpha", "2", "--side",
+                             "right", "--offsets", ",", "--j", "2", "--res", "3"), 2,
+     "--offsets is empty"),
+    ("weights_file_missing", ("blum-hanson", "--spec", "odometer", "--weights", "{missing}",
+                              "--f", "0", "--j", "1", "--res", "3"), 2,
+     "cannot read weights file {missing}: [Errno 2] No such file or directory: '{missing}'"),
+    ("disperse_N_0", (*_DISPERSE, "-N", "0", "--z", "0,0", "--n-list", "0", "--j", "1",
+                      "--res", "3"), 2,
+     "dispersion experiment needs N >= 1"),
+    ("disperse_advance_before_every_hit", (*_DISPERSE, "-N", "10", "--z", "0,0", "--n-list",
+                                           "-1000", "--j", "1", "--res", "5"), 2,
+     "advance n=-1000 leaves no conditioned times in range"),
+    ("cut_rule_values_not_a_list", ("build", "--spec", "{cut_values_3}", "--stage", "2"), 2,
+     "cut rule values must be a list of integers, got 3"),
+    ("cut_rule_value_not_an_int", ("build", "--spec", "{cut_value_x}", "--stage", "2"), 2,
+     "cut rule value must be an integer, got 'x'"),
+    ("spacer_rule_bound_not_an_int", ("build", "--spec", "{spacer_bound_x}", "--stage", "2"), 2,
+     "spacer rule bound must be an integer, got 'x'"),
 ]
 
 
-@pytest.mark.parametrize("argv, line", [row[1:] for row in CLI], ids=[row[0] for row in CLI])
-def test_cli_refusal_exit_2(tmp_path, argv, line):
-    bad = tmp_path / "bad.json"
-    bad.write_text("not json")
-    argv = [a.format(bad=bad) for a in argv]
-    assert run_cli(*argv) == (2, "", f"error: {line.format(bad=bad)}\n")
+@pytest.mark.parametrize("argv, code, line", [row[1:] for row in CLI],
+                         ids=[row[0] for row in CLI])
+def test_cli_refusal_exit_2(tmp_path, argv, code, line):
+    paths = {name: tmp_path / f"{name}.json" for name in (*FILES, "missing")}
+    for name, content in FILES.items():
+        paths[name].write_text(content if isinstance(content, str) else json.dumps(content))
+    argv = [a.format(**paths) for a in argv]
+    assert run_cli(*argv) == (code, "", f"error: {line.format(**paths)}\n")
 
 
 # ------------------------------------------------------------ spec keys
@@ -180,6 +214,37 @@ def test_spec_names_only_the_keys_it_reads(tmp_path, data, message):
     assert run_cli("build", "--spec", str(sf), "--stage", "2") == (2, "", f"error: {message}\n")
 
 
+# Fields given to the constructor and to from_json alike: the rules as JSON
+# objects, or as what is not one.
+SPEC_FIELDS = [
+    ("unknown_preset", _spec(preset="bogus"), "unknown preset: 'bogus'"),
+    ("cut_rule_a_str", _spec(cut="stage"), "cut_rule must be a JSON object with a kind"),
+    ("spacer_rule_a_list", _spec(spacer=["none"]), "spacer_rule must be a JSON object with a kind"),
+    ("cut_rule_values_not_a_list", _spec(cut={"kind": "list", "values": 3}),
+     "cut rule values must be a list of integers, got 3"),
+    ("cut_rule_unknown_kind", _spec(cut={"kind": "halving"}), "unknown cut rule kind: 'halving'"),
+]
+
+
+@pytest.mark.parametrize("fields, message", [row[1:] for row in SPEC_FIELDS],
+                         ids=[row[0] for row in SPEC_FIELDS])
+def test_constructor_and_from_json_refuse_alike(fields, message):
+    for make in (lambda: ConstructionSpec(**fields), lambda: ConstructionSpec.from_json(fields)):
+        with pytest.raises(SpecError, match=f"^{re.escape(message)}$"):
+            make()
+
+
+def test_constructor_reads_rules_given_as_json():
+    # a rule given as its JSON object is read as from_json reads it, so the
+    # spec hashes, builds and round-trips as the one from_json makes
+    fields = _spec(cut={"kind": "stage"}, spacer={"kind": "staircase"})
+    spec = ConstructionSpec(**fields)
+    assert spec == ConstructionSpec.from_json(fields) == ConstructionSpec.from_json(spec.to_json())
+    assert isinstance(spec.cut_rule, CutRule) and isinstance(spec.spacer_rule, SpacerRule)
+    assert hash(spec) == hash(ConstructionSpec.from_json(fields))
+    assert build_stage(spec, 3).height == build_stage(ConstructionSpec.staircase(), 3).height
+
+
 def test_spec_json_round_trips_with_only_its_keys():
     for spec in (ODO, ST, ConstructionSpec.random_spacers(seed=3),
                  ConstructionSpec.from_json(_spec(cut={"kind": "list", "values": [2, 3]},
@@ -204,37 +269,51 @@ def test_stage_bits_budget():
         build_stage(huge, 2)
 
 
-def test_product_lag_table_refused_before_it_is_built():
+def test_product_matrix_at_staircase_11_builds_in_constant_space():
+    # its counts are the range of the grid's 24,379,289 lags: the matrix, its
+    # size, total and lookups and the light test allocate no table
     spec = ConstructionSpec.staircase(max_stage=11)
-    h = build_stage(spec, 11).height
-    with pytest.raises(SpecError, match=rf"^{2 * h - 1} lags requested, more than the limit "
-                                        rf"of {MAX_TABLE}$"):
-        product_blocks(spec, spec, 11, 11)
+    build_stage(spec, 11)
+    tracemalloc.start()
+    try:
+        m = product_blocks(spec, spec, 11, 11)
+        h = m.h_a
+        assert m.masses.counts == range(1 - h, h)
+        assert len(m.masses) == m.masses.total == h * h == 148587445226025
+        assert m.masses[h - 1, 0] == m.masses.unit == m.mass_of([(0, h - 1)])
+        assert (h, 0) not in m.masses
+        # a block weighs level_mass_a * level_mass_b: light past level_mass_a
+        light = light_blocks(m, F(1, 2))
+        assert len(light.light_set) == h * h and light.covered_mass == 1 - m.residual == 1
+        assert len(light_blocks(m, m.level_mass_a).light_set) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"{peak} bytes traced"
 
 
 # --------------------------------------------- capped children, 1 GB
 
 _ST11 = ("--spec-a", "staircase", "--spec-b", "staircase", "--res", "11", "--stage-budget", "11")
-_LAGS_11 = "24379289 lags requested, more than the limit of 4194304"
+_LISTING_11 = "148587445226025 blocks to list, more than the limit of 1000000"
 CAPPED = [
     ("light_product_staircase_11",
      ("joining", "light", "--kind", "product", *_ST11, "--j", "11", "--epsilon", "1/2"),
-     _LAGS_11),
+     _LISTING_11),
     ("blocks_product_staircase_11",
-     ("joining", "blocks", "--kind", "product", *_ST11, "--j", "11"), _LAGS_11),
+     ("joining", "blocks", "--kind", "product", *_ST11, "--j", "11"), _LISTING_11),
     ("trivialize_product_staircase_11",
      ("joining", "trivialize", "--kind", "product", *_ST11, "--j", "11", "--delta", "1/2",
-      "--w", "0", "--shifts", "0", "--A", "0", "--B", "0", "--cond-stage", "1"), _LAGS_11),
+      "--w", "0", "--shifts", "0", "--A", "0", "--B", "0", "--cond-stage", "1"),
+     "6094823 column rows requested, more than the limit of 4194304"),
     ("bands_staircase_11",
      ("flow", "bands", "--spec", "staircase", "--alpha", "2", "--side", "right", "--offsets",
-      "0", "--j", "11", "--res", "11", "--stage-budget", "11"), _LAGS_11),
-    ("di_product_staircase_10_11",
-     ("joining", "di", "--kind", "product", *_ST11, "--stages", "10,11",
-      "--epsilons", "1/2,1/4"), _LAGS_11),
+      "0", "--j", "11", "--res", "11", "--stage-budget", "11"),
+     "12189646 band blocks requested, more than the limit of 4194304"),
     ("light_product_chacon_15",
      ("joining", "light", "--kind", "product", "--spec-a", "chacon", "--spec-b", "chacon",
       "--j", "15", "--res", "15", "--stage-budget", "15", "--epsilon", "1/2"),
-     "14348905 lags requested, more than the limit of 4194304"),
+     "51472775849209 blocks to list, more than the limit of 1000000"),
     ("return_profile_staircase_20000",
      ("return-profile", "--spec", "staircase", "--j", "1", "--res", "20000", "--zmax", "3",
       "--stage-budget", "20000"),
@@ -245,12 +324,19 @@ CAPPED = [
 ]
 
 
-def test_product_di_refuses_every_stage_before_any_matrix():
-    # stage 11's lag count is refused before stage 10's 2,437,919-lag matrix
-    # (269 MB) is built: the whole run fits in a quarter of the 1 GB cap
-    argv = dict((row[0], row[1]) for row in CAPPED)["di_product_staircase_10_11"]
-    proc, _ = run_capped(["-m", "rankone.cli", *argv], cap_mb=256)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {_LAGS_11}\n")
+def test_product_di_at_staircase_10_11_answers_in_a_64_mb_child():
+    # refused once on stage 11's 24,379,289 lags; a product matrix holds its
+    # lags as a range now, so the sweep answers under a 64 MB cap
+    argv = ("joining", "di", "--kind", "product", *_ST11, "--stages", "10,11",
+            "--epsilons", "1/2,1/4")
+    proc, _ = run_capped(["-m", "rankone.cli", *argv], cap_mb=64)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert sha256(proc.stdout.encode()).hexdigest() == (
+        "d7de2a0f6307b9750a215dce00fac232e5a367528a3c1a275ecf5b0d08b8f33e")
+    spec = ConstructionSpec.staircase(max_stage=11)
+    ms = [product_blocks(spec, spec, j, 11) for j in (10, 11)]
+    proxy = di_estimate([light_blocks(m, eps) for m in ms for eps in (F(1, 2), F(1, 4))])
+    assert json.loads(proc.stdout)["data"]["proxy"] == f"{proxy.numerator}/{proxy.denominator}"
 
 
 @pytest.mark.parametrize("argv, line", [row[1:] for row in CAPPED],
