@@ -296,6 +296,7 @@ def test_product_matrix_at_staircase_11_builds_in_constant_space():
 
 _ST11 = ("--spec-a", "staircase", "--spec-b", "staircase", "--res", "11", "--stage-budget", "11")
 _LISTING_11 = "148587445226025 blocks to list, more than the limit of 1000000"
+_BITS_317 = "stages 1..317 would hold about 67438806 integer bits, more than the limit of 67108864"
 CAPPED = [
     ("light_product_staircase_11",
      ("joining", "light", "--kind", "product", *_ST11, "--j", "11", "--epsilon", "1/2"),
@@ -310,6 +311,12 @@ CAPPED = [
      ("flow", "bands", "--spec", "staircase", "--alpha", "2", "--side", "right", "--offsets",
       "0", "--j", "11", "--res", "11", "--stage-budget", "11"),
      "12189646 band blocks requested, more than the limit of 4194304"),
+    # the sweep's stages answer (see the 64 MB child below); a resolution
+    # stage past the integer-bit budget is refused before any matrix
+    ("di_product_staircase_10_11",
+     ("joining", "di", "--kind", "product", "--spec-a", "staircase", "--spec-b", "staircase",
+      "--res", "400", "--stage-budget", "400", "--stages", "10,11", "--epsilons", "1/2,1/4"),
+     _BITS_317),
     ("light_product_chacon_15",
      ("joining", "light", "--kind", "product", "--spec-a", "chacon", "--spec-b", "chacon",
       "--j", "15", "--res", "15", "--stage-budget", "15", "--epsilon", "1/2"),
@@ -317,7 +324,7 @@ CAPPED = [
     ("return_profile_staircase_20000",
      ("return-profile", "--spec", "staircase", "--j", "1", "--res", "20000", "--zmax", "3",
       "--stage-budget", "20000"),
-     "stages 1..317 would hold about 67438806 integer bits, more than the limit of 67108864"),
+     _BITS_317),
     ("build_odometer_200000",
      ("build", "--spec", "odometer", "--stage", "200000", "--stage-budget", "200000"),
      "stages 1..8192 would hold about 67117054 integer bits, more than the limit of 67108864"),
