@@ -257,7 +257,7 @@ def _check_listing(blocks: int) -> None:
 
 def cmd_joining_blocks(args: argparse.Namespace) -> Table:
     m = matrix_from_args(args)
-    _check_listing(len(m.masses))
+    _check_listing(m.masses.size)
     return Table(("z1", "z2", "num", "den"), m.masses.items(),
                  matrix_meta(m, command="joining blocks"))
 
@@ -266,7 +266,7 @@ def cmd_joining_light(args: argparse.Namespace) -> str:
     from .joinings import light_blocks
     m = matrix_from_args(args)
     rep = light_blocks(m, parse_frac(args.epsilon))
-    _check_listing(len(rep.light_set))
+    _check_listing(rep.total_blocks - rep.heavy_count)
     data = {"epsilon": frac_str(rep.epsilon),
             "covered_mass": frac_str(rep.covered_mass),
             "covered_mass_approx": approx_str(rep.covered_mass),

@@ -19,13 +19,13 @@ from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, repeat
-from operator import add, mul
+from operator import add, mul, sub
 from sys import byteorder
 from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple, Union)
 
 from .averaging import WeightSequence
-from .construction import ConstructionSpec, LevelSet, build_stage
+from .construction import MAX_BITS, ConstructionSpec, LevelSet, build_stage
 from .errors import EmptyFSetError, SpecError
 from .measure import IntervalSet, MeasureBound, RationalLike, as_fraction
 from .stats import _check_resolution, _classes, _measure, _stage_counts
@@ -121,12 +121,16 @@ class BlockMasses(Mapping):
         return sum(counts.get(z2 - z1 if lag else (z1, z2), 0) for z1, z2 in blocks
                    if 0 <= z1 < h_a and 0 <= z2 < h_b)
 
-    def column_count(self, rows: Sequence[int], w: int, h: int) -> int:
-        """The counts of the on-grid blocks (w + i, h + i), i in rows: O(1) by lag."""
-        if self.by_lag:
-            return len(rows) * (1 if isinstance(self.counts, range) else self.counts.get(h - w, 0))
-        return sum(map(self.counts.get, zip(map(w.__add__, rows), map(h.__add__, rows)),
-                       repeat(0)))
+    def column_count(self, rows: int, w: int, h: int) -> int:
+        """The counts of the blocks (w + i, h + i), i a set bit of the row mask
+        `rows`, each on the grid: by lag, the popcount times lag h - w's count;
+        by block, the counted blocks of that lag whose row is set."""
+        counts = self.counts
+        if not self.by_lag:  # row i is bit i & 7 of byte i >> 3, one O(1) read a block
+            bits = rows.to_bytes(-(-rows.bit_length() // 8), "little")
+            return sum(n for (z1, z2), n in counts.items() if z2 - z1 == h - w
+                       and 0 <= (i := z2 - h) < 8 * len(bits) and bits[i >> 3] >> (i & 7) & 1)
+        return rows.bit_count() * (1 if isinstance(counts, range) else counts.get(h - w, 0))
 
     def items(self) -> Iterator[Tuple[BlockIndex, Fraction]]:
         """(block, mass) in row-major order, one Fraction per distinct count."""
@@ -174,8 +178,8 @@ class LightBlocks(Mapping):
         """(z1, the light z2 of row z1) for each row z1 in order, a range where
         the row holds no heavy block; no row when every block is heavy."""
         h_a, h_b = self.masses.h_a, self.masses.h_b
-        if not (len(self) and self.heavy.counts):
-            return zip(range(h_a) if len(self) else (), repeat(range(h_b)))
+        if not (light := h_a * h_b - self.heavy.size) or not self.heavy.counts:
+            return zip(range(h_a) if light else (), repeat(range(h_b)))
         cut: Dict[int, set] = {}
         for z1, z2 in self.heavy:
             cut.setdefault(z1, set()).add(z2)
@@ -225,10 +229,6 @@ class BlockMassMatrix:
         """Total mass of the blocks, each counted as often as given, none
         off the grid."""
         return self.masses.unit * self.masses.count_of(blocks)
-
-
-# Rows a column walk or blocks a flow band may hold: staircase j = 10, delta 1/2 has 609,481 rows.
-MAX_TABLE = 1 << 22
 
 
 def product_blocks(spec_a: ConstructionSpec, spec_b: ConstructionSpec, j: int,
@@ -361,13 +361,13 @@ class LightBlockReport:
     epsilon: Fraction
     j: int
     kind: str
-    light_set: Mapping[BlockIndex, Fraction]
+    light_set: LightBlocks
     covered_mass: Fraction
     total_blocks: int
 
     @property
     def heavy_count(self) -> int:
-        return self.total_blocks - len(self.light_set)
+        return self.light_set.heavy.size
 
 
 def light_blocks(m: BlockMassMatrix, epsilon: RationalLike) -> LightBlockReport:
@@ -487,10 +487,13 @@ class FSetSpec:
     weights: WeightSequence
 
 
-def _check_column(m: BlockMassMatrix, i_max: int, shifts: Iterable[int]) -> None:
-    """Refuse a column past MAX_TABLE rows, before any walk, or shifted out of the tower."""
-    if i_max + 1 > MAX_TABLE:
-        raise SpecError(f"{i_max + 1} column rows requested, more than the limit of {MAX_TABLE}")
+def _check_column(m: BlockMassMatrix, w: int, i_max: int, shifts: Iterable[int]) -> None:
+    """Refuse a column (w + i, i), i <= i_max, off m's grid or shifted out of
+    the second tower, and a row mask past MAX_BITS, before any walk."""
+    if not (0 <= w <= w + i_max < m.h_a and i_max < m.h_b):  # i_max >= 0, too
+        raise SpecError(f"column blocks run out of the block grid (h_a={m.h_a}, h_b={m.h_b})")
+    if i_max + 1 > MAX_BITS:
+        raise SpecError(f"{i_max + 1} level bits requested, more than the limit of {MAX_BITS}")
     for h in shifts:
         if h < 0 or i_max + h > m.h_b - 1:
             raise SpecError(f"shift h={h} pushes the column out of the second "
@@ -505,18 +508,13 @@ def columns_and_F(m: BlockMassMatrix, delta: RationalLike, w: int,
     d = as_fraction(delta)
     if not (0 < d < 1):
         raise SpecError("delta must lie strictly between 0 and 1")
-    if w < 0:
-        raise SpecError("column offset w must be nonnegative")
-    if w + (i_max := int(d * m.h_b)) > m.h_a - 1:
-        raise SpecError(
-            f"column blocks (w+i, i) run out of the first tower: "
-            f"w={w}, i_max={i_max}, h={m.h_a}")
     if not shifts:
         raise SpecError("shift set must be nonempty")
     if len(set(shifts)) != len(shifts):
         raise SpecError("shift set has duplicates")
-    _check_column(m, i_max, shifts)
-    per_shift = {h: m.masses.column_count(range(i_max + 1), w, h) for h in sorted(shifts)}
+    _check_column(m, w, i_max := int(d * m.h_b), shifts)
+    rows = (1 << i_max + 1) - 1
+    per_shift = {h: m.masses.column_count(rows, w, h) for h in sorted(shifts)}
     total = sum(per_shift.values())
     if total == 0:
         raise EmptyFSetError(
@@ -549,53 +547,47 @@ def trivialization_check(m: BlockMassMatrix, F: FSetSpec, A: Union[IntervalSet, 
     moves whole stage-j levels within one copy of the second tower.
     display fields are None when the base column itself carries no mass.
 
-    One walk: A's and B's stage-j level bitsets are decoded once into a
-    string of one "0" or "1" per level; the column rows i with w + i in A
-    are picked once, and for each shift h the hit rows with i + h in B.
-    Their blocks (w + i, i + h) give the conditional and the empirical
-    display, the exact whole-block transport (within-tower shifts lose no
-    orbit mass).  Product and graph displays count the blocks (w + i, i)
-    and widen by the escape, w_J each: the levels of B below h, which
-    T^{-h} pushes off the bottom copy when a block is picked, and for graph
-    matrices the occurrences of each hit level i that T^k pushes off, read
-    from stats._stage_counts' escape on E_j = (j, 1).
+    One walk on A's and B's stage-j level bitsets: the column rows i with
+    w + i in A are the row mask sel = A >> w, masked to rows 0..i_max, and
+    for each shift h the hit rows with i + h in B are sel & B >> h.  Their
+    blocks (w + i, i + h) give the conditional and the empirical display,
+    the exact whole-block transport (within-tower shifts lose no orbit
+    mass).  Product and graph displays count the blocks (w + i, i) and
+    widen by the escape, w_J each: the levels of B below h, which T^{-h}
+    pushes off the bottom copy when a block is picked, and for graph
+    matrices the occurrences of each hit level i that T^k pushes off, from
+    stats._stage_counts' escape on E_j = (j, 1), a popcount per step.
     """
     if not (1 <= k <= m.j):
         raise SpecError(f"need 1 <= k <= j, got k={k}, j={m.j}")
-    w, i_max = F.w, F.i_max
-    if i_max >= 0 and not (0 <= w and w + i_max < m.h_a and i_max < m.h_b):
-        raise SpecError(f"column blocks run out of the block grid "
-                        f"(h_a={m.h_a}, h_b={m.h_b})")
+    _check_column(m, w := F.w, i_max := F.i_max, F.shifts)
     if F.nu_F <= 0 or not set(F.weights.support) <= set(F.shifts):
         raise SpecError("F needs nu_F > 0 and its weights on its own shifts")
-    _check_column(m, max(i_max, 0), F.shifts)
     levels = []
     for label, spec, S in (("A", m.spec_a, A), ("B", m.spec_b, B)):
         found = _classes(build_stage(spec, k), S)  # a union of levels is one class, or none
         if found.keys() - {(0, 1, 1)}:
             raise SpecError(f"{label} is not a union of stage-{k} levels")
-        st = build_stage(spec, m.j)
-        bits = st.occurrence_bits(*found.get((0, 1, 1), (k, 0)))
-        levels.append(format(bits, f"0{st.height}b")[::-1])  # level i is character i
+        levels.append(build_stage(spec, m.j).occurrence_bits(*found.get((0, 1, 1), (k, 0))))
     in_A, in_B = levels
 
-    column, unit = m.masses.column_count, m.masses.unit
-    n_C, ns = column(range(i_max + 1), w, 0), dict(F.weights.numerators)
-    sel = [i for i, a in enumerate(in_A[w:w + i_max + 1]) if a == "1"]
+    column, unit, rows = m.masses.column_count, m.masses.unit, (1 << i_max + 1) - 1
+    n_C, ns, sel = column(rows, w, 0), dict(F.weights.numerators), in_A >> w & rows
     wide = bool(n_C and sel) and m.kind != "empirical"  # the display has escapes to add
     if wide and m.kind == "graph":
-        # escape[z2]: the occurrences p of E_j with p + z2 + k off the tower
+        # escape[z2]: the occurrences p of E_j with p + z2 + k off the tower, as its steps
         kg = m.meta["k"]
         escape = _stage_counts(m.spec_b, (m.j, 1), (m.j, 1), range(kg, kg + m.h_b), m.meta["J"])[1]
+        steps = [(i, d) for i, d in enumerate(map(sub, escape, [0, *escape])) if d]
     # counts of the shifted hit blocks; weighted, of the displayed blocks and escapes
     cond = moved = out = 0
     for h in F.shifts:
-        hit = [i for i in sel if in_B[i + h] == "1"]
+        hit = sel & in_B >> h
         cond += (n_hit := column(hit, w, h))
         if n_h := ns.get(h):
             moved += n_h * (n_hit if m.kind == "empirical" else column(hit, w, 0))
-            out += wide and n_h * (in_B.count("1", 0, h)
-                                   + (m.kind == "graph" and sum(escape[i] for i in hit)))
+            out += wide and n_h * ((in_B & (1 << h) - 1).bit_count() + (
+                m.kind == "graph" and sum(d * (hit >> i).bit_count() for i, d in steps)))
     conditional = unit * cond / F.nu_F
     reference = (_measure(m.spec_a, A) / m.norm_a) * (_measure(m.spec_b, B) / m.norm_b)
 

@@ -81,9 +81,9 @@ def dict_light_blocks(d, epsilon):
 
 
 def column(d, delta, w):
-    """(delta, the column blocks (w+i, i), i = 0..floor(delta*h_b)) of
-    columns_and_F, with its refusals of delta, w and the first tower: the
-    tuple walk that FSetSpec's (w, i_max) replaced."""
+    """(delta, the column blocks (w+i, i), i = 0..floor(delta*h_b)), with
+    refusals of delta, w and the first tower: the tuple walk that FSetSpec's
+    (w, i_max) replaced."""
     delta = as_fraction(delta)
     if not (0 < delta < 1):
         raise SpecError("delta must lie strictly between 0 and 1")
@@ -102,12 +102,15 @@ def column_blocks(F):
 
 
 def dict_columns_and_F(d, delta, w, shifts):
-    delta, members = column(d, delta, w)
+    delta = as_fraction(delta)
+    if not (0 < delta < 1):
+        raise SpecError("delta must lie strictly between 0 and 1")
     if not shifts:
         raise SpecError("shift set must be nonempty")
     if len(set(shifts)) != len(shifts):
         raise SpecError("shift set has duplicates")
-    joinings._check_column(d, members[-1].z2, shifts)
+    joinings._check_column(d, w, i_max := int(delta * d.h_b), shifts)
+    members = tuple(BlockIndex(w + i, i) for i in range(i_max + 1))
     per_shift = {h: dict_mass_of(d, ((z1, z2 + h) for z1, z2 in members))
                  for h in sorted(shifts)}
     nu_F = sum(per_shift.values(), Fraction(0))
@@ -115,7 +118,7 @@ def dict_columns_and_F(d, delta, w, shifts):
         raise EmptyFSetError(f"F set carries no joining mass (column w={w}, "
                              f"shifts {sorted(shifts)})")
     weights = WeightSequence(tuple((h, v / nu_F) for h, v in per_shift.items()))
-    return FSetSpec(delta=delta, w=w, i_max=members[-1].z2, shifts=tuple(sorted(shifts)),
+    return FSetSpec(delta=delta, w=w, i_max=i_max, shifts=tuple(sorted(shifts)),
                     nu_F=nu_F, weights=weights)
 
 
@@ -124,13 +127,10 @@ def dict_trivialization_check(d, F, A, B, k):
     walking the column as a tuple of blocks."""
     if not (1 <= k <= d.j):
         raise SpecError(f"need 1 <= k <= j, got k={k}, j={d.j}")
-    members = column_blocks(F)
-    if any(not (0 <= z1 < d.h_a and 0 <= z2 < d.h_b) for z1, z2 in members):
-        raise SpecError(f"column blocks run out of the block grid "
-                        f"(h_a={d.h_a}, h_b={d.h_b})")
+    joinings._check_column(d, F.w, F.i_max, F.shifts)
     if F.nu_F <= 0 or not set(F.weights.support) <= set(F.shifts):
         raise SpecError("F needs nu_F > 0 and its weights on its own shifts")
-    joinings._check_column(d, max((z2 for _, z2 in members), default=0), F.shifts)
+    members = column_blocks(F)
     in_sets = []
     for label, spec, S in (("A", d.spec_a, A), ("B", d.spec_b, B)):
         found = stats._classes(build_stage(spec, k), S)

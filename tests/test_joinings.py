@@ -24,7 +24,7 @@ from rankone import __version__, cli, joinings, stats
 from rankone.averaging import WeightSequence, flatness
 from rankone.construction import ConstructionSpec, build_stage
 from rankone.errors import EmptyFSetError, OrbitEscaped, SpecError
-from rankone.flow import FlowSkeletonSpec, band_masses
+from rankone.flow import FlowSkeletonSpec, band_indices, band_masses
 from rankone.joinings import (
     BlockIndex,
     BlockMasses,
@@ -175,11 +175,12 @@ def test_product_masses_match_dense_dict(spec_a, spec_b, j, extra, data):
             trivialization_check(d, fs, A, B, k) == trivialization_check(lagged, fs, A, B, k)
     fspec = FlowSkeletonSpec(spec_a, data.draw(st.integers(1, 2)),
                              data.draw(st.sampled_from([F(2), F(3, 2)])))
+    # the streamed band sums to the mass of band_indices' set, alpha 2 and 3/2
     for off in range(0, m.h_a, max(m.h_a // 4, 1)):
-        assert outcome(band_masses, m, fspec, off, "right") == \
-            outcome(band_masses, d, fspec, off, "right")
-        assert outcome(band_masses, m, fspec, off, "left", z_bound=m.h_b) == \
-            outcome(band_masses, d, fspec, off, "left", z_bound=m.h_b)
+        for side in ("right", "left"):
+            assert outcome(band_masses, m, fspec, off, side, z_bound=m.h_b) == \
+                outcome(band_masses, d, fspec, off, side, z_bound=m.h_b) == \
+                outcome(lambda: d.mass_of(band_indices(fspec, m.h_a, m.h_b, off, side, m.h_b)))
 
 
 def run_cli(*argv):
@@ -559,7 +560,8 @@ def test_light_sets_match_dict_oracle(m, data):
     assert rep == oracle
     light = rep.light_set
     assert len(light) == len(oracle.light_set)
-    assert (rep.covered_mass, rep.heavy_count) == (oracle.covered_mass, oracle.heavy_count)
+    assert (rep.covered_mass, rep.heavy_count) == (
+        oracle.covered_mass, oracle.total_blocks - len(oracle.light_set))
     # row-major order, as BlockIndex, and the same blocks row by row
     assert list(light) == list(oracle.light_set)
     assert all(type(z) is BlockIndex for z in light)
@@ -618,7 +620,8 @@ def test_count_matrices_match_the_fraction_dict_route(m, data):
     for eps in (at, at * F(999, 1000), at * F(1001, 1000)):
         rep, oracle = light_blocks(m, eps), dict_light_blocks(d, eps)
         assert (rep.covered_mass, rep.heavy_count, len(rep.light_set)) == (
-            oracle.covered_mass, oracle.heavy_count, len(oracle.light_set))
+            oracle.covered_mass, oracle.total_blocks - len(oracle.light_set),
+            len(oracle.light_set))
         assert [(z1, list(z2s)) for z1, z2s in rep.light_set.rows() if z2s] == [
             (z1, [z2 for _, z2 in row]) for z1, row in groupby(oracle.light_set, itemgetter(0))]
         assert list(rep.light_set.items()) == list(oracle.light_set.items())

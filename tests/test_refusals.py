@@ -24,9 +24,10 @@ from rankone.cli import main
 from rankone.construction import (MAX_STAGE_BITS, ConstructionSpec, CutRule, SpacerRule,
                                   build_stage)
 from rankone.errors import SpecError
-from rankone.flow import FlowSkeletonSpec, band_indices, thickened_base, windowed_return_flow
-from rankone.joinings import (MAX_TABLE, BlockIndex, di_estimate, dispersion_experiment,
-                              light_blocks, product_blocks)
+from rankone.flow import (MAX_TABLE, FlowSkeletonSpec, band_indices, thickened_base,
+                          windowed_return_flow)
+from rankone.joinings import (BlockIndex, di_estimate, dispersion_experiment, light_blocks,
+                              product_blocks)
 from rankone.measure import MeasureBound, StepFunction
 from rankone.stats import return_profile, window_sums
 from rankone.transform import Cursor
@@ -295,7 +296,13 @@ def test_product_matrix_at_staircase_11_builds_in_constant_space():
 # --------------------------------------------- capped children, 1 GB
 
 _ST11 = ("--spec-a", "staircase", "--spec-b", "staircase", "--res", "11", "--stage-budget", "11")
+_ST12 = ("--spec-a", "staircase", "--spec-b", "staircase", "--res", "12", "--stage-budget", "12")
+_ODO32 = ("--spec-a", "odometer", "--spec-b", "odometer", "--j", "32", "--res", "32",
+          "--stage-budget", "32")
+_TRIVIALIZE = ("--delta", "1/2", "--w", "0", "--shifts", "0", "--A", "0", "--B", "0",
+               "--cond-stage", "1")
 _LISTING_11 = "148587445226025 blocks to list, more than the limit of 1000000"
+_LISTING_32 = "18446744073709551616 blocks to list, more than the limit of 1000000"
 _BITS_317 = "stages 1..317 would hold about 67438806 integer bits, more than the limit of 67108864"
 CAPPED = [
     ("light_product_staircase_11",
@@ -303,10 +310,10 @@ CAPPED = [
      _LISTING_11),
     ("blocks_product_staircase_11",
      ("joining", "blocks", "--kind", "product", *_ST11, "--j", "11"), _LISTING_11),
-    ("trivialize_product_staircase_11",
-     ("joining", "trivialize", "--kind", "product", *_ST11, "--j", "11", "--delta", "1/2",
-      "--w", "0", "--shifts", "0", "--A", "0", "--B", "0", "--cond-stage", "1"),
-     "6094823 column rows requested, more than the limit of 4194304"),
+    # the column walk reads stage 12's level bitsets, past MAX_BITS
+    ("trivialize_product_staircase_12",
+     ("joining", "trivialize", "--kind", "product", *_ST12, "--j", "12", *_TRIVIALIZE),
+     "134086094 level bits requested, more than the limit of 67108864"),
     ("bands_staircase_11",
      ("flow", "bands", "--spec", "staircase", "--alpha", "2", "--side", "right", "--offsets",
       "0", "--j", "11", "--res", "11", "--stage-budget", "11"),
@@ -321,6 +328,11 @@ CAPPED = [
      ("joining", "light", "--kind", "product", "--spec-a", "chacon", "--spec-b", "chacon",
       "--j", "15", "--res", "15", "--stage-budget", "15", "--epsilon", "1/2"),
      "51472775849209 blocks to list, more than the limit of 1000000"),
+    # 2^64 blocks, past what len() can return
+    ("blocks_product_odometer_32", ("joining", "blocks", "--kind", "product", *_ODO32),
+     _LISTING_32),
+    ("light_product_odometer_32",
+     ("joining", "light", "--kind", "product", *_ODO32, "--epsilon", "1/2"), _LISTING_32),
     ("return_profile_staircase_20000",
      ("return-profile", "--spec", "staircase", "--j", "1", "--res", "20000", "--zmax", "3",
       "--stage-budget", "20000"),
@@ -344,6 +356,33 @@ def test_product_di_at_staircase_10_11_answers_in_a_64_mb_child():
     ms = [product_blocks(spec, spec, j, 11) for j in (10, 11)]
     proxy = di_estimate([light_blocks(m, eps) for m in ms for eps in (F(1, 2), F(1, 4))])
     assert json.loads(proc.stdout)["data"]["proxy"] == f"{proxy.numerator}/{proxy.denominator}"
+
+
+def test_product_trivialize_at_staircase_11_answers_in_a_64_mb_child():
+    # refused once on its 6,094,823 column rows; the walk reads the rows as
+    # bits of the stage-11 level bitsets, so it answers under a 64 MB cap
+    argv = ("joining", "trivialize", "--kind", "product", *_ST11, "--j", "11", *_TRIVIALIZE)
+    proc, _ = run_capped(["-m", "rankone.cli", *argv], cap_mb=64)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert sha256(proc.stdout.encode()).hexdigest() == (
+        "14bad39447239e4478fb1198b9a0ddfb11fc3bbcf4f14646dd01313a67dde40a")
+    # A = B = E_1 and one shift 0: the conditional is the share of the
+    # column rows i <= h_11 / 2 that are levels of E_1
+    st = build_stage(ConstructionSpec.staircase(max_stage=11), 11)
+    rows = st.height // 2 + 1
+    share = F((st.occurrence_bits(1) & (1 << rows) - 1).bit_count(), rows)
+    assert json.loads(proc.stdout)["data"]["conditional"] == f"{share.numerator}/{share.denominator}"
+
+
+def test_flow_band_at_staircase_10_answers_in_a_64_mb_child():
+    # the band's 1,218,960 blocks are summed as they are walked, not held as
+    # a set, so one band mass answers under a 64 MB cap
+    argv = ("flow", "bands", "--spec", "staircase", "--alpha", "2", "--side", "right",
+            "--offsets", "0", "--j", "10", "--res", "10")
+    proc, _ = run_capped(["-m", "rankone.cli", *argv], cap_mb=64)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert sha256(proc.stdout.encode()).hexdigest() == (
+        "b481afe4dd78cff88d3408dc944403c207356941b6a564f640be0c441c5cb49d")
 
 
 @pytest.mark.parametrize("argv, line", [row[1:] for row in CAPPED],
