@@ -1,20 +1,21 @@
 """Command line front end.
 
 Each command handler turns its flags into library calls and returns its
-document: the text of it, or a persist.Table for the commands that take
---format, which main renders in the format asked for.  persist decides
-how every document looks.  One argparse parser is built on the first
-call to main and reused by every later call in the process.  Argv that
-is a leaf's command words (`orbit`, `joining light`) and then exact
---flag value pairs is read straight from that leaf's actions (parse);
-any other argv goes to the whole tree, which alone refuses and prints
-help.  A preset --spec name is resolved to one spec per process and
-stage budget (load_spec).  At import only the modules every command
-needs are loaded; each handler imports the rest of what it uses.
+document: its persist.Pieces, or a persist.Table for the commands that
+take --format, which main renders in the format asked for.  persist
+decides how every document looks; main writes it in one writelines call
+once it is whole, so a refused request writes nothing.  One argparse
+parser is built on the first call to main and reused by every later call
+in the process.  Argv that is a leaf's command words (`orbit`, `joining
+light`) and then exact --flag value pairs is read straight from that
+leaf's actions (parse); any other argv goes to the whole tree, which
+alone refuses and prints help.  A preset --spec name is resolved to one
+spec per process and stage budget (load_spec).  At import only the
+modules every command needs are loaded; each handler imports the rest.
 
-Exit codes: 0 success, 2 invalid request (bad flags, a validation refusal
-or an --out path that cannot be written), 3 orbit escaped the stage budget,
-4 unexpected internal error.
+Exit codes: 0 success, 2 invalid request (bad flags, a validation refusal,
+or a stdout or --out path that cannot be written), 3 orbit escaped the
+stage budget, 4 unexpected internal error.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+from contextlib import nullcontext
 from itertools import chain, islice, starmap
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -32,6 +35,7 @@ from .errors import OrbitEscaped, SpecError
 from .measure import IntervalSet
 from .persist import (
     BOUND_COLUMNS,
+    Pieces,
     Table,
     approx_str,
     block_list,
@@ -168,18 +172,18 @@ def matrix_meta(m: BlockMassMatrix, **extra: object) -> Dict[str, object]:
 
 # ----------------------------------------------------------------- handlers
 
-def cmd_build(args: argparse.Namespace) -> str:
+def cmd_build(args: argparse.Namespace) -> Pieces:
     spec = load_spec(args.spec, args.stage_budget)
     if args.stage < 1:
         raise SpecError("--stage must be >= 1")
-    return dump_stage(spec, args.stage) + "\n"
+    return dump_stage(spec, args.stage)
 
 
-# Steps `orbit` may take; 10^6 steps cost about 1.2 s and 152 MB.
+# Steps `orbit` may take; 10^6 steps cost about 0.7 s and 106 MB of RSS.
 MAX_STEPS = 1_000_000
 
 
-def cmd_orbit(args: argparse.Namespace) -> str:
+def cmd_orbit(args: argparse.Namespace) -> Pieces:
     spec = load_spec(args.spec, args.stage_budget)
     x = parse_frac(args.x)
     if args.steps < 0:
@@ -189,10 +193,10 @@ def cmd_orbit(args: argparse.Namespace) -> str:
     from .transform import Cursor
     cur = Cursor(spec, x)
     runs = starmap(frac_strs, cur.point_runs())
-    points = list(islice(chain.from_iterable(runs), args.steps + 1))
-    return render_json(points, command="orbit", spec=spec_hash(spec),
-                       x=frac_str(x), steps=args.steps,
-                       refinements=cur.refinements) + "\n"
+    # one join of the points, as one piece: digits and "/" need no escape
+    points = '",\n  "'.join(islice(chain.from_iterable(runs), args.steps + 1))
+    return render_json(Pieces(['[\n  "', points, '"\n ]']), command="orbit", spec=spec_hash(spec),
+                       x=frac_str(x), steps=args.steps, refinements=cur.refinements)
 
 
 def cmd_return_profile(args: argparse.Namespace) -> Table:
@@ -218,7 +222,7 @@ def cmd_correlate(args: argparse.Namespace) -> Table:
     return Table(("m",) + BOUND_COLUMNS, series.values, meta)
 
 
-def cmd_blum_hanson(args: argparse.Namespace) -> str:
+def cmd_blum_hanson(args: argparse.Namespace) -> Pieces:
     from .averaging import WeightSequence, average_moments, flatness, l2_deviation
     from .stats import _measure
     spec = load_spec(args.spec, args.stage_budget)
@@ -244,9 +248,8 @@ def cmd_blum_hanson(args: argparse.Namespace) -> str:
             "mean_approx": approx_str(mean),
             "escaped_hi": frac_str(escaped.hi),
             "flatness": frac_str(flatness(w, 0))}
-    return render_json(data, command="blum-hanson", spec=spec_hash(spec),
-                       j=args.j, J=args.res,
-                       support=list(w.support)) + "\n"
+    return render_json(data, command="blum-hanson", spec=spec_hash(spec), j=args.j,
+                       J=args.res, support=list(w.support))
 
 
 def _check_listing(blocks: int) -> None:
@@ -262,7 +265,7 @@ def cmd_joining_blocks(args: argparse.Namespace) -> Table:
                  matrix_meta(m, command="joining blocks"))
 
 
-def cmd_joining_light(args: argparse.Namespace) -> str:
+def cmd_joining_light(args: argparse.Namespace) -> Pieces:
     from .joinings import light_blocks
     m = matrix_from_args(args)
     rep = light_blocks(m, parse_frac(args.epsilon))
@@ -273,10 +276,10 @@ def cmd_joining_light(args: argparse.Namespace) -> str:
             "total_blocks": rep.total_blocks,
             "heavy_count": rep.heavy_count,
             "light": block_list(rep.light_set.rows(), m.h_b, 2)}
-    return render_json(data, **matrix_meta(m, command="joining light")) + "\n"
+    return render_json(data, **matrix_meta(m, command="joining light"))
 
 
-def cmd_joining_di(args: argparse.Namespace) -> str:
+def cmd_joining_di(args: argparse.Namespace) -> Pieces:
     from .joinings import di_estimate, light_blocks
     stages = parse_int_list(args.stages, "--stages")
     epsilons = [parse_frac(t) for t in args.epsilons.split(",") if t.strip() != ""]
@@ -293,13 +296,11 @@ def cmd_joining_di(args: argparse.Namespace) -> str:
     proxy = di_estimate(reports)
     data = {"proxy": frac_str(proxy), "proxy_approx": approx_str(proxy),
             "grid": grid}
-    return render_json(data, command="joining di", kind=args.kind,
-                       stages=stages,
-                       epsilons=[frac_str(e) for e in epsilons],
-                       J=args.res) + "\n"
+    return render_json(data, command="joining di", kind=args.kind, stages=stages,
+                       epsilons=[frac_str(e) for e in epsilons], J=args.res)
 
 
-def cmd_joining_disperse(args: argparse.Namespace) -> str:
+def cmd_joining_disperse(args: argparse.Namespace) -> Pieces:
     from .joinings import BlockIndex, dispersion_experiment
     spec_a, spec_b = (load_spec(t, args.stage_budget) for t in (args.spec_a, args.spec_b))
     z_pair = parse_int_list(args.z, "--z")
@@ -314,12 +315,11 @@ def cmd_joining_disperse(args: argparse.Namespace) -> str:
              "residual": frac_str(r.residual),
              "histogram": {f"{z.z1},{z.z2}": frac_str(v) for z, v in r.histogram.items()}}
             for r in rows]
-    return render_json(data, command="joining disperse",
-                       spec_a=spec_hash(spec_a), spec_b=spec_hash(spec_b),
-                       N=args.N, z=list(z_pair), j=args.j, J=args.res) + "\n"
+    return render_json(data, command="joining disperse", spec_a=spec_hash(spec_a),
+                       spec_b=spec_hash(spec_b), N=args.N, z=list(z_pair), j=args.j, J=args.res)
 
 
-def cmd_joining_trivialize(args: argparse.Namespace) -> str:
+def cmd_joining_trivialize(args: argparse.Namespace) -> Pieces:
     from .averaging import flatness
     from .joinings import columns_and_F, trivialization_check
     m = matrix_from_args(args)
@@ -336,7 +336,7 @@ def cmd_joining_trivialize(args: argparse.Namespace) -> str:
             "weight_flatness": frac_str(flatness(F.weights, 0)),
             "escape_slack": frac_str(rec.display_sum.width if rec.display_sum else 0),
             "nu_F": frac_str(F.nu_F)}
-    return render_json(data, **matrix_meta(m, command="joining trivialize", k_cond=args.k2)) + "\n"
+    return render_json(data, **matrix_meta(m, command="joining trivialize", k_cond=args.k2))
 
 
 def cmd_flow_window(args: argparse.Namespace) -> Table:
@@ -584,7 +584,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         doc = args.handler(args)
-        text = render_table(doc, args.format) if isinstance(doc, Table) else doc
+        pieces = render_table(doc, args.format) if isinstance(doc, Table) else doc
     except OrbitEscaped as exc:
         print(f"error: {exc}; retry with a larger "
               f"{_escape_flags(args, exc.stage_budget)}", file=sys.stderr)
@@ -595,13 +595,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
-    if not args.out:  # every leaf takes --out
-        sys.stdout.write(text)
-        return 0
-    try:
-        Path(args.out).write_text(text)
+    try:  # every leaf takes --out
+        with open(args.out, "w") if args.out else nullcontext(sys.stdout) as f:
+            f.writelines(pieces)
+            f.flush()
     except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        if not args.out:  # what stdout still buffers must not fail again at exit
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+        print(f"error: cannot write {args.out or 'stdout'}: {exc.strerror or exc}",
+              file=sys.stderr)
         return 2
     return 0
 

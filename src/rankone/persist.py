@@ -11,9 +11,11 @@ A JSON document prints as `json.dumps(doc, sort_keys=True,
 separators=(",", ": "), indent=1)` would print it: keys sorted, one space
 of indent per level, every non-ASCII or control character as a `\\u`
 escape.  A document may hold only dicts with str keys, lists, tuples,
-str, int, bool and None; a float or any other value raises TypeError.
-Bound tables and block listings print from row templates, not through
-the generic recursion.
+str, int, bool, None and Pieces; a float or any other value raises
+TypeError.  Bound tables and block listings print from row templates, not
+through the generic recursion.  Every renderer returns Pieces ending in
+the final "\\n", for one writelines call; a text rendered ahead is placed
+by reference, so no document is copied whole.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from hashlib import sha256
 from json.encoder import encode_basestring_ascii
 from math import gcd
 from operator import attrgetter
-from typing import Dict, Iterable, Iterator, NamedTuple, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Sequence, Tuple, Union
 
 from . import __version__
 from .construction import ConstructionSpec, build_stage
@@ -89,57 +91,48 @@ def meta_line(**params: object) -> str:
                              separators=(", ", ": "))
 
 
-class _Rendered(str):
-    """A JSON text already rendered at the nesting level it is placed at."""
+class Pieces(list):
+    """Rendered text as a list of str pieces that join to its bytes: a whole
+    document, or a JSON value rendered at the level a payload places it at."""
 
 
-def _render(o: object, level: int = 0) -> str:
-    """o as a JSON text, nested level deep (see the module docstring).
+def _render(o: object, level: int, out: List[str]) -> List[str]:
+    """out, with o appended as a JSON text nested level deep (see the
+    module docstring).  A Pieces value goes in by reference, never copied.
 
     json.dumps takes its pure-Python encoder whenever indent is set; this
-    renders int runs and escape-free string runs with C-level joins.  A
-    _Rendered text is placed as it is."""
-    if type(o) is _Rendered:
-        return o
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    inner = "\n" + " " * (level + 1)
-    sep = "," + inner
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
-        for k in o:
-            if not isinstance(k, str):
-                raise TypeError(f"keys must be str, not {type(k).__name__}")
-        body = sep.join([encode_basestring_ascii(k) + ": " + _render(v, level + 1)
-                         for k, v in sorted(o.items())])
-        return "{" + inner + body + "\n" + " " * level + "}"
-    if not isinstance(o, (list, tuple)):
-        raise TypeError(
-            f"Object of type {type(o).__name__} is not JSON serializable")
-    if not o:
-        return "[]"
-    types = set(map(type, o))
-    plain = "".join(o) if types == {str} else None
-    # escaping lengthens a text iff it holds a character that needs it
-    if plain is not None and len(encode_basestring_ascii(plain)) == len(plain) + 2:
-        body = '"' + ('"' + sep + '"').join(o) + '"'
-    elif types == {int}:
-        body = sep.join(map(int.__repr__, o))
+    renders an int run with one C-level join."""
+    if type(o) is Pieces:
+        out += o
+    elif isinstance(o, str):
+        out.append(encode_basestring_ascii(o))
+    elif o is None or isinstance(o, int):  # a bool is an int
+        out.append("null" if o is None else "true" if o is True else
+                   "false" if o is False else int.__repr__(o))
+    elif not isinstance(o, (dict, list, tuple)):
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    elif not o:
+        out.append("{}" if isinstance(o, dict) else "[]")
     else:
-        body = sep.join([_render(x, level + 1) for x in o])
-    return "[" + inner + body + "\n" + " " * level + "]"
+        inner = "\n" + " " * (level + 1)
+        lead, sep = ("{" if isinstance(o, dict) else "[") + inner, "," + inner
+        if isinstance(o, dict):  # a key that is no str raises TypeError here
+            for k, v in sorted(o.items()):
+                out.append(lead + encode_basestring_ascii(k) + ": ")
+                _render(v, level + 1, out)
+                lead = sep
+        elif set(map(type, o)) == {int}:
+            out += lead, sep.join(map(int.__repr__, o))
+        else:
+            for x in o:
+                out.append(lead)
+                _render(x, level + 1, out)
+                lead = sep
+        out.append("\n" + " " * level + ("}" if isinstance(o, dict) else "]"))
+    return out
 
 
-def block_list(rows: Iterable[Tuple[int, Sequence[int]]], h_b: int, level: int) -> str:
+def block_list(rows: Iterable[Tuple[int, Sequence[int]]], h_b: int, level: int) -> Pieces:
     """The blocks of (z1, z2s) rows, z2 < h_b, as the JSON list of their
     [z1, z2] pairs nested level deep: each row is one join of a tail string
     per column, made once, under a head string per row."""
@@ -148,11 +141,14 @@ def block_list(rows: Iterable[Tuple[int, Sequence[int]]], h_b: int, level: int) 
     tails = [f"{z2}{ind1}]" for z2 in range(h_b)]
     body = sep.join([head + (sep + head).join(map(tails.__getitem__, z2s))
                      for z1, z2s in rows if z2s for head in [f"[{ind2}{z1},{ind2}"]])
-    return _Rendered(f"[{ind1}{body}\n{' ' * level}]" if body else "[]")
+    return Pieces(["[" + ind1, body, "\n" + " " * level + "]"] if body else ["[]"])
 
 
-def render_json(payload: object, **meta: object) -> str:
-    return _render({"meta": {"tool_version": __version__, **meta}, "data": payload})
+def render_json(payload: object, **meta: object) -> Pieces:
+    """The {"meta", "data"} document of payload, ending in its "\\n"."""
+    _render({"meta": {"tool_version": __version__, **meta}, "data": payload}, 0,
+            doc := Pieces()).append("\n")
+    return doc
 
 
 class Table(NamedTuple):
@@ -166,7 +162,7 @@ class Table(NamedTuple):
     meta: Dict[str, object]
 
 
-def render_table(table: Table, fmt: str) -> str:
+def render_table(table: Table, fmt: str) -> Pieces:
     """The table as a document in fmt, "csv" or "json" (entries keyed by
     the key's parts joined by ",", sorted as _render sorts them), only
     that one.  Each distinct value is formatted once: a BoundSeries's
@@ -182,8 +178,8 @@ def render_table(table: Table, fmt: str) -> str:
             cells[n] = f"{a},{b}" if fmt == "csv" else (
                 f'"{a}/{b}"', f'"{_APPROX_CTX.divide(a, b)}"')
         if fmt == "csv":
-            return head + "".join([f"{k},{cells[lo]},{cells[hi]}\n"
-                                   for k, lo, hi in zip(s.domain, s.lo, s.hi)])
+            return Pieces([head, "".join([f"{k},{cells[lo]},{cells[hi]}\n"
+                                          for k, lo, hi in zip(s.domain, s.lo, s.hi)])])
         rows = [(str(k), f'{{\n   "hi": {hi},\n   "hi_approx": {hi_x},\n'
                          f'   "lo": {lo},\n   "lo_approx": {lo_x}\n  }}')
                 for k, (lo, lo_x), (hi, hi_x) in zip(s.domain, map(cells.__getitem__, s.lo),
@@ -194,20 +190,20 @@ def render_table(table: Table, fmt: str) -> str:
             if v is not last:  # a run of one value object is looked up once
                 last, t = v, _BOUND_INTS(v) if isinstance(v, MeasureBound) else _FRACTION_INTS(v)
                 if t not in texts:
-                    texts[t] = ",".join(map(str, t)) if fmt == "csv" else _render(
-                        bound_json(v) if isinstance(v, MeasureBound) else frac_str(v), 2)
+                    texts[t] = ",".join(map(str, t)) if fmt == "csv" else "".join(_render(
+                        bound_json(v) if isinstance(v, MeasureBound) else frac_str(v), 2, []))
             rows.append((*(k if isinstance(k, tuple) else (k,)), texts[t]))
         key = ",".join(["%d"] * (len(columns) - len(t)))  # one %d per key part
         if fmt == "csv":
-            return head + "".join(map((key + ",%s\n").__mod__, rows))
+            return Pieces([head, "".join(map((key + ",%s\n").__mod__, rows))])
         rows = [(key % r[:-1], r[-1]) for r in rows]
     body = ",\n  ".join([f'"{k}": {text}' for k, text in sorted(dict(rows).items())])
-    return render_json(_Rendered("{\n  " + body + "\n }") if rows else {}, **meta) + "\n"
+    return render_json(Pieces(["{\n  ", body, "\n }"]) if rows else {}, **meta)
 
 
 # ------------------------------------------------------------- stage records
 
-def dump_stage(spec: ConstructionSpec, J: int) -> str:
+def dump_stage(spec: ConstructionSpec, J: int) -> Pieces:
     """Serialize stages 1..J with exact rationals; a stage's tuples print as lists."""
     build_stage(spec, J)  # a J past the stage budget is refused before any stage is built
     stages = [{"stage": st.stage, "height": st.height, "width": frac_str(st.width),
@@ -215,7 +211,8 @@ def dump_stage(spec: ConstructionSpec, J: int) -> str:
                "offsets": st.offsets, "spacer_cum": st.spacer_cum,
                "spacer_zone_lo": st.prev and frac_str(st.prev.total)}
               for st in (build_stage(spec, j) for j in range(1, J + 1))]
-    return _render({"format": STAGE_FORMAT, "tool_version": __version__,
-                    "spec": json.loads(spec.canonical_json()),
-                    "spec_hash": spec_hash(spec), "J": J, "stages": stages})
+    _render({"format": STAGE_FORMAT, "tool_version": __version__,
+             "spec": json.loads(spec.canonical_json()), "spec_hash": spec_hash(spec),
+             "J": J, "stages": stages}, 0, doc := Pieces()).append("\n")
+    return doc
 

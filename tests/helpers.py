@@ -439,10 +439,11 @@ def points(cur):
 
 # ---------------------------------------------------------- child process
 
-def run_capped(argv, cap_mb=512, timeout=60):
+def run_capped(argv, cap_mb=512, timeout=60, stdout=subprocess.PIPE):
     """(CompletedProcess, wall seconds) of `python *argv`, run with the
     library on its path in a child process under a cap_mb address-space
-    cap (RLIMIT_AS); for the command line, argv starts "-m", "rankone.cli"."""
+    cap (RLIMIT_AS); for the command line, argv starts "-m", "rankone.cli".
+    The child's stdout goes to stdout, captured by default."""
     resource = pytest.importorskip("resource")
     cap = cap_mb << 20
 
@@ -453,6 +454,6 @@ def run_capped(argv, cap_mb=512, timeout=60):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     t0 = time.monotonic()
-    proc = subprocess.run([sys.executable, *argv], env=env, preexec_fn=limit,
-                          capture_output=True, text=True, timeout=timeout)
+    proc = subprocess.run([sys.executable, *argv], env=env, preexec_fn=limit, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=timeout)
     return proc, time.monotonic() - t0

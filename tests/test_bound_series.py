@@ -89,16 +89,16 @@ def oracle_max(values, zs):
 
 
 def pairs_document(series, fmt, meta):
-    """render_table of the series' (key, MeasureBound) pairs."""
+    """render_table of the series' (key, MeasureBound) pairs, joined."""
     table = Table(("z",) + BOUND_COLUMNS, iter(list(series.items())), meta)
-    return render_table(table, fmt)
+    return "".join(render_table(table, fmt))
 
 
 def assert_prints_as_pairs(series, meta=None):
     meta = {"command": "test"} if meta is None else meta
     for fmt in ("csv", "json"):
         table = Table(("z",) + BOUND_COLUMNS, series, meta)
-        assert render_table(table, fmt) == pairs_document(series, fmt, meta), fmt
+        assert "".join(render_table(table, fmt)) == pairs_document(series, fmt, meta), fmt
 
 
 # -------------------------------------------------------------- the type

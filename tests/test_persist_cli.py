@@ -31,6 +31,7 @@ from rankone.joinings import BlockIndex
 from rankone.measure import MeasureBound
 from rankone.persist import (
     BOUND_COLUMNS,
+    Pieces,
     Table,
     approx_str,
     bound_json,
@@ -140,7 +141,7 @@ _json_trees = st.recursive(_leaves, lambda kids: (
 @given(_json_trees, st.dictionaries(_strings, _scalars, max_size=3))
 def test_render_json_matches_json_dumps(payload, meta):
     doc = {"meta": {"tool_version": rankone.__version__, **meta}, "data": payload}
-    assert render_json(payload, **meta) == oracle_json(doc)
+    assert "".join(render_json(payload, **meta)) == oracle_json(doc) + "\n"
 
 
 @pytest.mark.parametrize("bad", [
@@ -153,6 +154,42 @@ def test_render_json_refuses_non_json_values(bad):
         render_json(bad)
 
 
+def prerendered(value, level, cuts):
+    """value's JSON text as it sits level deep, from json.dumps, not from
+    persist, cut into Pieces at the offsets in cuts."""
+    text = oracle_json(value).replace("\n", "\n" + " " * level)
+    ends = sorted({min(c, len(text)) for c in cuts}) + [len(text)]
+    return Pieces(text[a:b] for a, b in zip([0, *ends], ends))
+
+
+def with_prerendered(o, level, draw):
+    """o with values at random depths and positions swapped for their
+    pre-rendered Pieces; a tuple or namedtuple comes back as a list."""
+    if draw(st.integers(0, 3)) == 0:
+        return prerendered(o, level, draw(st.lists(st.integers(0, 40), max_size=3)))
+    if isinstance(o, dict):
+        return {k: with_prerendered(v, level + 1, draw) for k, v in o.items()}
+    if isinstance(o, (list, tuple)):
+        return [with_prerendered(x, level + 1, draw) for x in o]
+    return o
+
+
+@given(_json_trees, st.dictionaries(_strings, _scalars, max_size=3), st.data())
+def test_prerendered_pieces_nest_at_any_depth(payload, meta, data):
+    # a Pieces value prints as its pieces, wherever it sits in a payload
+    doc = {"meta": {"tool_version": rankone.__version__, **meta}, "data": payload}
+    nested = with_prerendered(payload, 1, data.draw)
+    assert "".join(render_json(nested, **meta)) == oracle_json(doc) + "\n"
+
+
+def test_prerendered_text_is_placed_by_reference():
+    # the listing's body is a piece of the document, not a copy of it
+    body = "x" * 10_000
+    doc = render_json({"light": [Pieces(['"', body, '"']), 1]}, command="test")
+    assert type(doc) is Pieces and doc[-1].endswith("\n")
+    assert sum(p is body for p in doc) == 1
+
+
 # ----------------------------------------------------------- table rendering
 
 def oracle_csv(columns, rows, meta):
@@ -163,10 +200,10 @@ def oracle_csv(columns, rows, meta):
 
 def oracle_table_json(items, meta):
     """A JSON table from its (key, value) pairs and the values' Fractions."""
-    return render_json({
+    return "".join(render_json({
         ",".join(map(str, k if isinstance(k, tuple) else (k,))):
         bound_json(v) if isinstance(v, MeasureBound) else frac_str(v)
-        for k, v in items}, **meta) + "\n"
+        for k, v in items}, **meta))
 
 
 def oracle_cells(items):
@@ -200,7 +237,7 @@ _tables = st.sampled_from(_TABLE_SHAPES).flatmap(lambda shape: st.tuples(
 def test_csv_row_template_matches_joined_cells(shape, meta):
     # negative and huge keys and numerators, a single row and no rows
     columns, items = shape
-    assert render_table(Table(columns, iter(items), meta), "csv") == oracle_csv(
+    assert "".join(render_table(Table(columns, iter(items), meta), "csv")) == oracle_csv(
         columns, oracle_cells(items), meta)
 
 
@@ -209,9 +246,9 @@ def test_table_documents_match_value_rendering(shape, meta):
     # each document reads its items once, as `flow bands` passes a zip
     columns, items = shape
     keys, values = zip(*items) if items else ((), ())
-    assert render_table(Table(columns, zip(keys, values), meta), "csv") == oracle_csv(
+    assert "".join(render_table(Table(columns, zip(keys, values), meta), "csv")) == oracle_csv(
         columns, oracle_cells(items), meta)
-    assert render_table(Table(columns, zip(keys, values), meta), "json") == (
+    assert "".join(render_table(Table(columns, zip(keys, values), meta), "json")) == (
         oracle_table_json(items, meta))
 
 
@@ -219,7 +256,7 @@ def test_table_documents_match_value_rendering(shape, meta):
 
 def test_dump_load_round_trip_staircase():
     # the document parses back to the records of stages 1..J as built
-    doc = json.loads(dump_stage(ST2, 5))
+    doc = json.loads("".join(dump_stage(ST2, 5)))
     assert doc["format"] == 1
     assert doc["J"] == 5
     assert doc["spec_hash"] == spec_hash(ST2)
@@ -270,7 +307,7 @@ def oracle_cmd_orbit(args):
         points.append(frac_str(cur.x))
     return render_json(points, command="orbit", spec=spec_hash(spec),
                        x=frac_str(x), steps=args.steps,
-                       refinements=cur.refinements) + "\n"
+                       refinements=cur.refinements)
 
 
 @settings(max_examples=60, deadline=None)
@@ -657,7 +694,7 @@ def test_cli_build_output_is_dump_stage(tmp_path):
     code, out, err = run_cli("build", "--spec", "staircase", "--stage", "4",
                              "--out", str(target))
     assert code == 0 and out == ""
-    assert target.read_text() == dump_stage(ST2, 4) + "\n"
+    assert target.read_text() == "".join(dump_stage(ST2, 4))
 
 
 def test_cli_out_writes_file_and_silences_stdout(tmp_path):
@@ -676,6 +713,49 @@ def test_cli_out_unwritable_exit_2(tmp_path, where):
     assert code == 2 and out == ""
     assert err.startswith(f"error: cannot write {target}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+@pytest.mark.parametrize("steps, unbuffered", [("3", None), ("300000", None), ("300000", "1")],
+                         ids=["fits-the-buffer", "past-the-buffer", "unbuffered"])
+def test_cli_unwritable_stdout_exit_2(steps, unbuffered, monkeypatch):
+    # a document that fits stdout's buffer fails only when it is flushed,
+    # a long one within writelines; either way one line and exit 2, and the
+    # interpreter's own flush at exit, which meets what a buffered stdout
+    # still holds, adds no "Exception ignored" (exit 120)
+    if unbuffered is None:
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+    with open("/dev/full", "w") as full:
+        proc, _ = run_capped(["-m", "rankone.cli", "orbit", "--spec", "staircase", "--x",
+                              "1/3", "--steps", steps], stdout=full)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write stdout: No space left on device\n"
+
+
+# Each cap lies between the two ways of writing a document.  As pieces,
+# the least RLIMIT_AS each command answers under is 110-112 MB (orbit)
+# and 31-35 MB (listing) on CPython 3.10-3.13; when every renderer level
+# copied the document whole it was 143-157 MB and 39-49 MB, and under
+# these caps that ended in MemoryError (exit 4) on 3.11-3.13.
+BIG_DOCUMENTS = {
+    "orbit-10^6-steps": (
+        ("orbit", "--spec", "staircase", "--x", "1/3", "--steps", "1000000"), 128,
+        "ece0dc36f91640d124655ec34bce654e4c39c893572a8a13f35157a20ec733e7"),
+    "light-product-j6": (
+        ("joining", "light", "--kind", "product", "--spec-a", "staircase", "--spec-b",
+         "chacon", "--j", "6", "--res", "7", "--epsilon", "1/2"), 42,
+        "09ad7e0d0405b8df175befb14a2946f12450813c5b152ef33a6e4f7a3c66cb33"),
+}
+
+
+@pytest.mark.parametrize("name", list(BIG_DOCUMENTS))
+def test_cli_big_documents_in_a_capped_child(name):
+    argv, cap_mb, digest = BIG_DOCUMENTS[name]
+    proc, _ = run_capped(["-m", "rankone.cli", *argv], cap_mb=cap_mb)
+    assert proc.returncode == 0, proc.stderr
+    assert sha256(proc.stdout.encode()).hexdigest() == digest
 
 
 def test_cli_spec_file_round_trip(tmp_path):
@@ -1264,6 +1344,19 @@ def test_cli_json_documents_are_fixed_points(name, tmp_path):
     code, out, err = run_cli(*argv)
     assert code == 0, err
     assert out == oracle_json(json.loads(out)) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    *(JSON_COMMANDS[n] for n in ("build", "orbit", "joining-light-product",
+                                 "return-profile-json", "joining-blocks-json")),
+    *list(FORMAT_MATRIX)[:3]], ids=lambda argv: "-".join(argv[:2]))
+def test_cli_out_file_equals_stdout(argv, tmp_path):
+    # one writer for both: the --out file holds stdout's bytes
+    target = tmp_path / "doc.out"
+    code, out, err = run_cli(*argv)
+    assert code == 0, err
+    assert run_cli(*argv, "--out", str(target)) == (0, "", "")
+    assert target.read_bytes() == out.encode()
 
 
 # Library functions that no command reaches: each stays in the library as
