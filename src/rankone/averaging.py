@@ -8,7 +8,7 @@ the convolution b^w = sum_z a^{w+z} a^z, and the L2 deviation of P f from
 its mean is enclosed exactly, with escaped mass charged at its worst
 possible pointwise value.  average_apply sums one segment per piece class
 of f and stage-J level into P f; average_moments reads the norm, integral
-and escape from stats' lag counts, building neither P f nor any stage-J set.
+and escape from stats' two kernels, building neither P f nor a stage-J set.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Dict, Iterable, Tuple, Union
 from .construction import ConstructionSpec, LevelSet, bit_indices, build_stage
 from .errors import SpecError
 from .measure import IntervalSet, MeasureBound, RationalLike, StepFunction, as_fraction
-from .stats import _classes, _lane_product, _stage_counts
+from .stats import _classes, _escapes, _lane_product, _stage_counts
 
 __all__ = [
     "WeightSequence",
@@ -168,7 +168,7 @@ def average_moments(spec: ConstructionSpec, w: WeightSequence,
       ||P f||^2 = w_J/D^2 sum_kl v_k v_l |[lo_k, hi_k) cap [lo_l, hi_l)|
                   (sum_m b_m X_kl(m) - sum_{t >= h_J} c_k(t) c_l(t))
     Shifts z >= h_J only escape.  Cost: one stats._stage_counts per class
-    pair at b's lags, each from its own class stages; the diagonal gives |S_k|, tail_k, c.
+    pair at b's lags and 0, and one stats._escapes a class at 0..L, L < h_J the last z.
     """
     st = build_stage(spec, J)
     h, width, D = st.height, st.width, w.den
@@ -176,10 +176,10 @@ def average_moments(spec: ConstructionSpec, w: WeightSequence,
     L = max(near, default=0)
     # b_m for m >= 0, with b_{-m} = b_m folded in
     b = {m: (2 if m else 1) * v for m, v in _correlate(near, near).items() if m >= 0}
-    lags = sorted({*b, L})  # b's lags, and L for the tails up to it
+    lags = sorted({*b, 0})
     classes = []
     for piece, kb in _classes(st, f.segments if isinstance(f, StepFunction) else f).items():
-        hits, tails = _stage_counts(spec, kb, kb, lags, J)  # hits[0] = |S_k|
+        hits, tails = _stage_counts(spec, kb, kb, lags, J), _escapes(spec, kb, range(L + 1), J)
         out = (D - sum(near.values())) * hits[0] + sum(n * tails[z] for z, n in near.items())
         # c_k(h - 1 + m) = c[m]; level h - 1 - r is in S_k iff tail_k steps at r
         top = {r: 1 for r in range(L) if tails[r + 1] > tails[r]}
@@ -190,7 +190,7 @@ def average_moments(spec: ConstructionSpec, w: WeightSequence,
         escaped += (hi - lo) * out
         for (lo2, hi2, v2), kb2, _, _, c2 in classes:
             if min(hi, hi2) > max(lo, lo2):
-                x = hits if kb2 == kb else _stage_counts(spec, kb2, kb, lags, J)[0]
+                x = hits if kb2 == kb else _stage_counts(spec, kb2, kb, lags, J)
                 pairs = sum(b.get(m, 0) * n for m, n in zip(lags, x))
                 pairs -= sum(y * c2.get(m, 0) for m, y in c.items() if m > 0)
                 sq += v * v2 * (min(hi, hi2) - max(lo, lo2)) * pairs

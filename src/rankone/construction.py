@@ -80,6 +80,12 @@ class _Rule:
             raise SpecError(f"unknown {cls.json_name} key: {', '.join(unknown)}")
         return cls(**{name: data.get(name) for name in cls.__match_args__})
 
+    def _read_by(self, **kinds: str) -> None:
+        """Refuse a field set on a rule of another kind than the one that reads it."""
+        for name, kind in kinds.items():
+            if getattr(self, name) is not None and self.kind != kind:
+                raise SpecError(f"{self.json_name} kind {self.kind!r} does not read {name!r}")
+
 
 def bit_indices(bits: int) -> Tuple[int, ...]:
     """Sorted indices of the set bits of a nonnegative int, in time linear
@@ -118,7 +124,7 @@ class CutRule(_Rule):
 
     kinds: "constant" (value), "stage" (r_j = j, so r_1 = 1 is a degenerate
     no-cut stage), "list" (explicit values, 1-indexed by stage).  Its JSON
-    object holds kind, value and values; any other key is refused.
+    object holds kind and the field its kind reads; any other is refused.
     """
 
     kind: str
@@ -129,13 +135,11 @@ class CutRule(_Rule):
     def __post_init__(self):
         if self.kind not in ("constant", "stage", "list"):
             raise SpecError(f"unknown cut rule kind: {self.kind!r}")
+        self._read_by(value="constant", values="list")
         if self.kind == "constant":
             _check_int("constant cut rule value", self.value, 1)
-        elif self.value is not None:
-            _check_int("cut rule value", self.value)
         if self.values is not None:
-            object.__setattr__(self, "values",
-                               _int_tuple("cut rule values", self.values, 1))
+            object.__setattr__(self, "values", _int_tuple("cut rule values", self.values, 1))
         if self.kind == "list" and not self.values:
             raise SpecError("list cut rule needs positive values")
 
@@ -156,7 +160,7 @@ class SpacerRule(_Rule):
     kinds: "none" (s = 0), "staircase" (s_{j,i} = i), "chacon" (s = (0,1,0),
     requires r_j = 3), "random" (uniform in [0, bound], drawn from the spec
     seed with one independent substream per stage), "list" (explicit rows).
-    """
+    A field its kind does not read is refused."""
 
     kind: str
     bound: Optional[int] = None
@@ -166,10 +170,9 @@ class SpacerRule(_Rule):
     def __post_init__(self):
         if self.kind not in ("none", "staircase", "chacon", "random", "list"):
             raise SpecError(f"unknown spacer rule kind: {self.kind!r}")
+        self._read_by(bound="random", rows="list")
         if self.kind == "random":
             _check_int("random spacer rule bound", self.bound, 0)
-        elif self.bound is not None:
-            _check_int("spacer rule bound", self.bound)
         if self.kind == "list" and self.rows is None:
             raise SpecError("list spacer rule needs rows")
         if self.rows is not None:
@@ -188,8 +191,6 @@ class SpacerRule(_Rule):
                 raise SpecError("chacon spacers require a 3-column cut")
             return (0, 1, 0)
         if self.kind == "random":
-            if seed is None:
-                raise SpecError("random spacer rule needs an explicit seed")
             rng = random.Random(seed * 1_000_003 + j)
             return tuple(rng.randint(0, self.bound) for _ in range(r))
         if j > len(self.rows):
@@ -221,8 +222,8 @@ class ConstructionSpec(_Rule):
 
     h1 and the two rules fix the system; the first tower fills [0, 1), so
     w_1 = 1/h1.  max_stage caps how deep any consumer may refine (the stage
-    budget).  Its JSON object holds these fields and preset; any other key
-    is refused, so a file is never read as another system than it names.
+    budget).  Its JSON holds these fields and preset, seed iff the spacer rule
+    is random; any other is refused: a file is read as the one system it names.
     """
 
     h1: int
@@ -240,8 +241,10 @@ class ConstructionSpec(_Rule):
                 object.__setattr__(self, rule.json_name, rule.from_json(value))
         _check_int("h1", self.h1, 1)
         _check_int("max_stage", self.max_stage, 1)
-        if self.seed is not None:
-            _check_int("seed", self.seed)
+        if self.spacer_rule.kind == "random":
+            _check_int("random spacer rule seed", self.seed)
+        elif self.seed is not None:
+            raise SpecError(f"spacer_rule kind {self.spacer_rule.kind!r} does not read 'seed'")
 
     def cuts(self, j: int) -> int:
         return self.cut_rule.at(j)

@@ -28,7 +28,7 @@ from .averaging import WeightSequence
 from .construction import MAX_BITS, ConstructionSpec, LevelSet, build_stage
 from .errors import EmptyFSetError, SpecError
 from .measure import IntervalSet, MeasureBound, RationalLike, as_fraction
-from .stats import _check_resolution, _classes, _measure, _stage_counts
+from .stats import _check_resolution, _classes, _escapes, _measure, _stage_counts
 from .transform import CHUNK, Cursor
 
 __all__ = [
@@ -266,11 +266,11 @@ def graph_blocks(spec: ConstructionSpec, k: int, j: int, J: int) -> BlockMassMat
     unit w_J / M_J, the nonzero ones of stats._stage_counts of E_j = (j, 1)
     over the lags k - h_j + 1 .. k + h_j - 1, which builds no stage-J set.
     Both occurrences of a pair start whole stage-j copies, so every pair
-    resolves inside the stage-J tower."""
+    resolves inside the stage-J tower: no escape is counted."""
     _check_resolution(j, J)
     st, stJ = build_stage(spec, j), build_stage(spec, J)
     h, M = st.height, stJ.total
-    lags = _stage_counts(spec, (j, 1), (j, 1), range(k - h + 1, k + h), J)[0]
+    lags = _stage_counts(spec, (j, 1), (j, 1), range(k - h + 1, k + h), J)
     masses = BlockMasses(h, h, {i - h + 1: n for i, n in enumerate(lags) if n},
                          stJ.width / M, True)
     return BlockMassMatrix(kind="graph", j=j, masses=masses, norm_a=M, norm_b=M,
@@ -556,7 +556,7 @@ def trivialization_check(m: BlockMassMatrix, F: FSetSpec, A: Union[IntervalSet, 
     widen by the escape, w_J each: the levels of B below h, which T^{-h}
     pushes off the bottom copy when a block is picked, and for graph
     matrices the occurrences of each hit level i that T^k pushes off, from
-    stats._stage_counts' escape on E_j = (j, 1), a popcount per step.
+    stats._escapes of E_j = (j, 1), a popcount per step: no lag product.
     """
     if not (1 <= k <= m.j):
         raise SpecError(f"need 1 <= k <= j, got k={k}, j={m.j}")
@@ -577,7 +577,7 @@ def trivialization_check(m: BlockMassMatrix, F: FSetSpec, A: Union[IntervalSet, 
     if wide and m.kind == "graph":
         # escape[z2]: the occurrences p of E_j with p + z2 + k off the tower, as its steps
         kg = m.meta["k"]
-        escape = _stage_counts(m.spec_b, (m.j, 1), (m.j, 1), range(kg, kg + m.h_b), m.meta["J"])[1]
+        escape = _escapes(m.spec_b, (m.j, 1), range(kg, kg + m.h_b), m.meta["J"])
         steps = [(i, d) for i, d in enumerate(map(sub, escape, [0, *escape])) if d]
     # counts of the shifted hit blocks; weighted, of the displayed blocks and escapes
     cond = moved = out = 0

@@ -1,13 +1,13 @@
 """Return-time statistics with two-sided bounds.
 
-One kernel, `_stage_counts`, counts mu(A intersect T^m B) at stage J over
-a range or list of m, for A and B each whole levels of its own stage k, an
-int bitset (k, bits): the levels of B with i + m in A, every lag from one
-big-int product of byte lanes or by a shift each (`_lag_counts`), and those
-off the tower (`_escapes`, a prefix count per edge), at the first stage
-taller than every |m|, plus the pairs crossing between adjacent copies above
-it (`_cross`), with no stage-J set.  Interval sets go by piece classes
-(`_classes`), one count per class pair.  Escaped mass widens the upper bound.
+Two kernels bound mu(A intersect T^m B) at stage J over a range or list of
+m, for A and B each whole levels of its own stage k, an int bitset (k, bits),
+with no stage-J set; a caller asks the one it reads.  `_stage_counts` counts
+the levels of B with i + m in A, every lag from one big-int product of byte
+lanes or by a shift each (`_lag_counts`) at the first stage taller than every
+|m|, plus the pairs crossing between adjacent copies above it (`_cross`).
+`_escapes` counts those of B alone off the tower, a prefix count per edge.
+Interval sets go by piece classes (`_classes`).  Escapes widen the upper bound.
 
 Bound tables are measure.BoundSeries, the counts as numerators over one
 shared denominator: |S| for a^z_j = mu(T^z E_j | E_j), S the occurrences of
@@ -62,40 +62,34 @@ def _entries(n: int, name: str) -> range:
 
 
 def _stage_counts(spec: ConstructionSpec, a: Tuple[int, int], b: Tuple[int, int],
-                  ms: Sequence[int], J: int) -> Tuple[List[int], List[int]]:
-    """(resolved, escaped) level counts of A intersect T^m B at stage J for
-    A, B given as level_bits gives them, (k, bits) over the stage-k levels,
-    without their stage-J lifts: resolved at each m in ms (a range of step
-    1 or a sorted list), escaped at each m from ms[0] to ms[-1].
+                  ms: Sequence[int], J: int) -> List[int]:
+    """The levels of A intersect T^m B resolved on the stage-J tower at each m in ms, a range
+    of step 1 or a sorted list, for A, B given as level_bits gives them, (k, bits) over the
+    stage-k levels, without their stage-J lifts.
 
     With Z = max|m|, the base is the first stage from the deeper k on taller
-    than Z, or J.  _lag_counts and _escapes run there, on the lifts to the base.
-    Above it each stage t is r_t copies of stage t-1, which is taller than Z, so only
+    than Z, or J; _lag_counts runs there, on the lifts to the base.  Above it
+    each stage t is r_t copies of stage t-1, which is taller than Z, so only
     adjacent copies c, c+1 meet under T^m; with spacer s_c between them,
     hits_t(m) = r_t hits_{t-1}(m) + sum_{c < r_t - 1} X_t(|m| - s_c).  For
     m > 0, X_t(w) counts the levels of B in the top w levels of stage t-1
     that land on A in its bottom w; m < 0 swaps A and B.  Stage t-1's
     bottom is the base's, and its top is the base's pushed up by S_t, the
     last-column spacers s_{r-1} of the stages between: so X_t(w) =
-    X(w - S_t), X(w) the base's lag count at w - h (h + w for w < 0), and the
-    escapes at J are _escapes at the base height plus S_{J+1}.  Unrolled,
-    that is one _cross of X over every shifted spacer, weighted by the cuts
-    above its stage.  Cost: one lane product, or a shift a lag, at the base.
-    """
-    span = range(ms[0], ms[-1] + 1) if ms else ms
+    X(w - S_t), X(w) the base's lag count at w - h (h + w for w < 0).
+    Unrolled: one _cross of X over every shifted spacer, weighted by the
+    cuts above its stage.  Cost: one lane product, or a shift a lag, at the base."""
+    span = range(ms[0], ms[-1] + 1) if ms else range(0)
     dense = len(span) == len(ms)  # a range, or a list without gaps
     z = max(-span.start, span.stop - 1, 0)
-    chain = [build_stage(spec, J)]  # stages from the deeper k to J
-    while chain[0].stage > max(a[0], b[0]):
-        chain.insert(0, chain[0].prev)
-    i = next((i for i, t in enumerate(chain) if t.height > z), len(chain) - 1)
-    st, above = chain[i], chain[i + 1:]
+    st, above = build_stage(spec, J), []  # the base, and the stages above it from J down
+    while st.stage > max(a[0], b[0]) and st.prev.height > z:
+        st, above = st.prev, [*above, st]
     a, b, h = st.occurrence_bits(*a), st.occurrence_bits(*b), st.height
-    ups = list(accumulate((t.spacers[-1] for t in above), initial=0))  # S_t, then S_{J+1}
     neg, pos = range(span.start, min(span.stop, 0)), range(max(span.start, 0), span.stop)
-    outs = _escapes(b, neg, pos, h + ups[-1])
-    weights, c = Counter(), 1  # c: the product of the cuts above stage t
-    for t, up in zip(reversed(above), reversed(ups[:-1])):
+    weights, c, up = Counter(), 1, sum(t.spacers[-1] for t in above)
+    for t in above:  # c: the product of the cuts above stage t; up: S_t
+        up -= t.spacers[-1]
         for s in (s + up for s in t.spacers[:-1] if s + up < z):
             weights[s] += c
         c *= t.cut
@@ -107,7 +101,29 @@ def _stage_counts(spec: ConstructionSpec, a: Tuple[int, int], b: Tuple[int, int]
         cross = _cross(xn, weights)[-neg.start:-neg.stop:-1] if neg else []
         cross += _cross(xp, weights)[pos.start:] if pos else []
         hits = list(map(add, hits, cross if dense else [cross[m - span.start] for m in ms]))
-    return hits, outs
+    return hits
+
+
+def _escapes(spec: ConstructionSpec, b: Tuple[int, int], ms: Sequence[int], J: int) -> List[int]:
+    """The levels i of B = (k, bits) at stage J with i + m off the tower [0, h_J), for each m
+    from ms[0] to ms[-1]: prefix counts of its top m levels (bottom |m| for m < 0), read on
+    B's lift to the base of _stage_counts for B alone.  Stage J's bottom is the base's, and
+    its top the base's pushed up by the last-column spacers of every stage above; no lag product."""
+    lo, hi = (ms[0], ms[-1]) if ms else (0, -1)
+    st, up = build_stage(spec, J), 0  # the base, and the last-column spacers above it
+    while st.stage > b[0] and st.prev.height > max(-lo, hi, 0):
+        st, up = st.prev, up + st.spacers[-1]
+    b, h, out = st.occurrence_bits(*b), st.height + up, []
+    for ds, top in ((range(-min(hi, -1), 1 - lo), False), (range(max(lo, 0), hi + 1), True)):
+        if ds:  # the ones of b in its d top (or bottom) levels of [0, h), each d in ds
+            d0, d1 = min(ds[0], h), min(ds[-1], h)
+            w = d1 - d0
+            bits = f"{(b >> (h - d1 if top else d0)) & ((1 << w) - 1) | 1 << w:b}"[1:]
+            base = (b >> (h - d0) if top else b & ((1 << d0) - 1)).bit_count()
+            counts = list(accumulate(map(int, bits if top else bits[::-1]), initial=base))
+            counts += counts[-1:] * (len(ds) - len(counts))
+            out += counts if top else counts[::-1]
+    return out
 
 
 def _cross(x: List[int], weights: Dict[int, int]) -> List[int]:
@@ -154,22 +170,6 @@ def _lane_product(x: bytes, y: bytes, width: int) -> bytes:
         len(x) + len(y) - width, "little")
 
 
-def _escapes(b: int, neg: range, pos: range, h: int) -> List[int]:
-    """The levels i of B with i + m outside [0, h), for each m in neg, then in pos."""
-    below = _edge(b, range(-neg[-1], 1 - neg[0]), h, False)[::-1] if neg else []
-    return below + (_edge(b, pos, h, True) if pos else [])
-
-
-def _edge(b: int, ds: range, h: int, top: bool) -> List[int]:
-    """Ones of b in its d top (or bottom) levels of [0, h), each d in ds."""
-    d0, d1 = min(ds[0], h), min(ds[-1], h)
-    w = d1 - d0
-    bits = f"{(b >> (h - d1 if top else d0)) & ((1 << w) - 1) | 1 << w:b}"[1:]
-    base = (b >> (h - d0) if top else b & ((1 << d0) - 1)).bit_count()
-    counts = list(accumulate(map(int, bits if top else bits[::-1]), initial=base))
-    return counts + counts[-1:] * (len(ds) - len(counts))
-
-
 def _bounds(keys: range, hits: List[int], outs: List[int], cap: int,
             unit: Fraction) -> BoundSeries:
     """{key: [hit, min(hit + out, cap)] times unit}, over unit's denominator."""
@@ -208,8 +208,8 @@ def _check_resolution(j: int, J: int) -> None:
 def return_profile(spec: ConstructionSpec, j: int, J: int, z_max: int) -> ReturnProfile:
     _check_resolution(j, J)
     zs = _entries(z_max, "z_max")
-    hits, outs = _stage_counts(spec, (j, 1), (j, 1), zs, J)  # hits[0] = |S|
-    values = _bounds(zs, hits, outs, hits[0], Fraction(1, hits[0]))
+    hits = _stage_counts(spec, (j, 1), (j, 1), zs, J)  # hits[0] = |S|
+    values = _bounds(zs, hits, _escapes(spec, (j, 1), zs, J), hits[0], Fraction(1, hits[0]))
     return ReturnProfile(j=j, J=J, values=values,
                          degenerate=frozenset(range(build_stage(spec, J).height, z_max + 1)))
 
@@ -319,13 +319,10 @@ def _correlations(spec: ConstructionSpec, A: SetLike, B: SetLike, ms: range, J: 
     D = math.lcm(*(x.denominator for lo, hi, _ in (*ca, *cb) for x in (lo, hi)))
     hits, outs = [0] * len(ms), [0] * len(ms)
     for (lo, hi, _), b in cb.items():
-        out = None
         for (lo2, hi2, _), a in ca.items():
             if (n := int((min(hi, hi2) - max(lo, lo2)) * D)) > 0:
-                x, out = _stage_counts(spec, a, b, ms, J)
-                hits = list(map(add, hits, map(n.__mul__, x)))
-        out = out or _stage_counts(spec, (b[0], 0), b, ms, J)[1]  # escapes only
-        outs = list(map(add, outs, map(int((hi - lo) * D).__mul__, out)))
+                hits = list(map(add, hits, map(n.__mul__, _stage_counts(spec, a, b, ms, J))))
+        outs = list(map(add, outs, map(int((hi - lo) * D).__mul__, _escapes(spec, b, ms, J))))
     cap = min(_measure(spec, A), _measure(spec, B)) * D // st.width
     return _bounds(ms, hits, outs, cap, st.width / D)
 

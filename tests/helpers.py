@@ -47,7 +47,7 @@ def dict_matrix(m):
         masses = {BlockIndex(*z): per for z in product(range(m.h_a), range(m.h_b))}
     elif m.kind == "graph":
         h, k, stJ = m.h_a, m.meta["k"], build_stage(m.spec_a, J)
-        lags = stats._stage_counts(m.spec_a, (m.j, 1), (m.j, 1), range(k - h + 1, k + h), J)[0]
+        lags = stats._stage_counts(m.spec_a, (m.j, 1), (m.j, 1), range(k - h + 1, k + h), J)
         w = stJ.width / stJ.total
         masses = {BlockIndex(z1, z2): n * w for z1 in range(h) for z2 in range(h)
                   if (n := lags[z2 - z1 + h - 1])}
@@ -156,9 +156,10 @@ def dict_trivialization_check(d, F, A, B, k):
             if d.kind == "product":
                 s, escape = d.level_mass_a * stJ.width / d.norm_b, [0] * d.h_b
             else:
-                s, kk = stJ.width / d.norm_a, d.meta["k"]
-                escape = stats._stage_counts(d.spec_b, (d.j, 1), (d.j, 1),
-                                             range(kk, kk + d.h_b), d.meta["J"])[1]
+                # escape[z2]: the occurrences p of E_j at stage J with p + z2 + k
+                # off the tower, counted on the stage-J occurrence set
+                s, kk, occ = stJ.width / d.norm_a, d.meta["k"], stJ.occurrence_bits(d.j)
+                escape = counts(occ, occ, range(kk, kk + d.h_b), stJ.height)[1]
             lo = out = Fraction(0)
             for h, a_h in F.weights.weights:
                 hit = [bi for bi in sel if in_B >> (bi.z2 + h) & 1]
@@ -393,11 +394,12 @@ def hits(a, b, ms):
 
 def counts(a, b, ms, h):
     """(resolved, escaped) level counts of A intersect T^m B for each m in
-    ms, a range of step 1, for level bitsets a, b of a height-h tower: the
-    count kernel on one stage's own bitsets, which stats._stage_counts
-    must agree with on the stage-J lifts."""
-    neg, pos = range(ms.start, min(ms.stop, 0)), range(max(ms.start, 0), ms.stop)
-    return hits(a, b, ms), stats._escapes(b, neg, pos, h)
+    ms, for level bitsets a, b of a height-h tower, which stats._stage_counts
+    and stats._escapes must agree with on the stage-J lifts: the hits one
+    shifted `&` a lag, and the escapes a popcount a lag of b's top m levels
+    (its bottom |m| for m < 0), clamped to h."""
+    return hits(a, b, ms), [(b >> max(h - m, 0) if m >= 0 else b & (1 << min(-m, h)) - 1)
+                            .bit_count() for m in ms]
 
 
 def cross(x, weights):

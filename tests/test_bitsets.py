@@ -351,13 +351,25 @@ def test_run_length_cross_matches_per_shift_cross(x, shifts):
     assert stats._cross(x, weights) == cross(x, weights)
 
 
+def check_split_kernel(spec, a, b, ms, J):
+    """_stage_counts at each lag of ms and _escapes over its span, each
+    against counts on the stage-J lifts; a, b are (k, bits)."""
+    stJ = build_stage(spec, J)
+    a_J, b_J, h = stJ.occurrence_bits(*a), stJ.occurrence_bits(*b), stJ.height
+    span = range(ms[0], ms[-1] + 1) if ms else range(0)
+    hits, outs = counts(a_J, b_J, span, h)
+    assert stats._stage_counts(spec, a, b, ms, J) == [hits[m - span.start] for m in ms], ms
+    assert stats._escapes(spec, b, ms, J) == outs, ms
+
+
 @settings(max_examples=150, deadline=None)
 @given(kernel_specs, st.data())
 def test_stage_counts_match_counts_on_stage_J_lifts(spec, data):
     # A and B drawn at stages ka, kb in either order, each passed at its own
     # stage; ranges of either sign, across 0, ending at and past
     # +-h_{J-1} and +-h_J or at any stage height (so that several stages
-    # sit above the base), empty ones and Z = 0
+    # sit above the base), empty ranges and lists, and Z = 0; the resolved
+    # counts and the escapes are asked apart
     J = data.draw(st.integers(1, 8))
     ka, kb = data.draw(st.integers(1, J)), data.draw(st.integers(1, J))
     stJ = build_stage(spec, J)
@@ -367,8 +379,6 @@ def test_stage_counts_match_counts_on_stage_J_lifts(spec, data):
         levels = data.draw(st.sets(st.integers(0, hi - 1) | st.sampled_from([0, hi - 1]),
                                    max_size=8))
         sets.append((i, sum(1 << x for x in levels)))
-    (ia, a), (ib, b) = sets
-    a_J, b_J = stJ.occurrence_bits(ia, a), stJ.occurrence_bits(ib, b)
     h = stJ.height
     hp = build_stage(spec, J - 1).height if J > 1 else h
     heights = [build_stage(spec, t).height for t in range(1, J + 1)]
@@ -376,35 +386,32 @@ def test_stage_counts_match_counts_on_stage_J_lifts(spec, data):
                              hp + 1, h - 1, h, h + 2])
             | st.sampled_from(heights).flatmap(lambda x: st.sampled_from([-x, x - 1, x]))
             | st.integers(-h - 3, h + 3) | st.integers(-60, 60))
-    ranges = [range(0, 1), range(0, 0), range(5, 5), range(-3, -3)]
+    ranges = [range(0, 1), range(0, 0), range(5, 5), range(-3, -3), []]
     for _ in range(3):
         lo, top = sorted(data.draw(ends) for _ in range(2))
         ranges.append(range(max(lo, top - 600), top + 1))
         ranges.append(range(lo, min(top, lo + 600)))
     for ms in ranges:
-        assert stats._stage_counts(spec, (ia, a), (ib, b), ms, J) == \
-            counts(a_J, b_J, ms, h), ms
+        check_split_kernel(spec, *sets, ms, J)
         if ms:
             # a sorted list: hits at its lags, escapes over its span
-            lags = sorted(data.draw(st.sets(st.sampled_from(ms), min_size=1, max_size=4)))
-            hits, outs = counts(a_J, b_J, range(lags[0], lags[-1] + 1), h)
-            assert stats._stage_counts(spec, (ia, a), (ib, b), lags, J) == \
-                ([hits[m - lags[0]] for m in lags], outs), lags
-    # sparse lists over a whole span, with lags past h_{J-1} and h_J
+            check_split_kernel(spec, *sets, sorted(data.draw(
+                st.sets(st.sampled_from(ms), min_size=1, max_size=4))), J)
+    # sparse lists with gaps over a whole span, with lags past h_{J-1} and +-h_J
     lo, top = sorted(data.draw(ends) for _ in range(2))
-    lags = sorted({lo, top, *data.draw(st.sets(st.integers(lo, top), max_size=12))})
-    hits, outs = counts(a_J, b_J, range(lo, top + 1), h)
-    assert stats._stage_counts(spec, (ia, a), (ib, b), lags, J) == \
-        ([hits[m - lo] for m in lags], outs), lags
+    check_split_kernel(spec, *sets, sorted(
+        {lo, top, *data.draw(st.sets(st.integers(lo, top), max_size=12))}), J)
+    check_split_kernel(spec, *sets, [-h - 2, -h, 0, h, h + 2], J)
 
 
 @settings(max_examples=100, deadline=None)
 @given(kernel_specs, st.data())
 def test_stage_counts_of_one_level_a_copy_match_counts(spec, data):
     # sparse sets: one level in each stage-(k-1) copy of stage k, so that
-    # few levels sit far apart, against dense ranges and sparse lists
+    # few levels sit far apart, against dense ranges past +-h_J and sparse
+    # lists
     J = data.draw(st.integers(2, 8))
-    stJ, h = build_stage(spec, J), build_stage(spec, J).height
+    h = build_stage(spec, J).height
     sets = []
     for _ in "ab":
         k = data.draw(st.integers(2, J))
@@ -412,15 +419,11 @@ def test_stage_counts_of_one_level_a_copy_match_counts(spec, data):
         hp = stk.prev.height
         sets.append((k, sum(1 << (off + data.draw(st.integers(0, hp - 1)))
                             for off in stk.offsets)))
-    (ka, a), (kb, b) = sets
-    a_J, b_J = stJ.occurrence_bits(ka, a), stJ.occurrence_bits(kb, b)
     end = data.draw(st.integers(0, h + 3))
     ms = range(-end, end + 1)
-    assert stats._stage_counts(spec, (ka, a), (kb, b), ms, J) == counts(a_J, b_J, ms, h)
-    lags = sorted({-end, end, *data.draw(st.sets(st.sampled_from(ms), max_size=10))})
-    hits = counts(a_J, b_J, ms, h)[0]
-    assert stats._stage_counts(spec, (ka, a), (kb, b), lags, J)[0] == \
-        [hits[m + end] for m in lags]
+    check_split_kernel(spec, *sets, ms, J)
+    check_split_kernel(spec, *sets, sorted(
+        {-end, end, *data.draw(st.sets(st.sampled_from(ms), max_size=10))}), J)
 
 
 @settings(max_examples=40, deadline=None)
@@ -538,6 +541,22 @@ def test_autocorrelation_converts_its_set_once(levels, j, J):
         assert len(calls) == (alone if j > J else 0)
     assert alone == len(stats._classes(stJ, A))
     assert got == [oracle_correlation(spec, A, A, m, J) for m in (0, 1, 5)]
+
+
+def test_correlations_ask_escapes_once_per_class_of_B():
+    # each piece class of B has one escape vector, whatever classes of A it
+    # meets: B's first interval meets two classes of A, and its second none
+    spec, J = ConstructionSpec.staircase(), 5
+    stJ = build_stage(spec, J)
+    w = stJ.width
+    A = canonicalize([Interval(w / 3, 2 * w), Interval(5 * w / 2, 4 * w)])
+    B = canonicalize([Interval(w / 4, 7 * w / 3), Interval(9 * w + w / 7, 9 * w + w / 5)])
+    classes = stats._classes(stJ, B)
+    assert len(classes) > 2
+    with mock.patch.object(stats, "_escapes", wraps=stats._escapes) as escapes:
+        got = [correlation(spec, A, B, m, J) for m in (0, 1, 7)]
+    assert [c.args[1] for c in escapes.call_args_list] == 3 * list(classes.values())
+    assert got == [oracle_correlation(spec, A, B, m, J) for m in (0, 1, 7)]
 
 
 def test_non_level_correlate_in_a_capped_child():
@@ -828,6 +847,23 @@ def test_graph_trivialize_multi_level_matches_the_oracles():
     assert rec == dict_trivialization_check(dict_matrix(g), fs, A, B, 3)
     assert rec.display_sum.width == F(3, 88)
     check_display(g, fs, A, B, 3, oracle_graph_display(g, fs, A, B))
+
+
+def test_graph_kernel_calls_ask_only_what_they_read():
+    # graph_blocks reads the resolved lag counts of E_j and no escape; the
+    # graph display reads the escapes of E_j under T^k and no lag count, so
+    # it runs no lag product; the chacon case above widens by those escapes
+    spec = ConstructionSpec.chacon()
+    with mock.patch.object(stats, "_escapes", wraps=stats._escapes) as escapes:
+        g = graph_blocks(spec, 43, 4, 6)
+    assert escapes.call_count == 0
+    fs = columns_and_F(g, F(1, 4), 3, [0, 1, 29])
+    st3 = build_stage(spec, 3)
+    A, B = st3.levels_set([0, 2, 4, 7, 12]), st3.levels_set([0, 2, 3, 9])
+    with mock.patch.object(stats, "_lag_counts", wraps=stats._lag_counts) as lag_counts:
+        rec = trivialization_check(g, fs, A, B, 3)
+    assert lag_counts.call_count == 0
+    assert rec.display_sum.width == F(3, 88)
 
 
 def test_product_display_reads_no_stage_deeper_than_j():

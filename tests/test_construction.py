@@ -226,10 +226,10 @@ class TestSpecSerialization:
             build_stage(spec, 4)
 
     def test_random_requires_seed(self):
-        spec = ConstructionSpec(h1=2, cut_rule=CutRule("stage"),
-                                spacer_rule=SpacerRule("random", bound=2))
-        with pytest.raises(SpecError):
-            build_stage(spec, 2)
+        # refused when the spec is made, not when stage 2 first draws spacers
+        with pytest.raises(SpecError, match="^random spacer rule seed must be an integer"):
+            ConstructionSpec(h1=2, cut_rule=CutRule("stage"),
+                             spacer_rule=SpacerRule("random", bound=2))
 
     def test_random_deterministic_per_seed(self):
         a = ConstructionSpec.random_spacers(seed=99)

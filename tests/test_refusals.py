@@ -141,8 +141,8 @@ def test_library_refusal(call, exc, message):
 FILES = {
     "bad": "not json",
     "cut_values_3": _spec(cut={"kind": "list", "values": 3}),
-    "cut_value_x": _spec(cut={"kind": "stage", "value": "x"}),
-    "spacer_bound_x": _spec(spacer={"kind": "none", "bound": "x"}),
+    "cut_value_x": _spec(cut={"kind": "constant", "value": "x"}),
+    "spacer_bound_x": _spec(spacer={"kind": "random", "bound": "x"}, seed=1),
 }
 _DISPERSE = ("joining", "disperse", "--spec-a", "odometer", "--spec-b", "odometer", "--x-a", "0",
              "--x-b", "0")
@@ -171,9 +171,9 @@ CLI = [
     ("cut_rule_values_not_a_list", ("build", "--spec", "{cut_values_3}", "--stage", "2"), 2,
      "cut rule values must be a list of integers, got 3"),
     ("cut_rule_value_not_an_int", ("build", "--spec", "{cut_value_x}", "--stage", "2"), 2,
-     "cut rule value must be an integer, got 'x'"),
+     "constant cut rule value must be an integer >= 1, got 'x'"),
     ("spacer_rule_bound_not_an_int", ("build", "--spec", "{spacer_bound_x}", "--stage", "2"), 2,
-     "spacer rule bound must be an integer, got 'x'"),
+     "random spacer rule bound must be an integer >= 0, got 'x'"),
 ]
 
 
@@ -200,6 +200,23 @@ SPEC_KEYS = [
      "unknown spacer_rule key: 'row'"),
     ("stage_plus_one", _spec(cut={"kind": "stage_plus_one"}),
      "unknown cut rule kind: 'stage_plus_one'"),
+    # a field its kind does not read would give one system a second spec_hash
+    ("stage_cut_value", {"preset": "staircase", "cut_rule": {"kind": "stage", "value": 7}},
+     "cut_rule kind 'stage' does not read 'value'"),
+    ("constant_cut_values", _spec(cut={"kind": "constant", "value": 2, "values": [2]}),
+     "cut_rule kind 'constant' does not read 'values'"),
+    ("list_cut_value", _spec(cut={"kind": "list", "values": [2], "value": 2}),
+     "cut_rule kind 'list' does not read 'value'"),
+    ("none_spacer_bound", _spec(spacer={"kind": "none", "bound": 2}),
+     "spacer_rule kind 'none' does not read 'bound'"),
+    ("list_spacer_bound", _spec(spacer={"kind": "list", "rows": [[0]], "bound": 1}),
+     "spacer_rule kind 'list' does not read 'bound'"),
+    ("random_spacer_rows", _spec(spacer={"kind": "random", "bound": 2, "rows": [[0, 1]]}, seed=1),
+     "spacer_rule kind 'random' does not read 'rows'"),
+    ("staircase_seed", {"preset": "staircase", "seed": 5},
+     "spacer_rule kind 'staircase' does not read 'seed'"),
+    ("random_without_seed", {"preset": "random"},
+     "random spacer rule seed must be an integer, got None"),
 ]
 
 
@@ -213,6 +230,15 @@ def test_spec_names_only_the_keys_it_reads(tmp_path, data, message):
     sf = tmp_path / "spec.json"
     sf.write_text(json.dumps(data))
     assert run_cli("build", "--spec", str(sf), "--stage", "2") == (2, "", f"error: {message}\n")
+
+
+def test_named_specs_keep_their_spec_hash():
+    # refusing unread fields leaves every preset and random:SEED the spec it was
+    from rankone.cli import load_spec
+    from rankone.persist import spec_hash
+    assert {t: spec_hash(load_spec(t)) for t in ("odometer", "staircase", "chacon", "random:7")} \
+        == {"odometer": "712b6fdc196db38d", "staircase": "7e3e1d159d28e614",
+            "chacon": "14436e582509b5d5", "random:7": "b7d8470c8179b700"}
 
 
 # Fields given to the constructor and to from_json alike: the rules as JSON
